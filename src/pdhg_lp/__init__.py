@@ -14,6 +14,7 @@ from .exceptions import (
     IntegerSectionRejected,
     InvalidGeneratorSpec,
     InvalidRadius,
+    MpsNameError,
     MpsParseError,
     MpsSyntaxError,
     NonFiniteData,

@@ -381,9 +381,5 @@ def main(argv=None):
         return 130
 
 
-def console_main():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -87,3 +87,7 @@ class UnknownRowReference(MpsParseError):
 
 class IntegerSectionRejected(MpsParseError):
     pass
+
+
+class MpsNameError(SolverError):
+    """A variable or constraint name that MPS text cannot carry."""

@@ -5,13 +5,28 @@ and strict fixed columns via the dialect flag.  Supported sections: NAME,
 OBJSENSE, ROWS (N/L/G/E), COLUMNS (with INTORG/INTEND markers), RHS, RANGES,
 BOUNDS (LO/UP/FX/FR/MI/PL/BV), ENDATA.
 
+The reader works on whole sections of the raw bytes, not line by line.  A
+section is split into fields once, about two megabytes of text at a time so
+that the field list stays small; names are mapped to indices in one pass
+and numbers converted with one array cast.  Only that first split differs
+between the dialects; free format splits on ASCII whitespace, and the fixed
+columns count bytes.  Every error still names its 1-based source line, and
+when the input holds several faults the one reported is the first in file
+order.
+
 Everything is normalized into the internal form: L rows are negated into
 >= rows, ranged rows are split into two one-sided inequalities, an RHS entry
 on the objective row becomes a (negated) constant offset, and OBJSENSE MAX
 flips the objective while recording the sign for reporting.  Integer
 markers are either relaxed with a warning or rejected, per the dialect.
+
+The writer emits free format, one coefficient per line with every double
+at 17 significant digits, so reading its output back returns the same
+problem exactly.
 """
 
+import itertools
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -22,18 +37,28 @@ from .exceptions import (
     DuplicateColumn,
     DuplicateRow,
     IntegerSectionRejected,
+    MpsNameError,
     MpsSyntaxError,
     UnknownRowReference,
 )
 from .problem import LpProblem
 from .sparse import SparseMatrix
 
-_SECTIONS = {"NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"}
-_BOUND_CODES_WITH_VALUE = {"LO", "UP", "FX"}
-_BOUND_CODES_BARE = {"FR", "MI", "PL", "BV"}
+_SECTIONS = {b"NAME", b"OBJSENSE", b"ROWS", b"COLUMNS", b"RHS", b"RANGES", b"BOUNDS", b"ENDATA"}
+_BOUND_CODES = ("LO", "UP", "FX", "FR", "MI", "PL", "BV")
+_LO, _UP, _FX, _FR, _MI, _PL, _BV = range(len(_BOUND_CODES))  # the first three take a value
+_BOUND_CODE_IDS = {code.encode(): k for k, code in enumerate(_BOUND_CODES)}
+_MARKER = b"'MARKER'"
 
 # 0-based slices of the six fixed-format fields.
 _FIXED_FIELDS = [(1, 3), (4, 12), (14, 22), (24, 36), (39, 47), (49, 61)]
+
+# The bytes that bytes.split() splits on.
+_IS_SPACE = np.zeros(256, dtype=bool)
+_IS_SPACE[list(b" \t\n\r\x0b\x0c")] = True
+
+_CHUNK_BYTES = 1 << 21  # MPS text split into fields at a time
+_WRITE_CHUNK = 1 << 16  # coefficients formatted at a time
 
 
 @dataclass(frozen=True)
@@ -42,249 +67,483 @@ class MpsDialect:
     integer_handling: str = "relax_with_warning"  # or "reject"
 
 
-def _value(token, line_no):
+def _text(token):
+    return token.decode("utf-8", errors="replace")
+
+
+def _value(token):
     try:
         return float(token)
     except ValueError:
-        pass
-    try:
         # Fortran-style exponents show up in old files.
-        return float(token.upper().replace("D", "E"))
+        return float(token.upper().replace(b"D", b"E"))
+
+
+def _floats(tokens):
+    """Values of an object array of numeric fields, and the index of the
+    first field that is not a number (None when all are)."""
+    try:
+        return tokens.astype(np.float64), None
     except ValueError:
-        raise MpsSyntaxError(f"bad numeric literal {token!r}", line_no) from None
+        pass
+    out = np.empty(tokens.size)
+    for i, token in enumerate(tokens):
+        try:
+            out[i] = _value(token)
+        except ValueError:
+            return out, i
+    return out, None
 
 
-class _Parser:
+def _lookup(index, names):
+    """Indices of an object array of names in a dict, -1 where absent."""
+    return np.fromiter(map(index.get, names, itertools.repeat(-1)), dtype=np.int64, count=names.size)
+
+
+def _first(mask):
+    """Index of the first true entry, or None."""
+    return int(mask.argmax()) if mask.any() else None
+
+
+def _raise_first(errors):
+    """Raise the error that comes first in the file.  Each entry is None or
+    (position, stage, exception); at one position, lower stages are checked
+    first."""
+    errors = [e for e in errors if e is not None]
+    if errors:
+        raise min(errors, key=lambda e: e[:2])[2]
+
+
+# -- splitting into fields ----------------------------------------------------
+
+
+class _Lines:
+    """The data lines of a stretch of one section: all their fields in one
+    object array of bytes, the number of fields on each line, and each
+    line's 1-based number."""
+
+    __slots__ = ("tokens", "counts", "line_nos")
+
+    def __init__(self, tokens, counts, line_nos):
+        self.tokens = tokens
+        self.counts = counts
+        self.line_nos = line_nos
+
+    @property
+    def offsets(self):
+        """Index of each line's first field."""
+        return np.cumsum(self.counts) - self.counts
+
+    def head(self, k):
+        """The first k lines."""
+        return _Lines(self.tokens[: int(self.counts[:k].sum())], self.counts[:k], self.line_nos[:k])
+
+    def drop(self, mask):
+        """The lines where mask is false."""
+        keep = ~mask
+        return _Lines(self.tokens[np.repeat(keep, self.counts)], self.counts[keep], self.line_nos[keep])
+
+
+def _split_free(text, first_line):
+    """Fields of free-format lines: the runs of non-blank bytes.  Blank and
+    comment lines are dropped."""
+    code = np.frombuffer(text, dtype=np.uint8)
+    space = _IS_SPACE[code]
+    starts = ~space
+    starts[1:] &= space[:-1]
+    starts = np.flatnonzero(starts)
+    line = np.searchsorted(np.flatnonzero(code == ord("\n")), starts)
+    new_line = np.ones(starts.size, dtype=bool)
+    new_line[1:] = line[1:] != line[:-1]
+    heads = np.flatnonzero(new_line)
+    lines = _Lines(
+        np.array(text.split(), dtype=object),
+        np.diff(np.append(heads, starts.size)),
+        first_line + line[heads],
+    )
+    comment = code[starts[heads]] == ord("*")
+    return lines.drop(comment) if comment.any() else lines
+
+
+def _split_fixed(text, first_line):
+    """Fields of fixed-format lines, cut at the standard columns, so names may
+    hold blanks.  Blank and comment lines are dropped; a line whose fields are
+    all blank stays, with no fields."""
+    tokens, counts, line_nos = [], [], []
+    for k, line in enumerate(text.split(b"\n")):
+        stripped = line.strip()
+        if not stripped or stripped.startswith(b"*"):
+            continue
+        fields = [f for f in (line[a:b].strip() for a, b in _FIXED_FIELDS) if f]
+        tokens.extend(fields)
+        counts.append(len(fields))
+        line_nos.append(first_line + k)
+    return _Lines(np.array(tokens, dtype=object), np.array(counts, dtype=np.int64), np.array(line_nos, dtype=np.int64))
+
+
+def _sections(data):
+    """Yield (header fields, header line number, body start, body end, first
+    body line number) for each section in file order, where the body is the
+    byte range up to the next header.  The stretch before the first header
+    comes first, with None for its fields.  A header line starts in column 1
+    and is neither blank nor a comment."""
+    code = np.frombuffer(data, dtype=np.uint8)
+    line_start = np.flatnonzero(code[:-1] == ord("\n")) + 1
+    if len(data):
+        line_start = np.concatenate(([0], line_start))
+    first = code[line_start]
+    maybe = (first != ord(" ")) & (first != ord("\t")) & (first != ord("\n")) & (first != ord("*"))
+    header, line_no, body_start, body_line = None, 0, 0, 1
+    for i in np.flatnonzero(maybe).tolist():
+        start = int(line_start[i])
+        end = data.find(b"\n", start)
+        end = len(data) if end < 0 else end
+        fields = data[start:end].split()
+        if not fields or fields[0].startswith(b"*"):
+            continue
+        yield header, line_no, body_start, start, body_line
+        header, line_no, body_start, body_line = fields, i + 1, end + 1, i + 2
+    yield header, line_no, body_start, len(data), body_line
+
+
+def _data_lines(data, start, end, first_line, split):
+    """The data lines of data[start:end], split into fields a chunk of about
+    _CHUNK_BYTES at a time; chunks without data lines are skipped."""
+    while start < end:
+        stop = data.find(b"\n", start + _CHUNK_BYTES, end)
+        stop = end if stop < 0 else stop + 1
+        text = data[start:stop]
+        lines = split(text, first_line)
+        if lines.counts.size:
+            yield lines
+        first_line += text.count(b"\n")
+        start = stop
+
+
+def _pairs(lines, lead):
+    """Row and value fields of the (row, value) pairs that follow `lead`
+    leading fields on each line, and the line number of each pair."""
+    npairs = (lines.counts - lead) // 2
+    line = np.repeat(np.arange(npairs.size), npairs)
+    rank = np.arange(line.size) - np.repeat(np.cumsum(npairs) - npairs, npairs)
+    at = (lines.offsets + lead)[line] + 2 * rank
+    return lines.tokens[at], lines.tokens[at + 1], lines.line_nos[line]
+
+
+def _assign_last(out, index, mask, values):
+    """out[index[k]] = values[k] for every k in mask; where an index repeats,
+    the last such k wins."""
+    index, values = index[mask][::-1], values[mask][::-1]
+    targets, last = np.unique(index, return_index=True)
+    out[targets] = values[last]
+
+
+# -- section handlers ---------------------------------------------------------
+
+
+class _Reader:
     def __init__(self, dialect):
-        self.dialect = dialect or MpsDialect()
+        self.dialect = dialect
         self.name = ""
-        self.objsense = 1
-        self.obj_row = None
-        self.row_type = {}  # name -> N | L | G | E | F (F = extra free row)
-        self.row_order = []
-        self.col_order = []
-        self.col_index = {}
-        self.obj_coef = {}
-        self.entries = {}  # row name -> list of (col index, value)
-        self.seen = set()  # (col, row) pairs, for duplicate detection
-        self.rhs = {}
+        self.sense = 1
+        self.obj_row = None  # row index of the objective
+        self.row_index = {}  # name -> row index, in declaration order
+        self.row_kind = []  # per row: N, L, G, E or F (an extra free row)
+        self.col_index = {}  # name -> column index, in order of first use
+        self.entries = []  # per COLUMNS stretch: (column, row, value, line) arrays
+        self.rhs = {}  # row index -> value; the last entry wins
         self.ranges = {}
-        self.obj_offset = 0.0
-        self.bound_records = []  # (code, col index, value, line_no)
+        self.bound_records = []  # per BOUNDS stretch: (code, column, value) arrays
         self.integer_cols = set()
         self.in_integer = False
 
-    # -- tokenization ----------------------------------------------------
+    def set_sense(self, word, line_no):
+        key = word.upper()
+        if key in (b"MIN", b"MINIMIZE"):
+            self.sense = 1
+        elif key in (b"MAX", b"MAXIMIZE"):
+            self.sense = -1
+        else:
+            raise MpsSyntaxError(f"unknown objective sense {_text(word)!r}", line_no)
 
-    def fields(self, line):
-        if self.dialect.fixed_columns:
-            out = []
-            for a, b in _FIXED_FIELDS:
-                piece = line[a:b].strip()
-                if piece:
-                    out.append(piece)
-            return out
-        return line.split()
+    def read_objsense(self, lines):
+        for at, count, line_no in zip(lines.offsets.tolist(), lines.counts.tolist(), lines.line_nos.tolist()):
+            self.set_sense(lines.tokens[at + count - 1] if count else b"", line_no)
 
-    # -- section handlers --------------------------------------------------
+    def read_rows(self, lines):
+        tokens = lines.tokens
+        for at, count, line_no in zip(lines.offsets.tolist(), lines.counts.tolist(), lines.line_nos.tolist()):
+            if count != 2:
+                raise MpsSyntaxError(f"ROWS line needs 2 fields, got {count}", line_no)
+            rtype, name = tokens[at].upper(), tokens[at + 1]
+            if rtype not in (b"N", b"L", b"G", b"E"):
+                raise MpsSyntaxError(f"unknown row type {_text(tokens[at])!r}", line_no)
+            if name in self.row_index:
+                raise DuplicateRow(f"row {_text(name)!r} declared twice", line_no)
+            kind = rtype.decode()
+            if kind == "N":
+                if self.obj_row is None:
+                    self.obj_row = len(self.row_kind)
+                else:
+                    kind = "F"  # extra free row: legal to reference, dropped at build
+            self.row_index[name] = len(self.row_kind)
+            self.row_kind.append(kind)
 
-    def handle_rows(self, toks, line_no):
-        if len(toks) != 2:
-            raise MpsSyntaxError(f"ROWS line needs 2 fields, got {len(toks)}", line_no)
-        rtype, name = toks[0].upper(), toks[1]
-        if rtype not in ("N", "L", "G", "E"):
-            raise MpsSyntaxError(f"unknown row type {toks[0]!r}", line_no)
-        if name in self.row_type:
-            raise DuplicateRow(f"row {name!r} declared twice", line_no)
-        if rtype == "N":
-            if self.obj_row is None:
-                self.obj_row = name
-            else:
-                rtype = "F"  # extra free row: legal to reference, dropped at build
-        self.row_type[name] = rtype
-        self.row_order.append(name)
-
-    def handle_columns(self, toks, line_no):
-        if "'MARKER'" in toks:
-            if "'INTORG'" in toks:
+    def _markers(self, lines):
+        """Take the INTORG/INTEND marker lines out of a COLUMNS stretch and
+        note the columns between them as integer.  Returns the other lines
+        and the first faulty marker line as (line number, exception), or
+        None."""
+        marker = np.zeros(lines.counts.size, dtype=bool)
+        marker[np.repeat(np.arange(marker.size), lines.counts)[lines.tokens == _MARKER]] = True
+        integer = np.zeros(marker.size, dtype=bool)
+        error, done = None, 0
+        for i in np.flatnonzero(marker).tolist():
+            integer[done:i] = self.in_integer
+            done = i + 1
+            at = int(lines.offsets[i])
+            fields = lines.tokens[at : at + lines.counts[i]].tolist()
+            line_no = int(lines.line_nos[i])
+            if b"'INTORG'" in fields:
                 if self.dialect.integer_handling == "reject":
-                    raise IntegerSectionRejected("integer marker section", line_no)
+                    error = (line_no, IntegerSectionRejected("integer marker section", line_no))
+                    break
                 self.in_integer = True
-            elif "'INTEND'" in toks:
+            elif b"'INTEND'" in fields:
                 self.in_integer = False
             else:
-                raise MpsSyntaxError("marker line without INTORG/INTEND", line_no)
-            return
-        if len(toks) < 3 or len(toks) % 2 == 0:
-            raise MpsSyntaxError("COLUMNS line needs a column plus (row, value) pairs", line_no)
-        col = toks[0]
-        if col not in self.col_index:
-            self.col_index[col] = len(self.col_order)
-            self.col_order.append(col)
-        j = self.col_index[col]
-        if self.in_integer:
-            self.integer_cols.add(col)
-        for row, raw in zip(toks[1::2], toks[2::2]):
-            if row not in self.row_type:
-                raise UnknownRowReference(f"COLUMNS references unknown row {row!r}", line_no)
-            if (col, row) in self.seen:
-                raise DuplicateColumn(f"duplicate coefficient for ({col!r}, {row!r})", line_no)
-            self.seen.add((col, row))
-            val = _value(raw, line_no)
-            if row == self.obj_row:
-                self.obj_coef[j] = val
-            elif self.row_type[row] != "F":
-                self.entries.setdefault(row, []).append((j, val))
-
-    def _pairs(self, toks, line_no, section):
-        if len(toks) % 2 == 1:
-            toks = toks[1:]  # leading set name
-        if not toks:
-            raise MpsSyntaxError(f"{section} line has no (row, value) pairs", line_no)
-        return zip(toks[0::2], toks[1::2])
-
-    def handle_rhs(self, toks, line_no):
-        for row, raw in self._pairs(toks, line_no, "RHS"):
-            if row not in self.row_type:
-                raise UnknownRowReference(f"RHS references unknown row {row!r}", line_no)
-            val = _value(raw, line_no)
-            if row == self.obj_row:
-                # Constant shift: an objective-row RHS r means minimize c'x - r.
-                self.obj_offset = -val
-            elif self.row_type[row] != "F":
-                self.rhs[row] = val
-
-    def handle_ranges(self, toks, line_no):
-        for row, raw in self._pairs(toks, line_no, "RANGES"):
-            if row not in self.row_type:
-                raise UnknownRowReference(f"RANGES references unknown row {row!r}", line_no)
-            if self.row_type[row] in ("N", "F"):
-                raise MpsSyntaxError(f"range on objective/free row {row!r}", line_no)
-            self.ranges[row] = _value(raw, line_no)
-
-    def handle_bounds(self, toks, line_no):
-        if not toks:
-            raise MpsSyntaxError("empty BOUNDS line", line_no)
-        code = toks[0].upper()
-        if code in _BOUND_CODES_WITH_VALUE:
-            if len(toks) == 4:
-                col, raw = toks[2], toks[3]
-            elif len(toks) == 3:
-                col, raw = toks[1], toks[2]
-            else:
-                raise MpsSyntaxError(f"bound code {code} needs a column and a value", line_no)
-            val = _value(raw, line_no)
-        elif code in _BOUND_CODES_BARE:
-            if len(toks) == 3:
-                col = toks[2]
-            elif len(toks) == 2:
-                col = toks[1]
-            else:
-                raise MpsSyntaxError(f"bound code {code} takes no value", line_no)
-            val = None
+                error = (line_no, MpsSyntaxError("marker line without INTORG/INTEND", line_no))
+                break
         else:
-            raise MpsSyntaxError(f"unknown bound code {toks[0]!r}", line_no)
-        if col not in self.col_index:
-            raise MpsSyntaxError(f"BOUNDS references unknown column {col!r}", line_no)
-        if code == "BV":
-            if self.dialect.integer_handling == "reject":
-                raise IntegerSectionRejected("BV bound marks an integer column", line_no)
-            self.integer_cols.add(col)
-        self.bound_records.append((code, self.col_index[col], val, line_no))
+            integer[done:] = self.in_integer
+        integer &= ~marker & (lines.counts > 0)
+        self.integer_cols.update(lines.tokens[lines.offsets[integer]].tolist())
+        return (lines.drop(marker) if marker.any() else lines), error
 
-    def handle_objsense(self, toks, line_no):
-        word = toks[-1].upper()
-        if word in ("MIN", "MINIMIZE"):
-            self.objsense = 1
-        elif word in ("MAX", "MAXIMIZE"):
-            self.objsense = -1
-        else:
-            raise MpsSyntaxError(f"unknown objective sense {toks[-1]!r}", line_no)
+    def read_columns(self, lines):
+        lines, line_error = self._markers(lines)
+        bad = _first((lines.counts < 3) | (lines.counts % 2 == 0))
+        if bad is not None:
+            line_no = int(lines.line_nos[bad])
+            if line_error is None or line_no < line_error[0]:
+                line_error = (line_no, MpsSyntaxError("COLUMNS line needs a column plus (row, value) pairs", line_no))
+        if line_error is not None:
+            lines = lines.head(int(np.searchsorted(lines.line_nos, line_error[0])))
+
+        names = lines.tokens[lines.offsets]
+        for name in dict.fromkeys(names.tolist()):
+            self.col_index.setdefault(name, len(self.col_index))
+        col_of_line = np.fromiter(map(self.col_index.__getitem__, names), dtype=np.int64, count=names.size)
+        cols = np.repeat(col_of_line, (lines.counts - 1) // 2)
+        row_tokens, value_tokens, pair_lines = _pairs(lines, 1)
+        rows = _lookup(self.row_index, row_tokens)
+        values, bad_value = _floats(value_tokens)
+        base = sum(e[0].size for e in self.entries)
+        self.entries.append((cols, rows, values, pair_lines))
+
+        errors = []
+        unknown = _first(rows < 0)
+        if unknown is not None:
+            line_no = int(pair_lines[unknown])
+            msg = f"COLUMNS references unknown row {_text(row_tokens[unknown])!r}"
+            errors.append((base + unknown, 0, UnknownRowReference(msg, line_no)))
+        if bad_value is not None:
+            line_no = int(pair_lines[bad_value])
+            msg = f"bad numeric literal {_text(value_tokens[bad_value])!r}"
+            errors.append((base + bad_value, 2, MpsSyntaxError(msg, line_no)))
+        if line_error is not None:
+            errors.append((base + rows.size, -1, line_error[1]))
+        if errors:
+            errors.append(self._duplicate_error())
+            _raise_first(errors)
+
+    def _duplicate_error(self):
+        """(entry index, stage, DuplicateColumn) for the first coefficient
+        that repeats an earlier (column, row) pair, or None.  Entries on
+        unknown rows are left out."""
+        cols, rows, values, lines = (np.concatenate(parts) for parts in zip(*self.entries))
+        self.entries = [(cols, rows, values, lines)]
+        known = np.flatnonzero(rows >= 0)
+        key = cols[known] * len(self.row_kind) + rows[known]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        repeats = order[1:][key[1:] == key[:-1]]
+        if not repeats.size:
+            return None
+        k = int(known[repeats.min()])
+        col, row = list(self.col_index)[cols[k]], list(self.row_index)[rows[k]]
+        msg = f"duplicate coefficient for ({_text(col)!r}, {_text(row)!r})"
+        return (k, 1, DuplicateColumn(msg, int(lines[k])))
+
+    def check_duplicates(self):
+        if self.entries:
+            _raise_first([self._duplicate_error()])
+
+    def _row_values(self, lines, section):
+        """Row indices, values, row fields and line numbers of the (row,
+        value) pairs of an RHS or RANGES stretch, and the faults found in
+        them so far, as _raise_first takes them."""
+        bad = _first(lines.counts < 2)
+        line_error = None
+        if bad is not None:
+            line_error = MpsSyntaxError(f"{section} line has no (row, value) pairs", int(lines.line_nos[bad]))
+            lines = lines.head(bad)
+        row_tokens, value_tokens, pair_lines = _pairs(lines, lines.counts % 2)  # odd: leading set name
+        errors = [] if line_error is None else [(row_tokens.size, -1, line_error)]
+        rows = _lookup(self.row_index, row_tokens)
+        unknown = _first(rows < 0)
+        if unknown is not None:
+            msg = f"{section} references unknown row {_text(row_tokens[unknown])!r}"
+            errors.append((unknown, 0, UnknownRowReference(msg, int(pair_lines[unknown]))))
+        values, bad_value = _floats(value_tokens)
+        if bad_value is not None:
+            msg = f"bad numeric literal {_text(value_tokens[bad_value])!r}"
+            errors.append((bad_value, 2, MpsSyntaxError(msg, int(pair_lines[bad_value]))))
+        return rows, values, row_tokens, pair_lines, errors
+
+    def read_rhs(self, lines):
+        rows, values, _, _, errors = self._row_values(lines, "RHS")
+        _raise_first(errors)
+        self.rhs.update(zip(rows.tolist(), values.tolist()))
+
+    def read_ranges(self, lines):
+        rows, values, row_tokens, pair_lines, errors = self._row_values(lines, "RANGES")
+        kind = np.array(self.row_kind + ["?"])  # "?" stands in for an unknown row
+        free = _first(np.isin(kind[rows], ("N", "F")))
+        if free is not None:
+            msg = f"range on objective/free row {_text(row_tokens[free])!r}"
+            errors.append((free, 1, MpsSyntaxError(msg, int(pair_lines[free]))))
+        _raise_first(errors)
+        self.ranges.update(zip(rows.tolist(), values.tolist()))
+
+    def read_bounds(self, lines):
+        errors = []
+        empty = _first(lines.counts == 0)
+        if empty is not None:
+            line_no = int(lines.line_nos[empty])
+            errors.append((empty, 0, MpsSyntaxError("empty BOUNDS line", line_no)))
+            lines = lines.head(empty)
+        at, counts, line_nos = lines.offsets, lines.counts, lines.line_nos
+        heads = lines.tokens[at]
+        code = np.fromiter((_BOUND_CODE_IDS.get(h.upper(), -1) for h in heads), dtype=np.int64, count=heads.size)
+        valued = (code >= 0) & (code <= _FX)
+        fits = np.where(valued, (counts == 3) | (counts == 4), (counts == 2) | (counts == 3))
+        bad = _first((code < 0) | ~fits)
+        if bad is not None:
+            line_no = int(line_nos[bad])
+            if code[bad] < 0:
+                msg = f"unknown bound code {_text(heads[bad])!r}"
+            elif valued[bad]:
+                msg = f"bound code {_BOUND_CODES[code[bad]]} needs a column and a value"
+            else:
+                msg = f"bound code {_BOUND_CODES[code[bad]]} takes no value"
+            errors.append((bad, 0, MpsSyntaxError(msg, line_no)))
+            at, counts, line_nos, code, valued = (a[:bad] for a in (at, counts, line_nos, code, valued))
+
+        # the column is the last field, or the one before the value
+        col_tokens = lines.tokens[at + counts - 1 - valued]
+        cols = _lookup(self.col_index, col_tokens)
+        values = np.full(code.size, np.nan)
+        with_value = np.flatnonzero(valued)
+        parsed, bad_value = _floats(lines.tokens[(at + counts - 1)[with_value]])
+        values[with_value] = parsed
+        if bad_value is not None:
+            k = int(with_value[bad_value])
+            token = lines.tokens[at[k] + counts[k] - 1]
+            errors.append((k, 1, MpsSyntaxError(f"bad numeric literal {_text(token)!r}", int(line_nos[k]))))
+        unknown = _first(cols < 0)
+        if unknown is not None:
+            msg = f"BOUNDS references unknown column {_text(col_tokens[unknown])!r}"
+            errors.append((unknown, 2, MpsSyntaxError(msg, int(line_nos[unknown]))))
+        binary = code == _BV
+        if self.dialect.integer_handling == "reject" and binary.any():
+            k = _first(binary)
+            errors.append((k, 3, IntegerSectionRejected("BV bound marks an integer column", int(line_nos[k]))))
+        _raise_first(errors)
+        self.integer_cols.update(col_tokens[binary].tolist())
+        self.bound_records.append((code, cols, values))
 
     # -- assembly ----------------------------------------------------------
+
+    def _bounds(self, n):
+        lower = np.zeros(n)
+        upper = np.full(n, np.inf)
+        if not self.bound_records:
+            return lower, upper
+        code, col, value = (np.concatenate(parts) for parts in zip(*self.bound_records))
+        order = np.arange(code.size)
+        touches = np.isin(code, (_LO, _FX, _FR, _MI, _BV))
+        first_touch = np.full(n, code.size)
+        np.minimum.at(first_touch, col[touches], order[touches])
+        # Classic quirk: a negative upper bound on a column whose lower bound
+        # no earlier record set frees the lower bound.
+        frees = (code == _UP) & (value < 0) & (order < first_touch[col])
+        low = np.select([code == _LO, code == _FX, code == _BV], [value, value, 0.0], -np.inf)
+        _assign_last(lower, col, touches | frees, low)
+        high = np.select([code == _UP, code == _FX, code == _BV], [value, value, 1.0], np.inf)
+        _assign_last(upper, col, np.isin(code, (_UP, _FX, _FR, _PL, _BV)), high)
+        return lower, upper
 
     def build(self):
         if self.obj_row is None:
             raise MpsSyntaxError("no objective (N) row declared")
-        n = len(self.col_order)
+        n = len(self.col_index)
+        if self.entries:
+            cols, rows, vals, _ = (np.concatenate(parts) for parts in zip(*self.entries))
+        else:
+            cols, rows, vals = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
         c = np.zeros(n)
-        for j, val in self.obj_coef.items():
-            c[j] = val
+        on_obj = rows == self.obj_row
+        c[cols[on_obj]] = vals[on_obj]
 
-        lower = np.zeros(n)
-        upper = np.full(n, np.inf)
-        lower_touched = np.zeros(n, dtype=bool)
-        for code, j, val, _line in self.bound_records:
-            if code == "LO":
-                lower[j] = val
-                lower_touched[j] = True
-            elif code == "UP":
-                upper[j] = val
-                if val < 0 and not lower_touched[j]:
-                    # Classic quirk: a negative upper bound on a default-lower
-                    # column frees the lower bound.
-                    lower[j] = -np.inf
-            elif code == "FX":
-                lower[j] = upper[j] = val
-                lower_touched[j] = True
-            elif code == "FR":
-                lower[j] = -np.inf
-                upper[j] = np.inf
-                lower_touched[j] = True
-            elif code == "MI":
-                lower[j] = -np.inf
-                lower_touched[j] = True
-            elif code == "PL":
-                upper[j] = np.inf
-            elif code == "BV":
-                lower[j] = 0.0
-                upper[j] = 1.0
-                lower_touched[j] = True
+        kind = np.array(self.row_kind, dtype="U1")
+        m = kind.size
+        h = np.zeros(m)
+        h[list(self.rhs)] = list(self.rhs.values())
+        rng = np.zeros(m)
+        rng[list(self.ranges)] = list(self.ranges.values())
+        ranged = np.zeros(m, dtype=bool)
+        ranged[list(self.ranges)] = True
+        is_e, is_l = kind == "E", kind == "L"
+        ranged &= ~(is_e & (rng == 0.0))  # a zero range on an equality changes nothing
+        eq = is_e & ~ranged
+        ineq = (is_e | is_l | (kind == "G")) & ~eq
+        width = ineq.astype(np.int64) + ranged  # G rows a row becomes: 0, 1 or 2
+        first = np.cumsum(width) - width  # index of its first G row
+        eq_at = np.cumsum(eq) - 1
 
-        ineq_rows = []  # (cols, vals, rhs, name)
-        eq_rows = []
-        for row in self.row_order:
-            rtype = self.row_type[row]
-            if rtype in ("N", "F"):
-                continue
-            items = self.entries.get(row, [])
-            cols = np.array([j for j, _ in items], dtype=np.int64)
-            vals = np.array([v for _, v in items])
-            h = self.rhs.get(row, 0.0)
-            rng = self.ranges.get(row)
-            if rtype == "E":
-                if rng is None or rng == 0.0:
-                    eq_rows.append((cols, vals, h, row))
-                    continue
-                lo, hi = (h, h + rng) if rng > 0 else (h + rng, h)
-                ineq_rows.append((cols, vals, lo, row))
-                ineq_rows.append((cols, -vals, -hi, row + "__rng"))
-            elif rtype == "G":
-                ineq_rows.append((cols, vals, h, row))
-                if rng is not None:
-                    ineq_rows.append((cols, -vals, -(h + abs(rng)), row + "__rng"))
-            elif rtype == "L":
-                ineq_rows.append((cols, -vals, -h, row))
-                if rng is not None:
-                    ineq_rows.append((cols, vals, h - abs(rng), row + "__rng"))
+        # As rows of G x >= h: G rows keep their sign, L rows flip theirs, an
+        # equality with range R spans [h, h + R] (R > 0) or [h + R, h]; the
+        # second row of a ranged row is the flipped upper side.
+        span = np.abs(rng)
+        e_lo = np.where(rng > 0, h, h + rng)
+        e_hi = np.where(rng > 0, h + rng, h)
+        first_rhs = np.where(is_l, -h, np.where(is_e, e_lo, h))
+        second_rhs = np.where(is_l, h - span, np.where(is_e, -e_hi, -(h + span)))
+        h_vec = np.zeros(int(width.sum()))
+        h_vec[first[ineq]] = first_rhs[ineq]
+        h_vec[first[ranged] + 1] = second_rhs[ranged]
 
-        def stack(rows):
-            if not rows:
-                return sp.csr_matrix((0, n)), np.zeros(0), []
-            r_idx = np.concatenate(
-                [np.full(len(cols), i, dtype=np.int64) for i, (cols, _, _, _) in enumerate(rows)]
-            ) if any(len(cols) for cols, _, _, _ in rows) else np.zeros(0, dtype=np.int64)
-            c_idx = np.concatenate([cols for cols, _, _, _ in rows]) if len(r_idx) else np.zeros(0, dtype=np.int64)
-            v = np.concatenate([vals for _, vals, _, _ in rows]) if len(r_idx) else np.zeros(0)
-            mat = sp.coo_matrix((v, (r_idx, c_idx)), shape=(len(rows), n)).tocsr()
-            return mat, np.array([h for _, _, h, _ in rows]), [nm for _, _, _, nm in rows]
+        in_g, twice, in_a = ineq[rows], ranged[rows], eq[rows]
+        flip = is_l[rows]
+        g_rows = np.concatenate([first[rows[in_g]], first[rows[twice]] + 1])
+        g_cols = np.concatenate([cols[in_g], cols[twice]])
+        g_vals = np.concatenate([np.where(flip, -vals, vals)[in_g], np.where(flip, vals, -vals)[twice]])
+        g_mat = sp.coo_matrix((g_vals, (g_rows, g_cols)), shape=(h_vec.size, n)).tocsr()
+        a_mat = sp.coo_matrix((vals[in_a], (eq_at[rows[in_a]], cols[in_a])), shape=(int(eq.sum()), n)).tocsr()
 
-        g_mat, h_vec, g_names = stack(ineq_rows)
-        a_mat, b_vec, a_names = stack(eq_rows)
+        row_names = [_text(name) for name in self.row_index]
+        g_names = []
+        for i in np.flatnonzero(ineq).tolist():
+            g_names.append(row_names[i])
+            if ranged[i]:
+                g_names.append(row_names[i] + "__rng")
+        a_names = [row_names[i] for i in np.flatnonzero(eq).tolist()]
 
-        offset = self.obj_offset
+        lower, upper = self._bounds(n)
+        offset = -self.rhs[self.obj_row] if self.obj_row in self.rhs else 0.0
         sign = 1
-        if self.objsense == -1:
+        if self.sense == -1:
             c = -c
             offset = -offset
             sign = -1
@@ -297,62 +556,58 @@ class _Parser:
 
         return LpProblem(
             c=c,
-            ineq_matrix=SparseMatrix(g_mat, shape=(len(ineq_rows), n)),
+            ineq_matrix=SparseMatrix(g_mat, shape=g_mat.shape),
             ineq_rhs=h_vec,
-            eq_matrix=SparseMatrix(a_mat, shape=(len(eq_rows), n)),
-            eq_rhs=b_vec,
+            eq_matrix=SparseMatrix(a_mat, shape=a_mat.shape),
+            eq_rhs=h[eq],
             lower=lower,
             upper=upper,
             objective_offset=offset,
             objective_sign=sign,
             name=self.name,
-            variable_names=list(self.col_order),
+            variable_names=[_text(name) for name in self.col_index],
             constraint_names=g_names + a_names,
         )
 
 
 def parse_mps(source, dialect=None):
     """Parse MPS text (str or bytes) into an LpProblem."""
-    if isinstance(source, bytes):
-        source = source.decode("utf-8", errors="replace")
-    parser = _Parser(dialect)
-    section = None
+    data = source.encode() if isinstance(source, str) else source
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    reader = _Reader(dialect or MpsDialect())
+    split = _split_fixed if reader.dialect.fixed_columns else _split_free
     handlers = {
-        "ROWS": parser.handle_rows,
-        "COLUMNS": parser.handle_columns,
-        "RHS": parser.handle_rhs,
-        "RANGES": parser.handle_ranges,
-        "BOUNDS": parser.handle_bounds,
-        "OBJSENSE": parser.handle_objsense,
+        b"OBJSENSE": reader.read_objsense,
+        b"ROWS": reader.read_rows,
+        b"COLUMNS": reader.read_columns,
+        b"RHS": reader.read_rhs,
+        b"RANGES": reader.read_ranges,
+        b"BOUNDS": reader.read_bounds,
     }
-    for line_no, raw in enumerate(source.splitlines(), 1):
-        if not raw.strip() or raw.lstrip().startswith("*"):
-            continue
-        if raw[0] not in " \t":
-            toks = raw.split()
-            keyword = toks[0].upper()
-            if keyword not in _SECTIONS:
-                raise MpsSyntaxError(f"unknown section {toks[0]!r}", line_no)
-            if keyword == "ENDATA":
-                section = "ENDATA"
+    section = None
+    for header, line_no, start, end, body_line in _sections(data):
+        if header is not None:
+            section = header[0].upper()
+            if section not in _SECTIONS:
+                raise MpsSyntaxError(f"unknown section {_text(header[0])!r}", line_no)
+            if section == b"ENDATA":
                 break
-            section = keyword
-            if keyword == "NAME":
-                parser.name = toks[1] if len(toks) > 1 else ""
-            elif keyword == "OBJSENSE" and len(toks) > 1:
-                parser.handle_objsense(toks[1:], line_no)
-            continue
-        if section is None:
-            raise MpsSyntaxError("data line before any section header", line_no)
-        if section == "NAME":
-            raise MpsSyntaxError("unexpected data line after NAME", line_no)
+            if section == b"NAME":
+                reader.name = _text(header[1]) if len(header) > 1 else ""
+            elif section == b"OBJSENSE" and len(header) > 1:
+                reader.set_sense(header[-1], line_no)
         handler = handlers.get(section)
-        if handler is None:
-            raise MpsSyntaxError(f"data line in unsupported section {section}", line_no)
-        handler(parser.fields(raw), line_no)
-    if section != "ENDATA":
+        for lines in _data_lines(data, start, end, body_line, split):
+            if handler is None:
+                what = "unexpected data line after NAME" if section == b"NAME" else "data line before any section header"
+                raise MpsSyntaxError(what, int(lines.line_nos[0]))
+            handler(lines)
+        if section == b"COLUMNS":
+            reader.check_duplicates()
+    else:
         warnings.warn("MPS input ended without ENDATA", stacklevel=2)
-    return parser.build()
+    return reader.build()
 
 
 def read_mps(path, dialect=None):
@@ -360,16 +615,93 @@ def read_mps(path, dialect=None):
         return parse_mps(fh.read(), dialect)
 
 
+# -- writer -----------------------------------------------------------------
+
+_WHITESPACE = re.compile(r"\s")
+
+
+def _check_names(names, kind, columns=False):
+    """Raise MpsNameError unless every name reads back as itself: non-empty,
+    free of whitespace and unique.  A column name also may not start with
+    "*" (its line would read as a comment), and no name may be 'MARKER'
+    (its line would read as an integer marker)."""
+    if (
+        all(names)
+        and not _WHITESPACE.search("".join(names))
+        and len(set(names)) == len(names)
+        and "'MARKER'" not in names
+        and not (columns and any(name.startswith("*") for name in names))
+    ):
+        return
+    seen = set()
+    for k, name in enumerate(names):
+        if not name or _WHITESPACE.search(name):
+            problem = "is empty" if not name else "contains whitespace"
+        elif name in seen:
+            problem = "is a duplicate"
+        elif name == "'MARKER'" or (columns and name.startswith("*")):
+            problem = "would not read back as a name"
+        else:
+            seen.add(name)
+            continue
+        raise MpsNameError(f"{kind} name {k} ({name!r}) {problem}")
+
+
 def _fmt(v):
+    # 17 significant digits read back as the same double; the per-coefficient
+    # loops below spell out the same format inline
     return f"{v:.17g}"
+
+
+def _bound_lines(col, lo, hi):
+    if lo == hi:
+        return [f" FX BND       {col:<10} {_fmt(lo)}"]
+    if lo == -np.inf and hi == np.inf:
+        return [f" FR BND       {col}"]
+    out = []
+    if lo == -np.inf:
+        out.append(f" MI BND       {col}")
+    elif lo != 0.0 or hi < 0.0:
+        # a bare negative UP would also free the lower bound of 0
+        out.append(f" LO BND       {col:<10} {_fmt(lo)}")
+    if hi != np.inf:
+        out.append(f" UP BND       {col:<10} {_fmt(hi)}")
+    return out
+
+
+def _column_lines(problem, c_out, col_field, row_field):
+    """The COLUMNS lines, one coefficient each.  Each column lists its
+    objective entry, then its G entries, then its A entries.  A column with
+    no coefficients anywhere must still be declared (it may carry bounds), so
+    it gets an explicit zero cost."""
+    g_csc = problem.ineq_matrix.tocsr().tocsc()
+    a_csc = problem.eq_matrix.tocsr().tocsc()
+    g_count, a_count = np.diff(g_csc.indptr), np.diff(a_csc.indptr)
+    has_cost = c_out != 0.0
+    first = np.flatnonzero(has_cost | ((g_count == 0) & (a_count == 0)))
+    n, m1 = c_out.size, g_csc.shape[0]
+    col = np.concatenate([first, np.repeat(np.arange(n), g_count), np.repeat(np.arange(n), a_count)])
+    row = np.concatenate([np.zeros(first.size, dtype=np.int64), g_csc.indices + 1, a_csc.indices + 1 + m1])
+    val = np.concatenate([np.where(has_cost, c_out, 0.0)[first], g_csc.data, a_csc.data])
+    order = np.argsort(col, kind="stable")
+    lines = []
+    for part in np.array_split(order, range(_WRITE_CHUNK, order.size, _WRITE_CHUNK)):
+        # a chunk at a time, so only a chunk's worth of Python numbers exists at once
+        lines += [
+            f"{col_field[j]}{row_field[i]}{v:.17g}"
+            for j, i, v in zip(col[part].tolist(), row[part].tolist(), val[part].tolist())
+        ]
+    return lines
 
 
 def write_mps(problem, name=None):
     """Serialize an LpProblem as free-format MPS text.
 
-    The written file reparses to an equivalent problem: >= rows are emitted
-    as G rows, equalities as E rows, maximization problems get an OBJSENSE
-    section with the original (un-negated) objective.
+    The written file reparses to the same problem: >= rows are emitted as G
+    rows, equalities as E rows, maximization problems get an OBJSENSE
+    section with the original (un-negated) objective.  Raises MpsNameError
+    for a variable or constraint name that would not read back (see
+    _check_names).
     """
     n = problem.num_variables
     var_names = problem.variable_names or [f"X{j}" for j in range(n)]
@@ -381,6 +713,8 @@ def write_mps(problem, name=None):
     else:
         g_names = [f"R{i}" for i in range(m1)]
         a_names = [f"E{i}" for i in range(m2)]
+    _check_names(var_names, "variable", columns=True)
+    _check_names(list(g_names) + list(a_names), "constraint")
     obj_name = "OBJ"
     used = set(g_names) | set(a_names)
     while obj_name in used:
@@ -396,60 +730,27 @@ def write_mps(problem, name=None):
         out.append("    MAX")
     out.append("ROWS")
     out.append(f" N  {obj_name}")
-    for nm in g_names:
-        out.append(f" G  {nm}")
-    for nm in a_names:
-        out.append(f" E  {nm}")
+    out.extend(f" G  {nm}" for nm in g_names)
+    out.extend(f" E  {nm}" for nm in a_names)
 
     out.append("COLUMNS")
-    g_csc = problem.ineq_matrix.tocsr().tocsc()
-    a_csc = problem.eq_matrix.tocsr().tocsc()
-    for j in range(n):
-        col = var_names[j]
-        pairs = []
-        if c_out[j] != 0.0:
-            pairs.append((obj_name, c_out[j]))
-        sl = slice(g_csc.indptr[j], g_csc.indptr[j + 1])
-        pairs.extend((g_names[i], v) for i, v in zip(g_csc.indices[sl], g_csc.data[sl]))
-        sl = slice(a_csc.indptr[j], a_csc.indptr[j + 1])
-        pairs.extend((a_names[i], v) for i, v in zip(a_csc.indices[sl], a_csc.data[sl]))
-        if not pairs:
-            # a column with no coefficients anywhere must still be declared
-            # (it may carry bounds), so give it an explicit zero cost
-            pairs.append((obj_name, 0.0))
-        for row, v in pairs:
-            out.append(f"    {col:<10} {row:<10} {_fmt(v)}")
+    col_field = [f"    {nm:<10} " for nm in var_names]
+    row_field = [f"{nm:<10} " for nm in itertools.chain([obj_name], g_names, a_names)]
+    out.extend(_column_lines(problem, c_out, col_field, row_field))
 
     out.append("RHS")
     if rhs_obj != 0.0:
         out.append(f"    RHS       {obj_name:<10} {_fmt(rhs_obj)}")
-    for nm, v in zip(g_names, problem.ineq_rhs):
-        if v != 0.0:
-            out.append(f"    RHS       {nm:<10} {_fmt(v)}")
-    for nm, v in zip(a_names, problem.eq_rhs):
-        if v != 0.0:
-            out.append(f"    RHS       {nm:<10} {_fmt(v)}")
+    rhs = np.concatenate([problem.ineq_rhs, problem.eq_rhs])
+    nonzero = np.flatnonzero(rhs != 0.0)
+    out.extend([f"    RHS       {row_field[i + 1]}{v:.17g}" for i, v in zip(nonzero.tolist(), rhs[nonzero].tolist())])
 
-    bound_lines = []
-    for j in range(n):
-        col = var_names[j]
-        lo, hi = problem.lower[j], problem.upper[j]
-        if lo == 0.0 and hi == np.inf:
-            continue
-        if lo == hi:
-            bound_lines.append(f" FX BND       {col:<10} {_fmt(lo)}")
-            continue
-        if lo == -np.inf and hi == np.inf:
-            bound_lines.append(f" FR BND       {col}")
-            continue
-        if lo == -np.inf:
-            bound_lines.append(f" MI BND       {col}")
-        elif lo != 0.0:
-            bound_lines.append(f" LO BND       {col:<10} {_fmt(lo)}")
-        if hi != np.inf:
-            bound_lines.append(f" UP BND       {col:<10} {_fmt(hi)}")
-    if bound_lines:
+    lower, upper = problem.lower, problem.upper
+    bounded = np.flatnonzero((lower != 0.0) | (upper != np.inf))
+    if bounded.size:
         out.append("BOUNDS")
-        out.extend(bound_lines)
+        for j, lo, hi in zip(bounded.tolist(), lower[bounded].tolist(), upper[bounded].tolist()):
+            out.extend(_bound_lines(var_names[j], lo, hi))
     out.append("ENDATA")
-    return "\n".join(out) + "\n"
+    out.append("")  # the final newline
+    return "\n".join(out)

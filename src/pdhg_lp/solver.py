@@ -104,6 +104,14 @@ def _point_distance(a, b):
     return math.sqrt(float(dx @ dx) + float(dy @ dy))
 
 
+def _log_progress(iteration, kkt, step):
+    logger.info(
+        "iter %8d  rel_primal %.3e  rel_dual %.3e  rel_gap %.3e  s %.3e  w %.3e",
+        iteration, kkt.rel_primal, kkt.rel_dual, kkt.rel_gap,
+        step.step_size, step.primal_weight,
+    )
+
+
 def solve(problem, config=None, callback=None):
     """Run restarted PDHG on an LpProblem and return a SolveReport.
 
@@ -168,6 +176,7 @@ def solve(problem, config=None, callback=None):
     while True:
         hit_iters = iteration >= crit.iteration_limit
         hit_time = (time.perf_counter() - t_start) >= crit.time_limit_sec
+        log_due = config.log_interval and iteration % config.log_interval == 0
         if iteration % config.check_interval == 0 or hit_iters or hit_time:
             xu, yu = unscale_state()
             kkt = kkt_error(saddle0, xu, yu)
@@ -176,12 +185,8 @@ def solve(problem, config=None, callback=None):
                 history.append((iteration, kkt.rel_primal, kkt.rel_dual, kkt.rel_gap))
             if callback is not None:
                 callback(iteration, kkt, step)
-            if config.log_interval and iteration % config.log_interval == 0:
-                logger.info(
-                    "iter %8d  rel_primal %.3e  rel_dual %.3e  rel_gap %.3e  s %.3e  w %.3e",
-                    iteration, kkt.rel_primal, kkt.rel_dual, kkt.rel_gap,
-                    step.step_size, step.primal_weight,
-                )
+            if log_due:
+                _log_progress(iteration, kkt, step)
             if check_optimal(kkt, crit):
                 status = STATUS_OPTIMAL
                 reason = f"relative KKT errors at or below {crit.tol_optimal}"
@@ -246,6 +251,9 @@ def solve(problem, config=None, callback=None):
                 status = STATUS_TIME_LIMIT
                 reason = f"time limit {crit.time_limit_sec} s reached"
                 break
+        elif log_due:
+            # between check points the residuals are computed for the log line alone
+            _log_progress(iteration, kkt_error(saddle0, *unscale_state()), step)
 
         next_iteration = iteration + 1
         if config.detect_infeasibility and (

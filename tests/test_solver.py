@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -238,3 +239,20 @@ class TestDeterminism:
         db = pl.report_to_dict(b)
         del da["timings"], db["timings"]
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+
+
+class TestLogging:
+    def test_logs_every_multiple_of_log_interval(self, caplog):
+        # 320 iterations under the default check interval of 64: 100, 200 and
+        # 300 are not check points, yet each must get its own log line
+        problem = pl.generate_pagerank(pl.PagerankSpec(num_nodes=1000))
+        quiet = pl.solve(problem)
+        assert quiet.iterations == 320
+        with caplog.at_level(logging.INFO, logger="pdhg_lp"):
+            logged = pl.solve(problem, pl.SolverConfig(log_interval=100))
+        iterations = [int(rec.getMessage().split()[1]) for rec in caplog.records]
+        assert iterations == [0, 100, 200, 300]
+        assert logged.status == quiet.status
+        assert logged.iterations == quiet.iterations
+        np.testing.assert_array_equal(logged.x, quiet.x)
+        np.testing.assert_array_equal(logged.y, quiet.y)
