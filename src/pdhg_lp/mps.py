@@ -700,8 +700,10 @@ def write_mps(problem, name=None):
     The written file reparses to the same problem: >= rows are emitted as G
     rows, equalities as E rows, maximization problems get an OBJSENSE
     section with the original (un-negated) objective.  Raises MpsNameError
-    for a variable or constraint name that would not read back (see
-    _check_names).
+    for a problem name with whitespace (the reader keeps only the first word
+    of the NAME line) and for a variable or constraint name that would not
+    read back (see _check_names).  An empty problem name is written, and so
+    reads back, as "LP".
     """
     n = problem.num_variables
     var_names = problem.variable_names or [f"X{j}" for j in range(n)]
@@ -713,6 +715,9 @@ def write_mps(problem, name=None):
     else:
         g_names = [f"R{i}" for i in range(m1)]
         a_names = [f"E{i}" for i in range(m2)]
+    title = name or problem.name or "LP"
+    if _WHITESPACE.search(title):
+        raise MpsNameError(f"problem name {title!r} contains whitespace")
     _check_names(var_names, "variable", columns=True)
     _check_names(list(g_names) + list(a_names), "constraint")
     obj_name = "OBJ"
@@ -724,7 +729,7 @@ def write_mps(problem, name=None):
     c_out = sign * problem.c
     rhs_obj = -(sign * problem.objective_offset)
 
-    out = [f"NAME          {name or problem.name or 'LP'}"]
+    out = [f"NAME          {title}"]
     if sign == -1:
         out.append("OBJSENSE")
         out.append("    MAX")

@@ -154,8 +154,10 @@ def report_to_dict(report, include_solution=False, include_history=True):
         "counts": {
             "iterations": report.iterations,
             "restarts": report.restarts,
+            "restarts_by_reason": dict(report.restarts_by_reason),
             "matvecs": report.matvecs,
             "gap_evaluations": report.gap_evaluations,
+            "step_trials": report.step_trials,
         },
         "step": {
             "step_size": report.step_size,

@@ -83,21 +83,25 @@ def normalized_duality_gap(saddle, x, y, radius):
     # Both constraints interact: bisect on the ball multiplier.  delta(lam)
     # = clip(d / lam, lo, hi) has nonincreasing norm in lam; at the upper
     # bracket lam = ||d|| / r the clipped norm is already <= r because the
-    # box contains the origin.
+    # box contains the origin.  Each pass writes delta into one of two
+    # buffers; the other holds the most recent delta that fit in the ball.
     lam_lo = 0.0
     lam_hi = norm_d / radius
     best = None  # most recent delta that fits in the ball (after rescaling)
+    delta = np.empty_like(d)
+    spare = np.empty_like(d)
     with np.errstate(over="ignore"):
         for _ in range(100):
             lam = 0.5 * (lam_lo + lam_hi)
             if lam <= 0.0:
                 break
-            delta = np.clip(d / lam, lo, hi)
-            norm = float(np.linalg.norm(delta))
+            np.divide(d, lam, out=delta)
+            delta.clip(lo, hi, out=delta)
+            norm = math.sqrt(float(delta.dot(delta)))
             if norm > radius:
-                if np.isfinite(norm) and norm - radius <= 1e-10 * radius:
+                if math.isfinite(norm) and norm - radius <= 1e-10 * radius:
                     # Shrinking toward the origin stays inside the box.
-                    best = delta * (radius / norm)
+                    best = np.multiply(delta, radius / norm, out=delta)
                     break
                 lam_lo = lam
             else:
@@ -105,6 +109,7 @@ def normalized_duality_gap(saddle, x, y, radius):
                 if radius - norm <= 1e-10 * radius:
                     break
                 lam_hi = lam
+                delta, spare = spare, delta
     if best is None:
         best = np.clip(d / lam_hi, lo, hi)
     return max(float(d @ best), 0.0) / radius

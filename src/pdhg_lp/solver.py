@@ -68,7 +68,11 @@ class SolveReport:
     ``objective_value``/``dual_objective_value`` are stated for the original
     problem (sign and constant offset applied).  ``kkt`` carries the final
     relative/absolute residuals; ``certificate`` is populated only for the
-    two infeasible statuses.
+    two infeasible statuses.  ``restarts_by_reason`` splits ``restarts`` by
+    the rule that fired (gap_decay, artificial, fixed_period);
+    ``step_trials`` counts the trial points computed, so the adaptive rule
+    rejected ``step_trials - iterations`` of them (a fixed step is one
+    trial, always accepted).
     """
 
     status: str
@@ -81,8 +85,10 @@ class SolveReport:
     kkt: object
     iterations: int
     restarts: int
+    restarts_by_reason: dict
     matvecs: int
     gap_evaluations: int
+    step_trials: int
     step_size: float
     primal_weight: float
     certificate: dict
@@ -131,22 +137,26 @@ def solve(problem, config=None, callback=None):
     saddle = apply_scaling(saddle0, scaling)
     scaling_sec = time.perf_counter() - t_mark
 
-    t_mark = time.perf_counter()
-    estimate = spectral_norm_estimate(saddle.K, tol=1e-4, max_iters=5000, seed=0)
-    power_sec = time.perf_counter() - t_mark
-
     notes = []
-    if not estimate.converged:
-        notes.append("spectral norm estimate hit its iteration budget; using best value")
-
     rcfg = config.restart
-    if rcfg.scheme == "fixed" and rcfg.period is None:
-        if rcfg.sharpness is None:
-            raise NonPositiveInput("fixed restart scheme needs a period or a sharpness constant")
-        rcfg = replace(rcfg, period=fixed_period_from_sharpness(max(estimate.value, 1e-12), rcfg.sharpness))
+    period_from_sharpness = rcfg.scheme == "fixed" and rcfg.period is None
+    if period_from_sharpness and rcfg.sharpness is None:
+        raise NonPositiveInput("fixed restart scheme needs a period or a sharpness constant")
+    # ||K~|| feeds only the default fixed step and a sharpness-derived period
+    norm_k = None
+    power_sec = 0.0
+    if period_from_sharpness or (config.step.mode == "fixed" and config.step.fixed_step is None):
+        t_mark = time.perf_counter()
+        estimate = spectral_norm_estimate(saddle.K, tol=1e-4, max_iters=5000, seed=0)
+        power_sec = time.perf_counter() - t_mark
+        norm_k = estimate.value
+        if not estimate.converged:
+            notes.append("spectral norm estimate hit its iteration budget; using best value")
+    if period_from_sharpness:
+        rcfg = replace(rcfg, period=fixed_period_from_sharpness(max(norm_k, 1e-12), rcfg.sharpness))
     adaptive_restarts = rcfg.scheme == "adaptive"
 
-    step = initialize_step_state(saddle, estimate.value, config.step, config.weight)
+    step = initialize_step_state(saddle, norm_k, config.step, config.weight)
     state = IterateState.initial(saddle)
 
     snapshot = EpochSnapshot(x_start=state.x.copy(), y_start=state.y.copy())
@@ -162,7 +172,7 @@ def solve(problem, config=None, callback=None):
     streak_primal = streak_dual = 0
     best_primal = best_dual = None  # (verdict, candidate) with the largest margin
     history = []
-    restarts_done = 0
+    restarts_by_reason = {"gap_decay": 0, "artificial": 0, "fixed_period": 0}
     status = None
     reason = ""
     certificate = None
@@ -277,11 +287,11 @@ def solve(problem, config=None, callback=None):
         iteration += 1
 
         if rcfg.scheme == "fixed":
-            ok, _ = should_restart(state, snapshot, rcfg)
+            ok, why = should_restart(state, snapshot, rcfg)
             if ok:
                 candidate = state.average()
                 step, extra = _do_restart(state, step, candidate, snapshot, saddle, config, rcfg)
-                restarts_done += 1
+                restarts_by_reason[why] += 1
                 gap_evals += extra
         elif adaptive_restarts and state.inner_count > 0:
             due = (
@@ -291,10 +301,10 @@ def solve(problem, config=None, callback=None):
             if due:
                 candidate, cand_gap, extra = _pick_candidate(state, snapshot, saddle, rcfg)
                 gap_evals += extra
-                ok, _ = should_restart(state, snapshot, rcfg, candidate_gap=cand_gap)
+                ok, why = should_restart(state, snapshot, rcfg, candidate_gap=cand_gap)
                 if ok:
                     step, extra = _do_restart(state, step, candidate, snapshot, saddle, config, rcfg)
-                    restarts_done += 1
+                    restarts_by_reason[why] += 1
                     gap_evals += extra
 
     # Final report.  For a numerical-error stop the state still holds the
@@ -318,9 +328,11 @@ def solve(problem, config=None, callback=None):
         dual_objective_value=sign * (last_kkt.dual_objective + offset),
         kkt=last_kkt,
         iterations=iteration,
-        restarts=restarts_done,
+        restarts=sum(restarts_by_reason.values()),
+        restarts_by_reason=restarts_by_reason,
         matvecs=matvecs,
         gap_evaluations=gap_evals,
+        step_trials=state.trial_count,
         step_size=step.step_size,
         primal_weight=step.primal_weight,
         certificate=certificate,

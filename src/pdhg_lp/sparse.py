@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .exceptions import DimensionMismatch, NonFiniteData
 
@@ -38,25 +39,32 @@ class SparseMatrix:
 
     # -- products ---------------------------------------------------------
 
+    # Both products call scipy's CSR kernel directly, into a fresh zero
+    # vector: that is what ``csr @ x`` runs, minus about 4 us of dispatch.
+
     def matvec(self, x):
         """Return M @ x."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.shape[1],):
-            raise DimensionMismatch(
-                [f"matvec expected a vector of length {self.shape[1]}, got shape {x.shape}"]
-            )
+        m, n = self.shape
+        if x.shape != (n,):
+            raise DimensionMismatch([f"matvec expected a vector of length {n}, got shape {x.shape}"])
         self.matvec_calls += 1
-        return self._csr @ x
+        out = np.zeros(m)
+        csr = self._csr
+        csr_matvec(m, n, csr.indptr, csr.indices, csr.data, x, out)
+        return out
 
     def rmatvec(self, y):
         """Return M.T @ y using the stored transpose."""
         y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.shape[0],):
-            raise DimensionMismatch(
-                [f"rmatvec expected a vector of length {self.shape[0]}, got shape {y.shape}"]
-            )
+        m, n = self.shape
+        if y.shape != (m,):
+            raise DimensionMismatch([f"rmatvec expected a vector of length {m}, got shape {y.shape}"])
         self.rmatvec_calls += 1
-        return self._csr_t @ y
+        out = np.zeros(n)
+        csr_t = self._csr_t
+        csr_matvec(n, m, csr_t.indptr, csr_t.indices, csr_t.data, y, out)
+        return out
 
     # -- reductions -------------------------------------------------------
 

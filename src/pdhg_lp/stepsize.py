@@ -14,12 +14,12 @@ must shrink below a violated bound.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import NonFiniteIterate, NonPositiveInput, StepSizeUnderflow
-from .pdhg import StepState, commit_step, project_dual
+from .pdhg import StepState, accept_step, step_gradient, trial_step
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,10 @@ class WeightPolicy:
 def initialize_step_state(saddle, norm_k, step_policy, weight_policy):
     """Initial (s, w) for a scaled saddle problem.
 
-    Fixed mode defaults to s = 0.9 / ||K||; adaptive mode starts from
-    s = 1 / max|K_ij| and lets the rule take over.  The primal weight starts
-    at ||c|| / ||q|| unless either norm is (near) zero.
+    Fixed mode defaults to s = 0.9 / ||K||, the one use of ``norm_k`` (it
+    may be None otherwise); adaptive mode starts from s = 1 / max|K_ij| and
+    lets the rule take over.  The primal weight starts at ||c|| / ||q||
+    unless either norm is (near) zero.
     """
     if step_policy.mode == "fixed":
         if step_policy.fixed_step is not None:
@@ -81,53 +82,43 @@ def adaptive_step(state, saddle, step, policy):
     StepSizeUnderflow when s collapses below underflow_ratio times the
     initial step size, and NonFiniteIterate if a trial point is non-finite.
     """
-    k = saddle.K
-    if state.kx is None:
-        state.kx = k.matvec(state.x)
-    grad = saddle.c - k.rmatvec(state.y)
     s = step.step_size
     w = step.primal_weight
     t = state.total_count + 1  # 1-based index of the iteration being attempted
     shrink = 1.0 - (t + 1.0) ** (-policy.reduction_exponent)
     grow = 1.0 + (t + 1.0) ** (-policy.growth_exponent)
-    for _ in range(policy.max_retries):
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_new = np.clip(state.x - (s / w) * grad, saddle.l, saddle.u)
-            kx_new = k.matvec(x_new)
-            y_new = project_dual(
-                state.y + (s * w) * (saddle.q - (2.0 * kx_new - state.kx)), saddle.m1
-            )
-            if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(y_new))):
+    with np.errstate(over="ignore", invalid="ignore"):
+        buf = step_gradient(state, saddle)
+        for _ in range(policy.max_retries):
+            trial = trial_step(state, saddle, buf, s, w)
+            if trial is None:
                 raise NonFiniteIterate(
                     f"trial iterate became non-finite at total iteration {t} (step {s!r})"
                 )
-            dx = x_new - state.x
-            dy = y_new - state.y
-            movement = w * float(dx @ dx) + float(dy @ dy) / w
+            kx_new, movement, interaction = trial
             # The magnitude of the cross term bounds the admissible step; the
             # unsigned form keeps the rule stable when projections flip the
             # sign of the interaction (a signed rule lets s ratchet upward
             # and diverge on bound-clipped rotations).
-            interaction = 2.0 * abs(float(dy @ (kx_new - state.kx)))
-        if interaction == 0.0 or movement == 0.0:
-            s_hat = math.inf
-        else:
-            s_hat = movement / interaction
-        accepted = s <= s_hat
-        if math.isinf(s_hat):
-            s_next = grow * s
-        else:
-            s_next = min(shrink * s_hat, grow * s)
-        if accepted:
-            commit_step(state, x_new, y_new, kx_new, avg_weight=s)
-            return state, replace(step, step_size=s_next), True
-        s = s_next
-        if s < policy.underflow_ratio * step.initial_step_size:
-            raise StepSizeUnderflow(
-                f"step size {s!r} fell below {policy.underflow_ratio} of the initial"
-                f" {step.initial_step_size!r}"
-            )
-    return state, replace(step, step_size=s), False
+            if interaction == 0.0 or movement == 0.0:
+                s_hat = math.inf
+            else:
+                s_hat = movement / interaction
+            accepted = s <= s_hat
+            if math.isinf(s_hat):
+                s_next = grow * s
+            else:
+                s_next = min(shrink * s_hat, grow * s)
+            if accepted:
+                accept_step(state, buf, kx_new, avg_weight=s)
+                return state, StepState(s_next, w, step.initial_step_size), True
+            s = s_next
+            if s < policy.underflow_ratio * step.initial_step_size:
+                raise StepSizeUnderflow(
+                    f"step size {s!r} fell below {policy.underflow_ratio} of the initial"
+                    f" {step.initial_step_size!r}"
+                )
+    return state, StepState(s, w, step.initial_step_size), False
 
 
 def update_primal_weight(current, dx_norm, dy_norm, policy):

@@ -68,25 +68,43 @@ def bound_objective_term(lam, l, u):
     return total
 
 
+def _norm(*parts):
+    """Euclidean norm of the concatenated ``parts``.
+
+    The plain square root of the summed squares (what np.linalg.norm
+    computes) whenever that sum is finite; when it overflows, the parts are
+    rescaled by their largest magnitude first, as LAPACK's dnrm2 does, so a
+    huge vector gets a large (or infinite) norm without an overflow warning.
+    """
+    with np.errstate(over="ignore"):
+        squares = sum(float(p.dot(p)) for p in parts)
+    if math.isfinite(squares):
+        return math.sqrt(squares)
+    scale = max(float(np.max(np.abs(p))) for p in parts if p.size)
+    if not math.isfinite(scale):
+        return scale  # inf or nan entries
+    return scale * math.sqrt(sum(float((p / scale).dot(p / scale)) for p in parts))
+
+
 def kkt_error(saddle, x, y):
     """KKT residuals of (x, y) for the saddle-form problem."""
     kx = saddle.K.matvec(x)
     m1 = saddle.m1
     ineq_violation = np.maximum(saddle.q[:m1] - kx[:m1], 0.0)
     eq_violation = kx[m1:] - saddle.q[m1:]
-    primal_residual = float(np.sqrt(ineq_violation @ ineq_violation + eq_violation @ eq_violation))
+    primal_residual = _norm(ineq_violation, eq_violation)
 
     r = saddle.c - saddle.K.rmatvec(y)
     lam = reduced_cost_projection(r, saddle.l, saddle.u)
     diff = r - lam
-    dual_residual = float(np.linalg.norm(diff))
+    dual_residual = _norm(diff)
 
     primal_objective = float(saddle.c @ x)
     dual_objective = float(saddle.q @ y) + bound_objective_term(lam, saddle.l, saddle.u)
     duality_gap = abs(primal_objective - dual_objective)
 
-    norm_q = float(np.linalg.norm(saddle.q))
-    norm_c = float(np.linalg.norm(saddle.c))
+    norm_q = _norm(saddle.q)
+    norm_c = _norm(saddle.c)
     return KktReport(
         primal_residual=primal_residual,
         dual_residual=dual_residual,

@@ -57,7 +57,7 @@ def lp_problems(draw):
         return np.array([[draw(coefficients) for _ in range(n)] for _ in range(rows)]).reshape(rows, n)
 
     bounds = [bound_pair(draw) for _ in range(n)]
-    problem_name = draw(clean_names)
+    problem_name = draw(st.one_of(clean_names, any_names))
     return pl.LpProblem(
         c=[draw(coefficients) for _ in range(n)],
         ineq_matrix=matrix(m1),
@@ -103,12 +103,18 @@ def assert_identical(a, b):
 @settings(max_examples=300, deadline=None)
 @given(lp_problems())
 def test_write_then_parse_returns_the_same_problem(problem):
-    if not (writable(problem.variable_names, True) and writable(problem.constraint_names, False)):
+    if not (
+        writable(problem.variable_names, True)
+        and writable(problem.constraint_names, False)
+        and not any(ch.isspace() for ch in problem.name)
+    ):
         with pytest.raises(pl.MpsNameError):
             write_mps(problem)
         return
     text = write_mps(problem)
     back = parse_mps(text)
+    assert back.name == (problem.name or "LP")  # an empty name is written as LP
+    back.name = problem.name
     assert_identical(problem, back)
     assert write_mps(back) == text
 
@@ -202,6 +208,15 @@ class TestUnwritableNames:
     def test_empty_name(self):
         with pytest.raises(pl.MpsNameError, match="empty"):
             write_mps(two_column_lp(variable_names=["x", ""]))
+
+    def test_whitespace_in_problem_name(self):
+        with pytest.raises(pl.MpsNameError, match="'two words'"):
+            write_mps(two_column_lp(name="two words"))
+        with pytest.raises(pl.MpsNameError, match="problem name"):
+            write_mps(two_column_lp(), name="a\tb")
+
+    def test_empty_problem_name_reads_back_as_lp(self):
+        assert parse_mps(write_mps(two_column_lp(name=""))).name == "LP"
 
     def test_column_name_read_as_comment(self):
         with pytest.raises(pl.MpsNameError, match=r"'\*x'"):

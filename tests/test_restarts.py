@@ -72,6 +72,55 @@ class TestNormalizedGap:
             with pytest.raises(pl.InvalidRadius):
                 normalized_duality_gap(toy_saddle, [1.0], [1.0], bad)
 
+    def test_bit_identical_to_plain_bisection(self):
+        # the bisection as first written, allocating a vector per pass; the
+        # buffered version must return the same bits
+        def plain_gap(saddle, x, y, radius):
+            d = np.concatenate([saddle.K.rmatvec(y) - saddle.c, saddle.q - saddle.K.matvec(x)])
+            norm_d = float(np.linalg.norm(d))
+            if norm_d == 0.0:
+                return 0.0
+            y_lower = np.full(y.shape[0], -np.inf)
+            y_lower[: saddle.m1] = 0.0
+            lo = np.concatenate([saddle.l - x, y_lower - y])
+            hi = np.concatenate([saddle.u - x, np.full(y.shape[0], np.inf)])
+            ball = (radius / norm_d) * d
+            if np.all(ball >= lo) and np.all(ball <= hi):
+                return norm_d
+            box = np.where(d > 0, hi, np.where(d < 0, lo, 0.0))
+            if np.all(np.isfinite(box)) and float(np.linalg.norm(box)) <= radius:
+                return float(d @ box) / radius
+            bisections.append(radius)
+            lam_lo, lam_hi, best = 0.0, norm_d / radius, None
+            for _ in range(100):
+                lam = 0.5 * (lam_lo + lam_hi)
+                if lam <= 0.0:
+                    break
+                delta = np.clip(d / lam, lo, hi)
+                norm = float(np.linalg.norm(delta))
+                if norm > radius:
+                    if np.isfinite(norm) and norm - radius <= 1e-10 * radius:
+                        best = delta * (radius / norm)
+                        break
+                    lam_lo = lam
+                else:
+                    best = delta
+                    if radius - norm <= 1e-10 * radius:
+                        break
+                    lam_hi = lam
+            if best is None:
+                best = np.clip(d / lam_hi, lo, hi)
+            return max(float(d @ best), 0.0) / radius
+
+        bisections = []
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            saddle, x, y = random_small_saddle(rng, max_total=8)
+            radius = float(10.0 ** rng.uniform(-3, 2))
+            got = normalized_duality_gap(saddle, x, y, radius)
+            assert float(got).hex() == float(plain_gap(saddle, x, y, radius)).hex()
+        assert len(bisections) > 50
+
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         saddle, x, y = random_small_saddle(rng)

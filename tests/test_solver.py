@@ -224,6 +224,75 @@ class TestTrajectory:
         assert report.residual_history == []
 
 
+class TestSpectralEstimate:
+    """||K|| is estimated only for a rule that reads it."""
+
+    @pytest.fixture
+    def estimates(self, monkeypatch):
+        calls = []
+        real = pl.solver.spectral_norm_estimate
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pl.solver, "spectral_norm_estimate", counting)
+        return calls
+
+    def solve(self, **fields):
+        limit = pl.TerminationCriteria(iteration_limit=50)
+        return pl.solve(random_feasible_lp(1), pl.SolverConfig(termination=limit, **fields))
+
+    def test_adaptive_step_skips_it(self, estimates):
+        report = self.solve()
+        assert estimates == []
+        assert report.timings["power_iteration_sec"] == 0.0
+        assert report.notes == []
+
+    def test_given_fixed_step_skips_it(self, estimates):
+        self.solve(step=pl.StepPolicy(mode="fixed", fixed_step=0.1))
+        assert estimates == []
+
+    def test_default_fixed_step_runs_it(self, estimates):
+        report = self.solve(step=pl.StepPolicy(mode="fixed"))
+        assert len(estimates) == 1
+        assert report.timings["power_iteration_sec"] > 0.0
+
+    def test_sharpness_restarts_run_it(self, estimates):
+        report = self.solve(restart=pl.RestartConfig(scheme="fixed", sharpness=1.0))
+        assert len(estimates) == 1
+        assert report.restarts_by_reason["fixed_period"] == report.restarts > 0
+
+
+class TestCounts:
+    def test_restarts_split_by_reason(self):
+        report = pl.solve(random_feasible_lp(2), pl.SolverConfig(
+            termination=pl.TerminationCriteria(tol_optimal=1e-8, iteration_limit=3000)))
+        by_reason = report.restarts_by_reason
+        assert set(by_reason) == {"gap_decay", "artificial", "fixed_period"}
+        assert sum(by_reason.values()) == report.restarts
+        assert by_reason["gap_decay"] > 0 and by_reason["artificial"] > 0
+        assert by_reason["fixed_period"] == 0
+
+    def test_adaptive_trials_count_rejections(self):
+        # the toy starts with an oversized step, so some trials are rejected
+        report = pl.solve(pl.generate_bilinear_toy())
+        assert report.step_trials > report.iterations
+
+    def test_fixed_step_is_one_trial_per_iteration(self):
+        config = TestTrajectory().vanilla_config(30)
+        report = pl.solve(pl.generate_bilinear_toy(), config)
+        assert report.step_trials == report.iterations == 30
+        assert report.restarts_by_reason == {"gap_decay": 0, "artificial": 0, "fixed_period": 0}
+
+    def test_report_counts_block(self):
+        report = pl.solve(pl.generate_bilinear_toy())
+        counts = pl.report_to_dict(report)["counts"]
+        assert counts["step_trials"] == report.step_trials
+        assert counts["restarts_by_reason"] == report.restarts_by_reason
+        json.dumps(counts)
+
+
 class TestDeterminism:
     def test_reports_identical_across_runs(self):
         problem = random_feasible_lp(5, n=12, m_ineq=8, spread=1.0)

@@ -22,6 +22,26 @@ class TestMatvec:
             np.testing.assert_allclose(mat.matvec(v), dense @ v, atol=1e-13)
             np.testing.assert_allclose(mat.rmatvec(w), dense.T @ w, atol=1e-13)
 
+    def test_bit_identical_to_scipy_products(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            m = int(rng.integers(0, 40))
+            n = int(rng.integers(0, 40))
+            dense = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-8, 8, (m, n))
+            dense *= rng.random((m, n)) < rng.uniform(0.05, 0.9)
+            if m > 2 and n > 2:
+                dense[int(rng.integers(m))] = 0.0  # an empty row
+                dense[:, int(rng.integers(n))] = 0.0  # an empty column
+            mat = SparseMatrix(dense, shape=(m, n))
+            csr = mat.tocsr()
+            v = rng.standard_normal(n)
+            w = rng.standard_normal(m)
+            assert mat.matvec(v).tobytes() == (csr @ v).tobytes()
+            assert mat.rmatvec(w).tobytes() == (csr.T @ w).tobytes()
+            # strided input goes through the same kernel
+            v2 = np.repeat(v, 2)[::2]
+            assert mat.matvec(v2).tobytes() == (csr @ v).tobytes()
+
     def test_empty_rows_and_columns(self):
         dense = np.zeros((3, 4))
         dense[1, 2] = 5.0

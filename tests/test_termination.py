@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from pdhg_lp import (
     kkt_error,
     reduced_cost_projection,
 )
+
+from conftest import random_small_saddle
 
 
 def one_var_problem():
@@ -69,6 +73,37 @@ class TestKktError:
         assert report.dual_residual == 0.0
         assert report.dual_objective == pytest.approx(-2.0)
         assert report.duality_gap == pytest.approx(0.0)
+
+
+    def test_huge_residuals_without_overflow_warning(self):
+        # squares of 1e200 overflow; the norms are computed scaled instead
+        saddle = pl.to_saddle(
+            pl.LpProblem(c=[1.0, 1.0], ineq_matrix=[[1.0, 0.0]], ineq_rhs=[1.0],
+                         eq_matrix=[[0.0, 1.0]], eq_rhs=[0.0])
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = kkt_error(saddle, np.array([-1e200, 1e200]), np.array([0.0, 3e200]))
+            assert report.primal_residual == pytest.approx(np.hypot(1e200 + 1.0, 1e200), rel=1e-15)
+            assert report.dual_residual == pytest.approx(3e200, rel=1e-15)
+            beyond = kkt_error(saddle, np.array([-1.5e308, 1.5e308]), np.array([0.0, 0.0]))
+            assert beyond.primal_residual == np.inf
+
+    def test_residual_norms_match_plain_formula(self):
+        # below overflow the norms are the plain sqrt of the summed squares
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            saddle, x, y = random_small_saddle(rng)
+            x = x * 10.0 ** rng.uniform(-5, 5)
+            report = kkt_error(saddle, x, y)
+            kx = saddle.K.matvec(x)
+            m1 = saddle.m1
+            ineq = np.maximum(saddle.q[:m1] - kx[:m1], 0.0)
+            eq = kx[m1:] - saddle.q[m1:]
+            assert report.primal_residual == float(np.sqrt(ineq @ ineq + eq @ eq))
+            r = saddle.c - saddle.K.rmatvec(y)
+            lam = reduced_cost_projection(r, saddle.l, saddle.u)
+            assert report.dual_residual == float(np.linalg.norm(r - lam))
 
 
 class TestReducedCosts:
