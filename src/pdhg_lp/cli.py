@@ -7,7 +7,6 @@ Exit codes: 0 optimal, 1 usage or I/O error, 2 infeasible or unbounded,
 import argparse
 import concurrent.futures
 import csv
-import dataclasses
 import io
 import logging
 import math
@@ -26,8 +25,8 @@ from .generators import (
     generate_primal_infeasible_toy,
 )
 from .mps import MpsDialect, parse_mps, write_mps
-from .reports import config_flags, config_from_flags, render_json, render_text
-from .restarts import RestartConfig
+from .reports import config_from_flags, render_json, render_text
+from .restarts import RESTART_SCHEMES, RestartConfig
 from .solver import (
     STATUS_DUAL_INFEASIBLE,
     STATUS_ITERATION_LIMIT,
@@ -38,7 +37,7 @@ from .solver import (
     SolverConfig,
     solve,
 )
-from .stepsize import StepPolicy, WeightPolicy
+from .stepsize import POLICY_MODES, StepPolicy, WeightPolicy
 from .termination import TerminationCriteria
 
 EXIT_BY_STATUS = {
@@ -74,8 +73,6 @@ def build_parser():
     ps.add_argument("--report-format", choices=("json", "text"), default="json")
     ps.add_argument("--solution-out", default=None, help="write x/y/reduced costs to an .npz file")
     ps.add_argument("--include-solution", action="store_true", help="embed x/y in the JSON report")
-    ps.add_argument("--log-every", type=int, default=0, metavar="N",
-                    help="log residuals to stderr every N iterations")
 
     pg = sub.add_parser("generate", help="generate an instance and write MPS")
     pg.add_argument("kind", choices=("pagerank", "toy", "primal-infeasible-toy", "dual-infeasible-toy"))
@@ -100,39 +97,69 @@ def build_parser():
 
 
 def _add_solver_flags(p):
-    p.add_argument("--tolerance", type=float, default=1e-8)
-    p.add_argument("--infeasible-tolerance", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=TerminationCriteria().iteration_limit)
-    p.add_argument("--time-limit-sec", type=float, default=None)
-    p.add_argument("--check-interval", type=int, default=64)
-    p.add_argument("--scaling", choices=("none", "ruiz", "pc", "ruiz+pc"), default="ruiz+pc")
-    p.add_argument("--ruiz-iterations", type=int, default=10)
-    p.add_argument("--pc-alpha", type=float, default=1.0)
-    p.add_argument("--restart", default="adaptive", metavar="{none,adaptive,fixed=K}")
-    p.add_argument("--restart-beta", type=float, default=0.5)
-    p.add_argument("--candidate-rule", choices=("average", "best"), default="average")
-    p.add_argument("--step-size", default="adaptive", metavar="{adaptive,fixed,fixed=S}")
-    p.add_argument("--primal-weight", default="adaptive", metavar="{adaptive,fixed=W}")
-    p.add_argument("--no-infeasibility-detection", action="store_true")
+    """The solve flags.  Each is stored only when given, under "config."
+    plus the dotted path of the SolverConfig field it sets, so every
+    default is the dataclass's own."""
+
+    def flag(name, field, **kwargs):
+        if "action" not in kwargs and "choices" not in kwargs:
+            kwargs.setdefault("metavar", name[2:].replace("-", "_").upper())
+        p.add_argument(name, dest=f"config.{field}", default=argparse.SUPPRESS, **kwargs)
+
+    flag("--tolerance", "termination.tol_optimal", type=float)
+    flag("--infeasible-tolerance", "termination.tol_infeasible", type=float)
+    flag("--max-iters", "termination.iteration_limit", type=int)
+    flag("--time-limit-sec", "termination.time_limit_sec", type=float)
+    flag("--check-interval", "check_interval", type=int)
+    flag("--scaling", "scaling", choices=("none", "ruiz", "pc", "ruiz+pc"))
+    flag("--ruiz-iterations", "ruiz_iterations", type=int)
+    flag("--pc-alpha", "pc_alpha", type=float)
+    flag("--restart", "restart.scheme", metavar="{none,adaptive,fixed=K}")
+    flag("--restart-beta", "restart.sufficient_decay", type=float)
+    flag("--candidate-rule", "restart.candidate_rule", choices=("average", "best"))
+    flag("--step-size", "step.mode", metavar="{adaptive,fixed,fixed=S}")
+    flag("--primal-weight", "weight.mode", metavar="{adaptive,fixed=W}")
+    flag("--no-infeasibility-detection", "detect_infeasibility", action="store_false")
+    flag("--log-every", "log_interval", type=int, metavar="N",
+         help="log residuals to stderr every N iterations")
 
 
-def _flags_from_args(args):
-    return {
-        "tolerance": args.tolerance,
-        "infeasible_tolerance": args.infeasible_tolerance,
-        "max_iters": args.max_iters,
-        "time_limit_sec": args.time_limit_sec,
-        "check_interval": args.check_interval,
-        "scaling": args.scaling,
-        "ruiz_iterations": args.ruiz_iterations,
-        "pc_alpha": args.pc_alpha,
-        "restart": args.restart,
-        "restart_beta": args.restart_beta,
-        "candidate_rule": args.candidate_rule,
-        "step_size": args.step_size,
-        "primal_weight": args.primal_weight,
-        "detect_infeasibility": not args.no_infeasibility_detection,
-    }
+# A mode flag sets its mode field and, from "fixed=V", one more field:
+# dest -> (name in messages, the field V sets, V's type, the bare modes).
+_MODE_FLAGS = {
+    "config.restart.scheme": ("restart", "period", int, RESTART_SCHEMES),
+    "config.step.mode": ("step_size", "fixed_step", float, POLICY_MODES),
+    "config.weight.mode": ("primal_weight", "fixed_weight", float, POLICY_MODES),
+}
+
+
+def _mode_flag(dest, value):
+    """Split the value of a mode flag, a bare mode or "fixed=V", into
+    (mode, V); V is None without "=V"."""
+    name, _, cast, modes = _MODE_FLAGS[dest]
+    if value in modes:
+        return value, None
+    if value.startswith("fixed="):
+        return "fixed", cast(value.split("=", 1)[1])
+    raise ValueError(f"bad {name} flag {value!r}")
+
+
+def _config_from_args(args):
+    """The SolverConfig that the solve flags in ``args`` ask for, built by
+    config_from_flags from the flags given.  Raises ValueError for a bad
+    value."""
+    tree = {}
+    for dest, value in vars(args).items():
+        if not dest.startswith("config."):
+            continue
+        *parents, leaf = dest.split(".")[1:]
+        node = tree
+        for name in parents:
+            node = node.setdefault(name, {})
+        if dest in _MODE_FLAGS:
+            value, node[_MODE_FLAGS[dest][1]] = _mode_flag(dest, value)
+        node[leaf] = value
+    return config_from_flags(tree)
 
 
 def _read_problem(path, fixed=False):
@@ -158,13 +185,12 @@ def _cmd_solve(args):
         print(f"pdhg-lp: {err}", file=sys.stderr)
         return 1
     try:
-        config = config_from_flags(_flags_from_args(args))
+        config = _config_from_args(args)
     except ValueError as err:
         print(f"pdhg-lp: {err}", file=sys.stderr)
         return 1
-    if args.log_every:
+    if config.log_interval:
         logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-        config = dataclasses.replace(config, log_interval=args.log_every)
     try:
         report = solve(problem, config)
     except ValidationError as err:

@@ -1,129 +1,68 @@
-"""Report serialization and the canonical config <-> flag mapping.
+"""Report serialization and the config <-> dict round trip.
 
-The flag dictionary is the single source of truth shared by the CLI and the
-report writer: whatever combination of options a run used is echoed
-verbatim in the report's "config" block, so a run can be reproduced from
-its report alone.
+``config_flags`` writes every field of a SolverConfig as a nested dict of
+plain JSON values, and ``config_from_flags`` reads it back, so the
+report's "config" block reproduces a run whatever config it used.
 """
 
 import json
 import math
-from dataclasses import replace
+from collections.abc import Mapping
+from dataclasses import fields, is_dataclass
 
 from . import __version__
-from .restarts import RestartConfig
+from .exceptions import SolverError
 from .solver import SolverConfig
-from .stepsize import StepPolicy, WeightPolicy
-from .termination import TerminationCriteria
 
 
 def config_flags(config):
-    """Canonical flag dictionary for a SolverConfig."""
-    rc = config.restart
-    if rc.scheme == "fixed":
-        restart = f"fixed={rc.period}" if rc.period is not None else "fixed"
-    else:
-        restart = rc.scheme
-    if config.step.mode == "fixed":
-        step = (
-            f"fixed={config.step.fixed_step!r}" if config.step.fixed_step is not None else "fixed"
-        )
-    else:
-        step = "adaptive"
-    if config.weight.mode == "fixed":
-        weight = (
-            f"fixed={config.weight.fixed_weight!r}"
-            if config.weight.fixed_weight is not None
-            else "fixed"
-        )
-    else:
-        weight = "adaptive"
-    t = config.termination
-    return {
-        "tolerance": t.tol_optimal,
-        "infeasible_tolerance": t.tol_infeasible,
-        "max_iters": t.iteration_limit,
-        "time_limit_sec": None if math.isinf(t.time_limit_sec) else t.time_limit_sec,
-        "check_interval": config.check_interval,
-        "scaling": config.scaling,
-        "ruiz_iterations": config.ruiz_iterations,
-        "pc_alpha": config.pc_alpha,
-        "restart": restart,
-        "restart_beta": rc.sufficient_decay,
-        "candidate_rule": rc.candidate_rule,
-        "step_size": step,
-        "primal_weight": weight,
-        "detect_infeasibility": config.detect_infeasibility,
-    }
+    """Nested dict of every field of a config dataclass.  An infinite float
+    equal to its field's default (the unlimited time limit) is written as
+    None, which reads back as that default; any other infinity is kept, and
+    json writes it as Infinity."""
+    out = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            value = config_flags(value)
+        elif isinstance(value, float) and math.isinf(value) and value == f.default:
+            value = None
+        out[f.name] = value
+    return out
 
 
 def config_from_flags(flags):
-    """Inverse of config_flags; unknown keys are rejected to catch typos."""
-    known = {
-        "tolerance", "infeasible_tolerance", "max_iters", "time_limit_sec",
-        "check_interval", "scaling", "ruiz_iterations", "pc_alpha", "restart",
-        "restart_beta", "candidate_rule", "step_size", "primal_weight",
-        "detect_infeasibility",
-    }
-    extra = set(flags) - known
+    """Inverse of config_flags.  A missing key or a None takes the field's
+    default.  The dict may come from outside the program, so an unknown key,
+    a non-mapping in place of a sub-config, a value whose type does not
+    match the field's annotation, or a mode the config rejects raises
+    ValueError naming the dotted path."""
+    return _from_dict(SolverConfig, flags, "")
+
+
+def _from_dict(cls, flags, path):
+    if not isinstance(flags, Mapping):
+        raise ValueError(f"config {path.rstrip('.') or 'block'} must be a mapping, got {flags!r}")
+    by_name = {f.name: f for f in fields(cls)}
+    extra = sorted(f"{path}{key}" for key in flags if key not in by_name)
     if extra:
-        raise ValueError(f"unknown config flags: {sorted(extra)}")
-    base = SolverConfig()
-    restart = flags.get("restart", "adaptive")
-    rc = RestartConfig()
-    if restart == "none":
-        rc = replace(rc, scheme="none")
-    elif restart == "adaptive":
-        rc = replace(rc, scheme="adaptive")
-    elif restart == "fixed" or restart.startswith("fixed="):
-        period = None
-        if "=" in restart:
-            period = int(restart.split("=", 1)[1])
-        rc = replace(rc, scheme="fixed", period=period)
-    else:
-        raise ValueError(f"bad restart flag {restart!r}")
-    if "restart_beta" in flags:
-        rc = replace(rc, sufficient_decay=float(flags["restart_beta"]))
-    if "candidate_rule" in flags:
-        rc = replace(rc, candidate_rule=flags["candidate_rule"])
-
-    step_flag = flags.get("step_size", "adaptive")
-    if step_flag == "adaptive":
-        step = StepPolicy(mode="adaptive")
-    elif step_flag == "fixed" or step_flag.startswith("fixed="):
-        fixed = float(step_flag.split("=", 1)[1]) if "=" in step_flag else None
-        step = StepPolicy(mode="fixed", fixed_step=fixed)
-    else:
-        raise ValueError(f"bad step_size flag {step_flag!r}")
-
-    weight_flag = flags.get("primal_weight", "adaptive")
-    if weight_flag == "adaptive":
-        weight = WeightPolicy(mode="adaptive")
-    elif weight_flag == "fixed" or weight_flag.startswith("fixed="):
-        fixed = float(weight_flag.split("=", 1)[1]) if "=" in weight_flag else None
-        weight = WeightPolicy(mode="fixed", fixed_weight=fixed)
-    else:
-        raise ValueError(f"bad primal_weight flag {weight_flag!r}")
-
-    tl = flags.get("time_limit_sec")
-    termination = TerminationCriteria(
-        tol_optimal=float(flags.get("tolerance", 1e-8)),
-        tol_infeasible=float(flags.get("infeasible_tolerance", 1e-10)),
-        iteration_limit=int(flags.get("max_iters", TerminationCriteria().iteration_limit)),
-        time_limit_sec=math.inf if tl is None else float(tl),
-    )
-    return replace(
-        base,
-        termination=termination,
-        check_interval=int(flags.get("check_interval", base.check_interval)),
-        scaling=flags.get("scaling", base.scaling),
-        ruiz_iterations=int(flags.get("ruiz_iterations", base.ruiz_iterations)),
-        pc_alpha=float(flags.get("pc_alpha", base.pc_alpha)),
-        restart=rc,
-        step=step,
-        weight=weight,
-        detect_infeasibility=bool(flags.get("detect_infeasibility", True)),
-    )
+        raise ValueError(f"unknown config flags: {extra}")
+    kwargs = {}
+    for key, value in flags.items():
+        if value is None:
+            continue
+        kind = by_name[key].type
+        if is_dataclass(kind):
+            kwargs[key] = _from_dict(kind, value, f"{path}{key}.")
+            continue
+        accepted = (int, float) if kind is float else kind
+        if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+            raise ValueError(f"config flag {path}{key} must be {kind.__name__}, got {value!r}")
+        kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except SolverError as err:
+        raise ValueError(f"config {path.rstrip('.') or 'block'}: {err}") from err
 
 
 def report_to_dict(report, include_solution=False, include_history=True):

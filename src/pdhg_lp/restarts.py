@@ -17,6 +17,8 @@ import numpy as np
 
 from .exceptions import InvalidRadius, NonPositiveInput
 
+RESTART_SCHEMES = ("none", "adaptive", "fixed")
+
 
 @dataclass(frozen=True)
 class RestartConfig:
@@ -36,6 +38,10 @@ class RestartConfig:
     candidate_rule: str = "average"
     gap_eval_interval: int = 40
     sharpness: float = None
+
+    def __post_init__(self):
+        if self.scheme not in RESTART_SCHEMES:
+            raise NonPositiveInput(f"unknown restart scheme {self.scheme!r}")
 
 
 @dataclass
@@ -142,18 +148,16 @@ def should_restart(state, snapshot, config, candidate_gap=None):
         if state.inner_count >= config.period:
             return True, "fixed_period"
         return False, None
-    if config.scheme == "adaptive":
-        if (
-            candidate_gap is not None
-            and snapshot.gap_at_start is not None
-            and candidate_gap <= config.sufficient_decay * snapshot.gap_at_start
-        ):
-            return True, "gap_decay"
-        cap = max(config.min_artificial, config.artificial_fraction * state.total_count)
-        if state.inner_count >= cap:
-            return True, "artificial"
-        return False, None
-    raise NonPositiveInput(f"unknown restart scheme {config.scheme!r}")
+    if (
+        candidate_gap is not None
+        and snapshot.gap_at_start is not None
+        and candidate_gap <= config.sufficient_decay * snapshot.gap_at_start
+    ):
+        return True, "gap_decay"
+    cap = max(config.min_artificial, config.artificial_fraction * state.total_count)
+    if state.inner_count >= cap:
+        return True, "artificial"
+    return False, None
 
 
 def apply_restart(state, candidate):

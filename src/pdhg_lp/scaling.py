@@ -132,5 +132,7 @@ def apply_scaling(saddle, scaling):
 
 
 def unscale_solution(x_scaled, y_scaled, scaling):
-    """Map a point from the scaled space back to original variables."""
-    return x_scaled * scaling.col_scale, y_scaled * scaling.row_scale
+    """Map a point from the scaled space back to original variables; an
+    entry that overflows becomes inf without a warning."""
+    with np.errstate(over="ignore"):
+        return x_scaled * scaling.col_scale, y_scaled * scaling.row_scale

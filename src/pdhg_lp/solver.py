@@ -44,6 +44,13 @@ STATUS_ITERATION_LIMIT = "iteration_limit"
 STATUS_TIME_LIMIT = "time_limit"
 STATUS_NUMERICAL_ERROR = "numerical_error"
 
+# (status, certificate kind, ray named in the reason) for the two
+# infeasibility verdicts, in the order solve tests them
+_INFEASIBILITY_VERDICTS = (
+    (STATUS_PRIMAL_INFEASIBLE, "primal_infeasibility", "dual"),
+    (STATUS_DUAL_INFEASIBLE, "dual_infeasibility", "primal"),
+)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -169,8 +176,7 @@ def solve(problem, config=None, callback=None):
 
     x0_u, y0_u = unscale_solution(state.x, state.y, scaling)
     stash = None  # scaled copy of the iterate one step before a check point
-    streak_primal = streak_dual = 0
-    best_primal = best_dual = None  # (verdict, candidate) with the largest margin
+    streaks = [0, 0]  # consecutive checks with a valid primal / dual infeasibility ray
     history = []
     restarts_by_reason = {"gap_decay": 0, "artificial": 0, "fixed_period": 0}
     status = None
@@ -192,7 +198,9 @@ def solve(problem, config=None, callback=None):
             kkt = kkt_error(saddle0, xu, yu)
             last_kkt, last_point = kkt, (xu, yu)
             if config.record_history:
-                history.append((iteration, kkt.rel_primal, kkt.rel_dual, kkt.rel_gap))
+                history.append(
+                    (iteration, kkt.rel_primal, kkt.rel_dual, kkt.rel_gap, step.step_size, step.primal_weight)
+                )
             if callback is not None:
                 callback(iteration, kkt, step)
             if log_due:
@@ -204,54 +212,29 @@ def solve(problem, config=None, callback=None):
             if config.detect_infeasibility and iteration > 0 and stash is not None:
                 prev_u = unscale_solution(stash[0], stash[1], scaling)
                 candidates = extract_certificates(prev_u, (xu, yu), (x0_u, y0_u), iteration)
-                primal_hits = []
-                dual_hits = []
+                checks = (check_primal_infeasible, check_dual_infeasible)
+                hits = ([], [])
                 for cand in candidates:
-                    if float(np.linalg.norm(cand.y)) > 0.0:
-                        verdict = check_primal_infeasible(saddle0, cand.y, crit.tol_infeasible)
-                        if verdict.valid:
-                            primal_hits.append((verdict, cand))
-                    if float(np.linalg.norm(cand.x)) > 0.0:
-                        verdict = check_dual_infeasible(saddle0, cand.x, crit.tol_infeasible)
-                        if verdict.valid:
-                            dual_hits.append((verdict, cand))
-                if primal_hits:
-                    streak_primal += 1
-                    best_primal = max(primal_hits, key=lambda vc: vc[0].margin)
-                else:
-                    streak_primal, best_primal = 0, None
-                if dual_hits:
-                    streak_dual += 1
-                    best_dual = max(dual_hits, key=lambda vc: vc[0].margin)
-                else:
-                    streak_dual, best_dual = 0, None
-                if streak_primal >= config.confirmations_required:
-                    verdict, cand = best_primal
-                    ray = cand.y / np.linalg.norm(cand.y)
+                    for check, ray, kind_hits in zip(checks, (cand.y, cand.x), hits):
+                        if float(np.linalg.norm(ray)) > 0.0:
+                            verdict = check(saddle0, ray, crit.tol_infeasible)
+                            if verdict.valid:
+                                kind_hits.append((verdict, cand, ray))
+                streaks = [streak + 1 if h else 0 for streak, h in zip(streaks, hits)]
+                confirmed = [k for k in (0, 1) if streaks[k] >= config.confirmations_required]
+                if confirmed:
+                    k = confirmed[0]  # primal first when both confirm at once
+                    verdict, cand, ray = max(hits[k], key=lambda h: h[0].margin)
+                    status, kind, ray_name = _INFEASIBILITY_VERDICTS[k]
                     certificate = {
-                        "kind": "primal_infeasibility",
-                        "ray": ray,
+                        "kind": kind,
+                        "ray": ray / np.linalg.norm(ray),
                         "source": cand.kind,
                         "residual": verdict.residual,
                         "gain": verdict.gain,
                         "margin": verdict.margin,
                     }
-                    status = STATUS_PRIMAL_INFEASIBLE
-                    reason = f"dual ray certificate confirmed {streak_primal} checks in a row"
-                    break
-                if streak_dual >= config.confirmations_required:
-                    verdict, cand = best_dual
-                    ray = cand.x / np.linalg.norm(cand.x)
-                    certificate = {
-                        "kind": "dual_infeasibility",
-                        "ray": ray,
-                        "source": cand.kind,
-                        "residual": verdict.residual,
-                        "gain": verdict.gain,
-                        "margin": verdict.margin,
-                    }
-                    status = STATUS_DUAL_INFEASIBLE
-                    reason = f"primal ray certificate confirmed {streak_dual} checks in a row"
+                    reason = f"{ray_name} ray certificate confirmed {streaks[k]} checks in a row"
                     break
             if hit_iters:
                 status = STATUS_ITERATION_LIMIT

@@ -22,22 +22,33 @@ from .exceptions import NonFiniteIterate, NonPositiveInput, StepSizeUnderflow
 from .pdhg import StepState, accept_step, step_gradient, trial_step
 
 
+POLICY_MODES = ("adaptive", "fixed")
+
+
 @dataclass(frozen=True)
 class StepPolicy:
-    mode: str = "adaptive"  # "fixed" or "adaptive"
+    mode: str = "adaptive"  # one of POLICY_MODES
     fixed_step: float = None
     reduction_exponent: float = 0.3
     growth_exponent: float = 0.6
     max_retries: int = 60
     underflow_ratio: float = 1e-14
 
+    def __post_init__(self):
+        if self.mode not in POLICY_MODES:
+            raise NonPositiveInput(f"unknown step mode {self.mode!r}")
+
 
 @dataclass(frozen=True)
 class WeightPolicy:
-    mode: str = "adaptive"  # "fixed" or "adaptive"
+    mode: str = "adaptive"  # one of POLICY_MODES
     fixed_weight: float = None
     smoothing: float = 0.5
     movement_floor: float = 1e-10
+
+    def __post_init__(self):
+        if self.mode not in POLICY_MODES:
+            raise NonPositiveInput(f"unknown weight mode {self.mode!r}")
 
 
 def initialize_step_state(saddle, norm_k, step_policy, weight_policy):
@@ -55,11 +66,9 @@ def initialize_step_state(saddle, norm_k, step_policy, weight_policy):
             s = 0.9 / norm_k
         else:
             s = 1.0
-    elif step_policy.mode == "adaptive":
+    else:
         amax = saddle.K.abs_max()
         s = 1.0 / amax if amax > 0 else 1.0
-    else:
-        raise NonPositiveInput(f"unknown step mode {step_policy.mode!r}")
 
     if weight_policy.mode == "fixed":
         w = float(weight_policy.fixed_weight) if weight_policy.fixed_weight is not None else 1.0

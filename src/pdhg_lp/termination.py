@@ -99,8 +99,9 @@ def kkt_error(saddle, x, y):
     diff = r - lam
     dual_residual = _norm(diff)
 
-    primal_objective = float(saddle.c @ x)
-    dual_objective = float(saddle.q @ y) + bound_objective_term(lam, saddle.l, saddle.u)
+    with np.errstate(over="ignore"):  # an overflowing objective is inf, not a warning
+        primal_objective = float(saddle.c @ x)
+        dual_objective = float(saddle.q @ y) + bound_objective_term(lam, saddle.l, saddle.u)
     duality_gap = abs(primal_objective - dual_objective)
 
     norm_q = _norm(saddle.q)

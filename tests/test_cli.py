@@ -75,8 +75,10 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["status"] == "optimal"
         assert doc["objective"]["primal"] == pytest.approx(0.0, abs=1e-8)
-        assert doc["config"]["restart"] == "adaptive"
-        assert doc["config"]["step_size"] == "adaptive"
+        assert doc["config"]["restart"]["scheme"] == "adaptive"
+        assert doc["config"]["restart"]["period"] is None
+        assert doc["config"]["step"]["mode"] == "adaptive"
+        assert doc["config"]["step"]["fixed_step"] is None
 
     def test_flags_echoed_in_config(self, toy_mps):
         code, out, _ = run_cli(
@@ -86,12 +88,59 @@ class TestSolve:
         )
         assert code == 0
         config = json.loads(out)["config"]
-        assert config["tolerance"] == 1e-4
+        assert config["termination"]["tol_optimal"] == 1e-4
         assert config["scaling"] == "none"
-        assert config["restart"] == "none"
-        assert config["step_size"] == "fixed=0.5"
-        assert config["primal_weight"] == "fixed=2.0"
-        assert config["max_iters"] == 5000
+        assert config["restart"]["scheme"] == "none"
+        assert config["step"]["mode"] == "fixed" and config["step"]["fixed_step"] == 0.5
+        assert config["weight"]["mode"] == "fixed" and config["weight"]["fixed_weight"] == 2.0
+        assert config["termination"]["iteration_limit"] == 5000
+
+    def test_flag_defaults_are_the_config_defaults(self, toy_mps):
+        code, out, _ = run_cli(["solve", toy_mps])
+        assert code == 0
+        assert json.loads(out)["config"] == pl.config_flags(pl.SolverConfig())
+
+    def test_every_solver_flag_reaches_the_config(self, toy_mps):
+        code, out, _ = run_cli(
+            ["solve", toy_mps, "--tolerance", "1e-5", "--infeasible-tolerance", "1e-9",
+             "--max-iters", "4000", "--time-limit-sec", "30", "--check-interval", "32",
+             "--scaling", "ruiz", "--ruiz-iterations", "5", "--pc-alpha", "1.5",
+             "--restart", "fixed=128", "--restart-beta", "0.25", "--candidate-rule", "best",
+             "--step-size", "fixed", "--primal-weight", "fixed",
+             "--no-infeasibility-detection", "--log-every", "1000"]
+        )
+        assert code == 0
+        expected = pl.SolverConfig(
+            termination=pl.TerminationCriteria(
+                tol_optimal=1e-5, tol_infeasible=1e-9, iteration_limit=4000, time_limit_sec=30.0
+            ),
+            scaling="ruiz",
+            ruiz_iterations=5,
+            pc_alpha=1.5,
+            restart=pl.RestartConfig(scheme="fixed", period=128, sufficient_decay=0.25, candidate_rule="best"),
+            step=pl.StepPolicy(mode="fixed"),
+            weight=pl.WeightPolicy(mode="fixed"),
+            check_interval=32,
+            detect_infeasibility=False,
+            log_interval=1000,
+        )
+        assert pl.config_from_flags(json.loads(out)["config"]) == expected
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--restart", "sometimes"], "bad restart flag 'sometimes'"),
+            (["--restart", "fixed=abc"], "invalid literal for int()"),
+            (["--step-size", "fixed=abc"], "could not convert string to float: 'abc'"),
+            (["--step-size", "big"], "bad step_size flag 'big'"),
+            (["--primal-weight", "none"], "bad primal_weight flag 'none'"),
+        ],
+    )
+    def test_bad_mode_flag_exits_one(self, toy_mps, flags, message):
+        code, out, err = run_cli(["solve", toy_mps, *flags])
+        assert code == 1
+        assert out == ""
+        assert message in err
 
     def test_stdin_input(self, monkeypatch):
         text = pl.write_mps(pl.generate_bilinear_toy())

@@ -1,15 +1,59 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdhg_lp as pl
+from conftest import random_feasible_lp
 from pdhg_lp import config_flags, config_from_flags, render_json, render_text, report_to_dict
+from pdhg_lp.restarts import RESTART_SCHEMES
+from pdhg_lp.stepsize import POLICY_MODES
+
+
+# String fields the configs check against a closed set of values.
+_MODES = {
+    "scheme": st.sampled_from(RESTART_SCHEMES),
+    "mode": st.sampled_from(POLICY_MODES),
+}
+
+
+def _config_strategy(cls):
+    """Instances of the config dataclass ``cls`` with every leaf drawn,
+    infinities of either sign included (NaN is not equal to itself)."""
+    leaves = {
+        float: st.floats(allow_nan=False),
+        int: st.integers(),
+        bool: st.booleans(),
+        str: st.text(),
+    }
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.type):
+            kwargs[f.name] = _config_strategy(f.type)
+        elif f.name in _MODES:
+            kwargs[f.name] = _MODES[f.name]
+        else:
+            kwargs[f.name] = leaves[f.type] | st.none() if f.default is None else leaves[f.type]
+    return st.builds(cls, **kwargs)
+
+
+def _leaf_count(cls):
+    return sum(
+        _leaf_count(f.type) if dataclasses.is_dataclass(f.type) else 1 for f in dataclasses.fields(cls)
+    )
+
+
+def _json_round_trip(config):
+    return config_from_flags(json.loads(json.dumps(config_flags(config))))
 
 
 class TestConfigFlags:
     def test_default_round_trip(self):
         config = pl.SolverConfig()
         assert config_from_flags(config_flags(config)) == config
+        assert _json_round_trip(config) == config
 
     def test_custom_round_trip(self):
         config = pl.SolverConfig(
@@ -35,46 +79,128 @@ class TestConfigFlags:
         assert back.weight == config.weight
         assert back.check_interval == 16
         assert back.detect_infeasibility is False
+        assert back == config
+
+    @settings(max_examples=200, deadline=None)
+    @given(_config_strategy(pl.SolverConfig))
+    def test_every_field_round_trips_through_json(self, config):
+        assert _json_round_trip(config) == config
 
     def test_fixed_step_value_survives_repr(self):
-        # the flag embeds the float via repr, which is exact for doubles
+        # JSON writes the float via repr, which is exact for doubles
         config = pl.SolverConfig(step=pl.StepPolicy(mode="fixed", fixed_step=0.1 + 0.2))
         flags = config_flags(config)
-        assert flags["step_size"] == f"fixed={(0.1 + 0.2)!r}"
-        assert config_from_flags(flags).step.fixed_step == 0.1 + 0.2
+        assert flags["step"]["fixed_step"] == 0.1 + 0.2
+        assert repr(0.1 + 0.2) in json.dumps(flags)
+        assert _json_round_trip(config).step.fixed_step == 0.1 + 0.2
 
     def test_flag_names_are_stable(self):
+        def names(cls):
+            return {
+                f.name: names(f.type) if dataclasses.is_dataclass(f.type) else None
+                for f in dataclasses.fields(cls)
+            }
+
+        def keys(flags):
+            return {k: keys(v) if isinstance(v, dict) else None for k, v in flags.items()}
+
+        assert keys(config_flags(pl.SolverConfig())) == names(pl.SolverConfig)
+        assert _leaf_count(pl.SolverConfig) == 30
         assert sorted(config_flags(pl.SolverConfig())) == [
-            "candidate_rule",
             "check_interval",
+            "confirmations_required",
             "detect_infeasibility",
-            "infeasible_tolerance",
-            "max_iters",
+            "log_interval",
             "pc_alpha",
-            "primal_weight",
+            "record_history",
             "restart",
-            "restart_beta",
             "ruiz_iterations",
             "scaling",
-            "step_size",
-            "time_limit_sec",
-            "tolerance",
+            "step",
+            "termination",
+            "weight",
         ]
 
     def test_unknown_flags_rejected(self):
         with pytest.raises(ValueError, match="unknown config flags"):
             config_from_flags({"tolerence": 1e-8})
+        with pytest.raises(ValueError, match=r"unknown config flags: \['restart\.sharpnes'\]"):
+            config_from_flags({"restart": {"sharpnes": 2.0}})
 
     def test_bad_flag_values_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="config restart: unknown restart scheme 'sometimes'"):
+            config_from_flags({"restart": {"scheme": "sometimes"}})
+        with pytest.raises(ValueError, match="config step: unknown step mode 'big'"):
+            config_from_flags({"step": {"mode": "big"}})
+        with pytest.raises(ValueError, match="config weight: unknown weight mode 'bogus'"):
+            config_from_flags({"weight": {"mode": "bogus"}})
+        with pytest.raises(ValueError, match="restart must be a mapping"):
             config_from_flags({"restart": "sometimes"})
-        with pytest.raises(ValueError):
-            config_from_flags({"step_size": "big"})
+        with pytest.raises(ValueError, match="step.fixed_step must be float"):
+            config_from_flags({"step": {"fixed_step": "big"}})
+        with pytest.raises(ValueError, match="must be a mapping"):
+            config_from_flags(["tolerance"])
+        with pytest.raises(ValueError, match="termination.iteration_limit must be int"):
+            config_from_flags({"termination": {"iteration_limit": True}})
+        with pytest.raises(ValueError, match="termination.iteration_limit must be int"):
+            config_from_flags({"termination": {"iteration_limit": 5.0}})
+        with pytest.raises(ValueError, match="detect_infeasibility must be bool"):
+            config_from_flags({"detect_infeasibility": 0})
+        with pytest.raises(ValueError, match="pc_alpha must be float"):
+            config_from_flags({"pc_alpha": False})
+
+    def test_int_accepted_for_float(self):
+        assert config_from_flags({"pc_alpha": 2}).pc_alpha == 2.0
+
+    def test_missing_or_null_takes_the_default(self):
+        assert config_from_flags({}) == pl.SolverConfig()
+        assert config_from_flags({"restart": None, "step": {"fixed_step": None}}) == pl.SolverConfig()
 
     def test_infinite_time_limit_serializes_as_null(self):
         flags = config_flags(pl.SolverConfig())
-        assert flags["time_limit_sec"] is None
+        assert flags["termination"]["time_limit_sec"] is None
         assert config_from_flags(flags).termination.time_limit_sec == float("inf")
+
+    def test_other_infinities_kept(self):
+        config = pl.SolverConfig(
+            termination=pl.TerminationCriteria(time_limit_sec=-float("inf")),
+            pc_alpha=float("inf"),
+        )
+        flags = config_flags(config)
+        assert flags["termination"]["time_limit_sec"] == -float("inf")
+        assert flags["pc_alpha"] == float("inf")
+        assert _json_round_trip(config) == config
+
+
+# Configs whose echo lost fields under the earlier hand-written mapping:
+# fields it never wrote, a sharpness-derived restart period, and an
+# adaptive primal weight started from fixed_weight.
+_LIMITS = pl.TerminationCriteria(tol_optimal=1e-6, iteration_limit=2000)
+_ECHO_CONFIGS = {
+    "unmapped_fields": pl.SolverConfig(
+        termination=_LIMITS,
+        restart=pl.RestartConfig(artificial_fraction=0.2, gap_eval_interval=10),
+        step=pl.StepPolicy(max_retries=30),
+        weight=pl.WeightPolicy(smoothing=0.2),
+        confirmations_required=3,
+        log_interval=50,
+        record_history=False,
+    ),
+    "sharpness": pl.SolverConfig(termination=_LIMITS, restart=pl.RestartConfig(scheme="fixed", sharpness=2.0)),
+    "adaptive_weight_start": pl.SolverConfig(termination=_LIMITS, weight=pl.WeightPolicy(fixed_weight=5.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ECHO_CONFIGS))
+def test_config_echo_reproduces_any_run(name):
+    config = _ECHO_CONFIGS[name]
+    problem = random_feasible_lp(3, n=12, m_ineq=8, m_eq=2, spread=1.0)
+    first = json.loads(render_json(pl.solve(problem, config), include_solution=True))
+    echoed = config_from_flags(first["config"])
+    assert echoed == config
+    again = json.loads(render_json(pl.solve(problem, echoed), include_solution=True))
+    del first["timings"], again["timings"]
+    assert again == first
 
 
 @pytest.fixture(scope="module")

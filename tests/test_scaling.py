@@ -149,6 +149,19 @@ class TestApplyAndRoundTrip:
         np.testing.assert_allclose(x_back, x, rtol=1e-14)
         np.testing.assert_allclose(y_back, y, rtol=1e-14)
 
+    def test_unscaling_overflow_is_inf_without_warning(self):
+        # pytest turns RuntimeWarning into an error for this suite
+        scaling = pl.ScalingInfo([4.0, 0.5], [10.0, 1.0])
+        x_back, y_back = pl.unscale_solution(np.array([1.5e308, -3.0]), np.array([-1e308, 5.0]), scaling)
+        np.testing.assert_array_equal(x_back, [np.inf, -3.0])
+        np.testing.assert_array_equal(y_back, [-np.inf, 2.5])
+        rng = np.random.default_rng(32)
+        x, y = rng.standard_normal(4), rng.standard_normal(3)
+        scaling = pl.ScalingInfo(rng.uniform(0.1, 10.0, 3), rng.uniform(0.1, 10.0, 4))
+        x_back, y_back = pl.unscale_solution(x, y, scaling)
+        assert x_back.tobytes() == (x * scaling.col_scale).tobytes()
+        assert y_back.tobytes() == (y * scaling.row_scale).tobytes()
+
     def test_objective_invariance(self):
         # c~'x~ equals c'x when the point is mapped consistently
         rng = np.random.default_rng(41)

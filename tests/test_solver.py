@@ -215,6 +215,15 @@ class TestTrajectory:
         pl.solve(pl.generate_bilinear_toy(), config, callback=cb)
         assert [entry[0] for entry in seen] == [0, 2, 4, 6, 8, 10]
 
+    def test_history_rows_carry_step_size_and_primal_weight(self):
+        report = pl.solve(pl.generate_bilinear_toy())
+        assert report.status == pl.STATUS_OPTIMAL
+        last = report.residual_history[-1]
+        assert len(last) == 6
+        assert last[0] == report.iterations  # the final iteration is the last check
+        assert last[4] == report.step_size
+        assert last[5] == report.primal_weight
+
     def test_history_can_be_disabled(self):
         config = pl.SolverConfig(
             termination=pl.TerminationCriteria(iteration_limit=10),

@@ -55,6 +55,8 @@ class TestInitialization:
     def test_unknown_mode(self, toy_saddle):
         with pytest.raises(pl.NonPositiveInput):
             initialize_step_state(toy_saddle, 1.0, StepPolicy(mode="huge"), WeightPolicy())
+        with pytest.raises(pl.NonPositiveInput, match="unknown weight mode 'bogus'"):
+            WeightPolicy(mode="bogus")
 
 
 def measured_step_bound(saddle, x_before, y_before, x_after, y_after, weight):

@@ -89,6 +89,16 @@ class TestKktError:
             beyond = kkt_error(saddle, np.array([-1.5e308, 1.5e308]), np.array([0.0, 0.0]))
             assert beyond.primal_residual == np.inf
 
+    def test_overflowing_objective_is_inf_without_warning(self):
+        # c'x overflows; pytest turns RuntimeWarning into an error for this suite
+        saddle = pl.to_saddle(
+            pl.LpProblem(c=[1.0, 1.0], ineq_matrix=[[1.0, 0.0]], ineq_rhs=[1.0],
+                         eq_matrix=[[0.0, 1.0]], eq_rhs=[0.0])
+        )
+        report = kkt_error(saddle, np.array([1.5e308, 1.5e308]), np.array([0.0, 0.0]))
+        assert report.primal_objective == np.inf
+        assert report.duality_gap == np.inf
+
     def test_residual_norms_match_plain_formula(self):
         # below overflow the norms are the plain sqrt of the summed squares
         rng = np.random.default_rng(4)
@@ -104,6 +114,7 @@ class TestKktError:
             r = saddle.c - saddle.K.rmatvec(y)
             lam = reduced_cost_projection(r, saddle.l, saddle.u)
             assert report.dual_residual == float(np.linalg.norm(r - lam))
+            assert report.primal_objective == float(saddle.c @ x)
 
 
 class TestReducedCosts:
