@@ -46,7 +46,6 @@ from .reports import (
     report_to_dict,
 )
 from .restarts import (
-    EpochSnapshot,
     RestartConfig,
     apply_restart,
     fixed_period_from_sharpness,

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .exceptions import MpsParseError, SolverError, ValidationError
+from .exceptions import MpsParseError, NonPositiveInput, SolverError, ValidationError
 from .generators import (
     PagerankSpec,
     generate_bilinear_toy,
@@ -116,7 +116,6 @@ def _add_solver_flags(p):
     flag("--pc-alpha", "pc_alpha", type=float)
     flag("--restart", "restart.scheme", metavar="{none,adaptive,fixed=K}")
     flag("--restart-beta", "restart.sufficient_decay", type=float)
-    flag("--candidate-rule", "restart.candidate_rule", choices=("average", "best"))
     flag("--step-size", "step.mode", metavar="{adaptive,fixed,fixed=S}")
     flag("--primal-weight", "weight.mode", metavar="{adaptive,fixed=W}")
     flag("--no-infeasibility-detection", "detect_infeasibility", action="store_false")
@@ -195,6 +194,9 @@ def _cmd_solve(args):
         report = solve(problem, config)
     except ValidationError as err:
         print(f"pdhg-lp: invalid problem: {err}", file=sys.stderr)
+        return 1
+    except NonPositiveInput as err:
+        print(f"pdhg-lp: {err}", file=sys.stderr)
         return 1
     if args.report_format == "json":
         text = render_json(report, include_solution=args.include_solution) + "\n"

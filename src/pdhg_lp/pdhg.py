@@ -83,7 +83,6 @@ class IterateState:
     sum_weight: float = 0.0
     inner_count: int = 0
     total_count: int = 0
-    epoch_index: int = 0
     kx: np.ndarray = field(default=None, repr=False)
     trial_count: int = 0
     buffers: StepBuffers = field(default=None, init=False, repr=False, compare=False)

@@ -24,10 +24,11 @@ RESTART_SCHEMES = ("none", "adaptive", "fixed")
 class RestartConfig:
     """Restart scheme parameters.
 
-    scheme: "none", "fixed" (restart every ``period`` iterations) or
-    "adaptive" (normalized-gap decay test plus an artificial cap).
-    ``candidate_rule`` picks what to restart to: the epoch average or the
-    better of average/current by normalized gap.
+    scheme: "none", "fixed" (restart every ``period`` iterations, or a
+    period derived from the ``sharpness`` constant) or "adaptive"
+    (normalized-gap decay test, evaluated every ``gap_eval_interval``
+    iterations, plus an artificial cap).  A restart always goes to the
+    running average of the epoch.
     """
 
     scheme: str = "adaptive"
@@ -35,24 +36,18 @@ class RestartConfig:
     sufficient_decay: float = 0.5
     artificial_fraction: float = 0.36
     min_artificial: int = 10
-    candidate_rule: str = "average"
     gap_eval_interval: int = 40
     sharpness: float = None
 
     def __post_init__(self):
         if self.scheme not in RESTART_SCHEMES:
             raise NonPositiveInput(f"unknown restart scheme {self.scheme!r}")
-
-
-@dataclass
-class EpochSnapshot:
-    """What the driver remembers about the running epoch: its start point,
-    the previous epoch's start, and the reference gap for the decay test."""
-
-    x_start: np.ndarray
-    y_start: np.ndarray
-    gap_at_start: float = None
-    radius_at_start: float = None
+        if self.scheme == "fixed" and self.period is None and self.sharpness is None:
+            raise NonPositiveInput("fixed restart scheme needs a period or a sharpness constant")
+        if self.period is not None and self.period < 1:
+            raise NonPositiveInput(f"restart period must be at least 1, got {self.period}")
+        if self.gap_eval_interval < 1:
+            raise NonPositiveInput(f"gap_eval_interval must be at least 1, got {self.gap_eval_interval}")
 
 
 def normalized_duality_gap(saddle, x, y, radius):
@@ -131,27 +126,27 @@ def fixed_period_from_sharpness(norm_k, alpha):
     return max(1, math.ceil(4.0 * math.e * norm_k / alpha))
 
 
-def should_restart(state, snapshot, config, candidate_gap=None):
+def should_restart(state, config, candidate_gap=None, reference_gap=None):
     """Decide whether to restart now.
 
-    Returns (restart, reason).  For the adaptive scheme ``candidate_gap`` is
-    the normalized gap of the restart candidate at its distance from the
-    epoch start; the sufficient-decay test compares it against the epoch
-    reference gap, and an artificial cap bounds the epoch length by
-    max(min_artificial, artificial_fraction * total iterations).
+    Returns (restart, reason).  The fixed scheme reads ``config.period``,
+    which ``solve`` derives from the sharpness constant when it is not
+    given.  For the adaptive scheme ``candidate_gap`` is the normalized gap
+    of the restart candidate at its distance from the epoch start; the
+    sufficient-decay test compares it against ``reference_gap``, measured
+    when the epoch started, and an artificial cap bounds the epoch length
+    by max(min_artificial, artificial_fraction * total iterations).
     """
     if config.scheme == "none":
         return False, None
     if config.scheme == "fixed":
-        if config.period is None:
-            raise NonPositiveInput("fixed restart scheme needs a period")
         if state.inner_count >= config.period:
             return True, "fixed_period"
         return False, None
     if (
         candidate_gap is not None
-        and snapshot.gap_at_start is not None
-        and candidate_gap <= config.sufficient_decay * snapshot.gap_at_start
+        and reference_gap is not None
+        and candidate_gap <= config.sufficient_decay * reference_gap
     ):
         return True, "gap_decay"
     cap = max(config.min_artificial, config.artificial_fraction * state.total_count)
@@ -163,8 +158,8 @@ def should_restart(state, snapshot, config, candidate_gap=None):
 def apply_restart(state, candidate):
     """Reset the state to the candidate point and start a new epoch.
 
-    The running average is cleared, the K x cache dropped and the epoch
-    counter advanced; the total iteration count is preserved.
+    The running average is cleared and the K x cache dropped; the total
+    iteration count is preserved.
     """
     cand_x, cand_y = candidate
     state.x = np.array(cand_x, dtype=np.float64, copy=True)
@@ -173,6 +168,5 @@ def apply_restart(state, candidate):
     state.sum_y = np.zeros_like(state.y)
     state.sum_weight = 0.0
     state.inner_count = 0
-    state.epoch_index += 1
     state.invalidate_cache()
     return state

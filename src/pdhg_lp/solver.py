@@ -16,7 +16,6 @@ from .exceptions import NonFiniteIterate, NonPositiveInput, StepSizeUnderflow
 from .pdhg import IterateState, pdhg_step
 from .problem import to_saddle, validate
 from .restarts import (
-    EpochSnapshot,
     RestartConfig,
     apply_restart,
     fixed_period_from_sharpness,
@@ -28,6 +27,7 @@ from .sparse import spectral_norm_estimate
 from .stepsize import StepPolicy, WeightPolicy, adaptive_step, initialize_step_state, update_primal_weight
 from .termination import (
     TerminationCriteria,
+    _norm,
     check_dual_infeasible,
     check_optimal,
     check_primal_infeasible,
@@ -66,6 +66,10 @@ class SolverConfig:
     confirmations_required: int = 2
     log_interval: int = 0
     record_history: bool = True
+
+    def __post_init__(self):
+        if self.check_interval < 1:
+            raise NonPositiveInput(f"check_interval must be at least 1, got {self.check_interval}")
 
 
 @dataclass
@@ -111,10 +115,13 @@ class SolveReport:
         return self.status == STATUS_OPTIMAL
 
 
-def _point_distance(a, b):
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    return math.sqrt(float(dx @ dx) + float(dy @ dy))
+def _gap_at(saddle, point, anchor):
+    """Normalized duality gap of ``point`` at its distance from ``anchor``,
+    or None when that distance is zero or not finite."""
+    radius = _norm(point[0] - anchor[0], point[1] - anchor[1])
+    if not (radius > 0.0 and math.isfinite(radius)):
+        return None
+    return normalized_duality_gap(saddle, point[0], point[1], radius)
 
 
 def _log_progress(iteration, kkt, step):
@@ -147,8 +154,6 @@ def solve(problem, config=None, callback=None):
     notes = []
     rcfg = config.restart
     period_from_sharpness = rcfg.scheme == "fixed" and rcfg.period is None
-    if period_from_sharpness and rcfg.sharpness is None:
-        raise NonPositiveInput("fixed restart scheme needs a period or a sharpness constant")
     # ||K~|| feeds only the default fixed step and a sharpness-derived period
     norm_k = None
     power_sec = 0.0
@@ -166,12 +171,13 @@ def solve(problem, config=None, callback=None):
     step = initialize_step_state(saddle, norm_k, config.step, config.weight)
     state = IterateState.initial(saddle)
 
-    snapshot = EpochSnapshot(x_start=state.x.copy(), y_start=state.y.copy())
+    # the epoch start, and for the adaptive scheme the normalized gap there
+    # that the sufficient-decay test compares against
+    start = (state.x.copy(), state.y.copy())
+    reference_gap = None
     gap_evals = 0
     if adaptive_restarts:
-        r0 = math.sqrt(float(state.x @ state.x) + float(state.y @ state.y)) + 1.0
-        snapshot.gap_at_start = normalized_duality_gap(saddle, state.x, state.y, r0)
-        snapshot.radius_at_start = r0
+        reference_gap = normalized_duality_gap(saddle, state.x, state.y, _norm(state.x, state.y) + 1.0)
         gap_evals += 1
 
     x0_u, y0_u = unscale_solution(state.x, state.y, scaling)
@@ -216,7 +222,7 @@ def solve(problem, config=None, callback=None):
                 hits = ([], [])
                 for cand in candidates:
                     for check, ray, kind_hits in zip(checks, (cand.y, cand.x), hits):
-                        if float(np.linalg.norm(ray)) > 0.0:
+                        if 0.0 < _norm(ray) < math.inf:
                             verdict = check(saddle0, ray, crit.tol_infeasible)
                             if verdict.valid:
                                 kind_hits.append((verdict, cand, ray))
@@ -228,7 +234,7 @@ def solve(problem, config=None, callback=None):
                     status, kind, ray_name = _INFEASIBILITY_VERDICTS[k]
                     certificate = {
                         "kind": kind,
-                        "ray": ray / np.linalg.norm(ray),
+                        "ray": ray / _norm(ray),
                         "source": cand.kind,
                         "residual": verdict.residual,
                         "gain": verdict.gain,
@@ -269,26 +275,37 @@ def solve(problem, config=None, callback=None):
             break
         iteration += 1
 
-        if rcfg.scheme == "fixed":
-            ok, why = should_restart(state, snapshot, rcfg)
-            if ok:
+        # Restart to the epoch average.  The fixed scheme decides from the
+        # epoch length alone; the adaptive one every gap_eval_interval
+        # iterations and at check points, from the average's normalized gap.
+        if rcfg.scheme == "fixed" or (
+            adaptive_restarts
+            and (state.inner_count % rcfg.gap_eval_interval == 0 or iteration % config.check_interval == 0)
+        ):
+            candidate = candidate_gap = None
+            if adaptive_restarts:
                 candidate = state.average()
-                step, extra = _do_restart(state, step, candidate, snapshot, saddle, config, rcfg)
+                candidate_gap = _gap_at(saddle, candidate, start)
+                gap_evals += candidate_gap is not None
+            fire, why = should_restart(state, rcfg, candidate_gap=candidate_gap, reference_gap=reference_gap)
+            if fire:
                 restarts_by_reason[why] += 1
-                gap_evals += extra
-        elif adaptive_restarts and state.inner_count > 0:
-            due = (
-                state.inner_count % rcfg.gap_eval_interval == 0
-                or iteration % config.check_interval == 0
-            )
-            if due:
-                candidate, cand_gap, extra = _pick_candidate(state, snapshot, saddle, rcfg)
-                gap_evals += extra
-                ok, why = should_restart(state, snapshot, rcfg, candidate_gap=cand_gap)
-                if ok:
-                    step, extra = _do_restart(state, step, candidate, snapshot, saddle, config, rcfg)
-                    restarts_by_reason[why] += 1
-                    gap_evals += extra
+                if candidate is None:
+                    candidate = state.average()
+                if config.weight.mode == "adaptive":
+                    dx_norm = _norm(candidate[0] - start[0])
+                    dy_norm = _norm(candidate[1] - start[1])
+                    step = replace(
+                        step,
+                        primal_weight=update_primal_weight(step.primal_weight, dx_norm, dy_norm, config.weight),
+                    )
+                apply_restart(state, candidate)
+                start, old_start = candidate, start
+                if adaptive_restarts:
+                    gap = _gap_at(saddle, start, old_start)
+                    if gap is not None:
+                        reference_gap = gap
+                        gap_evals += 1
 
     # Final report.  For a numerical-error stop the state still holds the
     # last good iterate, which may be newer than the last check point.
@@ -330,60 +347,6 @@ def solve(problem, config=None, callback=None):
         problem_name=problem.name,
         dims=(problem.num_variables, problem.num_inequalities, problem.num_equalities),
     )
-
-
-def _pick_candidate(state, snapshot, saddle, rcfg):
-    """Restart candidate plus its normalized gap at the distance from the
-    epoch start (None when that distance is zero).  Returns the number of
-    gap evaluations spent as the third element."""
-    start = (snapshot.x_start, snapshot.y_start)
-    avg = state.average()
-    r_avg = _point_distance(avg, start)
-    evals = 0
-    gap_avg = None
-    if r_avg > 0.0 and math.isfinite(r_avg):
-        gap_avg = normalized_duality_gap(saddle, avg[0], avg[1], r_avg)
-        evals += 1
-    if rcfg.candidate_rule == "average":
-        return avg, gap_avg, evals
-    if rcfg.candidate_rule == "best":
-        cur = (state.x.copy(), state.y.copy())
-        r_cur = _point_distance(cur, start)
-        gap_cur = None
-        if r_cur > 0.0 and math.isfinite(r_cur):
-            gap_cur = normalized_duality_gap(saddle, cur[0], cur[1], r_cur)
-            evals += 1
-        if gap_avg is None:
-            return cur, gap_cur, evals
-        if gap_cur is None or gap_avg <= gap_cur:
-            return avg, gap_avg, evals
-        return cur, gap_cur, evals
-    raise NonPositiveInput(f"unknown candidate rule {rcfg.candidate_rule!r}")
-
-
-def _do_restart(state, step, candidate, snapshot, saddle, config, rcfg):
-    """Restart to ``candidate``: update the primal weight from the epoch
-    movement, reset the state, and re-anchor the snapshot (reference gap
-    measured at the new start with radius = distance between starts).
-    Returns the possibly reweighted step state and the gap evaluations
-    spent."""
-    old_start = (snapshot.x_start, snapshot.y_start)
-    evals = 0
-    if config.weight.mode == "adaptive":
-        dx_norm = float(np.linalg.norm(candidate[0] - old_start[0]))
-        dy_norm = float(np.linalg.norm(candidate[1] - old_start[1]))
-        step = replace(
-            step, primal_weight=update_primal_weight(step.primal_weight, dx_norm, dy_norm, config.weight)
-        )
-    apply_restart(state, candidate)
-    radius = _point_distance(candidate, old_start)
-    snapshot.x_start = state.x.copy()
-    snapshot.y_start = state.y.copy()
-    if rcfg.scheme == "adaptive" and radius > 0.0 and math.isfinite(radius):
-        snapshot.gap_at_start = normalized_duality_gap(saddle, state.x, state.y, radius)
-        snapshot.radius_at_start = radius
-        evals += 1
-    return step, evals
 
 
 def solve_vanilla(problem, step_size, max_iters, tol=1e-8):

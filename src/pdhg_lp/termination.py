@@ -159,8 +159,8 @@ class CertificateVerdict:
 
 def _unit(ray):
     ray = np.asarray(ray, dtype=np.float64)
-    norm = float(np.linalg.norm(ray))
-    if norm == 0.0 or not np.isfinite(norm):
+    norm = _norm(ray)
+    if norm == 0.0 or not math.isfinite(norm):
         raise NotACertificate("certificate candidate has zero or non-finite norm")
     return ray / norm
 

@@ -105,7 +105,7 @@ class TestSolve:
             ["solve", toy_mps, "--tolerance", "1e-5", "--infeasible-tolerance", "1e-9",
              "--max-iters", "4000", "--time-limit-sec", "30", "--check-interval", "32",
              "--scaling", "ruiz", "--ruiz-iterations", "5", "--pc-alpha", "1.5",
-             "--restart", "fixed=128", "--restart-beta", "0.25", "--candidate-rule", "best",
+             "--restart", "fixed=128", "--restart-beta", "0.25",
              "--step-size", "fixed", "--primal-weight", "fixed",
              "--no-infeasibility-detection", "--log-every", "1000"]
         )
@@ -117,7 +117,7 @@ class TestSolve:
             scaling="ruiz",
             ruiz_iterations=5,
             pc_alpha=1.5,
-            restart=pl.RestartConfig(scheme="fixed", period=128, sufficient_decay=0.25, candidate_rule="best"),
+            restart=pl.RestartConfig(scheme="fixed", period=128, sufficient_decay=0.25),
             step=pl.StepPolicy(mode="fixed"),
             weight=pl.WeightPolicy(mode="fixed"),
             check_interval=32,
@@ -134,6 +134,11 @@ class TestSolve:
             (["--step-size", "fixed=abc"], "could not convert string to float: 'abc'"),
             (["--step-size", "big"], "bad step_size flag 'big'"),
             (["--primal-weight", "none"], "bad primal_weight flag 'none'"),
+            (["--restart", "fixed"], "fixed restart scheme needs a period or a sharpness constant"),
+            (["--restart", "fixed=0"], "restart period must be at least 1, got 0"),
+            (["--check-interval", "0"], "check_interval must be at least 1, got 0"),
+            (["--ruiz-iterations", "-1"], "num_iters must be >= 0"),
+            (["--pc-alpha", "3"], "alpha must lie in [0, 2], got 3.0"),
         ],
     )
     def test_bad_mode_flag_exits_one(self, toy_mps, flags, message):

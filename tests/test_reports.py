@@ -12,16 +12,24 @@ from pdhg_lp.restarts import RESTART_SCHEMES
 from pdhg_lp.stepsize import POLICY_MODES
 
 
-# String fields the configs check against a closed set of values.
-_MODES = {
+# Fields the configs check against a closed set of values or a lower bound.
+_CHECKED = {
     "scheme": st.sampled_from(RESTART_SCHEMES),
     "mode": st.sampled_from(POLICY_MODES),
+    "check_interval": st.integers(min_value=1),
+    "gap_eval_interval": st.integers(min_value=1),
+    "period": st.integers(min_value=1) | st.none(),
 }
 
 
+def _fixed_restart_has_period(kwargs):
+    return kwargs["scheme"] != "fixed" or kwargs["period"] is not None or kwargs["sharpness"] is not None
+
+
 def _config_strategy(cls):
-    """Instances of the config dataclass ``cls`` with every leaf drawn,
-    infinities of either sign included (NaN is not equal to itself)."""
+    """Instances of the config dataclass ``cls`` with every leaf drawn from
+    the values its constructor accepts, infinities of either sign included
+    (NaN is not equal to itself)."""
     leaves = {
         float: st.floats(allow_nan=False),
         int: st.integers(),
@@ -32,11 +40,14 @@ def _config_strategy(cls):
     for f in dataclasses.fields(cls):
         if dataclasses.is_dataclass(f.type):
             kwargs[f.name] = _config_strategy(f.type)
-        elif f.name in _MODES:
-            kwargs[f.name] = _MODES[f.name]
+        elif f.name in _CHECKED:
+            kwargs[f.name] = _CHECKED[f.name]
         else:
             kwargs[f.name] = leaves[f.type] | st.none() if f.default is None else leaves[f.type]
-    return st.builds(cls, **kwargs)
+    drawn = st.fixed_dictionaries(kwargs)
+    if cls is pl.RestartConfig:
+        drawn = drawn.filter(_fixed_restart_has_period)
+    return drawn.map(lambda values: cls(**values))
 
 
 def _leaf_count(cls):
@@ -105,7 +116,7 @@ class TestConfigFlags:
             return {k: keys(v) if isinstance(v, dict) else None for k, v in flags.items()}
 
         assert keys(config_flags(pl.SolverConfig())) == names(pl.SolverConfig)
-        assert _leaf_count(pl.SolverConfig) == 30
+        assert _leaf_count(pl.SolverConfig) == 29
         assert sorted(config_flags(pl.SolverConfig())) == [
             "check_interval",
             "confirmations_required",
@@ -148,6 +159,14 @@ class TestConfigFlags:
             config_from_flags({"detect_infeasibility": 0})
         with pytest.raises(ValueError, match="pc_alpha must be float"):
             config_from_flags({"pc_alpha": False})
+        with pytest.raises(ValueError, match="config block: check_interval must be at least 1, got 0"):
+            config_from_flags({"check_interval": 0})
+        with pytest.raises(ValueError, match="config restart: restart period must be at least 1, got 0"):
+            config_from_flags({"restart": {"period": 0}})
+        with pytest.raises(ValueError, match="config restart: gap_eval_interval must be at least 1, got 0"):
+            config_from_flags({"restart": {"gap_eval_interval": 0}})
+        with pytest.raises(ValueError, match="config restart: fixed restart scheme needs a period or a sharpness"):
+            config_from_flags({"restart": {"scheme": "fixed"}})
 
     def test_int_accepted_for_float(self):
         assert config_from_flags({"pc_alpha": 2}).pc_alpha == 2.0

@@ -5,7 +5,6 @@ import pytest
 
 import pdhg_lp as pl
 from pdhg_lp import (
-    EpochSnapshot,
     IterateState,
     RestartConfig,
     apply_restart,
@@ -153,57 +152,46 @@ class TestShouldRestart:
 
     def test_none_scheme(self):
         state = self.make_state(1000, 1000)
-        assert should_restart(state, None, RestartConfig(scheme="none")) == (False, None)
+        assert should_restart(state, RestartConfig(scheme="none")) == (False, None)
 
     def test_fixed_scheme(self):
         cfg = RestartConfig(scheme="fixed", period=4)
-        snapshot = EpochSnapshot(np.zeros(1), np.zeros(1))
-        assert should_restart(self.make_state(3, 7), snapshot, cfg) == (False, None)
-        assert should_restart(self.make_state(4, 8), snapshot, cfg) == (
+        assert should_restart(self.make_state(3, 7), cfg) == (False, None)
+        assert should_restart(self.make_state(4, 8), cfg) == (
             True,
             "fixed_period",
         )
 
     def test_fixed_scheme_needs_period(self):
         with pytest.raises(pl.NonPositiveInput):
-            should_restart(
-                self.make_state(1, 1),
-                EpochSnapshot(np.zeros(1), np.zeros(1)),
-                RestartConfig(scheme="fixed"),
-            )
+            should_restart(self.make_state(1, 1), RestartConfig(scheme="fixed"))
 
     def test_adaptive_gap_decay(self):
         cfg = RestartConfig(scheme="adaptive", sufficient_decay=0.5)
-        snapshot = EpochSnapshot(np.zeros(1), np.zeros(1), gap_at_start=2.0)
         state = self.make_state(3, 100)
-        assert should_restart(state, snapshot, cfg, candidate_gap=1.0) == (
+        assert should_restart(state, cfg, candidate_gap=1.0, reference_gap=2.0) == (
             True,
             "gap_decay",
         )
-        assert should_restart(state, snapshot, cfg, candidate_gap=1.5) == (False, None)
+        assert should_restart(state, cfg, candidate_gap=1.5, reference_gap=2.0) == (False, None)
 
     def test_adaptive_artificial_cap(self):
         cfg = RestartConfig(scheme="adaptive")
-        snapshot = EpochSnapshot(np.zeros(1), np.zeros(1), gap_at_start=2.0)
         # cap = max(10, 0.36 * total)
-        assert should_restart(self.make_state(10, 0), snapshot, cfg) == (
+        assert should_restart(self.make_state(10, 0), cfg, reference_gap=2.0) == (
             True,
             "artificial",
         )
-        assert should_restart(self.make_state(9, 0), snapshot, cfg) == (False, None)
-        assert should_restart(self.make_state(36, 100), snapshot, cfg) == (
+        assert should_restart(self.make_state(9, 0), cfg, reference_gap=2.0) == (False, None)
+        assert should_restart(self.make_state(36, 100), cfg, reference_gap=2.0) == (
             True,
             "artificial",
         )
-        assert should_restart(self.make_state(35, 100), snapshot, cfg) == (False, None)
+        assert should_restart(self.make_state(35, 100), cfg, reference_gap=2.0) == (False, None)
 
     def test_unknown_scheme(self):
         with pytest.raises(pl.NonPositiveInput):
-            should_restart(
-                self.make_state(0, 0),
-                EpochSnapshot(np.zeros(1), np.zeros(1)),
-                RestartConfig(scheme="sometimes"),
-            )
+            should_restart(self.make_state(0, 0), RestartConfig(scheme="sometimes"))
 
 
 class TestApplyRestart:
@@ -219,7 +207,6 @@ class TestApplyRestart:
         np.testing.assert_array_equal(state.y, avg[1])
         assert state.inner_count == 0
         assert state.total_count == 6
-        assert state.epoch_index == 1
         assert state.sum_weight == 0.0
         assert state.kx is None
         np.testing.assert_array_equal(state.sum_x, [0.0])

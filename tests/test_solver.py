@@ -143,9 +143,31 @@ class TestStatuses:
         assert report.status == pl.STATUS_ITERATION_LIMIT
 
     def test_fixed_restart_needs_period_or_sharpness(self):
-        config = pl.SolverConfig(restart=pl.RestartConfig(scheme="fixed"))
         with pytest.raises(pl.NonPositiveInput):
-            pl.solve(pl.generate_bilinear_toy(), config)
+            pl.SolverConfig(restart=pl.RestartConfig(scheme="fixed"))
+
+    def test_unbounded_lp_under_fixed_restarts(self):
+        # Raising x_0 keeps every row satisfied and lowers the objective.
+        # Restarting every 16 iterations drives the primal weight towards
+        # zero until the squared norm of a candidate ray overflows; the solve
+        # must still end in a status, not an exception or a warning.
+        base = random_feasible_lp(0)
+        g = base.ineq_matrix.toarray()
+        g[:, 0] = np.abs(g[:, 0])
+        c = base.c.copy()
+        c[0] = -abs(c[0])
+        problem = pl.LpProblem(
+            c=c, ineq_matrix=g, ineq_rhs=base.ineq_rhs, lower=base.lower, upper=np.full(c.size, np.inf)
+        )
+        config = pl.SolverConfig(
+            termination=pl.TerminationCriteria(iteration_limit=20_000),
+            restart=pl.RestartConfig(scheme="fixed", period=16),
+        )
+        report = pl.solve(problem, config)
+        assert report.status not in (pl.STATUS_OPTIMAL, pl.STATUS_PRIMAL_INFEASIBLE)
+        if report.certificate is not None:
+            verdict = pl.check_dual_infeasible(pl.to_saddle(problem), report.certificate["ray"], 1e-10)
+            assert verdict.valid
 
 
 class TestTrajectory:
