@@ -73,7 +73,9 @@ class IterateState:
     finite trial points computed, accepted or not.  The state owns ``x`` and
     ``y`` (they are copied in), because the step kernel recycles the
     replaced vectors as work buffers: hold a copy, not a reference, of an
-    iterate that must outlive the next step.
+    iterate that must outlive the next step.  After a step, ``buffers.x`` and
+    ``buffers.y`` hold the iterate it replaced until the next step starts;
+    ``apply_restart`` leaves them alone.
     """
 
     x: np.ndarray

@@ -19,6 +19,13 @@ from .exceptions import InvalidRadius, NonPositiveInput
 
 RESTART_SCHEMES = ("none", "adaptive", "fixed")
 
+# The adaptive scheme tests the decay of the normalized gap every
+# GAP_EVAL_INTERVAL epoch iterations, and caps an epoch at
+# max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * total iterations).
+GAP_EVAL_INTERVAL = 40
+ARTIFICIAL_FRACTION = 0.36
+MIN_ARTIFICIAL = 10
+
 
 @dataclass(frozen=True)
 class RestartConfig:
@@ -26,7 +33,7 @@ class RestartConfig:
 
     scheme: "none", "fixed" (restart every ``period`` iterations, or a
     period derived from the ``sharpness`` constant) or "adaptive"
-    (normalized-gap decay test, evaluated every ``gap_eval_interval``
+    (normalized-gap decay test, evaluated every ``GAP_EVAL_INTERVAL``
     iterations, plus an artificial cap).  A restart always goes to the
     running average of the epoch.
     """
@@ -34,9 +41,6 @@ class RestartConfig:
     scheme: str = "adaptive"
     period: int = None
     sufficient_decay: float = 0.5
-    artificial_fraction: float = 0.36
-    min_artificial: int = 10
-    gap_eval_interval: int = 40
     sharpness: float = None
 
     def __post_init__(self):
@@ -46,8 +50,6 @@ class RestartConfig:
             raise NonPositiveInput("fixed restart scheme needs a period or a sharpness constant")
         if self.period is not None and self.period < 1:
             raise NonPositiveInput(f"restart period must be at least 1, got {self.period}")
-        if self.gap_eval_interval < 1:
-            raise NonPositiveInput(f"gap_eval_interval must be at least 1, got {self.gap_eval_interval}")
 
 
 def normalized_duality_gap(saddle, x, y, radius):
@@ -135,7 +137,7 @@ def should_restart(state, config, candidate_gap=None, reference_gap=None):
     of the restart candidate at its distance from the epoch start; the
     sufficient-decay test compares it against ``reference_gap``, measured
     when the epoch started, and an artificial cap bounds the epoch length
-    by max(min_artificial, artificial_fraction * total iterations).
+    by max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * total iterations).
     """
     if config.scheme == "none":
         return False, None
@@ -149,7 +151,7 @@ def should_restart(state, config, candidate_gap=None, reference_gap=None):
         and candidate_gap <= config.sufficient_decay * reference_gap
     ):
         return True, "gap_decay"
-    cap = max(config.min_artificial, config.artificial_fraction * state.total_count)
+    cap = max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * state.total_count)
     if state.inner_count >= cap:
         return True, "artificial"
     return False, None

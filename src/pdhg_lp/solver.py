@@ -15,6 +15,7 @@ import numpy as np
 from .exceptions import NonFiniteIterate, NonPositiveInput, StepSizeUnderflow
 from .pdhg import IterateState, pdhg_step
 from .problem import to_saddle, validate
+from . import restarts, stepsize
 from .restarts import (
     RestartConfig,
     apply_restart,
@@ -44,6 +45,10 @@ STATUS_ITERATION_LIMIT = "iteration_limit"
 STATUS_TIME_LIMIT = "time_limit"
 STATUS_NUMERICAL_ERROR = "numerical_error"
 
+# consecutive checks that must find a valid ray before an infeasibility
+# verdict is returned
+CONFIRMATIONS_REQUIRED = 2
+
 # (status, certificate kind, ray named in the reason) for the two
 # infeasibility verdicts, in the order solve tests them
 _INFEASIBILITY_VERDICTS = (
@@ -63,9 +68,7 @@ class SolverConfig:
     weight: WeightPolicy = field(default_factory=WeightPolicy)
     check_interval: int = 64
     detect_infeasibility: bool = True
-    confirmations_required: int = 2
     log_interval: int = 0
-    record_history: bool = True
 
     def __post_init__(self):
         if self.check_interval < 1:
@@ -113,15 +116,6 @@ class SolveReport:
     @property
     def solved(self):
         return self.status == STATUS_OPTIMAL
-
-
-def _gap_at(saddle, point, anchor):
-    """Normalized duality gap of ``point`` at its distance from ``anchor``,
-    or None when that distance is zero or not finite."""
-    radius = _norm(point[0] - anchor[0], point[1] - anchor[1])
-    if not (radius > 0.0 and math.isfinite(radius)):
-        return None
-    return normalized_duality_gap(saddle, point[0], point[1], radius)
 
 
 def _log_progress(iteration, kkt, step):
@@ -181,15 +175,12 @@ def solve(problem, config=None, callback=None):
         gap_evals += 1
 
     x0_u, y0_u = unscale_solution(state.x, state.y, scaling)
-    stash = None  # scaled copy of the iterate one step before a check point
     streaks = [0, 0]  # consecutive checks with a valid primal / dual infeasibility ray
     history = []
     restarts_by_reason = {"gap_decay": 0, "artificial": 0, "fixed_period": 0}
     status = None
     reason = ""
     certificate = None
-    last_kkt = None
-    last_point = None
 
     def unscale_state():
         return unscale_solution(state.x, state.y, scaling)
@@ -198,25 +189,26 @@ def solve(problem, config=None, callback=None):
     while True:
         hit_iters = iteration >= crit.iteration_limit
         hit_time = (time.perf_counter() - t_start) >= crit.time_limit_sec
+        check_due = iteration % config.check_interval == 0 or hit_iters or hit_time
         log_due = config.log_interval and iteration % config.log_interval == 0
-        if iteration % config.check_interval == 0 or hit_iters or hit_time:
+        if check_due or log_due:
             xu, yu = unscale_state()
             kkt = kkt_error(saddle0, xu, yu)
-            last_kkt, last_point = kkt, (xu, yu)
-            if config.record_history:
-                history.append(
-                    (iteration, kkt.rel_primal, kkt.rel_dual, kkt.rel_gap, step.step_size, step.primal_weight)
-                )
-            if callback is not None:
-                callback(iteration, kkt, step)
             if log_due:
                 _log_progress(iteration, kkt, step)
+        # iteration 0 is a check, so last_kkt is set before any break
+        if check_due:
+            last_kkt, last_point = kkt, (xu, yu)
+            history.append((iteration, kkt.rel_primal, kkt.rel_dual, kkt.rel_gap, step.step_size, step.primal_weight))
+            if callback is not None:
+                callback(iteration, kkt, step)
             if check_optimal(kkt, crit):
                 status = STATUS_OPTIMAL
                 reason = f"relative KKT errors at or below {crit.tol_optimal}"
                 break
-            if config.detect_infeasibility and iteration > 0 and stash is not None:
-                prev_u = unscale_solution(stash[0], stash[1], scaling)
+            if config.detect_infeasibility and iteration > 0:
+                # the step kernel's buffers still hold the iterate the last step replaced
+                prev_u = unscale_solution(state.buffers.x, state.buffers.y, scaling)
                 candidates = extract_certificates(prev_u, (xu, yu), (x0_u, y0_u), iteration)
                 checks = (check_primal_infeasible, check_dual_infeasible)
                 hits = ([], [])
@@ -227,7 +219,7 @@ def solve(problem, config=None, callback=None):
                             if verdict.valid:
                                 kind_hits.append((verdict, cand, ray))
                 streaks = [streak + 1 if h else 0 for streak, h in zip(streaks, hits)]
-                confirmed = [k for k in (0, 1) if streaks[k] >= config.confirmations_required]
+                confirmed = [k for k in (0, 1) if streaks[k] >= CONFIRMATIONS_REQUIRED]
                 if confirmed:
                     k = confirmed[0]  # primal first when both confirm at once
                     verdict, cand, ray = max(hits[k], key=lambda h: h[0].margin)
@@ -250,22 +242,13 @@ def solve(problem, config=None, callback=None):
                 status = STATUS_TIME_LIMIT
                 reason = f"time limit {crit.time_limit_sec} s reached"
                 break
-        elif log_due:
-            # between check points the residuals are computed for the log line alone
-            _log_progress(iteration, kkt_error(saddle0, *unscale_state()), step)
-
-        next_iteration = iteration + 1
-        if config.detect_infeasibility and (
-            next_iteration % config.check_interval == 0 or next_iteration >= crit.iteration_limit
-        ):
-            stash = (state.x.copy(), state.y.copy())
 
         try:
             if config.step.mode == "adaptive":
-                state, step, accepted = adaptive_step(state, saddle, step, config.step)
+                state, step, accepted = adaptive_step(state, saddle, step)
                 if not accepted:
                     status = STATUS_NUMERICAL_ERROR
-                    reason = f"adaptive step rejected {config.step.max_retries} trials in a row"
+                    reason = f"adaptive step rejected {stepsize.MAX_RETRIES} trials in a row"
                     break
             else:
                 pdhg_step(state, saddle, step, avg_weight=1.0)
@@ -276,17 +259,20 @@ def solve(problem, config=None, callback=None):
         iteration += 1
 
         # Restart to the epoch average.  The fixed scheme decides from the
-        # epoch length alone; the adaptive one every gap_eval_interval
+        # epoch length alone; the adaptive one every GAP_EVAL_INTERVAL
         # iterations and at check points, from the average's normalized gap.
         if rcfg.scheme == "fixed" or (
             adaptive_restarts
-            and (state.inner_count % rcfg.gap_eval_interval == 0 or iteration % config.check_interval == 0)
+            and (state.inner_count % restarts.GAP_EVAL_INTERVAL == 0 or iteration % config.check_interval == 0)
         ):
             candidate = candidate_gap = None
             if adaptive_restarts:
+                # the average's gap at its distance from the epoch start, when finite and nonzero
                 candidate = state.average()
-                candidate_gap = _gap_at(saddle, candidate, start)
-                gap_evals += candidate_gap is not None
+                radius = _norm(candidate[0] - start[0], candidate[1] - start[1])
+                if 0.0 < radius < math.inf:
+                    candidate_gap = normalized_duality_gap(saddle, candidate[0], candidate[1], radius)
+                    gap_evals += 1
             fire, why = should_restart(state, rcfg, candidate_gap=candidate_gap, reference_gap=reference_gap)
             if fire:
                 restarts_by_reason[why] += 1
@@ -300,16 +286,14 @@ def solve(problem, config=None, callback=None):
                         primal_weight=update_primal_weight(step.primal_weight, dx_norm, dy_norm, config.weight),
                     )
                 apply_restart(state, candidate)
-                start, old_start = candidate, start
-                if adaptive_restarts:
-                    gap = _gap_at(saddle, start, old_start)
-                    if gap is not None:
-                        reference_gap = gap
-                        gap_evals += 1
+                start = candidate
+                # the new start's gap at the distance it moved is the candidate's
+                if candidate_gap is not None:
+                    reference_gap = candidate_gap
 
     # Final report.  For a numerical-error stop the state still holds the
     # last good iterate, which may be newer than the last check point.
-    if status == STATUS_NUMERICAL_ERROR or last_kkt is None:
+    if status == STATUS_NUMERICAL_ERROR:
         xu, yu = unscale_state()
         last_kkt, last_point = kkt_error(saddle0, xu, yu), (xu, yu)
     xu, yu = last_point

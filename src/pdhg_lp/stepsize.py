@@ -24,15 +24,22 @@ from .pdhg import StepState, accept_step, step_gradient, trial_step
 
 POLICY_MODES = ("adaptive", "fixed")
 
+# The adaptive step's shrink and growth exponents, its trials per iteration,
+# and the share of the initial step below which it raises StepSizeUnderflow.
+REDUCTION_EXPONENT = 0.3
+GROWTH_EXPONENT = 0.6
+MAX_RETRIES = 60
+UNDERFLOW_RATIO = 1e-14
+# The primal weight's log-space smoothing, and the movement below which it
+# is left alone.
+WEIGHT_SMOOTHING = 0.5
+MOVEMENT_FLOOR = 1e-10
+
 
 @dataclass(frozen=True)
 class StepPolicy:
     mode: str = "adaptive"  # one of POLICY_MODES
     fixed_step: float = None
-    reduction_exponent: float = 0.3
-    growth_exponent: float = 0.6
-    max_retries: int = 60
-    underflow_ratio: float = 1e-14
 
     def __post_init__(self):
         if self.mode not in POLICY_MODES:
@@ -43,8 +50,6 @@ class StepPolicy:
 class WeightPolicy:
     mode: str = "adaptive"  # one of POLICY_MODES
     fixed_weight: float = None
-    smoothing: float = 0.5
-    movement_floor: float = 1e-10
 
     def __post_init__(self):
         if self.mode not in POLICY_MODES:
@@ -82,23 +87,23 @@ def initialize_step_state(saddle, norm_k, step_policy, weight_policy):
     return StepState(step_size=s, primal_weight=w)
 
 
-def adaptive_step(state, saddle, step, policy):
+def adaptive_step(state, saddle, step):
     """One PDHG iteration under the adaptive step rule.
 
     Returns (state, next_step, accepted).  The state is only advanced when a
     trial is accepted; the accepted iterate joins the running average with
     weight equal to the step size that produced it.  Raises
-    StepSizeUnderflow when s collapses below underflow_ratio times the
+    StepSizeUnderflow when s collapses below UNDERFLOW_RATIO times the
     initial step size, and NonFiniteIterate if a trial point is non-finite.
     """
     s = step.step_size
     w = step.primal_weight
     t = state.total_count + 1  # 1-based index of the iteration being attempted
-    shrink = 1.0 - (t + 1.0) ** (-policy.reduction_exponent)
-    grow = 1.0 + (t + 1.0) ** (-policy.growth_exponent)
+    shrink = 1.0 - (t + 1.0) ** (-REDUCTION_EXPONENT)
+    grow = 1.0 + (t + 1.0) ** (-GROWTH_EXPONENT)
     with np.errstate(over="ignore", invalid="ignore"):
         buf = step_gradient(state, saddle)
-        for _ in range(policy.max_retries):
+        for _ in range(MAX_RETRIES):
             trial = trial_step(state, saddle, buf, s, w)
             if trial is None:
                 raise NonFiniteIterate(
@@ -122,9 +127,9 @@ def adaptive_step(state, saddle, step, policy):
                 accept_step(state, buf, kx_new, avg_weight=s)
                 return state, StepState(s_next, w, step.initial_step_size), True
             s = s_next
-            if s < policy.underflow_ratio * step.initial_step_size:
+            if s < UNDERFLOW_RATIO * step.initial_step_size:
                 raise StepSizeUnderflow(
-                    f"step size {s!r} fell below {policy.underflow_ratio} of the initial"
+                    f"step size {s!r} fell below {UNDERFLOW_RATIO} of the initial"
                     f" {step.initial_step_size!r}"
                 )
     return state, StepState(s, w, step.initial_step_size), False
@@ -138,7 +143,7 @@ def update_primal_weight(current, dx_norm, dy_norm, policy):
         return current
     if not (math.isfinite(dx_norm) and math.isfinite(dy_norm)):
         return current
-    if dx_norm <= policy.movement_floor or dy_norm <= policy.movement_floor:
+    if dx_norm <= MOVEMENT_FLOOR or dy_norm <= MOVEMENT_FLOOR:
         return current
-    theta = policy.smoothing
+    theta = WEIGHT_SMOOTHING
     return math.exp(theta * math.log(dy_norm / dx_norm) + (1.0 - theta) * math.log(current))

@@ -246,14 +246,6 @@ class TestTrajectory:
         assert last[4] == report.step_size
         assert last[5] == report.primal_weight
 
-    def test_history_can_be_disabled(self):
-        config = pl.SolverConfig(
-            termination=pl.TerminationCriteria(iteration_limit=10),
-            record_history=False,
-        )
-        report = pl.solve(pl.generate_bilinear_toy(), config)
-        assert report.residual_history == []
-
 
 class TestSpectralEstimate:
     """||K|| is estimated only for a rule that reads it."""
@@ -315,6 +307,22 @@ class TestCounts:
         report = pl.solve(pl.generate_bilinear_toy(), config)
         assert report.step_trials == report.iterations == 30
         assert report.restarts_by_reason == {"gap_decay": 0, "artificial": 0, "fixed_period": 0}
+
+    def test_one_gap_evaluation_per_restart_decision(self, monkeypatch):
+        # a restart's reference gap is the candidate's gap, not a second
+        # evaluation at the same point and radius
+        keys = []
+        real = pl.solver.normalized_duality_gap
+
+        def recording(saddle, x, y, radius):
+            keys.append((x.tobytes(), y.tobytes(), radius))
+            return real(saddle, x, y, radius)
+
+        monkeypatch.setattr(pl.solver, "normalized_duality_gap", recording)
+        report = pl.solve(random_feasible_lp(0))
+        assert report.restarts > 0
+        assert len(set(keys)) == len(keys)
+        assert report.gap_evaluations == len(keys)
 
     def test_report_counts_block(self):
         report = pl.solve(pl.generate_bilinear_toy())

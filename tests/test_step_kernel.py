@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import pdhg_lp as pl
-from pdhg_lp import IterateState, StepPolicy, StepState, adaptive_step, pdhg_step
+from pdhg_lp import IterateState, StepPolicy, StepState, adaptive_step, apply_restart, pdhg_step, stepsize
 
 from conftest import random_feasible_lp, random_small_saddle
 
@@ -54,12 +54,12 @@ class Reference:
         x_new, y_new, _, _ = self.point(s, w)
         self.commit(x_new, y_new, weight)
 
-    def adaptive(self, s, w, s0, policy):
+    def adaptive(self, s, w, s0):
         """One iteration of the adaptive rule; returns (next s, accepted)."""
         t = self.count + 1
-        shrink = 1.0 - (t + 1.0) ** (-policy.reduction_exponent)
-        grow = 1.0 + (t + 1.0) ** (-policy.growth_exponent)
-        for _ in range(policy.max_retries):
+        shrink = 1.0 - (t + 1.0) ** (-stepsize.REDUCTION_EXPONENT)
+        grow = 1.0 + (t + 1.0) ** (-stepsize.GROWTH_EXPONENT)
+        for _ in range(stepsize.MAX_RETRIES):
             x_new, y_new, kx_new, kx = self.point(s, w)
             dx = x_new - self.x
             dy = y_new - self.y
@@ -71,7 +71,7 @@ class Reference:
                 self.commit(x_new, y_new, s)
                 return s_next, True
             s = s_next
-            assert s >= policy.underflow_ratio * s0
+            assert s >= stepsize.UNDERFLOW_RATIO * s0
         return s, False
 
 
@@ -113,15 +113,14 @@ class TestAgainstReference:
     @pytest.mark.parametrize("index", range(5))
     def test_adaptive_steps(self, index):
         saddle = list(toy_and_criterion_8_saddles())[index]
-        policy = StepPolicy()
-        step = pl.initialize_step_state(saddle, None, policy, pl.WeightPolicy())
+        step = pl.initialize_step_state(saddle, None, StepPolicy(), pl.WeightPolicy())
         state = IterateState.initial(saddle)
         ref = Reference(saddle, state.x, state.y)
         s = step.step_size
         trials_before = 0
         for _ in range(60):
-            state, step, accepted = adaptive_step(state, saddle, step, policy)
-            s, ref_accepted = ref.adaptive(s, step.primal_weight, step.initial_step_size, policy)
+            state, step, accepted = adaptive_step(state, saddle, step)
+            s, ref_accepted = ref.adaptive(s, step.primal_weight, step.initial_step_size)
             assert accepted and ref_accepted
             assert step.step_size == s
             assert_same(state, ref)
@@ -130,7 +129,6 @@ class TestAgainstReference:
 
     def test_random_small_saddles_both_modes(self):
         rng = np.random.default_rng(8)
-        policy = StepPolicy()
         for _ in range(20):
             saddle, x, y = random_small_saddle(rng)
             step = StepState(0.5 / max(saddle.K.abs_max(), 1e-3), float(rng.uniform(0.3, 3.0)))
@@ -146,8 +144,8 @@ class TestAgainstReference:
             adaptive = step
             s = step.step_size
             for _ in range(10):
-                state, adaptive, accepted = adaptive_step(state, saddle, adaptive, policy)
-                s, _ = ref.adaptive(s, step.primal_weight, step.initial_step_size, policy)
+                state, adaptive, accepted = adaptive_step(state, saddle, adaptive)
+                s, _ = ref.adaptive(s, step.primal_weight, step.initial_step_size)
                 assert adaptive.step_size == s
             assert_same(state, ref)
 
@@ -162,6 +160,40 @@ class TestAgainstReference:
         np.testing.assert_array_equal(y, [2.0])
 
 
+class TestBuffersHoldPreviousIterate:
+    """After a step the kernel's buffers hold the iterate it replaced, until
+    the next step; solve reads them as z_{k-1} at a check."""
+
+    @staticmethod
+    def assert_buffers_hold(state, x, y):
+        assert state.buffers.x.tobytes() == x.tobytes()
+        assert state.buffers.y.tobytes() == y.tobytes()
+
+    def test_after_fixed_steps(self):
+        saddle = scaled_saddle(0)
+        state = IterateState.initial(saddle)
+        for _ in range(5):
+            x, y = state.x.copy(), state.y.copy()
+            pdhg_step(state, saddle, StepState(0.1, 1.0))
+            self.assert_buffers_hold(state, x, y)
+
+    def test_after_a_rejected_trial(self, toy_saddle):
+        # rejected trials are written into the buffers before one is accepted
+        state = IterateState(x=[2.0], y=[2.0])
+        state, _, accepted = adaptive_step(state, toy_saddle, StepState(100.0, 1.0))
+        assert accepted and state.trial_count > 1
+        self.assert_buffers_hold(state, np.array([2.0]), np.array([2.0]))
+
+    def test_restart_leaves_them_alone(self):
+        saddle = scaled_saddle(1)
+        state = IterateState.initial(saddle)
+        pdhg_step(state, saddle, StepState(0.1, 1.0))
+        x, y = state.x.copy(), state.y.copy()
+        pdhg_step(state, saddle, StepState(0.1, 1.0))
+        apply_restart(state, state.average())
+        self.assert_buffers_hold(state, x, y)
+
+
 class TestNonFiniteTrial:
     def test_adaptive_trial_leaves_state_intact(self, toy_saddle):
         # grad = -y is hugely negative, so x - (s/w) grad overflows to +inf
@@ -172,7 +204,7 @@ class TestNonFiniteTrial:
         state.kx = kx
         x, y = state.x, state.y
         with pytest.raises(pl.NonFiniteIterate, match="total iteration 6"):
-            adaptive_step(state, toy_saddle, StepState(0.5, 1.0), StepPolicy())
+            adaptive_step(state, toy_saddle, StepState(0.5, 1.0))
         assert state.x is x and state.y is y and state.kx is kx
         np.testing.assert_array_equal(state.x, [1.7e308])
         np.testing.assert_array_equal(state.y, [1.7e308])
@@ -186,7 +218,7 @@ class TestNonFiniteTrial:
             warnings.simplefilter("error")
             for step_fn in (
                 lambda s: pdhg_step(s, toy_saddle, StepState(0.5, 1.0)),
-                lambda s: adaptive_step(s, toy_saddle, StepState(0.5, 1.0), StepPolicy()),
+                lambda s: adaptive_step(s, toy_saddle, StepState(0.5, 1.0)),
             ):
                 with pytest.raises(pl.NonFiniteIterate):
                     step_fn(IterateState(x=[1.7e308], y=[1.7e308]))

@@ -11,6 +11,7 @@ from pdhg_lp import (
     WeightPolicy,
     adaptive_step,
     initialize_step_state,
+    stepsize,
     update_primal_weight,
 )
 
@@ -74,7 +75,7 @@ class TestAdaptiveStep:
         # the trial is accepted and s grows by exactly 1 + 2^-0.6
         state = IterateState.initial(toy_saddle)
         step = StepState(1.0, 1.0)
-        state, nxt, accepted = adaptive_step(state, toy_saddle, step, StepPolicy())
+        state, nxt, accepted = adaptive_step(state, toy_saddle, step)
         assert accepted
         np.testing.assert_allclose(state.y, [3.0])
         np.testing.assert_array_equal(state.x, [0.0])
@@ -84,7 +85,7 @@ class TestAdaptiveStep:
     def test_oversized_step_rejected_then_accepted(self, toy_saddle):
         # probe the admissible bound at a safe step, then ask for 20x more
         probe = IterateState(x=[2.0], y=[2.0])
-        adaptive_step(probe, toy_saddle, StepState(0.01, 1.0), StepPolicy())
+        adaptive_step(probe, toy_saddle, StepState(0.01, 1.0))
         s_hat = measured_step_bound(
             toy_saddle, np.array([2.0]), np.array([2.0]), probe.x, probe.y, 1.0
         )
@@ -92,9 +93,7 @@ class TestAdaptiveStep:
 
         state = IterateState(x=[2.0], y=[2.0])
         big = 20.0 * s_hat
-        state, nxt, accepted = adaptive_step(
-            state, toy_saddle, StepState(big, 1.0), StepPolicy()
-        )
+        state, nxt, accepted = adaptive_step(state, toy_saddle, StepState(big, 1.0))
         assert accepted
         # the retry loop commits exactly one iterate, at a reduced step
         assert state.total_count == 1
@@ -107,11 +106,10 @@ class TestAdaptiveStep:
             saddle, x, y = random_small_saddle(rng)
             state = IterateState(x=x.copy(), y=y.copy())
             step = initialize_step_state(saddle, 1.0, StepPolicy(), WeightPolicy())
-            policy = StepPolicy()
             for _ in range(10):
                 x_before, y_before = state.x.copy(), state.y.copy()
                 weight_before = state.sum_weight
-                state, step, accepted = adaptive_step(state, saddle, step, policy)
+                state, step, accepted = adaptive_step(state, saddle, step)
                 if not accepted:
                     break
                 s_used = state.sum_weight - weight_before
@@ -123,64 +121,46 @@ class TestAdaptiveStep:
     def test_growth_capped_per_iteration(self, toy_saddle):
         state = IterateState.initial(toy_saddle)
         step = StepState(0.5, 1.0)
-        policy = StepPolicy()
         for _ in range(30):
             t = state.total_count + 1
             cap = (1.0 + (t + 1.0) ** -0.6) * step.step_size
-            state, step, accepted = adaptive_step(state, toy_saddle, step, policy)
+            state, step, accepted = adaptive_step(state, toy_saddle, step)
             assert step.step_size <= cap * (1 + 1e-14)
 
-    def test_retry_exhaustion_returns_unaccepted(self, toy_saddle):
+    def test_retry_exhaustion_returns_unaccepted(self, toy_saddle, monkeypatch):
         probe = IterateState(x=[2.0], y=[2.0])
-        adaptive_step(probe, toy_saddle, StepState(0.01, 1.0), StepPolicy())
+        adaptive_step(probe, toy_saddle, StepState(0.01, 1.0))
         s_hat = measured_step_bound(
             toy_saddle, np.array([2.0]), np.array([2.0]), probe.x, probe.y, 1.0
         )
+        monkeypatch.setattr(stepsize, "MAX_RETRIES", 1)
         state = IterateState(x=[2.0], y=[2.0])
-        state, nxt, accepted = adaptive_step(
-            state,
-            toy_saddle,
-            StepState(20.0 * s_hat, 1.0),
-            StepPolicy(max_retries=1),
-        )
+        state, nxt, accepted = adaptive_step(state, toy_saddle, StepState(20.0 * s_hat, 1.0))
         assert not accepted
         assert state.total_count == 0
         assert nxt.step_size < 20.0 * s_hat
 
-    def test_underflow_raises(self, toy_saddle):
+    def test_underflow_raises(self, toy_saddle, monkeypatch):
         probe = IterateState(x=[2.0], y=[2.0])
-        adaptive_step(probe, toy_saddle, StepState(0.01, 1.0), StepPolicy())
+        adaptive_step(probe, toy_saddle, StepState(0.01, 1.0))
         s_hat = measured_step_bound(
             toy_saddle, np.array([2.0]), np.array([2.0]), probe.x, probe.y, 1.0
         )
+        monkeypatch.setattr(stepsize, "UNDERFLOW_RATIO", 0.99)
         state = IterateState(x=[2.0], y=[2.0])
         with pytest.raises(pl.StepSizeUnderflow):
-            adaptive_step(
-                state,
-                toy_saddle,
-                StepState(20.0 * s_hat, 1.0),
-                StepPolicy(underflow_ratio=0.99),
-            )
+            adaptive_step(state, toy_saddle, StepState(20.0 * s_hat, 1.0))
 
     def test_non_finite_trial_raises(self, toy_saddle):
         state = IterateState(x=[1.7e308], y=[1.7e308])
         with pytest.raises(pl.NonFiniteIterate):
-            adaptive_step(state, toy_saddle, StepState(0.5, 1.0), StepPolicy())
+            adaptive_step(state, toy_saddle, StepState(0.5, 1.0))
 
 
 class TestPrimalWeight:
     def test_geometric_mean_update(self):
         # theta = 0.5: w+ = sqrt((dy/dx) * w) = sqrt(4 * 1) = 2
-        policy = WeightPolicy(smoothing=0.5)
-        assert update_primal_weight(1.0, 1.0, 4.0, policy) == pytest.approx(2.0)
-
-    def test_smoothing_extremes(self):
-        assert update_primal_weight(3.0, 1.0, 4.0, WeightPolicy(smoothing=0.0)) == (
-            pytest.approx(3.0)
-        )
-        assert update_primal_weight(3.0, 1.0, 4.0, WeightPolicy(smoothing=1.0)) == (
-            pytest.approx(4.0)
-        )
+        assert update_primal_weight(1.0, 1.0, 4.0, WeightPolicy()) == pytest.approx(2.0)
 
     def test_scale_invariance(self):
         policy = WeightPolicy()
