@@ -11,6 +11,7 @@ has positive degree, so S is well defined.  The objective is zero; any
 feasible point is the PageRank vector.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,14 @@ class PagerankSpec:
     seed: int = 0
 
     def validate(self):
+        for field in ("num_nodes", "attach_degree", "seed"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidGeneratorSpec(f"{field} must be an integer, got {value!r}")
+        if isinstance(self.damping, bool) or not isinstance(self.damping, numbers.Real):
+            raise InvalidGeneratorSpec(f"damping must be a number, got {self.damping!r}")
+        if self.seed < 0:
+            raise InvalidGeneratorSpec(f"seed must be non-negative, got {self.seed}")
         if self.num_nodes < 2:
             raise InvalidGeneratorSpec("num_nodes must be at least 2")
         if not 1 <= self.attach_degree < self.num_nodes:
@@ -39,31 +48,66 @@ class PagerankSpec:
 
 
 def barabasi_albert_edges(num_nodes, attach_degree, seed=0):
-    """Edge list of a preferential-attachment graph.
+    """Edge list of a preferential-attachment graph, as an (E, 2) int64 array
+    of (newcomer, target) rows.
 
     Starts from ``attach_degree`` isolated vertices; each newcomer attaches
     to ``attach_degree`` distinct existing vertices sampled proportionally
     to degree (the first newcomer connects to all seed vertices, which have
     degree zero).  Deterministic for a fixed seed.
+
+    Sampling is degree-proportional because it picks a uniform position of
+    the list of edge endpoints, which grows by (newcomer, target) pairs: the
+    endpoint list of newcomer k (vertex d + k) has 2dk entries, and position
+    p holds vertex d + p // 2d when p is even, else target (p % 2d) // 2 of
+    newcomer p // 2d.  Newcomer k draws positions until it has d distinct
+    vertices, in order of first occurrence.  A chunk of newcomers draws d
+    positions each in one call, which consumes the random stream exactly as
+    one call per draw would.  At the first newcomer whose d draws repeat a
+    vertex, the stream is rewound to the chunk start, the newcomers before
+    it are redrawn, and that newcomer draws one position at a time.
     """
     d = attach_degree
+    if d < 1 or num_nodes <= d:
+        return np.empty((0, 2), dtype=np.int64)
+    count = num_nodes - d  # newcomers
+    targets = np.empty((count, d), dtype=np.int64)
+    targets[0] = np.arange(d)
     rng = np.random.default_rng(seed)
-    edges = []
-    repeated = []  # one entry per edge endpoint; sampling from it is degree-proportional
-    for new in range(d, num_nodes):
-        if not repeated:
-            targets = list(range(d))
-        else:
-            chosen = {}
-            while len(chosen) < d:
-                pick = repeated[rng.integers(len(repeated))]
-                chosen[pick] = None
-            targets = list(chosen)
-        for t in targets:
-            edges.append((new, t))
-            repeated.append(new)
-            repeated.append(t)
-    return edges
+    k = 1
+    while k < count:
+        stop = min(count, k + max(16, k // 8))  # chunks grow with k, as repeats thin out
+        state = rng.bit_generator.state
+        bounds = np.repeat(2 * d * np.arange(k, stop, dtype=np.int64), d)
+        owner, offset = np.divmod(rng.integers(0, bounds).reshape(-1, d), 2 * d)
+        rows = targets[k:stop]
+        odd = offset % 2 == 1
+        rows[...] = np.where(odd, -1, d + owner)
+        # a target position may name an earlier newcomer of this chunk, so
+        # resolve by lookup until no -1 is left
+        pending = np.flatnonzero(odd)
+        src_owner, src_slot = owner[odd], offset[odd] // 2
+        while pending.size:
+            found = targets[src_owner, src_slot]
+            hit = found >= 0
+            rows.flat[pending[hit]] = found[hit]
+            pending, src_owner, src_slot = pending[~hit], src_owner[~hit], src_slot[~hit]
+        ordered = np.sort(rows, axis=1)
+        repeats = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+        if not repeats.size:
+            k = stop
+            continue
+        accepted = int(repeats[0])
+        rng.bit_generator.state = state
+        rng.integers(0, bounds[: accepted * d])
+        k += accepted
+        chosen = {}
+        while len(chosen) < d:
+            p_owner, p_offset = divmod(int(rng.integers(2 * d * k)), 2 * d)
+            chosen[d + p_owner if p_offset % 2 == 0 else int(targets[p_owner, p_offset // 2])] = None
+        targets[k] = list(chosen)
+        k += 1
+    return np.column_stack([np.repeat(np.arange(d, d + count, dtype=np.int64), d), targets.ravel()])
 
 
 def generate_pagerank(spec):
@@ -71,8 +115,7 @@ def generate_pagerank(spec):
     spec.validate()
     n = spec.num_nodes
     edges = barabasi_albert_edges(n, spec.attach_degree, spec.seed)
-    rows = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-    cols = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
+    rows, cols = edges[:, 0], edges[:, 1]
     ones = np.ones(len(edges))
     adj = sp.coo_matrix(
         (np.concatenate([ones, ones]), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),

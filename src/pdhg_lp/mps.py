@@ -648,8 +648,8 @@ def _check_names(names, kind, columns=False):
 
 
 def _fmt(v):
-    # 17 significant digits read back as the same double; the per-coefficient
-    # loops below spell out the same format inline
+    # 17 significant digits read back as the same double; the RHS and COLUMNS
+    # writers below spell out the same format inline
     return f"{v:.17g}"
 
 
@@ -669,10 +669,11 @@ def _bound_lines(col, lo, hi):
     return out
 
 
-def _column_lines(problem, c_out, col_field, row_field):
-    """The COLUMNS lines, one coefficient each.  Each column lists its
-    objective entry, then its G entries, then its A entries.  A column with
-    no coefficients anywhere must still be declared (it may carry bounds), so
+def _column_blocks(problem, c_out, col_field, row_field):
+    """The COLUMNS lines, one coefficient each, as blocks of up to
+    _WRITE_CHUNK lines joined by newlines.  Each column lists its objective
+    entry, then its G entries, then its A entries.  A column with no
+    coefficients anywhere must still be declared (it may carry bounds), so
     it gets an explicit zero cost."""
     g_csc = problem.ineq_matrix.tocsr().tocsc()
     a_csc = problem.eq_matrix.tocsr().tocsc()
@@ -684,14 +685,25 @@ def _column_lines(problem, c_out, col_field, row_field):
     row = np.concatenate([np.zeros(first.size, dtype=np.int64), g_csc.indices + 1, a_csc.indices + 1 + m1])
     val = np.concatenate([np.where(has_cost, c_out, 0.0)[first], g_csc.data, a_csc.data])
     order = np.argsort(col, kind="stable")
-    lines = []
-    for part in np.array_split(order, range(_WRITE_CHUNK, order.size, _WRITE_CHUNK)):
-        # a chunk at a time, so only a chunk's worth of Python numbers exists at once
-        lines += [
-            f"{col_field[j]}{row_field[i]}{v:.17g}"
-            for j, i, v in zip(col[part].tolist(), row[part].tolist(), val[part].tolist())
-        ]
-    return lines
+    # Where at most half the coefficients are distinct (PageRank has 1.0 and
+    # one -lambda/deg per degree; +-1 is common in real LPs), format each
+    # distinct one once; otherwise formatting in the line is cheaper.
+    # Uniquing bit patterns rather than values keeps -0.0 apart from 0.0.
+    bits, which = np.unique(val.view(np.int64), return_inverse=True)
+    repeated = 2 * bits.size <= val.size
+    text = [f"{v:.17g}" for v in bits.view(np.float64).tolist()] if repeated else None
+    blocks = []
+    for start in range(0, order.size, _WRITE_CHUNK):
+        # a chunk at a time, so only a chunk's worth of Python numbers and
+        # line strings exists at once
+        part = order[start : start + _WRITE_CHUNK]
+        fields = zip(col[part].tolist(), row[part].tolist(), (which if repeated else val)[part].tolist())
+        if repeated:
+            lines = [f"{col_field[j]}{row_field[i]}{text[k]}" for j, i, k in fields]
+        else:
+            lines = [f"{col_field[j]}{row_field[i]}{v:.17g}" for j, i, v in fields]
+        blocks.append("\n".join(lines))
+    return blocks
 
 
 def write_mps(problem, name=None):
@@ -741,7 +753,7 @@ def write_mps(problem, name=None):
     out.append("COLUMNS")
     col_field = [f"    {nm:<10} " for nm in var_names]
     row_field = [f"{nm:<10} " for nm in itertools.chain([obj_name], g_names, a_names)]
-    out.extend(_column_lines(problem, c_out, col_field, row_field))
+    out.extend(_column_blocks(problem, c_out, col_field, row_field))
 
     out.append("RHS")
     if rhs_obj != 0.0:

@@ -67,6 +67,12 @@ class TestGenerate:
         assert code == 1
         assert "num_nodes" in err
 
+    def test_negative_seed_exits_one(self):
+        code, out, err = run_cli(["generate", "pagerank", "--nodes", "10", "--seed", "-1"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("pdhg-lp: ") and "seed" in err
+
 
 class TestSolve:
     def test_optimal_exit_zero_and_json_report(self, toy_mps):

@@ -1,8 +1,41 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import pdhg_lp as pl
 from pdhg_lp import PagerankSpec, barabasi_albert_edges, generate_pagerank
+
+
+def reference_edges(num_nodes, attach_degree, seed=0):
+    """The sampler as one draw per call: the definition the vectorized
+    sampler must reproduce edge for edge."""
+    d = attach_degree
+    rng = np.random.default_rng(seed)
+    edges = []
+    repeated = []  # one entry per edge endpoint; sampling from it is degree-proportional
+    for new in range(d, num_nodes):
+        if not repeated:
+            targets = list(range(d))
+        else:
+            chosen = {}
+            while len(chosen) < d:
+                pick = repeated[rng.integers(len(repeated))]
+                chosen[pick] = None
+            targets = list(chosen)
+        for t in targets:
+            edges.append((new, t))
+            repeated.append(new)
+            repeated.append(t)
+    return edges
+
+
+def md5(*arrays):
+    digest = hashlib.md5()
+    for a in arrays:
+        a = np.asarray(a)
+        digest.update((a.astype(np.int64) if a.dtype.kind in "iu" else a).tobytes())
+    return digest.hexdigest()
 
 
 class TestGraph:
@@ -29,9 +62,47 @@ class TestGraph:
     def test_deterministic(self):
         a = barabasi_albert_edges(30, 3, seed=12)
         b = barabasi_albert_edges(30, 3, seed=12)
-        assert a == b
+        assert np.array_equal(a, b)
         c = barabasi_albert_edges(30, 3, seed=13)
-        assert a != c
+        assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    @pytest.mark.parametrize("num_nodes", [1, "d", "d+1", "2d", 100, 3000])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_matches_one_draw_per_call(self, d, num_nodes, seed):
+        n = {"d": d, "d+1": d + 1, "2d": 2 * d}.get(num_nodes, num_nodes)
+        edges = barabasi_albert_edges(n, d, seed)
+        assert edges.dtype == np.int64
+        expected = np.array(reference_edges(n, d, seed), dtype=np.int64).reshape(-1, 2)
+        np.testing.assert_array_equal(edges, expected)
+
+    def test_matches_when_many_newcomers_redraw(self, monkeypatch):
+        # count the reference's draws per bound: newcomer k draws with bound
+        # 2dk, so a bound drawn more than d times marks a newcomer that drew
+        # a vertex twice, the case the sampler replays one draw at a time
+        bounds = []
+        default_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def integers(self, high):
+                bounds.append(high)
+                return self.rng.integers(high)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        expected = np.array(reference_edges(3000, 7, seed=0))
+        monkeypatch.undo()
+        _, draws = np.unique(bounds, return_counts=True)
+        assert np.count_nonzero(draws > 7) == 160
+        np.testing.assert_array_equal(barabasi_albert_edges(3000, 7, seed=0), expected)
+
+    def test_no_newcomers_give_no_edges(self):
+        for n, d in ((0, 3), (2, 3), (3, 3), (5, 0), (5, -1)):
+            edges = barabasi_albert_edges(n, d, seed=0)
+            assert edges.shape == (0, 2) and edges.dtype == np.int64
+            assert reference_edges(n, d, seed=0) == []
 
 
 class TestPagerankProblem:
@@ -72,6 +143,17 @@ class TestPagerankProblem:
         np.testing.assert_array_equal(a.ineq_matrix.toarray(), b.ineq_matrix.toarray())
         np.testing.assert_array_equal(a.ineq_rhs, b.ineq_rhs)
 
+    def test_benchmark_instances_are_pinned(self):
+        # digests of the n=1e5 instance and of the n=5e4 MPS text the
+        # benchmark runs, so a change in how the sampler consumes the random
+        # stream cannot pass unnoticed
+        p = generate_pagerank(PagerankSpec(num_nodes=10**5, seed=0))
+        g, a = p.ineq_matrix.tocsr(), p.eq_matrix.tocsr()
+        digest = md5(g.indptr, g.indices, g.data, a.indptr, a.indices, a.data, p.ineq_rhs, p.eq_rhs)
+        assert digest == "54287778e6fb16770804ff4526cee8d2"
+        text = pl.write_mps(generate_pagerank(PagerankSpec(num_nodes=5 * 10**4, seed=0)))
+        assert hashlib.md5(text.encode()).hexdigest() == "b9b2c4ce77a971784af852adb358abf0"
+
     def test_solution_matches_dense_stationary_vector(self):
         # the feasible set is the single PageRank vector: compare the LP
         # solution against a dense linear solve of (I - lambda*S') r = rhs
@@ -95,6 +177,29 @@ class TestPagerankProblem:
             PagerankSpec(num_nodes=10, damping=1.0).validate()
         with pytest.raises(pl.InvalidGeneratorSpec):
             PagerankSpec(num_nodes=10, damping=0.0).validate()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": True},
+            {"attach_degree": 3.5},
+            {"attach_degree": True},
+            {"num_nodes": 10.0},
+            {"num_nodes": "10"},
+            {"damping": "0.5"},
+        ],
+    )
+    def test_spec_rejects_negative_seed_and_non_numbers(self, fields):
+        spec = PagerankSpec(**{"num_nodes": 10, **fields})
+        with pytest.raises(pl.InvalidGeneratorSpec, match=next(iter(fields))):
+            spec.validate()
+
+    def test_numpy_integers_are_accepted(self):
+        spec = PagerankSpec(num_nodes=np.int64(10), attach_degree=np.int32(2), seed=np.uint8(4))
+        problem = generate_pagerank(spec)
+        assert problem.num_variables == 10
 
 
 class TestToyProblems:

@@ -379,6 +379,39 @@ class TestWriter:
         assert back.eq_rhs[0] == np.e
         assert back.lower[0] == 0.1 + 0.2
 
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("distinct", [0, 400])
+    def test_columns_match_a_per_value_reference(self, chunk, distinct, monkeypatch):
+        # many repeated coefficients, plus doubles that differ only in the
+        # last bits (0.1 + 0.2 against 0.3, 1.0 against the next double):
+        # each must be written as its own %.17g text, also when the lines
+        # are formatted a few at a time and when most values are distinct
+        if chunk:
+            monkeypatch.setattr(pl.mps, "_WRITE_CHUNK", chunk)
+        rng = np.random.default_rng(0)
+        pool = np.concatenate([[1.0, -1.0, 0.5, 0.3, -0.3, 2.0 / 3.0, 1e-300], rng.standard_normal(distinct)])
+        n, m1, m2 = 40, 25, 5
+
+        def matrix(rows):
+            values = rng.choice(pool, size=(rows, n))
+            return np.where(rng.random((rows, n)) < 0.3, values, 0.0)
+
+        g, a, c = matrix(m1), matrix(m2), matrix(1)[0]
+        g[1, 1:5] = [0.3, 0.1 + 0.2, 1.0, np.nextafter(1.0, 2.0)]
+        g[:, 0] = a[:, 0] = c[0] = 0.0  # an empty column, written with a zero cost
+        problem = pl.LpProblem(c=c, ineq_matrix=g, ineq_rhs=np.zeros(m1), eq_matrix=a, eq_rhs=np.zeros(m2))
+        expected = []
+        for j in range(n):
+            entries = [("OBJ", c[j])] if c[j] != 0.0 or not (g[:, j].any() or a[:, j].any()) else []
+            entries += [(f"R{i}", g[i, j]) for i in np.flatnonzero(g[:, j])]
+            entries += [(f"E{i}", a[i, j]) for i in np.flatnonzero(a[:, j])]
+            expected += [f"    {f'X{j}':<10} {row:<10} {float(v):.17g}" for row, v in entries]
+        assert {"0.30000000000000004", "0.29999999999999999", "1.0000000000000002", "1"} <= {
+            line.split()[-1] for line in expected
+        }
+        lines = write_mps(problem).split("\n")
+        assert lines[lines.index("COLUMNS") + 1 : lines.index("RHS")] == expected
+
     def test_write_parse_write_is_stable(self):
         problem = random_feasible_lp(11, n=5, m_ineq=3, m_eq=1, spread=0.5)
         once = write_mps(problem)
