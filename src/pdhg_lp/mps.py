@@ -685,23 +685,18 @@ def _column_blocks(problem, c_out, col_field, row_field):
     row = np.concatenate([np.zeros(first.size, dtype=np.int64), g_csc.indices + 1, a_csc.indices + 1 + m1])
     val = np.concatenate([np.where(has_cost, c_out, 0.0)[first], g_csc.data, a_csc.data])
     order = np.argsort(col, kind="stable")
-    # Where at most half the coefficients are distinct (PageRank has 1.0 and
-    # one -lambda/deg per degree; +-1 is common in real LPs), format each
-    # distinct one once; otherwise formatting in the line is cheaper.
-    # Uniquing bit patterns rather than values keeps -0.0 apart from 0.0.
+    # Format each distinct coefficient once (PageRank has 1.0 and one
+    # -lambda/deg per degree).  Uniquing bit patterns rather than values
+    # keeps -0.0 apart from 0.0 and near-equal doubles apart.
     bits, which = np.unique(val.view(np.int64), return_inverse=True)
-    repeated = 2 * bits.size <= val.size
-    text = [f"{v:.17g}" for v in bits.view(np.float64).tolist()] if repeated else None
+    text = [f"{v:.17g}" for v in bits.view(np.float64).tolist()]
     blocks = []
     for start in range(0, order.size, _WRITE_CHUNK):
         # a chunk at a time, so only a chunk's worth of Python numbers and
         # line strings exists at once
         part = order[start : start + _WRITE_CHUNK]
-        fields = zip(col[part].tolist(), row[part].tolist(), (which if repeated else val)[part].tolist())
-        if repeated:
-            lines = [f"{col_field[j]}{row_field[i]}{text[k]}" for j, i, k in fields]
-        else:
-            lines = [f"{col_field[j]}{row_field[i]}{v:.17g}" for j, i, v in fields]
+        fields = zip(col[part].tolist(), row[part].tolist(), which[part].tolist())
+        lines = [f"{col_field[j]}{row_field[i]}{text[k]}" for j, i, k in fields]
         blocks.append("\n".join(lines))
     return blocks
 
