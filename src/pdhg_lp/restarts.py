@@ -59,29 +59,31 @@ def normalized_duality_gap(saddle, x, y, radius):
         raise InvalidRadius(f"radius must be positive and finite, got {radius!r}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    d_x = saddle.K.rmatvec(y) - saddle.c
-    d_y = saddle.q - saddle.K.matvec(x)
-    d = np.concatenate([d_x, d_y])
+    # d, the box lo <= delta <= hi and the bisection's two buffers
+    n, m1 = x.shape[0], saddle.m1
+    d, lo, hi, delta, spare = (np.zeros(n + y.shape[0]) for _ in range(5))
+    np.subtract(saddle.K.rmatvec(y), saddle.c, out=d[:n])
+    np.subtract(saddle.q, saddle.K.matvec(x), out=d[n:])
     norm_d = float(np.linalg.norm(d))
     if norm_d == 0.0:
         return 0.0
 
-    m1 = saddle.m1
-    y_lower = np.full(y.shape[0], -np.inf)
-    y_lower[:m1] = 0.0
-    lo = np.concatenate([saddle.l - x, y_lower - y])
-    hi = np.concatenate([saddle.u - x, np.full(y.shape[0], np.inf)])
+    np.subtract(saddle.l, x, out=lo[:n])
+    np.subtract(0.0, y[:m1], out=lo[n : n + m1])
+    np.subtract(-np.inf, y[m1:], out=lo[n + m1 :])
+    np.subtract(saddle.u, x, out=hi[:n])
+    hi[n:] = np.inf
 
     # Ball-only solution: valid if it respects the box.
-    ball = (radius / norm_d) * d
+    ball = np.multiply(radius / norm_d, d, out=delta)
     if np.all(ball >= lo) and np.all(ball <= hi):
         return norm_d
 
-    # Box-only solution: valid if it fits inside the ball.
-    box = np.where(d > 0, hi, np.where(d < 0, lo, 0.0))
-    if np.all(np.isfinite(box)):
-        if float(np.linalg.norm(box)) <= radius:
-            return float(d @ box) / radius
+    # Box-only solution, in the zeroed spare buffer: valid if it fits in the ball.
+    np.copyto(spare, lo, where=d < 0)
+    np.copyto(spare, hi, where=d > 0)
+    if np.all(np.isfinite(spare)) and float(np.linalg.norm(spare)) <= radius:
+        return float(d @ spare) / radius
 
     # Both constraints interact: bisect on the ball multiplier.  delta(lam)
     # = clip(d / lam, lo, hi) has nonincreasing norm in lam; at the upper
@@ -91,8 +93,6 @@ def normalized_duality_gap(saddle, x, y, radius):
     lam_lo = 0.0
     lam_hi = norm_d / radius
     best = None  # most recent delta that fits in the ball (after rescaling)
-    delta = np.empty_like(d)
-    spare = np.empty_like(d)
     with np.errstate(over="ignore"):
         for _ in range(100):
             lam = 0.5 * (lam_lo + lam_hi)

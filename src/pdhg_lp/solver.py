@@ -153,11 +153,14 @@ def solve(problem, config=None, callback=None):
     power_sec = 0.0
     if period_from_sharpness or (config.step.mode == "fixed" and config.step.fixed_step is None):
         t_mark = time.perf_counter()
-        estimate = spectral_norm_estimate(saddle.K, tol=1e-4, max_iters=5000, seed=0)
+        estimate = spectral_norm_estimate(
+            saddle.K, tol=1e-4, max_iters=5000, seed=0, deadline=t_start + crit.time_limit_sec
+        )
         power_sec = time.perf_counter() - t_mark
         norm_k = estimate.value
         if not estimate.converged:
-            notes.append("spectral norm estimate hit its iteration budget; using best value")
+            budget = "iteration budget" if estimate.iterations == 5000 else "time limit"
+            notes.append(f"spectral norm estimate hit its {budget}; using best value")
     if period_from_sharpness:
         rcfg = replace(rcfg, period=fixed_period_from_sharpness(max(norm_k, 1e-12), rcfg.sharpness))
     adaptive_restarts = rcfg.scheme == "adaptive"

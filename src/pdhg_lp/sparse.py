@@ -1,25 +1,26 @@
 """Sparse matrix kernel used by the solver.
 
-Wraps a scipy CSR matrix together with a precomputed CSR transpose, since
-every iteration needs both K x and K^T y.  Instances are immutable; the
+Wraps one scipy CSR matrix; every iteration needs both K x and K^T y, and
+K^T y reads the same CSR arrays as K x.  Instances are immutable; the
 matvec call counters are the only mutable state and exist for statistics
 (they are not synchronized, so counts are approximate if a matrix is shared
 across threads).
 """
 
 import math
+import time
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .exceptions import DimensionMismatch, NonFiniteData
 
 
 class SparseMatrix:
-    """CSR matrix with a transpose mirror and cheap row/column reductions."""
+    """CSR matrix with both products and cheap row/column reductions."""
 
-    __slots__ = ("_csr", "_csr_t", "shape", "nnz", "matvec_calls", "rmatvec_calls")
+    __slots__ = ("_csr", "shape", "nnz", "matvec_calls", "rmatvec_calls")
 
     def __init__(self, matrix, shape=None):
         if isinstance(matrix, SparseMatrix):
@@ -31,7 +32,6 @@ class SparseMatrix:
         if csr.nnz and not np.all(np.isfinite(csr.data)):
             raise NonFiniteData(["matrix contains non-finite entries"])
         self._csr = csr
-        self._csr_t = csr.T.tocsr()
         self.shape = csr.shape
         self.nnz = int(csr.nnz)
         self.matvec_calls = 0
@@ -39,8 +39,9 @@ class SparseMatrix:
 
     # -- products ---------------------------------------------------------
 
-    # Both products call scipy's CSR kernel directly, into a fresh zero
-    # vector: that is what ``csr @ x`` runs, minus about 4 us of dispatch.
+    # Both products call scipy's kernels directly, into a fresh zero vector.
+    # K's CSR arrays read as CSC are K^T; the column kernel sums each out[j]
+    # over the rows of K in order, as a gather over a sorted transpose would.
 
     def matvec(self, x):
         """Return M @ x."""
@@ -55,15 +56,15 @@ class SparseMatrix:
         return out
 
     def rmatvec(self, y):
-        """Return M.T @ y using the stored transpose."""
+        """Return M.T @ y."""
         y = np.asarray(y, dtype=np.float64)
         m, n = self.shape
         if y.shape != (m,):
             raise DimensionMismatch([f"rmatvec expected a vector of length {m}, got shape {y.shape}"])
         self.rmatvec_calls += 1
         out = np.zeros(n)
-        csr_t = self._csr_t
-        csr_matvec(n, m, csr_t.indptr, csr_t.indices, csr_t.data, y, out)
+        csr = self._csr
+        csc_matvec(n, m, csr.indptr, csr.indices, csr.data, y, out)
         return out
 
     # -- reductions -------------------------------------------------------
@@ -161,12 +162,14 @@ class SpectralEstimate:
         )
 
 
-def spectral_norm_estimate(matrix, tol=1e-4, max_iters=5000, seed=0):
+def spectral_norm_estimate(matrix, tol=1e-4, max_iters=5000, seed=0, *, deadline=math.inf):
     """Estimate ||M||_2 by power iteration on M^T M.
 
     Deterministic for a fixed seed.  Convergence is declared when successive
     estimates agree to a relative tolerance of ``tol``; if the iteration
-    budget runs out the best estimate is returned with ``converged=False``.
+    budget runs out, or ``time.perf_counter()`` reaches ``deadline`` before
+    a pair of products, the best estimate is returned with
+    ``converged=False``.
     """
     rows, cols = matrix.shape
     if rows == 0 or cols == 0 or matrix.nnz == 0:
@@ -176,6 +179,8 @@ def spectral_norm_estimate(matrix, tol=1e-4, max_iters=5000, seed=0):
     x /= np.linalg.norm(x)
     sigma = 0.0
     for it in range(1, max_iters + 1):
+        if time.perf_counter() >= deadline:
+            return SpectralEstimate(sigma, False, it - 1)
         y = matrix.rmatvec(matrix.matvec(x))
         norm_y = np.linalg.norm(y)
         if norm_y == 0.0:

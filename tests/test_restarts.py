@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,14 +112,95 @@ class TestNormalizedGap:
                 best = np.clip(d / lam_hi, lo, hi)
             return max(float(d @ best), 0.0) / radius
 
+        def exit_taken(saddle, x, y, radius):
+            # which branch the reference returned from
+            before = len(bisections)
+            value = plain_gap(saddle, x, y, radius)
+            d = np.concatenate([saddle.K.rmatvec(y) - saddle.c, saddle.q - saddle.K.matvec(x)])
+            if len(bisections) > before:
+                branch = "bisection"
+            elif value == float(np.linalg.norm(d)):
+                branch = "ball"
+            else:
+                branch = "box"
+            return value, branch
+
+        def check(saddle, x, y, radius):
+            want, branch = exit_taken(saddle, x, y, radius)
+            got = normalized_duality_gap(saddle, x, y, radius)
+            assert float(got).hex() == float(want).hex()
+            # non-contiguous views of the same point give the same bits
+            x_view, y_view = np.repeat(x, 2)[::2], np.repeat(y, 3)[1::3]
+            got_view = normalized_duality_gap(saddle, x_view, y_view, radius)
+            assert float(got_view).hex() == float(want).hex()
+            return branch
+
+        def saddle_of(rng, n, m1, m2, lower, upper):
+            problem = pl.LpProblem(
+                c=rng.standard_normal(n),
+                ineq_matrix=rng.standard_normal((m1, n)),
+                ineq_rhs=rng.standard_normal(m1),
+                eq_matrix=rng.standard_normal((m2, n)),
+                eq_rhs=rng.standard_normal(m2),
+                lower=lower,
+                upper=upper,
+            )
+            saddle = pl.to_saddle(problem)
+            x = np.clip(rng.standard_normal(n), saddle.l, saddle.u)
+            y = rng.standard_normal(m1 + m2)
+            y[:m1] = np.abs(y[:m1])
+            return saddle, x, y
+
         bisections = []
         rng = np.random.default_rng(21)
         for _ in range(300):
             saddle, x, y = random_small_saddle(rng, max_total=8)
             radius = float(10.0 ** rng.uniform(-3, 2))
-            got = normalized_duality_gap(saddle, x, y, radius)
-            assert float(got).hex() == float(plain_gap(saddle, x, y, radius)).hex()
+            check(saddle, x, y, radius)
         assert len(bisections) > 50
+
+        # each row shape and bound pattern of the set-up, on every exit
+        branches = {}
+        for family in ("no_inequalities", "only_inequalities", "free", "tight_box"):
+            seen = branches.setdefault(family, set())
+            for _ in range(120):
+                n = int(rng.integers(1, 5))
+                m = int(rng.integers(1, 5))
+                lower, upper = rng.uniform(-2, 0, n), rng.uniform(0.5, 3, n)
+                m1 = {"no_inequalities": 0, "only_inequalities": m}.get(family, int(rng.integers(0, m + 1)))
+                if family == "free":
+                    lower, upper = np.full(n, -np.inf), np.full(n, np.inf)
+                if family == "tight_box":
+                    m1, m = 0, 0
+                    lower, upper = -(10.0 ** rng.uniform(-4, 0, n)), 10.0 ** rng.uniform(-4, 0, n)
+                saddle, x, y = saddle_of(rng, n, m1, m - m1, lower, upper)
+                assert saddle.m1 == m1 and saddle.num_dual == m
+                seen.add(check(saddle, x, y, float(10.0 ** rng.uniform(-3, 2))))
+        for family, seen in branches.items():
+            assert {"ball", "bisection"} <= seen, family
+        assert "box" in branches["tight_box"] and "box" in branches["only_inequalities"]
+
+    def test_peak_memory(self):
+        # at n + m = 2e4 a bisecting evaluation holds five vectors of that
+        # length (d, lo, hi and the two bisection buffers) plus byte masks;
+        # building d, lo, hi, the ball point and the box point as separate
+        # concatenations held about 8.5
+        saddle = pl.to_saddle(pl.generate_pagerank(pl.PagerankSpec(num_nodes=10_000)))
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.0, 1.0, saddle.num_primal)
+        y = rng.standard_normal(saddle.num_dual)
+        y[: saddle.m1] = np.abs(y[: saddle.m1])
+        radius = float(np.linalg.norm(x))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            gap = normalized_duality_gap(saddle, x, y, radius)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        d = np.concatenate([saddle.K.rmatvec(y) - saddle.c, saddle.q - saddle.K.matvec(x)])
+        assert 0.0 < gap < np.linalg.norm(d)  # not the ball-only exit
+        assert peak - before <= 6.5 * 8 * (saddle.num_primal + saddle.num_dual)
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)

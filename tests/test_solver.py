@@ -286,6 +286,29 @@ class TestSpectralEstimate:
         assert len(estimates) == 1
         assert report.restarts_by_reason["fixed_period"] == report.restarts > 0
 
+    def test_time_limit_stops_it(self, estimates):
+        # the top two singular values of K are 1 and 0.97, so the power
+        # iteration takes about seventy pairs of products to settle; a
+        # limit already past when it starts stops it before the first pair
+        n = 400
+        sigma = 1.0 - 0.03 * np.linspace(0.0, 2.0, n) ** 0.5
+        problem = pl.LpProblem(c=np.ones(n), ineq_matrix=np.diag(sigma), ineq_rhs=np.ones(n), lower=0.0)
+
+        def config(**limits):
+            term = pl.TerminationCriteria(**limits)
+            return pl.SolverConfig(termination=term, scaling="none", step=pl.StepPolicy(mode="fixed"))
+
+        unlimited = pl.solve(problem, config(iteration_limit=0))
+        assert unlimited.notes == [] and unlimited.matvecs > 100
+        report = pl.solve(problem, config(time_limit_sec=0.0))
+        assert len(estimates) == 2
+        assert report.status == pl.STATUS_TIME_LIMIT
+        assert report.iterations == 0
+        # two products for the initial normalized gap and two for the check
+        # at iteration 0, none for the power iteration
+        assert report.matvecs == 4
+        assert report.notes == ["spectral norm estimate hit its time limit; using best value"]
+
 
 class TestCounts:
     def test_restarts_split_by_reason(self):

@@ -1,5 +1,11 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+
+import pdhg_lp as pl
 
 from pdhg_lp import (
     DimensionMismatch,
@@ -7,6 +13,8 @@ from pdhg_lp import (
     SparseMatrix,
     spectral_norm_estimate,
 )
+
+from conftest import random_feasible_lp
 
 
 class TestMatvec:
@@ -23,10 +31,13 @@ class TestMatvec:
             np.testing.assert_allclose(mat.rmatvec(w), dense.T @ w, atol=1e-13)
 
     def test_bit_identical_to_scipy_products(self):
+        # K^T w is compared with two references: scipy's own ``csr.T @ w``
+        # and a row gather over an explicitly stored CSR transpose, the
+        # layout that kept a second copy of every matrix
         rng = np.random.default_rng(7)
-        for _ in range(60):
-            m = int(rng.integers(0, 40))
-            n = int(rng.integers(0, 40))
+        shapes = [(0, 0), (0, 5), (5, 0), (1, 30), (30, 1)]
+        shapes += [(int(rng.integers(0, 40)), int(rng.integers(0, 40))) for _ in range(60)]
+        for m, n in shapes:
             dense = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-8, 8, (m, n))
             dense *= rng.random((m, n)) < rng.uniform(0.05, 0.9)
             if m > 2 and n > 2:
@@ -38,9 +49,24 @@ class TestMatvec:
             w = rng.standard_normal(m)
             assert mat.matvec(v).tobytes() == (csr @ v).tobytes()
             assert mat.rmatvec(w).tobytes() == (csr.T @ w).tobytes()
-            # strided input goes through the same kernel
+            gathered = (csr.T.tocsr() @ w).tobytes()
+            assert mat.rmatvec(w).tobytes() == gathered
+            # strided input goes through the same kernels
             v2 = np.repeat(v, 2)[::2]
             assert mat.matvec(v2).tobytes() == (csr @ v).tobytes()
+            w2 = np.repeat(w, 2)[::2]
+            assert mat.rmatvec(w2).tobytes() == gathered
+
+    def test_rmatvec_bit_identical_to_transposed_gather_on_long_columns(self):
+        # columns with hundreds of entries of mixed magnitude, where the
+        # order of the additions shows in the last bits
+        rng = np.random.default_rng(8)
+        csr = sp.random(300, 200, density=0.6, random_state=3, format="csr")
+        csr.data = rng.standard_normal(csr.nnz) * 10.0 ** rng.uniform(-6, 6, csr.nnz)
+        mat = SparseMatrix(csr)
+        for _ in range(5):
+            w = rng.standard_normal(300) * 10.0 ** rng.uniform(-6, 6, 300)
+            assert mat.rmatvec(w).tobytes() == (mat.tocsr().T.tocsr() @ w).tobytes()
 
     def test_empty_rows_and_columns(self):
         dense = np.zeros((3, 4))
@@ -159,3 +185,75 @@ class TestSpectralNorm:
         est = spectral_norm_estimate(mat, tol=1e-15, max_iters=3)
         assert not est.converged
         assert est.iterations == 3
+
+    def test_deadline(self):
+        rng = np.random.default_rng(9)
+        mat = SparseMatrix(rng.standard_normal((20, 20)), shape=(20, 20))
+        free = spectral_norm_estimate(mat, tol=1e-8)
+        # a deadline that does not bind leaves the estimate's bits alone
+        late = spectral_norm_estimate(mat, tol=1e-8, deadline=time.perf_counter() + 3600.0)
+        assert (late.value.hex(), late.converged, late.iterations) == (
+            free.value.hex(), free.converged, free.iterations
+        )
+        # one already past stops the iteration before its first product
+        calls = mat.matvec_calls
+        past = spectral_norm_estimate(mat, tol=1e-8, deadline=time.perf_counter())
+        assert (past.value, past.converged, past.iterations) == (0.0, False, 0)
+        assert mat.matvec_calls == calls
+
+
+class TestStorage:
+    def test_one_copy_of_the_csr_arrays(self):
+        # the matrix keeps its CSR arrays once: no transposed copy
+        csr = sp.random(2000, 2000, density=0.05, random_state=1, format="csr")
+        tracemalloc.start()
+        try:
+            mat = SparseMatrix(csr)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        own = mat.tocsr()
+        assert own.nnz >= 190_000
+        arrays = own.data.nbytes + own.indices.nbytes + own.indptr.nbytes
+        assert kept <= 1.15 * arrays
+
+
+class TestColumnKernelSolves:
+    """Whole solves give the same bits whether K^T y comes from the column
+    kernel or from a gather over a stored CSR transpose."""
+
+    @pytest.mark.parametrize("step", ["adaptive", "fixed"])
+    @pytest.mark.parametrize("instance", ["lp0", "lp1", "pagerank"])
+    def test_same_report_as_transposed_gather(self, monkeypatch, instance, step):
+        if instance == "pagerank":
+            problem = pl.generate_pagerank(pl.PagerankSpec(num_nodes=2000))
+        else:
+            problem = random_feasible_lp(int(instance[-1]))
+        if step == "adaptive":
+            config = pl.SolverConfig(termination=pl.TerminationCriteria(iteration_limit=20_000))
+        else:
+            # criterion 8's fixed step 0.9/||K|| with adaptive restarts
+            config = pl.SolverConfig(
+                termination=pl.TerminationCriteria(tol_optimal=1e-4, iteration_limit=20_000),
+                step=pl.StepPolicy(mode="fixed"),
+                weight=pl.WeightPolicy(mode="fixed"),
+            )
+        column = pl.solve(problem, config)
+
+        transposes = {}
+
+        def transposed_rmatvec(mat, y):
+            mat.rmatvec_calls += 1
+            if id(mat) not in transposes:
+                # kept alive with its transpose, so that its id is not reused
+                transposes[id(mat)] = (mat, mat.tocsr().T.tocsr())
+            return transposes[id(mat)][1] @ np.asarray(y, dtype=np.float64)
+
+        monkeypatch.setattr(SparseMatrix, "rmatvec", transposed_rmatvec)
+        gathered = pl.solve(problem, config)
+        assert column.status == gathered.status
+        assert column.iterations == gathered.iterations
+        assert column.matvecs == gathered.matvecs
+        assert column.x.tobytes() == gathered.x.tobytes()
+        assert column.y.tobytes() == gathered.y.tobytes()
+        assert column.step_size.hex() == gathered.step_size.hex()
