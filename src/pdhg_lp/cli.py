@@ -6,6 +6,7 @@ Exit codes: 0 optimal, 1 usage or I/O error, 2 infeasible or unbounded,
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import io
 import logging
@@ -162,19 +163,14 @@ def _config_from_args(args):
 
 
 def _read_problem(path, fixed=False):
-    dialect = MpsDialect(fixed_columns=fixed)
-    if path == "-":
-        return parse_mps(sys.stdin.read(), dialect)
-    with open(path, "rb") as fh:
-        return parse_mps(fh.read(), dialect)
+    """Parse the MPS file at path, or standard input for "-", as it is read."""
+    with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
+        return parse_mps(fh, MpsDialect(fixed_columns=fixed))
 
 
-def _write_output(text, path):
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _output(path):
+    """The text file a command writes to: standard output for None or "-"."""
+    return contextlib.nullcontext(sys.stdout) if path is None or path == "-" else open(path, "w")
 
 
 def _cmd_solve(args):
@@ -203,7 +199,8 @@ def _cmd_solve(args):
     else:
         text = render_text(report)
     try:
-        _write_output(text, args.out)
+        with _output(args.out) as fh:
+            fh.write(text)
         if args.solution_out:
             np.savez(args.solution_out, x=report.x, y=report.y, reduced_costs=report.reduced_costs)
     except OSError as err:
@@ -229,7 +226,8 @@ def _cmd_generate(args):
             problem = generate_primal_infeasible_toy()
         else:
             problem = generate_dual_infeasible_toy()
-        _write_output(write_mps(problem), args.out)
+        with _output(args.out) as fh:
+            write_mps(problem, out=fh)
     except (SolverError, OSError) as err:
         print(f"pdhg-lp: {err}", file=sys.stderr)
         return 1
@@ -352,7 +350,8 @@ def _cmd_bench(args):
     for row in rows:
         writer.writerow(row)
     try:
-        _write_output(buf.getvalue(), args.out)
+        with _output(args.out) as fh:
+            fh.write(buf.getvalue())
     except OSError as err:
         print(f"pdhg-lp: {err}", file=sys.stderr)
         return 1

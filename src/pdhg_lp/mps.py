@@ -5,9 +5,10 @@ and strict fixed columns via the dialect flag.  Supported sections: NAME,
 OBJSENSE, ROWS (N/L/G/E), COLUMNS (with INTORG/INTEND markers), RHS, RANGES,
 BOUNDS (LO/UP/FX/FR/MI/PL/BV), ENDATA.
 
-The reader works on whole sections of the raw bytes, not line by line.  A
-section is split into fields once, about two megabytes of text at a time so
-that the field list stays small; names are mapped to indices in one pass
+The reader takes a binary file object, or bytes or str, and reads it in
+newline-aligned blocks of about two megabytes, so the text is never held
+whole.  Each block is cut at its section headers, and each stretch between
+them is split into fields at once; names are mapped to indices in one pass
 and numbers converted with one array cast.  Only that first split differs
 between the dialects; free format splits on ASCII whitespace, and the fixed
 columns count bytes.  Every error still names its 1-based source line, and
@@ -25,6 +26,7 @@ at 17 significant digits, so reading its output back returns the same
 problem exactly.
 """
 
+import io
 import itertools
 import re
 import warnings
@@ -57,8 +59,8 @@ _FIXED_FIELDS = [(1, 3), (4, 12), (14, 22), (24, 36), (39, 47), (49, 61)]
 _IS_SPACE = np.zeros(256, dtype=bool)
 _IS_SPACE[list(b" \t\n\r\x0b\x0c")] = True
 
-_CHUNK_BYTES = 1 << 21  # MPS text split into fields at a time
-_WRITE_CHUNK = 1 << 16  # coefficients formatted at a time
+_CHUNK_BYTES = 1 << 21  # MPS bytes read, and split into fields, at a time
+_WRITE_CHUNK = 1 << 14  # coefficients formatted at a time
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ def _floats(tokens):
 
 def _lookup(index, names):
     """Indices of an object array of names in a dict, -1 where absent."""
-    return np.fromiter(map(index.get, names, itertools.repeat(-1)), dtype=np.int64, count=names.size)
+    return np.fromiter(map(index.get, names, itertools.repeat(-1)), dtype=np.int32, count=names.size)
 
 
 def _first(mask):
@@ -181,43 +183,53 @@ def _split_fixed(text, first_line):
     return _Lines(np.array(tokens, dtype=object), np.array(counts, dtype=np.int64), np.array(line_nos, dtype=np.int64))
 
 
-def _sections(data):
-    """Yield (header fields, header line number, body start, body end, first
-    body line number) for each section in file order, where the body is the
-    byte range up to the next header.  The stretch before the first header
-    comes first, with None for its fields.  A header line starts in column 1
-    and is neither blank nor a comment."""
-    code = np.frombuffer(data, dtype=np.uint8)
-    line_start = np.flatnonzero(code[:-1] == ord("\n")) + 1
-    if len(data):
-        line_start = np.concatenate(([0], line_start))
-    first = code[line_start]
-    maybe = (first != ord(" ")) & (first != ord("\t")) & (first != ord("\n")) & (first != ord("*"))
-    header, line_no, body_start, body_line = None, 0, 0, 1
-    for i in np.flatnonzero(maybe).tolist():
-        start = int(line_start[i])
-        end = data.find(b"\n", start)
-        end = len(data) if end < 0 else end
-        fields = data[start:end].split()
-        if not fields or fields[0].startswith(b"*"):
-            continue
-        yield header, line_no, body_start, start, body_line
-        header, line_no, body_start, body_line = fields, i + 1, end + 1, i + 2
-    yield header, line_no, body_start, len(data), body_line
+def _lf(data):
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
-def _data_lines(data, start, end, first_line, split):
-    """The data lines of data[start:end], split into fields a chunk of about
-    _CHUNK_BYTES at a time; chunks without data lines are skipped."""
-    while start < end:
-        stop = data.find(b"\n", start + _CHUNK_BYTES, end)
-        stop = end if stop < 0 else stop + 1
-        text = data[start:stop]
-        lines = split(text, first_line)
-        if lines.counts.size:
-            yield lines
-        first_line += text.count(b"\n")
-        start = stop
+def _blocks(source):
+    """The bytes of a binary file object in blocks of whole lines, about
+    _CHUNK_BYTES each, with CRLF and lone CR line ends made LF.  A CR that
+    ends a read waits for the next one, which may start with its LF."""
+    pending = []
+    while piece := source.read(_CHUNK_BYTES):
+        cut = max(piece.rfind(b"\n"), piece.rfind(b"\r", 0, len(piece) - 1)) + 1
+        if cut:
+            pending.append(piece[:cut])
+            yield _lf(b"".join(pending))
+            pending = [piece[cut:]]
+        else:
+            pending.append(piece)
+    tail = b"".join(pending)
+    if tail:
+        yield _lf(tail)
+
+
+def _sections(source):
+    """Yield (header fields, header line number, body, first body line
+    number) for each stretch of the input in file order: a block's lines up
+    to its next header.  A stretch that opens a block has None for its
+    header; it continues the section of the block before, or in the first
+    block precedes every header.  A header line starts in column 1 and is
+    neither blank nor a comment."""
+    first_line = 1
+    for data in _blocks(source):
+        code = np.frombuffer(data, dtype=np.uint8)
+        line_start = np.concatenate(([0], np.flatnonzero(code[:-1] == ord("\n")) + 1))
+        first = code[line_start]
+        maybe = (first != ord(" ")) & (first != ord("\t")) & (first != ord("\n")) & (first != ord("*"))
+        header, line_no, body_start, body_line = None, 0, 0, first_line
+        for i in np.flatnonzero(maybe).tolist():
+            start = int(line_start[i])
+            end = data.find(b"\n", start)
+            end = len(data) if end < 0 else end
+            fields = data[start:end].split()
+            if not fields or fields[0].startswith(b"*"):
+                continue
+            yield header, line_no, data[body_start:start], body_line
+            header, line_no, body_start, body_line = fields, first_line + i, end + 1, first_line + i + 1
+        yield header, line_no, data[body_start:], body_line
+        first_line += data.count(b"\n")
 
 
 def _pairs(lines, lead):
@@ -250,7 +262,8 @@ class _Reader:
         self.row_index = {}  # name -> row index, in declaration order
         self.row_kind = []  # per row: N, L, G, E or F (an extra free row)
         self.col_index = {}  # name -> column index, in order of first use
-        self.entries = []  # per COLUMNS stretch: (column, row, value, line) arrays
+        self.entries = []  # per COLUMNS chunk: int32 column, int32 row and value arrays
+        self.entry_lines = []  # line numbers of the entries not yet checked for repeats
         self.rhs = {}  # row index -> value; the last entry wins
         self.ranges = {}
         self.bound_records = []  # per BOUNDS stretch: (code, column, value) arrays
@@ -333,13 +346,14 @@ class _Reader:
         names = lines.tokens[lines.offsets]
         for name in dict.fromkeys(names.tolist()):
             self.col_index.setdefault(name, len(self.col_index))
-        col_of_line = np.fromiter(map(self.col_index.__getitem__, names), dtype=np.int64, count=names.size)
+        col_of_line = np.fromiter(map(self.col_index.__getitem__, names), dtype=np.int32, count=names.size)
         cols = np.repeat(col_of_line, (lines.counts - 1) // 2)
         row_tokens, value_tokens, pair_lines = _pairs(lines, 1)
         rows = _lookup(self.row_index, row_tokens)
         values, bad_value = _floats(value_tokens)
         base = sum(e[0].size for e in self.entries)
-        self.entries.append((cols, rows, values, pair_lines))
+        self.entries.append((cols, rows, values))
+        self.entry_lines.append(pair_lines)
 
         errors = []
         unknown = _first(rows < 0)
@@ -360,24 +374,33 @@ class _Reader:
     def _duplicate_error(self):
         """(entry index, stage, DuplicateColumn) for the first coefficient
         that repeats an earlier (column, row) pair, or None.  Entries on
-        unknown rows are left out."""
-        cols, rows, values, lines = (np.concatenate(parts) for parts in zip(*self.entries))
-        self.entries = [(cols, rows, values, lines)]
-        known = np.flatnonzero(rows >= 0)
-        key = cols[known] * len(self.row_kind) + rows[known]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        repeats = order[1:][key[1:] == key[:-1]]
-        if not repeats.size:
+        unknown rows are left out.  Merges the entries into one part."""
+        if len(self.entries) > 1:
+            self.entries = [tuple(np.concatenate(parts) for parts in zip(*self.entries))]
+        cols, rows, _ = self.entries[0]
+        key = cols.astype(np.int64)
+        key *= len(self.row_kind)
+        key += rows
+        unknown = np.flatnonzero(rows < 0)
+        key[unknown] = -1 - unknown  # distinct negative keys repeat nothing
+        ordered = np.sort(key)
+        if not (ordered[1:] == ordered[:-1]).any():
             return None
-        k = int(known[repeats.min()])
+        order = np.argsort(key, kind="stable")
+        k = int(order[1:][key[order[1:]] == key[order[:-1]]].min())
         col, row = list(self.col_index)[cols[k]], list(self.row_index)[rows[k]]
         msg = f"duplicate coefficient for ({_text(col)!r}, {_text(row)!r})"
-        return (k, 1, DuplicateColumn(msg, int(lines[k])))
+        # The entries checked before repeat no pair among themselves, so the
+        # first repeat is one of those that still have their line numbers.
+        lines = np.concatenate(self.entry_lines)
+        return (k, 1, DuplicateColumn(msg, int(lines[k - (cols.size - lines.size)])))
 
     def check_duplicates(self):
-        if self.entries:
+        """Raise DuplicateColumn for a repeat among the entries read so far,
+        and drop the line numbers, which only a repeat needs."""
+        if self.entry_lines:
             _raise_first([self._duplicate_error()])
+            self.entry_lines = []
 
     def _row_values(self, lines, section):
         """Row indices, values, row fields and line numbers of the (row,
@@ -489,9 +512,10 @@ class _Reader:
             raise MpsSyntaxError("no objective (N) row declared")
         n = len(self.col_index)
         if self.entries:
-            cols, rows, vals, _ = (np.concatenate(parts) for parts in zip(*self.entries))
+            cols, rows, vals = self.entries.pop()  # check_duplicates merged them into one part
         else:
-            cols, rows, vals = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+            cols = rows = np.zeros(0, dtype=np.int32)
+            vals = np.zeros(0)
         c = np.zeros(n)
         on_obj = rows == self.obj_row
         c[cols[on_obj]] = vals[on_obj]
@@ -508,9 +532,9 @@ class _Reader:
         ranged &= ~(is_e & (rng == 0.0))  # a zero range on an equality changes nothing
         eq = is_e & ~ranged
         ineq = (is_e | is_l | (kind == "G")) & ~eq
-        width = ineq.astype(np.int64) + ranged  # G rows a row becomes: 0, 1 or 2
-        first = np.cumsum(width) - width  # index of its first G row
-        eq_at = np.cumsum(eq) - 1
+        width = ineq.astype(np.int32) + ranged  # G rows a row becomes: 0, 1 or 2
+        first = np.cumsum(width, dtype=np.int32) - width  # index of its first G row
+        eq_at = np.cumsum(eq, dtype=np.int32) - 1
 
         # As rows of G x >= h: G rows keep their sign, L rows flip theirs, an
         # equality with range R spans [h, h + R] (R > 0) or [h + R, h]; the
@@ -524,13 +548,17 @@ class _Reader:
         h_vec[first[ineq]] = first_rhs[ineq]
         h_vec[first[ranged] + 1] = second_rhs[ranged]
 
-        in_g, twice, in_a = ineq[rows], ranged[rows], eq[rows]
-        flip = is_l[rows]
+        in_a = eq[rows]
+        a_mat = SparseMatrix(sp.coo_matrix((vals[in_a], (eq_at[rows[in_a]], cols[in_a])), shape=(int(eq.sum()), n)))
+        in_g, twice = ineq[rows], ranged[rows]
         g_rows = np.concatenate([first[rows[in_g]], first[rows[twice]] + 1])
         g_cols = np.concatenate([cols[in_g], cols[twice]])
-        g_vals = np.concatenate([np.where(flip, -vals, vals)[in_g], np.where(flip, vals, -vals)[twice]])
-        g_mat = sp.coo_matrix((g_vals, (g_rows, g_cols)), shape=(h_vec.size, n)).tocsr()
-        a_mat = sp.coo_matrix((vals[in_a], (eq_at[rows[in_a]], cols[in_a])), shape=(int(eq.sum()), n)).tocsr()
+        g_vals = np.concatenate([vals[in_g], vals[twice]])
+        flip = is_l[rows]
+        np.negative(g_vals, out=g_vals, where=np.concatenate([flip[in_g], ~flip[twice]]))
+        del cols, rows, vals, in_a, in_g, twice, flip  # the entries go before G's conversion, the parse's peak
+        g_mat = SparseMatrix(sp.coo_matrix((g_vals, (g_rows, g_cols)), shape=(h_vec.size, n)))
+        del g_rows, g_cols, g_vals
 
         row_names = [_text(name) for name in self.row_index]
         g_names = []
@@ -556,9 +584,9 @@ class _Reader:
 
         return LpProblem(
             c=c,
-            ineq_matrix=SparseMatrix(g_mat, shape=g_mat.shape),
+            ineq_matrix=g_mat,
             ineq_rhs=h_vec,
-            eq_matrix=SparseMatrix(a_mat, shape=a_mat.shape),
+            eq_matrix=a_mat,
             eq_rhs=h[eq],
             lower=lower,
             upper=upper,
@@ -571,10 +599,12 @@ class _Reader:
 
 
 def parse_mps(source, dialect=None):
-    """Parse MPS text (str or bytes) into an LpProblem."""
-    data = source.encode() if isinstance(source, str) else source
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    """Parse MPS into an LpProblem.  The source is a binary file object,
+    read a block at a time, or the whole text as str or bytes."""
+    if isinstance(source, str):
+        source = source.encode()
+    if isinstance(source, (bytes, bytearray)):
+        source = io.BytesIO(source)
     reader = _Reader(dialect or MpsDialect())
     split = _split_fixed if reader.dialect.fixed_columns else _split_free
     handlers = {
@@ -585,9 +615,21 @@ def parse_mps(source, dialect=None):
         b"RANGES": reader.read_ranges,
         b"BOUNDS": reader.read_bounds,
     }
+
+    def read(lines):
+        # an argument, so a stretch's fields are freed before the next is split
+        if not lines.counts.size:
+            return
+        handler = handlers.get(section)
+        if handler is None:
+            what = "unexpected data line after NAME" if section == b"NAME" else "data line before any section header"
+            raise MpsSyntaxError(what, int(lines.line_nos[0]))
+        handler(lines)
+
     section = None
-    for header, line_no, start, end, body_line in _sections(data):
+    for header, line_no, body, body_line in _sections(source):
         if header is not None:
+            reader.check_duplicates()  # a COLUMNS section before this header is complete
             section = header[0].upper()
             if section not in _SECTIONS:
                 raise MpsSyntaxError(f"unknown section {_text(header[0])!r}", line_no)
@@ -597,22 +639,16 @@ def parse_mps(source, dialect=None):
                 reader.name = _text(header[1]) if len(header) > 1 else ""
             elif section == b"OBJSENSE" and len(header) > 1:
                 reader.set_sense(header[-1], line_no)
-        handler = handlers.get(section)
-        for lines in _data_lines(data, start, end, body_line, split):
-            if handler is None:
-                what = "unexpected data line after NAME" if section == b"NAME" else "data line before any section header"
-                raise MpsSyntaxError(what, int(lines.line_nos[0]))
-            handler(lines)
-        if section == b"COLUMNS":
-            reader.check_duplicates()
+        read(split(body, body_line))
     else:
+        reader.check_duplicates()
         warnings.warn("MPS input ended without ENDATA", stacklevel=2)
     return reader.build()
 
 
 def read_mps(path, dialect=None):
     with open(path, "rb") as fh:
-        return parse_mps(fh.read(), dialect)
+        return parse_mps(fh, dialect)
 
 
 # -- writer -----------------------------------------------------------------
@@ -671,47 +707,77 @@ def _bound_lines(col, lo, hi):
 
 def _column_blocks(problem, c_out, col_field, row_field):
     """The COLUMNS lines, one coefficient each, as blocks of up to
-    _WRITE_CHUNK lines joined by newlines.  Each column lists its objective
-    entry, then its G entries, then its A entries.  A column with no
-    coefficients anywhere must still be declared (it may carry bounds), so
-    it gets an explicit zero cost."""
-    g_csc = problem.ineq_matrix.tocsr().tocsc()
-    a_csc = problem.eq_matrix.tocsr().tocsc()
-    g_count, a_count = np.diff(g_csc.indptr), np.diff(a_csc.indptr)
+    _WRITE_CHUNK lines that each end in a newline.  The lines follow the
+    column-major order of [c; G; A]: each column lists its objective entry,
+    then its G entries, then its A entries.  A column with no coefficients
+    anywhere must still be declared (it may carry bounds), so it gets an
+    explicit zero cost."""
+    g, a = problem.ineq_matrix.tocsr(), problem.eq_matrix.tocsr()
+    n = c_out.size
     has_cost = c_out != 0.0
-    first = np.flatnonzero(has_cost | ((g_count == 0) & (a_count == 0)))
-    n, m1 = c_out.size, g_csc.shape[0]
-    col = np.concatenate([first, np.repeat(np.arange(n), g_count), np.repeat(np.arange(n), a_count)])
-    row = np.concatenate([np.zeros(first.size, dtype=np.int64), g_csc.indices + 1, a_csc.indices + 1 + m1])
-    val = np.concatenate([np.where(has_cost, c_out, 0.0)[first], g_csc.data, a_csc.data])
-    order = np.argsort(col, kind="stable")
-    # Format each distinct coefficient once (PageRank has 1.0 and one
-    # -lambda/deg per degree).  Uniquing bit patterns rather than values
-    # keeps -0.0 apart from 0.0 and near-equal doubles apart.
-    bits, which = np.unique(val.view(np.int64), return_inverse=True)
-    text = [f"{v:.17g}" for v in bits.view(np.float64).tolist()]
-    blocks = []
-    for start in range(0, order.size, _WRITE_CHUNK):
+    empty = np.ones(n, dtype=bool)
+    empty[g.indices] = False
+    empty[a.indices] = False
+    first = np.flatnonzero(has_cost | empty)
+    cost = sp.csr_matrix((np.where(has_cost, c_out, 0.0)[first], first, [0, first.size]), shape=(1, n))
+    merged = sp.vstack([cost, g, a], format="csr")
+    del g, a  # the copies go before the conversion, the writer's peak
+    merged = merged.tocsc()  # int32 rows: 0 is the objective, G's follow, then A's
+    rows, values = merged.indices, merged.data
+    cols = np.repeat(np.arange(n, dtype=np.int32), np.diff(merged.indptr))
+    for start in range(0, rows.size, _WRITE_CHUNK):
         # a chunk at a time, so only a chunk's worth of Python numbers and
         # line strings exists at once
-        part = order[start : start + _WRITE_CHUNK]
-        fields = zip(col[part].tolist(), row[part].tolist(), which[part].tolist())
+        part = slice(start, start + _WRITE_CHUNK)
+        # Format each distinct coefficient of the chunk once (PageRank has
+        # 1.0 and one -lambda/deg per degree).  Uniquing bit patterns rather
+        # than values keeps -0.0 apart from 0.0 and near-equal doubles apart.
+        bits, which = np.unique(values[part].view(np.int64), return_inverse=True)
+        text = [f"{v:.17g}" for v in bits.view(np.float64).tolist()]
+        fields = zip(cols[part].tolist(), rows[part].tolist(), which.tolist())
         lines = [f"{col_field[j]}{row_field[i]}{text[k]}" for j, i, k in fields]
-        blocks.append("\n".join(lines))
-    return blocks
+        lines.append("")  # the block's final newline
+        yield "\n".join(lines)
 
 
-def write_mps(problem, name=None):
+class _Length(int):
+    """The number of characters write_mps wrote to a file.  len() reads it
+    too, as it reads the length of the text write_mps returns otherwise, so
+    a caller that sizes the output with len(), as perfbench's tracer does,
+    works with both."""
+
+    __slots__ = ()
+
+    def __len__(self):
+        return int(self)
+
+
+def write_mps(problem, name=None, out=None):
     """Serialize an LpProblem as free-format MPS text.
+
+    Returns the text.  Given a text file `out`, writes the text to it
+    instead, a piece at a time, and returns its length in characters.
 
     The written file reparses to the same problem: >= rows are emitted as G
     rows, equalities as E rows, maximization problems get an OBJSENSE
-    section with the original (un-negated) objective.  Raises MpsNameError
-    for a problem name with whitespace (the reader keeps only the first word
-    of the NAME line) and for a variable or constraint name that would not
-    read back (see _check_names).  An empty problem name is written, and so
-    reads back, as "LP".
+    section with the original (un-negated) objective.  Raises MpsNameError,
+    before anything is written, for a problem name with whitespace (the
+    reader keeps only the first word of the NAME line) and for a variable or
+    constraint name that would not read back (see _check_names).  An empty
+    problem name is written, and so reads back, as "LP".
     """
+    pieces = _pieces(problem, name)
+    if out is None:
+        return "".join(pieces)
+    size = 0
+    for piece in pieces:
+        out.write(piece)
+        size += len(piece)
+    return _Length(size)
+
+
+def _pieces(problem, name):
+    """The text of write_mps in pieces that each end in a newline."""
     n = problem.num_variables
     var_names = problem.variable_names or [f"X{j}" for j in range(n)]
     m1 = problem.num_inequalities
@@ -736,33 +802,29 @@ def write_mps(problem, name=None):
     c_out = sign * problem.c
     rhs_obj = -(sign * problem.objective_offset)
 
-    out = [f"NAME          {title}"]
+    head = [f"NAME          {title}"]
     if sign == -1:
-        out.append("OBJSENSE")
-        out.append("    MAX")
-    out.append("ROWS")
-    out.append(f" N  {obj_name}")
-    out.extend(f" G  {nm}" for nm in g_names)
-    out.extend(f" E  {nm}" for nm in a_names)
+        head += ["OBJSENSE", "    MAX"]
+    head += ["ROWS", f" N  {obj_name}"]
+    rows = itertools.chain((f" G  {nm}" for nm in g_names), (f" E  {nm}" for nm in a_names))
+    yield "\n".join(itertools.chain(head, rows, ["COLUMNS", ""]))
 
-    out.append("COLUMNS")
     col_field = [f"    {nm:<10} " for nm in var_names]
     row_field = [f"{nm:<10} " for nm in itertools.chain([obj_name], g_names, a_names)]
-    out.extend(_column_blocks(problem, c_out, col_field, row_field))
+    yield from _column_blocks(problem, c_out, col_field, row_field)
 
-    out.append("RHS")
+    lines = ["RHS"]
     if rhs_obj != 0.0:
-        out.append(f"    RHS       {obj_name:<10} {_fmt(rhs_obj)}")
+        lines.append(f"    RHS       {obj_name:<10} {_fmt(rhs_obj)}")
     rhs = np.concatenate([problem.ineq_rhs, problem.eq_rhs])
     nonzero = np.flatnonzero(rhs != 0.0)
-    out.extend([f"    RHS       {row_field[i + 1]}{v:.17g}" for i, v in zip(nonzero.tolist(), rhs[nonzero].tolist())])
+    lines.extend([f"    RHS       {row_field[i + 1]}{v:.17g}" for i, v in zip(nonzero.tolist(), rhs[nonzero].tolist())])
 
     lower, upper = problem.lower, problem.upper
     bounded = np.flatnonzero((lower != 0.0) | (upper != np.inf))
     if bounded.size:
-        out.append("BOUNDS")
+        lines.append("BOUNDS")
         for j, lo, hi in zip(bounded.tolist(), lower[bounded].tolist(), upper[bounded].tolist()):
-            out.extend(_bound_lines(var_names[j], lo, hi))
-    out.append("ENDATA")
-    out.append("")  # the final newline
-    return "\n".join(out)
+            lines.extend(_bound_lines(var_names[j], lo, hi))
+    lines.extend(["ENDATA", ""])  # the final newline
+    yield "\n".join(lines)

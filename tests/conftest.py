@@ -48,6 +48,23 @@ def random_feasible_lp(seed, n=50, m_ineq=30, m_eq=0, spread=1.5, density=0.5):
     )
 
 
+def assert_identical(a, b):
+    """Two LpProblems are equal: vectors, CSR arrays, offset, sign and
+    names."""
+    for field in ("c", "ineq_rhs", "eq_rhs", "lower", "upper"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field), err_msg=field)
+    for field in ("ineq_matrix", "eq_matrix"):
+        x, y = getattr(a, field).tocsr(), getattr(b, field).tocsr()
+        assert x.shape == y.shape, field
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(x, part), getattr(y, part), err_msg=f"{field}.{part}")
+    assert a.objective_offset == b.objective_offset
+    assert a.objective_sign == b.objective_sign
+    assert a.name == b.name
+    assert a.variable_names == b.variable_names
+    assert a.constraint_names == b.constraint_names
+
+
 def random_small_saddle(rng, max_total=6):
     """Tiny random saddle-form problem plus a feasible point, for gap tests."""
     n = int(rng.integers(1, 4))

@@ -15,7 +15,8 @@ def run_cli(argv, stdin_text=None, monkeypatch=None):
     out, err = io.StringIO(), io.StringIO()
     if stdin_text is not None:
         assert monkeypatch is not None
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        # a text stream over bytes, like the real one: the CLI reads its .buffer
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin_text.encode())))
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()

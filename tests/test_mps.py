@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import pdhg_lp as pl
 from pdhg_lp import MpsDialect, parse_mps, read_mps, write_mps
 
-from conftest import random_feasible_lp
+from conftest import assert_identical, random_feasible_lp
 
 FIXTURE = """\
 * exercise every supported section
@@ -423,3 +425,122 @@ class TestWriter:
         path.write_text(FIXTURE)
         p = read_mps(path)
         assert p.name == "TESTLP"
+
+
+# -- block boundaries ------------------------------------------------------------
+
+ALL_BOUNDS = (
+    "NAME B\nROWS\n N  OBJ\nCOLUMNS\n"
+    + "".join(f"    X{j}        OBJ       1.0\n" for j in range(1, 8))
+    + "BOUNDS\n"
+    " UP BND       X1        -5.0\n"
+    " LO BND       X2        0.0\n"
+    " UP BND       X2        4.0\n"
+    " FX BND       X3        2.5\n"
+    " FR BND       X4\n"
+    " MI BND       X5\n"
+    " PL BND       X6\n"
+    " BV BND       X7\n"
+    "ENDATA\n"
+)
+FIXED = "\n".join(
+    [
+        "NAME FIXED",
+        "* a comment line",
+        "ROWS",
+        fixed_line("N", "THE OBJ"),
+        fixed_line("G", "ROW 1"),
+        fixed_line("L", "ROW 2"),
+        "COLUMNS",
+        fixed_line("", "MY VAR", "THE OBJ", "1.5", "ROW 1", "2.0"),
+        fixed_line("", "MY VAR", "ROW 2", "-1.0"),
+        fixed_line("", "VAR 2", "ROW 2", "3.0"),
+        "RHS",
+        fixed_line("", "RHS", "ROW 1", "4.0", "ROW 2", "9.0"),
+        "BOUNDS",
+        fixed_line("UP", "BND", "VAR 2", "7.0"),
+        "ENDATA",
+    ]
+)
+MAX_ON_HEADER = FIXTURE.replace("NAME          TESTLP", "NAME          TESTLP\nOBJSENSE MAXIMIZE")
+FREE = MpsDialect()
+PARSED = {
+    "fixture": (FIXTURE, FREE),
+    "crlf": (FIXTURE.replace("\n", "\r\n"), FREE),
+    "lone_cr": (FIXTURE.replace("\n", "\r"), FREE),
+    "fortran": (FIXTURE.replace("GROW      2.0", "GROW      2.0D-01"), FREE),
+    "no_endata": (FIXTURE.replace("ENDATA\n", ""), FREE),
+    "max": (FIXTURE.replace("NAME          TESTLP", "NAME          TESTLP\nOBJSENSE\n    MAX"), FREE),
+    "max_on_header": (MAX_ON_HEADER.replace("\n", "\r\n"), FREE),
+    "ranged": (RANGED, FREE),
+    "all_bounds": (ALL_BOUNDS, FREE),
+    "integer": (INTEGER, FREE),
+    "fixed": (FIXED, MpsDialect(fixed_columns=True)),
+    "fixed_crlf": (FIXED.replace("\n", "\r\n"), MpsDialect(fixed_columns=True)),
+    "fixture_as_fixed": (FIXTURE, MpsDialect(fixed_columns=True)),
+}
+FAULTY = {
+    "duplicate_row": FIXTURE.replace(" L  LROW", " L  GROW"),
+    "duplicate_coefficient": FIXTURE.replace("X1        LROW      1.0", "X1        GROW      1.0"),
+    "duplicate_across_sections": FIXTURE.replace("RHS\n", "COLUMNS\n    X3        EROW      5.0\nRHS\n", 1),
+    "unknown_row": FIXTURE.replace("X1        LROW      1.0", "X1        NOPE      1.0"),
+    "unknown_row_in_rhs": FIXTURE.replace("RHS       EROW", "RHS       NOPE"),
+    "bad_number": FIXTURE.replace("GROW      4.0", "GROW      4.0x"),
+    "bad_number_crlf": FIXTURE.replace("GROW      4.0", "GROW      4.0x").replace("\n", "\r\n"),
+    "odd_columns_line": FIXTURE.replace("X1        LROW      1.0", "X1        LROW"),
+    "unknown_section": FIXTURE.replace("BOUNDS", "GARBAGE"),
+    "data_before_section": "    X1 COST 1.0\n" + FIXTURE,
+    "data_after_name": FIXTURE.replace("ROWS\n", "    X1 COST 1.0\nROWS\n"),
+    "no_objective_row": "NAME T\nROWS\n G  R1\nCOLUMNS\n    X R1 1.0\nENDATA\n",
+    "unknown_bound_code": FIXTURE.replace(" UP BND", " XX BND"),
+    "bound_on_unknown_column": FIXTURE.replace("FR BND       X3", "FR BND       NOPE"),
+    "range_on_objective": RANGED.replace("RNG       RG        3.0", "RNG       OBJ       3.0"),
+    "bad_marker": INTEGER.replace("'INTEND'", "'INTSTOP'"),
+    "bad_objsense": FIXTURE.replace("NAME          TESTLP", "NAME          TESTLP\nOBJSENSE\n    UP"),
+    "unknown_row_then_duplicate": FIXTURE.replace("X1        LROW      1.0", "X1        NOPE      1.0").replace(
+        "X2        GROW      1.0", "X1        GROW      1.0"
+    ),
+}
+
+
+def outcome(text, dialect=None, block_bytes=None):
+    """The problem parsed from text, or the raised parse error's type, message
+    and line; and the messages of the warnings.  With block_bytes, the input
+    is read that many bytes at a time."""
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+        if block_bytes is not None:
+            patch.setattr(pl.mps, "_CHUNK_BYTES", block_bytes)
+        warnings.simplefilter("always")
+        try:
+            result = parse_mps(text, dialect)
+        except pl.MpsParseError as err:
+            result = (type(err), str(err), err.line_no)
+    return result, [str(w.message) for w in caught]
+
+
+# Reads of 16, 37 and 64 bytes put block boundaries inside lines, inside
+# CRLF pairs and between a header and its body; every fixture is one block
+# at the default size.
+@pytest.mark.parametrize("block_bytes", [16, 37, 64])
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("case", PARSED)
+    def test_same_problem_as_one_block(self, case, block_bytes):
+        text, dialect = PARSED[case]
+        whole, whole_warnings = outcome(text, dialect)
+        assert isinstance(whole, pl.LpProblem)
+        blocked, blocked_warnings = outcome(text, dialect, block_bytes)
+        assert_identical(blocked, whole)
+        assert blocked_warnings == whole_warnings
+
+    @pytest.mark.parametrize("case", FAULTY)
+    def test_same_error_as_one_block(self, case, block_bytes):
+        whole = outcome(FAULTY[case])
+        assert isinstance(whole[0], tuple)
+        assert outcome(FAULTY[case], block_bytes=block_bytes) == whole
+
+    def test_file_object_source(self, tmp_path, block_bytes):
+        path = tmp_path / "case.mps"
+        path.write_bytes(FIXTURE.replace("\n", "\r\n").encode())
+        with open(path, "rb") as fh:
+            blocked, _ = outcome(fh, block_bytes=block_bytes)
+        assert_identical(blocked, parse_mps(FIXTURE))

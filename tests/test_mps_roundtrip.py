@@ -1,6 +1,11 @@
 """Round-trip properties of the MPS writer and reader, error lines deep in
 large sections, and the names the writer refuses."""
 
+import hashlib
+import io
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +13,8 @@ from hypothesis import strategies as st
 
 import pdhg_lp as pl
 from pdhg_lp import mps, parse_mps, write_mps
+
+from conftest import assert_identical
 
 # -- round trip -----------------------------------------------------------------
 
@@ -85,21 +92,6 @@ def writable(names, columns):
     )
 
 
-def assert_identical(a, b):
-    for field in ("c", "ineq_rhs", "eq_rhs", "lower", "upper"):
-        np.testing.assert_array_equal(getattr(a, field), getattr(b, field), err_msg=field)
-    for field in ("ineq_matrix", "eq_matrix"):
-        x, y = getattr(a, field).tocsr(), getattr(b, field).tocsr()
-        assert x.shape == y.shape, field
-        for part in ("data", "indices", "indptr"):
-            np.testing.assert_array_equal(getattr(x, part), getattr(y, part), err_msg=f"{field}.{part}")
-    assert a.objective_offset == b.objective_offset
-    assert a.objective_sign == b.objective_sign
-    assert a.name == b.name
-    assert a.variable_names == b.variable_names
-    assert a.constraint_names == b.constraint_names
-
-
 @settings(max_examples=300, deadline=None)
 @given(lp_problems())
 def test_write_then_parse_returns_the_same_problem(problem):
@@ -117,6 +109,13 @@ def test_write_then_parse_returns_the_same_problem(problem):
     back.name = problem.name
     assert_identical(problem, back)
     assert write_mps(back) == text
+    with mock.patch.object(mps, "_CHUNK_BYTES", 64):  # lines cut across many blocks
+        small_blocks = parse_mps(text)
+    small_blocks.name = problem.name
+    assert_identical(problem, small_blocks)
+    out = io.StringIO()
+    assert write_mps(problem, out=out) == len(text)
+    assert out.getvalue() == text
 
 
 # -- error lines deep inside a large COLUMNS section ------------------------------
@@ -183,6 +182,51 @@ class TestLargeBlockErrorLines:
         with pytest.raises(pl.DuplicateColumn) as err:
             parse_mps(text)
         assert err.value.line_no == dup + 1
+
+
+# -- memory ---------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pagerank_file(tmp_path_factory):
+    """The n=5e4 PageRank problem and its MPS file, written a piece at a time."""
+    problem = pl.generate_pagerank(pl.PagerankSpec(num_nodes=50_000, seed=0))
+    path = tmp_path_factory.mktemp("mps") / "pagerank.mps"
+    with open(path, "w") as fh:
+        write_mps(problem, out=fh)
+    return problem, path
+
+
+def traced_peak(fn):
+    """Peak bytes that Python allocations reach while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_streamed_file_is_the_pinned_text(self, pagerank_file):
+        _, path = pagerank_file
+        assert hashlib.md5(path.read_bytes()).hexdigest() == "b9b2c4ce77a971784af852adb358abf0"
+
+    def test_reader_peak(self, pagerank_file):
+        # read a block at a time: about 2.0 times the 19.8 MB file; holding
+        # the whole text and every entry's line number took 4.9 times
+        _, path = pagerank_file
+        with open(path, "rb") as fh:
+            peak = traced_peak(lambda: parse_mps(fh))
+        assert peak <= 3.0 * path.stat().st_size
+
+    def test_writer_peak(self, pagerank_file, tmp_path):
+        # written a piece at a time: about 1.4 times the file; joining the
+        # text and sorting every entry's column took 3.7 times
+        problem, path = pagerank_file
+        with open(tmp_path / "again.mps", "w") as fh:
+            peak = traced_peak(lambda: write_mps(problem, out=fh))
+        assert peak <= 2.5 * path.stat().st_size
 
 
 # -- names the writer cannot write ----------------------------------------------
