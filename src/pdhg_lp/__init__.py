@@ -11,7 +11,6 @@ from .exceptions import (
     DuplicateColumn,
     DuplicateRow,
     InconsistentBounds,
-    IntegerSectionRejected,
     InvalidGeneratorSpec,
     InvalidRadius,
     MpsNameError,
@@ -45,13 +44,7 @@ from .reports import (
     render_text,
     report_to_dict,
 )
-from .restarts import (
-    RestartConfig,
-    apply_restart,
-    fixed_period_from_sharpness,
-    normalized_duality_gap,
-    should_restart,
-)
+from .restarts import RestartConfig, apply_restart, normalized_duality_gap, should_restart
 from .scaling import (
     ScalingInfo,
     apply_scaling,

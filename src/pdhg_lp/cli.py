@@ -28,6 +28,7 @@ from .generators import (
 from .mps import MpsDialect, parse_mps, write_mps
 from .reports import config_from_flags, render_json, render_text
 from .restarts import RESTART_SCHEMES, RestartConfig
+from .scaling import SCALING_MODES
 from .solver import (
     STATUS_DUAL_INFEASIBLE,
     STATUS_ITERATION_LIMIT,
@@ -51,6 +52,7 @@ EXIT_BY_STATUS = {
 }
 
 BENCH_CONFIGS = ("vanilla", "scaled", "restarts", "full")
+BENCH_SHIFT = 10.0  # the shift of the bench summary's geometric means
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -93,7 +95,6 @@ def build_parser():
     pb.add_argument("--mps-fixed", action="store_true")
     pb.add_argument("--out", default=None, help="CSV destination (default stdout)")
     pb.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    pb.add_argument("--shift", type=float, default=10.0, help="shift for the geometric means")
     return parser
 
 
@@ -112,7 +113,7 @@ def _add_solver_flags(p):
     flag("--max-iters", "termination.iteration_limit", type=int)
     flag("--time-limit-sec", "termination.time_limit_sec", type=float)
     flag("--check-interval", "check_interval", type=int)
-    flag("--scaling", "scaling", choices=("none", "ruiz", "pc", "ruiz+pc"))
+    flag("--scaling", "scaling", choices=SCALING_MODES)
     flag("--ruiz-iterations", "ruiz_iterations", type=int)
     flag("--pc-alpha", "pc_alpha", type=float)
     flag("--restart", "restart.scheme", metavar="{none,adaptive,fixed=K}")
@@ -356,15 +357,15 @@ def _cmd_bench(args):
         print(f"pdhg-lp: {err}", file=sys.stderr)
         return 1
 
-    summary = render_bench_summary(rows, config_names, len(paths), args.shift)
+    summary = render_bench_summary(rows, config_names, len(paths))
     stream = sys.stdout if args.out not in (None, "-") else sys.stderr
     stream.write(summary)
     return 0
 
 
-def render_bench_summary(rows, config_names, num_instances, shift):
+def render_bench_summary(rows, config_names, num_instances):
     """Per-config aggregates plus a solved-within-time-budget table."""
-    lines = ["", f"instances: {num_instances}   shift: {shift}", ""]
+    lines = ["", f"instances: {num_instances}   shift: {BENCH_SHIFT}", ""]
     lines.append(
         f"{'config':<12} {'solved':>6} {'geo iters':>12} {'geo matvecs':>12} {'geo sec':>10}"
     )
@@ -373,9 +374,9 @@ def render_bench_summary(rows, config_names, num_instances, shift):
     for name in config_names:
         sub = [r for r in rows if r["config"] == name]
         done = [r for r in sub if r["status"] == "optimal"]
-        iters = shifted_geomean([r["iterations"] for r in done], shift) if done else float("nan")
-        mats = shifted_geomean([r["matvecs"] for r in done], shift) if done else float("nan")
-        secs = shifted_geomean([float(r["wall_sec"]) for r in done], shift) if done else float("nan")
+        iters = shifted_geomean([r["iterations"] for r in done], BENCH_SHIFT) if done else float("nan")
+        mats = shifted_geomean([r["matvecs"] for r in done], BENCH_SHIFT) if done else float("nan")
+        secs = shifted_geomean([float(r["wall_sec"]) for r in done], BENCH_SHIFT) if done else float("nan")
         solved_times[name] = sorted(float(r["wall_sec"]) for r in done)
         lines.append(
             f"{name:<12} {len(done):>6} {iters:>12.1f} {mats:>12.1f} {secs:>10.3f}"

@@ -85,9 +85,5 @@ class UnknownRowReference(MpsParseError):
     pass
 
 
-class IntegerSectionRejected(MpsParseError):
-    pass
-
-
 class MpsNameError(SolverError):
     """A variable or constraint name that MPS text cannot carry."""

@@ -19,7 +19,7 @@ Everything is normalized into the internal form: L rows are negated into
 >= rows, ranged rows are split into two one-sided inequalities, an RHS entry
 on the objective row becomes a (negated) constant offset, and OBJSENSE MAX
 flips the objective while recording the sign for reporting.  Integer
-markers are either relaxed with a warning or rejected, per the dialect.
+markers and BV bounds are relaxed to continuous columns with a warning.
 
 The writer emits free format, one coefficient per line with every double
 at 17 significant digits, so reading its output back returns the same
@@ -38,7 +38,6 @@ import scipy.sparse as sp
 from .exceptions import (
     DuplicateColumn,
     DuplicateRow,
-    IntegerSectionRejected,
     MpsNameError,
     MpsSyntaxError,
     UnknownRowReference,
@@ -66,7 +65,6 @@ _WRITE_CHUNK = 1 << 14  # coefficients formatted at a time
 @dataclass(frozen=True)
 class MpsDialect:
     fixed_columns: bool = False
-    integer_handling: str = "relax_with_warning"  # or "reject"
 
 
 def _text(token):
@@ -254,8 +252,7 @@ def _assign_last(out, index, mask, values):
 
 
 class _Reader:
-    def __init__(self, dialect):
-        self.dialect = dialect
+    def __init__(self):
         self.name = ""
         self.sense = 1
         self.obj_row = None  # row index of the objective
@@ -318,9 +315,6 @@ class _Reader:
             fields = lines.tokens[at : at + lines.counts[i]].tolist()
             line_no = int(lines.line_nos[i])
             if b"'INTORG'" in fields:
-                if self.dialect.integer_handling == "reject":
-                    error = (line_no, IntegerSectionRejected("integer marker section", line_no))
-                    break
                 self.in_integer = True
             elif b"'INTEND'" in fields:
                 self.in_integer = False
@@ -478,12 +472,8 @@ class _Reader:
         if unknown is not None:
             msg = f"BOUNDS references unknown column {_text(col_tokens[unknown])!r}"
             errors.append((unknown, 2, MpsSyntaxError(msg, int(line_nos[unknown]))))
-        binary = code == _BV
-        if self.dialect.integer_handling == "reject" and binary.any():
-            k = _first(binary)
-            errors.append((k, 3, IntegerSectionRejected("BV bound marks an integer column", int(line_nos[k]))))
         _raise_first(errors)
-        self.integer_cols.update(col_tokens[binary].tolist())
+        self.integer_cols.update(col_tokens[code == _BV].tolist())
         self.bound_records.append((code, cols, values))
 
     # -- assembly ----------------------------------------------------------
@@ -605,8 +595,8 @@ def parse_mps(source, dialect=None):
         source = source.encode()
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)
-    reader = _Reader(dialect or MpsDialect())
-    split = _split_fixed if reader.dialect.fixed_columns else _split_free
+    reader = _Reader()
+    split = _split_fixed if (dialect or MpsDialect()).fixed_columns else _split_free
     handlers = {
         b"OBJSENSE": reader.read_objsense,
         b"ROWS": reader.read_rows,

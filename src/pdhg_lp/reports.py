@@ -65,7 +65,7 @@ def _from_dict(cls, flags, path):
         raise ValueError(f"config {path.rstrip('.') or 'block'}: {err}") from err
 
 
-def report_to_dict(report, include_solution=False, include_history=True):
+def report_to_dict(report, include_solution=False):
     """Stable dictionary form of a SolveReport (JSON-serializable)."""
     kkt = report.kkt
     out = {
@@ -112,8 +112,7 @@ def report_to_dict(report, include_solution=False, include_history=True):
         out["certificate"] = cert
     else:
         out["certificate"] = None
-    if include_history:
-        out["history"] = [list(map(float, row)) for row in report.residual_history]
+    out["history"] = [list(map(float, row)) for row in report.residual_history]
     if include_solution:
         out["solution"] = {
             "x": [float(v) for v in report.x],
@@ -123,11 +122,8 @@ def report_to_dict(report, include_solution=False, include_history=True):
     return out
 
 
-def render_json(report, include_solution=False, include_history=True):
-    return json.dumps(
-        report_to_dict(report, include_solution=include_solution, include_history=include_history),
-        indent=2,
-    )
+def render_json(report, include_solution=False):
+    return json.dumps(report_to_dict(report, include_solution=include_solution), indent=2)
 
 
 def render_text(report):

@@ -31,23 +31,21 @@ MIN_ARTIFICIAL = 10
 class RestartConfig:
     """Restart scheme parameters.
 
-    scheme: "none", "fixed" (restart every ``period`` iterations, or a
-    period derived from the ``sharpness`` constant) or "adaptive"
-    (normalized-gap decay test, evaluated every ``GAP_EVAL_INTERVAL``
-    iterations, plus an artificial cap).  A restart always goes to the
-    running average of the epoch.
+    scheme: "none", "fixed" (restart every ``period`` iterations) or
+    "adaptive" (normalized-gap decay test, evaluated every
+    ``GAP_EVAL_INTERVAL`` iterations, plus an artificial cap).  A restart
+    always goes to the running average of the epoch.
     """
 
     scheme: str = "adaptive"
     period: int = None
     sufficient_decay: float = 0.5
-    sharpness: float = None
 
     def __post_init__(self):
         if self.scheme not in RESTART_SCHEMES:
             raise NonPositiveInput(f"unknown restart scheme {self.scheme!r}")
-        if self.scheme == "fixed" and self.period is None and self.sharpness is None:
-            raise NonPositiveInput("fixed restart scheme needs a period or a sharpness constant")
+        if self.scheme == "fixed" and self.period is None:
+            raise NonPositiveInput("fixed restart scheme needs a period")
         if self.period is not None and self.period < 1:
             raise NonPositiveInput(f"restart period must be at least 1, got {self.period}")
 
@@ -118,26 +116,16 @@ def normalized_duality_gap(saddle, x, y, radius):
     return max(float(d @ best), 0.0) / radius
 
 
-def fixed_period_from_sharpness(norm_k, alpha):
-    """Restart period ceil(4 e ||K|| / alpha) suggested by the linear
-    convergence bound for sharp problems."""
-    if alpha <= 0:
-        raise NonPositiveInput(f"sharpness must be positive, got {alpha}")
-    if norm_k <= 0:
-        raise NonPositiveInput(f"matrix norm must be positive, got {norm_k}")
-    return max(1, math.ceil(4.0 * math.e * norm_k / alpha))
-
-
 def should_restart(state, config, candidate_gap=None, reference_gap=None):
     """Decide whether to restart now.
 
-    Returns (restart, reason).  The fixed scheme reads ``config.period``,
-    which ``solve`` derives from the sharpness constant when it is not
-    given.  For the adaptive scheme ``candidate_gap`` is the normalized gap
-    of the restart candidate at its distance from the epoch start; the
-    sufficient-decay test compares it against ``reference_gap``, measured
-    when the epoch started, and an artificial cap bounds the epoch length
-    by max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * total iterations).
+    Returns (restart, reason).  The fixed scheme fires once the epoch
+    reaches ``config.period`` iterations.  For the adaptive scheme
+    ``candidate_gap`` is the normalized gap of the restart candidate at its
+    distance from the epoch start; the sufficient-decay test compares it
+    against ``reference_gap``, measured when the epoch started, and an
+    artificial cap bounds the epoch length by max(MIN_ARTIFICIAL,
+    ARTIFICIAL_FRACTION * total iterations).
     """
     if config.scheme == "none":
         return False, None

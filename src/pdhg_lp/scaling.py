@@ -16,6 +16,9 @@ import numpy as np
 from .exceptions import DimensionMismatch, NonPositiveInput
 from .sparse import SparseMatrix
 
+# The named pipelines combined_rescale builds, and SolverConfig.scaling takes.
+SCALING_MODES = ("none", "ruiz", "pc", "ruiz+pc")
+
 
 @dataclass
 class ScalingInfo:
@@ -94,18 +97,18 @@ def combined_rescale(matrix, mode="ruiz+pc", ruiz_iters=10, pc_alpha=1.0):
     ``ruiz+pc`` runs Ruiz sweeps and then one Pock-Chambolle pass on the
     Ruiz-scaled matrix, composing both into a single ScalingInfo.
     """
+    if mode not in SCALING_MODES:
+        raise NonPositiveInput(f"unknown scaling mode {mode!r}")
     if mode == "none":
         return ScalingInfo.identity(matrix.shape)
     if mode == "ruiz":
         return ruiz_rescale(matrix, ruiz_iters)
     if mode == "pc":
         return pock_chambolle_rescale(matrix, pc_alpha)
-    if mode == "ruiz+pc":
-        first = ruiz_rescale(matrix, ruiz_iters)
-        scaled = matrix.scaled(first.row_scale, first.col_scale)
-        second = pock_chambolle_rescale(scaled, pc_alpha)
-        return first.compose(second)
-    raise NonPositiveInput(f"unknown scaling mode {mode!r}")
+    first = ruiz_rescale(matrix, ruiz_iters)
+    scaled = matrix.scaled(first.row_scale, first.col_scale)
+    second = pock_chambolle_rescale(scaled, pc_alpha)
+    return first.compose(second)
 
 
 def apply_scaling(saddle, scaling):

@@ -16,14 +16,8 @@ from .exceptions import NonFiniteIterate, NonPositiveInput, StepSizeUnderflow
 from .pdhg import IterateState, pdhg_step
 from .problem import to_saddle, validate
 from . import restarts, stepsize
-from .restarts import (
-    RestartConfig,
-    apply_restart,
-    fixed_period_from_sharpness,
-    normalized_duality_gap,
-    should_restart,
-)
-from .scaling import apply_scaling, combined_rescale, unscale_solution
+from .restarts import RestartConfig, apply_restart, normalized_duality_gap, should_restart
+from .scaling import SCALING_MODES, apply_scaling, combined_rescale, unscale_solution
 from .sparse import spectral_norm_estimate
 from .stepsize import StepPolicy, WeightPolicy, adaptive_step, initialize_step_state, update_primal_weight
 from .termination import (
@@ -60,7 +54,7 @@ _INFEASIBILITY_VERDICTS = (
 @dataclass(frozen=True)
 class SolverConfig:
     termination: TerminationCriteria = field(default_factory=TerminationCriteria)
-    scaling: str = "ruiz+pc"  # none | ruiz | pc | ruiz+pc
+    scaling: str = "ruiz+pc"  # one of SCALING_MODES
     ruiz_iterations: int = 10
     pc_alpha: float = 1.0
     restart: RestartConfig = field(default_factory=RestartConfig)
@@ -71,6 +65,8 @@ class SolverConfig:
     log_interval: int = 0
 
     def __post_init__(self):
+        if self.scaling not in SCALING_MODES:
+            raise NonPositiveInput(f"unknown scaling mode {self.scaling!r}")
         if self.check_interval < 1:
             raise NonPositiveInput(f"check_interval must be at least 1, got {self.check_interval}")
 
@@ -146,12 +142,10 @@ def solve(problem, config=None, callback=None):
     scaling_sec = time.perf_counter() - t_mark
 
     notes = []
-    rcfg = config.restart
-    period_from_sharpness = rcfg.scheme == "fixed" and rcfg.period is None
-    # ||K~|| feeds only the default fixed step and a sharpness-derived period
+    # ||K~|| feeds only the default fixed step
     norm_k = None
     power_sec = 0.0
-    if period_from_sharpness or (config.step.mode == "fixed" and config.step.fixed_step is None):
+    if config.step.mode == "fixed" and config.step.fixed_step is None:
         t_mark = time.perf_counter()
         estimate = spectral_norm_estimate(
             saddle.K, tol=1e-4, max_iters=5000, seed=0, deadline=t_start + crit.time_limit_sec
@@ -161,8 +155,7 @@ def solve(problem, config=None, callback=None):
         if not estimate.converged:
             budget = "iteration budget" if estimate.iterations == 5000 else "time limit"
             notes.append(f"spectral norm estimate hit its {budget}; using best value")
-    if period_from_sharpness:
-        rcfg = replace(rcfg, period=fixed_period_from_sharpness(max(norm_k, 1e-12), rcfg.sharpness))
+    rcfg = config.restart
     adaptive_restarts = rcfg.scheme == "adaptive"
 
     step = initialize_step_state(saddle, norm_k, config.step, config.weight)
@@ -281,13 +274,12 @@ def solve(problem, config=None, callback=None):
                 restarts_by_reason[why] += 1
                 if candidate is None:
                     candidate = state.average()
-                if config.weight.mode == "adaptive":
-                    dx_norm = _norm(candidate[0] - start[0])
-                    dy_norm = _norm(candidate[1] - start[1])
-                    step = replace(
-                        step,
-                        primal_weight=update_primal_weight(step.primal_weight, dx_norm, dy_norm, config.weight),
-                    )
+                dx_norm = _norm(candidate[0] - start[0])
+                dy_norm = _norm(candidate[1] - start[1])
+                step = replace(
+                    step,
+                    primal_weight=update_primal_weight(step.primal_weight, dx_norm, dy_norm, config.weight),
+                )
                 apply_restart(state, candidate)
                 start = candidate
                 # the new start's gap at the distance it moved is the candidate's

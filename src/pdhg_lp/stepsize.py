@@ -137,8 +137,8 @@ def adaptive_step(state, saddle, step):
 
 def update_primal_weight(current, dx_norm, dy_norm, policy):
     """Log-space smoothed update toward the observed dual/primal movement
-    ratio; leaves the weight alone when either movement is below the floor
-    (or not finite)."""
+    ratio; leaves the weight alone under a fixed policy, or when either
+    movement is below the floor (or not finite)."""
     if policy.mode == "fixed":
         return current
     if not (math.isfinite(dx_norm) and math.isfinite(dy_norm)):

@@ -132,7 +132,6 @@ class CertificateCandidate:
     kind: str  # "difference" or "normalized"
     x: np.ndarray
     y: np.ndarray
-    iteration: int
 
 
 def extract_certificates(z_prev, z_cur, z_initial, iteration):
@@ -144,8 +143,8 @@ def extract_certificates(z_prev, z_cur, z_initial, iteration):
     xc, yc = z_cur
     x0, y0 = z_initial
     return [
-        CertificateCandidate("difference", xc - xp, yc - yp, iteration),
-        CertificateCandidate("normalized", (xc - x0) / iteration, (yc - y0) / iteration, iteration),
+        CertificateCandidate("difference", xc - xp, yc - yp),
+        CertificateCandidate("normalized", (xc - x0) / iteration, (yc - y0) / iteration),
     ]
 
 

@@ -141,7 +141,7 @@ class TestSolve:
             (["--step-size", "fixed=abc"], "could not convert string to float: 'abc'"),
             (["--step-size", "big"], "bad step_size flag 'big'"),
             (["--primal-weight", "none"], "bad primal_weight flag 'none'"),
-            (["--restart", "fixed"], "fixed restart scheme needs a period or a sharpness constant"),
+            (["--restart", "fixed"], "fixed restart scheme needs a period"),
             (["--restart", "fixed=0"], "restart period must be at least 1, got 0"),
             (["--check-interval", "0"], "check_interval must be at least 1, got 0"),
             (["--ruiz-iterations", "-1"], "num_iters must be >= 0"),
@@ -280,6 +280,12 @@ class TestBench:
         code, out, _ = run_cli(["bench", *files, "--configs", "scaled", "--tolerance", "1e-5"])
         assert code == 0
         assert "scaled" in out
+
+    def test_shift_is_not_an_option(self, instances):
+        # the geometric means' shift is the constant BENCH_SHIFT
+        code, _, err = run_cli(["bench", str(instances), "--shift", "5"])
+        assert code == 1
+        assert "unrecognized arguments: --shift 5" in err
 
     def test_unknown_config_rejected(self, instances):
         code, _, err = run_cli(["bench", str(instances), "--configs", "warp"])

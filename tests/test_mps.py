@@ -248,10 +248,6 @@ class TestIntegerHandling:
             p = parse_mps(INTEGER)
         assert p.num_variables == 2
 
-    def test_reject_dialect(self):
-        with pytest.raises(pl.IntegerSectionRejected):
-            parse_mps(INTEGER, MpsDialect(integer_handling="reject"))
-
 
 class TestObjsense:
     def test_max_flips_objective(self):

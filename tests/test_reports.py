@@ -9,6 +9,7 @@ import pdhg_lp as pl
 from conftest import random_feasible_lp
 from pdhg_lp import config_flags, config_from_flags, render_json, render_text, report_to_dict
 from pdhg_lp.restarts import RESTART_SCHEMES
+from pdhg_lp.scaling import SCALING_MODES
 from pdhg_lp.stepsize import POLICY_MODES
 
 
@@ -16,13 +17,14 @@ from pdhg_lp.stepsize import POLICY_MODES
 _CHECKED = {
     "scheme": st.sampled_from(RESTART_SCHEMES),
     "mode": st.sampled_from(POLICY_MODES),
+    "scaling": st.sampled_from(SCALING_MODES),
     "check_interval": st.integers(min_value=1),
     "period": st.integers(min_value=1) | st.none(),
 }
 
 
 def _fixed_restart_has_period(kwargs):
-    return kwargs["scheme"] != "fixed" or kwargs["period"] is not None or kwargs["sharpness"] is not None
+    return kwargs["scheme"] != "fixed" or kwargs["period"] is not None
 
 
 def _config_strategy(cls):
@@ -122,7 +124,6 @@ class TestConfigFlags:
             "pc_alpha",
             "restart.period",
             "restart.scheme",
-            "restart.sharpness",
             "restart.sufficient_decay",
             "ruiz_iterations",
             "scaling",
@@ -141,6 +142,13 @@ class TestConfigFlags:
             config_from_flags({"tolerence": 1e-8})
         with pytest.raises(ValueError, match=r"unknown config flags: \['restart\.sharpnes'\]"):
             config_from_flags({"restart": {"sharpnes": 2.0}})
+        # removed settings: a block written while they existed carries their keys, null or not
+        with pytest.raises(ValueError, match=r"unknown config flags: \['restart\.sharpness'\]"):
+            config_from_flags({"restart": {"sharpness": 2.0}})
+        old = config_flags(pl.SolverConfig())
+        old["restart"]["sharpness"] = None
+        with pytest.raises(ValueError, match=r"unknown config flags: \['restart\.sharpness'\]"):
+            config_from_flags(old)
 
     def test_bad_flag_values_rejected(self):
         with pytest.raises(ValueError, match="config restart: unknown restart scheme 'sometimes'"):
@@ -149,6 +157,8 @@ class TestConfigFlags:
             config_from_flags({"step": {"mode": "big"}})
         with pytest.raises(ValueError, match="config weight: unknown weight mode 'bogus'"):
             config_from_flags({"weight": {"mode": "bogus"}})
+        with pytest.raises(ValueError, match="config block: unknown scaling mode 'bogus'"):
+            config_from_flags({"scaling": "bogus"})
         with pytest.raises(ValueError, match="restart must be a mapping"):
             config_from_flags({"restart": "sometimes"})
         with pytest.raises(ValueError, match="step.fixed_step must be float"):
@@ -167,7 +177,7 @@ class TestConfigFlags:
             config_from_flags({"check_interval": 0})
         with pytest.raises(ValueError, match="config restart: restart period must be at least 1, got 0"):
             config_from_flags({"restart": {"period": 0}})
-        with pytest.raises(ValueError, match="config restart: fixed restart scheme needs a period or a sharpness"):
+        with pytest.raises(ValueError, match="config restart: fixed restart scheme needs a period"):
             config_from_flags({"restart": {"scheme": "fixed"}})
 
     def test_int_accepted_for_float(self):
@@ -194,15 +204,14 @@ class TestConfigFlags:
 
 
 # Configs whose echo lost fields under the earlier hand-written mapping:
-# fields it never wrote, a sharpness-derived restart period, and an
-# adaptive primal weight started from fixed_weight.
+# fields it never wrote, and an adaptive primal weight started from
+# fixed_weight.
 _LIMITS = pl.TerminationCriteria(tol_optimal=1e-6, iteration_limit=2000)
 _ECHO_CONFIGS = {
     "unmapped_fields": pl.SolverConfig(
         termination=_LIMITS,
         log_interval=50,
     ),
-    "sharpness": pl.SolverConfig(termination=_LIMITS, restart=pl.RestartConfig(scheme="fixed", sharpness=2.0)),
     "adaptive_weight_start": pl.SolverConfig(termination=_LIMITS, weight=pl.WeightPolicy(fixed_weight=5.0)),
 }
 
@@ -247,6 +256,7 @@ class TestReportSerialization:
         assert d["problem"]["name"] == "bilinear_toy"
         assert d["problem"]["variables"] == 1
         assert d["counts"]["iterations"] == report.iterations
+        assert d["history"][0][0] == 0.0
 
     def test_json_serializable(self, report):
         parsed = json.loads(render_json(report))
@@ -259,12 +269,6 @@ class TestReportSerialization:
         assert d["solution"]["x"] == pytest.approx([3.0], abs=1e-6)
         assert len(d["solution"]["y"]) == 1
         assert len(d["solution"]["reduced_costs"]) == 1
-
-    def test_history_block_optional(self, report):
-        d = report_to_dict(report, include_history=False)
-        assert "history" not in d
-        d = report_to_dict(report)
-        assert d["history"][0][0] == 0.0
 
     def test_config_echo_reproduces_run(self, report):
         echoed = config_from_flags(report_to_dict(report)["config"])

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +8,6 @@ from pdhg_lp import (
     IterateState,
     RestartConfig,
     apply_restart,
-    fixed_period_from_sharpness,
     normalized_duality_gap,
     should_restart,
 )
@@ -208,21 +206,6 @@ class TestNormalizedGap:
         a = normalized_duality_gap(saddle, x, y, 2.0)
         b = normalized_duality_gap(saddle, x, y, 2.0)
         assert a == b
-
-
-class TestFixedPeriod:
-    def test_formula(self):
-        # ceil(4 e * 1 / 1) = ceil(10.873...) = 11
-        assert fixed_period_from_sharpness(1.0, 1.0) == 11
-        assert fixed_period_from_sharpness(2.0, 1.0) == math.ceil(8 * math.e)
-        # never below one iteration
-        assert fixed_period_from_sharpness(1e-9, 1e9) == 1
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(pl.NonPositiveInput):
-            fixed_period_from_sharpness(1.0, 0.0)
-        with pytest.raises(pl.NonPositiveInput):
-            fixed_period_from_sharpness(-1.0, 1.0)
 
 
 class TestShouldRestart:

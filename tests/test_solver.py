@@ -281,11 +281,6 @@ class TestSpectralEstimate:
         assert len(estimates) == 1
         assert report.timings["power_iteration_sec"] > 0.0
 
-    def test_sharpness_restarts_run_it(self, estimates):
-        report = self.solve(restart=pl.RestartConfig(scheme="fixed", sharpness=1.0))
-        assert len(estimates) == 1
-        assert report.restarts_by_reason["fixed_period"] == report.restarts > 0
-
     def test_time_limit_stops_it(self, estimates):
         # the top two singular values of K are 1 and 0.97, so the power
         # iteration takes about seventy pairs of products to settle; a
