@@ -48,11 +48,19 @@ class RestartConfig:
             raise NonPositiveInput("fixed restart scheme needs a period")
         if self.period is not None and self.period < 1:
             raise NonPositiveInput(f"restart period must be at least 1, got {self.period}")
+        if not 0.0 < self.sufficient_decay < 1.0:
+            raise NonPositiveInput(f"sufficient_decay must lie in (0, 1), got {self.sufficient_decay}")
 
 
-def normalized_duality_gap(saddle, x, y, radius):
+def normalized_duality_gap(saddle, x, y, radius, *, stop_above=math.inf):
     """Evaluate rho_r(z) by bisection; deterministic and matrix-free apart
-    from one matvec and one rmatvec."""
+    from one matvec and one rmatvec.
+
+    Every bisection pass whose delta lies in the ball bounds the gap from
+    below by d'delta / r.  Once that bound clearly exceeds ``stop_above`` it
+    is returned at once: a caller that only asks whether the gap is at most
+    ``stop_above`` gets the same answer as from the full bisection.
+    """
     if not (radius > 0.0 and np.isfinite(radius)):
         raise InvalidRadius(f"radius must be positive and finite, got {radius!r}")
     x = np.asarray(x, dtype=np.float64)
@@ -109,6 +117,13 @@ def normalized_duality_gap(saddle, x, y, radius):
                 best = delta
                 if radius - norm <= 1e-10 * radius:
                     break
+                if stop_above < math.inf:
+                    # The full bisection's value can fall short of this bound
+                    # by its 1e-10 shrink to the sphere and by rounding; the
+                    # margin keeps it above stop_above too.
+                    lower_bound = float(d @ delta) / radius
+                    if (1.0 - 1e-8) * lower_bound > stop_above:
+                        return lower_bound
                 lam_hi = lam
                 delta, spare = spare, delta
     if best is None:
@@ -139,10 +154,15 @@ def should_restart(state, config, candidate_gap=None, reference_gap=None):
         and candidate_gap <= config.sufficient_decay * reference_gap
     ):
         return True, "gap_decay"
-    cap = max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * state.total_count)
-    if state.inner_count >= cap:
+    if artificial_cap_reached(state):
         return True, "artificial"
     return False, None
+
+
+def artificial_cap_reached(state):
+    """The adaptive scheme's epoch has reached max(MIN_ARTIFICIAL,
+    ARTIFICIAL_FRACTION * total iterations)."""
+    return state.inner_count >= max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * state.total_count)
 
 
 def apply_restart(state, candidate):

@@ -43,6 +43,12 @@ STATUS_NUMERICAL_ERROR = "numerical_error"
 # verdict is returned
 CONFIRMATIONS_REQUIRED = 2
 
+# A normalized candidate ray that passes an infeasibility check at this loose
+# tolerance freezes the adaptive step: PDHG reveals the ray only for a fixed
+# operator (Applegate, Diaz, Lu & Lubin, arXiv 2102.04592), and the adaptive
+# rule changes the operator at every iteration.
+FREEZE_TOLERANCE = 1e-3
+
 # (status, certificate kind, ray named in the reason) for the two
 # infeasibility verdicts, in the order solve tests them
 _INFEASIBILITY_VERDICTS = (
@@ -69,6 +75,13 @@ class SolverConfig:
             raise NonPositiveInput(f"unknown scaling mode {self.scaling!r}")
         if self.check_interval < 1:
             raise NonPositiveInput(f"check_interval must be at least 1, got {self.check_interval}")
+        # combined_rescale's own checks, named by the field that feeds them
+        if self.ruiz_iterations < 0:
+            raise NonPositiveInput(f"ruiz_iterations: num_iters must be >= 0, got {self.ruiz_iterations}")
+        if not 0.0 <= self.pc_alpha <= 2.0:
+            raise NonPositiveInput(f"pc_alpha: alpha must lie in [0, 2], got {self.pc_alpha}")
+        if self.log_interval < 0:
+            raise NonPositiveInput(f"log_interval must be >= 0, got {self.log_interval}")
 
 
 @dataclass
@@ -122,6 +135,24 @@ def _log_progress(iteration, kkt, step):
     )
 
 
+def _estimate_norm(matrix, deadline, notes):
+    """||matrix|| by power iteration, stopped at ``deadline``; a budget that
+    runs out leaves a line in ``notes``.  Returns (estimate, seconds)."""
+    t_mark = time.perf_counter()
+    estimate = spectral_norm_estimate(matrix, tol=1e-4, max_iters=5000, seed=0, deadline=deadline)
+    seconds = time.perf_counter() - t_mark
+    if not estimate.converged:
+        budget = "iteration budget" if estimate.iterations == 5000 else "time limit"
+        notes.append(f"spectral norm estimate hit its {budget}; using best value")
+    return estimate.value, seconds
+
+
+def _shows_ray(verdict):
+    """The verdict passes its check at FREEZE_TOLERANCE: residual at most the
+    tolerance and gain / scale (margin + residual) at least it."""
+    return verdict.residual <= FREEZE_TOLERANCE and verdict.margin + verdict.residual >= FREEZE_TOLERANCE
+
+
 def solve(problem, config=None, callback=None):
     """Run restarted PDHG on an LpProblem and return a SolveReport.
 
@@ -142,19 +173,14 @@ def solve(problem, config=None, callback=None):
     scaling_sec = time.perf_counter() - t_mark
 
     notes = []
-    # ||K~|| feeds only the default fixed step
+    deadline = t_start + crit.time_limit_sec
+    # ||K~|| feeds the default fixed step, and a frozen adaptive step
     norm_k = None
     power_sec = 0.0
     if config.step.mode == "fixed" and config.step.fixed_step is None:
-        t_mark = time.perf_counter()
-        estimate = spectral_norm_estimate(
-            saddle.K, tol=1e-4, max_iters=5000, seed=0, deadline=t_start + crit.time_limit_sec
-        )
-        power_sec = time.perf_counter() - t_mark
-        norm_k = estimate.value
-        if not estimate.converged:
-            budget = "iteration budget" if estimate.iterations == 5000 else "time limit"
-            notes.append(f"spectral norm estimate hit its {budget}; using best value")
+        norm_k, power_sec = _estimate_norm(saddle.K, deadline, notes)
+    # the adaptive rule runs until a ray shows, then the step is frozen
+    adaptive = config.step.mode == "adaptive"
     rcfg = config.restart
     adaptive_restarts = rcfg.scheme == "adaptive"
 
@@ -194,6 +220,7 @@ def solve(problem, config=None, callback=None):
                 _log_progress(iteration, kkt, step)
         # iteration 0 is a check, so last_kkt is set before any break
         if check_due:
+            ray_shows = False
             last_kkt, last_point = kkt, (xu, yu)
             history.append((iteration, kkt.rel_primal, kkt.rel_dual, kkt.rel_gap, step.step_size, step.primal_weight))
             if callback is not None:
@@ -214,6 +241,7 @@ def solve(problem, config=None, callback=None):
                             verdict = check(saddle0, ray, crit.tol_infeasible)
                             if verdict.valid:
                                 kind_hits.append((verdict, cand, ray))
+                            ray_shows = ray_shows or (cand.kind == "normalized" and _shows_ray(verdict))
                 streaks = [streak + 1 if h else 0 for streak, h in zip(streaks, hits)]
                 confirmed = [k for k in (0, 1) if streaks[k] >= CONFIRMATIONS_REQUIRED]
                 if confirmed:
@@ -238,9 +266,20 @@ def solve(problem, config=None, callback=None):
                 status = STATUS_TIME_LIMIT
                 reason = f"time limit {crit.time_limit_sec} s reached"
                 break
+            if adaptive and ray_shows:
+                # freeze at most 0.9 / ||K~||, below which a fixed step converges
+                norm_k, seconds = _estimate_norm(saddle.K, deadline, notes)
+                power_sec += seconds
+                if norm_k > 0:
+                    step = replace(step, step_size=min(step.step_size, 0.9 / norm_k))
+                adaptive = False
+                notes.append(
+                    f"adaptive step frozen at iteration {iteration}, s = {step.step_size:.6g}:"
+                    " an infeasibility ray shows"
+                )
 
         try:
-            if config.step.mode == "adaptive":
+            if adaptive:
                 state, step, accepted = adaptive_step(state, saddle, step)
                 if not accepted:
                     status = STATUS_NUMERICAL_ERROR
@@ -267,7 +306,14 @@ def solve(problem, config=None, callback=None):
                 candidate = state.average()
                 radius = _norm(candidate[0] - start[0], candidate[1] - start[1])
                 if 0.0 < radius < math.inf:
-                    candidate_gap = normalized_duality_gap(saddle, candidate[0], candidate[1], radius)
+                    # Short of the artificial cap only a gap at or below the
+                    # decay bound restarts, so the bisection may stop above it.
+                    stop_above = math.inf
+                    if not restarts.artificial_cap_reached(state):
+                        stop_above = rcfg.sufficient_decay * reference_gap
+                    candidate_gap = normalized_duality_gap(
+                        saddle, candidate[0], candidate[1], radius, stop_above=stop_above
+                    )
                     gap_evals += 1
             fire, why = should_restart(state, rcfg, candidate_gap=candidate_gap, reference_gap=reference_gap)
             if fire:

@@ -44,6 +44,7 @@ class StepPolicy:
     def __post_init__(self):
         if self.mode not in POLICY_MODES:
             raise NonPositiveInput(f"unknown step mode {self.mode!r}")
+        _check_positive("fixed_step", self.fixed_step)
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,13 @@ class WeightPolicy:
     def __post_init__(self):
         if self.mode not in POLICY_MODES:
             raise NonPositiveInput(f"unknown weight mode {self.mode!r}")
+        _check_positive("fixed_weight", self.fixed_weight)
+
+
+def _check_positive(name, value):
+    """An optional step size or weight must be positive and finite when given."""
+    if value is not None and not 0.0 < value < math.inf:
+        raise NonPositiveInput(f"{name} must be positive and finite, got {value}")
 
 
 def initialize_step_state(saddle, norm_k, step_policy, weight_policy):

@@ -19,6 +19,12 @@ class TerminationCriteria:
     iteration_limit: int = 250_000
     time_limit_sec: float = math.inf
 
+    def __post_init__(self):
+        for name in ("tol_optimal", "tol_infeasible", "iteration_limit"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise NonPositiveInput(f"{name} must be >= 0, got {value}")
+
 
 @dataclass(frozen=True)
 class KktReport:

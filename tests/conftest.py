@@ -48,6 +48,25 @@ def random_feasible_lp(seed, n=50, m_ineq=30, m_eq=0, spread=1.5, density=0.5):
     )
 
 
+def planted_unbounded_lp(seed):
+    """``random_feasible_lp(seed)`` made unbounded: column 0 of G nonnegative,
+    its cost negative and no upper bounds, so raising x_0 keeps every row
+    satisfied and lowers the objective without end."""
+    base = random_feasible_lp(seed)
+    g = base.ineq_matrix.toarray()
+    g[:, 0] = np.abs(g[:, 0])
+    c = base.c.copy()
+    c[0] = -abs(c[0])
+    return pl.LpProblem(
+        c=c,
+        ineq_matrix=g,
+        ineq_rhs=base.ineq_rhs,
+        lower=base.lower,
+        upper=np.full(c.size, np.inf),
+        name=f"unbounded_lp_seed{seed}",
+    )
+
+
 def assert_identical(a, b):
     """Two LpProblems are equal: vectors, CSR arrays, offset, sign and
     names."""

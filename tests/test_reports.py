@@ -13,13 +13,36 @@ from pdhg_lp.scaling import SCALING_MODES
 from pdhg_lp.stepsize import POLICY_MODES
 
 
-# Fields the configs check against a closed set of values or a lower bound.
+# Fields the configs check against a closed set of values or a range.
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _CHECKED = {
     "scheme": st.sampled_from(RESTART_SCHEMES),
     "mode": st.sampled_from(POLICY_MODES),
     "scaling": st.sampled_from(SCALING_MODES),
     "check_interval": st.integers(min_value=1),
     "period": st.integers(min_value=1) | st.none(),
+    "ruiz_iterations": st.integers(min_value=0),
+    "pc_alpha": st.floats(min_value=0.0, max_value=2.0),
+    "sufficient_decay": st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    "fixed_step": _POSITIVE | st.none(),
+    "fixed_weight": _POSITIVE | st.none(),
+    "tol_optimal": st.floats(min_value=0.0),
+    "tol_infeasible": st.floats(min_value=0.0),
+    "iteration_limit": st.integers(min_value=0),
+    "log_interval": st.integers(min_value=0),
+}
+
+# A value each checked number rejects, by dotted path.
+_BAD_VALUES = {
+    "ruiz_iterations": -1,
+    "pc_alpha": 3.0,
+    "log_interval": -3,
+    "restart.sufficient_decay": 7.0,
+    "step.fixed_step": -1.0,
+    "weight.fixed_weight": 0.0,
+    "termination.tol_optimal": -1.0,
+    "termination.tol_infeasible": -1e-10,
+    "termination.iteration_limit": -5,
 }
 
 
@@ -194,12 +217,28 @@ class TestConfigFlags:
 
     def test_other_infinities_kept(self):
         config = pl.SolverConfig(
-            termination=pl.TerminationCriteria(time_limit_sec=-float("inf")),
-            pc_alpha=float("inf"),
+            termination=pl.TerminationCriteria(time_limit_sec=-float("inf"), tol_optimal=float("inf")),
         )
         flags = config_flags(config)
         assert flags["termination"]["time_limit_sec"] == -float("inf")
-        assert flags["pc_alpha"] == float("inf")
+        assert flags["termination"]["tol_optimal"] == float("inf")
+        assert _json_round_trip(config) == config
+
+    @pytest.mark.parametrize("path", sorted(_BAD_VALUES))
+    def test_bad_number_named_by_its_path(self, path):
+        # rejected when the config is built, not when solve first uses it
+        *parents, leaf = path.split(".")
+        flags = node = {}
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[leaf] = _BAD_VALUES[path]
+        block = parents[0] if parents else "block"
+        with pytest.raises(ValueError, match=f"^config {block}: {leaf}[: ]"):
+            config_from_flags(flags)
+
+    def test_edge_values_accepted(self):
+        term = pl.TerminationCriteria(tol_optimal=0.0, iteration_limit=0, time_limit_sec=0.0)
+        config = pl.SolverConfig(termination=term, ruiz_iterations=0, pc_alpha=2.0, log_interval=0)
         assert _json_round_trip(config) == config
 
 

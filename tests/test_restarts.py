@@ -178,6 +178,26 @@ class TestNormalizedGap:
             assert {"ball", "bisection"} <= seen, family
         assert "box" in branches["tight_box"] and "box" in branches["only_inequalities"]
 
+    def test_stop_above_keeps_every_comparison_with_the_bound(self):
+        # a gap at or below the bound comes back bit for bit; a larger one
+        # may stop early, at a lower bound that still exceeds it
+        rng = np.random.default_rng(5)
+        stopped = 0
+        for _ in range(300):
+            saddle, x, y = random_small_saddle(rng, max_total=8)
+            radius = float(10.0 ** rng.uniform(-3, 2))
+            full = normalized_duality_gap(saddle, x, y, radius)
+            assert normalized_duality_gap(saddle, x, y, radius, stop_above=np.inf) == full
+            for bound in (0.0, 0.25 * full, 0.9 * full, full, 2.0 * full):
+                early = normalized_duality_gap(saddle, x, y, radius, stop_above=bound)
+                if full <= bound:
+                    assert float(early).hex() == float(full).hex()
+                else:
+                    # the last pass may shrink its point by up to 1e-10 to meet the sphere
+                    assert bound < early <= full * (1.0 + 1e-9)
+                    stopped += early < full
+        assert stopped > 50
+
     def test_peak_memory(self):
         # at n + m = 2e4 a bisecting evaluation holds five vectors of that
         # length (d, lo, hi and the two bisection buffers) plus byte masks;

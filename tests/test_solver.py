@@ -7,7 +7,7 @@ import scipy.optimize
 
 import pdhg_lp as pl
 
-from conftest import random_feasible_lp
+from conftest import planted_unbounded_lp, random_feasible_lp
 
 
 def linprog_reference(problem):
@@ -147,18 +147,10 @@ class TestStatuses:
             pl.SolverConfig(restart=pl.RestartConfig(scheme="fixed"))
 
     def test_unbounded_lp_under_fixed_restarts(self):
-        # Raising x_0 keeps every row satisfied and lowers the objective.
         # Restarting every 16 iterations drives the primal weight towards
         # zero until the squared norm of a candidate ray overflows; the solve
         # must still end in a status, not an exception or a warning.
-        base = random_feasible_lp(0)
-        g = base.ineq_matrix.toarray()
-        g[:, 0] = np.abs(g[:, 0])
-        c = base.c.copy()
-        c[0] = -abs(c[0])
-        problem = pl.LpProblem(
-            c=c, ineq_matrix=g, ineq_rhs=base.ineq_rhs, lower=base.lower, upper=np.full(c.size, np.inf)
-        )
+        problem = planted_unbounded_lp(0)
         config = pl.SolverConfig(
             termination=pl.TerminationCriteria(iteration_limit=20_000),
             restart=pl.RestartConfig(scheme="fixed", period=16),
@@ -168,6 +160,60 @@ class TestStatuses:
         if report.certificate is not None:
             verdict = pl.check_dual_infeasible(pl.to_saddle(problem), report.certificate["ray"], 1e-10)
             assert verdict.valid
+
+
+class TestStepFreeze:
+    """Once a normalized candidate ray passes an infeasibility check at
+    FREEZE_TOLERANCE, the adaptive step is frozen at min(s, 0.9 / ||K~||)."""
+
+    @staticmethod
+    def frozen(report):
+        return [note for note in report.notes if note.startswith("adaptive step frozen")]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_unbounded_lp_certified(self, seed):
+        # under the adaptive step alone these stop at the iteration limit
+        problem = planted_unbounded_lp(seed)
+        config = pl.SolverConfig(termination=pl.TerminationCriteria(iteration_limit=10_000))
+        report = pl.solve(problem, config)
+        assert report.status == pl.STATUS_DUAL_INFEASIBLE
+        assert report.iterations < 10_000
+        assert len(self.frozen(report)) == 1
+        assert report.timings["power_iteration_sec"] > 0.0
+        verdict = pl.check_dual_infeasible(pl.to_saddle(problem), report.certificate["ray"], 1e-10)
+        assert verdict.valid
+
+    def test_feasible_lps_never_freeze(self):
+        # the criterion-8 LPs keep the adaptive step, and so their iterates
+        for seed in range(20):
+            report = pl.solve(random_feasible_lp(seed))
+            assert report.status == pl.STATUS_OPTIMAL
+            assert self.frozen(report) == [], seed
+
+    def test_frozen_step_bounded_by_norm_estimate(self):
+        problem = pl.generate_dual_infeasible_toy()
+        report = pl.solve(problem)
+        assert report.status == pl.STATUS_DUAL_INFEASIBLE
+        [note] = self.frozen(report)
+        assert note.startswith("adaptive step frozen at iteration 64, s = ")
+        saddle = pl.to_saddle(problem)
+        scaled = pl.apply_scaling(saddle, pl.combined_rescale(saddle.K))
+        norm_k = pl.spectral_norm_estimate(scaled.K, tol=1e-4, max_iters=5000, seed=0).value
+        assert report.step_size <= 0.9 / norm_k
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"step": pl.StepPolicy(mode="fixed")},
+            {"step": pl.StepPolicy(mode="fixed", fixed_step=0.5)},
+            {"detect_infeasibility": False},
+        ],
+        ids=["fixed_step", "given_fixed_step", "no_detection"],
+    )
+    def test_only_a_detecting_adaptive_step_freezes(self, fields):
+        config = pl.SolverConfig(termination=pl.TerminationCriteria(iteration_limit=2000), **fields)
+        report = pl.solve(planted_unbounded_lp(0), config)
+        assert self.frozen(report) == []
 
 
 class TestTrajectory:
@@ -332,9 +378,9 @@ class TestCounts:
         keys = []
         real = pl.solver.normalized_duality_gap
 
-        def recording(saddle, x, y, radius):
+        def recording(saddle, x, y, radius, **kwargs):
             keys.append((x.tobytes(), y.tobytes(), radius))
-            return real(saddle, x, y, radius)
+            return real(saddle, x, y, radius, **kwargs)
 
         monkeypatch.setattr(pl.solver, "normalized_duality_gap", recording)
         report = pl.solve(random_feasible_lp(0))
