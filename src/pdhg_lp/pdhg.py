@@ -12,13 +12,26 @@ matvec and one rmatvec.
 ``trial_step`` computes one such point into work buffers held by the state
 and ``accept_step`` installs it; ``pdhg_step`` (fixed step) and the adaptive
 rule in ``stepsize.py`` are both built from these two, a fixed step being a
-trial that is always accepted.
+trial that is always accepted.  A fixed step forms only the point: the
+displacement, movement and interaction are the adaptive rule's, and it
+alone computes them.
+
+The kernel runs under np.errstate(over="ignore", invalid="ignore"), so that
+a diverging iterate is reported as NonFiniteIterate and not as a warning.
+``pdhg_step`` and ``adaptive_step`` enter that state on every call unless
+told with ``errstate=False`` that the caller holds it; ``solve`` enters it
+once per solve.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+try:  # the clip ufunc itself, without ndarray.clip's Python wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 from .exceptions import NonFiniteIterate, NonPositiveInput, NonPositiveQuadraticForm
 
@@ -141,22 +154,24 @@ def step_gradient(state, saddle):
     return buf
 
 
-def trial_step(state, saddle, buf, s, w, measure_interaction=True):
+def trial_step(state, saddle, buf, s, w, measure=True):
     """Compute the PDHG point at step s and weight w into ``buf.x``/``buf.y``.
 
     Needs ``step_gradient`` first.  Returns (K x+, movement, interaction)
     with movement = w ||dx||^2 + ||dy||^2 / w and interaction =
-    2 |dy'(K x+ - K x)| (0.0 unless measured), or None when the trial point
-    is not finite.  A non-finite point always makes movement non-finite, so
-    the full scan runs only when a scalar is.  The state is not touched
-    apart from ``trial_count``.  Run under np.errstate(over="ignore",
-    invalid="ignore").
+    2 |dy'(K x+ - K x)|, or None when the trial point is not finite.  Only
+    the adaptive rule reads movement and interaction: with ``measure=False``
+    neither is formed and both are returned as 0.0.  A non-finite point
+    always makes a scalar of it non-finite (the movement and interaction,
+    or else x+'x+ + y+'y+), so the full scan runs only when that scalar is
+    not finite.  The state is not touched apart from ``trial_count``.  Run
+    under np.errstate(over="ignore", invalid="ignore").
     """
     x, y = state.x, state.y
     x_new, y_new, dx, dy = buf.x, buf.y, buf.dx, buf.dy
     np.multiply(buf.grad, s / w, out=dx)
     np.subtract(x, dx, out=dx)
-    dx.clip(saddle.l, saddle.u, out=x_new)
+    _clip(dx, saddle.l, saddle.u, out=x_new)
     kx_new = saddle.K.matvec(x_new)
     np.multiply(kx_new, 2.0, out=dy)
     np.subtract(dy, state.kx, out=dy)
@@ -167,16 +182,17 @@ def trial_step(state, saddle, buf, s, w, measure_interaction=True):
     if m1:
         head = y_new[:m1]
         np.maximum(head, 0.0, out=head)
-    np.subtract(x_new, x, out=dx)
-    np.subtract(y_new, y, out=dy)
-    movement = w * float(dx.dot(dx)) + float(dy.dot(dy)) / w
-    interaction = 0.0
-    if measure_interaction:
+    if measure:
+        np.subtract(x_new, x, out=dx)
+        np.subtract(y_new, y, out=dy)
+        movement = w * float(dx.dot(dx)) + float(dy.dot(dy)) / w
         np.subtract(kx_new, state.kx, out=buf.dkx)
         interaction = 2.0 * abs(float(dy.dot(buf.dkx)))
-    if not (math.isfinite(movement) and math.isfinite(interaction)) and not (
-        np.all(np.isfinite(x_new)) and np.all(np.isfinite(y_new))
-    ):
+        finite = math.isfinite(movement) and math.isfinite(interaction)
+    else:
+        movement = interaction = 0.0
+        finite = math.isfinite(float(x_new.dot(x_new)) + float(y_new.dot(y_new)))
+    if not finite and not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(y_new))):
         return None
     state.trial_count += 1
     return kx_new, movement, interaction
@@ -188,32 +204,36 @@ def accept_step(state, buf, kx_new, avg_weight):
     state.x, buf.x = buf.x, state.x
     state.y, buf.y = buf.y, state.y
     state.kx = kx_new
-    np.multiply(state.x, avg_weight, out=buf.dx)
-    np.add(state.sum_x, buf.dx, out=state.sum_x)
-    np.multiply(state.y, avg_weight, out=buf.dy)
-    np.add(state.sum_y, buf.dy, out=state.sum_y)
+    if avg_weight == 1.0:  # 1.0 * v is v, bit for bit
+        np.add(state.sum_x, state.x, out=state.sum_x)
+        np.add(state.sum_y, state.y, out=state.sum_y)
+    else:
+        np.multiply(state.x, avg_weight, out=buf.dx)
+        np.add(state.sum_x, buf.dx, out=state.sum_x)
+        np.multiply(state.y, avg_weight, out=buf.dy)
+        np.add(state.sum_y, buf.dy, out=state.sum_y)
     state.sum_weight += avg_weight
     state.inner_count += 1
     state.total_count += 1
 
 
-def pdhg_step(state, saddle, step, avg_weight=1.0):
+def pdhg_step(state, saddle, step, avg_weight=1.0, *, errstate=True):
     """Advance the iterate by one PDHG step (in place).
 
     ``avg_weight`` is this iterate's weight in the running average; the
     commit is skipped and NonFiniteIterate raised if the new point is not
-    finite, so the state always holds the last good iterate.
+    finite, so the state always holds the last good iterate.  Pass
+    ``errstate=False`` only under the kernel's np.errstate (module
+    docstring).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        buf = step_gradient(state, saddle)
-        trial = trial_step(
-            state, saddle, buf, step.step_size, step.primal_weight, measure_interaction=False
-        )
-        if trial is None:
-            raise NonFiniteIterate(
-                f"iterate became non-finite at total iteration {state.total_count + 1}"
-            )
-        accept_step(state, buf, trial[0], avg_weight)
+    if errstate:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return pdhg_step(state, saddle, step, avg_weight, errstate=False)
+    buf = step_gradient(state, saddle)
+    trial = trial_step(state, saddle, buf, step.step_size, step.primal_weight, measure=False)
+    if trial is None:
+        raise NonFiniteIterate(f"iterate became non-finite at total iteration {state.total_count + 1}")
+    accept_step(state, buf, trial[0], avg_weight)
     return state
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidRadius, NonPositiveInput
+from .pdhg import _clip
 
 RESTART_SCHEMES = ("none", "adaptive", "fixed")
 
@@ -105,7 +106,7 @@ def normalized_duality_gap(saddle, x, y, radius, *, stop_above=math.inf):
             if lam <= 0.0:
                 break
             np.divide(d, lam, out=delta)
-            delta.clip(lo, hi, out=delta)
+            _clip(delta, lo, hi, out=delta)
             norm = math.sqrt(float(delta.dot(delta)))
             if norm > radius:
                 if math.isfinite(norm) and norm - radius <= 1e-10 * radius:

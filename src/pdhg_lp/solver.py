@@ -3,6 +3,14 @@
 The loop works in the scaled space; every termination decision (KKT errors,
 infeasibility certificates) is made on unscaled iterates against the
 original data.
+
+On small problems an iteration costs more in Python than in arithmetic, so
+``solve`` does per solve what need not be done per iteration: it enters the
+step kernel's np.errstate(over="ignore", invalid="ignore") once around the
+loop (the steps are called with ``errstate=False``), and it computes the
+checks' per-problem constants (``termination.check_constants``: the
+finite-bound masks, ||q||, ||c|| and the certificate scales) once, for
+every KKT and certificate check.
 """
 
 import logging
@@ -23,6 +31,7 @@ from .stepsize import StepPolicy, WeightPolicy, adaptive_step, initialize_step_s
 from .termination import (
     TerminationCriteria,
     _norm,
+    check_constants,
     check_dual_infeasible,
     check_optimal,
     check_primal_infeasible,
@@ -157,7 +166,8 @@ def solve(problem, config=None, callback=None):
     """Run restarted PDHG on an LpProblem and return a SolveReport.
 
     ``callback``, if given, is invoked at every termination check as
-    ``callback(iteration, kkt_report, step_state)``.
+    ``callback(iteration, kkt_report, step_state)``, inside the loop's
+    error state.
     """
     t_start = time.perf_counter()
     config = config or SolverConfig()
@@ -197,6 +207,7 @@ def solve(problem, config=None, callback=None):
         gap_evals += 1
 
     x0_u, y0_u = unscale_solution(state.x, state.y, scaling)
+    constants = check_constants(saddle0)
     streaks = [0, 0]  # consecutive checks with a valid primal / dual infeasibility ray
     history = []
     restarts_by_reason = {"gap_decay": 0, "artificial": 0, "fixed_period": 0}
@@ -208,135 +219,139 @@ def solve(problem, config=None, callback=None):
         return unscale_solution(state.x, state.y, scaling)
 
     iteration = 0
-    while True:
-        hit_iters = iteration >= crit.iteration_limit
-        hit_time = (time.perf_counter() - t_start) >= crit.time_limit_sec
-        check_due = iteration % config.check_interval == 0 or hit_iters or hit_time
-        log_due = config.log_interval and iteration % config.log_interval == 0
-        if check_due or log_due:
-            xu, yu = unscale_state()
-            kkt = kkt_error(saddle0, xu, yu)
-            if log_due:
-                _log_progress(iteration, kkt, step)
-        # iteration 0 is a check, so last_kkt is set before any break
-        if check_due:
-            ray_shows = False
-            last_kkt, last_point = kkt, (xu, yu)
-            history.append((iteration, kkt.rel_primal, kkt.rel_dual, kkt.rel_gap, step.step_size, step.primal_weight))
-            if callback is not None:
-                callback(iteration, kkt, step)
-            if check_optimal(kkt, crit):
-                status = STATUS_OPTIMAL
-                reason = f"relative KKT errors at or below {crit.tol_optimal}"
-                break
-            if config.detect_infeasibility and iteration > 0:
-                # the step kernel's buffers still hold the iterate the last step replaced
-                prev_u = unscale_solution(state.buffers.x, state.buffers.y, scaling)
-                candidates = extract_certificates(prev_u, (xu, yu), (x0_u, y0_u), iteration)
-                checks = (check_primal_infeasible, check_dual_infeasible)
-                hits = ([], [])
-                for cand in candidates:
-                    for check, ray, kind_hits in zip(checks, (cand.y, cand.x), hits):
-                        if 0.0 < _norm(ray) < math.inf:
-                            verdict = check(saddle0, ray, crit.tol_infeasible)
-                            if verdict.valid:
-                                kind_hits.append((verdict, cand, ray))
-                            ray_shows = ray_shows or (cand.kind == "normalized" and _shows_ray(verdict))
-                streaks = [streak + 1 if h else 0 for streak, h in zip(streaks, hits)]
-                confirmed = [k for k in (0, 1) if streaks[k] >= CONFIRMATIONS_REQUIRED]
-                if confirmed:
-                    k = confirmed[0]  # primal first when both confirm at once
-                    verdict, cand, ray = max(hits[k], key=lambda h: h[0].margin)
-                    status, kind, ray_name = _INFEASIBILITY_VERDICTS[k]
-                    certificate = {
-                        "kind": kind,
-                        "ray": ray / _norm(ray),
-                        "source": cand.kind,
-                        "residual": verdict.residual,
-                        "gain": verdict.gain,
-                        "margin": verdict.margin,
-                    }
-                    reason = f"{ray_name} ray certificate confirmed {streaks[k]} checks in a row"
-                    break
-            if hit_iters:
-                status = STATUS_ITERATION_LIMIT
-                reason = f"iteration limit {crit.iteration_limit} reached"
-                break
-            if hit_time:
-                status = STATUS_TIME_LIMIT
-                reason = f"time limit {crit.time_limit_sec} s reached"
-                break
-            if adaptive and ray_shows:
-                # freeze at most 0.9 / ||K~||, below which a fixed step converges
-                norm_k, seconds = _estimate_norm(saddle.K, deadline, notes)
-                power_sec += seconds
-                if norm_k > 0:
-                    step = replace(step, step_size=min(step.step_size, 0.9 / norm_k))
-                adaptive = False
-                notes.append(
-                    f"adaptive step frozen at iteration {iteration}, s = {step.step_size:.6g}:"
-                    " an infeasibility ray shows"
+    # the step kernel's error state, entered once for the whole loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            hit_iters = iteration >= crit.iteration_limit
+            hit_time = (time.perf_counter() - t_start) >= crit.time_limit_sec
+            check_due = iteration % config.check_interval == 0 or hit_iters or hit_time
+            log_due = config.log_interval and iteration % config.log_interval == 0
+            if check_due or log_due:
+                xu, yu = unscale_state()
+                kkt = kkt_error(saddle0, xu, yu, constants)
+                if log_due:
+                    _log_progress(iteration, kkt, step)
+            # iteration 0 is a check, so last_kkt is set before any break
+            if check_due:
+                ray_shows = False
+                last_kkt, last_point = kkt, (xu, yu)
+                history.append(
+                    (iteration, kkt.rel_primal, kkt.rel_dual, kkt.rel_gap, step.step_size, step.primal_weight)
                 )
-
-        try:
-            if adaptive:
-                state, step, accepted = adaptive_step(state, saddle, step)
-                if not accepted:
-                    status = STATUS_NUMERICAL_ERROR
-                    reason = f"adaptive step rejected {stepsize.MAX_RETRIES} trials in a row"
+                if callback is not None:
+                    callback(iteration, kkt, step)
+                if check_optimal(kkt, crit):
+                    status = STATUS_OPTIMAL
+                    reason = f"relative KKT errors at or below {crit.tol_optimal}"
                     break
-            else:
-                pdhg_step(state, saddle, step, avg_weight=1.0)
-        except (NonFiniteIterate, StepSizeUnderflow) as err:
-            status = STATUS_NUMERICAL_ERROR
-            reason = str(err)
-            break
-        iteration += 1
-
-        # Restart to the epoch average.  The fixed scheme decides from the
-        # epoch length alone; the adaptive one every GAP_EVAL_INTERVAL
-        # iterations and at check points, from the average's normalized gap.
-        if rcfg.scheme == "fixed" or (
-            adaptive_restarts
-            and (state.inner_count % restarts.GAP_EVAL_INTERVAL == 0 or iteration % config.check_interval == 0)
-        ):
-            candidate = candidate_gap = None
-            if adaptive_restarts:
-                # the average's gap at its distance from the epoch start, when finite and nonzero
-                candidate = state.average()
-                radius = _norm(candidate[0] - start[0], candidate[1] - start[1])
-                if 0.0 < radius < math.inf:
-                    # Short of the artificial cap only a gap at or below the
-                    # decay bound restarts, so the bisection may stop above it.
-                    stop_above = math.inf
-                    if not restarts.artificial_cap_reached(state):
-                        stop_above = rcfg.sufficient_decay * reference_gap
-                    candidate_gap = normalized_duality_gap(
-                        saddle, candidate[0], candidate[1], radius, stop_above=stop_above
+                if config.detect_infeasibility and iteration > 0:
+                    # the step kernel's buffers still hold the iterate the last step replaced
+                    prev_u = unscale_solution(state.buffers.x, state.buffers.y, scaling)
+                    candidates = extract_certificates(prev_u, (xu, yu), (x0_u, y0_u), iteration)
+                    checks = (check_primal_infeasible, check_dual_infeasible)
+                    hits = ([], [])
+                    for cand in candidates:
+                        for check, ray, kind_hits in zip(checks, (cand.y, cand.x), hits):
+                            if 0.0 < _norm(ray) < math.inf:
+                                verdict = check(saddle0, ray, crit.tol_infeasible, constants)
+                                if verdict.valid:
+                                    kind_hits.append((verdict, cand, ray))
+                                ray_shows = ray_shows or (cand.kind == "normalized" and _shows_ray(verdict))
+                    streaks = [streak + 1 if h else 0 for streak, h in zip(streaks, hits)]
+                    confirmed = [k for k in (0, 1) if streaks[k] >= CONFIRMATIONS_REQUIRED]
+                    if confirmed:
+                        k = confirmed[0]  # primal first when both confirm at once
+                        verdict, cand, ray = max(hits[k], key=lambda h: h[0].margin)
+                        status, kind, ray_name = _INFEASIBILITY_VERDICTS[k]
+                        certificate = {
+                            "kind": kind,
+                            "ray": ray / _norm(ray),
+                            "source": cand.kind,
+                            "residual": verdict.residual,
+                            "gain": verdict.gain,
+                            "margin": verdict.margin,
+                        }
+                        reason = f"{ray_name} ray certificate confirmed {streaks[k]} checks in a row"
+                        break
+                if hit_iters:
+                    status = STATUS_ITERATION_LIMIT
+                    reason = f"iteration limit {crit.iteration_limit} reached"
+                    break
+                if hit_time:
+                    status = STATUS_TIME_LIMIT
+                    reason = f"time limit {crit.time_limit_sec} s reached"
+                    break
+                if adaptive and ray_shows:
+                    # freeze at most 0.9 / ||K~||, below which a fixed step converges
+                    norm_k, seconds = _estimate_norm(saddle.K, deadline, notes)
+                    power_sec += seconds
+                    if norm_k > 0:
+                        step = replace(step, step_size=min(step.step_size, 0.9 / norm_k))
+                    adaptive = False
+                    notes.append(
+                        f"adaptive step frozen at iteration {iteration}, s = {step.step_size:.6g}:"
+                        " an infeasibility ray shows"
                     )
-                    gap_evals += 1
-            fire, why = should_restart(state, rcfg, candidate_gap=candidate_gap, reference_gap=reference_gap)
-            if fire:
-                restarts_by_reason[why] += 1
-                if candidate is None:
+
+            try:
+                if adaptive:
+                    state, step, accepted = adaptive_step(state, saddle, step, errstate=False)
+                    if not accepted:
+                        status = STATUS_NUMERICAL_ERROR
+                        reason = f"adaptive step rejected {stepsize.MAX_RETRIES} trials in a row"
+                        break
+                else:
+                    pdhg_step(state, saddle, step, avg_weight=1.0, errstate=False)
+            except (NonFiniteIterate, StepSizeUnderflow) as err:
+                status = STATUS_NUMERICAL_ERROR
+                reason = str(err)
+                break
+            iteration += 1
+
+            # Restart to the epoch average.  The fixed scheme decides from the
+            # epoch length alone; the adaptive one every GAP_EVAL_INTERVAL
+            # iterations and at check points, from the average's normalized gap.
+            if rcfg.scheme == "fixed" or (
+                adaptive_restarts
+                and (state.inner_count % restarts.GAP_EVAL_INTERVAL == 0 or iteration % config.check_interval == 0)
+            ):
+                candidate = candidate_gap = None
+                if adaptive_restarts:
+                    # the average's gap at its distance from the epoch start, when finite and nonzero
                     candidate = state.average()
-                dx_norm = _norm(candidate[0] - start[0])
-                dy_norm = _norm(candidate[1] - start[1])
-                step = replace(
-                    step,
-                    primal_weight=update_primal_weight(step.primal_weight, dx_norm, dy_norm, config.weight),
-                )
-                apply_restart(state, candidate)
-                start = candidate
-                # the new start's gap at the distance it moved is the candidate's
-                if candidate_gap is not None:
-                    reference_gap = candidate_gap
+                    radius = _norm(candidate[0] - start[0], candidate[1] - start[1])
+                    if 0.0 < radius < math.inf:
+                        # Short of the artificial cap only a gap at or below the
+                        # decay bound restarts, so the bisection may stop above it.
+                        stop_above = math.inf
+                        if not restarts.artificial_cap_reached(state):
+                            stop_above = rcfg.sufficient_decay * reference_gap
+                        candidate_gap = normalized_duality_gap(
+                            saddle, candidate[0], candidate[1], radius, stop_above=stop_above
+                        )
+                        gap_evals += 1
+                fire, why = should_restart(state, rcfg, candidate_gap=candidate_gap, reference_gap=reference_gap)
+                if fire:
+                    restarts_by_reason[why] += 1
+                    if candidate is None:
+                        candidate = state.average()
+                    dx_norm = _norm(candidate[0] - start[0])
+                    dy_norm = _norm(candidate[1] - start[1])
+                    step = replace(
+                        step,
+                        primal_weight=update_primal_weight(step.primal_weight, dx_norm, dy_norm, config.weight),
+                    )
+                    apply_restart(state, candidate)
+                    start = candidate
+                    # the new start's gap at the distance it moved is the candidate's
+                    if candidate_gap is not None:
+                        reference_gap = candidate_gap
 
     # Final report.  For a numerical-error stop the state still holds the
     # last good iterate, which may be newer than the last check point.
     if status == STATUS_NUMERICAL_ERROR:
         xu, yu = unscale_state()
-        last_kkt, last_point = kkt_error(saddle0, xu, yu), (xu, yu)
+        last_kkt, last_point = kkt_error(saddle0, xu, yu, constants), (xu, yu)
     xu, yu = last_point
     sign = saddle0.objective_sign
     offset = saddle0.objective_offset

@@ -16,6 +16,8 @@ from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .exceptions import DimensionMismatch, NonFiniteData
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 class SparseMatrix:
     """CSR matrix with both products and cheap row/column reductions."""
@@ -42,10 +44,12 @@ class SparseMatrix:
     # Both products call scipy's kernels directly, into a fresh zero vector.
     # K's CSR arrays read as CSC are K^T; the column kernel sums each out[j]
     # over the rows of K in order, as a gather over a sorted transpose would.
+    # A float64 ndarray, which is what the solver passes, is used as it is.
 
     def matvec(self, x):
         """Return M @ x."""
-        x = np.asarray(x, dtype=np.float64)
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+            x = np.asarray(x, dtype=np.float64)
         m, n = self.shape
         if x.shape != (n,):
             raise DimensionMismatch([f"matvec expected a vector of length {n}, got shape {x.shape}"])
@@ -57,7 +61,8 @@ class SparseMatrix:
 
     def rmatvec(self, y):
         """Return M.T @ y."""
-        y = np.asarray(y, dtype=np.float64)
+        if type(y) is not np.ndarray or y.dtype is not _FLOAT64:
+            y = np.asarray(y, dtype=np.float64)
         m, n = self.shape
         if y.shape != (m,):
             raise DimensionMismatch([f"rmatvec expected a vector of length {m}, got shape {y.shape}"])

@@ -95,7 +95,7 @@ def initialize_step_state(saddle, norm_k, step_policy, weight_policy):
     return StepState(step_size=s, primal_weight=w)
 
 
-def adaptive_step(state, saddle, step):
+def adaptive_step(state, saddle, step, *, errstate=True):
     """One PDHG iteration under the adaptive step rule.
 
     Returns (state, next_step, accepted).  The state is only advanced when a
@@ -103,43 +103,44 @@ def adaptive_step(state, saddle, step):
     weight equal to the step size that produced it.  Raises
     StepSizeUnderflow when s collapses below UNDERFLOW_RATIO times the
     initial step size, and NonFiniteIterate if a trial point is non-finite.
+    ``errstate`` as for ``pdhg.pdhg_step``.
     """
+    if errstate:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return adaptive_step(state, saddle, step, errstate=False)
     s = step.step_size
     w = step.primal_weight
     t = state.total_count + 1  # 1-based index of the iteration being attempted
     shrink = 1.0 - (t + 1.0) ** (-REDUCTION_EXPONENT)
     grow = 1.0 + (t + 1.0) ** (-GROWTH_EXPONENT)
-    with np.errstate(over="ignore", invalid="ignore"):
-        buf = step_gradient(state, saddle)
-        for _ in range(MAX_RETRIES):
-            trial = trial_step(state, saddle, buf, s, w)
-            if trial is None:
-                raise NonFiniteIterate(
-                    f"trial iterate became non-finite at total iteration {t} (step {s!r})"
-                )
-            kx_new, movement, interaction = trial
-            # The magnitude of the cross term bounds the admissible step; the
-            # unsigned form keeps the rule stable when projections flip the
-            # sign of the interaction (a signed rule lets s ratchet upward
-            # and diverge on bound-clipped rotations).
-            if interaction == 0.0 or movement == 0.0:
-                s_hat = math.inf
-            else:
-                s_hat = movement / interaction
-            accepted = s <= s_hat
-            if math.isinf(s_hat):
-                s_next = grow * s
-            else:
-                s_next = min(shrink * s_hat, grow * s)
-            if accepted:
-                accept_step(state, buf, kx_new, avg_weight=s)
-                return state, StepState(s_next, w, step.initial_step_size), True
-            s = s_next
-            if s < UNDERFLOW_RATIO * step.initial_step_size:
-                raise StepSizeUnderflow(
-                    f"step size {s!r} fell below {UNDERFLOW_RATIO} of the initial"
-                    f" {step.initial_step_size!r}"
-                )
+    buf = step_gradient(state, saddle)
+    for _ in range(MAX_RETRIES):
+        trial = trial_step(state, saddle, buf, s, w)
+        if trial is None:
+            raise NonFiniteIterate(f"trial iterate became non-finite at total iteration {t} (step {s!r})")
+        kx_new, movement, interaction = trial
+        # The magnitude of the cross term bounds the admissible step; the
+        # unsigned form keeps the rule stable when projections flip the
+        # sign of the interaction (a signed rule lets s ratchet upward
+        # and diverge on bound-clipped rotations).
+        if interaction == 0.0 or movement == 0.0:
+            s_hat = math.inf
+        else:
+            s_hat = movement / interaction
+        accepted = s <= s_hat
+        if math.isinf(s_hat):
+            s_next = grow * s
+        else:
+            s_next = min(shrink * s_hat, grow * s)
+        if accepted:
+            accept_step(state, buf, kx_new, avg_weight=s)
+            return state, StepState(s_next, w, step.initial_step_size), True
+        s = s_next
+        if s < UNDERFLOW_RATIO * step.initial_step_size:
+            raise StepSizeUnderflow(
+                f"step size {s!r} fell below {UNDERFLOW_RATIO} of the initial"
+                f" {step.initial_step_size!r}"
+            )
     return state, StepState(s, w, step.initial_step_size), False
 
 

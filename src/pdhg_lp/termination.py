@@ -1,6 +1,10 @@
 """Termination tests: relative KKT errors and infeasibility certificates.
 
 All quantities here are evaluated on the original (unscaled) problem data.
+The checks' per-problem constants (the finite-bound masks, ||q||, ||c|| and
+the certificate scales) depend on the data alone: ``check_constants``
+computes them once, ``solve`` passes them to every check, and a direct call
+without them computes them itself, with the same result.
 """
 
 from dataclasses import dataclass
@@ -24,6 +28,9 @@ class TerminationCriteria:
             value = getattr(self, name)
             if not value >= 0:
                 raise NonPositiveInput(f"{name} must be >= 0, got {value}")
+        # any other limit is valid: zero or below stops at the first check, inf never
+        if math.isnan(self.time_limit_sec):
+            raise NonPositiveInput(f"time_limit_sec must be a number or an infinity, got {self.time_limit_sec}")
 
 
 @dataclass(frozen=True)
@@ -46,15 +53,66 @@ class KktReport:
     reduced_costs: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class CheckConstants:
+    """What the checks compute from the problem data alone.
+
+    ``lfin``/``ufin`` mark the finite bounds, ``below``/``above``/``both``
+    the variables bounded below only, above only and on both sides (None
+    when there are none); ``norm_q``/``norm_c`` are the norms that relate
+    the KKT residuals, ``primal_scale``/``dual_scale`` those that relate
+    the certificates' gains.
+    """
+
+    lfin: np.ndarray
+    ufin: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
+    both: np.ndarray
+    norm_q: float
+    norm_c: float
+    primal_scale: float
+    dual_scale: float
+
+
+def check_constants(saddle):
+    """The CheckConstants of a saddle problem."""
+    l, u = saddle.l, saddle.u
+    lfin = np.isfinite(l)
+    ufin = np.isfinite(u)
+    below = lfin & ~ufin
+    above = ufin & ~lfin
+    both = lfin & ufin
+    # The certificate scales take np.linalg.norm, which is inf where _norm
+    # rescales; they differ only on data whose squares overflow.
+    with np.errstate(over="ignore"):
+        data_norm_q = float(np.linalg.norm(saddle.q))
+        data_norm_c = float(np.linalg.norm(saddle.c))
+    return CheckConstants(
+        lfin=lfin,
+        ufin=ufin,
+        below=below if below.any() else None,
+        above=above if above.any() else None,
+        both=both if both.any() else None,
+        norm_q=_norm(saddle.q),
+        norm_c=_norm(saddle.c),
+        primal_scale=max(1.0, data_norm_q, _finite_abs_max(l), _finite_abs_max(u)),
+        dual_scale=max(1.0, data_norm_c),
+    )
+
+
 def reduced_cost_projection(r, l, u):
     """Project r onto the cone of reduced costs compatible with the bounds.
 
     Coordinate i admits lambda_i >= 0 only when l_i is finite and
     lambda_i <= 0 only when u_i is finite; free variables force lambda_i = 0.
     """
+    return _project_reduced_costs(r, np.isfinite(l), np.isfinite(u))
+
+
+def _project_reduced_costs(r, lfin, ufin):
+    """``reduced_cost_projection`` given the finite-bound masks."""
     lam = np.zeros_like(r)
-    lfin = np.isfinite(l)
-    ufin = np.isfinite(u)
     pos = (r > 0) & lfin
     neg = (r < 0) & ufin
     lam[pos] = r[pos]
@@ -92,8 +150,11 @@ def _norm(*parts):
     return scale * math.sqrt(sum(float((p / scale).dot(p / scale)) for p in parts))
 
 
-def kkt_error(saddle, x, y):
-    """KKT residuals of (x, y) for the saddle-form problem."""
+def kkt_error(saddle, x, y, constants=None):
+    """KKT residuals of (x, y) for the saddle-form problem; ``constants``
+    are the problem's CheckConstants, computed here when not given."""
+    if constants is None:
+        constants = check_constants(saddle)
     kx = saddle.K.matvec(x)
     m1 = saddle.m1
     ineq_violation = np.maximum(saddle.q[:m1] - kx[:m1], 0.0)
@@ -101,7 +162,7 @@ def kkt_error(saddle, x, y):
     primal_residual = _norm(ineq_violation, eq_violation)
 
     r = saddle.c - saddle.K.rmatvec(y)
-    lam = reduced_cost_projection(r, saddle.l, saddle.u)
+    lam = _project_reduced_costs(r, constants.lfin, constants.ufin)
     diff = r - lam
     dual_residual = _norm(diff)
 
@@ -110,14 +171,12 @@ def kkt_error(saddle, x, y):
         dual_objective = float(saddle.q @ y) + bound_objective_term(lam, saddle.l, saddle.u)
     duality_gap = abs(primal_objective - dual_objective)
 
-    norm_q = _norm(saddle.q)
-    norm_c = _norm(saddle.c)
     return KktReport(
         primal_residual=primal_residual,
         dual_residual=dual_residual,
         duality_gap=duality_gap,
-        rel_primal=primal_residual / (1.0 + norm_q),
-        rel_dual=dual_residual / (1.0 + norm_c),
+        rel_primal=primal_residual / (1.0 + constants.norm_q),
+        rel_dual=dual_residual / (1.0 + constants.norm_c),
         rel_gap=duality_gap / (1.0 + abs(primal_objective) + abs(dual_objective)),
         primal_objective=primal_objective,
         dual_objective=dual_objective,
@@ -170,29 +229,34 @@ def _unit(ray):
     return ray / norm
 
 
-def check_primal_infeasible(saddle, y_ray, tol):
+def check_primal_infeasible(saddle, y_ray, tol, constants=None):
     """Test a dual ray y as a certificate of primal infeasibility.
 
     After unit normalization the ray must lie in the dual cone up to tol,
     its reduced costs -K'y must be attainable up to tol, and the certified
     objective gain must clear tol relative to the data magnitude.
+    ``constants`` as for ``kkt_error``.
     """
+    if constants is None:
+        constants = check_constants(saddle)
     yhat = _unit(y_ray)
     m1 = saddle.m1
     cone_violation = float(max(0.0, -yhat[:m1].min())) if m1 else 0.0
     rhat = -saddle.K.rmatvec(yhat)
-    lamhat = reduced_cost_projection(rhat, saddle.l, saddle.u)
+    lamhat = _project_reduced_costs(rhat, constants.lfin, constants.ufin)
     attain = float(np.max(np.abs(rhat - lamhat))) if rhat.size else 0.0
     residual = max(cone_violation, attain)
     gain = float(saddle.q @ yhat) + bound_objective_term(lamhat, saddle.l, saddle.u)
-    scale = max(1.0, float(np.linalg.norm(saddle.q)), _finite_abs_max(saddle.l), _finite_abs_max(saddle.u))
+    scale = constants.primal_scale
     valid = residual <= tol and gain >= tol * scale
     return CertificateVerdict(valid=valid, residual=residual, gain=gain, margin=gain / scale - residual)
 
 
-def check_dual_infeasible(saddle, x_ray, tol):
+def check_dual_infeasible(saddle, x_ray, tol, constants=None):
     """Test a primal ray d as a certificate of dual infeasibility
-    (primal unboundedness direction)."""
+    (primal unboundedness direction); ``constants`` as for ``kkt_error``."""
+    if constants is None:
+        constants = check_constants(saddle)
     d = _unit(x_ray)
     kd = saddle.K.matvec(d)
     m1 = saddle.m1
@@ -201,19 +265,15 @@ def check_dual_infeasible(saddle, x_ray, tol):
         residual = float(np.max(np.abs(kd[m1:])))
     if m1:
         residual = max(residual, float(max(0.0, -kd[:m1].min())))
-    lfin = np.isfinite(saddle.l)
-    ufin = np.isfinite(saddle.u)
-    below = lfin & ~ufin
-    above = ufin & ~lfin
-    both = lfin & ufin
-    if np.any(below):
+    below, above, both = constants.below, constants.above, constants.both
+    if below is not None:
         residual = max(residual, float(np.max(np.maximum(-d[below], 0.0))))
-    if np.any(above):
+    if above is not None:
         residual = max(residual, float(np.max(np.maximum(d[above], 0.0))))
-    if np.any(both):
+    if both is not None:
         residual = max(residual, float(np.max(np.abs(d[both]))))
     gain = -float(saddle.c @ d)
-    scale = max(1.0, float(np.linalg.norm(saddle.c)))
+    scale = constants.dual_scale
     valid = residual <= tol and gain >= tol * scale
     return CertificateVerdict(valid=valid, residual=residual, gain=gain, margin=gain / scale - residual)
 

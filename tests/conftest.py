@@ -67,6 +67,24 @@ def planted_unbounded_lp(seed):
     )
 
 
+def planted_infeasible_lp(seed):
+    """``random_feasible_lp(seed)`` made infeasible: a copy of row 0 whose
+    right-hand side exceeds the row's maximum over the box by a tenth of
+    its range there."""
+    base = random_feasible_lp(seed)
+    g = base.ineq_matrix.toarray()
+    row_max = float(np.sum(np.maximum(g[0] * base.lower, g[0] * base.upper)))
+    row_min = float(np.sum(np.minimum(g[0] * base.lower, g[0] * base.upper)))
+    return pl.LpProblem(
+        c=base.c,
+        ineq_matrix=np.vstack([g, g[0]]),
+        ineq_rhs=np.append(base.ineq_rhs, row_max + 0.1 * (row_max - row_min)),
+        lower=base.lower,
+        upper=base.upper,
+        name=f"infeasible_lp_seed{seed}",
+    )
+
+
 def assert_identical(a, b):
     """Two LpProblems are equal: vectors, CSR arrays, offset, sign and
     names."""

@@ -146,6 +146,7 @@ class TestSolve:
             (["--check-interval", "0"], "check_interval must be at least 1, got 0"),
             (["--ruiz-iterations", "-1"], "num_iters must be >= 0"),
             (["--pc-alpha", "3"], "alpha must lie in [0, 2], got 3.0"),
+            (["--time-limit-sec", "nan"], "config termination: time_limit_sec must be a number"),
         ],
     )
     def test_bad_mode_flag_exits_one(self, toy_mps, flags, message):

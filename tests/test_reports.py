@@ -43,6 +43,7 @@ _BAD_VALUES = {
     "termination.tol_optimal": -1.0,
     "termination.tol_infeasible": -1e-10,
     "termination.iteration_limit": -5,
+    "termination.time_limit_sec": float("nan"),
 }
 
 

@@ -240,6 +240,44 @@ class TestTrajectory:
         np.testing.assert_array_equal(report.x, state.x)
         np.testing.assert_array_equal(report.y, state.y)
 
+    @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+    def test_driver_reproduces_scaled_steps_exactly(self, mode):
+        # the plain-iteration check above, on a criterion-8 LP scaled by
+        # ruiz+pc under either step rule: solve's loop (one error state per
+        # solve, cached check constants) moves the iterate exactly as the
+        # public step functions do
+        problem = random_feasible_lp(3)
+        config = pl.SolverConfig(
+            termination=pl.TerminationCriteria(tol_optimal=0.0, iteration_limit=300),
+            restart=pl.RestartConfig(scheme="none"),
+            step=pl.StepPolicy(mode=mode),
+            weight=pl.WeightPolicy(mode=mode),
+            detect_infeasibility=False,
+        )
+        report = pl.solve(problem, config)
+        assert report.status == pl.STATUS_ITERATION_LIMIT
+        assert report.iterations == 300
+
+        saddle0 = pl.to_saddle(problem)
+        scaling = pl.combined_rescale(saddle0.K, mode="ruiz+pc")
+        saddle = pl.apply_scaling(saddle0, scaling)
+        norm_k = None
+        if mode == "fixed":
+            norm_k = pl.spectral_norm_estimate(saddle.K, tol=1e-4, max_iters=5000, seed=0).value
+        step = pl.initialize_step_state(saddle, norm_k, config.step, config.weight)
+        state = pl.IterateState.initial(saddle)
+        for _ in range(300):
+            if mode == "fixed":
+                pl.pdhg_step(state, saddle, step)
+            else:
+                state, step, accepted = pl.adaptive_step(state, saddle, step)
+                assert accepted
+        x, y = pl.unscale_solution(state.x, state.y, scaling)
+        assert report.x.tobytes() == x.tobytes()
+        assert report.y.tobytes() == y.tobytes()
+        assert report.step_size == step.step_size
+        assert report.step_trials == state.trial_count
+
     def test_fixed_restart_count(self):
         config = pl.SolverConfig(
             termination=pl.TerminationCriteria(tol_optimal=0.0, iteration_limit=20),

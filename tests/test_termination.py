@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import pdhg_lp as pl
 from pdhg_lp import (
     CertificateCandidate,
+    CertificateVerdict,
     TerminationCriteria,
     bound_objective_term,
     check_dual_infeasible,
@@ -16,7 +18,10 @@ from pdhg_lp import (
     reduced_cost_projection,
 )
 
-from conftest import random_small_saddle
+from pdhg_lp import termination
+from pdhg_lp.termination import check_constants
+
+from conftest import planted_infeasible_lp, planted_unbounded_lp, random_small_saddle
 
 
 def one_var_problem():
@@ -252,3 +257,147 @@ class TestCertificates:
                 assert not check_primal_infeasible(saddle, cand.y, 1e-10).valid
                 assert not check_dual_infeasible(saddle, cand.x, 1e-10).valid
             prev = cur
+
+
+def _finite_abs_max(v):
+    finite = v[np.isfinite(v)]
+    return float(np.max(np.abs(finite))) if finite.size else 0.0
+
+
+def reference_primal_verdict(saddle, y_ray, tol):
+    """``check_primal_infeasible`` restated with its data constants (the
+    bound masks and the scale) computed in place from the problem data."""
+    yhat = termination._unit(y_ray)
+    m1 = saddle.m1
+    cone_violation = float(max(0.0, -yhat[:m1].min())) if m1 else 0.0
+    rhat = -saddle.K.rmatvec(yhat)
+    lamhat = reduced_cost_projection(rhat, saddle.l, saddle.u)
+    attain = float(np.max(np.abs(rhat - lamhat))) if rhat.size else 0.0
+    residual = max(cone_violation, attain)
+    gain = float(saddle.q @ yhat) + bound_objective_term(lamhat, saddle.l, saddle.u)
+    scale = max(1.0, float(np.linalg.norm(saddle.q)), _finite_abs_max(saddle.l), _finite_abs_max(saddle.u))
+    return CertificateVerdict(residual <= tol and gain >= tol * scale, residual, gain, gain / scale - residual)
+
+
+def reference_dual_verdict(saddle, x_ray, tol):
+    """``check_dual_infeasible`` restated in the same way."""
+    d = termination._unit(x_ray)
+    kd = saddle.K.matvec(d)
+    m1 = saddle.m1
+    residual = float(np.max(np.abs(kd[m1:]))) if kd[m1:].size else 0.0
+    if m1:
+        residual = max(residual, float(max(0.0, -kd[:m1].min())))
+    lfin, ufin = np.isfinite(saddle.l), np.isfinite(saddle.u)
+    for mask, excess in (
+        (lfin & ~ufin, np.maximum(-d, 0.0)),
+        (ufin & ~lfin, np.maximum(d, 0.0)),
+        (lfin & ufin, np.abs(d)),
+    ):
+        if mask.any():
+            residual = max(residual, float(np.max(excess[mask])))
+    gain = -float(saddle.c @ d)
+    scale = max(1.0, float(np.linalg.norm(saddle.c)))
+    return CertificateVerdict(residual <= tol and gain >= tol * scale, residual, gain, gain / scale - residual)
+
+
+def assert_same_kkt(saddle, x, y, constants):
+    report = kkt_error(saddle, x, y, constants)
+    plain = kkt_error(saddle, x, y)
+    for f in dataclasses.fields(report):
+        a, b = getattr(report, f.name), getattr(plain, f.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+    r = saddle.c - saddle.K.rmatvec(y)
+    assert report.reduced_costs.tobytes() == reduced_cost_projection(r, saddle.l, saddle.u).tobytes()
+    assert report.rel_primal == report.primal_residual / (1.0 + float(np.linalg.norm(saddle.q)))
+    assert report.rel_dual == report.dual_residual / (1.0 + float(np.linalg.norm(saddle.c)))
+
+
+def boxed_infeasible_lp(lower, upper):
+    """x1 - x2 >= 1 and x2 - x1 >= 1 in a box: infeasible whatever the box,
+    whose largest finite bound magnitude sets the certificate scale."""
+    return pl.LpProblem(
+        c=[1.0, -1.0], ineq_matrix=[[1.0, -1.0], [-1.0, 1.0]], ineq_rhs=[1.0, 1.0],
+        lower=[lower, 0.0], upper=[upper, 1.0],
+    )
+
+
+def mixed_bounds_unbounded_lp():
+    """min -x1 over x1 >= 0, x2 <= 5, 0 <= x3 <= 1 and a free x4, with
+    x1 - (x2 - x3 - x4) / 10 >= -2: every kind of bound meets the ray check,
+    and the row's small weights leave each one the largest violation along
+    its coordinate."""
+    return pl.LpProblem(
+        c=[-1.0, 0.5, 1.0, 0.0], ineq_matrix=[[1.0, -0.1, 0.1, 0.1]], ineq_rhs=[-2.0],
+        lower=[0.0, -np.inf, 0.0, -np.inf], upper=[np.inf, 5.0, 1.0, np.inf],
+    )
+
+
+_CHECKED_PROBLEMS = {
+    "boxed_infeasible_lower_scale": lambda: boxed_infeasible_lp(-3000.0, 2000.0),
+    "boxed_infeasible_upper_scale": lambda: boxed_infeasible_lp(-1000.0, 2000.0),
+    "mixed_bounds_unbounded": mixed_bounds_unbounded_lp,
+    "infeasible_lp_seed0": lambda: planted_infeasible_lp(0),
+    "infeasible_lp_seed1": lambda: planted_infeasible_lp(1),
+    "unbounded_lp_seed0": lambda: planted_unbounded_lp(0),
+    "unbounded_lp_seed1": lambda: planted_unbounded_lp(1),
+    "primal_infeasible_toy": pl.generate_primal_infeasible_toy,
+    "dual_infeasible_toy": pl.generate_dual_infeasible_toy,
+}
+
+
+class TestCheckConstants:
+    """``solve`` hands every check the problem's constants, computed once;
+    a direct call computes them itself.  The verdicts are those of checks
+    that compute every constant in place."""
+
+    @staticmethod
+    def assert_same_verdicts(saddle, constants, y_ray, x_ray):
+        verdicts = 0
+        for check, reference, ray in (
+            (check_primal_infeasible, reference_primal_verdict, y_ray),
+            (check_dual_infeasible, reference_dual_verdict, x_ray),
+        ):
+            if ray is not None and np.any(ray):
+                expected = reference(saddle, ray, 1e-10)
+                assert check(saddle, ray, 1e-10, constants) == expected
+                assert check(saddle, ray, 1e-10) == expected
+                verdicts += 1
+        return verdicts
+
+    @pytest.mark.parametrize("name", sorted(_CHECKED_PROBLEMS))
+    def test_same_verdicts_with_and_without(self, name):
+        problem = _CHECKED_PROBLEMS[name]()
+        saddle = pl.to_saddle(problem)
+        constants = check_constants(saddle)
+
+        report = pl.solve(problem)
+        assert report.status in (pl.STATUS_PRIMAL_INFEASIBLE, pl.STATUS_DUAL_INFEASIBLE)
+        ray = report.certificate["ray"]
+        if report.status == pl.STATUS_PRIMAL_INFEASIBLE:
+            assert check_primal_infeasible(saddle, ray, 1e-10, constants).valid
+            self.assert_same_verdicts(saddle, constants, ray, None)
+        else:
+            assert check_dual_infeasible(saddle, ray, 1e-10, constants).valid
+            self.assert_same_verdicts(saddle, constants, None, ray)
+
+        # both signs of every coordinate direction
+        for sign in (1.0, -1.0):
+            for i in range(saddle.num_primal):
+                self.assert_same_verdicts(saddle, constants, None, sign * np.eye(saddle.num_primal)[i])
+            for j in range(saddle.num_dual):
+                self.assert_same_verdicts(saddle, constants, sign * np.eye(saddle.num_dual)[j], None)
+
+        # points and rays along an unscaled fixed-step run, valid or not
+        state = pl.IterateState.initial(saddle)
+        step = pl.StepState(0.9 / pl.spectral_norm_estimate(saddle.K).value, 1.0)
+        z0 = prev = (state.x.copy(), state.y.copy())
+        verdicts = 0
+        for k in range(1, 201):
+            pl.pdhg_step(state, saddle, step)
+            cur = (state.x.copy(), state.y.copy())
+            assert_same_kkt(saddle, *cur, constants)
+            if k % 10 == 0:
+                for cand in extract_certificates(prev, cur, z0, k):
+                    verdicts += self.assert_same_verdicts(saddle, constants, cand.y, cand.x)
+            prev = cur
+        assert verdicts > 0
