@@ -10,7 +10,12 @@ step kernel's np.errstate(over="ignore", invalid="ignore") once around the
 loop (the steps are called with ``errstate=False``), and it computes the
 checks' per-problem constants (``termination.check_constants``: the
 finite-bound masks, ||q||, ||c|| and the certificate scales) once, for
-every KKT and certificate check.
+every KKT and certificate check.  Each candidate ray's norm is computed once
+and passed to the certificate checks.
+
+On a large problem the working space also groups K's rows by length
+(``scaling.length_order``), which makes the CSR products faster; y goes
+back to the original row order wherever it is unscaled.
 """
 
 import logging
@@ -162,6 +167,23 @@ def _shows_ray(verdict):
     return verdict.residual <= FREEZE_TOLERANCE and verdict.margin + verdict.residual >= FREEZE_TOLERANCE
 
 
+def _ray_hits(saddle0, candidates, tol, constants):
+    """Test each candidate's y as a dual ray and its x as a primal ray, with
+    the norm of each computed once.  Returns the valid (verdict, candidate,
+    ray, norm) of each kind, and whether a normalized candidate shows a ray."""
+    hits = ([], [])
+    shows = False
+    for cand in candidates:
+        for check, ray, kind_hits in zip((check_primal_infeasible, check_dual_infeasible), (cand.y, cand.x), hits):
+            norm = _norm(ray)
+            if 0.0 < norm < math.inf:
+                verdict = check(saddle0, ray, tol, constants, norm=norm)
+                if verdict.valid:
+                    kind_hits.append((verdict, cand, ray, norm))
+                shows = shows or (cand.kind == "normalized" and _shows_ray(verdict))
+    return hits, shows
+
+
 def solve(problem, config=None, callback=None):
     """Run restarted PDHG on an LpProblem and return a SolveReport.
 
@@ -177,7 +199,7 @@ def solve(problem, config=None, callback=None):
 
     t_mark = time.perf_counter()
     scaling = combined_rescale(
-        saddle0.K, mode=config.scaling, ruiz_iters=config.ruiz_iterations, pc_alpha=config.pc_alpha
+        saddle0.K, mode=config.scaling, ruiz_iters=config.ruiz_iterations, pc_alpha=config.pc_alpha, m1=saddle0.m1
     )
     saddle = apply_scaling(saddle0, scaling)
     scaling_sec = time.perf_counter() - t_mark
@@ -203,7 +225,9 @@ def solve(problem, config=None, callback=None):
     reference_gap = None
     gap_evals = 0
     if adaptive_restarts:
-        reference_gap = normalized_duality_gap(saddle, state.x, state.y, _norm(state.x, state.y) + 1.0)
+        with np.errstate(over="ignore"):
+            radius = _norm(state.x, state.y) + 1.0
+        reference_gap = normalized_duality_gap(saddle, state.x, state.y, radius)
         gap_evals += 1
 
     x0_u, y0_u = unscale_solution(state.x, state.y, scaling)
@@ -245,27 +269,29 @@ def solve(problem, config=None, callback=None):
                     reason = f"relative KKT errors at or below {crit.tol_optimal}"
                     break
                 if config.detect_infeasibility and iteration > 0:
-                    # the step kernel's buffers still hold the iterate the last step replaced
-                    prev_u = unscale_solution(state.buffers.x, state.buffers.y, scaling)
-                    candidates = extract_certificates(prev_u, (xu, yu), (x0_u, y0_u), iteration)
-                    checks = (check_primal_infeasible, check_dual_infeasible)
-                    hits = ([], [])
-                    for cand in candidates:
-                        for check, ray, kind_hits in zip(checks, (cand.y, cand.x), hits):
-                            if 0.0 < _norm(ray) < math.inf:
-                                verdict = check(saddle0, ray, crit.tol_infeasible, constants)
-                                if verdict.valid:
-                                    kind_hits.append((verdict, cand, ray))
-                                ray_shows = ray_shows or (cand.kind == "normalized" and _shows_ray(verdict))
+                    # The step kernel's buffers still hold the iterate the last step
+                    # replaced.  No local keeps it or the candidates, so they are not
+                    # held into the restart block's gap evaluations.
+                    hits, ray_shows = _ray_hits(
+                        saddle0,
+                        extract_certificates(
+                            unscale_solution(state.buffers.x, state.buffers.y, scaling),
+                            (xu, yu),
+                            (x0_u, y0_u),
+                            iteration,
+                        ),
+                        crit.tol_infeasible,
+                        constants,
+                    )
                     streaks = [streak + 1 if h else 0 for streak, h in zip(streaks, hits)]
                     confirmed = [k for k in (0, 1) if streaks[k] >= CONFIRMATIONS_REQUIRED]
                     if confirmed:
                         k = confirmed[0]  # primal first when both confirm at once
-                        verdict, cand, ray = max(hits[k], key=lambda h: h[0].margin)
+                        verdict, cand, ray, norm = max(hits[k], key=lambda h: h[0].margin)
                         status, kind, ray_name = _INFEASIBILITY_VERDICTS[k]
                         certificate = {
                             "kind": kind,
-                            "ray": ray / _norm(ray),
+                            "ray": ray / norm,
                             "source": cand.kind,
                             "residual": verdict.residual,
                             "gain": verdict.gain,

@@ -27,7 +27,11 @@ class SparseMatrix:
     def __init__(self, matrix, shape=None):
         if isinstance(matrix, SparseMatrix):
             matrix = matrix._csr
-        csr = sp.csr_matrix(matrix, shape=shape, dtype=np.float64, copy=True)
+        self._own(sp.csr_matrix(matrix, shape=shape, dtype=np.float64, copy=True))
+
+    def _own(self, csr):
+        """Bring the float64 ``csr`` to canonical form in place, check that
+        it is finite and keep it, without a copy."""
         csr.sum_duplicates()
         csr.eliminate_zeros()
         csr.sort_indices()
@@ -108,17 +112,47 @@ class SparseMatrix:
 
     # -- construction helpers ----------------------------------------------
 
-    def scaled(self, row_scale, col_scale):
-        """Return diag(row_scale) @ M @ diag(col_scale) as a new matrix."""
+    def scaled(self, row_scale, col_scale, row_order=None):
+        """Return P @ diag(row_scale) @ M @ diag(col_scale) as a new matrix.
+
+        P gathers the rows by ``row_order``, a permutation of the row
+        indices: row i of the result is row ``row_order[i]``.  None keeps
+        the order.  Each entry is M_ij * (row_scale_i * col_scale_j), and
+        the result is built in one copy of M's arrays.
+        """
         row_scale = np.asarray(row_scale, dtype=np.float64)
         col_scale = np.asarray(col_scale, dtype=np.float64)
-        if row_scale.shape != (self.shape[0],) or col_scale.shape != (self.shape[1],):
+        m = self.shape[0]
+        if row_scale.shape != (m,) or col_scale.shape != (self.shape[1],):
             raise DimensionMismatch(["scaling vectors do not match matrix shape"])
-        out = self._csr.copy()
-        if out.nnz:
-            rows = np.repeat(np.arange(self.shape[0]), np.diff(out.indptr))
-            out.data *= row_scale[rows] * col_scale[out.indices]
-        return SparseMatrix(out, shape=self.shape)
+        csr = self._csr
+        lengths = np.diff(csr.indptr)
+        if row_order is None:
+            indptr, indices, values = csr.indptr.copy(), csr.indices.copy(), csr.data
+        else:
+            row_order = np.asarray(row_order, dtype=np.intp)
+            if row_order.shape != (m,):
+                raise DimensionMismatch([f"row order has shape {row_order.shape}, expected {(m,)}"])
+            lengths = lengths[row_order]
+            row_scale = row_scale[row_order]
+            indptr = np.zeros_like(csr.indptr)
+            np.cumsum(lengths, out=indptr[1:])
+            # where in M each entry of the result sits
+            source = np.arange(self.nnz, dtype=indptr.dtype)
+            source += np.repeat(csr.indptr[row_order] - indptr[:-1], lengths)
+            indices, values = csr.indices[source], csr.data[source]
+            del source
+        data = np.repeat(row_scale, lengths)
+        with np.errstate(over="ignore"):  # _own reports an overflow as NonFiniteData
+            data *= col_scale[indices]
+            data *= values
+        out = SparseMatrix.__new__(SparseMatrix)
+        out._own(sp.csr_matrix((data, indices, indptr), shape=self.shape))
+        return out
+
+    def row_lengths(self):
+        """Number of stored nonzeros in each row."""
+        return np.diff(self._csr.indptr)
 
     @classmethod
     def vstack(cls, blocks):

@@ -4,7 +4,9 @@ All quantities here are evaluated on the original (unscaled) problem data.
 The checks' per-problem constants (the finite-bound masks, ||q||, ||c|| and
 the certificate scales) depend on the data alone: ``check_constants``
 computes them once, ``solve`` passes them to every check, and a direct call
-without them computes them itself, with the same result.
+without them computes them itself, with the same result.  ``solve`` also
+passes each candidate ray's norm, which it has computed, to the certificate
+checks.
 """
 
 from dataclasses import dataclass
@@ -88,14 +90,15 @@ def check_constants(saddle):
     with np.errstate(over="ignore"):
         data_norm_q = float(np.linalg.norm(saddle.q))
         data_norm_c = float(np.linalg.norm(saddle.c))
+        norm_q, norm_c = _norm(saddle.q), _norm(saddle.c)
     return CheckConstants(
         lfin=lfin,
         ufin=ufin,
         below=below if below.any() else None,
         above=above if above.any() else None,
         both=both if both.any() else None,
-        norm_q=_norm(saddle.q),
-        norm_c=_norm(saddle.c),
+        norm_q=norm_q,
+        norm_c=norm_c,
         primal_scale=max(1.0, data_norm_q, _finite_abs_max(l), _finite_abs_max(u)),
         dual_scale=max(1.0, data_norm_c),
     )
@@ -138,10 +141,11 @@ def _norm(*parts):
     The plain square root of the summed squares (what np.linalg.norm
     computes) whenever that sum is finite; when it overflows, the parts are
     rescaled by their largest magnitude first, as LAPACK's dnrm2 does, so a
-    huge vector gets a large (or infinite) norm without an overflow warning.
+    huge vector gets a large (or infinite) norm.  Run it under
+    np.errstate(over="ignore"), as ``solve``'s loop is, for that to come
+    without an overflow warning.
     """
-    with np.errstate(over="ignore"):
-        squares = sum(float(p.dot(p)) for p in parts)
+    squares = sum(float(p.dot(p)) for p in parts)
     if math.isfinite(squares):
         return math.sqrt(squares)
     scale = max(float(np.max(np.abs(p))) for p in parts if p.size)
@@ -159,14 +163,13 @@ def kkt_error(saddle, x, y, constants=None):
     m1 = saddle.m1
     ineq_violation = np.maximum(saddle.q[:m1] - kx[:m1], 0.0)
     eq_violation = kx[m1:] - saddle.q[m1:]
-    primal_residual = _norm(ineq_violation, eq_violation)
-
     r = saddle.c - saddle.K.rmatvec(y)
     lam = _project_reduced_costs(r, constants.lfin, constants.ufin)
     diff = r - lam
-    dual_residual = _norm(diff)
 
-    with np.errstate(over="ignore"):  # an overflowing objective is inf, not a warning
+    with np.errstate(over="ignore"):  # an overflowing norm or objective is inf, not a warning
+        primal_residual = _norm(ineq_violation, eq_violation)
+        dual_residual = _norm(diff)
         primal_objective = float(saddle.c @ x)
         dual_objective = float(saddle.q @ y) + bound_objective_term(lam, saddle.l, saddle.u)
     duality_gap = abs(primal_objective - dual_objective)
@@ -223,23 +226,25 @@ class CertificateVerdict:
 
 def _unit(ray):
     ray = np.asarray(ray, dtype=np.float64)
-    norm = _norm(ray)
+    with np.errstate(over="ignore"):
+        norm = _norm(ray)
     if norm == 0.0 or not math.isfinite(norm):
         raise NotACertificate("certificate candidate has zero or non-finite norm")
     return ray / norm
 
 
-def check_primal_infeasible(saddle, y_ray, tol, constants=None):
+def check_primal_infeasible(saddle, y_ray, tol, constants=None, *, norm=None):
     """Test a dual ray y as a certificate of primal infeasibility.
 
     After unit normalization the ray must lie in the dual cone up to tol,
     its reduced costs -K'y must be attainable up to tol, and the certified
     objective gain must clear tol relative to the data magnitude.
-    ``constants`` as for ``kkt_error``.
+    ``constants`` as for ``kkt_error``; ``norm``, when given, is the ray's
+    norm, finite and nonzero.
     """
     if constants is None:
         constants = check_constants(saddle)
-    yhat = _unit(y_ray)
+    yhat = _unit(y_ray) if norm is None else y_ray / norm
     m1 = saddle.m1
     cone_violation = float(max(0.0, -yhat[:m1].min())) if m1 else 0.0
     rhat = -saddle.K.rmatvec(yhat)
@@ -252,12 +257,13 @@ def check_primal_infeasible(saddle, y_ray, tol, constants=None):
     return CertificateVerdict(valid=valid, residual=residual, gain=gain, margin=gain / scale - residual)
 
 
-def check_dual_infeasible(saddle, x_ray, tol, constants=None):
+def check_dual_infeasible(saddle, x_ray, tol, constants=None, *, norm=None):
     """Test a primal ray d as a certificate of dual infeasibility
-    (primal unboundedness direction); ``constants`` as for ``kkt_error``."""
+    (primal unboundedness direction); ``constants`` and ``norm`` as for
+    ``check_primal_infeasible``."""
     if constants is None:
         constants = check_constants(saddle)
-    d = _unit(x_ray)
+    d = _unit(x_ray) if norm is None else x_ray / norm
     kd = saddle.K.matvec(d)
     m1 = saddle.m1
     residual = 0.0

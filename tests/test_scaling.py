@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import pdhg_lp as pl
-from pdhg_lp import SparseMatrix
+from pdhg_lp import SparseMatrix, scaling as scaling_module
+from pdhg_lp.scaling import ROW_ORDER_MIN_NNZ, length_order
+
+from conftest import random_feasible_lp
 
 
 def random_matrix(rng, m, n, spread=2.0):
@@ -197,3 +201,137 @@ class TestApplyAndRoundTrip:
         c = a.compose(b)
         np.testing.assert_array_equal(c.row_scale, [6.0])
         np.testing.assert_array_equal(c.col_scale, [1.0, 1.0])
+
+
+def rows_of_lengths(lengths, n=None):
+    """A matrix whose row i holds lengths[i] entries, each row's value
+    telling its index."""
+    n = n or max(lengths)
+    dense = np.zeros((len(lengths), n))
+    for i, k in enumerate(lengths):
+        dense[i, :k] = i + 1.0 + np.arange(k) / n
+    return SparseMatrix(dense, shape=dense.shape)
+
+
+@pytest.fixture
+def no_floor(monkeypatch):
+    """Order matrices of any size, so small ones show the rule."""
+    monkeypatch.setattr(scaling_module, "ROW_ORDER_MIN_NNZ", 0)
+
+
+class TestLengthOrder:
+    def test_longest_rows_first_within_each_block(self, no_floor):
+        mat = rows_of_lengths([1, 3, 2, 1, 4, 2])
+        np.testing.assert_array_equal(length_order(mat, 3), [1, 2, 0, 4, 5, 3])
+        # the m1 block stays first even where the other block's rows are longer
+        order = length_order(mat, 2)
+        np.testing.assert_array_equal(order, [1, 0, 4, 2, 5, 3])
+        assert set(order[:2]) == {0, 1}
+
+    def test_sort_is_stable(self, no_floor):
+        mat = rows_of_lengths([2, 3, 2, 3, 1, 2])
+        np.testing.assert_array_equal(length_order(mat, 0), [1, 3, 0, 2, 5, 4])
+        np.testing.assert_array_equal(length_order(mat, 6), [1, 3, 0, 2, 5, 4])
+
+    def test_identity_when_rows_are_already_in_order(self, no_floor):
+        assert length_order(rows_of_lengths([3, 3, 2, 1]), 0) is None
+        assert length_order(rows_of_lengths([2, 1, 3, 3]), 2) is None
+
+    def test_identity_below_the_floor(self):
+        lengths = np.resize([1, 5, 3], 3 * (ROW_ORDER_MIN_NNZ // 9))
+        csr = rows_of_lengths(lengths.tolist(), 5)
+        assert 0 < csr.nnz < ROW_ORDER_MIN_NNZ
+        assert length_order(csr, 0) is None
+        # criterion 8's LPs keep their rows, and so their iterates
+        for seed in range(20):
+            saddle = pl.to_saddle(random_feasible_lp(seed))
+            assert saddle.K.nnz < ROW_ORDER_MIN_NNZ
+            assert pl.combined_rescale(saddle.K, m1=saddle.m1).row_order is None
+
+    def test_identity_when_all_rows_have_the_same_length(self):
+        m = ROW_ORDER_MIN_NNZ // 3 + 1
+        band = sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(m, m + 2), format="csr")
+        mat = SparseMatrix(band)
+        assert mat.nnz >= ROW_ORDER_MIN_NNZ
+        assert length_order(mat, m // 2) is None
+
+    def test_pagerank_rows_ordered_above_the_floor(self):
+        saddle = pl.to_saddle(pl.generate_pagerank(pl.PagerankSpec(num_nodes=2500)))
+        assert saddle.K.nnz >= ROW_ORDER_MIN_NNZ
+        order = length_order(saddle.K, saddle.m1)
+        lengths = saddle.K.row_lengths()[order]
+        assert np.all(np.diff(lengths[: saddle.m1]) <= 0)
+        # the one equality row stays last
+        assert order[-1] == saddle.m1
+        np.testing.assert_array_equal(np.sort(order), np.arange(saddle.num_dual))
+
+    def test_combined_rescale_orders_only_given_m1(self, no_floor):
+        mat = rows_of_lengths([1, 3, 2])
+        assert pl.combined_rescale(mat).row_order is None
+        for mode in scaling_module.SCALING_MODES:
+            info = pl.combined_rescale(mat, mode=mode, m1=0)
+            np.testing.assert_array_equal(info.row_order, [1, 2, 0])
+            assert not info.is_identity
+
+
+class TestWorkingSpaceRoundTrip:
+    def make(self):
+        problem = pl.LpProblem(
+            c=np.array([1.0, -2.0, 0.5, 3.0]),
+            ineq_matrix=[[1.0, 0.0, 0.0, 0.0], [1.0, 2.0, -1.0, 0.0]],
+            ineq_rhs=np.array([0.5, -1.0]),
+            eq_matrix=[[0.0, 1.0, 0.0, 0.0], [3.0, 1.0, 1.0, 4.0]],
+            eq_rhs=np.array([2.0, 7.0]),
+            lower=[0.0, -np.inf, 1.0, 0.0],
+            upper=[np.inf, 2.0, 3.0, np.inf],
+        )
+        saddle = pl.to_saddle(problem)
+        rng = np.random.default_rng(71)
+        info = pl.ScalingInfo(rng.uniform(0.1, 10.0, 4), rng.uniform(0.1, 10.0, 4), [1, 0, 3, 2])
+        return saddle, info
+
+    def test_working_data_is_the_scaled_data_gathered(self):
+        saddle, info = self.make()
+        plain = pl.apply_scaling(saddle, pl.ScalingInfo(info.row_scale, info.col_scale))
+        working = pl.apply_scaling(saddle, info)
+        assert working.m1 == saddle.m1
+        assert working.K.tocsr().data.tobytes() == plain.K.tocsr()[info.row_order].data.tobytes()
+        np.testing.assert_array_equal(working.K.toarray(), plain.K.toarray()[info.row_order])
+        assert working.q.tobytes() == plain.q[info.row_order].tobytes()
+        for name in ("c", "l", "u"):
+            assert getattr(working, name).tobytes() == getattr(plain, name).tobytes()
+
+    def test_unscale_maps_y_back_exactly(self):
+        _, info = self.make()
+        rng = np.random.default_rng(72)
+        x, y = rng.standard_normal(4), rng.standard_normal(4)
+        x_back, y_back = pl.unscale_solution(x, y, info)
+        assert x_back.tobytes() == (x * info.col_scale).tobytes()
+        assert y_back[info.row_order].tobytes() == (y * info.row_scale[info.row_order]).tobytes()
+        # the inverse: a point scaled forward into the working space comes back
+        y_orig = rng.standard_normal(4)
+        x_back, y_back = pl.unscale_solution(x, (y_orig / info.row_scale)[info.row_order], info)
+        np.testing.assert_allclose(y_back, y_orig, rtol=1e-15)
+
+    def test_lagrangian_invariant(self):
+        saddle, info = self.make()
+        working = pl.apply_scaling(saddle, info)
+        rng = np.random.default_rng(73)
+        x, y = rng.standard_normal(4), rng.standard_normal(4)
+        xw, yw = x / info.col_scale, (y / info.row_scale)[info.row_order]
+        assert pl.lagrangian(working, xw, yw) == pytest.approx(pl.lagrangian(saddle, x, y), rel=1e-12)
+
+    def test_order_must_keep_the_m1_block_first(self):
+        saddle, info = self.make()
+        with pytest.raises(pl.DimensionMismatch):
+            pl.apply_scaling(saddle, pl.ScalingInfo(info.row_scale, info.col_scale, [2, 1, 0, 3]))
+
+    def test_order_must_be_a_permutation(self):
+        for order in ([0, 0, 1, 2], [0, 1, 2], [1, 2, 3, 4]):
+            with pytest.raises(pl.DimensionMismatch):
+                pl.ScalingInfo(np.ones(4), np.ones(2), order)
+
+    def test_reordering_scalings_do_not_compose(self):
+        _, info = self.make()
+        with pytest.raises(pl.DimensionMismatch):
+            info.compose(pl.ScalingInfo.identity((4, 4)))

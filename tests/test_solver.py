@@ -6,6 +6,7 @@ import pytest
 import scipy.optimize
 
 import pdhg_lp as pl
+from pdhg_lp.scaling import ROW_ORDER_MIN_NNZ
 
 from conftest import planted_unbounded_lp, random_feasible_lp
 
@@ -466,3 +467,54 @@ class TestLogging:
         assert logged.iterations == quiet.iterations
         np.testing.assert_array_equal(logged.x, quiet.x)
         np.testing.assert_array_equal(logged.y, quiet.y)
+
+
+class TestWorkingSpaceRowOrder:
+    """LPs above ROW_ORDER_MIN_NNZ run with K's rows grouped by length;
+    what ``solve`` reports is in the original rows, checked on the original
+    data."""
+
+    @staticmethod
+    def pagerank(num_nodes=2500):
+        problem = pl.generate_pagerank(pl.PagerankSpec(num_nodes=num_nodes))
+        saddle = pl.to_saddle(problem)
+        assert saddle.K.nnz >= ROW_ORDER_MIN_NNZ
+        assert pl.combined_rescale(saddle.K, m1=saddle.m1).row_order is not None
+        return problem, saddle
+
+    def test_report_reproduces_its_kkt_on_the_original_data(self):
+        problem, saddle = self.pagerank()
+        report = pl.solve(problem)
+        assert report.status == pl.STATUS_OPTIMAL
+        again = pl.kkt_error(saddle, report.x, report.y)
+        assert again.reduced_costs.tobytes() == report.reduced_costs.tobytes()
+        for name in ("primal_residual", "dual_residual", "duality_gap", "rel_primal", "rel_dual", "rel_gap"):
+            assert getattr(again, name) == getattr(report.kkt, name)
+        assert max(again.rel_primal, again.rel_dual, again.rel_gap) <= 1e-8
+        # y is in the original rows: the inequality rows' duals are >= 0 and
+        # the equality row's dual carries the objective's scale
+        assert report.y[: saddle.m1].min() >= 0.0
+        assert abs(float(report.x.sum()) - 1.0) < 1e-6
+
+    def test_large_infeasible_lp_certified_on_the_original_data(self):
+        base, _ = self.pagerank()
+        n = base.num_variables
+        # a second equality row asks sum(x) = 2 where the first asks 1
+        problem = pl.LpProblem(
+            c=base.c,
+            ineq_matrix=base.ineq_matrix,
+            ineq_rhs=base.ineq_rhs,
+            eq_matrix=pl.SparseMatrix(np.ones((2, n))),
+            eq_rhs=np.array([1.0, 2.0]),
+            lower=base.lower,
+            upper=base.upper,
+            name="pagerank_contradiction",
+        )
+        saddle = pl.to_saddle(problem)
+        assert pl.combined_rescale(saddle.K, m1=saddle.m1).row_order is not None
+        report = pl.solve(problem, pl.SolverConfig(termination=pl.TerminationCriteria(iteration_limit=20_000)))
+        assert report.status == pl.STATUS_PRIMAL_INFEASIBLE
+        ray = report.certificate["ray"]
+        assert pl.check_primal_infeasible(saddle, ray, 1e-10).valid
+        # the ray pulls the two contradicting rows apart
+        assert ray[-1] > 0.0 > ray[-2]

@@ -130,6 +130,27 @@ class TestNormsAndScaling:
             scaled.toarray(), np.diag(r) @ dense @ np.diag(c), atol=1e-14
         )
 
+    def test_scaled_gathers_rows_by_the_order(self):
+        rng = np.random.default_rng(8)
+        dense = rng.standard_normal((6, 5)) * (rng.random((6, 5)) < 0.5)
+        mat = SparseMatrix(dense, shape=(6, 5))
+        r, c = rng.uniform(0.5, 2.0, 6), rng.uniform(0.5, 2.0, 5)
+        order = rng.permutation(6)
+        plain = mat.scaled(r, c)
+        working = mat.scaled(r, c, order)
+        np.testing.assert_array_equal(working.toarray(), plain.toarray()[order])
+        np.testing.assert_array_equal(working.row_lengths(), plain.row_lengths()[order])
+        with pytest.raises(DimensionMismatch):
+            mat.scaled(r, c, order[:5])
+
+    def test_scaled_drops_entries_that_underflow_and_rejects_overflow(self):
+        mat = SparseMatrix(np.array([[1e-300, 1.0], [2.0, 1e300]]), shape=(2, 2))
+        tiny = mat.scaled([1e-300, 1.0], [1.0, 1.0], [1, 0])
+        assert tiny.nnz == 3
+        np.testing.assert_array_equal(tiny.toarray(), [[2.0, 1e300], [0.0, 1e-300]])
+        with pytest.raises(NonFiniteData):
+            mat.scaled([1.0, 1e10], [1.0, 1.0], [1, 0])
+
     def test_vstack_matches_dense(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((2, 4))
@@ -216,6 +237,50 @@ class TestStorage:
         assert own.nnz >= 190_000
         arrays = own.data.nbytes + own.indices.nbytes + own.indptr.nbytes
         assert kept <= 1.15 * arrays
+
+
+    def test_scaled_matrix_built_in_one_copy(self):
+        # the scaled, reordered matrix costs little more than its own arrays
+        csr = sp.random(2000, 2000, density=0.05, random_state=2, format="csr")
+        mat = SparseMatrix(csr)
+        rng = np.random.default_rng(2)
+        r, c, order = rng.uniform(0.5, 2.0, 2000), rng.uniform(0.5, 2.0, 2000), rng.permutation(2000)
+        tracemalloc.start()
+        try:
+            out = mat.scaled(r, c, order)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        own = out.tocsr()
+        arrays = own.data.nbytes + own.indices.nbytes + own.indptr.nbytes
+        assert kept <= 1.15 * arrays
+        assert peak <= 2.5 * arrays
+
+
+class TestWorkingSpaceProducts:
+    """Products with the scaled K whose rows are gathered by an order."""
+
+    @pytest.fixture(scope="class")
+    def spaces(self):
+        saddle = pl.to_saddle(pl.generate_pagerank(pl.PagerankSpec(num_nodes=2500)))
+        order = pl.combined_rescale(saddle.K, m1=saddle.m1).row_order
+        rng = np.random.default_rng(5)
+        r, c = rng.uniform(0.5, 2.0, saddle.num_dual), rng.uniform(0.5, 2.0, saddle.num_primal)
+        return saddle.K.scaled(r, c), saddle.K.scaled(r, c, order), order
+
+    def test_matvec_is_the_original_matvec_permuted_bit_for_bit(self, spaces):
+        plain, working, order = spaces
+        assert order is not None
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            x = rng.standard_normal(plain.shape[1])
+            assert working.matvec(x).tobytes() == plain.matvec(x)[order].tobytes()
+
+    def test_rmatvec_matches_the_original_rmatvec(self, spaces):
+        # the column kernel sums each column in the new row order
+        plain, working, order = spaces
+        y = np.random.default_rng(7).standard_normal(plain.shape[0])
+        np.testing.assert_allclose(working.rmatvec(y[order]), plain.rmatvec(y), rtol=1e-13, atol=1e-13)
 
 
 class TestColumnKernelSolves:

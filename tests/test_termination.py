@@ -361,6 +361,8 @@ class TestCheckConstants:
                 expected = reference(saddle, ray, 1e-10)
                 assert check(saddle, ray, 1e-10, constants) == expected
                 assert check(saddle, ray, 1e-10) == expected
+                # solve passes the norm it computed once
+                assert check(saddle, ray, 1e-10, constants, norm=termination._norm(ray)) == expected
                 verdicts += 1
         return verdicts
 
