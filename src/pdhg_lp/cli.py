@@ -39,7 +39,7 @@ from .solver import (
     SolverConfig,
     solve,
 )
-from .stepsize import POLICY_MODES, StepPolicy, WeightPolicy
+from .stepsize import STEP_MODES, WEIGHT_MODES, StepPolicy, WeightPolicy
 from .termination import TerminationCriteria
 
 EXIT_BY_STATUS = {
@@ -118,7 +118,7 @@ def _add_solver_flags(p):
     flag("--pc-alpha", "pc_alpha", type=float)
     flag("--restart", "restart.scheme", metavar="{none,adaptive,fixed=K}")
     flag("--restart-beta", "restart.sufficient_decay", type=float)
-    flag("--step-size", "step.mode", metavar="{adaptive,fixed,fixed=S}")
+    flag("--step-size", "step.mode", metavar="{halpern,adaptive,fixed,fixed=S}")
     flag("--primal-weight", "weight.mode", metavar="{adaptive,fixed=W}")
     flag("--no-infeasibility-detection", "detect_infeasibility", action="store_false")
     flag("--log-every", "log_interval", type=int, metavar="N",
@@ -129,8 +129,8 @@ def _add_solver_flags(p):
 # dest -> (name in messages, the field V sets, V's type, the bare modes).
 _MODE_FLAGS = {
     "config.restart.scheme": ("restart", "period", int, RESTART_SCHEMES),
-    "config.step.mode": ("step_size", "fixed_step", float, POLICY_MODES),
-    "config.weight.mode": ("primal_weight", "fixed_weight", float, POLICY_MODES),
+    "config.step.mode": ("step_size", "fixed_step", float, STEP_MODES),
+    "config.weight.mode": ("primal_weight", "fixed_weight", float, WEIGHT_MODES),
 }
 
 

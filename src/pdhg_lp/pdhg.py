@@ -16,6 +16,14 @@ trial that is always accepted.  A fixed step forms only the point: the
 displacement, movement and interaction are the adaptive rule's, and it
 alone computes them.
 
+``halpern_step`` applies the same point, T(z), as an operator: reflected
+Halpern iteration (Lu & Yang, arXiv 2407.16144) moves to
+
+    z_{k+1} = (k+1)/(k+2) (2 T(z_k) - z_k) + z_0 / (k+2)
+
+with z_0 the epoch's anchor, and mixes K x the same way from cached
+products, so it too costs one matvec and one rmatvec.
+
 The kernel runs under np.errstate(over="ignore", invalid="ignore"), so that
 a diverging iterate is reported as NonFiniteIterate and not as a warning.
 ``pdhg_step`` and ``adaptive_step`` enter that state on every call unless
@@ -88,7 +96,8 @@ class IterateState:
     replaced vectors as work buffers: hold a copy, not a reference, of an
     iterate that must outlive the next step.  After a step, ``buffers.x`` and
     ``buffers.y`` hold the iterate it replaced until the next step starts;
-    ``apply_restart`` leaves them alone.
+    ``apply_restart`` leaves them alone.  ``anchor`` is the Halpern
+    epoch's start (x, y, K x), copied at the epoch's first Halpern step.
     """
 
     x: np.ndarray
@@ -101,6 +110,7 @@ class IterateState:
     kx: np.ndarray = field(default=None, repr=False)
     trial_count: int = 0
     buffers: StepBuffers = field(default=None, init=False, repr=False, compare=False)
+    anchor: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.x = np.array(self.x, dtype=np.float64)
@@ -235,6 +245,66 @@ def pdhg_step(state, saddle, step, avg_weight=1.0, *, errstate=True):
         raise NonFiniteIterate(f"iterate became non-finite at total iteration {state.total_count + 1}")
     accept_step(state, buf, trial[0], avg_weight)
     return state
+
+
+def halpern_step(state, saddle, step, *, errstate=True):
+    """Advance the iterate by one reflected Halpern step (in place).
+
+    With T the PDHG operator at the state's step, k = ``state.inner_count``
+    and z_0 the anchor, taken at the epoch's first step:
+
+        z_{k+1} = (k+1)/(k+2) (2 T(z_k) - z_k) + z_0 / (k+2)
+
+    in that order of operations, and K x_{k+1} the same mix of K x_T, K x_k
+    and K x_0.  The mixes are written into the work buffers, which then
+    change places with the iterate: afterwards ``buffers.x``/``buffers.y``
+    hold T(z_k) and ``buffers.grad``/``buffers.dkx`` hold z_k, until the
+    next step starts.  Returns K x_T.  Raises NonFiniteIterate, the iterate
+    untouched, when T(z_k) is not finite.  ``errstate`` as for
+    ``pdhg_step``.
+    """
+    if errstate:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return halpern_step(state, saddle, step, errstate=False)
+    buf = step_gradient(state, saddle)
+    k = state.inner_count
+    if k == 0:
+        state.anchor = (state.x.copy(), state.y.copy(), state.kx.copy())
+    trial = trial_step(state, saddle, buf, step.step_size, step.primal_weight, measure=False)
+    if trial is None:
+        raise NonFiniteIterate(f"iterate became non-finite at total iteration {state.total_count + 1}")
+    kx_t = trial[0]
+    x0, y0, kx0 = state.anchor
+    share = (k + 1) / (k + 2)
+    _halpern_mix(buf.x, state.x, x0, share, k + 2, out=buf.grad, spare=buf.dx)
+    _halpern_mix(buf.y, state.y, y0, share, k + 2, out=buf.dkx, spare=buf.dy)
+    _halpern_mix(kx_t, state.kx, kx0, share, k + 2, out=buf.dy, spare=state.kx)
+    state.x, buf.grad = buf.grad, state.x
+    state.y, buf.dkx = buf.dkx, state.y
+    state.kx, buf.dy = buf.dy, state.kx
+    state.inner_count += 1
+    state.total_count += 1
+    return kx_t
+
+
+def _halpern_mix(t, z, z0, share, denominator, out, spare):
+    """out = share (2 t - z) + z0 / denominator; ``spare`` may be z, which
+    is read before spare is written."""
+    np.multiply(t, 2.0, out=out)
+    np.subtract(out, z, out=out)
+    np.multiply(out, share, out=out)
+    np.divide(z0, denominator, out=spare)
+    np.add(out, spare, out=out)
+
+
+def fixed_point_residual(state, step):
+    """||T(z) - z|| in the weighted norm sqrt(w ||dx||^2 + ||dy||^2 / w),
+    for the z and T(z) that the last ``halpern_step`` left in the buffers."""
+    buf = state.buffers
+    np.subtract(buf.x, buf.grad, out=buf.dx)
+    np.subtract(buf.y, buf.dkx, out=buf.dy)
+    w = step.primal_weight
+    return math.sqrt(w * float(buf.dx.dot(buf.dx)) + float(buf.dy.dot(buf.dy)) / w)
 
 
 def ps_norm(z1, z2, step, mode="omega", matrix=None):

@@ -1,5 +1,10 @@
 """Restart machinery: the normalized duality gap and restart decisions.
 
+Under PDHG the adaptive scheme restarts to the epoch's average when its
+normalized duality gap has decayed; under the Halpern step it restarts to
+T(z) when the fixed-point residual ||z - T(z)|| has decayed (Lu & Yang,
+arXiv 2407.16144).
+
 The normalized duality gap of a point z = (x, y) at radius r is
 
     rho_r(z) = max { d'delta : ||delta||_2 <= r, z + delta in Z } / r
@@ -26,6 +31,14 @@ RESTART_SCHEMES = ("none", "adaptive", "fixed")
 GAP_EVAL_INTERVAL = 40
 ARTIFICIAL_FRACTION = 0.36
 MIN_ARTIFICIAL = 10
+# Under the Halpern step the adaptive scheme tests the residual every
+# RESIDUAL_EVAL_INTERVAL epoch iterations, and the artificial cap at every
+# iteration.  It restarts once the residual is at most
+# RESIDUAL_SUFFICIENT_DECAY times the epoch's first, or at most
+# RESIDUAL_NECESSARY_DECAY times it and above the previous test's.
+RESIDUAL_EVAL_INTERVAL = 8
+RESIDUAL_SUFFICIENT_DECAY = 0.2
+RESIDUAL_NECESSARY_DECAY = 0.8
 
 
 @dataclass(frozen=True)
@@ -33,9 +46,12 @@ class RestartConfig:
     """Restart scheme parameters.
 
     scheme: "none", "fixed" (restart every ``period`` iterations) or
-    "adaptive" (normalized-gap decay test, evaluated every
-    ``GAP_EVAL_INTERVAL`` iterations, plus an artificial cap).  A restart
-    always goes to the running average of the epoch.
+    "adaptive" (a decay test plus an artificial cap).  Under PDHG the decay
+    test is on the normalized gap, every ``GAP_EVAL_INTERVAL`` iterations,
+    with ``sufficient_decay`` as its bound, and a restart goes to the
+    running average of the epoch.  Under the Halpern step it is on the
+    fixed-point residual, every ``RESIDUAL_EVAL_INTERVAL`` iterations, the
+    cap is tested at every iteration, and a restart goes to T(z).
     """
 
     scheme: str = "adaptive"
@@ -132,14 +148,16 @@ def normalized_duality_gap(saddle, x, y, radius, *, stop_above=math.inf):
     return max(float(d @ best), 0.0) / radius
 
 
-def should_restart(state, config, candidate_gap=None, reference_gap=None):
+def should_restart(state, config, candidate_gap=None, reference_gap=None, residuals=None):
     """Decide whether to restart now.
 
     Returns (restart, reason).  The fixed scheme fires once the epoch
     reaches ``config.period`` iterations.  For the adaptive scheme
     ``candidate_gap`` is the normalized gap of the restart candidate at its
     distance from the epoch start; the sufficient-decay test compares it
-    against ``reference_gap``, measured when the epoch started, and an
+    against ``reference_gap``, measured when the epoch started.  Under the
+    Halpern step ``residuals`` is (now, the epoch's first, the previous
+    test's) fixed-point residual, tested as RESIDUAL_*_DECAY say.  An
     artificial cap bounds the epoch length by max(MIN_ARTIFICIAL,
     ARTIFICIAL_FRACTION * total iterations).
     """
@@ -149,7 +167,11 @@ def should_restart(state, config, candidate_gap=None, reference_gap=None):
         if state.inner_count >= config.period:
             return True, "fixed_period"
         return False, None
-    if (
+    if residuals is not None:
+        now, first, previous = residuals
+        if now <= RESIDUAL_SUFFICIENT_DECAY * first or previous < now <= RESIDUAL_NECESSARY_DECAY * first:
+            return True, "residual_decay"
+    elif (
         candidate_gap is not None
         and reference_gap is not None
         and candidate_gap <= config.sufficient_decay * reference_gap

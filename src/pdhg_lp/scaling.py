@@ -15,6 +15,8 @@ row kernels run one inner loop per row, and when row lengths vary at random
 the CPU mispredicts where each loop ends; grouped, the ends are predictable.
 """
 
+import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,12 +90,14 @@ def length_order(matrix, m1):
     return np.concatenate([np.argsort(-blocks[0], kind="stable"), m1 + np.argsort(-blocks[1], kind="stable")])
 
 
-def ruiz_rescale(matrix, num_iters=10):
+def ruiz_rescale(matrix, num_iters=10, *, deadline=math.inf):
     """Iterative Ruiz equilibration.
 
     Each sweep divides every row and column by the square root of its
     infinity norm, both norms measured on the current rescaled matrix.
-    Empty rows/columns keep scale 1.  Returns the accumulated ScalingInfo.
+    Empty rows/columns keep scale 1.  Returns the accumulated ScalingInfo,
+    of fewer sweeps when ``time.perf_counter()`` reaches ``deadline``
+    before one.
     """
     if num_iters < 0:
         raise NonPositiveInput("num_iters must be >= 0")
@@ -105,14 +109,22 @@ def ruiz_rescale(matrix, num_iters=10):
     coo = matrix.tocoo()
     rows, cols, vals = coo.row, coo.col, np.abs(coo.data)
     for _ in range(num_iters):
-        cur = vals * d1[rows] * d2[cols]
-        row_inf = np.zeros(m)
-        np.maximum.at(row_inf, rows, cur)
-        col_inf = np.zeros(n)
-        np.maximum.at(col_inf, cols, cur)
-        d1 = np.where(row_inf > 0, d1 / np.sqrt(np.maximum(row_inf, 1e-300)), d1)
-        d2 = np.where(col_inf > 0, d2 / np.sqrt(np.maximum(col_inf, 1e-300)), d2)
+        if time.perf_counter() >= deadline:
+            break
+        d1, d2 = _ruiz_sweep(rows, cols, vals, d1, d2)
     return ScalingInfo(d1, d2)
+
+
+def _ruiz_sweep(rows, cols, vals, d1, d2):
+    """One Ruiz sweep over the COO triplets of |M|: the new (d1, d2)."""
+    cur = vals * d1[rows] * d2[cols]
+    row_inf = np.zeros(d1.size)
+    np.maximum.at(row_inf, rows, cur)
+    col_inf = np.zeros(d2.size)
+    np.maximum.at(col_inf, cols, cur)
+    d1 = np.where(row_inf > 0, d1 / np.sqrt(np.maximum(row_inf, 1e-300)), d1)
+    d2 = np.where(col_inf > 0, d2 / np.sqrt(np.maximum(col_inf, 1e-300)), d2)
+    return d1, d2
 
 
 def pock_chambolle_rescale(matrix, alpha=1.0):
@@ -131,24 +143,25 @@ def pock_chambolle_rescale(matrix, alpha=1.0):
     return ScalingInfo(d1, d2)
 
 
-def combined_rescale(matrix, mode="ruiz+pc", ruiz_iters=10, pc_alpha=1.0, *, m1=None):
+def combined_rescale(matrix, mode="ruiz+pc", ruiz_iters=10, pc_alpha=1.0, *, m1=None, deadline=math.inf):
     """Build the scaling for a named pipeline.
 
     ``ruiz+pc`` runs Ruiz sweeps and then one Pock-Chambolle pass on the
     Ruiz-scaled matrix, composing both into a single ScalingInfo.  Given
     ``m1``, the number of sign-constrained rows, the result also carries
     ``length_order(matrix, m1)``; without it the rows keep their order.
+    ``deadline`` stops the Ruiz sweeps as in ``ruiz_rescale``.
     """
     if mode not in SCALING_MODES:
         raise NonPositiveInput(f"unknown scaling mode {mode!r}")
     if mode == "none":
         scaling = ScalingInfo.identity(matrix.shape)
     elif mode == "ruiz":
-        scaling = ruiz_rescale(matrix, ruiz_iters)
+        scaling = ruiz_rescale(matrix, ruiz_iters, deadline=deadline)
     elif mode == "pc":
         scaling = pock_chambolle_rescale(matrix, pc_alpha)
     else:
-        first = ruiz_rescale(matrix, ruiz_iters)
+        first = ruiz_rescale(matrix, ruiz_iters, deadline=deadline)
         scaled = matrix.scaled(first.row_scale, first.col_scale)
         scaling = first.compose(pock_chambolle_rescale(scaled, pc_alpha))
     if m1 is not None:

@@ -26,11 +26,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import NonFiniteIterate, NonPositiveInput, StepSizeUnderflow
-from .pdhg import IterateState, pdhg_step
+from .pdhg import IterateState, fixed_point_residual, halpern_step, pdhg_step
 from .problem import to_saddle, validate
 from . import restarts, stepsize
 from .restarts import RestartConfig, apply_restart, normalized_duality_gap, should_restart
-from .scaling import SCALING_MODES, apply_scaling, combined_rescale, unscale_solution
+from .scaling import SCALING_MODES, ScalingInfo, apply_scaling, combined_rescale, unscale_solution
 from .sparse import spectral_norm_estimate
 from .stepsize import StepPolicy, WeightPolicy, adaptive_step, initialize_step_state, update_primal_weight
 from .termination import (
@@ -56,6 +56,9 @@ STATUS_NUMERICAL_ERROR = "numerical_error"
 # consecutive checks that must find a valid ray before an infeasibility
 # verdict is returned
 CONFIRMATIONS_REQUIRED = 2
+
+# ARPACK's relative tolerance on ||K~||^2 for the spectral estimate
+NORM_TOLERANCE = 1e-6
 
 # A normalized candidate ray that passes an infeasibility check at this loose
 # tolerance freezes the adaptive step: PDHG reveals the ray only for a fixed
@@ -106,10 +109,10 @@ class SolveReport:
     problem (sign and constant offset applied).  ``kkt`` carries the final
     relative/absolute residuals; ``certificate`` is populated only for the
     two infeasible statuses.  ``restarts_by_reason`` splits ``restarts`` by
-    the rule that fired (gap_decay, artificial, fixed_period);
-    ``step_trials`` counts the trial points computed, so the adaptive rule
-    rejected ``step_trials - iterations`` of them (a fixed step is one
-    trial, always accepted).
+    the rule that fired (gap_decay, residual_decay, artificial,
+    fixed_period); ``step_trials`` counts the trial points computed, so the
+    adaptive rule rejected ``step_trials - iterations`` of them (a fixed or
+    Halpern step is one trial, always accepted).
     """
 
     status: str
@@ -150,13 +153,14 @@ def _log_progress(iteration, kkt, step):
 
 
 def _estimate_norm(matrix, deadline, notes):
-    """||matrix|| by power iteration, stopped at ``deadline``; a budget that
-    runs out leaves a line in ``notes``.  Returns (estimate, seconds)."""
+    """||matrix|| by ``spectral_norm_estimate``, stopped at ``deadline``; a
+    budget that runs out leaves a line in ``notes``.  Returns (estimate,
+    seconds)."""
     t_mark = time.perf_counter()
-    estimate = spectral_norm_estimate(matrix, tol=1e-4, max_iters=5000, seed=0, deadline=deadline)
+    estimate = spectral_norm_estimate(matrix, tol=NORM_TOLERANCE, max_iters=5000, deadline=deadline)
     seconds = time.perf_counter() - t_mark
     if not estimate.converged:
-        budget = "iteration budget" if estimate.iterations == 5000 else "time limit"
+        budget = "time limit" if time.perf_counter() >= deadline else "iteration budget"
         notes.append(f"spectral norm estimate hit its {budget}; using best value")
     return estimate.value, seconds
 
@@ -185,7 +189,8 @@ def _ray_hits(saddle0, candidates, tol, constants):
 
 
 def solve(problem, config=None, callback=None):
-    """Run restarted PDHG on an LpProblem and return a SolveReport.
+    """Run restarted PDHG, by default as reflected Halpern iteration, on an
+    LpProblem and return a SolveReport.
 
     ``callback``, if given, is invoked at every termination check as
     ``callback(iteration, kkt_report, step_state)``, inside the loop's
@@ -194,53 +199,75 @@ def solve(problem, config=None, callback=None):
     t_start = time.perf_counter()
     config = config or SolverConfig()
     crit = config.termination
+    deadline = t_start + crit.time_limit_sec
     validate(problem)
     saddle0 = to_saddle(problem)
 
     t_mark = time.perf_counter()
     scaling = combined_rescale(
-        saddle0.K, mode=config.scaling, ruiz_iters=config.ruiz_iterations, pc_alpha=config.pc_alpha, m1=saddle0.m1
+        saddle0.K,
+        mode=config.scaling,
+        ruiz_iters=config.ruiz_iterations,
+        pc_alpha=config.pc_alpha,
+        m1=saddle0.m1,
+        deadline=deadline,
     )
+    if time.perf_counter() >= deadline:
+        # no time left to build the working space: the first check stops the loop
+        scaling = ScalingInfo.identity(saddle0.K.shape)
     saddle = apply_scaling(saddle0, scaling)
     scaling_sec = time.perf_counter() - t_mark
 
     notes = []
-    deadline = t_start + crit.time_limit_sec
-    # ||K~|| feeds the default fixed step, and a frozen adaptive step
+    # ||K~|| feeds the constant steps, and a frozen adaptive step
     norm_k = None
     power_sec = 0.0
-    if config.step.mode == "fixed" and config.step.fixed_step is None:
+    if config.step.mode != "adaptive" and config.step.fixed_step is None:
         norm_k, power_sec = _estimate_norm(saddle.K, deadline, notes)
+    halpern = config.step.mode == "halpern"
     # the adaptive rule runs until a ray shows, then the step is frozen
     adaptive = config.step.mode == "adaptive"
     rcfg = config.restart
     adaptive_restarts = rcfg.scheme == "adaptive"
+    gap_restarts = adaptive_restarts and not halpern
 
     step = initialize_step_state(saddle, norm_k, config.step, config.weight)
     state = IterateState.initial(saddle)
 
-    # the epoch start, and for the adaptive scheme the normalized gap there
-    # that the sufficient-decay test compares against
+    # PDHG's epoch start, and for the gap rule the normalized gap there that
+    # the sufficient-decay test compares against; the Halpern epoch's start
+    # is its anchor
     start = (state.x.copy(), state.y.copy())
     reference_gap = None
     gap_evals = 0
-    if adaptive_restarts:
+    if gap_restarts:
         with np.errstate(over="ignore"):
             radius = _norm(state.x, state.y) + 1.0
         reference_gap = normalized_duality_gap(saddle, state.x, state.y, radius)
         gap_evals += 1
+    # the Halpern epoch's first fixed-point residual, and the last one tested
+    first_residual = last_residual = None
 
     x0_u, y0_u = unscale_solution(state.x, state.y, scaling)
     constants = check_constants(saddle0)
     streaks = [0, 0]  # consecutive checks with a valid primal / dual infeasibility ray
     history = []
-    restarts_by_reason = {"gap_decay": 0, "artificial": 0, "fixed_period": 0}
+    restarts_by_reason = {"gap_decay": 0, "residual_decay": 0, "artificial": 0, "fixed_period": 0}
     status = None
     reason = ""
     certificate = None
 
-    def unscale_state():
-        return unscale_solution(state.x, state.y, scaling)
+    def checked_points():
+        """The point a check tests and the one before it, in the working
+        space.  PDHG tests its iterate, whose predecessor the step kernel's
+        buffers still hold; Halpern tests the T(z) of its last step, and z
+        is the point before."""
+        buf = state.buffers
+        if buf is None:
+            return (state.x, state.y), None
+        if halpern:
+            return (buf.x, buf.y), (buf.grad, buf.dkx)
+        return (state.x, state.y), (buf.x, buf.y)
 
     iteration = 0
     # the step kernel's error state, entered once for the whole loop
@@ -251,7 +278,8 @@ def solve(problem, config=None, callback=None):
             check_due = iteration % config.check_interval == 0 or hit_iters or hit_time
             log_due = config.log_interval and iteration % config.log_interval == 0
             if check_due or log_due:
-                xu, yu = unscale_state()
+                point, before = checked_points()
+                xu, yu = unscale_solution(*point, scaling)
                 kkt = kkt_error(saddle0, xu, yu, constants)
                 if log_due:
                     _log_progress(iteration, kkt, step)
@@ -269,16 +297,12 @@ def solve(problem, config=None, callback=None):
                     reason = f"relative KKT errors at or below {crit.tol_optimal}"
                     break
                 if config.detect_infeasibility and iteration > 0:
-                    # The step kernel's buffers still hold the iterate the last step
-                    # replaced.  No local keeps it or the candidates, so they are not
-                    # held into the restart block's gap evaluations.
+                    # No local keeps the point before or the candidates, so
+                    # they are not held into the restart block's gap evaluations.
                     hits, ray_shows = _ray_hits(
                         saddle0,
                         extract_certificates(
-                            unscale_solution(state.buffers.x, state.buffers.y, scaling),
-                            (xu, yu),
-                            (x0_u, y0_u),
-                            iteration,
+                            unscale_solution(*before, scaling), (xu, yu), (x0_u, y0_u), iteration
                         ),
                         crit.tol_infeasible,
                         constants,
@@ -308,11 +332,11 @@ def solve(problem, config=None, callback=None):
                     reason = f"time limit {crit.time_limit_sec} s reached"
                     break
                 if adaptive and ray_shows:
-                    # freeze at most 0.9 / ||K~||, below which a fixed step converges
+                    # freeze at most the fixed step's 0.9 / ||K~||, below which it converges
                     norm_k, seconds = _estimate_norm(saddle.K, deadline, notes)
                     power_sec += seconds
                     if norm_k > 0:
-                        step = replace(step, step_size=min(step.step_size, 0.9 / norm_k))
+                        step = replace(step, step_size=min(step.step_size, stepsize.FIXED_STEP_FRACTION / norm_k))
                     adaptive = False
                     notes.append(
                         f"adaptive step frozen at iteration {iteration}, s = {step.step_size:.6g}:"
@@ -320,7 +344,9 @@ def solve(problem, config=None, callback=None):
                     )
 
             try:
-                if adaptive:
+                if halpern:
+                    kx_t = halpern_step(state, saddle, step, errstate=False)
+                elif adaptive:
                     state, step, accepted = adaptive_step(state, saddle, step, errstate=False)
                     if not accepted:
                         status = STATUS_NUMERICAL_ERROR
@@ -334,15 +360,36 @@ def solve(problem, config=None, callback=None):
                 break
             iteration += 1
 
-            # Restart to the epoch average.  The fixed scheme decides from the
-            # epoch length alone; the adaptive one every GAP_EVAL_INTERVAL
-            # iterations and at check points, from the average's normalized gap.
-            if rcfg.scheme == "fixed" or (
-                adaptive_restarts
+            # Restart.  The fixed scheme decides from the epoch length alone.
+            # The adaptive one decides under the Halpern step from the
+            # fixed-point residual every RESIDUAL_EVAL_INTERVAL iterations and
+            # from the artificial cap at every iteration, and goes to T(z);
+            # under PDHG it decides every GAP_EVAL_INTERVAL iterations and at
+            # check points, from the epoch average's normalized gap, and goes
+            # to the average.
+            decide = False
+            candidate = candidate_gap = residuals = None
+            if halpern:
+                inner = state.inner_count
+                test_residual = adaptive_restarts and inner % restarts.RESIDUAL_EVAL_INTERVAL == 0
+                decide = (
+                    rcfg.scheme == "fixed"
+                    or test_residual
+                    or (adaptive_restarts and restarts.artificial_cap_reached(state))
+                )
+                if test_residual or (adaptive_restarts and inner == 1):
+                    residual = fixed_point_residual(state, step)
+                    if inner == 1:
+                        first_residual = last_residual = residual
+                    if test_residual:
+                        residuals = (residual, first_residual, last_residual)
+                    last_residual = residual
+            elif rcfg.scheme == "fixed" or (
+                gap_restarts
                 and (state.inner_count % restarts.GAP_EVAL_INTERVAL == 0 or iteration % config.check_interval == 0)
             ):
-                candidate = candidate_gap = None
-                if adaptive_restarts:
+                decide = True
+                if gap_restarts:
                     # the average's gap at its distance from the epoch start, when finite and nonzero
                     candidate = state.average()
                     radius = _norm(candidate[0] - start[0], candidate[1] - start[1])
@@ -356,10 +403,15 @@ def solve(problem, config=None, callback=None):
                             saddle, candidate[0], candidate[1], radius, stop_above=stop_above
                         )
                         gap_evals += 1
-                fire, why = should_restart(state, rcfg, candidate_gap=candidate_gap, reference_gap=reference_gap)
+            if decide:
+                fire, why = should_restart(
+                    state, rcfg, candidate_gap=candidate_gap, reference_gap=reference_gap, residuals=residuals
+                )
                 if fire:
                     restarts_by_reason[why] += 1
-                    if candidate is None:
+                    if halpern:
+                        candidate, start = (state.buffers.x, state.buffers.y), state.anchor
+                    elif candidate is None:
                         candidate = state.average()
                     dx_norm = _norm(candidate[0] - start[0])
                     dy_norm = _norm(candidate[1] - start[1])
@@ -368,6 +420,8 @@ def solve(problem, config=None, callback=None):
                         primal_weight=update_primal_weight(step.primal_weight, dx_norm, dy_norm, config.weight),
                     )
                     apply_restart(state, candidate)
+                    if halpern:
+                        state.kx = kx_t  # K T(z), so the next step needs no extra product
                     start = candidate
                     # the new start's gap at the distance it moved is the candidate's
                     if candidate_gap is not None:
@@ -376,7 +430,7 @@ def solve(problem, config=None, callback=None):
     # Final report.  For a numerical-error stop the state still holds the
     # last good iterate, which may be newer than the last check point.
     if status == STATUS_NUMERICAL_ERROR:
-        xu, yu = unscale_state()
+        xu, yu = unscale_solution(state.x, state.y, scaling)
         last_kkt, last_point = kkt_error(saddle0, xu, yu, constants), (xu, yu)
     xu, yu = last_point
     sign = saddle0.objective_sign

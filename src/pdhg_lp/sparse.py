@@ -78,20 +78,6 @@ class SparseMatrix:
 
     # -- reductions -------------------------------------------------------
 
-    def row_abs_max(self):
-        """Infinity norm of each row (zeros for empty rows)."""
-        out = np.zeros(self.shape[0])
-        if self.nnz:
-            rows = np.repeat(np.arange(self.shape[0]), np.diff(self._csr.indptr))
-            np.maximum.at(out, rows, np.abs(self._csr.data))
-        return out
-
-    def col_abs_max(self):
-        out = np.zeros(self.shape[1])
-        if self.nnz:
-            np.maximum.at(out, self._csr.indices, np.abs(self._csr.data))
-        return out
-
     def row_power_sum(self, power):
         """sum_j |M_ij|^power for each row i."""
         out = np.zeros(self.shape[0])
@@ -163,10 +149,6 @@ class SparseMatrix:
         return cls(sp.vstack(blocks, format="csr"))
 
     @classmethod
-    def eye(cls, n):
-        return cls(sp.eye(n, format="csr"))
-
-    @classmethod
     def empty(cls, shape):
         return cls(sp.csr_matrix(shape))
 
@@ -185,7 +167,8 @@ class SparseMatrix:
 
 
 class SpectralEstimate:
-    """Result of a power-iteration spectral norm estimate."""
+    """Result of a spectral norm estimate: the value, whether it met its
+    tolerance, and the products M^T M v (or M M^T v) it took."""
 
     __slots__ = ("value", "converged", "iterations")
 
@@ -201,35 +184,62 @@ class SpectralEstimate:
         )
 
 
-def spectral_norm_estimate(matrix, tol=1e-4, max_iters=5000, seed=0, *, deadline=math.inf):
-    """Estimate ||M||_2 by power iteration on M^T M.
+# A matrix with at most this many rows or columns has its norm taken by a
+# dense SVD, which costs less there than setting up ARPACK (and ARPACK
+# needs a space of two or more dimensions).
+DENSE_NORM_MAX_DIM = 16
 
-    Deterministic for a fixed seed.  Convergence is declared when successive
-    estimates agree to a relative tolerance of ``tol``; if the iteration
-    budget runs out, or ``time.perf_counter()`` reaches ``deadline`` before
-    a pair of products, the best estimate is returned with
-    ``converged=False``.
+
+class _Stop(Exception):
+    """Raised inside the Lanczos operator once the budget or the deadline is spent."""
+
+
+def spectral_norm_estimate(matrix, tol=1e-4, max_iters=5000, seed=0, *, deadline=math.inf):
+    """Estimate ||M||_2 as the square root of the top eigenvalue of M^T M
+    (or of M M^T, whichever is smaller), found by ARPACK's Lanczos method
+    from the all-ones vector.
+
+    ``tol`` is ARPACK's relative tolerance on that eigenvalue.  Each
+    product with the normal operator counts as one iteration; once
+    ``max_iters`` of them are spent, or ``time.perf_counter()`` reaches
+    ``deadline`` before a product, the largest ||M v|| / ||v|| seen so far
+    (a lower bound on the norm) is returned with ``converged=False``.
+    Deterministic; ``seed`` is accepted for compatibility and unused.
+    Matrices of at most DENSE_NORM_MAX_DIM rows or columns are taken by a
+    dense SVD, as converged after 0 iterations.
     """
     rows, cols = matrix.shape
     if rows == 0 or cols == 0 or matrix.nnz == 0:
         return SpectralEstimate(0.0, True, 0)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(cols)
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    for it in range(1, max_iters + 1):
-        if time.perf_counter() >= deadline:
-            return SpectralEstimate(sigma, False, it - 1)
-        y = matrix.rmatvec(matrix.matvec(x))
-        norm_y = np.linalg.norm(y)
-        if norm_y == 0.0:
-            # Landed exactly in the null space; restart from a new direction.
-            x = rng.standard_normal(cols)
-            x /= np.linalg.norm(x)
-            continue
-        new_sigma = math.sqrt(norm_y)
-        x = y / norm_y
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-30):
-            return SpectralEstimate(new_sigma, True, it)
-        sigma = new_sigma
-    return SpectralEstimate(sigma, False, max_iters)
+    if time.perf_counter() >= deadline:
+        return SpectralEstimate(0.0, False, 0)
+    if min(rows, cols) <= DENSE_NORM_MAX_DIM:
+        return SpectralEstimate(np.linalg.norm(matrix.toarray(), 2), True, 0)
+    # imported here: the import takes tens of milliseconds, which a solve
+    # that never estimates the norm should not pay
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    dim = min(rows, cols)
+    first, second = (matrix.matvec, matrix.rmatvec) if cols == dim else (matrix.rmatvec, matrix.matvec)
+    best = 0.0
+    applied = 0
+
+    def normal(v):
+        nonlocal best, applied
+        if applied >= max_iters or time.perf_counter() >= deadline:
+            raise _Stop
+        applied += 1
+        u = first(v)
+        # einsum, not BLAS: numpy's BLAS threads and the BLAS that ARPACK
+        # calls contend for the cores when both are woken in turn
+        squares_v = float(np.einsum("i,i->", v, v))
+        if squares_v > 0.0:
+            best = max(best, math.sqrt(float(np.einsum("i,i->", u, u)) / squares_v))
+        return second(u)
+
+    operator = LinearOperator((dim, dim), matvec=normal, dtype=np.float64)
+    try:
+        [value] = eigsh(operator, k=1, v0=np.ones(dim), tol=tol, return_eigenvectors=False)
+    except (_Stop, ArpackNoConvergence):
+        return SpectralEstimate(best, False, applied)
+    return SpectralEstimate(math.sqrt(max(float(value), 0.0)), True, applied)

@@ -1,5 +1,9 @@
 """Step-size and primal-weight policies.
 
+The default, Halpern, step is constant: HALPERN_STEP_FRACTION / ||K||, for
+the reflected Halpern iteration of ``pdhg.halpern_step``.  A fixed step is
+constant too, at FIXED_STEP_FRACTION / ||K||, for plain PDHG.
+
 The adaptive step rule takes a trial step at the current s, measures the
 largest step the observed displacement would have allowed,
 
@@ -22,7 +26,14 @@ from .exceptions import NonFiniteIterate, NonPositiveInput, StepSizeUnderflow
 from .pdhg import StepState, accept_step, step_gradient, trial_step
 
 
-POLICY_MODES = ("adaptive", "fixed")
+STEP_MODES = ("halpern", "adaptive", "fixed")
+WEIGHT_MODES = ("adaptive", "fixed")
+
+# The constant steps as shares of 1 / ||K||.  Halpern's margin is the
+# spectral estimate's: ARPACK's 1e-6 tolerance on ||K||^2 keeps
+# 0.998 / estimate below 1 / ||K||.
+HALPERN_STEP_FRACTION = 0.998
+FIXED_STEP_FRACTION = 0.9
 
 # The adaptive step's shrink and growth exponents, its trials per iteration,
 # and the share of the initial step below which it raises StepSizeUnderflow.
@@ -38,22 +49,26 @@ MOVEMENT_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class StepPolicy:
-    mode: str = "adaptive"  # one of POLICY_MODES
+    """``mode`` is one of STEP_MODES; ``fixed_step``, when given, is the
+    constant step of the halpern and fixed modes (the adaptive rule ignores
+    it)."""
+
+    mode: str = "halpern"
     fixed_step: float = None
 
     def __post_init__(self):
-        if self.mode not in POLICY_MODES:
+        if self.mode not in STEP_MODES:
             raise NonPositiveInput(f"unknown step mode {self.mode!r}")
         _check_positive("fixed_step", self.fixed_step)
 
 
 @dataclass(frozen=True)
 class WeightPolicy:
-    mode: str = "adaptive"  # one of POLICY_MODES
+    mode: str = "adaptive"  # one of WEIGHT_MODES
     fixed_weight: float = None
 
     def __post_init__(self):
-        if self.mode not in POLICY_MODES:
+        if self.mode not in WEIGHT_MODES:
             raise NonPositiveInput(f"unknown weight mode {self.mode!r}")
         _check_positive("fixed_weight", self.fixed_weight)
 
@@ -67,16 +82,18 @@ def _check_positive(name, value):
 def initialize_step_state(saddle, norm_k, step_policy, weight_policy):
     """Initial (s, w) for a scaled saddle problem.
 
-    Fixed mode defaults to s = 0.9 / ||K||, the one use of ``norm_k`` (it
+    The halpern and fixed modes default to s = HALPERN_STEP_FRACTION /
+    ||K|| and FIXED_STEP_FRACTION / ||K||, the one use of ``norm_k`` (it
     may be None otherwise); adaptive mode starts from s = 1 / max|K_ij| and
     lets the rule take over.  The primal weight starts at ||c|| / ||q||
     unless either norm is (near) zero.
     """
-    if step_policy.mode == "fixed":
+    if step_policy.mode != "adaptive":
+        fraction = HALPERN_STEP_FRACTION if step_policy.mode == "halpern" else FIXED_STEP_FRACTION
         if step_policy.fixed_step is not None:
             s = float(step_policy.fixed_step)
         elif norm_k > 0:
-            s = 0.9 / norm_k
+            s = fraction / norm_k
         else:
             s = 1.0
     else:

@@ -167,7 +167,9 @@ def kkt_error(saddle, x, y, constants=None):
     lam = _project_reduced_costs(r, constants.lfin, constants.ufin)
     diff = r - lam
 
-    with np.errstate(over="ignore"):  # an overflowing norm or objective is inf, not a warning
+    # an overflowing norm or objective is inf, and infinities of opposite
+    # sign in c'x are NaN, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
         primal_residual = _norm(ineq_violation, eq_violation)
         dual_residual = _norm(diff)
         primal_objective = float(saddle.c @ x)

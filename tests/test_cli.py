@@ -84,7 +84,7 @@ class TestSolve:
         assert doc["objective"]["primal"] == pytest.approx(0.0, abs=1e-8)
         assert doc["config"]["restart"]["scheme"] == "adaptive"
         assert doc["config"]["restart"]["period"] is None
-        assert doc["config"]["step"]["mode"] == "adaptive"
+        assert doc["config"]["step"]["mode"] == "halpern"
         assert doc["config"]["step"]["fixed_step"] is None
 
     def test_flags_echoed_in_config(self, toy_mps):
@@ -133,6 +133,12 @@ class TestSolve:
         )
         assert pl.config_from_flags(json.loads(out)["config"]) == expected
 
+    @pytest.mark.parametrize("mode", ["halpern", "adaptive", "fixed"])
+    def test_every_step_mode_reaches_the_config(self, toy_mps, mode):
+        code, out, _ = run_cli(["solve", toy_mps, "--step-size", mode])
+        assert code == 0
+        assert json.loads(out)["config"]["step"] == {"mode": mode, "fixed_step": None}
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -147,6 +153,7 @@ class TestSolve:
             (["--ruiz-iterations", "-1"], "num_iters must be >= 0"),
             (["--pc-alpha", "3"], "alpha must lie in [0, 2], got 3.0"),
             (["--time-limit-sec", "nan"], "config termination: time_limit_sec must be a number"),
+            (["--primal-weight", "halpern"], "bad primal_weight flag 'halpern'"),
         ],
     )
     def test_bad_mode_flag_exits_one(self, toy_mps, flags, message):

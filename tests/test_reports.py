@@ -10,14 +10,13 @@ from conftest import random_feasible_lp
 from pdhg_lp import config_flags, config_from_flags, render_json, render_text, report_to_dict
 from pdhg_lp.restarts import RESTART_SCHEMES
 from pdhg_lp.scaling import SCALING_MODES
-from pdhg_lp.stepsize import POLICY_MODES
+from pdhg_lp.stepsize import STEP_MODES, WEIGHT_MODES
 
 
 # Fields the configs check against a closed set of values or a range.
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _CHECKED = {
     "scheme": st.sampled_from(RESTART_SCHEMES),
-    "mode": st.sampled_from(POLICY_MODES),
     "scaling": st.sampled_from(SCALING_MODES),
     "check_interval": st.integers(min_value=1),
     "period": st.integers(min_value=1) | st.none(),
@@ -31,6 +30,9 @@ _CHECKED = {
     "iteration_limit": st.integers(min_value=0),
     "log_interval": st.integers(min_value=0),
 }
+
+# The modes each policy accepts.
+_MODES = {pl.StepPolicy: STEP_MODES, pl.WeightPolicy: WEIGHT_MODES}
 
 # A value each checked number rejects, by dotted path.
 _BAD_VALUES = {
@@ -67,6 +69,8 @@ def _config_strategy(cls):
             kwargs[f.name] = _config_strategy(f.type)
         elif f.name in _CHECKED:
             kwargs[f.name] = _CHECKED[f.name]
+        elif f.name == "mode":
+            kwargs[f.name] = st.sampled_from(_MODES[cls])
         else:
             kwargs[f.name] = leaves[f.type] | st.none() if f.default is None else leaves[f.type]
     drawn = st.fixed_dictionaries(kwargs)

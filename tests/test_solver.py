@@ -1,14 +1,21 @@
 import json
 import logging
+import math
+import time
 
 import numpy as np
 import pytest
 import scipy.optimize
 
 import pdhg_lp as pl
+from pdhg_lp import restarts, scaling as scaling_module
+from pdhg_lp.pdhg import halpern_step
 from pdhg_lp.scaling import ROW_ORDER_MIN_NNZ
 
-from conftest import planted_unbounded_lp, random_feasible_lp
+from conftest import planted_infeasible_lp, planted_unbounded_lp, random_feasible_lp
+
+# The adaptive step rule, which the default Halpern step replaced
+ADAPTIVE = pl.StepPolicy(mode="adaptive")
 
 
 def linprog_reference(problem):
@@ -168,6 +175,10 @@ class TestStepFreeze:
     FREEZE_TOLERANCE, the adaptive step is frozen at min(s, 0.9 / ||K~||)."""
 
     @staticmethod
+    def config(**fields):
+        return pl.SolverConfig(**{"step": ADAPTIVE, **fields})
+
+    @staticmethod
     def frozen(report):
         return [note for note in report.notes if note.startswith("adaptive step frozen")]
 
@@ -175,7 +186,7 @@ class TestStepFreeze:
     def test_planted_unbounded_lp_certified(self, seed):
         # under the adaptive step alone these stop at the iteration limit
         problem = planted_unbounded_lp(seed)
-        config = pl.SolverConfig(termination=pl.TerminationCriteria(iteration_limit=10_000))
+        config = self.config(termination=pl.TerminationCriteria(iteration_limit=10_000))
         report = pl.solve(problem, config)
         assert report.status == pl.STATUS_DUAL_INFEASIBLE
         assert report.iterations < 10_000
@@ -187,13 +198,13 @@ class TestStepFreeze:
     def test_feasible_lps_never_freeze(self):
         # the criterion-8 LPs keep the adaptive step, and so their iterates
         for seed in range(20):
-            report = pl.solve(random_feasible_lp(seed))
+            report = pl.solve(random_feasible_lp(seed), self.config())
             assert report.status == pl.STATUS_OPTIMAL
             assert self.frozen(report) == [], seed
 
     def test_frozen_step_bounded_by_norm_estimate(self):
         problem = pl.generate_dual_infeasible_toy()
-        report = pl.solve(problem)
+        report = pl.solve(problem, self.config())
         assert report.status == pl.STATUS_DUAL_INFEASIBLE
         [note] = self.frozen(report)
         assert note.startswith("adaptive step frozen at iteration 64, s = ")
@@ -212,9 +223,168 @@ class TestStepFreeze:
         ids=["fixed_step", "given_fixed_step", "no_detection"],
     )
     def test_only_a_detecting_adaptive_step_freezes(self, fields):
-        config = pl.SolverConfig(termination=pl.TerminationCriteria(iteration_limit=2000), **fields)
+        config = self.config(termination=pl.TerminationCriteria(iteration_limit=2000), **fields)
         report = pl.solve(planted_unbounded_lp(0), config)
         assert self.frozen(report) == []
+
+
+class TestHalpern:
+    """The default step: reflected restarted Halpern PDHG at 0.998 / ||K~||."""
+
+    def test_is_the_default(self):
+        assert pl.SolverConfig().step == pl.StepPolicy(mode="halpern")
+
+    def test_driver_reproduces_halpern_steps_exactly(self):
+        # without restarts solve moves the iterate as halpern_step does, and
+        # reports the T(z) of its last step
+        problem = random_feasible_lp(3)
+        config = pl.SolverConfig(
+            termination=pl.TerminationCriteria(tol_optimal=0.0, iteration_limit=300),
+            restart=pl.RestartConfig(scheme="none"),
+            detect_infeasibility=False,
+        )
+        report = pl.solve(problem, config)
+        assert report.status == pl.STATUS_ITERATION_LIMIT
+        assert report.iterations == report.step_trials == 300
+
+        saddle0 = pl.to_saddle(problem)
+        scaling = pl.combined_rescale(saddle0.K, m1=saddle0.m1)
+        saddle = pl.apply_scaling(saddle0, scaling)
+        norm_k = pl.spectral_norm_estimate(saddle.K, tol=pl.solver.NORM_TOLERANCE).value
+        step = pl.initialize_step_state(saddle, norm_k, config.step, config.weight)
+        assert step.step_size == 0.998 / norm_k
+        state = pl.IterateState.initial(saddle)
+        for _ in range(300):
+            halpern_step(state, saddle, step)
+        x, y = pl.unscale_solution(state.buffers.x, state.buffers.y, scaling)
+        assert report.x.tobytes() == x.tobytes()
+        assert report.y.tobytes() == y.tobytes()
+        assert report.step_size == step.step_size
+
+    def test_restarts_on_residual_decay(self, monkeypatch):
+        # the residual test runs every RESIDUAL_EVAL_INTERVAL epoch
+        # iterations, through should_restart; in between only the artificial
+        # cap can fire; the gap is never evaluated
+        decisions = []
+        real = pl.solver.should_restart
+
+        def recording(state, config, **kwargs):
+            inner = state.inner_count
+            fire, why = real(state, config, **kwargs)
+            decisions.append((inner, kwargs["residuals"], why))
+            return fire, why
+
+        monkeypatch.setattr(pl.solver, "should_restart", recording)
+        report = pl.solve(random_feasible_lp(2))
+        assert report.status == pl.STATUS_OPTIMAL
+        by_reason = report.restarts_by_reason
+        assert by_reason["residual_decay"] > 0
+        assert by_reason["gap_decay"] == by_reason["fixed_period"] == 0
+        assert report.gap_evaluations == 0
+        assert report.step_trials == report.iterations
+        tested = [inner for inner, r, _ in decisions if r is not None]
+        assert tested and all(inner % restarts.RESIDUAL_EVAL_INTERVAL == 0 for inner in tested)
+        assert all(why in (None, "artificial") for _, r, why in decisions if r is None)
+        assert [why for _, _, why in decisions].count("residual_decay") == by_reason["residual_decay"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "planted, status, check",
+        [
+            (planted_unbounded_lp, pl.STATUS_DUAL_INFEASIBLE, pl.check_dual_infeasible),
+            (planted_infeasible_lp, pl.STATUS_PRIMAL_INFEASIBLE, pl.check_primal_infeasible),
+        ],
+        ids=["unbounded", "infeasible"],
+    )
+    def test_planted_lps_certified(self, seed, planted, status, check):
+        problem = planted(seed)
+        report = pl.solve(problem, pl.SolverConfig(termination=pl.TerminationCriteria(iteration_limit=10_000)))
+        assert report.status == status
+        assert report.iterations < 10_000
+        assert check(pl.to_saddle(problem), report.certificate["ray"], 1e-10).valid
+        assert not any(note.startswith("adaptive step frozen") for note in report.notes)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pl.SolverConfig(),
+            pl.SolverConfig(
+                restart=pl.RestartConfig(scheme="fixed", period=48),
+                step=pl.StepPolicy(mode="halpern", fixed_step=0.4),
+                weight=pl.WeightPolicy(mode="fixed", fixed_weight=2.0),
+                check_interval=16,
+            ),
+        ],
+        ids=["default", "custom"],
+    )
+    def test_config_block_reproduces_the_run(self, config):
+        problem = random_feasible_lp(4)
+        report = pl.solve(problem, config)
+        echoed = pl.config_from_flags(json.loads(json.dumps(pl.report_to_dict(report)["config"])))
+        assert echoed == config
+        again = pl.solve(problem, echoed)
+        first, second = pl.report_to_dict(report), pl.report_to_dict(again)
+        del first["timings"], second["timings"]
+        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+    def test_reports_identical_across_runs_with_rows_reordered(self):
+        # the Lanczos norm estimate and the row order are deterministic too
+        problem = pl.generate_pagerank(pl.PagerankSpec(num_nodes=2500))
+        a, b = (pl.report_to_dict(pl.solve(problem)) for _ in range(2))
+        assert a["status"] == pl.STATUS_OPTIMAL
+        del a["timings"], b["timings"]
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestScalingDeadline:
+    """The time limit also holds between Ruiz sweeps and before the scaled
+    working space is built."""
+
+    def test_stop_during_ruiz_reports_time_limit_at_iteration_zero(self, monkeypatch):
+        sweeps = []
+        real_sweep = scaling_module._ruiz_sweep
+
+        def slow_sweep(*args):
+            sweeps.append(len(sweeps))
+            time.sleep(0.3)  # past the 0.2 s limit after the first sweep
+            return real_sweep(*args)
+
+        scalings = []
+        real_apply = pl.solver.apply_scaling
+
+        def recording_apply(saddle, scaling):
+            scalings.append(scaling)
+            return real_apply(saddle, scaling)
+
+        monkeypatch.setattr(scaling_module, "_ruiz_sweep", slow_sweep)
+        monkeypatch.setattr(pl.solver, "apply_scaling", recording_apply)
+        config = pl.SolverConfig(termination=pl.TerminationCriteria(time_limit_sec=0.2))
+        report = pl.solve(random_feasible_lp(0), config)
+        assert report.status == pl.STATUS_TIME_LIMIT
+        assert report.iterations == 0
+        assert sweeps == [0]
+        # the working space is the original one, and only the check at
+        # iteration 0 multiplies by K
+        [scaling] = scalings
+        assert scaling.is_identity
+        assert report.matvecs == 2
+        assert report.notes == ["spectral norm estimate hit its time limit; using best value"]
+
+    def test_ruiz_stops_between_sweeps(self, monkeypatch):
+        sweeps = []
+        real_sweep = scaling_module._ruiz_sweep
+
+        def counting(*args):
+            sweeps.append(len(sweeps))
+            return real_sweep(*args)
+
+        monkeypatch.setattr(scaling_module, "_ruiz_sweep", counting)
+        matrix = pl.to_saddle(random_feasible_lp(1)).K
+        assert pl.ruiz_rescale(matrix, 10, deadline=time.perf_counter()).is_identity
+        assert sweeps == []
+        full = pl.ruiz_rescale(matrix, 10, deadline=math.inf)
+        assert len(sweeps) == 10
+        assert full.row_scale.tobytes() == pl.ruiz_rescale(matrix, 10).row_scale.tobytes()
 
 
 class TestTrajectory:
@@ -352,9 +522,15 @@ class TestSpectralEstimate:
         return pl.solve(random_feasible_lp(1), pl.SolverConfig(termination=limit, **fields))
 
     def test_adaptive_step_skips_it(self, estimates):
-        report = self.solve()
+        report = self.solve(step=ADAPTIVE)
         assert estimates == []
         assert report.timings["power_iteration_sec"] == 0.0
+        assert report.notes == []
+
+    def test_halpern_step_runs_it(self, estimates):
+        report = self.solve()
+        assert len(estimates) == 1
+        assert report.timings["power_iteration_sec"] > 0.0
         assert report.notes == []
 
     def test_given_fixed_step_skips_it(self, estimates):
@@ -367,9 +543,9 @@ class TestSpectralEstimate:
         assert report.timings["power_iteration_sec"] > 0.0
 
     def test_time_limit_stops_it(self, estimates):
-        # the top two singular values of K are 1 and 0.97, so the power
-        # iteration takes about seventy pairs of products to settle; a
-        # limit already past when it starts stops it before the first pair
+        # the top two singular values of K are 1 and 0.998, so the Lanczos
+        # run takes a few dozen pairs of products to settle; a limit
+        # already past when it starts stops it before the first pair
         n = 400
         sigma = 1.0 - 0.03 * np.linspace(0.0, 2.0, n) ** 0.5
         problem = pl.LpProblem(c=np.ones(n), ineq_matrix=np.diag(sigma), ineq_rhs=np.ones(n), lower=0.0)
@@ -379,7 +555,11 @@ class TestSpectralEstimate:
             return pl.SolverConfig(termination=term, scaling="none", step=pl.StepPolicy(mode="fixed"))
 
         unlimited = pl.solve(problem, config(iteration_limit=0))
-        assert unlimited.notes == [] and unlimited.matvecs > 100
+        pairs = pl.spectral_norm_estimate(pl.SparseMatrix(np.diag(sigma)), tol=pl.solver.NORM_TOLERANCE).iterations
+        assert unlimited.notes == [] and pairs > 20
+        # two products for the initial normalized gap, two for the check at
+        # iteration 0 and two per pair
+        assert unlimited.matvecs == 4 + 2 * pairs
         report = pl.solve(problem, config(time_limit_sec=0.0))
         assert len(estimates) == 2
         assert report.status == pl.STATUS_TIME_LIMIT
@@ -393,23 +573,23 @@ class TestSpectralEstimate:
 class TestCounts:
     def test_restarts_split_by_reason(self):
         report = pl.solve(random_feasible_lp(2), pl.SolverConfig(
-            termination=pl.TerminationCriteria(tol_optimal=1e-8, iteration_limit=3000)))
+            termination=pl.TerminationCriteria(tol_optimal=1e-8, iteration_limit=3000), step=ADAPTIVE))
         by_reason = report.restarts_by_reason
-        assert set(by_reason) == {"gap_decay", "artificial", "fixed_period"}
+        assert set(by_reason) == {"gap_decay", "residual_decay", "artificial", "fixed_period"}
         assert sum(by_reason.values()) == report.restarts
         assert by_reason["gap_decay"] > 0 and by_reason["artificial"] > 0
-        assert by_reason["fixed_period"] == 0
+        assert by_reason["fixed_period"] == by_reason["residual_decay"] == 0
 
     def test_adaptive_trials_count_rejections(self):
         # the toy starts with an oversized step, so some trials are rejected
-        report = pl.solve(pl.generate_bilinear_toy())
+        report = pl.solve(pl.generate_bilinear_toy(), pl.SolverConfig(step=ADAPTIVE))
         assert report.step_trials > report.iterations
 
     def test_fixed_step_is_one_trial_per_iteration(self):
         config = TestTrajectory().vanilla_config(30)
         report = pl.solve(pl.generate_bilinear_toy(), config)
         assert report.step_trials == report.iterations == 30
-        assert report.restarts_by_reason == {"gap_decay": 0, "artificial": 0, "fixed_period": 0}
+        assert report.restarts_by_reason == {"gap_decay": 0, "residual_decay": 0, "artificial": 0, "fixed_period": 0}
 
     def test_one_gap_evaluation_per_restart_decision(self, monkeypatch):
         # a restart's reference gap is the candidate's gap, not a second
@@ -422,7 +602,7 @@ class TestCounts:
             return real(saddle, x, y, radius, **kwargs)
 
         monkeypatch.setattr(pl.solver, "normalized_duality_gap", recording)
-        report = pl.solve(random_feasible_lp(0))
+        report = pl.solve(random_feasible_lp(0), pl.SolverConfig(step=ADAPTIVE))
         assert report.restarts > 0
         assert len(set(keys)) == len(keys)
         assert report.gap_evaluations == len(keys)
@@ -457,10 +637,10 @@ class TestLogging:
         # 320 iterations under the default check interval of 64: 100, 200 and
         # 300 are not check points, yet each must get its own log line
         problem = pl.generate_pagerank(pl.PagerankSpec(num_nodes=1000))
-        quiet = pl.solve(problem)
+        quiet = pl.solve(problem, pl.SolverConfig(step=ADAPTIVE))
         assert quiet.iterations == 320
         with caplog.at_level(logging.INFO, logger="pdhg_lp"):
-            logged = pl.solve(problem, pl.SolverConfig(log_interval=100))
+            logged = pl.solve(problem, pl.SolverConfig(step=ADAPTIVE, log_interval=100))
         iterations = [int(rec.getMessage().split()[1]) for rec in caplog.records]
         assert iterations == [0, 100, 200, 300]
         assert logged.status == quiet.status

@@ -1,10 +1,11 @@
 """The PDHG step kernel against a plain reference, bit for bit.
 
-The reference below restates the update of ``pdhg.py`` and the adaptive rule
-of ``stepsize.py`` from their docstrings in straightforward numpy: fresh
-arrays for every intermediate, ``csr @ v`` products, explicit loops.  It
-keeps the kernel's order of operations (for instance 2 K x+ - K x), so any
-difference, down to the last bit, is a kernel fault.
+The references below restate the update of ``pdhg.py``, its reflected
+Halpern iteration and the adaptive rule of ``stepsize.py`` from their
+docstrings in straightforward numpy: fresh arrays for every intermediate,
+``csr @ v`` products, explicit loops.  They keep the kernel's order of
+operations (for instance 2 K x+ - K x), so any difference, down to the last
+bit, is a kernel fault.
 """
 
 import math
@@ -15,6 +16,7 @@ import pytest
 
 import pdhg_lp as pl
 from pdhg_lp import IterateState, StepPolicy, StepState, adaptive_step, apply_restart, pdhg_step, stepsize
+from pdhg_lp.pdhg import fixed_point_residual, halpern_step
 
 from conftest import random_feasible_lp, random_small_saddle
 
@@ -75,6 +77,26 @@ class Reference:
         return s, False
 
 
+def halpern_reference(saddle, x, y, s, w, steps):
+    """Reflected Halpern PDHG from (x, y) over one epoch, as the docstring
+    of ``pdhg.halpern_step`` states it; yields (T x, T y, K T x, x, y, K x)
+    after each step, K x being the mixed products, which T reads."""
+    k_csr = saddle.K.tocsr()
+    kt = k_csr.T.tocsr()
+    x0, y0 = x, y
+    kx = kx0 = k_csr @ x
+    for k in range(steps):
+        tx = np.clip(x - (s / w) * (saddle.c - kt @ y), saddle.l, saddle.u)
+        ktx = k_csr @ tx
+        ty = y + (s * w) * (saddle.q - (2.0 * ktx - kx))
+        ty[: saddle.m1] = np.maximum(ty[: saddle.m1], 0.0)
+        share = (k + 1) / (k + 2)
+        x = share * (2.0 * tx - x) + x0 / (k + 2)
+        y = share * (2.0 * ty - y) + y0 / (k + 2)
+        kx = share * (2.0 * ktx - kx) + kx0 / (k + 2)
+        yield tx, ty, ktx, x, y, kx
+
+
 def assert_same(state, ref):
     for name in ("x", "y", "sum_x", "sum_y"):
         a, b = getattr(state, name), getattr(ref, name)
@@ -113,7 +135,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("index", range(5))
     def test_adaptive_steps(self, index):
         saddle = list(toy_and_criterion_8_saddles())[index]
-        step = pl.initialize_step_state(saddle, None, StepPolicy(), pl.WeightPolicy())
+        step = pl.initialize_step_state(saddle, None, StepPolicy(mode="adaptive"), pl.WeightPolicy())
         state = IterateState.initial(saddle)
         ref = Reference(saddle, state.x, state.y)
         s = step.step_size
@@ -158,6 +180,68 @@ class TestAgainstReference:
             pdhg_step(state, toy_saddle, StepState(0.2, 1.0))
         np.testing.assert_array_equal(x, [2.0])
         np.testing.assert_array_equal(y, [2.0])
+
+
+class TestHalpernAgainstReference:
+    @pytest.mark.parametrize("index", range(5))
+    def test_epochs_match_reference(self, index):
+        # two epochs of 40 steps, the second anchored at the first's last
+        # T(z), with K T(z) as its cached product, as solve restarts
+        saddle = list(toy_and_criterion_8_saddles())[index]
+        norm_k = pl.spectral_norm_estimate(saddle.K).value
+        step = StepState(0.998 / norm_k, 1.7)
+        state = IterateState.initial(saddle)
+        x, y = state.x.copy(), state.y.copy()
+        for epoch in range(2):
+            ref = halpern_reference(saddle, x, y, step.step_size, step.primal_weight, 40)
+            for k, (tx, ty, ktx, rx, ry, rkx) in enumerate(ref):
+                kx_t = halpern_step(state, saddle, step)
+                assert state.buffers.x.tobytes() == tx.tobytes()
+                assert state.buffers.y.tobytes() == ty.tobytes()
+                assert kx_t.tobytes() == ktx.tobytes()
+                for got, want in ((state.x, rx), (state.y, ry), (state.kx, rkx)):
+                    assert got.tobytes() == want.tobytes(), (epoch, k)
+                assert state.inner_count == k + 1
+            np.testing.assert_allclose(state.kx, saddle.K.matvec(state.x), rtol=1e-9, atol=1e-12)
+            x, y = tx, ty
+            apply_restart(state, (state.buffers.x, state.buffers.y))
+            state.kx = kx_t
+        assert state.total_count == state.trial_count == 80
+
+    def test_operator_is_the_pdhg_point(self):
+        # T(z) is the point pdhg_step moves to from the same z and K x
+        rng = np.random.default_rng(21)
+        for seed in range(4):
+            saddle = scaled_saddle(seed)
+            step = StepState(0.998 / pl.spectral_norm_estimate(saddle.K).value, float(rng.uniform(0.3, 3.0)))
+            state = IterateState.initial(saddle)
+            for _ in range(int(rng.integers(1, 30))):
+                halpern_step(state, saddle, step)
+            plain = IterateState(x=state.x, y=state.y)
+            plain.kx = state.kx.copy()
+            z = (state.x.copy(), state.y.copy())
+            halpern_step(state, saddle, step)
+            pdhg_step(plain, saddle, step)
+            assert state.buffers.x.tobytes() == plain.x.tobytes()
+            assert state.buffers.y.tobytes() == plain.y.tobytes()
+            # and the buffers hold z too, which the residual and the checks read
+            assert state.buffers.grad.tobytes() == z[0].tobytes()
+            assert state.buffers.dkx.tobytes() == z[1].tobytes()
+            w = step.primal_weight
+            dx, dy = plain.x - z[0], plain.y - z[1]
+            assert fixed_point_residual(state, step) == math.sqrt(w * float(dx @ dx) + float(dy @ dy) / w)
+
+    def test_non_finite_operator_leaves_state_intact(self, toy_saddle):
+        state = IterateState(x=[1.7e308], y=[1.7e308], inner_count=3, total_count=5)
+        kx = toy_saddle.K.matvec(state.x)
+        state.kx = kx
+        x, y = state.x, state.y
+        with pytest.raises(pl.NonFiniteIterate, match="total iteration 6"):
+            halpern_step(state, toy_saddle, StepState(0.5, 1.0))
+        assert state.x is x and state.y is y and state.kx is kx
+        np.testing.assert_array_equal(state.x, [1.7e308])
+        np.testing.assert_array_equal(state.y, [1.7e308])
+        assert (state.inner_count, state.total_count, state.trial_count) == (3, 5, 0)
 
 
 class TestBuffersHoldPreviousIterate:
@@ -219,6 +303,7 @@ class TestNonFiniteTrial:
             for step_fn in (
                 lambda s: pdhg_step(s, toy_saddle, StepState(0.5, 1.0)),
                 lambda s: adaptive_step(s, toy_saddle, StepState(0.5, 1.0)),
+                lambda s: halpern_step(s, toy_saddle, StepState(0.5, 1.0)),
             ):
                 with pytest.raises(pl.NonFiniteIterate):
                     step_fn(IterateState(x=[1.7e308], y=[1.7e308]))

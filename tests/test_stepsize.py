@@ -39,7 +39,7 @@ class TestInitialization:
     def test_adaptive_step_from_max_entry(self):
         problem = pl.LpProblem(c=[0.0], eq_matrix=[[4.0]], eq_rhs=[1.0])
         step = initialize_step_state(
-            pl.to_saddle(problem), 4.0, StepPolicy(), WeightPolicy()
+            pl.to_saddle(problem), 4.0, StepPolicy(mode="adaptive"), WeightPolicy()
         )
         assert step.step_size == pytest.approx(0.25)
 
@@ -105,7 +105,7 @@ class TestAdaptiveStep:
         for _ in range(20):
             saddle, x, y = random_small_saddle(rng)
             state = IterateState(x=x.copy(), y=y.copy())
-            step = initialize_step_state(saddle, 1.0, StepPolicy(), WeightPolicy())
+            step = initialize_step_state(saddle, 1.0, StepPolicy(mode="adaptive"), WeightPolicy())
             for _ in range(10):
                 x_before, y_before = state.x.copy(), state.y.copy()
                 weight_before = state.sum_weight

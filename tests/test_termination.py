@@ -21,7 +21,7 @@ from pdhg_lp import (
 from pdhg_lp import termination
 from pdhg_lp.termination import check_constants
 
-from conftest import planted_infeasible_lp, planted_unbounded_lp, random_small_saddle
+from conftest import planted_infeasible_lp, planted_unbounded_lp, random_feasible_lp, random_small_saddle
 
 
 def one_var_problem():
@@ -103,6 +103,16 @@ class TestKktError:
         report = kkt_error(saddle, np.array([1.5e308, 1.5e308]), np.array([0.0, 0.0]))
         assert report.primal_objective == np.inf
         assert report.duality_gap == np.inf
+
+    def test_opposite_infinities_in_the_objective_are_nan_without_warning(self):
+        # c_0 < 0 < c_2, so c'x is inf - inf; the suite makes a warning an error
+        saddle = pl.to_saddle(random_feasible_lp(0))
+        assert saddle.c[0] < 0.0 < saddle.c[2]
+        x = np.clip(np.zeros(saddle.num_primal), saddle.l, saddle.u)
+        x[0] = x[2] = np.inf
+        report = kkt_error(saddle, x, np.zeros(saddle.num_dual))
+        assert np.isnan(report.primal_objective)
+        assert np.isnan(report.duality_gap)
 
     def test_residual_norms_match_plain_formula(self):
         # below overflow the norms are the plain sqrt of the summed squares
