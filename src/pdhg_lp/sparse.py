@@ -184,12 +184,6 @@ class SpectralEstimate:
         )
 
 
-# A matrix with at most this many rows or columns has its norm taken by a
-# dense SVD, which costs less there than setting up ARPACK (and ARPACK
-# needs a space of two or more dimensions).
-DENSE_NORM_MAX_DIM = 16
-
-
 class _Stop(Exception):
     """Raised inside the Lanczos operator once the budget or the deadline is spent."""
 
@@ -197,23 +191,29 @@ class _Stop(Exception):
 def spectral_norm_estimate(matrix, tol=1e-4, max_iters=5000, seed=0, *, deadline=math.inf):
     """Estimate ||M||_2 as the square root of the top eigenvalue of M^T M
     (or of M M^T, whichever is smaller), found by ARPACK's Lanczos method
-    from the all-ones vector.
+    from a standard normal vector drawn with ``seed``.
 
     ``tol`` is ARPACK's relative tolerance on that eigenvalue.  Each
     product with the normal operator counts as one iteration; once
     ``max_iters`` of them are spent, or ``time.perf_counter()`` reaches
     ``deadline`` before a product, the largest ||M v|| / ||v|| seen so far
     (a lower bound on the norm) is returned with ``converged=False``.
-    Deterministic; ``seed`` is accepted for compatibility and unused.
-    Matrices of at most DENSE_NORM_MAX_DIM rows or columns are taken by a
-    dense SVD, as converged after 0 iterations.
+    A matrix with a single row or column, where ARPACK has no room for a
+    Lanczos space, has its norm taken densely, as converged after 0
+    iterations.
+
+    Deterministic for a given ``seed``.  The start is random, not all
+    ones: a part of M whose rows sum to zero (a difference row x_i - x_j)
+    is exactly 0 in M^T M 1 and stays 0 through every Lanczos vector, so a
+    ones start can converge to the norm of the rest of M and miss a larger
+    singular value held there.
     """
     rows, cols = matrix.shape
     if rows == 0 or cols == 0 or matrix.nnz == 0:
         return SpectralEstimate(0.0, True, 0)
     if time.perf_counter() >= deadline:
         return SpectralEstimate(0.0, False, 0)
-    if min(rows, cols) <= DENSE_NORM_MAX_DIM:
+    if min(rows, cols) == 1:
         return SpectralEstimate(np.linalg.norm(matrix.toarray(), 2), True, 0)
     # imported here: the import takes tens of milliseconds, which a solve
     # that never estimates the norm should not pay
@@ -238,8 +238,9 @@ def spectral_norm_estimate(matrix, tol=1e-4, max_iters=5000, seed=0, *, deadline
         return second(u)
 
     operator = LinearOperator((dim, dim), matvec=normal, dtype=np.float64)
+    start = np.random.default_rng(seed).standard_normal(dim)
     try:
-        [value] = eigsh(operator, k=1, v0=np.ones(dim), tol=tol, return_eigenvectors=False)
+        [value] = eigsh(operator, k=1, v0=start, tol=tol, return_eigenvectors=False)
     except (_Stop, ArpackNoConvergence):
         return SpectralEstimate(best, False, applied)
     return SpectralEstimate(math.sqrt(max(float(value), 0.0)), True, applied)

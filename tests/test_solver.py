@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 
 import pdhg_lp as pl
 from pdhg_lp import restarts, scaling as scaling_module
@@ -286,6 +287,29 @@ class TestHalpern:
         assert tested and all(inner % restarts.RESIDUAL_EVAL_INTERVAL == 0 for inner in tested)
         assert all(why in (None, "artificial") for _, r, why in decisions if r is None)
         assert [why for _, _, why in decisions].count("residual_decay") == by_reason["residual_decay"]
+
+    def test_unscaled_zero_row_sum_block_converges(self):
+        # unscaled K is block diagonal: the difference rows of an even cycle
+        # (norm 2, every row and column sums to zero) and a diagonal of norm
+        # 1.5.  A norm estimate blind to the cycle block set the step to
+        # 0.998 / 1.5 and the run never converged
+        n, m = 100, 50
+        rng = np.random.default_rng(0)
+        cycle = scipy.sparse.diags([np.ones(n), -np.ones(n - 1), [-1.0]], [0, 1, 1 - n])
+        diagonal = scipy.sparse.diags(np.linspace(0.5, 1.5, m))
+        problem = pl.LpProblem(
+            c=np.concatenate([rng.uniform(-1.0, 1.0, n), np.ones(m)]),
+            eq_matrix=scipy.sparse.hstack([cycle, scipy.sparse.csr_matrix((n, m))]),
+            eq_rhs=cycle @ rng.uniform(1.0, 9.0, n),
+            ineq_matrix=scipy.sparse.hstack([scipy.sparse.csr_matrix((m, n)), diagonal]),
+            ineq_rhs=np.ones(m),
+            lower=0.0,
+            upper=10.0,
+        )
+        config = pl.SolverConfig(scaling="none", termination=pl.TerminationCriteria(iteration_limit=10_000))
+        report = pl.solve(problem, config)
+        assert report.status == pl.STATUS_OPTIMAL
+        assert abs(report.step_size - 0.998 / 2.0) <= 1e-6
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(

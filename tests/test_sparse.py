@@ -13,7 +13,6 @@ from pdhg_lp import (
     SparseMatrix,
     spectral_norm_estimate,
 )
-from pdhg_lp.sparse import DENSE_NORM_MAX_DIM
 
 from conftest import random_feasible_lp
 
@@ -210,9 +209,21 @@ class TestSpectralNorm:
         assert est.converged
         assert abs(est.value - 1.0) <= 1e-6
 
+    def test_top_singular_value_in_a_zero_row_sum_block(self):
+        # block diagonal: an even cycle of differences x_i - x_{i+1}, whose
+        # rows and columns sum to zero and whose norm is 2, beside a diagonal
+        # of norm 1.5; M^T M 1 is 0 on the cycle block, so a Lanczos run
+        # from the ones vector converged to 1.5
+        cycle = sp.diags([np.ones(100), -np.ones(99), [-1.0]], [0, 1, -99])
+        mat = SparseMatrix(sp.block_diag([cycle, sp.diags(np.linspace(0.5, 1.5, 50))]))
+        for seed in range(3):
+            est = spectral_norm_estimate(mat, tol=1e-6, seed=seed)
+            assert est.converged
+            assert abs(est.value - 2.0) <= 1e-6
+
     def test_dense_below_the_size_floor(self):
         rng = np.random.default_rng(12)
-        dense = rng.standard_normal((40, DENSE_NORM_MAX_DIM))
+        dense = rng.standard_normal((40, 1))
         mat = SparseMatrix(dense, shape=dense.shape)
         est = spectral_norm_estimate(mat)
         assert (est.converged, est.iterations) == (True, 0)
