@@ -21,8 +21,9 @@ Halpern iteration (Lu & Yang, arXiv 2407.16144) moves to
 
     z_{k+1} = (k+1)/(k+2) (2 T(z_k) - z_k) + z_0 / (k+2)
 
-with z_0 the epoch's anchor, and mixes K x the same way from cached
-products, so it too costs one matvec and one rmatvec.
+with z_0 the epoch's anchor.  It forms the reflection 2 x_T - x before the
+product, as K (2 x_T - x), so it keeps no K x and also costs one matvec and
+one rmatvec.  On a large K it runs on two threads (``halpern_step``).
 
 The kernel runs under np.errstate(over="ignore", invalid="ignore"), so that
 a diverging iterate is reported as NonFiniteIterate and not as a warning.
@@ -32,9 +33,12 @@ once per solve.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 try:  # the clip ufunc itself, without ndarray.clip's Python wrapper
     from numpy._core.umath import clip as _clip
@@ -42,6 +46,7 @@ except ImportError:  # numpy < 2
     from numpy.core.umath import clip as _clip
 
 from .exceptions import NonFiniteIterate, NonPositiveInput, NonPositiveQuadraticForm
+from .sparse import dot
 
 
 @dataclass(frozen=True)
@@ -71,9 +76,10 @@ class StepState:
 
 class StepBuffers:
     """Work vectors of the step kernel: the trial point, its displacement,
-    K x+ - K x and the gradient c - K'y."""
+    K x+ - K x and the gradient c - K'y; the Halpern step also keeps the
+    second row block's part of K'y in ``part``."""
 
-    __slots__ = ("x", "y", "dx", "dy", "dkx", "grad")
+    __slots__ = ("x", "y", "dx", "dy", "dkx", "grad", "part")
 
     def __init__(self, n, m):
         self.x = np.empty(n)
@@ -82,6 +88,7 @@ class StepBuffers:
         self.dy = np.empty(m)
         self.dkx = np.empty(m)
         self.grad = np.empty(n)
+        self.part = np.empty(n)
 
 
 @dataclass
@@ -89,15 +96,16 @@ class IterateState:
     """Mutable per-epoch iterate state.
 
     Running sums implement the weighted average used for restarts; ``kx``
-    caches K @ x and must be dropped whenever x changes by any route other
-    than the step kernel (restart, rescale).  ``trial_count`` counts the
-    finite trial points computed, accepted or not.  The state owns ``x`` and
-    ``y`` (they are copied in), because the step kernel recycles the
-    replaced vectors as work buffers: hold a copy, not a reference, of an
-    iterate that must outlive the next step.  After a step, ``buffers.x`` and
-    ``buffers.y`` hold the iterate it replaced until the next step starts;
-    ``apply_restart`` leaves them alone.  ``anchor`` is the Halpern
-    epoch's start (x, y, K x), copied at the epoch's first Halpern step.
+    caches K @ x for the PDHG step and must be dropped whenever x changes by
+    any route other than that step (restart, rescale).  ``trial_count``
+    counts the finite trial points computed, accepted or not.  The state
+    owns ``x`` and ``y`` (they are copied in), because the step kernel
+    recycles the replaced vectors as work buffers: hold a copy, not a
+    reference, of an iterate that must outlive the next step.  After a
+    step, ``buffers.x`` and ``buffers.y`` hold the iterate it replaced until
+    the next step starts; ``apply_restart`` leaves them alone.  ``anchor``
+    is the Halpern epoch's start (x, y), copied at the epoch's first
+    Halpern step.
     """
 
     x: np.ndarray
@@ -195,13 +203,13 @@ def trial_step(state, saddle, buf, s, w, measure=True):
     if measure:
         np.subtract(x_new, x, out=dx)
         np.subtract(y_new, y, out=dy)
-        movement = w * float(dx.dot(dx)) + float(dy.dot(dy)) / w
+        movement = w * dot(dx, dx) + dot(dy, dy) / w
         np.subtract(kx_new, state.kx, out=buf.dkx)
-        interaction = 2.0 * abs(float(dy.dot(buf.dkx)))
+        interaction = 2.0 * abs(dot(dy, buf.dkx))
         finite = math.isfinite(movement) and math.isfinite(interaction)
     else:
         movement = interaction = 0.0
-        finite = math.isfinite(float(x_new.dot(x_new)) + float(y_new.dot(y_new)))
+        finite = math.isfinite(dot(x_new, x_new) + dot(y_new, y_new))
     if not finite and not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(y_new))):
         return None
     state.trial_count += 1
@@ -253,48 +261,174 @@ def halpern_step(state, saddle, step, *, errstate=True):
     With T the PDHG operator at the state's step, k = ``state.inner_count``
     and z_0 the anchor, taken at the epoch's first step:
 
+        x_T = proj(x - (s/w) (c - K'y))
+        r   = 2 x_T - x
+        y_T = proj(y + (s w) (q - K r))
         z_{k+1} = (k+1)/(k+2) (2 T(z_k) - z_k) + z_0 / (k+2)
 
-    in that order of operations, and K x_{k+1} the same mix of K x_T, K x_k
-    and K x_0.  The mixes are written into the work buffers, which then
-    change places with the iterate: afterwards ``buffers.x``/``buffers.y``
-    hold T(z_k) and ``buffers.grad``/``buffers.dkx`` hold z_k, until the
-    next step starts.  Returns K x_T.  Raises NonFiniteIterate, the iterate
-    untouched, when T(z_k) is not finite.  ``errstate`` as for
-    ``pdhg_step``.
+    in that order of operations: the reflection r is taken before the
+    product, so no K x is kept.  The mixes are written into the work
+    buffers, which then change places with the iterate: afterwards
+    ``buffers.x``/``buffers.y`` hold T(z_k) and ``buffers.grad``/
+    ``buffers.dkx`` hold z_k, until the next step starts.  Raises
+    NonFiniteIterate, the iterate untouched, when T(z_k) is not finite.
+    ``errstate`` as for ``pdhg_step``.
+
+    The step runs in three phases over K's ``row_blocks``: the blocks' parts
+    of K'y; the x side over as many column ranges; K r and the y side over
+    the row blocks.  With two blocks the worker thread (``_worker``) runs
+    the second half of each phase while the caller runs the first, or, with
+    one CPU, the caller runs both in turn: the same arithmetic, the same
+    bits.  The worker runs only scipy kernels and numpy ufuncs on disjoint
+    slices, never a function a tracer could wrap.
     """
     if errstate:
         with np.errstate(over="ignore", invalid="ignore"):
             return halpern_step(state, saddle, step, errstate=False)
-    buf = step_gradient(state, saddle)
+    k_mat = saddle.K
+    m, n = k_mat.shape
+    buf = state.buffers
+    if buf is None:
+        buf = state.buffers = StepBuffers(n, m)
     k = state.inner_count
     if k == 0:
-        state.anchor = (state.x.copy(), state.y.copy(), state.kx.copy())
-    trial = trial_step(state, saddle, buf, step.step_size, step.primal_weight, measure=False)
-    if trial is None:
+        state.anchor = (state.x.copy(), state.y.copy())
+    x0, y0 = state.anchor
+    x, y = state.x, state.y
+    blocks = k_mat.row_blocks()
+    scale, sigma = step.step_size / step.primal_weight, step.sigma
+    share, denominator = (k + 1) / (k + 2), k + 2
+    primal = (saddle.c, saddle.l, saddle.u, x, x0, buf.grad, buf.part, buf.x, buf.dx)
+    dual = (saddle.q, y, y0, buf.dy, buf.y, buf.dkx)
+    if len(blocks) == 1:
+        [block] = blocks
+        _transpose_product(block, n, y, buf.grad)
+        sums = (
+            _primal_side(*primal, False, scale, share, denominator),
+            _dual_side(block, n, saddle.m1, buf.dx, *dual, sigma, share, denominator),
+        )
+    else:
+        pool = _worker()
+        # K'y by block: the first block's part into grad, the second's into part
+        _in_halves(pool, _transpose_product, [(b, n, y, out) for b, out in zip(blocks, (buf.grad, buf.part))])
+        sums = _in_halves(
+            pool,
+            _primal_side,
+            [
+                tuple(a[cols] for a in primal) + (True, scale, share, denominator)
+                for cols in (slice(0, n // 2), slice(n // 2, n))
+            ],
+        )
+        sums += _in_halves(
+            pool,
+            _dual_side,
+            [(b, n, saddle.m1, buf.dx) + tuple(a[b[0]] for a in dual) + (sigma, share, denominator) for b in blocks],
+        )
+    k_mat.matvec_calls += 1
+    k_mat.rmatvec_calls += 1
+    # a non-finite entry makes its half's sum non-finite, so the full scan
+    # runs only when the sum of T(z)'s entries is not finite
+    if not math.isfinite(sum(sums)) and not (np.all(np.isfinite(buf.x)) and np.all(np.isfinite(buf.y))):
         raise NonFiniteIterate(f"iterate became non-finite at total iteration {state.total_count + 1}")
-    kx_t = trial[0]
-    x0, y0, kx0 = state.anchor
-    share = (k + 1) / (k + 2)
-    _halpern_mix(buf.x, state.x, x0, share, k + 2, out=buf.grad, spare=buf.dx)
-    _halpern_mix(buf.y, state.y, y0, share, k + 2, out=buf.dkx, spare=buf.dy)
-    _halpern_mix(kx_t, state.kx, kx0, share, k + 2, out=buf.dy, spare=state.kx)
+    state.trial_count += 1
     state.x, buf.grad = buf.grad, state.x
     state.y, buf.dkx = buf.dkx, state.y
-    state.kx, buf.dy = buf.dy, state.kx
     state.inner_count += 1
     state.total_count += 1
-    return kx_t
+    return state
 
 
-def _halpern_mix(t, z, z0, share, denominator, out, spare):
-    """out = share (2 t - z) + z0 / denominator; ``spare`` may be z, which
-    is read before spare is written."""
-    np.multiply(t, 2.0, out=out)
-    np.subtract(out, z, out=out)
-    np.multiply(out, share, out=out)
-    np.divide(z0, denominator, out=spare)
-    np.add(out, spare, out=out)
+# (the process that made it, halpern_step's worker thread), set as one
+# value.  Two threads that both find it unset may each make a worker; the
+# one not kept is collected, and its thread exits then.
+_pool = None
+
+
+def _cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker():
+    """halpern_step's worker thread, or None on a single CPU.  Made on first
+    use, and again in a forked child, which has no copy of the thread.  The
+    worker ignores overflow and invalid results, as the kernel does."""
+    global _pool
+    if _cpus() < 2:
+        return None
+    pid = os.getpid()
+    if _pool is None or _pool[0] != pid:
+        # imported here: a solve that never splits K should not pay for it
+        from concurrent.futures import ThreadPoolExecutor
+
+        executor = ThreadPoolExecutor(max_workers=1, initializer=partial(np.seterr, over="ignore", invalid="ignore"))
+        _pool = (pid, executor)
+    return _pool[1]
+
+
+def _in_halves(pool, task, halves):
+    """[task(*args) for args in halves]; given the worker, it runs the
+    second while the caller runs the first."""
+    if pool is None:
+        return [task(*args) for args in halves]
+    first, second = halves
+    future = pool.submit(task, *second)
+    try:
+        done = task(*first)
+    finally:
+        other = future.result()
+    return [done, other]
+
+
+def _transpose_product(block, n, y, out):
+    """out = the block's rows of K, transposed, times y's entries in them."""
+    rows, indptr, indices, data = block
+    out.fill(0.0)
+    csc_matvec(n, rows.stop - rows.start, indptr, indices, data, y[rows], out)
+
+
+def _primal_side(c, l, u, x, x0, grad, part, x_t, r, two, scale, share, denominator):
+    """Over a column range: grad = c - K'y (K'y in grad, plus part when
+    ``two``), x_T = proj(x - scale grad) into x_t, the reflection r = 2 x_T
+    - x, and the x mix share r + x0 / denominator into grad, with part as
+    the spare.  Returns the sum of x_T's entries."""
+    if two:
+        np.add(grad, part, out=grad)
+    np.subtract(c, grad, out=grad)
+    np.multiply(grad, scale, out=r)
+    np.subtract(x, r, out=r)
+    _clip(r, l, u, out=x_t)
+    np.multiply(x_t, 2.0, out=r)
+    np.subtract(r, x, out=r)
+    np.multiply(r, share, out=grad)
+    np.divide(x0, denominator, out=part)
+    np.add(grad, part, out=grad)
+    return np.add.reduce(x_t)
+
+
+def _dual_side(block, n, m1, r, q, y, y0, kr, y_t, out, sigma, share, denominator):
+    """Over a row block, the rest of the arrays cut to its rows: kr = K r,
+    y_T = proj(y + sigma (q - kr)) into y_t, and the y mix share (2 y_T -
+    y) + y0 / denominator into out, with kr as the spare.  Returns the sum
+    of y_T's entries."""
+    rows, indptr, indices, data = block
+    kr.fill(0.0)
+    csr_matvec(rows.stop - rows.start, n, indptr, indices, data, r, kr)
+    np.subtract(q, kr, out=kr)
+    np.multiply(kr, sigma, out=kr)
+    np.add(y, kr, out=y_t)
+    if m1 > rows.start:
+        head = y_t[: m1 - rows.start]
+        np.maximum(head, 0.0, out=head)
+    np.multiply(y_t, 2.0, out=kr)
+    np.subtract(kr, y, out=kr)
+    np.multiply(kr, share, out=out)
+    np.divide(y0, denominator, out=kr)
+    np.add(out, kr, out=out)
+    return np.add.reduce(y_t)
 
 
 def fixed_point_residual(state, step):
@@ -304,7 +438,7 @@ def fixed_point_residual(state, step):
     np.subtract(buf.x, buf.grad, out=buf.dx)
     np.subtract(buf.y, buf.dkx, out=buf.dy)
     w = step.primal_weight
-    return math.sqrt(w * float(buf.dx.dot(buf.dx)) + float(buf.dy.dot(buf.dy)) / w)
+    return math.sqrt(w * dot(buf.dx, buf.dx) + dot(buf.dy, buf.dy) / w)
 
 
 def ps_norm(z1, z2, step, mode="omega", matrix=None):
@@ -326,13 +460,13 @@ def ps_norm(z1, z2, step, mode="omega", matrix=None):
     dy = np.asarray(y1, dtype=np.float64) - np.asarray(y2, dtype=np.float64)
     s = step.step_size
     w = step.primal_weight
-    diag = (w * (dx @ dx) + (dy @ dy) / w) / s
+    diag = (w * dot(dx, dx) + dot(dy, dy) / w) / s
     if mode == "omega":
         return float(np.sqrt(diag))
     if mode == "full":
         if matrix is None:
             raise NonPositiveInput("mode='full' needs the constraint matrix")
-        value = diag + 2.0 * float(dy @ matrix.matvec(dx))
+        value = diag + 2.0 * dot(dy, matrix.matvec(dx))
         if value < 0.0:
             raise NonPositiveQuadraticForm(
                 f"P_s form is negative ({value!r}); step size too large for this matrix"

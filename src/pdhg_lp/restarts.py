@@ -22,6 +22,7 @@ import numpy as np
 
 from .exceptions import InvalidRadius, NonPositiveInput
 from .pdhg import _clip
+from .sparse import dot
 
 RESTART_SCHEMES = ("none", "adaptive", "fixed")
 
@@ -87,7 +88,7 @@ def normalized_duality_gap(saddle, x, y, radius, *, stop_above=math.inf):
     d, lo, hi, delta, spare = (np.zeros(n + y.shape[0]) for _ in range(5))
     np.subtract(saddle.K.rmatvec(y), saddle.c, out=d[:n])
     np.subtract(saddle.q, saddle.K.matvec(x), out=d[n:])
-    norm_d = float(np.linalg.norm(d))
+    norm_d = math.sqrt(dot(d, d))
     if norm_d == 0.0:
         return 0.0
 
@@ -105,8 +106,8 @@ def normalized_duality_gap(saddle, x, y, radius, *, stop_above=math.inf):
     # Box-only solution, in the zeroed spare buffer: valid if it fits in the ball.
     np.copyto(spare, lo, where=d < 0)
     np.copyto(spare, hi, where=d > 0)
-    if np.all(np.isfinite(spare)) and float(np.linalg.norm(spare)) <= radius:
-        return float(d @ spare) / radius
+    if np.all(np.isfinite(spare)) and math.sqrt(dot(spare, spare)) <= radius:
+        return dot(d, spare) / radius
 
     # Both constraints interact: bisect on the ball multiplier.  delta(lam)
     # = clip(d / lam, lo, hi) has nonincreasing norm in lam; at the upper
@@ -123,7 +124,7 @@ def normalized_duality_gap(saddle, x, y, radius, *, stop_above=math.inf):
                 break
             np.divide(d, lam, out=delta)
             _clip(delta, lo, hi, out=delta)
-            norm = math.sqrt(float(delta.dot(delta)))
+            norm = math.sqrt(dot(delta, delta))
             if norm > radius:
                 if math.isfinite(norm) and norm - radius <= 1e-10 * radius:
                     # Shrinking toward the origin stays inside the box.
@@ -138,14 +139,14 @@ def normalized_duality_gap(saddle, x, y, radius, *, stop_above=math.inf):
                     # The full bisection's value can fall short of this bound
                     # by its 1e-10 shrink to the sphere and by rounding; the
                     # margin keeps it above stop_above too.
-                    lower_bound = float(d @ delta) / radius
+                    lower_bound = dot(d, delta) / radius
                     if (1.0 - 1e-8) * lower_bound > stop_above:
                         return lower_bound
                 lam_hi = lam
                 delta, spare = spare, delta
     if best is None:
         best = np.clip(d / lam_hi, lo, hi)
-    return max(float(d @ best), 0.0) / radius
+    return max(dot(d, best), 0.0) / radius
 
 
 def should_restart(state, config, candidate_gap=None, reference_gap=None, residuals=None):

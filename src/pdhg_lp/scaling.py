@@ -150,18 +150,24 @@ def combined_rescale(matrix, mode="ruiz+pc", ruiz_iters=10, pc_alpha=1.0, *, m1=
     Ruiz-scaled matrix, composing both into a single ScalingInfo.  Given
     ``m1``, the number of sign-constrained rows, the result also carries
     ``length_order(matrix, m1)``; without it the rows keep their order.
-    ``deadline`` stops the Ruiz sweeps as in ``ruiz_rescale``.
+    ``deadline`` stops the Ruiz sweeps as in ``ruiz_rescale``; once
+    ``time.perf_counter()`` has reached it, before or after them, the
+    result is the identity, and nothing more is built.
     """
     if mode not in SCALING_MODES:
         raise NonPositiveInput(f"unknown scaling mode {mode!r}")
+    first = None
+    if mode in ("ruiz", "ruiz+pc"):
+        first = ruiz_rescale(matrix, ruiz_iters, deadline=deadline)
+    if time.perf_counter() >= deadline:
+        return ScalingInfo.identity(matrix.shape)
     if mode == "none":
         scaling = ScalingInfo.identity(matrix.shape)
     elif mode == "ruiz":
-        scaling = ruiz_rescale(matrix, ruiz_iters, deadline=deadline)
+        scaling = first
     elif mode == "pc":
         scaling = pock_chambolle_rescale(matrix, pc_alpha)
     else:
-        first = ruiz_rescale(matrix, ruiz_iters, deadline=deadline)
         scaled = matrix.scaled(first.row_scale, first.col_scale)
         scaling = first.compose(pock_chambolle_rescale(scaled, pc_alpha))
     if m1 is not None:

@@ -345,7 +345,7 @@ def solve(problem, config=None, callback=None):
 
             try:
                 if halpern:
-                    kx_t = halpern_step(state, saddle, step, errstate=False)
+                    halpern_step(state, saddle, step, errstate=False)
                 elif adaptive:
                     state, step, accepted = adaptive_step(state, saddle, step, errstate=False)
                     if not accepted:
@@ -420,8 +420,6 @@ def solve(problem, config=None, callback=None):
                         primal_weight=update_primal_weight(step.primal_weight, dx_norm, dy_norm, config.weight),
                     )
                     apply_restart(state, candidate)
-                    if halpern:
-                        state.kx = kx_t  # K T(z), so the next step needs no extra product
                     start = candidate
                     # the new start's gap at the distance it moved is the candidate's
                     if candidate_gap is not None:

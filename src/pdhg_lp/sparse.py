@@ -1,10 +1,18 @@
-"""Sparse matrix kernel used by the solver.
+"""Sparse matrix kernel used by the solver, and its vector dot product.
 
 Wraps one scipy CSR matrix; every iteration needs both K x and K^T y, and
 K^T y reads the same CSR arrays as K x.  Instances are immutable; the
 matvec call counters are the only mutable state and exist for statistics
 (they are not synchronized, so counts are approximate if a matrix is shared
-across threads).
+across threads).  ``row_blocks`` splits a large matrix's rows in two, for
+the Halpern step's two threads.
+
+``dot`` is the one inner product of the solver's loop.  On a long vector it
+runs numpy's einsum, not BLAS: OpenBLAS's dot kernel splits a vector of
+more than 10,000 entries across its own threads, and after that its worker
+thread spins on a second core for a while, which starves whatever else runs
+there (the step's own worker thread, ARPACK's BLAS).  A short vector stays
+on the calling thread, where BLAS's 0.4 us per call beats einsum's 1 us.
 """
 
 import math
@@ -16,13 +24,38 @@ from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .exceptions import DimensionMismatch, NonFiniteData
 
+try:  # einsum's C entry point, without np.einsum's Python wrapper
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as _einsum
+
 _FLOAT64 = np.dtype(np.float64)
+
+# A matrix with at least this many nonzeros has its rows in two blocks of
+# about half the nonzeros each, which the Halpern step runs on two threads.
+# Below it one block, and the step runs inline: a round trip to the worker
+# thread costs 10-60 us, more than half a product saves on a small matrix.
+SPLIT_MIN_NNZ = 200_000
+
+
+# Vectors longer than this take einsum in ``dot``.  Measured with numpy
+# 2.4's OpenBLAS on a 2-core AMD EPYC: a loop of BLAS dots keeps the process
+# at 1.0 CPU-seconds per second up to 10,000 entries and at 2.0 from 20,000.
+DOT_BLAS_MAX = 4096
+
+
+def dot(a, b):
+    """The inner product of two float64 vectors, as a float: BLAS up to
+    DOT_BLAS_MAX entries, einsum above (module docstring)."""
+    if a.size <= DOT_BLAS_MAX:
+        return float(a.dot(b))
+    return float(_einsum("i,i", a, b))
 
 
 class SparseMatrix:
     """CSR matrix with both products and cheap row/column reductions."""
 
-    __slots__ = ("_csr", "shape", "nnz", "matvec_calls", "rmatvec_calls")
+    __slots__ = ("_csr", "shape", "nnz", "matvec_calls", "rmatvec_calls", "_row_blocks")
 
     def __init__(self, matrix, shape=None):
         if isinstance(matrix, SparseMatrix):
@@ -42,6 +75,7 @@ class SparseMatrix:
         self.nnz = int(csr.nnz)
         self.matvec_calls = 0
         self.rmatvec_calls = 0
+        self._row_blocks = None
 
     # -- products ---------------------------------------------------------
 
@@ -75,6 +109,30 @@ class SparseMatrix:
         csr = self._csr
         csc_matvec(n, m, csr.indptr, csr.indices, csr.data, y, out)
         return out
+
+    def row_blocks(self):
+        """The rows as one block, or from SPLIT_MIN_NNZ nonzeros on as two
+        blocks of about half the nonzeros each.
+
+        A block is (rows, indptr, indices, data): the slice of its rows,
+        and views of the matrix's own CSR arrays, no copy, such that
+        scipy's ``csr_matvec(rows.stop - rows.start, n, indptr, indices,
+        data, x, out[rows])`` adds the block's rows times x into
+        ``out[rows]`` and ``csc_matvec(n, rows.stop - rows.start, indptr,
+        indices, data, y[rows], out)`` adds their transpose times
+        ``y[rows]`` into ``out``.  Computed once.
+        """
+        if self._row_blocks is None:
+            csr = self._csr
+            m = self.shape[0]
+            bounds = [0, m]
+            if self.nnz >= SPLIT_MIN_NNZ and m > 1:
+                middle = int(np.searchsorted(csr.indptr, self.nnz // 2))
+                bounds.insert(1, min(max(middle, 1), m - 1))
+            self._row_blocks = tuple(
+                (slice(a, b), csr.indptr[a : b + 1], csr.indices, csr.data) for a, b in zip(bounds, bounds[1:])
+            )
+        return self._row_blocks
 
     # -- reductions -------------------------------------------------------
 
@@ -230,11 +288,11 @@ def spectral_norm_estimate(matrix, tol=1e-4, max_iters=5000, seed=0, *, deadline
             raise _Stop
         applied += 1
         u = first(v)
-        # einsum, not BLAS: numpy's BLAS threads and the BLAS that ARPACK
+        # dot, not BLAS: numpy's BLAS threads and the BLAS that ARPACK
         # calls contend for the cores when both are woken in turn
-        squares_v = float(np.einsum("i,i->", v, v))
+        squares_v = dot(v, v)
         if squares_v > 0.0:
-            best = max(best, math.sqrt(float(np.einsum("i,i->", u, u)) / squares_v))
+            best = max(best, math.sqrt(dot(u, u) / squares_v))
         return second(u)
 
     operator = LinearOperator((dim, dim), matvec=normal, dtype=np.float64)

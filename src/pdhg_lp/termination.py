@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .exceptions import NonPositiveInput, NotACertificate
+from .sparse import dot
 
 
 @dataclass(frozen=True)
@@ -85,11 +86,12 @@ def check_constants(saddle):
     below = lfin & ~ufin
     above = ufin & ~lfin
     both = lfin & ufin
-    # The certificate scales take np.linalg.norm, which is inf where _norm
-    # rescales; they differ only on data whose squares overflow.
+    # The certificate scales take the plain square root of the summed
+    # squares, which is inf where _norm rescales; they differ only on data
+    # whose squares overflow.
     with np.errstate(over="ignore"):
-        data_norm_q = float(np.linalg.norm(saddle.q))
-        data_norm_c = float(np.linalg.norm(saddle.c))
+        data_norm_q = math.sqrt(dot(saddle.q, saddle.q))
+        data_norm_c = math.sqrt(dot(saddle.c, saddle.c))
         norm_q, norm_c = _norm(saddle.q), _norm(saddle.c)
     return CheckConstants(
         lfin=lfin,
@@ -129,29 +131,29 @@ def bound_objective_term(lam, l, u):
     neg = lam < 0
     total = 0.0
     if np.any(pos):
-        total += float(l[pos] @ lam[pos])
+        total += dot(l[pos], lam[pos])
     if np.any(neg):
-        total += float(u[neg] @ lam[neg])
+        total += dot(u[neg], lam[neg])
     return total
 
 
 def _norm(*parts):
     """Euclidean norm of the concatenated ``parts``.
 
-    The plain square root of the summed squares (what np.linalg.norm
-    computes) whenever that sum is finite; when it overflows, the parts are
-    rescaled by their largest magnitude first, as LAPACK's dnrm2 does, so a
-    huge vector gets a large (or infinite) norm.  Run it under
+    The plain square root of the summed squares whenever that sum is
+    finite; when it overflows, the parts are rescaled by their largest
+    magnitude first, as LAPACK's dnrm2 does, so a huge vector gets a large
+    (or infinite) norm.  Run it under
     np.errstate(over="ignore"), as ``solve``'s loop is, for that to come
     without an overflow warning.
     """
-    squares = sum(float(p.dot(p)) for p in parts)
+    squares = sum(dot(p, p) for p in parts)
     if math.isfinite(squares):
         return math.sqrt(squares)
     scale = max(float(np.max(np.abs(p))) for p in parts if p.size)
     if not math.isfinite(scale):
         return scale  # inf or nan entries
-    return scale * math.sqrt(sum(float((p / scale).dot(p / scale)) for p in parts))
+    return scale * math.sqrt(sum(dot(v, v) for v in (p / scale for p in parts)))
 
 
 def kkt_error(saddle, x, y, constants=None):
@@ -172,8 +174,8 @@ def kkt_error(saddle, x, y, constants=None):
     with np.errstate(over="ignore", invalid="ignore"):
         primal_residual = _norm(ineq_violation, eq_violation)
         dual_residual = _norm(diff)
-        primal_objective = float(saddle.c @ x)
-        dual_objective = float(saddle.q @ y) + bound_objective_term(lam, saddle.l, saddle.u)
+        primal_objective = dot(saddle.c, x)
+        dual_objective = dot(saddle.q, y) + bound_objective_term(lam, saddle.l, saddle.u)
     duality_gap = abs(primal_objective - dual_objective)
 
     return KktReport(
@@ -253,7 +255,7 @@ def check_primal_infeasible(saddle, y_ray, tol, constants=None, *, norm=None):
     lamhat = _project_reduced_costs(rhat, constants.lfin, constants.ufin)
     attain = float(np.max(np.abs(rhat - lamhat))) if rhat.size else 0.0
     residual = max(cone_violation, attain)
-    gain = float(saddle.q @ yhat) + bound_objective_term(lamhat, saddle.l, saddle.u)
+    gain = dot(saddle.q, yhat) + bound_objective_term(lamhat, saddle.l, saddle.u)
     scale = constants.primal_scale
     valid = residual <= tol and gain >= tol * scale
     return CertificateVerdict(valid=valid, residual=residual, gain=gain, margin=gain / scale - residual)
@@ -280,7 +282,7 @@ def check_dual_infeasible(saddle, x_ray, tol, constants=None, *, norm=None):
         residual = max(residual, float(np.max(np.maximum(d[above], 0.0))))
     if both is not None:
         residual = max(residual, float(np.max(np.abs(d[both]))))
-    gain = -float(saddle.c @ d)
+    gain = -dot(saddle.c, d)
     scale = constants.dual_scale
     valid = residual <= tol and gain >= tol * scale
     return CertificateVerdict(valid=valid, residual=residual, gain=gain, margin=gain / scale - residual)

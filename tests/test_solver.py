@@ -1,7 +1,12 @@
 import json
 import logging
 import math
+import multiprocessing
+import os
+import queue
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ import scipy.optimize
 import scipy.sparse
 
 import pdhg_lp as pl
-from pdhg_lp import restarts, scaling as scaling_module
+from pdhg_lp import pdhg, restarts, scaling as scaling_module
 from pdhg_lp.pdhg import halpern_step
 from pdhg_lp.scaling import ROW_ORDER_MIN_NNZ
 
@@ -394,6 +399,44 @@ class TestScalingDeadline:
         assert report.matvecs == 2
         assert report.notes == ["spectral norm estimate hit its time limit; using best value"]
 
+    @pytest.mark.parametrize("mode", pl.scaling.SCALING_MODES)
+    def test_nothing_built_after_the_deadline(self, monkeypatch, mode):
+        # a Ruiz sweep runs past the deadline (or it has passed before the
+        # start); then combined_rescale returns the identity without the
+        # Ruiz-scaled copy, the Pock-Chambolle pass or the row order
+        saddle = pl.to_saddle(pl.generate_pagerank(pl.PagerankSpec(num_nodes=3000)))
+        assert saddle.K.nnz >= ROW_ORDER_MIN_NNZ
+        real_sweep = scaling_module._ruiz_sweep
+
+        def slow_sweep(*args):
+            time.sleep(0.1)
+            return real_sweep(*args)
+
+        calls = []
+
+        def recording(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(scaling_module, "_ruiz_sweep", slow_sweep)
+        monkeypatch.setattr(pl.SparseMatrix, "scaled", recording("scaled", pl.SparseMatrix.scaled))
+        for name in ("pock_chambolle_rescale", "length_order"):
+            monkeypatch.setattr(scaling_module, name, recording(name, getattr(scaling_module, name)))
+        deadline = time.perf_counter() + 0.05
+        if mode in ("none", "pc"):
+            time.sleep(0.06)
+        scaling = pl.combined_rescale(saddle.K, mode=mode, m1=saddle.m1, deadline=deadline)
+        assert scaling.is_identity
+        assert calls == []
+        # without a deadline all three run where the mode asks for them
+        pl.combined_rescale(saddle.K, mode=mode, m1=saddle.m1)
+        assert calls.count("length_order") == 1
+        assert calls.count("pock_chambolle_rescale") == ("pc" in mode)
+        assert calls.count("scaled") == (mode == "ruiz+pc")
+
     def test_ruiz_stops_between_sweeps(self, monkeypatch):
         sweeps = []
         real_sweep = scaling_module._ruiz_sweep
@@ -722,3 +765,117 @@ class TestWorkingSpaceRowOrder:
         assert pl.check_primal_infeasible(saddle, ray, 1e-10).valid
         # the ray pulls the two contradicting rows apart
         assert ray[-1] > 0.0 > ray[-2]
+
+
+def _solve_in_child(problem, results):
+    report = pl.solve(problem)
+    own_worker = pdhg._cpus() < 2 or pdhg._pool[0] == os.getpid()
+    results.put((report.status, report.iterations, own_worker))
+
+
+class TestTwoThreads:
+    """Above ``sparse.SPLIT_MIN_NNZ`` nonzeros the Halpern step runs half of
+    each phase on a worker thread; on one CPU the caller runs both halves,
+    with the same bits.  The CI runs these tests under ``taskset -c 0``
+    too, where the affinity itself allows one CPU."""
+
+    @staticmethod
+    def solve_recording_workers(problem, monkeypatch):
+        workers = []
+        real = pdhg._worker
+
+        def recording():
+            workers.append(real())
+            return workers[-1]
+
+        monkeypatch.setattr(pdhg, "_worker", recording)
+        report = pl.report_to_dict(pl.solve(problem))
+        del report["timings"]
+        return report, workers
+
+    def test_two_threads_match_one_cpu_above_the_floor(self, monkeypatch):
+        problem = pl.generate_pagerank(pl.PagerankSpec(num_nodes=26_000))
+        assert pl.to_saddle(problem).K.nnz >= pl.sparse.SPLIT_MIN_NNZ
+        threaded, workers = self.solve_recording_workers(problem, monkeypatch)
+        assert threaded["status"] == pl.STATUS_OPTIMAL
+        assert len(workers) == threaded["counts"]["iterations"]
+        if pdhg._cpus() >= 2:
+            assert all(w is not None and w is workers[0] for w in workers)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        serial, workers = self.solve_recording_workers(problem, monkeypatch)
+        assert workers and all(w is None for w in workers)
+        assert json.dumps(threaded, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+    def test_two_threads_below_the_floor_make_no_worker(self, monkeypatch):
+        problem = pl.generate_pagerank(pl.PagerankSpec(num_nodes=2000))
+        assert pl.to_saddle(problem).K.nnz < pl.sparse.SPLIT_MIN_NNZ
+        monkeypatch.setattr(pdhg, "_pool", None)
+        inline, workers = self.solve_recording_workers(problem, monkeypatch)
+        assert inline["status"] == pl.STATUS_OPTIMAL
+        assert workers == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        serial, workers = self.solve_recording_workers(problem, monkeypatch)
+        assert workers == []
+        assert pdhg._pool is None
+        assert json.dumps(inline, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+    def test_two_threads_non_finite_operator_leaves_state_intact(self):
+        # the reflection 2 x_T - x overflows in both halves of the x side,
+        # the worker's too, without a warning (which the test settings turn
+        # into an error) and without touching the iterate
+        saddle = pl.to_saddle(pl.generate_pagerank(pl.PagerankSpec(num_nodes=26_000)))
+        state = pl.IterateState(x=np.full(saddle.num_primal, 1.7e308), y=np.zeros(saddle.num_dual))
+        x, y = state.x, state.y
+        with pytest.raises(pl.NonFiniteIterate, match="total iteration 1"):
+            halpern_step(state, saddle, pl.StepState(0.5, 1.0))
+        assert state.x is x and state.y is y
+        assert np.all(state.x == 1.7e308) and np.all(state.y == 0.0)
+        assert (state.inner_count, state.total_count, state.trial_count) == (0, 0, 0)
+
+    def test_two_threads_concurrent_solves_share_the_worker(self):
+        # three solving threads on two cores queue their halves on the one
+        # worker; each must get the report of the solve run alone
+        problem = pl.generate_pagerank(pl.PagerankSpec(num_nodes=26_000))
+
+        def report():
+            out = pl.report_to_dict(pl.solve(problem))
+            del out["timings"]
+            return json.dumps(out, sort_keys=True)
+
+        alone = report()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as callers:
+                futures = [callers.submit(report) for _ in range(3)]
+                together = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert together == [alone] * 3
+
+    # forking a process that has a thread is what this test is about
+    @pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+    def test_fork_child_solves_as_the_parent(self):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        problem = pl.generate_pagerank(pl.PagerankSpec(num_nodes=26_000))
+        parent = pl.solve(problem)
+        assert pdhg._cpus() < 2 or pdhg._pool[0] == os.getpid()
+        context = multiprocessing.get_context("fork")
+        results = context.Queue()
+        child = context.Process(target=_solve_in_child, args=(problem, results))
+        child.start()
+        try:
+            status, iterations, own_worker = results.get(timeout=60)
+            child.join(timeout=30)
+        except queue.Empty:
+            pytest.fail("the forked child did not finish its solve")
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert (status, iterations) == (parent.status, parent.iterations)
+        assert own_worker

@@ -296,6 +296,36 @@ class TestStorage:
         assert kept <= 1.15 * arrays
         assert peak <= 2.5 * arrays
 
+    def test_row_blocks_are_views_that_split_the_nonzeros(self):
+        # from SPLIT_MIN_NNZ on, two blocks of about half the nonzeros each,
+        # over the matrix's own arrays; their products add up to K x and K'y
+        from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+
+        csr = sp.random(1500, 1200, density=0.12, random_state=3, format="csr")
+        mat = SparseMatrix(csr)
+        assert mat.nnz >= pl.sparse.SPLIT_MIN_NNZ
+        own = mat._csr
+        blocks = mat.row_blocks()
+        assert blocks is mat.row_blocks()
+        (first, ptr0, idx0, data0), (second, ptr1, idx1, data1) = blocks
+        assert (first.start, first.stop, second.start, second.stop) == (0, second.start, first.stop, 1500)
+        assert abs(int(ptr0[-1]) - mat.nnz // 2) <= int(np.diff(own.indptr).max())
+        for view, array in ((ptr0, own.indptr), (ptr1, own.indptr), (idx0, own.indices), (data1, own.data)):
+            assert np.shares_memory(view, array)
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal(1200), rng.standard_normal(1500)
+        kx, kty = np.zeros(1500), np.zeros((2, 1200))
+        for (rows, ptr, idx, data), part in zip(blocks, kty):
+            csr_matvec(rows.stop - rows.start, 1200, ptr, idx, data, x, kx[rows])
+            csc_matvec(1200, rows.stop - rows.start, ptr, idx, data, y[rows], part)
+        assert kx.tobytes() == mat.matvec(x).tobytes()
+        np.testing.assert_allclose(kty[0] + kty[1], mat.rmatvec(y), rtol=1e-12, atol=1e-12)
+
+    def test_one_row_block_below_the_floor(self):
+        mat = SparseMatrix(sp.random(300, 200, density=0.1, random_state=4, format="csr"))
+        [(rows, ptr, _, _)] = mat.row_blocks()
+        assert (rows.start, rows.stop) == (0, 300) and ptr.size == 301
+
 
 class TestWorkingSpaceProducts:
     """Products with the scaled K whose rows are gathered by an order."""

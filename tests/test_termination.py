@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from pdhg_lp import (
 )
 
 from pdhg_lp import termination
+from pdhg_lp.sparse import dot
 from pdhg_lp.termination import check_constants
 
 from conftest import planted_infeasible_lp, planted_unbounded_lp, random_feasible_lp, random_small_saddle
@@ -115,7 +117,8 @@ class TestKktError:
         assert np.isnan(report.duality_gap)
 
     def test_residual_norms_match_plain_formula(self):
-        # below overflow the norms are the plain sqrt of the summed squares
+        # below overflow the norms are the plain sqrt of the summed squares,
+        # each sum the solver's inner product
         rng = np.random.default_rng(4)
         for _ in range(50):
             saddle, x, y = random_small_saddle(rng)
@@ -125,11 +128,11 @@ class TestKktError:
             m1 = saddle.m1
             ineq = np.maximum(saddle.q[:m1] - kx[:m1], 0.0)
             eq = kx[m1:] - saddle.q[m1:]
-            assert report.primal_residual == float(np.sqrt(ineq @ ineq + eq @ eq))
+            assert report.primal_residual == math.sqrt(dot(ineq, ineq) + dot(eq, eq))
             r = saddle.c - saddle.K.rmatvec(y)
             lam = reduced_cost_projection(r, saddle.l, saddle.u)
-            assert report.dual_residual == float(np.linalg.norm(r - lam))
-            assert report.primal_objective == float(saddle.c @ x)
+            assert report.dual_residual == math.sqrt(dot(r - lam, r - lam))
+            assert report.primal_objective == dot(saddle.c, x)
 
 
 class TestReducedCosts:
@@ -276,7 +279,8 @@ def _finite_abs_max(v):
 
 def reference_primal_verdict(saddle, y_ray, tol):
     """``check_primal_infeasible`` restated with its data constants (the
-    bound masks and the scale) computed in place from the problem data."""
+    bound masks and the scale) computed in place from the problem data, and
+    the solver's inner product."""
     yhat = termination._unit(y_ray)
     m1 = saddle.m1
     cone_violation = float(max(0.0, -yhat[:m1].min())) if m1 else 0.0
@@ -284,8 +288,8 @@ def reference_primal_verdict(saddle, y_ray, tol):
     lamhat = reduced_cost_projection(rhat, saddle.l, saddle.u)
     attain = float(np.max(np.abs(rhat - lamhat))) if rhat.size else 0.0
     residual = max(cone_violation, attain)
-    gain = float(saddle.q @ yhat) + bound_objective_term(lamhat, saddle.l, saddle.u)
-    scale = max(1.0, float(np.linalg.norm(saddle.q)), _finite_abs_max(saddle.l), _finite_abs_max(saddle.u))
+    gain = dot(saddle.q, yhat) + bound_objective_term(lamhat, saddle.l, saddle.u)
+    scale = max(1.0, math.sqrt(dot(saddle.q, saddle.q)), _finite_abs_max(saddle.l), _finite_abs_max(saddle.u))
     return CertificateVerdict(residual <= tol and gain >= tol * scale, residual, gain, gain / scale - residual)
 
 
@@ -305,8 +309,8 @@ def reference_dual_verdict(saddle, x_ray, tol):
     ):
         if mask.any():
             residual = max(residual, float(np.max(excess[mask])))
-    gain = -float(saddle.c @ d)
-    scale = max(1.0, float(np.linalg.norm(saddle.c)))
+    gain = -dot(saddle.c, d)
+    scale = max(1.0, math.sqrt(dot(saddle.c, saddle.c)))
     return CertificateVerdict(residual <= tol and gain >= tol * scale, residual, gain, gain / scale - residual)
 
 
@@ -318,8 +322,8 @@ def assert_same_kkt(saddle, x, y, constants):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
     r = saddle.c - saddle.K.rmatvec(y)
     assert report.reduced_costs.tobytes() == reduced_cost_projection(r, saddle.l, saddle.u).tobytes()
-    assert report.rel_primal == report.primal_residual / (1.0 + float(np.linalg.norm(saddle.q)))
-    assert report.rel_dual == report.dual_residual / (1.0 + float(np.linalg.norm(saddle.c)))
+    assert report.rel_primal == report.primal_residual / (1.0 + math.sqrt(dot(saddle.q, saddle.q)))
+    assert report.rel_dual == report.dual_residual / (1.0 + math.sqrt(dot(saddle.c, saddle.c)))
 
 
 def boxed_infeasible_lp(lower, upper):
