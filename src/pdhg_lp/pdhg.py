@@ -23,7 +23,12 @@ Halpern iteration (Lu & Yang, arXiv 2407.16144) moves to
 
 with z_0 the epoch's anchor.  It forms the reflection 2 x_T - x before the
 product, as K (2 x_T - x), so it keeps no K x and also costs one matvec and
-one rmatvec.  On a large K it runs on two threads (``halpern_step``).
+one rmatvec.  It keeps z, T(z), the reflection and z_0 stacked, each as one
+vector of length n + m whose first n entries are its x part and the rest
+its y part (``StepBuffers``), so that the mix, the fixed-point residual's
+difference and the finiteness test are one pass each over all of z.  The
+state's x and y are views of the stacked iterate.  On a large K it runs on
+two threads (``halpern_step``).
 
 The kernel runs under np.errstate(over="ignore", invalid="ignore"), so that
 a diverging iterate is reported as NonFiniteIterate and not as a warning.
@@ -46,7 +51,7 @@ except ImportError:  # numpy < 2
     from numpy.core.umath import clip as _clip
 
 from .exceptions import NonFiniteIterate, NonPositiveInput, NonPositiveQuadraticForm
-from .sparse import dot
+from .sparse import ROW_WEIGHT, dot
 
 
 @dataclass(frozen=True)
@@ -75,20 +80,56 @@ class StepState:
 
 
 class StepBuffers:
-    """Work vectors of the step kernel: the trial point, its displacement,
-    K x+ - K x and the gradient c - K'y; the Halpern step also keeps the
-    second row block's part of K'y in ``part``."""
+    """Work vectors of a step kernel, in one of two layouts.
 
-    __slots__ = ("x", "y", "dx", "dy", "dkx", "grad", "part")
+    ``StepBuffers(n, m)``, for PDHG and the adaptive rule: the trial point
+    ``x``/``y``, its displacement ``dx``/``dy``, K x+ - K x in ``dkx`` and
+    the gradient c - K'y in ``grad``.
 
-    def __init__(self, n, m):
-        self.x = np.empty(n)
-        self.y = np.empty(m)
-        self.dx = np.empty(n)
-        self.dy = np.empty(m)
-        self.dkx = np.empty(m)
-        self.grad = np.empty(n)
+    ``StepBuffers(n, m, m1)``, for the Halpern step: five stacked vectors
+    of length n + m, each of whose x part (its first n entries) and y part
+    (the rest) are views made once:
+
+        t       T(z_k); ``x``/``y`` are its parts, ``head`` the first m1
+                entries of its y part (None when m1 is 0)
+        r       the reflection 2 T(z_k) - z_k, parts ``dx``/``dy``; after
+                the step, scratch (``fixed_point_residual`` writes
+                T(z_k) - z_k there)
+        z       the iterate z_{k+1}: the state's x and y are ``z_parts``
+        prev    z_k, the iterate the step replaced (``prev_parts``); the
+                next step writes its mix here, then ``z`` and ``prev``
+                change places
+        anchor  the epoch's start z_0 (``anchor_parts``, which the state's
+                ``anchor`` is)
+
+    and ``part``, length n: the second row block's part of K'y when K is
+    split in two (``halpern_step``).  The fields of the other layout are
+    None.
+    """
+
+    __slots__ = (
+        "x", "y", "dx", "dy", "dkx", "grad", "part",
+        "t", "head", "r", "z", "z_parts", "prev", "prev_parts", "anchor", "anchor_parts",
+    )
+
+    def __init__(self, n, m, m1=None):
+        if m1 is None:
+            self.x, self.y = np.empty(n), np.empty(m)
+            self.dx, self.dy = np.empty(n), np.empty(m)
+            self.dkx = np.empty(m)
+            self.grad = np.empty(n)
+            self.part = self.t = self.head = self.r = self.z = self.z_parts = None
+            self.prev = self.prev_parts = self.anchor = self.anchor_parts = None
+            return
+        self.dkx = self.grad = None
         self.part = np.empty(n)
+        self.t, self.r, self.z, self.prev, self.anchor = (np.empty(n + m) for _ in range(5))
+        self.x, self.y = self.t[:n], self.t[n:]
+        self.head = self.y[:m1] if m1 else None
+        self.dx, self.dy = self.r[:n], self.r[n:]
+        self.z_parts = (self.z[:n], self.z[n:])
+        self.prev_parts = (self.prev[:n], self.prev[n:])
+        self.anchor_parts = (self.anchor[:n], self.anchor[n:])
 
 
 @dataclass
@@ -102,10 +143,11 @@ class IterateState:
     owns ``x`` and ``y`` (they are copied in), because the step kernel
     recycles the replaced vectors as work buffers: hold a copy, not a
     reference, of an iterate that must outlive the next step.  After a
-    step, ``buffers.x`` and ``buffers.y`` hold the iterate it replaced until
-    the next step starts; ``apply_restart`` leaves them alone.  ``anchor``
-    is the Halpern epoch's start (x, y), copied at the epoch's first
-    Halpern step.
+    PDHG step, ``buffers.x`` and ``buffers.y`` hold the iterate it replaced
+    until the next step starts; ``apply_restart`` leaves them alone.  After
+    a Halpern step x and y are views of ``buffers.z`` (``StepBuffers``).
+    ``anchor`` is the Halpern epoch's start (x, y), copied into
+    ``buffers.anchor`` at the epoch's first Halpern step and then its parts.
     """
 
     x: np.ndarray
@@ -166,7 +208,7 @@ def step_gradient(state, saddle):
     if state.kx is None:
         state.kx = k.matvec(state.x)
     buf = state.buffers
-    if buf is None:
+    if buf is None or buf.grad is None:
         buf = state.buffers = StepBuffers(state.x.size, state.y.size)
     np.subtract(saddle.c, k.rmatvec(state.y), out=buf.grad)
     return buf
@@ -267,20 +309,25 @@ def halpern_step(state, saddle, step, *, errstate=True):
         z_{k+1} = (k+1)/(k+2) (2 T(z_k) - z_k) + z_0 / (k+2)
 
     in that order of operations: the reflection r is taken before the
-    product, so no K x is kept.  The mixes are written into the work
-    buffers, which then change places with the iterate: afterwards
-    ``buffers.x``/``buffers.y`` hold T(z_k) and ``buffers.grad``/
-    ``buffers.dkx`` hold z_k, until the next step starts.  Raises
-    NonFiniteIterate, the iterate untouched, when T(z_k) is not finite.
-    ``errstate`` as for ``pdhg_step``.
+    product, so no K x is kept.  The vectors are the stacked ones of the
+    state's ``StepBuffers`` (its docstring): the mix goes into ``prev``,
+    which then changes places with ``z``, so that afterwards
+    ``buffers.x``/``buffers.y`` hold T(z_k), ``buffers.prev_parts`` hold
+    z_k and the state's x and y are the parts of ``buffers.z``.  An iterate
+    that is not already there (an epoch's start, or one set from outside)
+    is copied in first.  Raises NonFiniteIterate, the iterate untouched,
+    when T(z_k) is not finite.  ``errstate`` as for ``pdhg_step``.
 
-    The step runs in three phases over K's ``row_blocks``: the blocks' parts
-    of K'y; the x side over as many column ranges; K r and the y side over
-    the row blocks.  With two blocks the worker thread (``_worker``) runs
-    the second half of each phase while the caller runs the first, or, with
-    one CPU, the caller runs both in turn: the same arithmetic, the same
-    bits.  The worker runs only scipy kernels and numpy ufuncs on disjoint
-    slices, never a function a tracer could wrap.
+    With one row block the step runs inline as straight-line code: the x
+    side, the y side, then the mix and the finiteness sum each as one pass
+    over all n + m entries.  With two (K's ``row_blocks``) it runs in three
+    phases: the blocks' parts of K'y; the x side over two column ranges;
+    K r and the y side over the row blocks of ``row_blocks(ROW_WEIGHT)``.
+    The worker thread (``_worker``) runs the second half of each phase
+    while the caller runs the first, or, with one CPU, the caller runs both
+    in turn: the same arithmetic, the same bits.  The worker runs only
+    scipy kernels and numpy ufuncs on disjoint slices, never a function a
+    tracer could wrap.
     """
     if errstate:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -288,51 +335,84 @@ def halpern_step(state, saddle, step, *, errstate=True):
     k_mat = saddle.K
     m, n = k_mat.shape
     buf = state.buffers
-    if buf is None:
-        buf = state.buffers = StepBuffers(n, m)
+    if buf is None or buf.t is None:
+        buf = state.buffers = StepBuffers(n, m, saddle.m1)
     k = state.inner_count
-    if k == 0:
-        state.anchor = (state.x.copy(), state.y.copy())
-    x0, y0 = state.anchor
-    x, y = state.x, state.y
-    blocks = k_mat.row_blocks()
+    x, y = buf.z_parts
+    if k == 0 or state.x is not x or state.y is not y:
+        np.copyto(x, state.x)
+        np.copyto(y, state.y)
+        if k == 0:
+            np.copyto(buf.anchor, buf.z)
+            state.anchor = buf.anchor_parts
+        else:
+            for part, given in zip(buf.anchor_parts, state.anchor):
+                np.copyto(part, given)
     scale, sigma = step.step_size / step.primal_weight, step.sigma
     share, denominator = (k + 1) / (k + 2), k + 2
-    primal = (saddle.c, saddle.l, saddle.u, x, x0, buf.grad, buf.part, buf.x, buf.dx)
-    dual = (saddle.q, y, y0, buf.dy, buf.y, buf.dkx)
+    x_t, y_t, r_x, r_y, mix = buf.x, buf.y, buf.dx, buf.dy, buf.prev
+    blocks = k_mat.row_blocks()
     if len(blocks) == 1:
-        [block] = blocks
-        _transpose_product(block, n, y, buf.grad)
-        sums = (
-            _primal_side(*primal, False, scale, share, denominator),
-            _dual_side(block, n, saddle.m1, buf.dx, *dual, sigma, share, denominator),
-        )
+        [(_, indptr, indices, data)] = blocks
+        # x_T = proj(x - scale (c - K'y)) and r_x = 2 x_T - x, in r_x
+        r_x.fill(0.0)
+        csc_matvec(n, m, indptr, indices, data, y, r_x)
+        np.subtract(saddle.c, r_x, out=r_x)
+        np.multiply(r_x, scale, out=r_x)
+        np.subtract(x, r_x, out=r_x)
+        _clip(r_x, saddle.l, saddle.u, out=x_t)
+        np.multiply(x_t, 2.0, out=r_x)
+        np.subtract(r_x, x, out=r_x)
+        # y_T = proj(y + sigma (q - K r_x)) and r_y = 2 y_T - y, in r_y
+        r_y.fill(0.0)
+        csr_matvec(m, n, indptr, indices, data, r_x, r_y)
+        np.subtract(saddle.q, r_y, out=r_y)
+        np.multiply(r_y, sigma, out=r_y)
+        np.add(y, r_y, out=y_t)
+        if buf.head is not None:
+            np.maximum(buf.head, 0.0, out=buf.head)
+        np.multiply(y_t, 2.0, out=r_y)
+        np.subtract(r_y, y, out=r_y)
+        # the mix over all of z, with r as the spare
+        np.multiply(buf.r, share, out=mix)
+        np.divide(buf.anchor, denominator, out=buf.r)
+        np.add(mix, buf.r, out=mix)
+        # a non-finite entry makes the sum non-finite
+        total = np.add.reduce(buf.t)
     else:
         pool = _worker()
-        # K'y by block: the first block's part into grad, the second's into part
-        _in_halves(pool, _transpose_product, [(b, n, y, out) for b, out in zip(blocks, (buf.grad, buf.part))])
+        mix_x, mix_y = buf.prev_parts
+        anchor_x, anchor_y = buf.anchor_parts
+        # K'y by block: the first block's part into mix_x, the second's into part
+        _in_halves(pool, _transpose_product, [(b, n, y, out) for b, out in zip(blocks, (mix_x, buf.part))])
+        primal = (saddle.c, saddle.l, saddle.u, x, anchor_x, mix_x, buf.part, x_t, r_x)
         sums = _in_halves(
             pool,
             _primal_side,
             [
-                tuple(a[cols] for a in primal) + (True, scale, share, denominator)
+                tuple(a[cols] for a in primal) + (scale, share, denominator)
                 for cols in (slice(0, n // 2), slice(n // 2, n))
             ],
         )
+        dual = (saddle.q, y, anchor_y, r_y, y_t, mix_y)
         sums += _in_halves(
             pool,
             _dual_side,
-            [(b, n, saddle.m1, buf.dx) + tuple(a[b[0]] for a in dual) + (sigma, share, denominator) for b in blocks],
+            [
+                (b, n, saddle.m1, r_x) + tuple(a[b[0]] for a in dual) + (sigma, share, denominator)
+                for b in k_mat.row_blocks(ROW_WEIGHT)
+            ],
         )
+        total = sum(sums)
     k_mat.matvec_calls += 1
     k_mat.rmatvec_calls += 1
-    # a non-finite entry makes its half's sum non-finite, so the full scan
-    # runs only when the sum of T(z)'s entries is not finite
-    if not math.isfinite(sum(sums)) and not (np.all(np.isfinite(buf.x)) and np.all(np.isfinite(buf.y))):
+    # the full scan runs only when the sum of T(z)'s entries is not finite
+    if not math.isfinite(total) and not np.all(np.isfinite(buf.t)):
         raise NonFiniteIterate(f"iterate became non-finite at total iteration {state.total_count + 1}")
     state.trial_count += 1
-    state.x, buf.grad = buf.grad, state.x
-    state.y, buf.dkx = buf.dkx, state.y
+    buf.z, buf.prev = mix, buf.z
+    buf.z_parts, buf.prev_parts = buf.prev_parts, buf.z_parts
+    state.x, state.y = buf.z_parts
     state.inner_count += 1
     state.total_count += 1
     return state
@@ -390,13 +470,12 @@ def _transpose_product(block, n, y, out):
     csc_matvec(n, rows.stop - rows.start, indptr, indices, data, y[rows], out)
 
 
-def _primal_side(c, l, u, x, x0, grad, part, x_t, r, two, scale, share, denominator):
-    """Over a column range: grad = c - K'y (K'y in grad, plus part when
-    ``two``), x_T = proj(x - scale grad) into x_t, the reflection r = 2 x_T
-    - x, and the x mix share r + x0 / denominator into grad, with part as
-    the spare.  Returns the sum of x_T's entries."""
-    if two:
-        np.add(grad, part, out=grad)
+def _primal_side(c, l, u, x, x0, grad, part, x_t, r, scale, share, denominator):
+    """Over a column range: grad = c - K'y (K'y in grad plus part), x_T =
+    proj(x - scale grad) into x_t, the reflection r = 2 x_T - x, and the x
+    mix share r + x0 / denominator into grad, with part as the spare.
+    Returns the sum of x_T's entries."""
+    np.add(grad, part, out=grad)
     np.subtract(c, grad, out=grad)
     np.multiply(grad, scale, out=r)
     np.subtract(x, r, out=r)
@@ -433,10 +512,10 @@ def _dual_side(block, n, m1, r, q, y, y0, kr, y_t, out, sigma, share, denominato
 
 def fixed_point_residual(state, step):
     """||T(z) - z|| in the weighted norm sqrt(w ||dx||^2 + ||dy||^2 / w),
-    for the z and T(z) that the last ``halpern_step`` left in the buffers."""
+    for the z and T(z) that the last ``halpern_step`` left in the buffers;
+    T(z) - z is formed in one pass, into ``buffers.r``."""
     buf = state.buffers
-    np.subtract(buf.x, buf.grad, out=buf.dx)
-    np.subtract(buf.y, buf.dkx, out=buf.dy)
+    np.subtract(buf.t, buf.prev, out=buf.r)
     w = step.primal_weight
     return math.sqrt(w * dot(buf.dx, buf.dx) + dot(buf.dy, buf.dy) / w)
 

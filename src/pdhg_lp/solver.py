@@ -31,7 +31,7 @@ from .problem import to_saddle, validate
 from . import restarts, stepsize
 from .restarts import RestartConfig, apply_restart, normalized_duality_gap, should_restart
 from .scaling import SCALING_MODES, ScalingInfo, apply_scaling, combined_rescale, unscale_solution
-from .sparse import spectral_norm_estimate
+from .sparse import dot, spectral_norm_estimate
 from .stepsize import StepPolicy, WeightPolicy, adaptive_step, initialize_step_state, update_primal_weight
 from .termination import (
     TerminationCriteria,
@@ -171,20 +171,40 @@ def _shows_ray(verdict):
     return verdict.residual <= FREEZE_TOLERANCE and verdict.margin + verdict.residual >= FREEZE_TOLERANCE
 
 
-def _ray_hits(saddle0, candidates, tol, constants):
+def _ray_hits(saddle0, candidates, tol, constants, unfrozen):
     """Test each candidate's y as a dual ray and its x as a primal ray, with
     the norm of each computed once.  Returns the valid (verdict, candidate,
-    ray, norm) of each kind, and whether a normalized candidate shows a ray."""
+    ray, norm) of each kind, and whether a normalized candidate shows a ray.
+
+    A check's product is skipped when a part that needs none rules the ray
+    out: a dual ray's cone violation above ``tol``, or a primal ray's gain
+    below ``tol`` times the dual scale.  While the adaptive step is
+    ``unfrozen`` a normalized candidate must also be unable to show a ray:
+    its dual ray is skipped only with a violation above FREEZE_TOLERANCE as
+    well, and its primal ray is always checked.  The parts are computed as
+    the checks compute them, on the normalized ray, so every verdict is the
+    one the full check gives."""
     hits = ([], [])
     shows = False
+    m1 = saddle0.m1
+    gain_floor = tol * constants.dual_scale
     for cand in candidates:
+        may_show = unfrozen and cand.kind == "normalized"
         for check, ray, kind_hits in zip((check_primal_infeasible, check_dual_infeasible), (cand.y, cand.x), hits):
             norm = _norm(ray)
-            if 0.0 < norm < math.inf:
-                verdict = check(saddle0, ray, tol, constants, norm=norm)
-                if verdict.valid:
-                    kind_hits.append((verdict, cand, ray, norm))
-                shows = shows or (cand.kind == "normalized" and _shows_ray(verdict))
+            if not 0.0 < norm < math.inf:
+                continue
+            if check is check_primal_infeasible:
+                violation = float(max(0.0, -(ray[:m1] / norm).min())) if m1 else 0.0
+                ruled_out = violation > tol and not (may_show and violation <= FREEZE_TOLERANCE)
+            else:
+                ruled_out = not may_show and -dot(saddle0.c, ray / norm) < gain_floor
+            if ruled_out:
+                continue
+            verdict = check(saddle0, ray, tol, constants, norm=norm)
+            if verdict.valid:
+                kind_hits.append((verdict, cand, ray, norm))
+            shows = shows or (may_show and _shows_ray(verdict))
     return hits, shows
 
 
@@ -266,7 +286,7 @@ def solve(problem, config=None, callback=None):
         if buf is None:
             return (state.x, state.y), None
         if halpern:
-            return (buf.x, buf.y), (buf.grad, buf.dkx)
+            return (buf.x, buf.y), buf.prev_parts
         return (state.x, state.y), (buf.x, buf.y)
 
     iteration = 0
@@ -306,6 +326,7 @@ def solve(problem, config=None, callback=None):
                         ),
                         crit.tol_infeasible,
                         constants,
+                        adaptive,
                     )
                     streaks = [streak + 1 if h else 0 for streak, h in zip(streaks, hits)]
                     confirmed = [k for k in (0, 1) if streaks[k] >= CONFIRMATIONS_REQUIRED]

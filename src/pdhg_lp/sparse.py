@@ -37,6 +37,17 @@ _FLOAT64 = np.dtype(np.float64)
 # thread costs 10-60 us, more than half a product saves on a small matrix.
 SPLIT_MIN_NNZ = 200_000
 
+# What a row costs in the Halpern step's third phase (K r and the y side),
+# in nonzeros: the row kernel's per-row loop and the eight vector passes over
+# y.  That phase splits its rows so that nonzeros plus ROW_WEIGHT per row
+# fall in half on each side (``row_blocks(ROW_WEIGHT)``); rows are
+# independent there, so the split moves no bit.  Measured on the scaled
+# n=1e5 PageRank (8e5 nonzeros, grouped rows) on a 2-core AMD EPYC: on one
+# thread the phase costs 0.39 ns a nonzero and 2.0 ns a row (a weight of
+# 5); on two threads the halves balance at 6, 262/259 us against 228/291 us
+# at the nonzero split, and the phase takes 279 us instead of 310 us.
+ROW_WEIGHT = 6.0
+
 
 # Vectors longer than this take einsum in ``dot``.  Measured with numpy
 # 2.4's OpenBLAS on a 2-core AMD EPYC: a loop of BLAS dots keeps the process
@@ -75,7 +86,7 @@ class SparseMatrix:
         self.nnz = int(csr.nnz)
         self.matvec_calls = 0
         self.rmatvec_calls = 0
-        self._row_blocks = None
+        self._row_blocks = {}
 
     # -- products ---------------------------------------------------------
 
@@ -110,9 +121,9 @@ class SparseMatrix:
         csc_matvec(n, m, csr.indptr, csr.indices, csr.data, y, out)
         return out
 
-    def row_blocks(self):
+    def row_blocks(self, row_weight=0):
         """The rows as one block, or from SPLIT_MIN_NNZ nonzeros on as two
-        blocks of about half the nonzeros each.
+        blocks of about half the nonzeros plus ``row_weight`` per row each.
 
         A block is (rows, indptr, indices, data): the slice of its rows,
         and views of the matrix's own CSR arrays, no copy, such that
@@ -120,19 +131,25 @@ class SparseMatrix:
         data, x, out[rows])`` adds the block's rows times x into
         ``out[rows]`` and ``csc_matvec(n, rows.stop - rows.start, indptr,
         indices, data, y[rows], out)`` adds their transpose times
-        ``y[rows]`` into ``out``.  Computed once.
+        ``y[rows]`` into ``out``.  Computed once for each ``row_weight``.
         """
-        if self._row_blocks is None:
+        blocks = self._row_blocks.get(row_weight)
+        if blocks is None:
             csr = self._csr
             m = self.shape[0]
             bounds = [0, m]
             if self.nnz >= SPLIT_MIN_NNZ and m > 1:
-                middle = int(np.searchsorted(csr.indptr, self.nnz // 2))
+                cost = csr.indptr
+                if row_weight:
+                    cost = np.arange(m + 1, dtype=np.float64)
+                    cost *= row_weight
+                    cost += csr.indptr
+                middle = int(np.searchsorted(cost, cost[-1] // 2))
                 bounds.insert(1, min(max(middle, 1), m - 1))
-            self._row_blocks = tuple(
+            blocks = self._row_blocks[row_weight] = tuple(
                 (slice(a, b), csr.indptr[a : b + 1], csr.indices, csr.data) for a, b in zip(bounds, bounds[1:])
             )
-        return self._row_blocks
+        return blocks
 
     # -- reductions -------------------------------------------------------
 

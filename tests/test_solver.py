@@ -234,6 +234,89 @@ class TestStepFreeze:
         assert self.frozen(report) == []
 
 
+def ray_hits_checking_every_ray(saddle0, candidates, tol, constants, unfrozen):
+    """``solver._ray_hits`` without its skips: every candidate ray with a
+    finite nonzero norm goes through its full check."""
+    hits = ([], [])
+    shows = False
+    checks = (pl.check_primal_infeasible, pl.check_dual_infeasible)
+    for cand in candidates:
+        for check, ray, kind_hits in zip(checks, (cand.y, cand.x), hits):
+            norm = pl.termination._norm(ray)
+            if 0.0 < norm < math.inf:
+                verdict = check(saddle0, ray, tol, constants, norm=norm)
+                if verdict.valid:
+                    kind_hits.append((verdict, cand, ray, norm))
+                shows = shows or (cand.kind == "normalized" and pl.solver._shows_ray(verdict))
+    return hits, shows
+
+
+class TestRayChecksSkipProducts:
+    """A ray check skips its product when a part without one already rules
+    the ray out; no verdict, freeze or certificate moves."""
+
+    PROBLEMS = [planted(seed) for planted in (planted_unbounded_lp, planted_infeasible_lp) for seed in range(4)] + [
+        pl.generate_bilinear_toy(),
+        pl.generate_primal_infeasible_toy(),
+        pl.generate_dual_infeasible_toy(),
+    ]
+
+    @pytest.mark.parametrize("step", [pl.StepPolicy(), ADAPTIVE], ids=["halpern", "adaptive"])
+    @pytest.mark.parametrize("index", range(len(PROBLEMS)))
+    def test_same_status_and_certificate_as_checking_every_ray(self, monkeypatch, step, index):
+        problem = self.PROBLEMS[index]
+        config = pl.SolverConfig(step=step, termination=pl.TerminationCriteria(iteration_limit=10_000))
+        skipping = pl.solve(problem, config)
+        monkeypatch.setattr(pl.solver, "_ray_hits", ray_hits_checking_every_ray)
+        full = pl.solve(problem, config)
+        assert (skipping.status, skipping.iterations, skipping.notes) == (full.status, full.iterations, full.notes)
+        assert skipping.x.tobytes() == full.x.tobytes() and skipping.y.tobytes() == full.y.tobytes()
+        if full.certificate is None:
+            assert skipping.certificate is None
+        else:
+            assert skipping.certificate.keys() == full.certificate.keys()
+            for key, value in full.certificate.items():
+                got = skipping.certificate[key]
+                assert (got.tobytes() == value.tobytes()) if key == "ray" else (got == value), key
+        assert skipping.matvecs <= full.matvecs
+
+    def test_a_ray_that_shows_is_checked_while_unfrozen(self):
+        # a certified dual ray pushed 1e-5 out of the cone fails at tol but
+        # shows at FREEZE_TOLERANCE: its product is skipped only once the
+        # step is frozen (or when it is not a normalized candidate)
+        problem = planted_infeasible_lp(0)
+        saddle0 = pl.to_saddle(problem)
+        y = pl.solve(problem).certificate["ray"].copy()
+        y[np.argmin(y[: saddle0.m1])] -= 1e-5
+        x = np.zeros(saddle0.num_primal)
+        constants = pl.termination.check_constants(saddle0)
+        for kind, unfrozen, products, shows in (
+            ("normalized", True, 1, True),
+            ("normalized", False, 0, False),
+            ("difference", True, 0, False),
+        ):
+            candidate = pl.termination.CertificateCandidate(kind, x, y)
+            before = saddle0.K.rmatvec_calls
+            hits, ray_shows = pl.solver._ray_hits(saddle0, [candidate], 1e-10, constants, unfrozen)
+            assert hits == ([], []) and ray_shows == shows
+            assert saddle0.K.rmatvec_calls - before == products
+
+    def test_zero_cost_primal_rays_take_no_product(self):
+        # with c = 0 a primal ray gains nothing, so no x candidate is
+        # multiplied by K; a normalized one still is while the step is unfrozen
+        saddle0 = pl.to_saddle(pl.generate_pagerank(pl.PagerankSpec(num_nodes=300)))
+        assert not saddle0.c.any()
+        rng = np.random.default_rng(5)
+        n, m = saddle0.num_primal, saddle0.num_dual
+        points = [(rng.standard_normal(n), rng.standard_normal(m)) for _ in range(3)]
+        candidates = pl.extract_certificates(*points, 7)
+        constants = pl.termination.check_constants(saddle0)
+        for unfrozen, products in ((False, 0), (True, 1)):
+            before = saddle0.K.matvec_calls
+            pl.solver._ray_hits(saddle0, candidates, 1e-10, constants, unfrozen)
+            assert saddle0.K.matvec_calls - before == products
+
+
 class TestHalpern:
     """The default step: reflected restarted Halpern PDHG at 0.998 / ||K~||."""
 
@@ -447,10 +530,14 @@ class TestScalingDeadline:
 
         monkeypatch.setattr(scaling_module, "_ruiz_sweep", counting)
         matrix = pl.to_saddle(random_feasible_lp(1)).K
+        # past the deadline not even the COO triplets are built
+        triplets = []
+        real_tocoo = pl.SparseMatrix.tocoo
+        monkeypatch.setattr(pl.SparseMatrix, "tocoo", lambda self: triplets.append(self) or real_tocoo(self))
         assert pl.ruiz_rescale(matrix, 10, deadline=time.perf_counter()).is_identity
-        assert sweeps == []
+        assert sweeps == [] and triplets == []
         full = pl.ruiz_rescale(matrix, 10, deadline=math.inf)
-        assert len(sweeps) == 10
+        assert len(sweeps) == 10 and triplets == [matrix]
         assert full.row_scale.tobytes() == pl.ruiz_rescale(matrix, 10).row_scale.tobytes()
 
 

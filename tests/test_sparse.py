@@ -321,6 +321,22 @@ class TestStorage:
         assert kx.tobytes() == mat.matvec(x).tobytes()
         np.testing.assert_allclose(kty[0] + kty[1], mat.rmatvec(y), rtol=1e-12, atol=1e-12)
 
+    def test_row_blocks_weigh_rows(self):
+        # long rows first: weighing rows as well as nonzeros moves the split
+        # later, to where nonzeros plus the weight per row fall in half
+        lengths = np.linspace(400, 10, 1500).astype(int)
+        rows = np.repeat(np.arange(1500), lengths)
+        cols = np.concatenate([np.arange(k) for k in lengths])
+        mat = SparseMatrix(sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(1500, 400)))
+        assert mat.nnz >= pl.sparse.SPLIT_MIN_NNZ
+        weight = pl.sparse.ROW_WEIGHT
+        [(plain, _, _, _), _] = mat.row_blocks()
+        (first, ptr0, _, _), (second, ptr1, _, _) = mat.row_blocks(weight)
+        assert mat.row_blocks(weight) is mat.row_blocks(weight)
+        assert plain.stop < first.stop == second.start
+        costs = [int(ptr[-1] - ptr[0]) + weight * (r.stop - r.start) for r, ptr in ((first, ptr0), (second, ptr1))]
+        assert abs(costs[0] - costs[1]) <= 2 * (400 + weight)
+
     def test_one_row_block_below_the_floor(self):
         mat = SparseMatrix(sp.random(300, 200, density=0.1, random_state=4, format="csr"))
         [(rows, ptr, _, _)] = mat.row_blocks()

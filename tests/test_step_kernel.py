@@ -111,13 +111,21 @@ def scaled_saddle(seed):
 
 
 def toy_and_criterion_8_saddles():
+    """The toy, four criterion-8 LPs (m1 = m), one with equality rows too
+    (0 < m1 < m) and one with equality rows only (m1 = 0), all scaled."""
     yield pl.to_saddle(pl.generate_bilinear_toy())
     for seed in range(4):
         yield scaled_saddle(seed)
+    for problem in (random_feasible_lp(4, m_eq=5), random_feasible_lp(5, m_ineq=0, m_eq=5)):
+        saddle = pl.to_saddle(problem)
+        yield pl.apply_scaling(saddle, pl.combined_rescale(saddle.K, m1=saddle.m1))
+
+
+SADDLES = len(list(toy_and_criterion_8_saddles()))
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("index", range(5))
+    @pytest.mark.parametrize("index", range(SADDLES))
     def test_fixed_steps(self, index):
         saddle = list(toy_and_criterion_8_saddles())[index]
         norm_k = pl.spectral_norm_estimate(saddle.K).value
@@ -131,7 +139,7 @@ class TestAgainstReference:
             assert_same(state, ref)
         assert state.trial_count == 60
 
-    @pytest.mark.parametrize("index", range(5))
+    @pytest.mark.parametrize("index", range(SADDLES))
     def test_adaptive_steps(self, index):
         saddle = list(toy_and_criterion_8_saddles())[index]
         step = pl.initialize_step_state(saddle, None, StepPolicy(mode="adaptive"), pl.WeightPolicy())
@@ -182,7 +190,7 @@ class TestAgainstReference:
 
 
 class TestHalpernAgainstReference:
-    @pytest.mark.parametrize("index", range(5))
+    @pytest.mark.parametrize("index", range(SADDLES))
     def test_epochs_match_reference(self, index):
         # two epochs of 40 steps, the second anchored at the first's last
         # T(z), as solve restarts
@@ -221,9 +229,16 @@ class TestHalpernAgainstReference:
             pdhg_step(plain, saddle, step)
             assert state.buffers.x.tobytes() == plain.x.tobytes()
             np.testing.assert_allclose(state.buffers.y, plain.y, rtol=1e-12, atol=1e-14)
-            # and the buffers hold z too, which the residual and the checks read
-            assert state.buffers.grad.tobytes() == z[0].tobytes()
-            assert state.buffers.dkx.tobytes() == z[1].tobytes()
+            # and the buffers hold z too, stacked in ``prev`` beside T(z)
+            # stacked in ``t``, where the residual and the checks read it;
+            # the new iterate is the parts of ``z``
+            buf = state.buffers
+            for part, want in zip(buf.prev_parts, z):
+                assert part.tobytes() == want.tobytes()
+            assert buf.prev.tobytes() == np.concatenate(z).tobytes()
+            assert buf.t.tobytes() == np.concatenate((buf.x, buf.y)).tobytes()
+            assert state.x is buf.z_parts[0] and state.y is buf.z_parts[1]
+            assert np.shares_memory(state.y, buf.z)
             w = step.primal_weight
             dx, dy = state.buffers.x - z[0], state.buffers.y - z[1]
             assert fixed_point_residual(state, step) == math.sqrt(w * dot(dx, dx) + dot(dy, dy) / w)
