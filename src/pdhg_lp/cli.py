@@ -116,32 +116,31 @@ def _add_solver_flags(p):
     flag("--scaling", "scaling", choices=SCALING_MODES)
     flag("--ruiz-iterations", "ruiz_iterations", type=int)
     flag("--pc-alpha", "pc_alpha", type=float)
-    flag("--restart", "restart.scheme", metavar="{none,adaptive,fixed=K}")
+    flag("--restart", "restart.scheme", choices=RESTART_SCHEMES)
     flag("--restart-beta", "restart.sufficient_decay", type=float)
     flag("--step-size", "step.mode", metavar="{halpern,adaptive,fixed,fixed=S}")
-    flag("--primal-weight", "weight.mode", metavar="{adaptive,fixed=W}")
+    flag("--primal-weight", "weight.mode", metavar="{adaptive,fixed,fixed=W}")
     flag("--no-infeasibility-detection", "detect_infeasibility", action="store_false")
     flag("--log-every", "log_interval", type=int, metavar="N",
          help="log residuals to stderr every N iterations")
 
 
 # A mode flag sets its mode field and, from "fixed=V", one more field:
-# dest -> (name in messages, the field V sets, V's type, the bare modes).
+# dest -> (name in messages, the float field V sets, the bare modes).
 _MODE_FLAGS = {
-    "config.restart.scheme": ("restart", "period", int, RESTART_SCHEMES),
-    "config.step.mode": ("step_size", "fixed_step", float, STEP_MODES),
-    "config.weight.mode": ("primal_weight", "fixed_weight", float, WEIGHT_MODES),
+    "config.step.mode": ("step_size", "fixed_step", STEP_MODES),
+    "config.weight.mode": ("primal_weight", "fixed_weight", WEIGHT_MODES),
 }
 
 
 def _mode_flag(dest, value):
     """Split the value of a mode flag, a bare mode or "fixed=V", into
     (mode, V); V is None without "=V"."""
-    name, _, cast, modes = _MODE_FLAGS[dest]
+    name, _, modes = _MODE_FLAGS[dest]
     if value in modes:
         return value, None
     if value.startswith("fixed="):
-        return "fixed", cast(value.split("=", 1)[1])
+        return "fixed", float(value.split("=", 1)[1])
     raise ValueError(f"bad {name} flag {value!r}")
 
 

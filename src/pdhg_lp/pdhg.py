@@ -99,8 +99,8 @@ class StepBuffers:
         prev    z_k, the iterate the step replaced (``prev_parts``); the
                 next step writes its mix here, then ``z`` and ``prev``
                 change places
-        anchor  the epoch's start z_0 (``anchor_parts``, which the state's
-                ``anchor`` is)
+        anchor  the epoch's start z_0 (``anchor_parts``), copied from z at
+                the epoch's first step
 
     and ``part``, length n: the second row block's part of K'y when K is
     split in two (``halpern_step``).  The fields of the other layout are
@@ -141,13 +141,13 @@ class IterateState:
     any route other than that step (restart, rescale).  ``trial_count``
     counts the finite trial points computed, accepted or not.  The state
     owns ``x`` and ``y`` (they are copied in), because the step kernel
-    recycles the replaced vectors as work buffers: hold a copy, not a
-    reference, of an iterate that must outlive the next step.  After a
-    PDHG step, ``buffers.x`` and ``buffers.y`` hold the iterate it replaced
-    until the next step starts; ``apply_restart`` leaves them alone.  After
-    a Halpern step x and y are views of ``buffers.z`` (``StepBuffers``).
-    ``anchor`` is the Halpern epoch's start (x, y), copied into
-    ``buffers.anchor`` at the epoch's first Halpern step and then its parts.
+    recycles the replaced vectors as work buffers and ``apply_restart``
+    writes the restart point into them: hold a copy, not a reference, of an
+    iterate that must outlive the next step or restart.  After a PDHG step,
+    ``buffers.x`` and ``buffers.y`` hold the iterate it replaced until the
+    next step starts; ``apply_restart`` leaves them alone.  After a Halpern
+    step x and y are views of ``buffers.z`` (``StepBuffers``), and the
+    epoch's start is ``buffers.anchor``.
     """
 
     x: np.ndarray
@@ -160,7 +160,6 @@ class IterateState:
     kx: np.ndarray = field(default=None, repr=False)
     trial_count: int = 0
     buffers: StepBuffers = field(default=None, init=False, repr=False, compare=False)
-    anchor: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.x = np.array(self.x, dtype=np.float64)
@@ -301,7 +300,8 @@ def halpern_step(state, saddle, step, *, errstate=True):
     """Advance the iterate by one reflected Halpern step (in place).
 
     With T the PDHG operator at the state's step, k = ``state.inner_count``
-    and z_0 the anchor, taken at the epoch's first step:
+    and z_0 the anchor, copied from z at the epoch's first step (k = 0, or
+    the first step to make the buffers):
 
         x_T = proj(x - (s/w) (c - K'y))
         r   = 2 x_T - x
@@ -314,9 +314,10 @@ def halpern_step(state, saddle, step, *, errstate=True):
     which then changes places with ``z``, so that afterwards
     ``buffers.x``/``buffers.y`` hold T(z_k), ``buffers.prev_parts`` hold
     z_k and the state's x and y are the parts of ``buffers.z``.  An iterate
-    that is not already there (an epoch's start, or one set from outside)
-    is copied in first.  Raises NonFiniteIterate, the iterate untouched,
-    when T(z_k) is not finite.  ``errstate`` as for ``pdhg_step``.
+    that is not already there (the first step's, or one set from outside)
+    is copied in first; ``apply_restart`` writes it there.  Raises
+    NonFiniteIterate, the iterate untouched, when T(z_k) is not finite.
+    ``errstate`` as for ``pdhg_step``.
 
     With one row block the step runs inline as straight-line code: the x
     side, the y side, then the mix and the finiteness sum each as one pass
@@ -335,19 +336,16 @@ def halpern_step(state, saddle, step, *, errstate=True):
     k_mat = saddle.K
     m, n = k_mat.shape
     buf = state.buffers
-    if buf is None or buf.t is None:
+    fresh = buf is None or buf.t is None
+    if fresh:
         buf = state.buffers = StepBuffers(n, m, saddle.m1)
     k = state.inner_count
     x, y = buf.z_parts
-    if k == 0 or state.x is not x or state.y is not y:
+    if state.x is not x or state.y is not y:
         np.copyto(x, state.x)
         np.copyto(y, state.y)
-        if k == 0:
-            np.copyto(buf.anchor, buf.z)
-            state.anchor = buf.anchor_parts
-        else:
-            for part, given in zip(buf.anchor_parts, state.anchor):
-                np.copyto(part, given)
+    if k == 0 or fresh:
+        np.copyto(buf.anchor, buf.z)
     scale, sigma = step.step_size / step.primal_weight, step.sigma
     share, denominator = (k + 1) / (k + 2), k + 2
     x_t, y_t, r_x, r_y, mix = buf.x, buf.y, buf.dx, buf.dy, buf.prev

@@ -24,7 +24,7 @@ from .exceptions import InvalidRadius, NonPositiveInput
 from .pdhg import _clip
 from .sparse import dot
 
-RESTART_SCHEMES = ("none", "adaptive", "fixed")
+RESTART_SCHEMES = ("none", "adaptive")
 
 # The adaptive scheme tests the decay of the normalized gap every
 # GAP_EVAL_INTERVAL epoch iterations, and caps an epoch at
@@ -46,26 +46,21 @@ RESIDUAL_NECESSARY_DECAY = 0.8
 class RestartConfig:
     """Restart scheme parameters.
 
-    scheme: "none", "fixed" (restart every ``period`` iterations) or
-    "adaptive" (a decay test plus an artificial cap).  Under PDHG the decay
-    test is on the normalized gap, every ``GAP_EVAL_INTERVAL`` iterations,
-    with ``sufficient_decay`` as its bound, and a restart goes to the
-    running average of the epoch.  Under the Halpern step it is on the
-    fixed-point residual, every ``RESIDUAL_EVAL_INTERVAL`` iterations, the
-    cap is tested at every iteration, and a restart goes to T(z).
+    scheme: "none" or "adaptive" (a decay test plus an artificial cap).
+    Under PDHG the decay test is on the normalized gap, every
+    ``GAP_EVAL_INTERVAL`` iterations, with ``sufficient_decay`` as its
+    bound, and a restart goes to the running average of the epoch.  Under
+    the Halpern step it is on the fixed-point residual, every
+    ``RESIDUAL_EVAL_INTERVAL`` iterations, the cap is tested at every
+    iteration, and a restart goes to T(z).
     """
 
     scheme: str = "adaptive"
-    period: int = None
     sufficient_decay: float = 0.5
 
     def __post_init__(self):
         if self.scheme not in RESTART_SCHEMES:
             raise NonPositiveInput(f"unknown restart scheme {self.scheme!r}")
-        if self.scheme == "fixed" and self.period is None:
-            raise NonPositiveInput("fixed restart scheme needs a period")
-        if self.period is not None and self.period < 1:
-            raise NonPositiveInput(f"restart period must be at least 1, got {self.period}")
         if not 0.0 < self.sufficient_decay < 1.0:
             raise NonPositiveInput(f"sufficient_decay must lie in (0, 1), got {self.sufficient_decay}")
 
@@ -152,21 +147,16 @@ def normalized_duality_gap(saddle, x, y, radius, *, stop_above=math.inf):
 def should_restart(state, config, candidate_gap=None, reference_gap=None, residuals=None):
     """Decide whether to restart now.
 
-    Returns (restart, reason).  The fixed scheme fires once the epoch
-    reaches ``config.period`` iterations.  For the adaptive scheme
-    ``candidate_gap`` is the normalized gap of the restart candidate at its
-    distance from the epoch start; the sufficient-decay test compares it
-    against ``reference_gap``, measured when the epoch started.  Under the
-    Halpern step ``residuals`` is (now, the epoch's first, the previous
-    test's) fixed-point residual, tested as RESIDUAL_*_DECAY say.  An
-    artificial cap bounds the epoch length by max(MIN_ARTIFICIAL,
+    Returns (restart, reason); the scheme "none" never restarts.  Under
+    PDHG ``candidate_gap`` is the normalized gap of the restart candidate
+    at its distance from the epoch start, and the sufficient-decay test
+    compares it against ``reference_gap``, measured when the epoch started.
+    Under the Halpern step ``residuals`` is (now, the epoch's first, the
+    previous test's) fixed-point residual, tested as RESIDUAL_*_DECAY say.
+    An artificial cap bounds the epoch length by max(MIN_ARTIFICIAL,
     ARTIFICIAL_FRACTION * total iterations).
     """
     if config.scheme == "none":
-        return False, None
-    if config.scheme == "fixed":
-        if state.inner_count >= config.period:
-            return True, "fixed_period"
         return False, None
     if residuals is not None:
         now, first, previous = residuals
@@ -190,16 +180,16 @@ def artificial_cap_reached(state):
 
 
 def apply_restart(state, candidate):
-    """Reset the state to the candidate point and start a new epoch.
-
-    The running average is cleared and the K x cache dropped; the total
-    iteration count is preserved.
+    """Reset the state to the candidate point and start a new epoch, in
+    place: the candidate is copied into the state's own x and y (under the
+    Halpern step, the parts of ``buffers.z``), so it may be a view of the
+    step's buffers.  The running average is cleared and the K x cache
+    dropped; the total iteration count is preserved.  Allocates nothing.
     """
-    cand_x, cand_y = candidate
-    state.x = np.array(cand_x, dtype=np.float64, copy=True)
-    state.y = np.array(cand_y, dtype=np.float64, copy=True)
-    state.sum_x = np.zeros_like(state.x)
-    state.sum_y = np.zeros_like(state.y)
+    np.copyto(state.x, candidate[0])
+    np.copyto(state.y, candidate[1])
+    state.sum_x.fill(0.0)
+    state.sum_y.fill(0.0)
     state.sum_weight = 0.0
     state.inner_count = 0
     state.invalidate_cache()

@@ -109,10 +109,10 @@ class SolveReport:
     problem (sign and constant offset applied).  ``kkt`` carries the final
     relative/absolute residuals; ``certificate`` is populated only for the
     two infeasible statuses.  ``restarts_by_reason`` splits ``restarts`` by
-    the rule that fired (gap_decay, residual_decay, artificial,
-    fixed_period); ``step_trials`` counts the trial points computed, so the
-    adaptive rule rejected ``step_trials - iterations`` of them (a fixed or
-    Halpern step is one trial, always accepted).
+    the rule that fired (gap_decay, residual_decay or artificial);
+    ``step_trials`` counts the trial points computed, so the adaptive rule
+    rejected ``step_trials - iterations`` of them (a fixed or Halpern step
+    is one trial, always accepted).
     """
 
     status: str
@@ -256,7 +256,7 @@ def solve(problem, config=None, callback=None):
 
     # PDHG's epoch start, and for the gap rule the normalized gap there that
     # the sufficient-decay test compares against; the Halpern epoch's start
-    # is its anchor
+    # is the anchor in its step buffers
     start = (state.x.copy(), state.y.copy())
     reference_gap = None
     gap_evals = 0
@@ -272,7 +272,7 @@ def solve(problem, config=None, callback=None):
     constants = check_constants(saddle0)
     streaks = [0, 0]  # consecutive checks with a valid primal / dual infeasibility ray
     history = []
-    restarts_by_reason = {"gap_decay": 0, "residual_decay": 0, "artificial": 0, "fixed_period": 0}
+    restarts_by_reason = {"gap_decay": 0, "residual_decay": 0, "artificial": 0}
     status = None
     reason = ""
     certificate = None
@@ -381,70 +381,66 @@ def solve(problem, config=None, callback=None):
                 break
             iteration += 1
 
-            # Restart.  The fixed scheme decides from the epoch length alone.
-            # The adaptive one decides under the Halpern step from the
-            # fixed-point residual every RESIDUAL_EVAL_INTERVAL iterations and
-            # from the artificial cap at every iteration, and goes to T(z);
+            # Restart.  The adaptive scheme decides under the Halpern step from
+            # the fixed-point residual every RESIDUAL_EVAL_INTERVAL iterations
+            # and from the artificial cap at every iteration, and goes to T(z);
             # under PDHG it decides every GAP_EVAL_INTERVAL iterations and at
             # check points, from the epoch average's normalized gap, and goes
             # to the average.
-            decide = False
-            candidate = candidate_gap = residuals = None
+            if not adaptive_restarts:
+                continue
+            inner = state.inner_count
+            candidate_gap = residuals = None
             if halpern:
-                inner = state.inner_count
-                test_residual = adaptive_restarts and inner % restarts.RESIDUAL_EVAL_INTERVAL == 0
-                decide = (
-                    rcfg.scheme == "fixed"
-                    or test_residual
-                    or (adaptive_restarts and restarts.artificial_cap_reached(state))
-                )
-                if test_residual or (adaptive_restarts and inner == 1):
+                test_residual = inner % restarts.RESIDUAL_EVAL_INTERVAL == 0
+                if test_residual or inner == 1:
                     residual = fixed_point_residual(state, step)
                     if inner == 1:
                         first_residual = last_residual = residual
                     if test_residual:
                         residuals = (residual, first_residual, last_residual)
                     last_residual = residual
-            elif rcfg.scheme == "fixed" or (
-                gap_restarts
-                and (state.inner_count % restarts.GAP_EVAL_INTERVAL == 0 or iteration % config.check_interval == 0)
-            ):
-                decide = True
-                if gap_restarts:
-                    # the average's gap at its distance from the epoch start, when finite and nonzero
-                    candidate = state.average()
-                    radius = _norm(candidate[0] - start[0], candidate[1] - start[1])
-                    if 0.0 < radius < math.inf:
-                        # Short of the artificial cap only a gap at or below the
-                        # decay bound restarts, so the bisection may stop above it.
-                        stop_above = math.inf
-                        if not restarts.artificial_cap_reached(state):
-                            stop_above = rcfg.sufficient_decay * reference_gap
-                        candidate_gap = normalized_duality_gap(
-                            saddle, candidate[0], candidate[1], radius, stop_above=stop_above
-                        )
-                        gap_evals += 1
-            if decide:
-                fire, why = should_restart(
-                    state, rcfg, candidate_gap=candidate_gap, reference_gap=reference_gap, residuals=residuals
-                )
-                if fire:
-                    restarts_by_reason[why] += 1
-                    if halpern:
-                        candidate, start = (state.buffers.x, state.buffers.y), state.anchor
-                    elif candidate is None:
-                        candidate = state.average()
-                    dx_norm = _norm(candidate[0] - start[0])
-                    dy_norm = _norm(candidate[1] - start[1])
-                    step = replace(
-                        step,
-                        primal_weight=update_primal_weight(step.primal_weight, dx_norm, dy_norm, config.weight),
+                if not (test_residual or restarts.artificial_cap_reached(state)):
+                    continue
+            else:
+                if not (inner % restarts.GAP_EVAL_INTERVAL == 0 or iteration % config.check_interval == 0):
+                    continue
+                # the average's gap at its distance from the epoch start, when finite and nonzero
+                candidate = state.average()
+                radius = _norm(candidate[0] - start[0], candidate[1] - start[1])
+                if 0.0 < radius < math.inf:
+                    # Short of the artificial cap only a gap at or below the
+                    # decay bound restarts, so the bisection may stop above it.
+                    stop_above = math.inf
+                    if not restarts.artificial_cap_reached(state):
+                        stop_above = rcfg.sufficient_decay * reference_gap
+                    candidate_gap = normalized_duality_gap(
+                        saddle, candidate[0], candidate[1], radius, stop_above=stop_above
                     )
-                    apply_restart(state, candidate)
-                    start = candidate
-                    # the new start's gap at the distance it moved is the candidate's
-                    if candidate_gap is not None:
-                        reference_gap = candidate_gap
+                    gap_evals += 1
+            fire, why = should_restart(
+                state, rcfg, candidate_gap=candidate_gap, reference_gap=reference_gap, residuals=residuals
+            )
+            if not fire:
+                continue
+            restarts_by_reason[why] += 1
+            if halpern:
+                # T(z) - z_0 in one pass, into the spare reflection buffer
+                buf = state.buffers
+                np.subtract(buf.t, buf.anchor, out=buf.r)
+                dx_norm, dy_norm = _norm(buf.dx), _norm(buf.dy)
+                candidate = (buf.x, buf.y)
+            else:
+                dx_norm = _norm(candidate[0] - start[0])
+                dy_norm = _norm(candidate[1] - start[1])
+                start = candidate
+                # the new start's gap at the distance it moved is the candidate's
+                if candidate_gap is not None:
+                    reference_gap = candidate_gap
+            step = replace(
+                step, primal_weight=update_primal_weight(step.primal_weight, dx_norm, dy_norm, config.weight)
+            )
+            apply_restart(state, candidate)
 
     # Final report.  For a numerical-error stop the state still holds the
     # last good iterate, which may be newer than the last check point.

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -8,6 +9,9 @@ import pytest
 
 import pdhg_lp as pl
 from pdhg_lp.cli import main, shifted_geomean
+from pdhg_lp.restarts import RESTART_SCHEMES
+from pdhg_lp.scaling import SCALING_MODES
+from pdhg_lp.stepsize import STEP_MODES, WEIGHT_MODES
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -83,7 +87,7 @@ class TestSolve:
         assert doc["status"] == "optimal"
         assert doc["objective"]["primal"] == pytest.approx(0.0, abs=1e-8)
         assert doc["config"]["restart"]["scheme"] == "adaptive"
-        assert doc["config"]["restart"]["period"] is None
+        assert "period" not in doc["config"]["restart"]
         assert doc["config"]["step"]["mode"] == "halpern"
         assert doc["config"]["step"]["fixed_step"] is None
 
@@ -112,7 +116,7 @@ class TestSolve:
             ["solve", toy_mps, "--tolerance", "1e-5", "--infeasible-tolerance", "1e-9",
              "--max-iters", "4000", "--time-limit-sec", "30", "--check-interval", "32",
              "--scaling", "ruiz", "--ruiz-iterations", "5", "--pc-alpha", "1.5",
-             "--restart", "fixed=128", "--restart-beta", "0.25",
+             "--restart", "none", "--restart-beta", "0.25",
              "--step-size", "fixed", "--primal-weight", "fixed",
              "--no-infeasibility-detection", "--log-every", "1000"]
         )
@@ -124,7 +128,7 @@ class TestSolve:
             scaling="ruiz",
             ruiz_iterations=5,
             pc_alpha=1.5,
-            restart=pl.RestartConfig(scheme="fixed", period=128, sufficient_decay=0.25),
+            restart=pl.RestartConfig(scheme="none", sufficient_decay=0.25),
             step=pl.StepPolicy(mode="fixed"),
             weight=pl.WeightPolicy(mode="fixed"),
             check_interval=32,
@@ -142,13 +146,12 @@ class TestSolve:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--restart", "sometimes"], "bad restart flag 'sometimes'"),
-            (["--restart", "fixed=abc"], "invalid literal for int()"),
+            (["--restart", "sometimes"], "argument --restart: invalid choice: 'sometimes'"),
+            (["--restart", "fixed"], "argument --restart: invalid choice: 'fixed'"),
+            (["--restart", "fixed=128"], "argument --restart: invalid choice: 'fixed=128'"),
             (["--step-size", "fixed=abc"], "could not convert string to float: 'abc'"),
             (["--step-size", "big"], "bad step_size flag 'big'"),
             (["--primal-weight", "none"], "bad primal_weight flag 'none'"),
-            (["--restart", "fixed"], "fixed restart scheme needs a period"),
-            (["--restart", "fixed=0"], "restart period must be at least 1, got 0"),
             (["--check-interval", "0"], "check_interval must be at least 1, got 0"),
             (["--ruiz-iterations", "-1"], "num_iters must be >= 0"),
             (["--pc-alpha", "3"], "alpha must lie in [0, 2], got 3.0"),
@@ -161,6 +164,23 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert message in err
+
+    def test_usage_lists_every_mode(self):
+        # each mode flag's {...} in the usage names its modes in order, plus
+        # the "fixed=V" sugar of a flag that has a fixed mode
+        code, out, _ = run_cli(["solve", "--help"])
+        assert code == 0
+        usage = " ".join(out.split("\n\n")[0].split())
+        modes = {
+            "--restart": RESTART_SCHEMES,
+            "--step-size": STEP_MODES,
+            "--primal-weight": WEIGHT_MODES,
+            "--scaling": SCALING_MODES,
+        }
+        for flag, names in modes.items():
+            choices = re.search(re.escape(flag) + r" \{([^}]*)\}", usage).group(1).split(",")
+            assert [c for c in choices if "=" not in c] == list(names), flag
+            assert [c.split("=")[0] for c in choices if "=" in c] == ["fixed"] * ("fixed" in names), flag
 
     def test_stdin_input(self, monkeypatch):
         text = pl.write_mps(pl.generate_bilinear_toy())

@@ -19,7 +19,6 @@ _CHECKED = {
     "scheme": st.sampled_from(RESTART_SCHEMES),
     "scaling": st.sampled_from(SCALING_MODES),
     "check_interval": st.integers(min_value=1),
-    "period": st.integers(min_value=1) | st.none(),
     "ruiz_iterations": st.integers(min_value=0),
     "pc_alpha": st.floats(min_value=0.0, max_value=2.0),
     "sufficient_decay": st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
@@ -49,10 +48,6 @@ _BAD_VALUES = {
 }
 
 
-def _fixed_restart_has_period(kwargs):
-    return kwargs["scheme"] != "fixed" or kwargs["period"] is not None
-
-
 def _config_strategy(cls):
     """Instances of the config dataclass ``cls`` with every leaf drawn from
     the values its constructor accepts, infinities of either sign included
@@ -73,10 +68,7 @@ def _config_strategy(cls):
             kwargs[f.name] = st.sampled_from(_MODES[cls])
         else:
             kwargs[f.name] = leaves[f.type] | st.none() if f.default is None else leaves[f.type]
-    drawn = st.fixed_dictionaries(kwargs)
-    if cls is pl.RestartConfig:
-        drawn = drawn.filter(_fixed_restart_has_period)
-    return drawn.map(lambda values: cls(**values))
+    return st.fixed_dictionaries(kwargs).map(lambda values: cls(**values))
 
 
 def _json_round_trip(config):
@@ -97,7 +89,7 @@ class TestConfigFlags:
             scaling="ruiz",
             ruiz_iterations=7,
             pc_alpha=1.5,
-            restart=pl.RestartConfig(scheme="fixed", period=64),
+            restart=pl.RestartConfig(scheme="none", sufficient_decay=0.25),
             step=pl.StepPolicy(mode="fixed", fixed_step=0.03),
             weight=pl.WeightPolicy(mode="fixed", fixed_weight=2.0),
             check_interval=16,
@@ -108,7 +100,7 @@ class TestConfigFlags:
         assert back.scaling == config.scaling
         assert back.ruiz_iterations == config.ruiz_iterations
         assert back.pc_alpha == config.pc_alpha
-        assert back.restart.scheme == "fixed" and back.restart.period == 64
+        assert back.restart == config.restart
         assert back.step == config.step
         assert back.weight == config.weight
         assert back.check_interval == 16
@@ -150,7 +142,6 @@ class TestConfigFlags:
             "detect_infeasibility",
             "log_interval",
             "pc_alpha",
-            "restart.period",
             "restart.scheme",
             "restart.sufficient_decay",
             "ruiz_iterations",
@@ -177,6 +168,12 @@ class TestConfigFlags:
         old["restart"]["sharpness"] = None
         with pytest.raises(ValueError, match=r"unknown config flags: \['restart\.sharpness'\]"):
             config_from_flags(old)
+        # the fixed restart scheme's period, a number with that scheme, null without it
+        for period in (128, None):
+            old = config_flags(pl.SolverConfig())
+            old["restart"]["period"] = period
+            with pytest.raises(ValueError, match=r"unknown config flags: \['restart\.period'\]"):
+                config_from_flags(old)
 
     def test_bad_flag_values_rejected(self):
         with pytest.raises(ValueError, match="config restart: unknown restart scheme 'sometimes'"):
@@ -203,9 +200,7 @@ class TestConfigFlags:
             config_from_flags({"pc_alpha": False})
         with pytest.raises(ValueError, match="config block: check_interval must be at least 1, got 0"):
             config_from_flags({"check_interval": 0})
-        with pytest.raises(ValueError, match="config restart: restart period must be at least 1, got 0"):
-            config_from_flags({"restart": {"period": 0}})
-        with pytest.raises(ValueError, match="config restart: fixed restart scheme needs a period"):
+        with pytest.raises(ValueError, match="config restart: unknown restart scheme 'fixed'"):
             config_from_flags({"restart": {"scheme": "fixed"}})
 
     def test_int_accepted_for_float(self):

@@ -246,18 +246,6 @@ class TestShouldRestart:
         state = self.make_state(1000, 1000)
         assert should_restart(state, RestartConfig(scheme="none")) == (False, None)
 
-    def test_fixed_scheme(self):
-        cfg = RestartConfig(scheme="fixed", period=4)
-        assert should_restart(self.make_state(3, 7), cfg) == (False, None)
-        assert should_restart(self.make_state(4, 8), cfg) == (
-            True,
-            "fixed_period",
-        )
-
-    def test_fixed_scheme_needs_period(self):
-        with pytest.raises(pl.NonPositiveInput):
-            should_restart(self.make_state(1, 1), RestartConfig(scheme="fixed"))
-
     def test_adaptive_gap_decay(self):
         cfg = RestartConfig(scheme="adaptive", sufficient_decay=0.5)
         state = self.make_state(3, 100)

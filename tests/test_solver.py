@@ -6,6 +6,7 @@ import os
 import queue
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -156,24 +157,49 @@ class TestStatuses:
         report = pl.solve(pl.generate_primal_infeasible_toy(), config)
         assert report.status == pl.STATUS_ITERATION_LIMIT
 
-    def test_fixed_restart_needs_period_or_sharpness(self):
-        with pytest.raises(pl.NonPositiveInput):
+    def test_fixed_restart_scheme_rejected(self):
+        # the fixed-period scheme and its period are gone
+        with pytest.raises(pl.NonPositiveInput, match="unknown restart scheme 'fixed'"):
             pl.SolverConfig(restart=pl.RestartConfig(scheme="fixed"))
+        with pytest.raises(TypeError):
+            pl.RestartConfig(period=16)
 
-    def test_unbounded_lp_under_fixed_restarts(self):
-        # Restarting every 16 iterations drives the primal weight towards
-        # zero until the squared norm of a candidate ray overflows; the solve
-        # must still end in a status, not an exception or a warning.
+    def test_unbounded_lp_with_overflowing_candidate_rays(self, monkeypatch):
+        # Every check also tests its candidates scaled by 1e200, whose squared
+        # norms overflow, and with an infinite entry, which have no norm.  The
+        # solve must still end as it does without them, with no exception and
+        # no warning, and its certificate must be a valid ray; a scaled copy
+        # of a valid primal ray is valid too, at its rescaled norm.
         problem = planted_unbounded_lp(0)
-        config = pl.SolverConfig(
-            termination=pl.TerminationCriteria(iteration_limit=20_000),
-            restart=pl.RestartConfig(scheme="fixed", period=16),
-        )
-        report = pl.solve(problem, config)
-        assert report.status not in (pl.STATUS_OPTIMAL, pl.STATUS_PRIMAL_INFEASIBLE)
-        if report.certificate is not None:
-            verdict = pl.check_dual_infeasible(pl.to_saddle(problem), report.certificate["ray"], 1e-10)
-            assert verdict.valid
+        config = pl.SolverConfig(termination=pl.TerminationCriteria(iteration_limit=10_000))
+        plain = pl.solve(problem, config)
+        real, real_hits = pl.solver.extract_certificates, pl.solver._ray_hits
+        overflowed, huge_norms = [], []
+
+        def with_huge_copies(*args):
+            candidates = real(*args)
+            for cand in list(candidates):
+                huge = pl.termination.CertificateCandidate(cand.kind, cand.x * 1e200, cand.y * 1e200)
+                overflowed.append(not math.isfinite(huge.x @ huge.x))
+                infinite = pl.termination.CertificateCandidate(cand.kind, huge.x.copy(), huge.y.copy())
+                infinite.x[0] = infinite.y[0] = np.inf
+                candidates += [huge, infinite]
+            return candidates
+
+        def recording(*args):
+            hits, shows = real_hits(*args)
+            huge_norms.extend(norm for *_, norm in hits[1] if norm > 1e150)
+            return hits, shows
+
+        monkeypatch.setattr(pl.solver, "extract_certificates", with_huge_copies)
+        monkeypatch.setattr(pl.solver, "_ray_hits", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = pl.solve(problem, config)
+        assert any(overflowed) and huge_norms and all(math.isfinite(norm) for norm in huge_norms)
+        assert plain.status == report.status == pl.STATUS_DUAL_INFEASIBLE
+        assert report.iterations == plain.iterations
+        assert pl.check_dual_infeasible(pl.to_saddle(problem), report.certificate["ray"], 1e-10).valid
 
 
 class TestStepFreeze:
@@ -368,7 +394,7 @@ class TestHalpern:
         assert report.status == pl.STATUS_OPTIMAL
         by_reason = report.restarts_by_reason
         assert by_reason["residual_decay"] > 0
-        assert by_reason["gap_decay"] == by_reason["fixed_period"] == 0
+        assert by_reason["gap_decay"] == 0
         assert report.gap_evaluations == 0
         assert report.step_trials == report.iterations
         tested = [inner for inner, r, _ in decisions if r is not None]
@@ -421,7 +447,7 @@ class TestHalpern:
         [
             pl.SolverConfig(),
             pl.SolverConfig(
-                restart=pl.RestartConfig(scheme="fixed", period=48),
+                restart=pl.RestartConfig(scheme="none", sufficient_decay=0.25),
                 step=pl.StepPolicy(mode="halpern", fixed_step=0.4),
                 weight=pl.WeightPolicy(mode="fixed", fixed_weight=2.0),
                 check_interval=16,
@@ -603,19 +629,6 @@ class TestTrajectory:
         assert report.step_size == step.step_size
         assert report.step_trials == state.trial_count
 
-    def test_fixed_restart_count(self):
-        config = pl.SolverConfig(
-            termination=pl.TerminationCriteria(tol_optimal=0.0, iteration_limit=20),
-            scaling="none",
-            restart=pl.RestartConfig(scheme="fixed", period=4),
-            step=pl.StepPolicy(mode="fixed", fixed_step=0.2),
-            weight=pl.WeightPolicy(mode="fixed", fixed_weight=1.0),
-            detect_infeasibility=False,
-        )
-        report = pl.solve(pl.generate_bilinear_toy(), config)
-        assert report.iterations == 20
-        assert report.restarts == 5  # every 4 iterations
-
     def test_restarting_from_average_accelerates_toy(self):
         def config(scheme):
             return pl.SolverConfig(
@@ -729,10 +742,10 @@ class TestCounts:
         report = pl.solve(random_feasible_lp(2), pl.SolverConfig(
             termination=pl.TerminationCriteria(tol_optimal=1e-8, iteration_limit=3000), step=ADAPTIVE))
         by_reason = report.restarts_by_reason
-        assert set(by_reason) == {"gap_decay", "residual_decay", "artificial", "fixed_period"}
+        assert set(by_reason) == {"gap_decay", "residual_decay", "artificial"}
         assert sum(by_reason.values()) == report.restarts
         assert by_reason["gap_decay"] > 0 and by_reason["artificial"] > 0
-        assert by_reason["fixed_period"] == by_reason["residual_decay"] == 0
+        assert by_reason["residual_decay"] == 0
 
     def test_adaptive_trials_count_rejections(self):
         # the toy starts with an oversized step, so some trials are rejected
@@ -743,7 +756,7 @@ class TestCounts:
         config = TestTrajectory().vanilla_config(30)
         report = pl.solve(pl.generate_bilinear_toy(), config)
         assert report.step_trials == report.iterations == 30
-        assert report.restarts_by_reason == {"gap_decay": 0, "residual_decay": 0, "artificial": 0, "fixed_period": 0}
+        assert report.restarts_by_reason == {"gap_decay": 0, "residual_decay": 0, "artificial": 0}
 
     def test_one_gap_evaluation_per_restart_decision(self, monkeypatch):
         # a restart's reference gap is the candidate's gap, not a second

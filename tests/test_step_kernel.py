@@ -213,6 +213,28 @@ class TestHalpernAgainstReference:
         assert state.total_count == state.trial_count == 80
         assert state.kx is None
 
+    def test_restart_stays_in_the_stacked_iterate(self):
+        # a restart to T(z) copies it into the state's own x and y, which
+        # stay the parts of buffers.z, and zeroes the sums in place; the
+        # next step anchors the epoch there
+        saddle = scaled_saddle(2)
+        step = StepState(0.998 / pl.spectral_norm_estimate(saddle.K).value, 1.3)
+        state = IterateState.initial(saddle)
+        for _ in range(7):
+            halpern_step(state, saddle, step)
+        buf = state.buffers
+        sums = (state.sum_x, state.sum_y)
+        t = buf.t.copy()
+        apply_restart(state, (buf.x, buf.y))
+        assert state.x is buf.z_parts[0] and state.y is buf.z_parts[1]
+        assert state.sum_x is sums[0] and state.sum_y is sums[1]
+        assert not (state.sum_x.any() or state.sum_y.any())
+        assert buf.z.tobytes() == t.tobytes()
+        assert (state.inner_count, state.total_count) == (0, 7)
+        halpern_step(state, saddle, step)
+        assert buf.anchor.tobytes() == t.tobytes()
+        assert state.x is buf.z_parts[0] and state.y is buf.z_parts[1]
+
     def test_operator_is_the_pdhg_point(self):
         # T(z) is the point pdhg_step moves to from the same z: x_T bit for
         # bit, y_T up to the rounding of K (2 x_T - x) against 2 K x_T - K x
@@ -245,7 +267,6 @@ class TestHalpernAgainstReference:
 
     def test_non_finite_operator_leaves_state_intact(self, toy_saddle):
         state = IterateState(x=[1.7e308], y=[1.7e308], inner_count=3, total_count=5)
-        state.anchor = (state.x.copy(), state.y.copy())
         x, y = state.x, state.y
         with pytest.raises(pl.NonFiniteIterate, match="total iteration 6"):
             halpern_step(state, toy_saddle, StepState(0.5, 1.0))
