@@ -269,6 +269,38 @@ class TestShouldRestart:
         )
         assert should_restart(self.make_state(35, 100), cfg, reference_gap=2.0) == (False, None)
 
+    def test_residual_sufficient_decay(self):
+        # (now, first, previous): at most 0.2 of the epoch's first residual
+        # restarts whether or not it went up since the previous test
+        cfg = RestartConfig(scheme="adaptive")
+        state = self.make_state(3, 100)
+        assert should_restart(state, cfg, residuals=(0.2, 1.0, 0.5)) == (True, "residual_decay")
+        assert should_restart(state, cfg, residuals=(0.2, 1.0, 0.1)) == (True, "residual_decay")
+        assert should_restart(state, cfg, residuals=(0.0, 1.0, 0.0)) == (True, "residual_decay")
+
+    def test_residual_necessary_decay(self):
+        # between 0.2 and 0.8 of the first, it restarts only once the
+        # residual has gone up since the previous test
+        cfg = RestartConfig(scheme="adaptive")
+        state = self.make_state(3, 100)
+        assert should_restart(state, cfg, residuals=(0.8, 1.0, 0.5)) == (True, "residual_decay")
+        assert should_restart(state, cfg, residuals=(0.5, 1.0, 0.6)) == (False, None)
+        assert should_restart(state, cfg, residuals=(0.5, 1.0, 0.5)) == (False, None)
+        assert should_restart(state, cfg, residuals=(0.9, 1.0, 0.5)) == (False, None)
+
+    def test_residuals_replace_the_gap_test(self):
+        # under the Halpern step the gaps are not tested, the cap still is,
+        # and the scheme "none" never restarts
+        cfg = RestartConfig(scheme="adaptive", sufficient_decay=0.5)
+        no_decay = (0.9, 1.0, 1.0)
+        assert should_restart(
+            self.make_state(3, 100), cfg, candidate_gap=0.0, reference_gap=2.0, residuals=no_decay
+        ) == (False, None)
+        assert should_restart(self.make_state(36, 100), cfg, residuals=no_decay) == (True, "artificial")
+        assert should_restart(self.make_state(35, 100), cfg, residuals=no_decay) == (False, None)
+        none = RestartConfig(scheme="none")
+        assert should_restart(self.make_state(1000, 1000), none, residuals=(0.0, 1.0, 1.0)) == (False, None)
+
     def test_unknown_scheme(self):
         with pytest.raises(pl.NonPositiveInput):
             should_restart(self.make_state(0, 0), RestartConfig(scheme="sometimes"))
