@@ -175,11 +175,6 @@ def _output(path):
 
 def _cmd_solve(args):
     try:
-        problem = _read_problem(args.input, fixed=args.mps_fixed)
-    except (OSError, MpsParseError) as err:
-        print(f"pdhg-lp: {err}", file=sys.stderr)
-        return 1
-    try:
         config = _config_from_args(args)
     except ValueError as err:
         print(f"pdhg-lp: {err}", file=sys.stderr)
@@ -187,11 +182,12 @@ def _cmd_solve(args):
     if config.log_interval:
         logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
-        report = solve(problem, config)
+        # the reader raises ValidationError for a non-finite coefficient, as solve does for other bad data
+        report = solve(_read_problem(args.input, fixed=args.mps_fixed), config)
     except ValidationError as err:
         print(f"pdhg-lp: invalid problem: {err}", file=sys.stderr)
         return 1
-    except NonPositiveInput as err:
+    except (OSError, MpsParseError, NonPositiveInput) as err:
         print(f"pdhg-lp: {err}", file=sys.stderr)
         return 1
     if args.report_format == "json":

@@ -23,12 +23,14 @@ Halpern iteration (Lu & Yang, arXiv 2407.16144) moves to
 
 with z_0 the epoch's anchor.  It forms the reflection 2 x_T - x before the
 product, as K (2 x_T - x), so it keeps no K x and also costs one matvec and
-one rmatvec.  It keeps z, T(z), the reflection and z_0 stacked, each as one
-vector of length n + m whose first n entries are its x part and the rest
-its y part (``StepBuffers``), so that the mix, the fixed-point residual's
-difference and the finiteness test are one pass each over all of z.  The
-state's x and y are views of the stacked iterate.  On a large K it runs on
-two threads (``halpern_step``).
+one rmatvec.  On a large K it runs on two threads (``halpern_step``).
+
+The kernels keep z, the iterate a step replaced and the epoch's anchor in
+one layout (``StepBuffers``): stacked vectors of length n + m whose first n
+entries are the x part and the rest the y part, so that Halpern's mix, the
+fixed-point residual's difference and the finiteness test are one pass
+each over all of z.  Each kernel writes its new point into ``prev``, and
+one advance swaps it with ``z``; the state's x and y are views of ``z``.
 
 The kernel runs under np.errstate(over="ignore", invalid="ignore"), so that
 a diverging iterate is reported as NonFiniteIterate and not as a warning.
@@ -80,48 +82,34 @@ class StepState:
 
 
 class StepBuffers:
-    """Work vectors of a step kernel, in one of two layouts.
+    """Work vectors of the step kernels: five stacked vectors of length
+    n + m, each of whose x part (its first n entries) and y part (the rest)
+    are views made once:
 
-    ``StepBuffers(n, m)``, for PDHG and the adaptive rule: the trial point
-    ``x``/``y``, its displacement ``dx``/``dy``, K x+ - K x in ``dkx`` and
-    the gradient c - K'y in ``grad``.
-
-    ``StepBuffers(n, m, m1)``, for the Halpern step: five stacked vectors
-    of length n + m, each of whose x part (its first n entries) and y part
-    (the rest) are views made once:
-
-        t       T(z_k); ``x``/``y`` are its parts, ``head`` the first m1
-                entries of its y part (None when m1 is 0)
-        r       the reflection 2 T(z_k) - z_k, parts ``dx``/``dy``; after
-                the step, scratch (``fixed_point_residual`` writes
-                T(z_k) - z_k there)
+        t       the step's scratch point, parts ``x``/``y``.  A Halpern step
+                leaves T(z_k) here, with ``head`` the first m1 entries of
+                its y part (None when m1 is 0); a PDHG step keeps the
+                gradient c - K'y in its x part and K x+ - K x in its y part
+        r       the reflection 2 T(z_k) - z_k, or PDHG's displacement, parts
+                ``dx``/``dy``; after the step, scratch (``fixed_point_residual``
+                and ``solve`` write there)
         z       the iterate z_{k+1}: the state's x and y are ``z_parts``
         prev    z_k, the iterate the step replaced (``prev_parts``); the
-                next step writes its mix here, then ``z`` and ``prev``
-                change places
+                next step writes its new point here (PDHG's trial point,
+                Halpern's mix), then ``z`` and ``prev`` change places
         anchor  the epoch's start z_0 (``anchor_parts``), copied from z at
                 the epoch's first step
 
     and ``part``, length n: the second row block's part of K'y when K is
-    split in two (``halpern_step``).  The fields of the other layout are
-    None.
+    split in two (``halpern_step``).
     """
 
     __slots__ = (
-        "x", "y", "dx", "dy", "dkx", "grad", "part",
+        "x", "y", "dx", "dy", "part",
         "t", "head", "r", "z", "z_parts", "prev", "prev_parts", "anchor", "anchor_parts",
     )
 
-    def __init__(self, n, m, m1=None):
-        if m1 is None:
-            self.x, self.y = np.empty(n), np.empty(m)
-            self.dx, self.dy = np.empty(n), np.empty(m)
-            self.dkx = np.empty(m)
-            self.grad = np.empty(n)
-            self.part = self.t = self.head = self.r = self.z = self.z_parts = None
-            self.prev = self.prev_parts = self.anchor = self.anchor_parts = None
-            return
-        self.dkx = self.grad = None
+    def __init__(self, n, m, m1):
         self.part = np.empty(n)
         self.t, self.r, self.z, self.prev, self.anchor = (np.empty(n + m) for _ in range(5))
         self.x, self.y = self.t[:n], self.t[n:]
@@ -140,14 +128,14 @@ class IterateState:
     caches K @ x for the PDHG step and must be dropped whenever x changes by
     any route other than that step (restart, rescale).  ``trial_count``
     counts the finite trial points computed, accepted or not.  The state
-    owns ``x`` and ``y`` (they are copied in), because the step kernel
-    recycles the replaced vectors as work buffers and ``apply_restart``
+    owns ``x`` and ``y`` (they are copied in), because the step kernels
+    recycle the replaced vectors as work buffers and ``apply_restart``
     writes the restart point into them: hold a copy, not a reference, of an
-    iterate that must outlive the next step or restart.  After a PDHG step,
-    ``buffers.x`` and ``buffers.y`` hold the iterate it replaced until the
-    next step starts; ``apply_restart`` leaves them alone.  After a Halpern
-    step x and y are views of ``buffers.z`` (``StepBuffers``), and the
-    epoch's start is ``buffers.anchor``.
+    iterate that must outlive the next step or restart.  After any step x
+    and y are the parts of ``buffers.z``, ``buffers.prev_parts`` hold the
+    iterate it replaced until the next step starts, and the epoch's start
+    is ``buffers.anchor`` (``StepBuffers``); ``apply_restart`` writes into
+    z and leaves the rest alone.
     """
 
     x: np.ndarray
@@ -185,9 +173,6 @@ class IterateState:
             return self.x.copy(), self.y.copy()
         return self.sum_x / self.sum_weight, self.sum_y / self.sum_weight
 
-    def invalidate_cache(self):
-        self.kx = None
-
 
 def project_primal(x, l, u):
     return np.clip(x, l, u)
@@ -200,21 +185,51 @@ def project_dual(y, m1):
     return out
 
 
+def _buffers(state, saddle):
+    """The state's ``StepBuffers``, made on first use, with the state's
+    iterate in ``z``: one set from outside (the first step's, or one
+    assigned to ``state.x``/``state.y``) is copied in.  At an epoch's first
+    step, or the first step to make the buffers, z is copied into
+    ``anchor``."""
+    buf = state.buffers
+    fresh = buf is None
+    if fresh:
+        m, n = saddle.K.shape
+        buf = state.buffers = StepBuffers(n, m, saddle.m1)
+    x, y = buf.z_parts
+    if state.x is not x or state.y is not y:
+        np.copyto(x, state.x)
+        np.copyto(y, state.y)
+    if fresh or state.inner_count == 0:
+        np.copyto(buf.anchor, buf.z)
+    return buf
+
+
+def _advance(state, buf, kx=None):
+    """Install the point the step wrote into ``prev``: ``z`` and ``prev``
+    change places, the state's x and y become the parts of the new ``z``,
+    ``kx`` (K x of the new point, or None) is cached and the step counted."""
+    buf.z, buf.prev = buf.prev, buf.z
+    buf.z_parts, buf.prev_parts = buf.prev_parts, buf.z_parts
+    state.x, state.y = buf.z_parts
+    state.kx = kx
+    state.inner_count += 1
+    state.total_count += 1
+
+
 def step_gradient(state, saddle):
-    """Fill the K x cache if it is empty and c - K'y into the gradient
-    buffer; returns the state's work buffers, allocated on first use."""
+    """Fill the K x cache if it is empty and c - K'y into the x part of
+    ``buffers.t``; returns the state's buffers (``_buffers``)."""
+    buf = _buffers(state, saddle)
     k = saddle.K
     if state.kx is None:
         state.kx = k.matvec(state.x)
-    buf = state.buffers
-    if buf is None or buf.grad is None:
-        buf = state.buffers = StepBuffers(state.x.size, state.y.size)
-    np.subtract(saddle.c, k.rmatvec(state.y), out=buf.grad)
+    np.subtract(saddle.c, k.rmatvec(state.y), out=buf.x)
     return buf
 
 
 def trial_step(state, saddle, buf, s, w, measure=True):
-    """Compute the PDHG point at step s and weight w into ``buf.x``/``buf.y``.
+    """Compute the PDHG point at step s and weight w into ``buf.prev_parts``.
 
     Needs ``step_gradient`` first.  Returns (K x+, movement, interaction)
     with movement = w ||dx||^2 + ||dy||^2 / w and interaction =
@@ -223,12 +238,14 @@ def trial_step(state, saddle, buf, s, w, measure=True):
     neither is formed and both are returned as 0.0.  A non-finite point
     always makes a scalar of it non-finite (the movement and interaction,
     or else x+'x+ + y+'y+), so the full scan runs only when that scalar is
-    not finite.  The state is not touched apart from ``trial_count``.  Run
-    under np.errstate(over="ignore", invalid="ignore").
+    not finite.  The iterate z is not touched, so a rejected trial leaves
+    the state as it was apart from ``trial_count``.  Run under
+    np.errstate(over="ignore", invalid="ignore").
     """
-    x, y = state.x, state.y
-    x_new, y_new, dx, dy = buf.x, buf.y, buf.dx, buf.dy
-    np.multiply(buf.grad, s / w, out=dx)
+    x, y = buf.z_parts
+    x_new, y_new = buf.prev_parts
+    grad, dkx, dx, dy = buf.x, buf.y, buf.dx, buf.dy
+    np.multiply(grad, s / w, out=dx)
     np.subtract(x, dx, out=dx)
     _clip(dx, saddle.l, saddle.u, out=x_new)
     kx_new = saddle.K.matvec(x_new)
@@ -245,8 +262,8 @@ def trial_step(state, saddle, buf, s, w, measure=True):
         np.subtract(x_new, x, out=dx)
         np.subtract(y_new, y, out=dy)
         movement = w * dot(dx, dx) + dot(dy, dy) / w
-        np.subtract(kx_new, state.kx, out=buf.dkx)
-        interaction = 2.0 * abs(dot(dy, buf.dkx))
+        np.subtract(kx_new, state.kx, out=dkx)
+        interaction = 2.0 * abs(dot(dy, dkx))
         finite = math.isfinite(movement) and math.isfinite(interaction)
     else:
         movement = interaction = 0.0
@@ -258,11 +275,9 @@ def trial_step(state, saddle, buf, s, w, measure=True):
 
 
 def accept_step(state, buf, kx_new, avg_weight):
-    """Install the trial point in ``buf`` (by swapping vectors) and update
-    the running average and counters."""
-    state.x, buf.x = buf.x, state.x
-    state.y, buf.y = buf.y, state.y
-    state.kx = kx_new
+    """Install the trial point (``_advance``) and add it to the running
+    average with weight ``avg_weight``."""
+    _advance(state, buf, kx_new)
     if avg_weight == 1.0:  # 1.0 * v is v, bit for bit
         np.add(state.sum_x, state.x, out=state.sum_x)
         np.add(state.sum_y, state.y, out=state.sum_y)
@@ -272,27 +287,24 @@ def accept_step(state, buf, kx_new, avg_weight):
         np.multiply(state.y, avg_weight, out=buf.dy)
         np.add(state.sum_y, buf.dy, out=state.sum_y)
     state.sum_weight += avg_weight
-    state.inner_count += 1
-    state.total_count += 1
 
 
-def pdhg_step(state, saddle, step, avg_weight=1.0, *, errstate=True):
+def pdhg_step(state, saddle, step, *, errstate=True):
     """Advance the iterate by one PDHG step (in place).
 
-    ``avg_weight`` is this iterate's weight in the running average; the
-    commit is skipped and NonFiniteIterate raised if the new point is not
-    finite, so the state always holds the last good iterate.  Pass
-    ``errstate=False`` only under the kernel's np.errstate (module
-    docstring).
+    The iterate joins the running average with weight 1.  The commit is
+    skipped and NonFiniteIterate raised if the new point is not finite, so
+    the state always holds the last good iterate.  Pass ``errstate=False``
+    only under the kernel's np.errstate (module docstring).
     """
     if errstate:
         with np.errstate(over="ignore", invalid="ignore"):
-            return pdhg_step(state, saddle, step, avg_weight, errstate=False)
+            return pdhg_step(state, saddle, step, errstate=False)
     buf = step_gradient(state, saddle)
     trial = trial_step(state, saddle, buf, step.step_size, step.primal_weight, measure=False)
     if trial is None:
         raise NonFiniteIterate(f"iterate became non-finite at total iteration {state.total_count + 1}")
-    accept_step(state, buf, trial[0], avg_weight)
+    accept_step(state, buf, trial[0], 1.0)
     return state
 
 
@@ -311,13 +323,11 @@ def halpern_step(state, saddle, step, *, errstate=True):
     in that order of operations: the reflection r is taken before the
     product, so no K x is kept.  The vectors are the stacked ones of the
     state's ``StepBuffers`` (its docstring): the mix goes into ``prev``,
-    which then changes places with ``z``, so that afterwards
+    which then changes places with ``z`` (``_advance``), so that afterwards
     ``buffers.x``/``buffers.y`` hold T(z_k), ``buffers.prev_parts`` hold
-    z_k and the state's x and y are the parts of ``buffers.z``.  An iterate
-    that is not already there (the first step's, or one set from outside)
-    is copied in first; ``apply_restart`` writes it there.  Raises
-    NonFiniteIterate, the iterate untouched, when T(z_k) is not finite.
-    ``errstate`` as for ``pdhg_step``.
+    z_k and the state's x and y are the parts of ``buffers.z``.  The K x
+    cache is dropped.  Raises NonFiniteIterate, the iterate untouched, when
+    T(z_k) is not finite.  ``errstate`` as for ``pdhg_step``.
 
     With one row block the step runs inline as straight-line code: the x
     side, the y side, then the mix and the finiteness sum each as one pass
@@ -335,17 +345,9 @@ def halpern_step(state, saddle, step, *, errstate=True):
             return halpern_step(state, saddle, step, errstate=False)
     k_mat = saddle.K
     m, n = k_mat.shape
-    buf = state.buffers
-    fresh = buf is None or buf.t is None
-    if fresh:
-        buf = state.buffers = StepBuffers(n, m, saddle.m1)
+    buf = _buffers(state, saddle)
     k = state.inner_count
     x, y = buf.z_parts
-    if state.x is not x or state.y is not y:
-        np.copyto(x, state.x)
-        np.copyto(y, state.y)
-    if k == 0 or fresh:
-        np.copyto(buf.anchor, buf.z)
     scale, sigma = step.step_size / step.primal_weight, step.sigma
     share, denominator = (k + 1) / (k + 2), k + 2
     x_t, y_t, r_x, r_y, mix = buf.x, buf.y, buf.dx, buf.dy, buf.prev
@@ -408,11 +410,7 @@ def halpern_step(state, saddle, step, *, errstate=True):
     if not math.isfinite(total) and not np.all(np.isfinite(buf.t)):
         raise NonFiniteIterate(f"iterate became non-finite at total iteration {state.total_count + 1}")
     state.trial_count += 1
-    buf.z, buf.prev = mix, buf.z
-    buf.z_parts, buf.prev_parts = buf.prev_parts, buf.z_parts
-    state.x, state.y = buf.z_parts
-    state.inner_count += 1
-    state.total_count += 1
+    _advance(state, buf)
     return state
 
 

@@ -181,10 +181,11 @@ def artificial_cap_reached(state):
 
 def apply_restart(state, candidate):
     """Reset the state to the candidate point and start a new epoch, in
-    place: the candidate is copied into the state's own x and y (under the
-    Halpern step, the parts of ``buffers.z``), so it may be a view of the
-    step's buffers.  The running average is cleared and the K x cache
-    dropped; the total iteration count is preserved.  Allocates nothing.
+    place: the candidate is copied into the state's own x and y (after a
+    step, the parts of ``buffers.z``), so it may be a view of the step's
+    other buffers; the next step copies it into ``buffers.anchor``.  The
+    running average is cleared and the K x cache dropped; the total
+    iteration count is preserved.  Allocates nothing.
     """
     np.copyto(state.x, candidate[0])
     np.copyto(state.y, candidate[1])
@@ -192,5 +193,5 @@ def apply_restart(state, candidate):
     state.sum_y.fill(0.0)
     state.sum_weight = 0.0
     state.inner_count = 0
-    state.invalidate_cache()
+    state.kx = None
     return state

@@ -254,10 +254,9 @@ def solve(problem, config=None, callback=None):
     step = initialize_step_state(saddle, norm_k, config.step, config.weight)
     state = IterateState.initial(saddle)
 
-    # PDHG's epoch start, and for the gap rule the normalized gap there that
-    # the sufficient-decay test compares against; the Halpern epoch's start
-    # is the anchor in its step buffers
-    start = (state.x.copy(), state.y.copy())
+    # for the gap rule, the normalized gap at the epoch start that the
+    # sufficient-decay test compares against; the epoch's start is the
+    # anchor in the step buffers
     reference_gap = None
     gap_evals = 0
     if gap_restarts:
@@ -279,15 +278,13 @@ def solve(problem, config=None, callback=None):
 
     def checked_points():
         """The point a check tests and the one before it, in the working
-        space.  PDHG tests its iterate, whose predecessor the step kernel's
-        buffers still hold; Halpern tests the T(z) of its last step, and z
-        is the point before."""
+        space.  PDHG tests its iterate z and Halpern the T(z) of its last
+        step; the point before is the iterate that step replaced, which the
+        step buffers' ``prev`` holds."""
         buf = state.buffers
         if buf is None:
             return (state.x, state.y), None
-        if halpern:
-            return (buf.x, buf.y), buf.prev_parts
-        return (state.x, state.y), (buf.x, buf.y)
+        return ((buf.x, buf.y) if halpern else (state.x, state.y)), buf.prev_parts
 
     iteration = 0
     # the step kernel's error state, entered once for the whole loop
@@ -374,7 +371,7 @@ def solve(problem, config=None, callback=None):
                         reason = f"adaptive step rejected {stepsize.MAX_RETRIES} trials in a row"
                         break
                 else:
-                    pdhg_step(state, saddle, step, avg_weight=1.0, errstate=False)
+                    pdhg_step(state, saddle, step, errstate=False)
             except (NonFiniteIterate, StepSizeUnderflow) as err:
                 status = STATUS_NUMERICAL_ERROR
                 reason = str(err)
@@ -405,9 +402,14 @@ def solve(problem, config=None, callback=None):
             else:
                 if not (inner % restarts.GAP_EVAL_INTERVAL == 0 or iteration % config.check_interval == 0):
                     continue
-                # the average's gap at its distance from the epoch start, when finite and nonzero
+                # the average's gap at its distance from the epoch start, when
+                # finite and nonzero; the average minus the anchor stays in
+                # buffers.r for the weight update
                 candidate = state.average()
-                radius = _norm(candidate[0] - start[0], candidate[1] - start[1])
+                buf = state.buffers
+                np.subtract(candidate[0], buf.anchor_parts[0], out=buf.dx)
+                np.subtract(candidate[1], buf.anchor_parts[1], out=buf.dy)
+                radius = _norm(buf.dx, buf.dy)
                 if 0.0 < radius < math.inf:
                     # Short of the artificial cap only a gap at or below the
                     # decay bound restarts, so the bisection may stop above it.
@@ -424,21 +426,18 @@ def solve(problem, config=None, callback=None):
             if not fire:
                 continue
             restarts_by_reason[why] += 1
+            # the weight follows the candidate's move from the anchor, in buffers.r
+            buf = state.buffers
             if halpern:
-                # T(z) - z_0 in one pass, into the spare reflection buffer
-                buf = state.buffers
+                # T(z) - z_0 in one pass
                 np.subtract(buf.t, buf.anchor, out=buf.r)
-                dx_norm, dy_norm = _norm(buf.dx), _norm(buf.dy)
                 candidate = (buf.x, buf.y)
-            else:
-                dx_norm = _norm(candidate[0] - start[0])
-                dy_norm = _norm(candidate[1] - start[1])
-                start = candidate
+            elif candidate_gap is not None:
                 # the new start's gap at the distance it moved is the candidate's
-                if candidate_gap is not None:
-                    reference_gap = candidate_gap
+                reference_gap = candidate_gap
             step = replace(
-                step, primal_weight=update_primal_weight(step.primal_weight, dx_norm, dy_norm, config.weight)
+                step,
+                primal_weight=update_primal_weight(step.primal_weight, _norm(buf.dx), _norm(buf.dy), config.weight),
             )
             apply_restart(state, candidate)
 

@@ -230,6 +230,16 @@ class TestSolve:
         assert code == 1
         assert "line" in err
 
+    @pytest.mark.parametrize("value", ["1e400", "inf", "nan"])
+    def test_non_finite_coefficient_exits_one(self, tmp_path, value):
+        # the reader finds it as it builds the matrix, before any solve
+        path = tmp_path / "nonfinite.mps"
+        path.write_text(pl.write_mps(pl.generate_bilinear_toy()).replace("E0         1", f"E0         {value}"))
+        code, out, err = run_cli(["solve", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err == "pdhg-lp: invalid problem: matrix contains non-finite entries\n"
+
     def test_usage_error_exits_one(self):
         code, _, _ = run_cli([])
         assert code == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pdhg_lp as pl
-from pdhg_lp import IterateState, StepState, pdhg_step, project_dual, project_primal, ps_norm
+from pdhg_lp import IterateState, StepState, adaptive_step, pdhg_step, project_dual, project_primal, ps_norm
 
 from conftest import dense_pdhg_step, random_small_saddle
 
@@ -96,7 +96,7 @@ class TestPdhgStep:
         assert toy_saddle.K.matvec_calls - base_mv == 6
         assert toy_saddle.K.rmatvec_calls - base_rmv == 5
         # dropping the cache costs exactly one extra matvec
-        state.invalidate_cache()
+        state.kx = None
         pdhg_step(state, toy_saddle, step)
         assert toy_saddle.K.matvec_calls - base_mv == 8
         assert toy_saddle.K.rmatvec_calls - base_rmv == 6
@@ -120,14 +120,18 @@ class TestPdhgStep:
         np.testing.assert_array_equal(state.x, [2.0, -1.0])
 
     def test_average_weights(self, toy_saddle):
+        # the adaptive rule weighs each iterate by the step that made it; on
+        # the toy every trial is accepted (s_hat >= 1) and s grows
         state = IterateState(x=[2.0], y=[2.0])
         step = StepState(0.2, 1.0)
         xs, ys, ws = [], [], []
-        for w in (1.0, 3.0, 0.5):
-            pdhg_step(state, toy_saddle, step, avg_weight=w)
+        for k in range(3):
+            ws.append(step.step_size)
+            state, step, accepted = adaptive_step(state, toy_saddle, step)
+            assert accepted and state.trial_count == k + 1
             xs.append(state.x.copy())
             ys.append(state.y.copy())
-            ws.append(w)
+        assert ws[0] < ws[1] < ws[2]
         avg_x, avg_y = state.average()
         expect_x = sum(w * v for w, v in zip(ws, xs)) / sum(ws)
         expect_y = sum(w * v for w, v in zip(ws, ys)) / sum(ws)

@@ -54,9 +54,9 @@ class Reference:
         self.sum_weight += weight
         self.count += 1
 
-    def fixed(self, s, w, weight=1.0):
+    def fixed(self, s, w):
         x_new, y_new, _, _ = self.point(s, w)
-        self.commit(x_new, y_new, weight)
+        self.commit(x_new, y_new, 1.0)
 
     def adaptive(self, s, w, s0):
         """One iteration of the adaptive rule; returns (next s, accepted)."""
@@ -79,14 +79,16 @@ class Reference:
         return s, False
 
 
-def halpern_reference(saddle, x, y, s, w, steps):
+def halpern_reference(saddle, x, y, s, w, steps, anchor=None, first=0):
     """Reflected Halpern PDHG from (x, y) over one epoch, as the docstring
     of ``pdhg.halpern_step`` states it; yields (T x, T y, x, y) after each
-    step.  The product is taken of the reflection, K (2 T x - x)."""
+    step.  The product is taken of the reflection, K (2 T x - x).  The
+    epoch is anchored at (x, y) unless ``anchor`` names its start, and
+    ``first`` is its number of steps taken before (x, y)."""
     k_csr = saddle.K.tocsr()
     kt = k_csr.T.tocsr()
-    x0, y0 = x, y
-    for k in range(steps):
+    x0, y0 = anchor or (x, y)
+    for k in range(first, first + steps):
         tx = np.clip(x - (s / w) * (saddle.c - kt @ y), saddle.l, saddle.u)
         ty = y + (s * w) * (saddle.q - k_csr @ (2.0 * tx - x))
         ty[: saddle.m1] = np.maximum(ty[: saddle.m1], 0.0)
@@ -132,10 +134,9 @@ class TestAgainstReference:
         step = StepState(0.9 / norm_k, 1.7)
         state = IterateState.initial(saddle)
         ref = Reference(saddle, state.x, state.y)
-        for k in range(60):
-            weight = 1.0 + 0.5 * (k % 3)
-            pdhg_step(state, saddle, step, avg_weight=weight)
-            ref.fixed(step.step_size, step.primal_weight, weight)
+        for _ in range(60):
+            pdhg_step(state, saddle, step)
+            ref.fixed(step.step_size, step.primal_weight)
             assert_same(state, ref)
         assert state.trial_count == 60
 
@@ -265,6 +266,33 @@ class TestHalpernAgainstReference:
             dx, dy = state.buffers.x - z[0], state.buffers.y - z[1]
             assert fixed_point_residual(state, step) == math.sqrt(w * dot(dx, dx) + dot(dy, dy) / w)
 
+    def test_kinds_share_one_layout(self):
+        # the kinds share one set of buffers: a PDHG step in mid-epoch moves
+        # z, and the next Halpern step mixes from there toward the same
+        # anchor, with the epoch's step count
+        saddle = scaled_saddle(2)
+        step = StepState(0.9 / pl.spectral_norm_estimate(saddle.K).value, 1.7)
+        s, w = step.step_size, step.primal_weight
+        state = IterateState.initial(saddle)
+        start = (state.x.copy(), state.y.copy())
+        for tx, ty, x, y in halpern_reference(saddle, *start, s, w, 5):
+            halpern_step(state, saddle, step)
+            assert state.x.tobytes() == x.tobytes() and state.y.tobytes() == y.tobytes()
+        buf = state.buffers
+        ref = Reference(saddle, x, y)
+        pdhg_step(state, saddle, step)
+        ref.fixed(s, w)
+        assert state.buffers is buf
+        assert state.x.tobytes() == ref.x.tobytes() and state.y.tobytes() == ref.y.tobytes()
+        for part, want in zip(buf.prev_parts + buf.anchor_parts, (x, y) + start):
+            assert part.tobytes() == want.tobytes()
+        for tx, ty, x, y in halpern_reference(saddle, ref.x, ref.y, s, w, 5, anchor=start, first=6):
+            halpern_step(state, saddle, step)
+            assert state.buffers.x.tobytes() == tx.tobytes() and state.buffers.y.tobytes() == ty.tobytes()
+            assert state.x.tobytes() == x.tobytes() and state.y.tobytes() == y.tobytes()
+        assert state.buffers is buf
+        assert (state.inner_count, state.kx) == (11, None)
+
     def test_non_finite_operator_leaves_state_intact(self, toy_saddle):
         state = IterateState(x=[1.7e308], y=[1.7e308], inner_count=3, total_count=5)
         x, y = state.x, state.y
@@ -277,37 +305,48 @@ class TestHalpernAgainstReference:
 
 
 class TestBuffersHoldPreviousIterate:
-    """After a step the kernel's buffers hold the iterate it replaced, until
-    the next step; solve reads them as z_{k-1} at a check."""
+    """Every step kernel keeps z, the iterate it replaced and the epoch's
+    anchor in one stacked ``StepBuffers``: after a step the state's x and y
+    are the parts of ``z`` and ``prev`` holds the replaced iterate until the
+    next step; solve reads it as z_{k-1} at a check."""
 
     @staticmethod
-    def assert_buffers_hold(state, x, y):
-        assert state.buffers.x.tobytes() == x.tobytes()
-        assert state.buffers.y.tobytes() == y.tobytes()
+    def assert_buffers_hold(state, before, start=None):
+        buf = state.buffers
+        assert state.x is buf.z_parts[0] and state.y is buf.z_parts[1]
+        for parts, want in ((buf.prev_parts, before), (buf.anchor_parts, start)):
+            for part, value in zip(parts, want or ()):
+                assert part.tobytes() == np.asarray(value, dtype=np.float64).tobytes()
 
     def test_after_fixed_steps(self):
         saddle = scaled_saddle(0)
         state = IterateState.initial(saddle)
+        start = (state.x.copy(), state.y.copy())
         for _ in range(5):
-            x, y = state.x.copy(), state.y.copy()
+            before = (state.x.copy(), state.y.copy())
             pdhg_step(state, saddle, StepState(0.1, 1.0))
-            self.assert_buffers_hold(state, x, y)
+            self.assert_buffers_hold(state, before, start)
 
     def test_after_a_rejected_trial(self, toy_saddle):
-        # rejected trials are written into the buffers before one is accepted
+        # rejected trials are written into prev before one is accepted, and
+        # z keeps the iterate
         state = IterateState(x=[2.0], y=[2.0])
         state, _, accepted = adaptive_step(state, toy_saddle, StepState(100.0, 1.0))
         assert accepted and state.trial_count > 1
-        self.assert_buffers_hold(state, np.array([2.0]), np.array([2.0]))
+        self.assert_buffers_hold(state, ([2.0], [2.0]), ([2.0], [2.0]))
 
     def test_restart_leaves_them_alone(self):
+        # a restart writes into z only; the next step anchors the epoch there
         saddle = scaled_saddle(1)
         state = IterateState.initial(saddle)
         pdhg_step(state, saddle, StepState(0.1, 1.0))
-        x, y = state.x.copy(), state.y.copy()
+        before = (state.x.copy(), state.y.copy())
         pdhg_step(state, saddle, StepState(0.1, 1.0))
-        apply_restart(state, state.average())
-        self.assert_buffers_hold(state, x, y)
+        candidate = state.average()
+        apply_restart(state, candidate)
+        self.assert_buffers_hold(state, before)
+        pdhg_step(state, saddle, StepState(0.1, 1.0))
+        self.assert_buffers_hold(state, candidate, candidate)
 
 
 class TestNonFiniteTrial:
