@@ -9,12 +9,13 @@ where Y clips the first m1 dual coordinates at zero.  K(2x+ - x) is formed
 as 2 K x+ - K x with K x cached on the state, so a step costs exactly one
 matvec and one rmatvec.
 
-``trial_step`` computes one such point into work buffers held by the state
-and ``accept_step`` installs it; ``pdhg_step`` (fixed step) and the adaptive
-rule in ``stepsize.py`` are both built from these two, a fixed step being a
-trial that is always accepted.  A fixed step forms only the point: the
-displacement, movement and interaction are the adaptive rule's, and it
-alone computes them.
+``pdhg_step`` runs a stretch of fixed steps as one straight-line loop: it
+looks every name up once per call, calls scipy's CSR kernels on K's arrays
+directly and keeps K x in two vectors of the step buffers that change
+places at every step, so a step allocates nothing.  The adaptive rule in
+``stepsize.py`` takes one step per call, from ``step_gradient``,
+``trial_step`` (the trial point, its movement and interaction) and
+``accept_step`` (the commit, weighted by the step size).
 
 ``halpern_step`` applies the same point, T(z), as an operator: reflected
 Halpern iteration (Lu & Yang, arXiv 2407.16144) moves to
@@ -29,8 +30,9 @@ The kernels keep z, the iterate a step replaced and the epoch's anchor in
 one layout (``StepBuffers``): stacked vectors of length n + m whose first n
 entries are the x part and the rest the y part, so that Halpern's mix, the
 fixed-point residual's difference and the finiteness test are one pass
-each over all of z.  Each kernel writes its new point into ``prev``, and
-one advance swaps it with ``z``; the state's x and y are views of ``z``.
+each over all of z.  Each kernel writes its new point into ``prev``, which
+then changes places with ``z`` (``_advance``, or ``pdhg_step`` itself at
+each step of its stretch); the state's x and y are views of ``z``.
 
 The kernel runs under np.errstate(over="ignore", invalid="ignore"), so that
 a diverging iterate is reported as NonFiniteIterate and not as a warning.
@@ -41,6 +43,7 @@ once per solve.
 
 import math
 import os
+import time
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -89,7 +92,8 @@ class StepBuffers:
         t       the step's scratch point, parts ``x``/``y``.  A Halpern step
                 leaves T(z_k) here, with ``head`` the first m1 entries of
                 its y part (None when m1 is 0); a PDHG step keeps the
-                gradient c - K'y in its x part and K x+ - K x in its y part
+                gradient c - K'y in its x part, and the adaptive rule
+                K x+ - K x in its y part
         r       the reflection 2 T(z_k) - z_k, or PDHG's displacement, parts
                 ``dx``/``dy``; after the step, scratch (``fixed_point_residual``
                 and ``solve`` write there)
@@ -100,17 +104,19 @@ class StepBuffers:
         anchor  the epoch's start z_0 (``anchor_parts``), copied from z at
                 the epoch's first step
 
-    and ``part``, length n: the second row block's part of K'y when K is
-    split in two (``halpern_step``).
+    ``part``, length n: the second row block's part of K'y when K is split
+    in two (``halpern_step``); and ``products``, two vectors of length m
+    that hold ``pdhg_step``'s K x and K x+ and change roles at every step.
     """
 
     __slots__ = (
-        "x", "y", "dx", "dy", "part",
+        "x", "y", "dx", "dy", "part", "products",
         "t", "head", "r", "z", "z_parts", "prev", "prev_parts", "anchor", "anchor_parts",
     )
 
     def __init__(self, n, m, m1):
         self.part = np.empty(n)
+        self.products = (np.empty(m), np.empty(m))
         self.t, self.r, self.z, self.prev, self.anchor = (np.empty(n + m) for _ in range(5))
         self.x, self.y = self.t[:n], self.t[n:]
         self.head = self.y[:m1] if m1 else None
@@ -126,12 +132,15 @@ class IterateState:
 
     Running sums implement the weighted average used for restarts; ``kx``
     caches K @ x for the PDHG step and must be dropped whenever x changes by
-    any route other than that step (restart, rescale).  ``trial_count``
-    counts the finite trial points computed, accepted or not.  The state
-    owns ``x`` and ``y`` (they are copied in), because the step kernels
-    recycle the replaced vectors as work buffers and ``apply_restart``
-    writes the restart point into them: hold a copy, not a reference, of an
-    iterate that must outlive the next step or restart.  After any step x
+    any route other than that step (restart, rescale): after a fixed step it
+    is one of ``buffers.products``, which the next fixed step overwrites,
+    after an adaptive step a vector of its own, and after a Halpern step or
+    a restart None.  ``trial_count`` counts the finite trial points
+    computed, accepted or not.  The state owns ``x`` and ``y`` (they are
+    copied in), because the step kernels recycle the replaced vectors as
+    work buffers and ``apply_restart`` writes the restart point into them:
+    hold a copy, not a reference, of an iterate (or of ``kx``) that must
+    outlive the next step or restart.  After any step x
     and y are the parts of ``buffers.z``, ``buffers.prev_parts`` hold the
     iterate it replaced until the next step starts, and the epoch's start
     is ``buffers.anchor`` (``StepBuffers``); ``apply_restart`` writes into
@@ -228,18 +237,17 @@ def step_gradient(state, saddle):
     return buf
 
 
-def trial_step(state, saddle, buf, s, w, measure=True):
-    """Compute the PDHG point at step s and weight w into ``buf.prev_parts``.
+def trial_step(state, saddle, buf, s, w):
+    """Compute the adaptive rule's trial point at step s and weight w into
+    ``buf.prev_parts``.
 
     Needs ``step_gradient`` first.  Returns (K x+, movement, interaction)
     with movement = w ||dx||^2 + ||dy||^2 / w and interaction =
-    2 |dy'(K x+ - K x)|, or None when the trial point is not finite.  Only
-    the adaptive rule reads movement and interaction: with ``measure=False``
-    neither is formed and both are returned as 0.0.  A non-finite point
-    always makes a scalar of it non-finite (the movement and interaction,
-    or else x+'x+ + y+'y+), so the full scan runs only when that scalar is
-    not finite.  The iterate z is not touched, so a rejected trial leaves
-    the state as it was apart from ``trial_count``.  Run under
+    2 |dy'(K x+ - K x)|, or None when the trial point is not finite.  A
+    non-finite point always makes the movement or the interaction
+    non-finite, so the full scan runs only when one of them is not finite.
+    The iterate z is not touched, so a rejected trial leaves the state as
+    it was apart from ``trial_count``.  Run under
     np.errstate(over="ignore", invalid="ignore").
     """
     x, y = buf.z_parts
@@ -258,16 +266,12 @@ def trial_step(state, saddle, buf, s, w, measure=True):
     if m1:
         head = y_new[:m1]
         np.maximum(head, 0.0, out=head)
-    if measure:
-        np.subtract(x_new, x, out=dx)
-        np.subtract(y_new, y, out=dy)
-        movement = w * dot(dx, dx) + dot(dy, dy) / w
-        np.subtract(kx_new, state.kx, out=dkx)
-        interaction = 2.0 * abs(dot(dy, dkx))
-        finite = math.isfinite(movement) and math.isfinite(interaction)
-    else:
-        movement = interaction = 0.0
-        finite = math.isfinite(dot(x_new, x_new) + dot(y_new, y_new))
+    np.subtract(x_new, x, out=dx)
+    np.subtract(y_new, y, out=dy)
+    movement = w * dot(dx, dx) + dot(dy, dy) / w
+    np.subtract(kx_new, state.kx, out=dkx)
+    interaction = 2.0 * abs(dot(dy, dkx))
+    finite = math.isfinite(movement) and math.isfinite(interaction)
     if not finite and not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(y_new))):
         return None
     state.trial_count += 1
@@ -278,33 +282,100 @@ def accept_step(state, buf, kx_new, avg_weight):
     """Install the trial point (``_advance``) and add it to the running
     average with weight ``avg_weight``."""
     _advance(state, buf, kx_new)
-    if avg_weight == 1.0:  # 1.0 * v is v, bit for bit
-        np.add(state.sum_x, state.x, out=state.sum_x)
-        np.add(state.sum_y, state.y, out=state.sum_y)
-    else:
-        np.multiply(state.x, avg_weight, out=buf.dx)
-        np.add(state.sum_x, buf.dx, out=state.sum_x)
-        np.multiply(state.y, avg_weight, out=buf.dy)
-        np.add(state.sum_y, buf.dy, out=state.sum_y)
+    np.multiply(state.x, avg_weight, out=buf.dx)
+    np.add(state.sum_x, buf.dx, out=state.sum_x)
+    np.multiply(state.y, avg_weight, out=buf.dy)
+    np.add(state.sum_y, buf.dy, out=state.sum_y)
     state.sum_weight += avg_weight
 
 
-def pdhg_step(state, saddle, step, *, errstate=True):
-    """Advance the iterate by one PDHG step (in place).
+def pdhg_step(state, saddle, step, *, errstate=True, count=1, t_start=0.0, time_limit=math.inf):
+    """Advance the iterate by ``count`` PDHG steps (in place); returns the
+    state.
 
-    The iterate joins the running average with weight 1.  The commit is
-    skipped and NonFiniteIterate raised if the new point is not finite, so
-    the state always holds the last good iterate.  Pass ``errstate=False``
-    only under the kernel's np.errstate (module docstring).
+    Each iterate joins the running average with weight 1.  Before each step
+    after the first, the stretch ends early once ``time.perf_counter() -
+    t_start >= time_limit``, the test ``solve`` makes between steps.  The
+    step buffers (``StepBuffers``) are used as by a single step: after the
+    call ``buffers.prev_parts`` hold the iterate the last step replaced, and
+    K x is one of ``buffers.products``; an empty cache (after a restart) is
+    filled by one ``K.matvec``, the one product not made by the CSR kernels
+    here.  If step j's point is not finite, NonFiniteIterate is raised and
+    the state holds step j - 1's iterate, counts and sums.  Pass
+    ``errstate=False`` only under the kernel's np.errstate (module
+    docstring).
     """
     if errstate:
         with np.errstate(over="ignore", invalid="ignore"):
-            return pdhg_step(state, saddle, step, errstate=False)
-    buf = step_gradient(state, saddle)
-    trial = trial_step(state, saddle, buf, step.step_size, step.primal_weight, measure=False)
-    if trial is None:
-        raise NonFiniteIterate(f"iterate became non-finite at total iteration {state.total_count + 1}")
-    accept_step(state, buf, trial[0], 1.0)
+            return pdhg_step(
+                state, saddle, step, errstate=False, count=count, t_start=t_start, time_limit=time_limit
+            )
+    if count < 1:
+        raise NonPositiveInput(f"count must be at least 1, got {count}")
+    k_mat = saddle.K
+    m, n = k_mat.shape
+    buf = _buffers(state, saddle)
+    if state.kx is None:
+        state.kx = k_mat.matvec(state.x)
+    blocks = k_mat.row_blocks()
+    _, indptr, indices, data = blocks[0]
+    if len(blocks) > 1:  # the two blocks share indices and data and split indptr
+        indptr = np.concatenate((indptr[:-1], blocks[1][1]))
+    c, q, lower, upper, m1 = saddle.c, saddle.q, saddle.l, saddle.u, saddle.m1
+    scale, sigma = step.step_size / step.primal_weight, step.step_size * step.primal_weight
+    grad, dx, dy, products = buf.x, buf.dx, buf.dy, buf.products
+    sum_x, sum_y, weight = state.sum_x, state.sum_y, state.sum_weight
+    timed = time_limit < math.inf
+    clock = time.perf_counter
+    # the iterate, the point being formed in the vector of the one before
+    # it, their first m1 duals, and K x and K x+; they swap at every step
+    z, prev, (x, y), (x_new, y_new) = buf.z, buf.prev, buf.z_parts, buf.prev_parts
+    head, head_new = y[:m1], y_new[:m1]
+    kx = state.kx
+    kx_new = products[kx is products[0]]
+    steps = 0
+    try:
+        for _ in range(count):
+            if steps and timed and (clock() - t_start) >= time_limit:
+                break
+            # x+ = proj(x - scale (c - K'y))
+            grad.fill(0.0)
+            csc_matvec(n, m, indptr, indices, data, y, grad)
+            np.subtract(c, grad, out=grad)
+            np.multiply(grad, scale, out=dx)
+            np.subtract(x, dx, out=dx)
+            _clip(dx, lower, upper, out=x_new)
+            # y+ = proj(y + sigma (q - (2 K x+ - K x)))
+            kx_new.fill(0.0)
+            csr_matvec(m, n, indptr, indices, data, x_new, kx_new)
+            np.multiply(kx_new, 2.0, out=dy)
+            np.subtract(dy, kx, out=dy)
+            np.subtract(q, dy, out=dy)
+            np.multiply(dy, sigma, out=dy)
+            np.add(y, dy, out=y_new)
+            if m1:
+                np.maximum(head_new, 0.0, out=head_new)
+            # a non-finite entry makes the sum non-finite
+            if not math.isfinite(np.add.reduce(prev)) and not np.all(np.isfinite(prev)):
+                k_mat.matvec_calls += 1
+                k_mat.rmatvec_calls += 1
+                raise NonFiniteIterate(
+                    f"iterate became non-finite at total iteration {state.total_count + steps + 1}"
+                )
+            np.add(sum_x, x_new, out=sum_x)
+            np.add(sum_y, y_new, out=sum_y)
+            weight += 1.0
+            z, prev, x, y, x_new, y_new, head, head_new = prev, z, x_new, y_new, x, y, head_new, head
+            kx, kx_new = kx_new, products[kx_new is products[0]]
+            steps += 1
+    finally:
+        buf.z, buf.prev, buf.z_parts, buf.prev_parts = z, prev, (x, y), (x_new, y_new)
+        state.x, state.y, state.kx, state.sum_weight = x, y, kx, weight
+        state.inner_count += steps
+        state.total_count += steps
+        state.trial_count += steps
+        k_mat.matvec_calls += steps
+        k_mat.rmatvec_calls += steps
     return state
 
 

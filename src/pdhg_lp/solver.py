@@ -11,7 +11,10 @@ loop (the steps are called with ``errstate=False``), and it computes the
 checks' per-problem constants (``termination.check_constants``: the
 finite-bound masks, ||q||, ||c|| and the certificate scales) once, for
 every KKT and certificate check.  Each candidate ray's norm is computed once
-and passed to the certificate checks.
+and passed to the certificate checks.  The fixed step runs in stretches, one
+``pdhg_step`` call from one event of the loop (a check, a log line, a gap
+restart test, the iteration limit) to the next; a time limit ends a stretch
+at the step where the loop would have stopped.
 
 On a large problem the working space also groups K's rows by length
 (``scaling.length_order``), which makes the CSR products faster; y goes
@@ -371,12 +374,27 @@ def solve(problem, config=None, callback=None):
                         reason = f"adaptive step rejected {stepsize.MAX_RETRIES} trials in a row"
                         break
                 else:
-                    pdhg_step(state, saddle, step, errstate=False)
+                    # the fixed step runs up to the next event: a check, a
+                    # log line, the iteration limit or a gap restart test
+                    stretch = min(
+                        config.check_interval - iteration % config.check_interval,
+                        crit.iteration_limit - iteration,
+                    )
+                    if config.log_interval:
+                        stretch = min(stretch, config.log_interval - iteration % config.log_interval)
+                    if adaptive_restarts:
+                        gap_interval = restarts.GAP_EVAL_INTERVAL
+                        stretch = min(stretch, gap_interval - state.inner_count % gap_interval)
+                    pdhg_step(
+                        state, saddle, step, errstate=False, count=stretch,
+                        t_start=t_start, time_limit=crit.time_limit_sec,
+                    )
             except (NonFiniteIterate, StepSizeUnderflow) as err:
                 status = STATUS_NUMERICAL_ERROR
                 reason = str(err)
+                iteration = state.total_count
                 break
-            iteration += 1
+            iteration = state.total_count
 
             # Restart.  The adaptive scheme decides under the Halpern step from
             # the fixed-point residual every RESIDUAL_EVAL_INTERVAL iterations

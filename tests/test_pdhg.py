@@ -100,6 +100,11 @@ class TestPdhgStep:
         pdhg_step(state, toy_saddle, step)
         assert toy_saddle.K.matvec_calls - base_mv == 8
         assert toy_saddle.K.rmatvec_calls - base_rmv == 6
+        # so does a restart before a stretch of 4 steps in one call
+        pl.apply_restart(state, state.average())
+        pdhg_step(state, toy_saddle, step, count=4)
+        assert toy_saddle.K.matvec_calls - base_mv == 13
+        assert toy_saddle.K.rmatvec_calls - base_rmv == 10
 
     def test_cache_is_consistent(self, toy_saddle):
         state = IterateState(x=[1.5], y=[-2.0])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 import math
@@ -667,6 +668,70 @@ class TestTrajectory:
         assert last[0] == report.iterations  # the final iteration is the last check
         assert last[4] == report.step_size
         assert last[5] == report.primal_weight
+
+
+class TestFixedStepStretches:
+    """``solve`` runs the fixed step in stretches between the loop's events
+    (checks, log lines, gap restart tests, the iteration limit)."""
+
+    def test_overflow_mid_stretch_keeps_the_last_good_iterate(self):
+        # a unit step on the unscaled planted unbounded LP overflows inside
+        # the stretch from the check at 64 to the one at 128
+        problem = planted_unbounded_lp(0)
+        config = pl.SolverConfig(
+            termination=pl.TerminationCriteria(iteration_limit=5000),
+            scaling="none",
+            restart=pl.RestartConfig(scheme="none"),
+            step=pl.StepPolicy(mode="fixed", fixed_step=1.0),
+            weight=pl.WeightPolicy(mode="fixed"),
+        )
+        report = pl.solve(problem, config)
+        saddle = pl.to_saddle(problem)
+        state = pl.IterateState.initial(saddle)
+        with pytest.raises(pl.NonFiniteIterate) as err:
+            for _ in range(5000):
+                pl.pdhg_step(state, saddle, pl.StepState(1.0, 1.0))
+        assert report.status == pl.STATUS_NUMERICAL_ERROR
+        assert report.reason == str(err.value)
+        assert report.iterations == state.total_count == 66
+        assert report.x.tobytes() == state.x.tobytes()
+        assert report.y.tobytes() == state.y.tobytes()
+        assert np.isfinite(report.x).all() and np.isfinite(report.y).all()
+
+    def test_stretches_end_at_checks_log_lines_and_the_limit(self, caplog):
+        config = pl.SolverConfig(
+            termination=pl.TerminationCriteria(tol_optimal=1e-16, iteration_limit=100),
+            step=pl.StepPolicy(mode="fixed"),
+            log_interval=7,
+        )
+        with caplog.at_level(logging.INFO, logger="pdhg_lp"):
+            report = pl.solve(random_feasible_lp(0), config)
+        assert report.status == pl.STATUS_ITERATION_LIMIT
+        assert report.iterations == 100
+        assert [row[0] for row in report.residual_history] == [0, 64, 100]
+        assert [int(rec.getMessage().split()[1]) for rec in caplog.records] == list(range(0, 99, 7))
+
+    def test_time_limit_stops_at_the_same_step(self, monkeypatch):
+        # A clock that ticks once per read.  The loop reads it before a
+        # stretch and the kernel before each later step of it, one read a
+        # step as when the loop took one step at a time, so one more tick of
+        # limit buys exactly one more step, inside a stretch or across the
+        # check at 64 and the gap tests at 40, 80 and 120.
+        problem = random_feasible_lp(0)
+        stops = []
+        for limit in range(40, 160):
+            ticks = itertools.count()
+            monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+            config = pl.SolverConfig(
+                termination=pl.TerminationCriteria(tol_optimal=1e-16, time_limit_sec=float(limit)),
+                step=pl.StepPolicy(mode="fixed", fixed_step=0.5),
+                weight=pl.WeightPolicy(mode="fixed"),
+            )
+            report = pl.solve(problem, config)
+            assert report.status == pl.STATUS_TIME_LIMIT
+            stops.append(report.iterations)
+        assert stops == list(range(stops[0], stops[0] + 120))
+        assert stops[0] < 40 and stops[-1] > 128
 
 
 class TestSpectralEstimate:

@@ -20,7 +20,7 @@ from pdhg_lp import IterateState, StepPolicy, StepState, adaptive_step, apply_re
 from pdhg_lp.pdhg import fixed_point_residual, halpern_step
 from pdhg_lp.sparse import dot
 
-from conftest import random_feasible_lp, random_small_saddle
+from conftest import planted_unbounded_lp, random_feasible_lp, random_small_saddle
 
 
 class Reference:
@@ -188,6 +188,109 @@ class TestAgainstReference:
             pdhg_step(state, toy_saddle, StepState(0.2, 1.0))
         np.testing.assert_array_equal(x, [2.0])
         np.testing.assert_array_equal(y, [2.0])
+
+
+def stretch_inputs():
+    """The toy (m1 = 0) and random small saddles with m1 > 0, each with a
+    start point and a step."""
+    toy = pl.to_saddle(pl.generate_bilinear_toy())
+    yield toy, np.array([2.0]), np.array([2.0]), StepState(0.2, 1.0)
+    rng = np.random.default_rng(13)
+    found = 0
+    while found < 4:
+        saddle, x, y = random_small_saddle(rng)
+        if saddle.m1:
+            found += 1
+            yield saddle, x, y, StepState(0.5 / max(saddle.K.abs_max(), 1e-3), float(rng.uniform(0.3, 3.0)))
+
+
+STRETCH_INPUTS = list(stretch_inputs())
+
+
+class TestStretchAgainstSingleSteps:
+    """``pdhg_step(count=k)`` is k calls of ``pdhg_step``, bit for bit: the
+    iterate, K x, the running sums, the counts and the matvec counters."""
+
+    @staticmethod
+    def snapshot(state, saddle, base):
+        return (
+            state.x.tobytes(), state.y.tobytes(), state.kx.tobytes(),
+            state.sum_x.tobytes(), state.sum_y.tobytes(), state.sum_weight,
+            state.inner_count, state.total_count, state.trial_count,
+            saddle.K.matvec_calls - base[0], saddle.K.rmatvec_calls - base[1],
+        )
+
+    def run(self, saddle, x, y, step, stretches, single):
+        """Snapshots after each stretch of ``stretches``, taken either in
+        one call or one step per call; None restarts to the average."""
+        base = (saddle.K.matvec_calls, saddle.K.rmatvec_calls)
+        state = IterateState(x=x, y=y)
+        shots = []
+        for count in stretches:
+            if count is None:
+                apply_restart(state, state.average())
+                continue
+            if single:
+                for _ in range(count):
+                    pdhg_step(state, saddle, step)
+            else:
+                pdhg_step(state, saddle, step, count=count)
+            shots.append(self.snapshot(state, saddle, base))
+        return shots
+
+    @pytest.mark.parametrize("index", range(len(STRETCH_INPUTS)))
+    def test_stretches_match_single_steps(self, index):
+        saddle, x, y, step = STRETCH_INPUTS[index]
+        stretches = (1, 7, 12, None, 9, 3)
+        shots = self.run(saddle, x, y, step, stretches, single=False)
+        assert shots == self.run(saddle, x, y, step, stretches, single=True)
+        # one refill of K x at the start and one after the restart
+        assert shots[-1][-2:] == (32 + 2, 32)
+
+    def test_two_row_blocks_match_the_reference(self, monkeypatch):
+        # from SPLIT_MIN_NNZ nonzeros on K's rows come in two blocks; a
+        # stretch runs on the whole matrix all the same
+        monkeypatch.setattr(pl.sparse, "SPLIT_MIN_NNZ", 1)
+        saddle = scaled_saddle(0)
+        assert len(saddle.K.row_blocks()) == 2
+        step = StepState(0.9 / pl.spectral_norm_estimate(saddle.K).value, 1.7)
+        state = IterateState.initial(saddle)
+        ref = Reference(saddle, state.x, state.y)
+        pdhg_step(state, saddle, step, count=30)
+        for _ in range(30):
+            ref.fixed(step.step_size, step.primal_weight)
+        assert_same(state, ref)
+
+    def test_non_finite_mid_stretch_keeps_the_step_before(self):
+        # a unit step on the unscaled planted unbounded LP overflows at step 67
+        saddle = pl.to_saddle(planted_unbounded_lp(0))
+        step = StepState(1.0, 1.0)
+        start = IterateState.initial(saddle)
+        single = IterateState(x=start.x, y=start.y)
+        base = (saddle.K.matvec_calls, saddle.K.rmatvec_calls)
+        with pytest.raises(pl.NonFiniteIterate) as single_err:
+            for _ in range(1000):
+                pdhg_step(single, saddle, step)
+        want = self.snapshot(single, saddle, base)
+        # 66 steps, and the failed one made its two products too
+        assert want[7] == 66 and want[9:] == (1 + 67, 67)
+        stretch = IterateState(x=start.x, y=start.y)
+        base = (saddle.K.matvec_calls, saddle.K.rmatvec_calls)
+        with pytest.raises(pl.NonFiniteIterate) as stretch_err:
+            pdhg_step(stretch, saddle, step, count=100)
+        assert str(stretch_err.value) == str(single_err.value) == "iterate became non-finite at total iteration 67"
+        assert self.snapshot(stretch, saddle, base) == want
+
+    def test_time_limit_ends_the_stretch_after_its_first_step(self, toy_saddle):
+        state = IterateState(x=[2.0], y=[2.0])
+        pdhg_step(state, toy_saddle, StepState(0.2, 1.0), count=50, t_start=0.0, time_limit=0.0)
+        assert (state.inner_count, state.total_count, state.trial_count) == (1, 1, 1)
+        pdhg_step(state, toy_saddle, StepState(0.2, 1.0), count=50, t_start=0.0, time_limit=math.inf)
+        assert state.total_count == 51
+
+    def test_count_must_be_positive(self, toy_saddle):
+        with pytest.raises(pl.NonPositiveInput, match="count"):
+            pdhg_step(IterateState(x=[2.0], y=[2.0]), toy_saddle, StepState(0.2, 1.0), count=0)
 
 
 class TestHalpernAgainstReference:
