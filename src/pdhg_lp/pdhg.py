@@ -34,6 +34,21 @@ each over all of z.  Each kernel writes its new point into ``prev``, which
 then changes places with ``z`` (``_advance``, or ``pdhg_step`` itself at
 each step of its stretch); the state's x and y are views of ``z``.
 
+On a small problem a step costs numpy's dispatch more than arithmetic, so
+``pdhg_step`` and ``halpern_step``'s one-block path call it the cheap way:
+every ufunc takes its output positionally (``np.maximum`` keeps ``out=``,
+as numpy 2.4 deprecates a positional output there), and every scalar
+operand is a float64 0-d array, which a ufunc takes without converting a
+Python number: 2 and 0 are module constants, s / w and s w are made once
+per StepState, and Halpern's (k + 1) / (k + 2) and k + 2 are written into
+arrays kept for them (``StepBuffers``).  The finiteness test sums the new
+point's entries by a BLAS dot with a ones vector (``_entry_sum``: up to
+DOT_BLAS_MAX entries, and by ``np.add.reduce`` above); a NaN or
+infinite entry makes that sum non-finite, and only then are the entries
+scanned, so finite entries whose sum overflows pass.  These are the same
+float64 operations on the same operands in the same order as the plain
+calls, so the iterates keep every bit.
+
 The kernel runs under np.errstate(over="ignore", invalid="ignore"), so that
 a diverging iterate is reported as NonFiniteIterate and not as a warning.
 ``pdhg_step`` and ``adaptive_step`` enter that state on every call unless
@@ -56,7 +71,12 @@ except ImportError:  # numpy < 2
     from numpy.core.umath import clip as _clip
 
 from .exceptions import NonFiniteIterate, NonPositiveInput, NonPositiveQuadraticForm
-from .sparse import ROW_WEIGHT, dot
+from .sparse import DOT_BLAS_MAX, ROW_WEIGHT, dot
+
+# 2 and 0 as read-only float64 0-d arrays, which a ufunc takes without
+# converting a Python float (module docstring)
+_TWO, _ZERO = np.array(2.0), np.array(0.0)
+_TWO.flags.writeable = _ZERO.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -107,16 +127,34 @@ class StepBuffers:
     ``part``, length n: the second row block's part of K'y when K is split
     in two (``halpern_step``); and ``products``, two vectors of length m
     that hold ``pdhg_step``'s K x and K x+ and change roles at every step.
+
+    The scalar operands of ``pdhg_step`` and of ``halpern_step``'s one-block
+    path, as float64 0-d arrays (module docstring):
+
+        step            the StepState that ``scale`` and ``sigma`` were made
+                        from, None before the first such step
+        scale, sigma    its s / w and s w, made again when a step is given
+                        another StepState (a restart's weight update
+                        replaces it; ``_step_scalars``)
+        share, denominator
+                        Halpern's (k + 1) / (k + 2) and k + 2, written in
+                        place at every step
+        ones            n + m ones for the finiteness sum, made by the first
+                        such step when n + m <= DOT_BLAS_MAX, else None
+                        (``_entry_sum``)
     """
 
     __slots__ = (
         "x", "y", "dx", "dy", "part", "products",
         "t", "head", "r", "z", "z_parts", "prev", "prev_parts", "anchor", "anchor_parts",
+        "step", "scale", "sigma", "share", "denominator", "ones",
     )
 
     def __init__(self, n, m, m1):
         self.part = np.empty(n)
         self.products = (np.empty(m), np.empty(m))
+        self.step = self.scale = self.sigma = self.ones = None
+        self.share, self.denominator = np.empty(()), np.empty(())
         self.t, self.r, self.z, self.prev, self.anchor = (np.empty(n + m) for _ in range(5))
         self.x, self.y = self.t[:n], self.t[n:]
         self.head = self.y[:m1] if m1 else None
@@ -226,6 +264,30 @@ def _advance(state, buf, kx=None):
     state.total_count += 1
 
 
+def _step_scalars(buf, step):
+    """``step``'s s / w and s w as 0-d arrays, cached on the buffers for as
+    long as the steps are given this StepState."""
+    if buf.step is not step:
+        buf.step = step
+        buf.scale = np.array(step.step_size / step.primal_weight)
+        buf.sigma = np.array(step.sigma)
+    return buf.scale, buf.sigma
+
+
+def _entry_sum(buf):
+    """The finiteness test's sum of a stacked vector's entries, as a
+    function: a BLAS dot with the ones vector (made here on first use) up
+    to DOT_BLAS_MAX entries, where it costs about half of ``np.add.reduce``;
+    the reduce above, which keeps off BLAS's threads (``sparse.dot``) and
+    beats einsum with a ones vector."""
+    size = buf.z.size
+    if size > DOT_BLAS_MAX:
+        return np.add.reduce
+    if buf.ones is None:
+        buf.ones = np.ones(size)
+    return buf.ones.dot
+
+
 def step_gradient(state, saddle):
     """Fill the K x cache if it is empty and c - K'y into the x part of
     ``buffers.t``; returns the state's buffers (``_buffers``)."""
@@ -322,7 +384,9 @@ def pdhg_step(state, saddle, step, *, errstate=True, count=1, t_start=0.0, time_
     if len(blocks) > 1:  # the two blocks share indices and data and split indptr
         indptr = np.concatenate((indptr[:-1], blocks[1][1]))
     c, q, lower, upper, m1 = saddle.c, saddle.q, saddle.l, saddle.u, saddle.m1
-    scale, sigma = step.step_size / step.primal_weight, step.step_size * step.primal_weight
+    scale, sigma = _step_scalars(buf, step)
+    entry_sum = _entry_sum(buf)
+    subtract, multiply, add, maximum, isfinite = np.subtract, np.multiply, np.add, np.maximum, math.isfinite
     grad, dx, dy, products = buf.x, buf.dx, buf.dy, buf.products
     sum_x, sum_y, weight = state.sum_x, state.sum_y, state.sum_weight
     timed = time_limit < math.inf
@@ -341,29 +405,29 @@ def pdhg_step(state, saddle, step, *, errstate=True, count=1, t_start=0.0, time_
             # x+ = proj(x - scale (c - K'y))
             grad.fill(0.0)
             csc_matvec(n, m, indptr, indices, data, y, grad)
-            np.subtract(c, grad, out=grad)
-            np.multiply(grad, scale, out=dx)
-            np.subtract(x, dx, out=dx)
-            _clip(dx, lower, upper, out=x_new)
+            subtract(c, grad, grad)
+            multiply(grad, scale, dx)
+            subtract(x, dx, dx)
+            _clip(dx, lower, upper, x_new)
             # y+ = proj(y + sigma (q - (2 K x+ - K x)))
             kx_new.fill(0.0)
             csr_matvec(m, n, indptr, indices, data, x_new, kx_new)
-            np.multiply(kx_new, 2.0, out=dy)
-            np.subtract(dy, kx, out=dy)
-            np.subtract(q, dy, out=dy)
-            np.multiply(dy, sigma, out=dy)
-            np.add(y, dy, out=y_new)
+            multiply(kx_new, _TWO, dy)
+            subtract(dy, kx, dy)
+            subtract(q, dy, dy)
+            multiply(dy, sigma, dy)
+            add(y, dy, y_new)
             if m1:
-                np.maximum(head_new, 0.0, out=head_new)
+                maximum(head_new, _ZERO, out=head_new)
             # a non-finite entry makes the sum non-finite
-            if not math.isfinite(np.add.reduce(prev)) and not np.all(np.isfinite(prev)):
+            if not isfinite(entry_sum(prev)) and not np.all(np.isfinite(prev)):
                 k_mat.matvec_calls += 1
                 k_mat.rmatvec_calls += 1
                 raise NonFiniteIterate(
                     f"iterate became non-finite at total iteration {state.total_count + steps + 1}"
                 )
-            np.add(sum_x, x_new, out=sum_x)
-            np.add(sum_y, y_new, out=sum_y)
+            add(sum_x, x_new, sum_x)
+            add(sum_y, y_new, sum_y)
             weight += 1.0
             z, prev, x, y, x_new, y_new, head, head_new = prev, z, x_new, y_new, x, y, head_new, head
             kx, kx_new = kx_new, products[kx_new is products[0]]
@@ -419,38 +483,43 @@ def halpern_step(state, saddle, step, *, errstate=True):
     buf = _buffers(state, saddle)
     k = state.inner_count
     x, y = buf.z_parts
-    scale, sigma = step.step_size / step.primal_weight, step.sigma
-    share, denominator = (k + 1) / (k + 2), k + 2
     x_t, y_t, r_x, r_y, mix = buf.x, buf.y, buf.dx, buf.dy, buf.prev
     blocks = k_mat.row_blocks()
     if len(blocks) == 1:
         [(_, indptr, indices, data)] = blocks
+        subtract, multiply, add = np.subtract, np.multiply, np.add
+        scale, sigma = _step_scalars(buf, step)
+        share, denominator = buf.share, buf.denominator
+        share[()] = (k + 1) / (k + 2)
+        denominator[()] = k + 2
         # x_T = proj(x - scale (c - K'y)) and r_x = 2 x_T - x, in r_x
         r_x.fill(0.0)
         csc_matvec(n, m, indptr, indices, data, y, r_x)
-        np.subtract(saddle.c, r_x, out=r_x)
-        np.multiply(r_x, scale, out=r_x)
-        np.subtract(x, r_x, out=r_x)
-        _clip(r_x, saddle.l, saddle.u, out=x_t)
-        np.multiply(x_t, 2.0, out=r_x)
-        np.subtract(r_x, x, out=r_x)
+        subtract(saddle.c, r_x, r_x)
+        multiply(r_x, scale, r_x)
+        subtract(x, r_x, r_x)
+        _clip(r_x, saddle.l, saddle.u, x_t)
+        multiply(x_t, _TWO, r_x)
+        subtract(r_x, x, r_x)
         # y_T = proj(y + sigma (q - K r_x)) and r_y = 2 y_T - y, in r_y
         r_y.fill(0.0)
         csr_matvec(m, n, indptr, indices, data, r_x, r_y)
-        np.subtract(saddle.q, r_y, out=r_y)
-        np.multiply(r_y, sigma, out=r_y)
-        np.add(y, r_y, out=y_t)
+        subtract(saddle.q, r_y, r_y)
+        multiply(r_y, sigma, r_y)
+        add(y, r_y, y_t)
         if buf.head is not None:
-            np.maximum(buf.head, 0.0, out=buf.head)
-        np.multiply(y_t, 2.0, out=r_y)
-        np.subtract(r_y, y, out=r_y)
+            np.maximum(buf.head, _ZERO, out=buf.head)
+        multiply(y_t, _TWO, r_y)
+        subtract(r_y, y, r_y)
         # the mix over all of z, with r as the spare
-        np.multiply(buf.r, share, out=mix)
-        np.divide(buf.anchor, denominator, out=buf.r)
-        np.add(mix, buf.r, out=mix)
+        multiply(buf.r, share, mix)
+        np.divide(buf.anchor, denominator, buf.r)
+        add(mix, buf.r, mix)
         # a non-finite entry makes the sum non-finite
-        total = np.add.reduce(buf.t)
+        total = _entry_sum(buf)(buf.t)
     else:
+        scale, sigma = step.step_size / step.primal_weight, step.sigma
+        share, denominator = (k + 1) / (k + 2), k + 2
         pool = _worker()
         mix_x, mix_y = buf.prev_parts
         anchor_x, anchor_y = buf.anchor_parts
@@ -582,7 +651,7 @@ def fixed_point_residual(state, step):
     for the z and T(z) that the last ``halpern_step`` left in the buffers;
     T(z) - z is formed in one pass, into ``buffers.r``."""
     buf = state.buffers
-    np.subtract(buf.t, buf.prev, out=buf.r)
+    np.subtract(buf.t, buf.prev, buf.r)
     w = step.primal_weight
     return math.sqrt(w * dot(buf.dx, buf.dx) + dot(buf.dy, buf.dy) / w)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import InvalidRadius, NonPositiveInput
 from .pdhg import _clip
-from .sparse import dot
+from .sparse import DOT_BLAS_MAX, dot
 
 RESTART_SCHEMES = ("none", "adaptive")
 
@@ -112,14 +112,18 @@ def normalized_duality_gap(saddle, x, y, radius, *, stop_above=math.inf):
     lam_lo = 0.0
     lam_hi = norm_d / radius
     best = None  # most recent delta that fits in the ball (after rescaling)
+    # the pass's numpy calls take lam as a 0-d array and their outputs
+    # positionally, and a short delta's norm from BLAS directly (pdhg.py)
+    divide, multiplier, short = np.divide, np.empty(()), d.size <= DOT_BLAS_MAX
     with np.errstate(over="ignore"):
         for _ in range(100):
             lam = 0.5 * (lam_lo + lam_hi)
             if lam <= 0.0:
                 break
-            np.divide(d, lam, out=delta)
-            _clip(delta, lo, hi, out=delta)
-            norm = math.sqrt(dot(delta, delta))
+            multiplier[()] = lam
+            divide(d, multiplier, delta)
+            _clip(delta, lo, hi, delta)
+            norm = math.sqrt(delta.dot(delta) if short else dot(delta, delta))
             if norm > radius:
                 if math.isfinite(norm) and norm - radius <= 1e-10 * radius:
                     # Shrinking toward the origin stays inside the box.

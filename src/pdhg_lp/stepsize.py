@@ -24,6 +24,7 @@ import numpy as np
 
 from .exceptions import NonFiniteIterate, NonPositiveInput, StepSizeUnderflow
 from .pdhg import StepState, accept_step, step_gradient, trial_step
+from .termination import _norm
 
 
 STEP_MODES = ("halpern", "adaptive", "fixed")
@@ -106,8 +107,9 @@ def initialize_step_state(saddle, norm_k, step_policy, weight_policy):
         if weight_policy.fixed_weight is not None:
             w = float(weight_policy.fixed_weight)
         else:
-            norm_c = float(np.linalg.norm(saddle.c))
-            norm_q = float(np.linalg.norm(saddle.q))
+            # _norm keeps a long vector off BLAS's threads (sparse.dot)
+            with np.errstate(over="ignore"):
+                norm_c, norm_q = _norm(saddle.c), _norm(saddle.q)
             w = norm_c / norm_q if norm_c > 1e-12 and norm_q > 1e-12 else 1.0
     return StepState(step_size=s, primal_weight=w)
 

@@ -163,15 +163,14 @@ def kkt_error(saddle, x, y, constants=None):
         constants = check_constants(saddle)
     kx = saddle.K.matvec(x)
     m1 = saddle.m1
-    ineq_violation = np.maximum(saddle.q[:m1] - kx[:m1], 0.0)
-    eq_violation = kx[m1:] - saddle.q[m1:]
-    r = saddle.c - saddle.K.rmatvec(y)
-    lam = _project_reduced_costs(r, constants.lfin, constants.ufin)
-    diff = r - lam
-
-    # an overflowing norm or objective is inf, and infinities of opposite
-    # sign in c'x are NaN, not a warning
+    # an overflowing residual, norm or objective is inf, and infinities of
+    # opposite sign (in q - Kx, r - lam or c'x) are NaN, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        ineq_violation = np.maximum(saddle.q[:m1] - kx[:m1], 0.0)
+        eq_violation = kx[m1:] - saddle.q[m1:]
+        r = saddle.c - saddle.K.rmatvec(y)
+        lam = _project_reduced_costs(r, constants.lfin, constants.ufin)
+        diff = r - lam
         primal_residual = _norm(ineq_violation, eq_violation)
         dual_residual = _norm(diff)
         primal_objective = dot(saddle.c, x)

@@ -698,6 +698,21 @@ class TestFixedStepStretches:
         assert report.y.tobytes() == state.y.tobytes()
         assert np.isfinite(report.x).all() and np.isfinite(report.y).all()
 
+    def test_report_of_an_overflow_stop_emits_no_warning(self):
+        # the last good iterate of a step of 10 on the scaled planted
+        # unbounded LP is near overflow: its KKT report forms infinities of
+        # opposite sign, which give NaN and not a warning
+        config = pl.SolverConfig(
+            restart=pl.RestartConfig(scheme="none"),
+            step=pl.StepPolicy(mode="fixed", fixed_step=10.0),
+            weight=pl.WeightPolicy(mode="fixed"),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = pl.solve(planted_unbounded_lp(0), config)
+        assert report.status == pl.STATUS_NUMERICAL_ERROR
+        assert report.reason.startswith("iterate became non-finite")
+
     def test_stretches_end_at_checks_log_lines_and_the_limit(self, caplog):
         config = pl.SolverConfig(
             termination=pl.TerminationCriteria(tol_optimal=1e-16, iteration_limit=100),

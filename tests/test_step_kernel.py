@@ -9,6 +9,7 @@ and K (2 x_T - x) for Halpern), so any difference, down to the last bit, is
 a kernel fault.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -481,3 +482,101 @@ class TestNonFiniteTrial:
             ):
                 with pytest.raises(pl.NonFiniteIterate):
                     step_fn(IterateState(x=[1.7e308], y=[1.7e308]))
+
+
+def finiteness_saddle(n):
+    """x in R^n free, one equality row x_0 - x_1 = 0, c = 0: from y = 0
+    the x part stays where it is, and K x = 0 when x_0 = x_1."""
+    row = np.zeros(n)
+    row[:2] = (1.0, -1.0)
+    return pl.to_saddle(pl.LpProblem(c=np.zeros(n), eq_matrix=[row], eq_rhs=[0.0], lower=-np.inf))
+
+
+class TestFinitenessSum:
+    """The kernels test a new point by the sum of its entries and scan it
+    only when that sum is not finite: a point with +inf and -inf entries
+    (sum NaN) is caught, and finite entries whose sum overflows are not.
+    The sum is a BLAS dot up to DOT_BLAS_MAX entries and a reduce above."""
+
+    KERNELS = {
+        "halpern": lambda state, saddle, step: halpern_step(state, saddle, step),
+        "pdhg": lambda state, saddle, step: pdhg_step(state, saddle, step, count=3),
+    }
+    # the buffer that holds the point a failed step tested
+    TESTED = {"halpern": "t", "pdhg": "prev"}
+    SIZES = (3, pl.sparse.DOT_BLAS_MAX)  # n + 1 entries in all
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_opposite_infinities_raise_and_leave_the_state(self, kernel, n):
+        # y_0 = 1.7e308 and s = 10 send x_0 to +inf and x_1 to -inf
+        saddle = finiteness_saddle(n)
+        state = IterateState(x=np.zeros(n), y=[1.7e308], sum_weight=2.0, inner_count=3, total_count=5)
+        state.sum_x[:] = 1.0
+        state.kx = kx = saddle.K.matvec(state.x)
+        with pytest.raises(pl.NonFiniteIterate, match="total iteration 6"):
+            self.KERNELS[kernel](state, saddle, StepState(10.0, 1.0))
+        tested = getattr(state.buffers, self.TESTED[kernel])
+        assert tested[:2].tolist() == [np.inf, -np.inf]
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(np.add.reduce(tested))
+        assert state.kx is kx
+        np.testing.assert_array_equal(state.x, np.zeros(n))
+        np.testing.assert_array_equal(state.y, [1.7e308])
+        np.testing.assert_array_equal(state.sum_x, np.ones(n))
+        np.testing.assert_array_equal(state.sum_y, [0.0])
+        assert state.sum_weight == 2.0
+        assert (state.inner_count, state.total_count, state.trial_count) == (3, 5, 0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_finite_entries_whose_sum_overflows_pass(self, kernel, n):
+        # from y = 0 the new point keeps x (with K x = 0) and y = 0; the
+        # Halpern reflection 2 x - x must not overflow itself, so its x
+        # entries are 6e307, three of which overflow in the sum too
+        saddle = finiteness_saddle(n)
+        start = np.zeros(n)
+        start[:3] = (6e307,) * 3 if kernel == "halpern" else (1e308, 1e308, 0.0)
+        state = IterateState(x=start, y=[0.0])
+        self.KERNELS[kernel](state, saddle, StepState(10.0, 1.0))
+        new_point = state.buffers.t if kernel == "halpern" else state.buffers.z
+        with np.errstate(over="ignore"):
+            assert np.add.reduce(new_point) == np.inf
+        assert np.isfinite(new_point).all()
+        np.testing.assert_array_equal(state.x, start)
+        np.testing.assert_array_equal(state.y, [0.0])
+        assert state.total_count == (1 if kernel == "halpern" else 3)
+
+
+class TestStepScalarsFollowTheStepState:
+    """The kernels keep s / w and s w as arrays made once per StepState; a
+    restart's weight update replaces the StepState, and the next step must
+    run at the new weight."""
+
+    def test_halpern_after_a_weight_update(self):
+        saddle = scaled_saddle(1)
+        step = StepState(0.998 / pl.spectral_norm_estimate(saddle.K).value, 1.7)
+        state = IterateState.initial(saddle)
+        for _ in range(6):
+            halpern_step(state, saddle, step)
+        start = (state.buffers.x.copy(), state.buffers.y.copy())
+        apply_restart(state, start)
+        step = dataclasses.replace(step, primal_weight=0.6)
+        for tx, ty, x, y in halpern_reference(saddle, *start, step.step_size, 0.6, 6):
+            halpern_step(state, saddle, step)
+            assert state.buffers.x.tobytes() == tx.tobytes() and state.buffers.y.tobytes() == ty.tobytes()
+            assert state.x.tobytes() == x.tobytes() and state.y.tobytes() == y.tobytes()
+
+    def test_pdhg_after_a_weight_update(self):
+        saddle = scaled_saddle(1)
+        step = StepState(0.9 / pl.spectral_norm_estimate(saddle.K).value, 1.7)
+        state = IterateState.initial(saddle)
+        pdhg_step(state, saddle, step, count=6)
+        apply_restart(state, state.average())
+        ref = Reference(saddle, state.x, state.y)
+        step = dataclasses.replace(step, primal_weight=0.6)
+        pdhg_step(state, saddle, step, count=6)
+        for _ in range(6):
+            ref.fixed(step.step_size, 0.6)
+        state.inner_count = state.total_count = ref.count
+        assert_same(state, ref)

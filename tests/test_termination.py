@@ -116,6 +116,17 @@ class TestKktError:
         assert np.isnan(report.primal_objective)
         assert np.isnan(report.duality_gap)
 
+    def test_infinite_reduced_cost_gives_nan_residual_without_warning(self):
+        # K'y = -inf makes r_0 = +inf, which a finite lower bound admits as
+        # lambda_0, so r - lambda is inf - inf; the suite makes a warning an error
+        saddle = pl.to_saddle(
+            pl.LpProblem(c=[1.0, 1.0], ineq_matrix=[[1.0, 0.0]], ineq_rhs=[1.0],
+                         eq_matrix=[[0.0, 1.0]], eq_rhs=[0.0])
+        )
+        report = kkt_error(saddle, np.zeros(2), np.array([-np.inf, 0.0]))
+        assert report.reduced_costs[0] == np.inf
+        assert np.isnan(report.dual_residual)
+
     def test_residual_norms_match_plain_formula(self):
         # below overflow the norms are the plain sqrt of the summed squares,
         # each sum the solver's inner product
