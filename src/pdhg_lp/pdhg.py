@@ -5,47 +5,41 @@ One iteration from (x, y) with step size s and primal weight w:
     x+ = proj_[l,u](x - (s/w) (c - K'y))
     y+ = proj_Y  (y + (s w) (q - K (2 x+ - x)))
 
-where Y clips the first m1 dual coordinates at zero.  K(2x+ - x) is formed
-as 2 K x+ - K x with K x cached on the state, so a step costs exactly one
-matvec and one rmatvec.
-
-``pdhg_step`` runs a stretch of fixed steps as one straight-line loop: it
-looks every name up once per call, calls scipy's CSR kernels on K's arrays
-directly and keeps K x in two vectors of the step buffers that change
-places at every step, so a step allocates nothing.  The adaptive rule in
-``stepsize.py`` takes one step per call, from ``step_gradient``,
-``trial_step`` (the trial point, its movement and interaction) and
-``accept_step`` (the commit, weighted by the step size).
-
-``halpern_step`` applies the same point, T(z), as an operator: reflected
-Halpern iteration (Lu & Yang, arXiv 2407.16144) moves to
+where Y clips the first m1 dual coordinates at zero: the PDHG operator T at
+z = (x, y).  ``pdhg_step`` moves to T(z) and ``halpern_step`` to the
+reflected Halpern mix (Lu & Yang, arXiv 2407.16144)
 
     z_{k+1} = (k+1)/(k+2) (2 T(z_k) - z_k) + z_0 / (k+2)
 
-with z_0 the epoch's anchor.  It forms the reflection 2 x_T - x before the
-product, as K (2 x_T - x), so it keeps no K x and also costs one matvec and
-one rmatvec.  On a large K it runs on two threads (``halpern_step``).
+with z_0 the epoch's anchor.  Both form T in one loop (``_steps``), the
+reflection 2 x+ - x before the product, so they keep no K x and a step
+costs one matvec and one rmatvec; on a large K ``halpern_step`` runs on two
+threads instead.  The adaptive rule in ``stepsize.py`` takes one step per
+call, from ``step_gradient``, ``trial_step`` (the trial point, its movement
+and interaction) and ``accept_step`` (the commit, weighted by the step
+size); its interaction needs K x+ - K x, so it alone caches K x.
 
 The kernels keep z, the iterate a step replaced and the epoch's anchor in
 one layout (``StepBuffers``): stacked vectors of length n + m whose first n
 entries are the x part and the rest the y part, so that Halpern's mix, the
 fixed-point residual's difference and the finiteness test are one pass
 each over all of z.  Each kernel writes its new point into ``prev``, which
-then changes places with ``z`` (``_advance``, or ``pdhg_step`` itself at
-each step of its stretch); the state's x and y are views of ``z``.
+then changes places with ``z`` (``_advance``, or ``_steps`` itself at each
+step); the state's x and y are views of ``z``.
 
 On a small problem a step costs numpy's dispatch more than arithmetic, so
-``pdhg_step`` and ``halpern_step``'s one-block path call it the cheap way:
-every ufunc takes its output positionally (``np.maximum`` keeps ``out=``,
-as numpy 2.4 deprecates a positional output there), and every scalar
-operand is a float64 0-d array, which a ufunc takes without converting a
-Python number: 2 and 0 are module constants, s / w and s w are made once
-per StepState, and Halpern's (k + 1) / (k + 2) and k + 2 are written into
-arrays kept for them (``StepBuffers``).  The finiteness test sums the new
-point's entries by a BLAS dot with a ones vector (``_entry_sum``: up to
-DOT_BLAS_MAX entries, and by ``np.add.reduce`` above); a NaN or
-infinite entry makes that sum non-finite, and only then are the entries
-scanned, so finite entries whose sum overflows pass.  These are the same
+``_steps`` calls it the cheap way: every ufunc takes its output
+positionally (``np.maximum`` keeps ``out=``, as numpy 2.4 deprecates a
+positional output there), and every scalar operand is a float64 0-d array,
+which a ufunc takes without converting a Python number: 2 and 0 are module
+constants, s / w and s w are made once per StepState, and Halpern's
+(k + 1) / (k + 2) and k + 2 are written into arrays kept for them
+(``StepBuffers``).  The finiteness test sums the new iterate's entries by a
+BLAS dot with a ones vector (``StepBuffers.entry_sum``: up to DOT_BLAS_MAX
+entries, and by ``np.add.reduce`` above); a NaN or infinite entry makes
+that sum non-finite, and only then are the entries scanned, so finite
+entries whose sum overflows pass.  Under Halpern the new iterate is the
+mix, whose reflection can overflow where T(z) does not.  These are the same
 float64 operations on the same operands in the same order as the plain
 calls, so the iterates keep every bit.
 
@@ -111,25 +105,26 @@ class StepBuffers:
 
         t       the step's scratch point, parts ``x``/``y``.  A Halpern step
                 leaves T(z_k) here, with ``head`` the first m1 entries of
-                its y part (None when m1 is 0); a PDHG step keeps the
-                gradient c - K'y in its x part, and the adaptive rule
-                K x+ - K x in its y part
-        r       the reflection 2 T(z_k) - z_k, or PDHG's displacement, parts
-                ``dx``/``dy``; after the step, scratch (``fixed_point_residual``
-                and ``solve`` write there)
+                its y part (None when m1 is 0); a PDHG step leaves it
+                alone; the adaptive rule keeps the gradient c - K'y in its
+                x part and K x+ - K x in its y part
+        r       the reflection: its x part 2 x_T - x under every constant
+                step, its y part 2 y_T - y under Halpern; the adaptive
+                rule's displacement; parts ``dx``/``dy``.  After the step,
+                scratch (``fixed_point_residual`` and ``solve`` write there)
         z       the iterate z_{k+1}: the state's x and y are ``z_parts``
         prev    z_k, the iterate the step replaced (``prev_parts``); the
-                next step writes its new point here (PDHG's trial point,
-                Halpern's mix), then ``z`` and ``prev`` change places
+                next step writes its new point here (T(z), the adaptive
+                rule's trial point, Halpern's mix), then ``z`` and ``prev``
+                change places
         anchor  the epoch's start z_0 (``anchor_parts``), copied from z at
                 the epoch's first step
 
     ``part``, length n: the second row block's part of K'y when K is split
-    in two (``halpern_step``); and ``products``, two vectors of length m
-    that hold ``pdhg_step``'s K x and K x+ and change roles at every step.
+    in two (``halpern_step``).
 
-    The scalar operands of ``pdhg_step`` and of ``halpern_step``'s one-block
-    path, as float64 0-d arrays (module docstring):
+    The scalar operands of ``_steps``, as float64 0-d arrays (module
+    docstring), and its finiteness sum:
 
         step            the StepState that ``scale`` and ``sigma`` were made
                         from, None before the first such step
@@ -139,22 +134,25 @@ class StepBuffers:
         share, denominator
                         Halpern's (k + 1) / (k + 2) and k + 2, written in
                         place at every step
-        ones            n + m ones for the finiteness sum, made by the first
-                        such step when n + m <= DOT_BLAS_MAX, else None
-                        (``_entry_sum``)
+        entry_sum       the finiteness test's sum of a stacked vector's
+                        entries: up to DOT_BLAS_MAX entries a BLAS dot with
+                        n + m ones, where it costs about half of
+                        ``np.add.reduce``; the reduce above, which keeps off
+                        BLAS's threads (``sparse.dot``) and beats einsum
+                        with a ones vector
     """
 
     __slots__ = (
-        "x", "y", "dx", "dy", "part", "products",
+        "x", "y", "dx", "dy", "part",
         "t", "head", "r", "z", "z_parts", "prev", "prev_parts", "anchor", "anchor_parts",
-        "step", "scale", "sigma", "share", "denominator", "ones",
+        "step", "scale", "sigma", "share", "denominator", "entry_sum",
     )
 
     def __init__(self, n, m, m1):
         self.part = np.empty(n)
-        self.products = (np.empty(m), np.empty(m))
-        self.step = self.scale = self.sigma = self.ones = None
+        self.step = self.scale = self.sigma = None
         self.share, self.denominator = np.empty(()), np.empty(())
+        self.entry_sum = np.ones(n + m).dot if n + m <= DOT_BLAS_MAX else np.add.reduce
         self.t, self.r, self.z, self.prev, self.anchor = (np.empty(n + m) for _ in range(5))
         self.x, self.y = self.t[:n], self.t[n:]
         self.head = self.y[:m1] if m1 else None
@@ -169,12 +167,11 @@ class IterateState:
     """Mutable per-epoch iterate state.
 
     Running sums implement the weighted average used for restarts; ``kx``
-    caches K @ x for the PDHG step and must be dropped whenever x changes by
-    any route other than that step (restart, rescale): after a fixed step it
-    is one of ``buffers.products``, which the next fixed step overwrites,
-    after an adaptive step a vector of its own, and after a Halpern step or
-    a restart None.  ``trial_count`` counts the finite trial points
-    computed, accepted or not.  The state owns ``x`` and ``y`` (they are
+    caches K @ x for the adaptive rule and must be dropped whenever x
+    changes by any route other than that rule's step (restart, rescale):
+    after an adaptive step it is a vector of its own, and after a fixed or
+    Halpern step or a restart None.  ``trial_count`` counts the finite
+    trial points computed, accepted or not.  The state owns ``x`` and ``y`` (they are
     copied in), because the step kernels recycle the replaced vectors as
     work buffers and ``apply_restart`` writes the restart point into them:
     hold a copy, not a reference, of an iterate (or of ``kx``) that must
@@ -274,20 +271,6 @@ def _step_scalars(buf, step):
     return buf.scale, buf.sigma
 
 
-def _entry_sum(buf):
-    """The finiteness test's sum of a stacked vector's entries, as a
-    function: a BLAS dot with the ones vector (made here on first use) up
-    to DOT_BLAS_MAX entries, where it costs about half of ``np.add.reduce``;
-    the reduce above, which keeps off BLAS's threads (``sparse.dot``) and
-    beats einsum with a ones vector."""
-    size = buf.z.size
-    if size > DOT_BLAS_MAX:
-        return np.add.reduce
-    if buf.ones is None:
-        buf.ones = np.ones(size)
-    return buf.ones.dot
-
-
 def step_gradient(state, saddle):
     """Fill the K x cache if it is empty and c - K'y into the x part of
     ``buffers.t``; returns the state's buffers (``_buffers``)."""
@@ -355,16 +338,15 @@ def pdhg_step(state, saddle, step, *, errstate=True, count=1, t_start=0.0, time_
     """Advance the iterate by ``count`` PDHG steps (in place); returns the
     state.
 
-    Each iterate joins the running average with weight 1.  Before each step
-    after the first, the stretch ends early once ``time.perf_counter() -
-    t_start >= time_limit``, the test ``solve`` makes between steps.  The
-    step buffers (``StepBuffers``) are used as by a single step: after the
-    call ``buffers.prev_parts`` hold the iterate the last step replaced, and
-    K x is one of ``buffers.products``; an empty cache (after a restart) is
-    filled by one ``K.matvec``, the one product not made by the CSR kernels
-    here.  If step j's point is not finite, NonFiniteIterate is raised and
-    the state holds step j - 1's iterate, counts and sums.  Pass
-    ``errstate=False`` only under the kernel's np.errstate (module
+    Each step moves z to T(z) (module docstring), and each iterate joins
+    the running average with weight 1.  Before each step after the first,
+    the stretch ends early once ``time.perf_counter() - t_start >=
+    time_limit``, the test ``solve`` makes between steps.  The stretch runs
+    on all of K even when its rows come in two blocks.  After the call
+    ``buffers.prev_parts`` hold the iterate the last step replaced, and the
+    K x cache is None.  If step j's point is not finite, NonFiniteIterate is
+    raised and the state holds step j - 1's iterate, counts, sums and cache.
+    Pass ``errstate=False`` only under the kernel's np.errstate (module
     docstring).
     """
     if errstate:
@@ -374,73 +356,11 @@ def pdhg_step(state, saddle, step, *, errstate=True, count=1, t_start=0.0, time_
             )
     if count < 1:
         raise NonPositiveInput(f"count must be at least 1, got {count}")
-    k_mat = saddle.K
-    m, n = k_mat.shape
-    buf = _buffers(state, saddle)
-    if state.kx is None:
-        state.kx = k_mat.matvec(state.x)
-    blocks = k_mat.row_blocks()
-    _, indptr, indices, data = blocks[0]
+    blocks = saddle.K.row_blocks()
     if len(blocks) > 1:  # the two blocks share indices and data and split indptr
-        indptr = np.concatenate((indptr[:-1], blocks[1][1]))
-    c, q, lower, upper, m1 = saddle.c, saddle.q, saddle.l, saddle.u, saddle.m1
-    scale, sigma = _step_scalars(buf, step)
-    entry_sum = _entry_sum(buf)
-    subtract, multiply, add, maximum, isfinite = np.subtract, np.multiply, np.add, np.maximum, math.isfinite
-    grad, dx, dy, products = buf.x, buf.dx, buf.dy, buf.products
-    sum_x, sum_y, weight = state.sum_x, state.sum_y, state.sum_weight
-    timed = time_limit < math.inf
-    clock = time.perf_counter
-    # the iterate, the point being formed in the vector of the one before
-    # it, their first m1 duals, and K x and K x+; they swap at every step
-    z, prev, (x, y), (x_new, y_new) = buf.z, buf.prev, buf.z_parts, buf.prev_parts
-    head, head_new = y[:m1], y_new[:m1]
-    kx = state.kx
-    kx_new = products[kx is products[0]]
-    steps = 0
-    try:
-        for _ in range(count):
-            if steps and timed and (clock() - t_start) >= time_limit:
-                break
-            # x+ = proj(x - scale (c - K'y))
-            grad.fill(0.0)
-            csc_matvec(n, m, indptr, indices, data, y, grad)
-            subtract(c, grad, grad)
-            multiply(grad, scale, dx)
-            subtract(x, dx, dx)
-            _clip(dx, lower, upper, x_new)
-            # y+ = proj(y + sigma (q - (2 K x+ - K x)))
-            kx_new.fill(0.0)
-            csr_matvec(m, n, indptr, indices, data, x_new, kx_new)
-            multiply(kx_new, _TWO, dy)
-            subtract(dy, kx, dy)
-            subtract(q, dy, dy)
-            multiply(dy, sigma, dy)
-            add(y, dy, y_new)
-            if m1:
-                maximum(head_new, _ZERO, out=head_new)
-            # a non-finite entry makes the sum non-finite
-            if not isfinite(entry_sum(prev)) and not np.all(np.isfinite(prev)):
-                k_mat.matvec_calls += 1
-                k_mat.rmatvec_calls += 1
-                raise NonFiniteIterate(
-                    f"iterate became non-finite at total iteration {state.total_count + steps + 1}"
-                )
-            add(sum_x, x_new, sum_x)
-            add(sum_y, y_new, sum_y)
-            weight += 1.0
-            z, prev, x, y, x_new, y_new, head, head_new = prev, z, x_new, y_new, x, y, head_new, head
-            kx, kx_new = kx_new, products[kx_new is products[0]]
-            steps += 1
-    finally:
-        buf.z, buf.prev, buf.z_parts, buf.prev_parts = z, prev, (x, y), (x_new, y_new)
-        state.x, state.y, state.kx, state.sum_weight = x, y, kx, weight
-        state.inner_count += steps
-        state.total_count += steps
-        state.trial_count += steps
-        k_mat.matvec_calls += steps
-        k_mat.rmatvec_calls += steps
-    return state
+        (_, indptr, indices, data), (_, tail, _, _) = blocks
+        blocks = ((None, np.concatenate((indptr[:-1], tail)), indices, data),)
+    return _steps(state, saddle, step, blocks[0], count, False, t_start, time_limit)
 
 
 def halpern_step(state, saddle, step, *, errstate=True):
@@ -455,102 +375,162 @@ def halpern_step(state, saddle, step, *, errstate=True):
         y_T = proj(y + (s w) (q - K r))
         z_{k+1} = (k+1)/(k+2) (2 T(z_k) - z_k) + z_0 / (k+2)
 
-    in that order of operations: the reflection r is taken before the
-    product, so no K x is kept.  The vectors are the stacked ones of the
+    in that order of operations.  The vectors are the stacked ones of the
     state's ``StepBuffers`` (its docstring): the mix goes into ``prev``,
-    which then changes places with ``z`` (``_advance``), so that afterwards
+    which then changes places with ``z``, so that afterwards
     ``buffers.x``/``buffers.y`` hold T(z_k), ``buffers.prev_parts`` hold
     z_k and the state's x and y are the parts of ``buffers.z``.  The K x
     cache is dropped.  Raises NonFiniteIterate, the iterate untouched, when
-    T(z_k) is not finite.  ``errstate`` as for ``pdhg_step``.
+    z_{k+1} is not finite.  ``errstate`` as for ``pdhg_step``.
 
-    With one row block the step runs inline as straight-line code: the x
-    side, the y side, then the mix and the finiteness sum each as one pass
-    over all n + m entries.  With two (K's ``row_blocks``) it runs in three
-    phases: the blocks' parts of K'y; the x side over two column ranges;
-    K r and the y side over the row blocks of ``row_blocks(ROW_WEIGHT)``.
-    The worker thread (``_worker``) runs the second half of each phase
-    while the caller runs the first, or, with one CPU, the caller runs both
-    in turn: the same arithmetic, the same bits.  The worker runs only
-    scipy kernels and numpy ufuncs on disjoint slices, never a function a
-    tracer could wrap.
+    With one row block the step is ``_steps``'s.  With two (K's
+    ``row_blocks``) it runs in three phases: the blocks' parts of K'y; the x
+    side over two column ranges; K r and the y side over the row blocks of
+    ``row_blocks(ROW_WEIGHT)``.  The worker thread (``_worker``) runs the
+    second half of each phase while the caller runs the first, or, with one
+    CPU, the caller runs both in turn: the same arithmetic, the same bits.
+    The worker runs only scipy kernels and numpy ufuncs on disjoint slices,
+    never a function a tracer could wrap.
     """
     if errstate:
         with np.errstate(over="ignore", invalid="ignore"):
             return halpern_step(state, saddle, step, errstate=False)
     k_mat = saddle.K
-    m, n = k_mat.shape
+    blocks = k_mat.row_blocks()
+    if len(blocks) == 1:
+        return _steps(state, saddle, step, blocks[0], 1, True)
+    n = k_mat.shape[1]
     buf = _buffers(state, saddle)
     k = state.inner_count
     x, y = buf.z_parts
-    x_t, y_t, r_x, r_y, mix = buf.x, buf.y, buf.dx, buf.dy, buf.prev
-    blocks = k_mat.row_blocks()
-    if len(blocks) == 1:
-        [(_, indptr, indices, data)] = blocks
-        subtract, multiply, add = np.subtract, np.multiply, np.add
-        scale, sigma = _step_scalars(buf, step)
-        share, denominator = buf.share, buf.denominator
-        share[()] = (k + 1) / (k + 2)
-        denominator[()] = k + 2
-        # x_T = proj(x - scale (c - K'y)) and r_x = 2 x_T - x, in r_x
-        r_x.fill(0.0)
-        csc_matvec(n, m, indptr, indices, data, y, r_x)
-        subtract(saddle.c, r_x, r_x)
-        multiply(r_x, scale, r_x)
-        subtract(x, r_x, r_x)
-        _clip(r_x, saddle.l, saddle.u, x_t)
-        multiply(x_t, _TWO, r_x)
-        subtract(r_x, x, r_x)
-        # y_T = proj(y + sigma (q - K r_x)) and r_y = 2 y_T - y, in r_y
-        r_y.fill(0.0)
-        csr_matvec(m, n, indptr, indices, data, r_x, r_y)
-        subtract(saddle.q, r_y, r_y)
-        multiply(r_y, sigma, r_y)
-        add(y, r_y, y_t)
-        if buf.head is not None:
-            np.maximum(buf.head, _ZERO, out=buf.head)
-        multiply(y_t, _TWO, r_y)
-        subtract(r_y, y, r_y)
-        # the mix over all of z, with r as the spare
-        multiply(buf.r, share, mix)
-        np.divide(buf.anchor, denominator, buf.r)
-        add(mix, buf.r, mix)
-        # a non-finite entry makes the sum non-finite
-        total = _entry_sum(buf)(buf.t)
-    else:
-        scale, sigma = step.step_size / step.primal_weight, step.sigma
-        share, denominator = (k + 1) / (k + 2), k + 2
-        pool = _worker()
-        mix_x, mix_y = buf.prev_parts
-        anchor_x, anchor_y = buf.anchor_parts
-        # K'y by block: the first block's part into mix_x, the second's into part
-        _in_halves(pool, _transpose_product, [(b, n, y, out) for b, out in zip(blocks, (mix_x, buf.part))])
-        primal = (saddle.c, saddle.l, saddle.u, x, anchor_x, mix_x, buf.part, x_t, r_x)
-        sums = _in_halves(
-            pool,
-            _primal_side,
-            [
-                tuple(a[cols] for a in primal) + (scale, share, denominator)
-                for cols in (slice(0, n // 2), slice(n // 2, n))
-            ],
-        )
-        dual = (saddle.q, y, anchor_y, r_y, y_t, mix_y)
-        sums += _in_halves(
-            pool,
-            _dual_side,
-            [
-                (b, n, saddle.m1, r_x) + tuple(a[b[0]] for a in dual) + (sigma, share, denominator)
-                for b in k_mat.row_blocks(ROW_WEIGHT)
-            ],
-        )
-        total = sum(sums)
+    x_t, y_t, r_x, r_y = buf.x, buf.y, buf.dx, buf.dy
+    scale, sigma = step.step_size / step.primal_weight, step.sigma
+    share, denominator = (k + 1) / (k + 2), k + 2
+    pool = _worker()
+    mix_x, mix_y = buf.prev_parts
+    anchor_x, anchor_y = buf.anchor_parts
+    # K'y by block: the first block's part into mix_x, the second's into part
+    _in_halves(pool, _transpose_product, [(b, n, y, out) for b, out in zip(blocks, (mix_x, buf.part))])
+    primal = (saddle.c, saddle.l, saddle.u, x, anchor_x, mix_x, buf.part, x_t, r_x)
+    sums = _in_halves(
+        pool,
+        _primal_side,
+        [
+            tuple(a[cols] for a in primal) + (scale, share, denominator)
+            for cols in (slice(0, n // 2), slice(n // 2, n))
+        ],
+    )
+    dual = (saddle.q, y, anchor_y, r_y, y_t, mix_y)
+    sums += _in_halves(
+        pool,
+        _dual_side,
+        [
+            (b, n, saddle.m1, r_x) + tuple(a[b[0]] for a in dual) + (sigma, share, denominator)
+            for b in k_mat.row_blocks(ROW_WEIGHT)
+        ],
+    )
     k_mat.matvec_calls += 1
     k_mat.rmatvec_calls += 1
-    # the full scan runs only when the sum of T(z)'s entries is not finite
-    if not math.isfinite(total) and not np.all(np.isfinite(buf.t)):
+    # the full scan runs only when the sum of the mix's entries is not finite
+    if not math.isfinite(sum(sums)) and not np.all(np.isfinite(buf.prev)):
         raise NonFiniteIterate(f"iterate became non-finite at total iteration {state.total_count + 1}")
     state.trial_count += 1
     _advance(state, buf)
+    return state
+
+
+def _steps(state, saddle, step, block, count, halpern, t_start=0.0, time_limit=math.inf):
+    """Up to ``count`` steps of ``pdhg_step`` (``halpern`` false) or of
+    ``halpern_step`` (true) over K's arrays in ``block``, one row block of
+    all rows; returns the state.  A step forms T(z) as ``halpern_step``'s
+    docstring orders it.  PDHG writes T(z) into ``prev`` and adds it to the
+    running sums; Halpern writes it into ``buffers.t`` and the mix into
+    ``prev``.  The new iterate in ``prev`` is tested, then changes places
+    with ``z``; after a step the K x cache is None.
+    """
+    k_mat = saddle.K
+    m, n = k_mat.shape
+    _, indptr, indices, data = block
+    buf = _buffers(state, saddle)
+    c, q, lower, upper, m1 = saddle.c, saddle.q, saddle.l, saddle.u, saddle.m1
+    scale, sigma = _step_scalars(buf, step)
+    entry_sum = buf.entry_sum
+    subtract, multiply, add, maximum, isfinite = np.subtract, np.multiply, np.add, np.maximum, math.isfinite
+    r, r_x, r_y = buf.r, buf.dx, buf.dy
+    sum_x, sum_y, weight, inner = state.sum_x, state.sum_y, state.sum_weight, state.inner_count
+    timed = time_limit < math.inf
+    clock = time.perf_counter
+    # the iterate and the vector of the one before it, where the new one is
+    # formed; they swap at every step
+    z, prev, (x, y), (x_new, y_new) = buf.z, buf.prev, buf.z_parts, buf.prev_parts
+    if halpern:
+        x_t, y_t, head_t, spare = buf.x, buf.y, buf.head, None
+        anchor, share, denominator = buf.anchor, buf.share, buf.denominator
+    else:  # T(z) is the new iterate; spare is the first m1 duals of z
+        x_t, y_t, head_t, spare = x_new, y_new, y_new[:m1], y[:m1]
+    steps = 0
+    try:
+        for _ in range(count):
+            if steps and timed and (clock() - t_start) >= time_limit:
+                break
+            # x_T = proj(x - scale (c - K'y)) and r_x = 2 x_T - x, in r_x
+            r_x.fill(0.0)
+            csc_matvec(n, m, indptr, indices, data, y, r_x)
+            subtract(c, r_x, r_x)
+            multiply(r_x, scale, r_x)
+            subtract(x, r_x, r_x)
+            _clip(r_x, lower, upper, x_t)
+            multiply(x_t, _TWO, r_x)
+            subtract(r_x, x, r_x)
+            # y_T = proj(y + sigma (q - K r_x)), with r_y as the spare
+            r_y.fill(0.0)
+            csr_matvec(m, n, indptr, indices, data, r_x, r_y)
+            subtract(q, r_y, r_y)
+            multiply(r_y, sigma, r_y)
+            add(y, r_y, y_t)
+            if m1:
+                maximum(head_t, _ZERO, out=head_t)
+            if halpern:
+                # r_y = 2 y_T - y, and the mix over all of z, with r as the spare
+                k = inner + steps
+                share[()] = (k + 1) / (k + 2)
+                denominator[()] = k + 2
+                multiply(y_t, _TWO, r_y)
+                subtract(r_y, y, r_y)
+                multiply(r, share, prev)
+                np.divide(anchor, denominator, r)
+                add(prev, r, prev)
+            # a non-finite entry makes the sum non-finite
+            if not isfinite(entry_sum(prev)) and not np.all(np.isfinite(prev)):
+                k_mat.matvec_calls += 1
+                k_mat.rmatvec_calls += 1
+                raise NonFiniteIterate(
+                    f"iterate became non-finite at total iteration {state.total_count + steps + 1}"
+                )
+            # (pairwise swaps build no tuple)
+            z, prev = prev, z
+            x, x_new = x_new, x
+            y, y_new = y_new, y
+            if not halpern:
+                add(sum_x, x, sum_x)
+                add(sum_y, y, sum_y)
+                weight += 1.0
+                x_t, y_t = x_new, y_new
+                head_t, spare = spare, head_t
+            steps += 1
+    finally:
+        if steps:
+            if steps % 2:  # z and prev changed places an odd number of times
+                buf.z, buf.prev = z, prev
+                buf.z_parts, buf.prev_parts = buf.prev_parts, buf.z_parts
+            state.x, state.y = x, y
+            state.kx = None
+            state.sum_weight = weight
+            state.inner_count += steps
+            state.total_count += steps
+            state.trial_count += steps
+            k_mat.matvec_calls += steps
+            k_mat.rmatvec_calls += steps
     return state
 
 
@@ -610,7 +590,7 @@ def _primal_side(c, l, u, x, x0, grad, part, x_t, r, scale, share, denominator):
     """Over a column range: grad = c - K'y (K'y in grad plus part), x_T =
     proj(x - scale grad) into x_t, the reflection r = 2 x_T - x, and the x
     mix share r + x0 / denominator into grad, with part as the spare.
-    Returns the sum of x_T's entries."""
+    Returns the sum of the mix's entries."""
     np.add(grad, part, out=grad)
     np.subtract(c, grad, out=grad)
     np.multiply(grad, scale, out=r)
@@ -621,14 +601,14 @@ def _primal_side(c, l, u, x, x0, grad, part, x_t, r, scale, share, denominator):
     np.multiply(r, share, out=grad)
     np.divide(x0, denominator, out=part)
     np.add(grad, part, out=grad)
-    return np.add.reduce(x_t)
+    return np.add.reduce(grad)
 
 
 def _dual_side(block, n, m1, r, q, y, y0, kr, y_t, out, sigma, share, denominator):
     """Over a row block, the rest of the arrays cut to its rows: kr = K r,
     y_T = proj(y + sigma (q - kr)) into y_t, and the y mix share (2 y_T -
     y) + y0 / denominator into out, with kr as the spare.  Returns the sum
-    of y_T's entries."""
+    of the mix's entries."""
     rows, indptr, indices, data = block
     kr.fill(0.0)
     csr_matvec(rows.stop - rows.start, n, indptr, indices, data, r, kr)
@@ -643,7 +623,7 @@ def _dual_side(block, n, m1, r, q, y, y0, kr, y_t, out, sigma, share, denominato
     np.multiply(kr, share, out=out)
     np.divide(y0, denominator, out=kr)
     np.add(out, kr, out=out)
-    return np.add.reduce(y_t)
+    return np.add.reduce(out)
 
 
 def fixed_point_residual(state, step):

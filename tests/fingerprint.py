@@ -6,8 +6,10 @@ imports the package from the ``src`` beside this file, so running the
 script of two checkouts compares their solvers.  One line per solve gives
 the status, reason, iterations, restarts by reason, gap evaluations, step
 trials, matvecs, the final step size and primal weight as hex, and the md5
-of x and of y; a digest of all lines follows.  Two commits that print the
-same lines run the same arithmetic on these inputs.
+of x and of y.  Each config's lines end with a digest of them
+(``digest <config> <md5>``), so a change meant to move some configs shows
+which moved, and a digest of all solve lines comes last.  Two commits that
+print the same lines run the same arithmetic on these inputs.
 
 Configs: the default (reflected Halpern), the fixed step with a fixed
 weight (``small-lp-fixed-step``'s config in the benchmark), the fixed step
@@ -84,10 +86,13 @@ def fingerprint(report):
 def main():
     digest = hashlib.md5()
     for config_name, config in configs().items():
+        config_digest = hashlib.md5()
         for problem in problems():
             line = f"{config_name} {problem.name} {fingerprint(pl.solve(problem, config))}"
             print(line, flush=True)
-            digest.update(line.encode() + b"\n")
+            for d in (digest, config_digest):
+                d.update(line.encode() + b"\n")
+        print(f"digest {config_name} {config_digest.hexdigest()}")
     print(f"digest {digest.hexdigest()}")
 
 

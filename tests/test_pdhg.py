@@ -5,6 +5,7 @@ import pdhg_lp as pl
 from pdhg_lp import IterateState, StepState, adaptive_step, pdhg_step, project_dual, project_primal, ps_norm
 
 from conftest import dense_pdhg_step, random_small_saddle
+from test_step_kernel import Reference
 
 
 class TestProjections:
@@ -86,30 +87,35 @@ class TestPdhgStep:
             np.testing.assert_allclose(state.y, yr, atol=1e-12)
 
     def test_matvec_budget(self, toy_saddle):
-        # K @ x is cached: k steps cost k+1 matvecs and k rmatvecs
+        # no K x is kept: k steps cost k matvecs and k rmatvecs, also in the
+        # first stretch after a restart
         state = IterateState.initial(toy_saddle)
         step = StepState(0.2, 1.0)
         base_mv = toy_saddle.K.matvec_calls
         base_rmv = toy_saddle.K.rmatvec_calls
         for _ in range(5):
             pdhg_step(state, toy_saddle, step)
-        assert toy_saddle.K.matvec_calls - base_mv == 6
+        assert toy_saddle.K.matvec_calls - base_mv == 5
         assert toy_saddle.K.rmatvec_calls - base_rmv == 5
-        # dropping the cache costs exactly one extra matvec
-        state.kx = None
-        pdhg_step(state, toy_saddle, step)
-        assert toy_saddle.K.matvec_calls - base_mv == 8
-        assert toy_saddle.K.rmatvec_calls - base_rmv == 6
-        # so does a restart before a stretch of 4 steps in one call
         pl.apply_restart(state, state.average())
         pdhg_step(state, toy_saddle, step, count=4)
-        assert toy_saddle.K.matvec_calls - base_mv == 13
-        assert toy_saddle.K.rmatvec_calls - base_rmv == 10
+        assert toy_saddle.K.matvec_calls - base_mv == 9
+        assert toy_saddle.K.rmatvec_calls - base_rmv == 9
 
     def test_cache_is_consistent(self, toy_saddle):
+        # the fixed step keeps no K x; the adaptive step after it fills its
+        # own cache and moves as the reference does
         state = IterateState(x=[1.5], y=[-2.0])
         pdhg_step(state, toy_saddle, StepState(0.3, 2.0))
-        np.testing.assert_array_equal(state.kx, toy_saddle.K.matvec(state.x))
+        assert state.kx is None
+        ref = Reference(toy_saddle, state.x, state.y)
+        ref.count = state.total_count  # the rule's growth and shrink read it
+        step = StepState(0.3, 2.0)
+        state, step_next, accepted = adaptive_step(state, toy_saddle, step)
+        s_next, ref_accepted = ref.adaptive(0.3, 2.0, step.initial_step_size)
+        assert accepted and ref_accepted and step_next.step_size == s_next
+        for got, want in ((state.x, ref.x), (state.y, ref.y), (state.kx, ref.kx)):
+            assert got.tobytes() == want.tobytes()
 
     def test_non_finite_step_leaves_state_intact(self, toy_saddle):
         # grad = -y is hugely negative, so x - eta*grad overflows to +inf

@@ -4,9 +4,9 @@ The references below restate the update of ``pdhg.py``, its reflected
 Halpern iteration and the adaptive rule of ``stepsize.py`` from their
 docstrings in straightforward numpy: fresh arrays for every intermediate,
 ``csr @ v`` products, explicit loops, and the solver's inner product.  They
-keep the kernel's order of operations (for instance 2 K x+ - K x for PDHG
-and K (2 x_T - x) for Halpern), so any difference, down to the last bit, is
-a kernel fault.
+keep the kernel's order of operations (for instance K (2 x+ - x) for the
+fixed and Halpern steps and 2 K x+ - K x for the adaptive rule), so any
+difference, down to the last bit, is a kernel fault.
 """
 
 import dataclasses
@@ -37,9 +37,11 @@ class Reference:
         self.sum_y = np.zeros_like(self.y)
         self.sum_weight = 0.0
         self.count = 0
+        self.kx = None  # K x as the adaptive rule caches it, None after a fixed step
 
     def point(self, s, w):
-        """x+ = proj(x - (s/w)(c - K'y)), y+ = proj(y + (s w)(q - (2 K x+ - K x)))."""
+        """The adaptive rule's trial point: x+ = proj(x - (s/w)(c - K'y)),
+        y+ = proj(y + (s w)(q - (2 K x+ - K x)))."""
         p = self.saddle
         kx = self.k @ self.x
         x_new = np.clip(self.x - (s / w) * (p.c - self.kt @ self.y), p.l, p.u)
@@ -56,8 +58,13 @@ class Reference:
         self.count += 1
 
     def fixed(self, s, w):
-        x_new, y_new, _, _ = self.point(s, w)
+        """x+ as in ``point``, y+ = proj(y + (s w)(q - K (2 x+ - x)))."""
+        p = self.saddle
+        x_new = np.clip(self.x - (s / w) * (p.c - self.kt @ self.y), p.l, p.u)
+        y_new = self.y + (s * w) * (p.q - self.k @ (2.0 * x_new - self.x))
+        y_new[: p.m1] = np.maximum(y_new[: p.m1], 0.0)
         self.commit(x_new, y_new, 1.0)
+        self.kx = None
 
     def adaptive(self, s, w, s0):
         """One iteration of the adaptive rule; returns (next s, accepted)."""
@@ -74,6 +81,7 @@ class Reference:
             s_next = grow * s if math.isinf(s_hat) else min(shrink * s_hat, grow * s)
             if s <= s_hat:
                 self.commit(x_new, y_new, s)
+                self.kx = kx_new
                 return s_next, True
             s = s_next
             assert s >= stepsize.UNDERFLOW_RATIO * s0
@@ -103,7 +111,10 @@ def assert_same(state, ref):
     for name in ("x", "y", "sum_x", "sum_y"):
         a, b = getattr(state, name), getattr(ref, name)
         assert a.tobytes() == b.tobytes(), name
-    assert state.kx.tobytes() == (ref.k @ ref.x).tobytes()
+    if ref.kx is None:
+        assert state.kx is None
+    else:
+        assert state.kx.tobytes() == ref.kx.tobytes()
     assert state.sum_weight == ref.sum_weight
     assert state.total_count == state.inner_count == ref.count
 
@@ -210,12 +221,12 @@ STRETCH_INPUTS = list(stretch_inputs())
 
 class TestStretchAgainstSingleSteps:
     """``pdhg_step(count=k)`` is k calls of ``pdhg_step``, bit for bit: the
-    iterate, K x, the running sums, the counts and the matvec counters."""
+    iterate, the running sums, the counts and the matvec counters."""
 
     @staticmethod
     def snapshot(state, saddle, base):
         return (
-            state.x.tobytes(), state.y.tobytes(), state.kx.tobytes(),
+            state.x.tobytes(), state.y.tobytes(),
             state.sum_x.tobytes(), state.sum_y.tobytes(), state.sum_weight,
             state.inner_count, state.total_count, state.trial_count,
             saddle.K.matvec_calls - base[0], saddle.K.rmatvec_calls - base[1],
@@ -245,8 +256,8 @@ class TestStretchAgainstSingleSteps:
         stretches = (1, 7, 12, None, 9, 3)
         shots = self.run(saddle, x, y, step, stretches, single=False)
         assert shots == self.run(saddle, x, y, step, stretches, single=True)
-        # one refill of K x at the start and one after the restart
-        assert shots[-1][-2:] == (32 + 2, 32)
+        # one product with K and one with K' per step, none for a restart
+        assert shots[-1][-2:] == (32, 32)
 
     def test_two_row_blocks_match_the_reference(self, monkeypatch):
         # from SPLIT_MIN_NNZ nonzeros on K's rows come in two blocks; a
@@ -274,7 +285,7 @@ class TestStretchAgainstSingleSteps:
                 pdhg_step(single, saddle, step)
         want = self.snapshot(single, saddle, base)
         # 66 steps, and the failed one made its two products too
-        assert want[7] == 66 and want[9:] == (1 + 67, 67)
+        assert want[6] == 66 and want[8:] == (67, 67)
         stretch = IterateState(x=start.x, y=start.y)
         base = (saddle.K.matvec_calls, saddle.K.rmatvec_calls)
         with pytest.raises(pl.NonFiniteIterate) as stretch_err:
@@ -341,8 +352,7 @@ class TestHalpernAgainstReference:
         assert state.x is buf.z_parts[0] and state.y is buf.z_parts[1]
 
     def test_operator_is_the_pdhg_point(self):
-        # T(z) is the point pdhg_step moves to from the same z: x_T bit for
-        # bit, y_T up to the rounding of K (2 x_T - x) against 2 K x_T - K x
+        # T(z) is the point pdhg_step moves to from the same z, bit for bit
         rng = np.random.default_rng(21)
         for seed in range(4):
             saddle = scaled_saddle(seed)
@@ -355,7 +365,7 @@ class TestHalpernAgainstReference:
             halpern_step(state, saddle, step)
             pdhg_step(plain, saddle, step)
             assert state.buffers.x.tobytes() == plain.x.tobytes()
-            np.testing.assert_allclose(state.buffers.y, plain.y, rtol=1e-12, atol=1e-14)
+            assert state.buffers.y.tobytes() == plain.y.tobytes()
             # and the buffers hold z too, stacked in ``prev`` beside T(z)
             # stacked in ``t``, where the residual and the checks read it;
             # the new iterate is the parts of ``z``
@@ -484,26 +494,27 @@ class TestNonFiniteTrial:
                     step_fn(IterateState(x=[1.7e308], y=[1.7e308]))
 
 
-def finiteness_saddle(n):
-    """x in R^n free, one equality row x_0 - x_1 = 0, c = 0: from y = 0
-    the x part stays where it is, and K x = 0 when x_0 = x_1."""
+def finiteness_saddle(n, rows=1):
+    """x in R^n free, ``rows`` copies of the equality row x_0 - x_1 = 0,
+    c = 0: from y = 0 the x part stays where it is, and K x = 0 when
+    x_0 = x_1."""
     row = np.zeros(n)
     row[:2] = (1.0, -1.0)
-    return pl.to_saddle(pl.LpProblem(c=np.zeros(n), eq_matrix=[row], eq_rhs=[0.0], lower=-np.inf))
+    problem = pl.LpProblem(c=np.zeros(n), eq_matrix=[row] * rows, eq_rhs=[0.0] * rows, lower=-np.inf)
+    return pl.to_saddle(problem)
 
 
 class TestFinitenessSum:
-    """The kernels test a new point by the sum of its entries and scan it
+    """The kernels test a new iterate by the sum of its entries and scan it
     only when that sum is not finite: a point with +inf and -inf entries
     (sum NaN) is caught, and finite entries whose sum overflows are not.
-    The sum is a BLAS dot up to DOT_BLAS_MAX entries and a reduce above."""
+    The sum is a BLAS dot up to DOT_BLAS_MAX entries and a reduce above.
+    A failed step leaves the iterate it tested in ``buffers.prev``."""
 
     KERNELS = {
         "halpern": lambda state, saddle, step: halpern_step(state, saddle, step),
         "pdhg": lambda state, saddle, step: pdhg_step(state, saddle, step, count=3),
     }
-    # the buffer that holds the point a failed step tested
-    TESTED = {"halpern": "t", "pdhg": "prev"}
     SIZES = (3, pl.sparse.DOT_BLAS_MAX)  # n + 1 entries in all
 
     @pytest.mark.parametrize("n", SIZES)
@@ -516,7 +527,7 @@ class TestFinitenessSum:
         state.kx = kx = saddle.K.matvec(state.x)
         with pytest.raises(pl.NonFiniteIterate, match="total iteration 6"):
             self.KERNELS[kernel](state, saddle, StepState(10.0, 1.0))
-        tested = getattr(state.buffers, self.TESTED[kernel])
+        tested = state.buffers.prev
         assert tested[:2].tolist() == [np.inf, -np.inf]
         with np.errstate(invalid="ignore"):
             assert np.isnan(np.add.reduce(tested))
@@ -532,20 +543,37 @@ class TestFinitenessSum:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_finite_entries_whose_sum_overflows_pass(self, kernel, n):
         # from y = 0 the new point keeps x (with K x = 0) and y = 0; the
-        # Halpern reflection 2 x - x must not overflow itself, so its x
-        # entries are 6e307, three of which overflow in the sum too
+        # reflection 2 x - x must not overflow itself, so its x entries are
+        # 6e307, three of which overflow in the sum too
         saddle = finiteness_saddle(n)
         start = np.zeros(n)
-        start[:3] = (6e307,) * 3 if kernel == "halpern" else (1e308, 1e308, 0.0)
+        start[:3] = (6e307,) * 3
         state = IterateState(x=start, y=[0.0])
         self.KERNELS[kernel](state, saddle, StepState(10.0, 1.0))
-        new_point = state.buffers.t if kernel == "halpern" else state.buffers.z
         with np.errstate(over="ignore"):
-            assert np.add.reduce(new_point) == np.inf
-        assert np.isfinite(new_point).all()
+            assert np.add.reduce(state.buffers.z) == np.inf
+        assert np.isfinite(state.buffers.z).all()
         np.testing.assert_array_equal(state.x, start)
         np.testing.assert_array_equal(state.y, [0.0])
         assert state.total_count == (1 if kernel == "halpern" else 3)
+
+    @pytest.mark.parametrize("blocks", (1, 2))
+    def test_halpern_mix_that_overflows_raises(self, blocks, monkeypatch):
+        # T(z) = z = (0, 0, 1e308; 0) is finite, but the reflection 2 x_T - x
+        # overflows in its last entry, and so does the mix, the new iterate;
+        # two rows from SPLIT_MIN_NNZ = 1 on take the two-block path
+        if blocks == 2:
+            monkeypatch.setattr(pl.sparse, "SPLIT_MIN_NNZ", 1)
+        saddle = finiteness_saddle(3, rows=blocks)
+        assert len(saddle.K.row_blocks()) == blocks
+        state = IterateState(x=[0.0, 0.0, 1e308], y=np.zeros(blocks))
+        x, y = state.x, state.y
+        with pytest.raises(pl.NonFiniteIterate, match="total iteration 1$"):
+            halpern_step(state, saddle, StepState(10.0, 1.0))
+        assert state.buffers.x.tolist() == [0.0, 0.0, 1e308]
+        assert state.x is x and state.y is y
+        assert state.x.tolist() == [0.0, 0.0, 1e308] and state.y.tolist() == [0.0] * blocks
+        assert (state.inner_count, state.total_count, state.trial_count) == (0, 0, 0)
 
 
 class TestStepScalarsFollowTheStepState:
