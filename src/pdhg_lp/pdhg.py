@@ -19,13 +19,15 @@ call, from ``step_gradient``, ``trial_step`` (the trial point, its movement
 and interaction) and ``accept_step`` (the commit, weighted by the step
 size); its interaction needs K x+ - K x, so it alone caches K x.
 
-The kernels keep z, the iterate a step replaced and the epoch's anchor in
-one layout (``StepBuffers``): stacked vectors of length n + m whose first n
-entries are the x part and the rest the y part, so that Halpern's mix, the
+The kernels keep z, the iterate a step replaced, the epoch's anchor, its
+running sum and the restart candidate in one layout (``StepBuffers``):
+stacked vectors of length n + m whose first n entries are the x part and
+the rest the y part, so that Halpern's mix, the running sum's update, the
 fixed-point residual's difference and the finiteness test are one pass
-each over all of z.  Each kernel writes its new point into ``prev``, which
-then changes places with ``z`` (``_advance``, or ``_steps`` itself at each
-step); the state's x and y are views of ``z``.
+each over all of z.  An ``IterateState`` makes its buffers when it is
+built, so its x and y are views of ``z`` from the start.  Each kernel
+writes its new point into ``prev``, which then changes places with ``z``
+(``_advance``, or ``_steps`` itself at each step).
 
 On a small problem a step costs numpy's dispatch more than arithmetic, so
 ``_steps`` calls it the cheap way: every ufunc takes its output
@@ -99,15 +101,17 @@ class StepState:
 
 
 class StepBuffers:
-    """Work vectors of the step kernels: five stacked vectors of length
+    """Work vectors of the step kernels: six stacked vectors of length
     n + m, each of whose x part (its first n entries) and y part (the rest)
     are views made once:
 
-        t       the step's scratch point, parts ``x``/``y``.  A Halpern step
-                leaves T(z_k) here, with ``head`` the first m1 entries of
-                its y part (None when m1 is 0); a PDHG step leaves it
-                alone; the adaptive rule keeps the gradient c - K'y in its
-                x part and K x+ - K x in its y part
+        t       the restart candidate, parts ``x``/``y``.  A Halpern step
+                leaves T(z_k) here and ``solve``'s gap test the epoch
+                average; a PDHG step leaves it alone; the adaptive rule
+                keeps the gradient c - K'y in its x part and K x+ - K x in
+                its y part.  ``head``, the first m1 entries of its y part,
+                is made at the first one-block Halpern step, for that
+                saddle's m1, and kept (None before)
         r       the reflection: its x part 2 x_T - x under every constant
                 step, its y part 2 y_T - y under Halpern; the adaptive
                 rule's displacement; parts ``dx``/``dy``.  After the step,
@@ -119,6 +123,13 @@ class StepBuffers:
                 change places
         anchor  the epoch's start z_0 (``anchor_parts``), copied from z at
                 the epoch's first step
+        sums    the epoch's running sum of weighted iterates, zeroed at a
+                restart: a PDHG step adds z_{k+1} in one pass, the adaptive
+                rule s z_{k+1}; the state's ``sum_x``/``sum_y`` are its parts
+
+    ``IterateState`` makes the buffers, seeds t, z, prev and anchor with its
+    first iterate, so that a check before the first step reads that point,
+    and fills ``sums``.
 
     ``part``, length n: the second row block's part of K'y when K is split
     in two (``halpern_step``).
@@ -143,19 +154,18 @@ class StepBuffers:
     """
 
     __slots__ = (
-        "x", "y", "dx", "dy", "part",
+        "x", "y", "dx", "dy", "part", "sums",
         "t", "head", "r", "z", "z_parts", "prev", "prev_parts", "anchor", "anchor_parts",
         "step", "scale", "sigma", "share", "denominator", "entry_sum",
     )
 
-    def __init__(self, n, m, m1):
+    def __init__(self, n, m):
         self.part = np.empty(n)
-        self.step = self.scale = self.sigma = None
+        self.head = self.step = self.scale = self.sigma = None
         self.share, self.denominator = np.empty(()), np.empty(())
         self.entry_sum = np.ones(n + m).dot if n + m <= DOT_BLAS_MAX else np.add.reduce
-        self.t, self.r, self.z, self.prev, self.anchor = (np.empty(n + m) for _ in range(5))
+        self.t, self.r, self.z, self.prev, self.anchor, self.sums = (np.empty(n + m) for _ in range(6))
         self.x, self.y = self.t[:n], self.t[n:]
-        self.head = self.y[:m1] if m1 else None
         self.dx, self.dy = self.r[:n], self.r[n:]
         self.z_parts = (self.z[:n], self.z[n:])
         self.prev_parts = (self.prev[:n], self.prev[n:])
@@ -171,15 +181,19 @@ class IterateState:
     changes by any route other than that rule's step (restart, rescale):
     after an adaptive step it is a vector of its own, and after a fixed or
     Halpern step or a restart None.  ``trial_count`` counts the finite
-    trial points computed, accepted or not.  The state owns ``x`` and ``y`` (they are
-    copied in), because the step kernels recycle the replaced vectors as
-    work buffers and ``apply_restart`` writes the restart point into them:
+    trial points computed, accepted or not.
+
+    The state makes its ``StepBuffers`` when it is built and copies x and y
+    into them: from then on x and y are the parts of ``buffers.z``,
+    ``sum_x`` and ``sum_y`` (copied in when given, zero otherwise) the parts
+    of ``buffers.sums``, and t, prev and anchor start as copies of z.  A
+    step swaps ``z`` with ``prev``, where it wrote its new point, so the
+    arrays that ``state.x`` and ``state.y`` name after one step hold the
+    next step's new point after two, and ``apply_restart`` writes into z:
     hold a copy, not a reference, of an iterate (or of ``kx``) that must
-    outlive the next step or restart.  After any step x
-    and y are the parts of ``buffers.z``, ``buffers.prev_parts`` hold the
-    iterate it replaced until the next step starts, and the epoch's start
-    is ``buffers.anchor`` (``StepBuffers``); ``apply_restart`` writes into
-    z and leaves the rest alone.
+    outlive the next step or restart.  After a step ``buffers.prev_parts``
+    hold the iterate it replaced until the next step starts, and the
+    epoch's start is ``buffers.anchor``.
     """
 
     x: np.ndarray
@@ -194,12 +208,17 @@ class IterateState:
     buffers: StepBuffers = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.x = np.array(self.x, dtype=np.float64)
-        self.y = np.array(self.y, dtype=np.float64)
-        if self.sum_x is None:
-            self.sum_x = np.zeros_like(self.x)
-        if self.sum_y is None:
-            self.sum_y = np.zeros_like(self.y)
+        x, y = (np.asarray(v, dtype=np.float64) for v in (self.x, self.y))
+        n = x.shape[0]
+        buf = self.buffers = StepBuffers(n, y.shape[0])
+        np.concatenate((x, y), out=buf.z)
+        for copy in (buf.t, buf.prev, buf.anchor):
+            np.copyto(copy, buf.z)
+        self.x, self.y = buf.z_parts
+        given = (self.sum_x, self.sum_y)
+        self.sum_x, self.sum_y = buf.sums[:n], buf.sums[n:]
+        for part, value in zip((self.sum_x, self.sum_y), given):
+            np.copyto(part, 0.0 if value is None else value)
 
     @classmethod
     def initial(cls, saddle):
@@ -229,22 +248,11 @@ def project_dual(y, m1):
     return out
 
 
-def _buffers(state, saddle):
-    """The state's ``StepBuffers``, made on first use, with the state's
-    iterate in ``z``: one set from outside (the first step's, or one
-    assigned to ``state.x``/``state.y``) is copied in.  At an epoch's first
-    step, or the first step to make the buffers, z is copied into
-    ``anchor``."""
+def _buffers(state):
+    """The state's ``StepBuffers``, with z copied into ``anchor`` at an
+    epoch's first step."""
     buf = state.buffers
-    fresh = buf is None
-    if fresh:
-        m, n = saddle.K.shape
-        buf = state.buffers = StepBuffers(n, m, saddle.m1)
-    x, y = buf.z_parts
-    if state.x is not x or state.y is not y:
-        np.copyto(x, state.x)
-        np.copyto(y, state.y)
-    if fresh or state.inner_count == 0:
+    if state.inner_count == 0:
         np.copyto(buf.anchor, buf.z)
     return buf
 
@@ -274,7 +282,7 @@ def _step_scalars(buf, step):
 def step_gradient(state, saddle):
     """Fill the K x cache if it is empty and c - K'y into the x part of
     ``buffers.t``; returns the state's buffers (``_buffers``)."""
-    buf = _buffers(state, saddle)
+    buf = _buffers(state)
     k = saddle.K
     if state.kx is None:
         state.kx = k.matvec(state.x)
@@ -327,10 +335,8 @@ def accept_step(state, buf, kx_new, avg_weight):
     """Install the trial point (``_advance``) and add it to the running
     average with weight ``avg_weight``."""
     _advance(state, buf, kx_new)
-    np.multiply(state.x, avg_weight, out=buf.dx)
-    np.add(state.sum_x, buf.dx, out=state.sum_x)
-    np.multiply(state.y, avg_weight, out=buf.dy)
-    np.add(state.sum_y, buf.dy, out=state.sum_y)
+    np.multiply(buf.z, avg_weight, out=buf.r)
+    np.add(buf.sums, buf.r, out=buf.sums)
     state.sum_weight += avg_weight
 
 
@@ -367,8 +373,7 @@ def halpern_step(state, saddle, step, *, errstate=True):
     """Advance the iterate by one reflected Halpern step (in place).
 
     With T the PDHG operator at the state's step, k = ``state.inner_count``
-    and z_0 the anchor, copied from z at the epoch's first step (k = 0, or
-    the first step to make the buffers):
+    and z_0 the anchor, copied from z at the epoch's first step (k = 0):
 
         x_T = proj(x - (s/w) (c - K'y))
         r   = 2 x_T - x
@@ -400,7 +405,7 @@ def halpern_step(state, saddle, step, *, errstate=True):
     if len(blocks) == 1:
         return _steps(state, saddle, step, blocks[0], 1, True)
     n = k_mat.shape[1]
-    buf = _buffers(state, saddle)
+    buf = _buffers(state)
     k = state.inner_count
     x, y = buf.z_parts
     x_t, y_t, r_x, r_y = buf.x, buf.y, buf.dx, buf.dy
@@ -444,26 +449,28 @@ def _steps(state, saddle, step, block, count, halpern, t_start=0.0, time_limit=m
     ``halpern_step`` (true) over K's arrays in ``block``, one row block of
     all rows; returns the state.  A step forms T(z) as ``halpern_step``'s
     docstring orders it.  PDHG writes T(z) into ``prev`` and adds it to the
-    running sums; Halpern writes it into ``buffers.t`` and the mix into
-    ``prev``.  The new iterate in ``prev`` is tested, then changes places
-    with ``z``; after a step the K x cache is None.
+    running sum in one pass; Halpern writes it into ``buffers.t`` and the
+    mix into ``prev``.  The new iterate in ``prev`` is tested, then changes
+    places with ``z``; after a step the K x cache is None.
     """
     k_mat = saddle.K
     m, n = k_mat.shape
     _, indptr, indices, data = block
-    buf = _buffers(state, saddle)
+    buf = _buffers(state)
     c, q, lower, upper, m1 = saddle.c, saddle.q, saddle.l, saddle.u, saddle.m1
     scale, sigma = _step_scalars(buf, step)
     entry_sum = buf.entry_sum
     subtract, multiply, add, maximum, isfinite = np.subtract, np.multiply, np.add, np.maximum, math.isfinite
     r, r_x, r_y = buf.r, buf.dx, buf.dy
-    sum_x, sum_y, weight, inner = state.sum_x, state.sum_y, state.sum_weight, state.inner_count
+    sums, weight, inner = buf.sums, state.sum_weight, state.inner_count
     timed = time_limit < math.inf
     clock = time.perf_counter
     # the iterate and the vector of the one before it, where the new one is
     # formed; they swap at every step
     z, prev, (x, y), (x_new, y_new) = buf.z, buf.prev, buf.z_parts, buf.prev_parts
     if halpern:
+        if buf.head is None:
+            buf.head = buf.y[:m1]
         x_t, y_t, head_t, spare = buf.x, buf.y, buf.head, None
         anchor, share, denominator = buf.anchor, buf.share, buf.denominator
     else:  # T(z) is the new iterate; spare is the first m1 duals of z
@@ -512,8 +519,7 @@ def _steps(state, saddle, step, block, count, halpern, t_start=0.0, time_limit=m
             x, x_new = x_new, x
             y, y_new = y_new, y
             if not halpern:
-                add(sum_x, x, sum_x)
-                add(sum_y, y, sum_y)
+                add(sums, z, sums)
                 weight += 1.0
                 x_t, y_t = x_new, y_new
                 head_t, spare = spare, head_t

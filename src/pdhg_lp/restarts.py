@@ -185,16 +185,15 @@ def artificial_cap_reached(state):
 
 def apply_restart(state, candidate):
     """Reset the state to the candidate point and start a new epoch, in
-    place: the candidate is copied into the state's own x and y (after a
-    step, the parts of ``buffers.z``), so it may be a view of the step's
-    other buffers; the next step copies it into ``buffers.anchor``.  The
-    running average is cleared and the K x cache dropped; the total
-    iteration count is preserved.  Allocates nothing.
+    place: the candidate is copied into the state's own x and y, the parts
+    of ``buffers.z``, so it may be a view of the step's other buffers, as
+    ``solve``'s candidates in ``buffers.t`` are; the next step copies it
+    into ``buffers.anchor``.  The running sum is zeroed and the K x cache
+    dropped; the total iteration count is preserved.  Allocates nothing.
     """
     np.copyto(state.x, candidate[0])
     np.copyto(state.y, candidate[1])
-    state.sum_x.fill(0.0)
-    state.sum_y.fill(0.0)
+    state.buffers.sums.fill(0.0)
     state.sum_weight = 0.0
     state.inner_count = 0
     state.kx = None

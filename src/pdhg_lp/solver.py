@@ -256,6 +256,12 @@ def solve(problem, config=None, callback=None):
 
     step = initialize_step_state(saddle, norm_k, config.step, config.weight)
     state = IterateState.initial(saddle)
+    # The step buffers' t holds the restart candidate of either kind, and
+    # under Halpern the T(z) of the last step, which a check tests (z0, which
+    # t starts as, at iteration 0); PDHG's checks test z.  The point before
+    # is the iterate the last step replaced, in prev.
+    buf = state.buffers
+    t_parts = (buf.x, buf.y)
 
     # for the gap rule, the normalized gap at the epoch start that the
     # sufficient-decay test compares against; the epoch's start is the
@@ -279,16 +285,6 @@ def solve(problem, config=None, callback=None):
     reason = ""
     certificate = None
 
-    def checked_points():
-        """The point a check tests and the one before it, in the working
-        space.  PDHG tests its iterate z and Halpern the T(z) of its last
-        step; the point before is the iterate that step replaced, which the
-        step buffers' ``prev`` holds."""
-        buf = state.buffers
-        if buf is None:
-            return (state.x, state.y), None
-        return ((buf.x, buf.y) if halpern else (state.x, state.y)), buf.prev_parts
-
     iteration = 0
     # the step kernel's error state, entered once for the whole loop
     with np.errstate(over="ignore", invalid="ignore"):
@@ -298,8 +294,7 @@ def solve(problem, config=None, callback=None):
             check_due = iteration % config.check_interval == 0 or hit_iters or hit_time
             log_due = config.log_interval and iteration % config.log_interval == 0
             if check_due or log_due:
-                point, before = checked_points()
-                xu, yu = unscale_solution(*point, scaling)
+                xu, yu = unscale_solution(*(t_parts if halpern else (state.x, state.y)), scaling)
                 kkt = kkt_error(saddle0, xu, yu, constants)
                 if log_due:
                     _log_progress(iteration, kkt, step)
@@ -322,7 +317,7 @@ def solve(problem, config=None, callback=None):
                     hits, ray_shows = _ray_hits(
                         saddle0,
                         extract_certificates(
-                            unscale_solution(*before, scaling), (xu, yu), (x0_u, y0_u), iteration
+                            unscale_solution(*buf.prev_parts, scaling), (xu, yu), (x0_u, y0_u), iteration
                         ),
                         crit.tol_infeasible,
                         constants,
@@ -401,7 +396,7 @@ def solve(problem, config=None, callback=None):
             # and from the artificial cap at every iteration, and goes to T(z);
             # under PDHG it decides every GAP_EVAL_INTERVAL iterations and at
             # check points, from the epoch average's normalized gap, and goes
-            # to the average.
+            # to the average.  Both candidates are in t.
             if not adaptive_restarts:
                 continue
             inner = state.inner_count
@@ -420,13 +415,11 @@ def solve(problem, config=None, callback=None):
             else:
                 if not (inner % restarts.GAP_EVAL_INTERVAL == 0 or iteration % config.check_interval == 0):
                     continue
-                # the average's gap at its distance from the epoch start, when
-                # finite and nonzero; the average minus the anchor stays in
-                # buffers.r for the weight update
-                candidate = state.average()
-                buf = state.buffers
-                np.subtract(candidate[0], buf.anchor_parts[0], out=buf.dx)
-                np.subtract(candidate[1], buf.anchor_parts[1], out=buf.dy)
+                # the average into t, and its gap at its distance from the
+                # epoch start, when finite and nonzero; the average minus the
+                # anchor stays in r for the weight update
+                np.divide(buf.sums, state.sum_weight, out=buf.t)
+                np.subtract(buf.t, buf.anchor, out=buf.r)
                 radius = _norm(buf.dx, buf.dy)
                 if 0.0 < radius < math.inf:
                     # Short of the artificial cap only a gap at or below the
@@ -434,9 +427,7 @@ def solve(problem, config=None, callback=None):
                     stop_above = math.inf
                     if not restarts.artificial_cap_reached(state):
                         stop_above = rcfg.sufficient_decay * reference_gap
-                    candidate_gap = normalized_duality_gap(
-                        saddle, candidate[0], candidate[1], radius, stop_above=stop_above
-                    )
+                    candidate_gap = normalized_duality_gap(saddle, *t_parts, radius, stop_above=stop_above)
                     gap_evals += 1
             fire, why = should_restart(
                 state, rcfg, candidate_gap=candidate_gap, reference_gap=reference_gap, residuals=residuals
@@ -444,12 +435,9 @@ def solve(problem, config=None, callback=None):
             if not fire:
                 continue
             restarts_by_reason[why] += 1
-            # the weight follows the candidate's move from the anchor, in buffers.r
-            buf = state.buffers
+            # the weight follows the candidate's move from the anchor, in r
             if halpern:
-                # T(z) - z_0 in one pass
                 np.subtract(buf.t, buf.anchor, out=buf.r)
-                candidate = (buf.x, buf.y)
             elif candidate_gap is not None:
                 # the new start's gap at the distance it moved is the candidate's
                 reference_gap = candidate_gap
@@ -457,7 +445,7 @@ def solve(problem, config=None, callback=None):
                 step,
                 primal_weight=update_primal_weight(step.primal_weight, _norm(buf.dx), _norm(buf.dy), config.weight),
             )
-            apply_restart(state, candidate)
+            apply_restart(state, t_parts)
 
     # Final report.  For a numerical-error stop the state still holds the
     # last good iterate, which may be newer than the last check point.

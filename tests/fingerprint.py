@@ -18,12 +18,18 @@ criterion-8 LPs, the planted unbounded and infeasible LPs of seeds 0-3, the
 three toys, and one PageRank with n = 30,000, whose 2.4e5 nonzeros take the
 two-thread Halpern step and the row order of the working space.
 
-The last bits depend on the BLAS build and the CPU, so compare runs made in
-one environment; pytest does not collect this file.  It takes about 4 s
-on a 2-core x86 VM.
+The last bits depend on the BLAS build, the CPU and the number of threads
+BLAS may use: ARPACK's products in the norm estimate split their sums by
+thread count, so the PageRank lines of the configs that use the estimate
+move in their last bits between a run pinned to one CPU (or with
+``OPENBLAS_NUM_THREADS=1``) and one that is not.  The first line names the
+usable CPU count and ``OPENBLAS_NUM_THREADS`` and enters no digest; compare
+only runs made in one environment under the same setting.  pytest does not
+collect this file.  It takes about 4 s on a 2-core x86 VM.
 """
 
 import hashlib
+import os
 import sys
 from pathlib import Path
 
@@ -84,6 +90,7 @@ def fingerprint(report):
 
 
 def main():
+    print(f"cpus {pl.pdhg._cpus()} OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     digest = hashlib.md5()
     for config_name, config in configs().items():
         config_digest = hashlib.md5()

@@ -377,6 +377,19 @@ class TestHalpern:
         assert report.y.tobytes() == y.tobytes()
         assert report.step_size == step.step_size
 
+    def test_first_check_reads_the_initial_point(self):
+        # the iteration-0 check tests buffers.t, which starts as z0; the
+        # second solve runs in memory that the first one freed
+        problem = random_feasible_lp(2)
+        saddle0 = pl.to_saddle(problem)
+        scaling = pl.combined_rescale(saddle0.K, m1=saddle0.m1)
+        start = pl.IterateState.initial(pl.apply_scaling(saddle0, scaling))
+        kkt = pl.kkt_error(saddle0, *pl.unscale_solution(start.x, start.y, scaling))
+        del start
+        for _ in range(2):
+            report = pl.solve(problem)
+            assert report.residual_history[0][:4] == (0, kkt.rel_primal, kkt.rel_dual, kkt.rel_gap)
+
     def test_restarts_on_residual_decay(self, monkeypatch):
         # the residual test runs every RESIDUAL_EVAL_INTERVAL epoch
         # iterations, through should_restart; in between only the artificial

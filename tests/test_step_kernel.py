@@ -432,6 +432,27 @@ class TestBuffersHoldPreviousIterate:
             for part, value in zip(parts, want or ()):
                 assert part.tobytes() == np.asarray(value, dtype=np.float64).tobytes()
 
+    def test_construction_seeds_every_copy(self):
+        # a check before the first step reads buffers.t as Halpern's T(z),
+        # so t, prev and anchor start as copies of z, even in memory that
+        # NaN-filled arrays of the same size held just before
+        saddle = scaled_saddle(1)
+        size = saddle.num_primal + saddle.num_dual
+        rng = np.random.default_rng(5)
+        builds = (
+            lambda: IterateState.initial(saddle),
+            lambda: IterateState(x=rng.standard_normal(saddle.num_primal), y=rng.standard_normal(saddle.num_dual)),
+        )
+        for build in builds:
+            freed = [np.full(size, np.nan) for _ in range(8)]
+            del freed
+            state = build()
+            buf = state.buffers
+            for copy in (buf.t, buf.prev, buf.anchor):
+                assert copy.tobytes() == buf.z.tobytes()
+            assert state.x is buf.z_parts[0] and state.y is buf.z_parts[1]
+            assert not buf.sums.any()
+
     def test_after_fixed_steps(self):
         saddle = scaled_saddle(0)
         state = IterateState.initial(saddle)
