@@ -86,8 +86,9 @@ def initialize_step_state(saddle, norm_k, step_policy, weight_policy):
     The halpern and fixed modes default to s = HALPERN_STEP_FRACTION /
     ||K|| and FIXED_STEP_FRACTION / ||K||, the one use of ``norm_k`` (it
     may be None otherwise); adaptive mode starts from s = 1 / max|K_ij| and
-    lets the rule take over.  The primal weight starts at ||c|| / ||q||
-    unless either norm is (near) zero.
+    lets the rule take over.  The primal weight starts at ||c|| / ||q||;
+    with q (near) zero it starts at ||c||, the start that measures x in
+    the units of c, and with c (near) zero at 1.
     """
     if step_policy.mode != "adaptive":
         fraction = HALPERN_STEP_FRACTION if step_policy.mode == "halpern" else FIXED_STEP_FRACTION
@@ -110,7 +111,12 @@ def initialize_step_state(saddle, norm_k, step_policy, weight_policy):
             # _norm keeps a long vector off BLAS's threads (sparse.dot)
             with np.errstate(over="ignore"):
                 norm_c, norm_q = _norm(saddle.c), _norm(saddle.q)
-            w = norm_c / norm_q if norm_c > 1e-12 and norm_q > 1e-12 else 1.0
+            if norm_c <= 1e-12:
+                w = 1.0
+            elif norm_q <= 1e-12:
+                w = norm_c
+            else:
+                w = norm_c / norm_q
     return StepState(step_size=s, primal_weight=w)
 
 

@@ -53,6 +53,14 @@ class TestInitialization:
         step = initialize_step_state(toy_saddle, 1.0, StepPolicy(), WeightPolicy())
         assert step.primal_weight == 1.0
 
+    def test_weight_from_cost_norm_for_zero_rhs(self):
+        # q = 0: the weight starts at ||c||, not 1, whatever the scale of c
+        problem = pl.LpProblem(c=[3.0, -4.0], ineq_matrix=[[1.0, 1.0]], ineq_rhs=[0.0])
+        step = initialize_step_state(pl.to_saddle(problem), 1.0, StepPolicy(), WeightPolicy())
+        assert step.primal_weight == 5.0
+        fixed = initialize_step_state(pl.to_saddle(problem), 1.0, StepPolicy(), WeightPolicy(mode="fixed"))
+        assert fixed.primal_weight == 1.0
+
     def test_unknown_mode(self, toy_saddle):
         with pytest.raises(pl.NonPositiveInput):
             initialize_step_state(toy_saddle, 1.0, StepPolicy(mode="huge"), WeightPolicy())
