@@ -60,7 +60,8 @@ STATUS_NUMERICAL_ERROR = "numerical_error"
 # verdict is returned
 CONFIRMATIONS_REQUIRED = 2
 
-# ARPACK's relative tolerance on ||K~||^2 for the spectral estimate
+# The Lanczos residual test's relative tolerance on ||K~||^2 for the spectral
+# estimate (``spectral_norm_estimate``)
 NORM_TOLERANCE = 1e-6
 
 # A normalized candidate ray that passes an infeasibility check at this loose

@@ -11,7 +11,7 @@ the Halpern step's two threads.
 runs numpy's einsum, not BLAS: OpenBLAS's dot kernel splits a vector of
 more than 10,000 entries across its own threads, and after that its worker
 thread spins on a second core for a while, which starves whatever else runs
-there (the step's own worker thread, ARPACK's BLAS).  A short vector stays
+there (the step's own worker thread).  A short vector stays
 on the calling thread, where BLAS's 0.4 us per call beats einsum's 1 us.
 """
 
@@ -259,63 +259,59 @@ class SpectralEstimate:
         )
 
 
-class _Stop(Exception):
-    """Raised inside the Lanczos operator once the budget or the deadline is spent."""
-
-
 def spectral_norm_estimate(matrix, tol=1e-4, max_iters=5000, seed=0, *, deadline=math.inf):
     """Estimate ||M||_2 as the square root of the top eigenvalue of M^T M
-    (or of M M^T, whichever is smaller), found by ARPACK's Lanczos method
-    from a standard normal vector drawn with ``seed``.
+    (or of M M^T, whichever is smaller), by the plain Lanczos recurrence,
+    without reorthogonalization, from a standard normal vector drawn with
+    ``seed``.
 
-    ``tol`` is ARPACK's relative tolerance on that eigenvalue.  Each
+    The top Ritz value theta rises to ||M||^2; it is taken, converged, once
+    ARPACK's test |beta_k s_k| <= tol * theta holds, s the Ritz vector (as
+    it does when beta_k = 0, for a single row or column at step 1).  Each
     product with the normal operator counts as one iteration; once
-    ``max_iters`` of them are spent, or ``time.perf_counter()`` reaches
-    ``deadline`` before a product, the largest ||M v|| / ||v|| seen so far
-    (a lower bound on the norm) is returned with ``converged=False``.
-    A matrix with a single row or column, where ARPACK has no room for a
-    Lanczos space, has its norm taken densely, as converged after 0
-    iterations.
+    ``max_iters`` are spent, or ``time.perf_counter()`` reaches ``deadline``
+    before a product, the largest ||M v|| over the unit Lanczos vectors (a
+    lower bound on the norm) is returned with ``converged=False``.
 
-    Deterministic for a given ``seed``.  The start is random, not all
-    ones: a part of M whose rows sum to zero (a difference row x_i - x_j)
-    is exactly 0 in M^T M 1 and stays 0 through every Lanczos vector, so a
-    ones start can converge to the norm of the rest of M and miss a larger
-    singular value held there.
+    The same bits for a given ``seed`` on any number of BLAS threads.  The
+    start is random, not all ones: a part of M whose rows sum to zero (a
+    difference row x_i - x_j) is exactly 0 in M^T M 1 and stays 0 through
+    every Lanczos vector, so a ones start can miss a larger singular value
+    held there.
     """
     rows, cols = matrix.shape
     if rows == 0 or cols == 0 or matrix.nnz == 0:
         return SpectralEstimate(0.0, True, 0)
-    if time.perf_counter() >= deadline:
-        return SpectralEstimate(0.0, False, 0)
-    if min(rows, cols) == 1:
-        return SpectralEstimate(np.linalg.norm(matrix.toarray(), 2), True, 0)
-    # imported here: the import takes tens of milliseconds, which a solve
-    # that never estimates the norm should not pay
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    # imported here: the import takes about 20 ms, which a solve that never
+    # estimates the norm should not pay
+    from scipy.linalg.lapack import dstebz, dstein
 
     dim = min(rows, cols)
     first, second = (matrix.matvec, matrix.rmatvec) if cols == dim else (matrix.rmatvec, matrix.matvec)
-    best = 0.0
-    applied = 0
-
-    def normal(v):
-        nonlocal best, applied
-        if applied >= max_iters or time.perf_counter() >= deadline:
-            raise _Stop
-        applied += 1
+    v = np.random.default_rng(seed).standard_normal(dim)
+    v /= math.sqrt(dot(v, v))
+    v_prev = np.zeros(dim)
+    alphas, betas = [], []
+    beta = 0.0
+    while len(alphas) < max_iters and time.perf_counter() < deadline:
         u = first(v)
-        # dot, not BLAS: numpy's BLAS threads and the BLAS that ARPACK
-        # calls contend for the cores when both are woken in turn
-        squares_v = dot(v, v)
-        if squares_v > 0.0:
-            best = max(best, math.sqrt(dot(u, u) / squares_v))
-        return second(u)
-
-    operator = LinearOperator((dim, dim), matvec=normal, dtype=np.float64)
-    start = np.random.default_rng(seed).standard_normal(dim)
-    try:
-        [value] = eigsh(operator, k=1, v0=start, tol=tol, return_eigenvectors=False)
-    except (_Stop, ArpackNoConvergence):
-        return SpectralEstimate(best, False, applied)
-    return SpectralEstimate(math.sqrt(max(float(value), 0.0)), True, applied)
+        alpha = dot(u, u)  # v' M^T M v, with ||v|| = 1
+        w = second(u)
+        w -= alpha * v
+        w -= beta * v_prev
+        alphas.append(alpha)
+        beta = math.sqrt(dot(w, w))
+        # the top Ritz pair as scipy.linalg.eigh_tridiagonal(select="i")
+        # finds it, without that function's 15 us of checks per call
+        k = len(alphas)
+        theta, last = alpha, 1.0
+        if k > 1:
+            _, top, block, split, _ = dstebz(alphas, betas, 3, 0.0, 0.0, k, k, 0.0, "B")
+            ritz, _ = dstein(alphas, betas, top[:1], block, split)
+            theta, last = float(top[0]), abs(float(ritz[-1, 0]))
+        if beta * last <= tol * theta:
+            return SpectralEstimate(math.sqrt(theta), True, k)
+        betas.append(beta)
+        v_prev, v = v, w
+        v /= beta
+    return SpectralEstimate(math.sqrt(max(alphas, default=0.0)), False, len(alphas))

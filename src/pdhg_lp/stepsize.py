@@ -31,8 +31,8 @@ STEP_MODES = ("halpern", "adaptive", "fixed")
 WEIGHT_MODES = ("adaptive", "fixed")
 
 # The constant steps as shares of 1 / ||K||.  Halpern's margin is the
-# spectral estimate's: ARPACK's 1e-6 tolerance on ||K||^2 keeps
-# 0.998 / estimate below 1 / ||K||.
+# spectral estimate's: its 1e-6 tolerance on ||K||^2 keeps 0.998 / estimate
+# below 1 / ||K||.
 HALPERN_STEP_FRACTION = 0.998
 FIXED_STEP_FRACTION = 0.9
 

@@ -628,7 +628,7 @@ class TestTrajectory:
         saddle = pl.apply_scaling(saddle0, scaling)
         norm_k = None
         if mode == "fixed":
-            norm_k = pl.spectral_norm_estimate(saddle.K, tol=1e-4, max_iters=5000, seed=0).value
+            norm_k = pl.spectral_norm_estimate(saddle.K, tol=pl.solver.NORM_TOLERANCE).value
         step = pl.initialize_step_state(saddle, norm_k, config.step, config.weight)
         state = pl.IterateState.initial(saddle)
         for _ in range(300):

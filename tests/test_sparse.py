@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 
 import pdhg_lp as pl
 
+from pdhg_lp import sparse as sparse_module
 from pdhg_lp import (
     DimensionMismatch,
     NonFiniteData,
@@ -221,14 +223,49 @@ class TestSpectralNorm:
             assert est.converged
             assert abs(est.value - 2.0) <= 1e-6
 
-    def test_dense_below_the_size_floor(self):
+    def test_single_row_or_column_in_one_step(self):
+        # the normal operator is 1 x 1: one Lanczos step spans its space,
+        # and the residual test stops there
         rng = np.random.default_rng(12)
-        dense = rng.standard_normal((40, 1))
-        mat = SparseMatrix(dense, shape=dense.shape)
-        est = spectral_norm_estimate(mat)
-        assert (est.converged, est.iterations) == (True, 0)
-        assert est.value == np.linalg.norm(dense, 2)
-        assert mat.matvec_calls == mat.rmatvec_calls == 0
+        for shape in ((40, 1), (1, 40)):
+            dense = rng.standard_normal(shape)
+            mat = SparseMatrix(dense, shape=dense.shape)
+            est = spectral_norm_estimate(mat)
+            assert (est.converged, est.iterations) == (True, 1)
+            assert est.value == pytest.approx(np.linalg.norm(dense, 2), rel=1e-14)
+            assert mat.matvec_calls == mat.rmatvec_calls == 1
+
+    def test_matches_dense_norm_at_the_solver_tolerance(self):
+        rng = np.random.default_rng(14)
+        shapes = [(1, 25), (25, 1), (2, 2), (3, 40), (40, 3)]
+        shapes += [tuple(int(d) for d in rng.integers(2, 60, size=2)) for _ in range(20)]
+        for shape in shapes:
+            dense = rng.standard_normal(shape) * (rng.random(shape) < 0.5)
+            if not dense.any():
+                continue
+            exact = np.linalg.norm(dense, 2)
+            est = spectral_norm_estimate(SparseMatrix(dense, shape=shape), tol=1e-6)
+            assert est.converged
+            assert abs(est.value - exact) <= 1e-6 * exact
+
+    @pytest.mark.parametrize("stop", ["max_iters", "deadline"])
+    def test_stop_returns_a_lower_bound(self, stop, monkeypatch):
+        # the largest ||M v|| over the unit Lanczos vectors seen: at most the norm
+        n = 400
+        sigma = 1.0 - 0.03 * np.linspace(0.0, 2.0, n) ** 0.5
+        mat = SparseMatrix(sp.diags(sigma) @ sp.random(n, n, density=0.02, random_state=3) + sp.eye(n))
+        exact = np.linalg.norm(mat.toarray(), 2)
+        full = spectral_norm_estimate(mat, tol=1e-12)
+        assert full.iterations > 5
+        if stop == "max_iters":
+            est = spectral_norm_estimate(mat, tol=1e-12, max_iters=5)
+        else:
+            # a clock that ticks once a reading passes the deadline after five products
+            ticks = iter(range(10**6))
+            monkeypatch.setattr(sparse_module, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+            est = spectral_norm_estimate(mat, tol=1e-12, deadline=4.5)
+        assert (est.converged, est.iterations) == (False, 5)
+        assert 0.0 < est.value <= exact
 
     def test_either_normal_operator(self):
         # the Lanczos run takes M^T M or M M^T, whichever is smaller
