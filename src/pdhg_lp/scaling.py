@@ -1,4 +1,5 @@
-"""Diagonal preconditioning: Ruiz equilibration and Pock-Chambolle scaling.
+"""Diagonal preconditioning: a log-mean pass, Ruiz equilibration and
+Pock-Chambolle scaling.
 
 A rescaling is stored as positive diagonal vectors (row_scale, col_scale)
 such that the solver works with K~ = D1 K D2 where D1 = diag(row_scale) and
@@ -24,8 +25,12 @@ import numpy as np
 from .exceptions import DimensionMismatch, NonPositiveInput
 from .sparse import SparseMatrix
 
-# The named pipelines combined_rescale builds, and SolverConfig.scaling takes.
-SCALING_MODES = ("none", "ruiz", "pc", "ruiz+pc")
+# The named pipelines combined_rescale builds, and SolverConfig.scaling takes,
+# and the default of both.  The log-mean pass makes the default's result
+# independent of the rows' scale; a fixed primal weight is not independent of
+# scale, so the fixed-weight presets take "ruiz+pc".
+SCALING_MODES = ("none", "ruiz", "pc", "ruiz+pc", "logmean+ruiz+pc")
+DEFAULT_SCALING = "logmean+ruiz+pc"
 
 # A matrix with fewer nonzeros keeps its row order.  Scaled PageRank K on a
 # 2-core AMD EPYC (numpy 2.4, scipy 1.17), ordered against not: K x takes
@@ -90,14 +95,16 @@ def length_order(matrix, m1):
     return np.concatenate([np.argsort(-blocks[0], kind="stable"), m1 + np.argsort(-blocks[1], kind="stable")])
 
 
-def ruiz_rescale(matrix, num_iters=10, *, deadline=math.inf):
-    """Iterative Ruiz equilibration.
+def ruiz_rescale(matrix, num_iters=10, *, log_mean=False, deadline=math.inf):
+    """Iterative Ruiz equilibration, after one log-mean pass if ``log_mean``.
 
     Each sweep divides every row and column by the square root of its
     infinity norm, both norms measured on the current rescaled matrix.
-    Empty rows/columns keep scale 1.  Returns the accumulated ScalingInfo,
-    of fewer sweeps when ``time.perf_counter()`` reaches ``deadline``
-    before one.
+    The log-mean pass (``_log_mean_pass``) gives the sweeps their start, as
+    if they ran on the matrix it scales, without a scaled copy.  Empty
+    rows/columns keep scale 1.  Returns the accumulated ScalingInfo, of
+    fewer sweeps when ``time.perf_counter()`` reaches ``deadline`` before
+    one.
     """
     if num_iters < 0:
         raise NonPositiveInput("num_iters must be >= 0")
@@ -106,15 +113,40 @@ def ruiz_rescale(matrix, num_iters=10, *, deadline=math.inf):
     d2 = np.ones(n)
     # the deadline is checked before the triplets are built too: at n=1e5
     # they take about 1 ms
-    if matrix.nnz == 0 or num_iters == 0 or time.perf_counter() >= deadline:
+    if matrix.nnz == 0 or (num_iters == 0 and not log_mean) or time.perf_counter() >= deadline:
         return ScalingInfo(d1, d2)
     coo = matrix.tocoo()
     rows, cols, vals = coo.row, coo.col, np.abs(coo.data)
+    if log_mean:
+        d1, d2 = _log_mean_pass(rows, cols, vals, m, n)
     for _ in range(num_iters):
         if time.perf_counter() >= deadline:
             break
         d1, d2 = _ruiz_sweep(rows, cols, vals, d1, d2)
     return ScalingInfo(d1, d2)
+
+
+def _log_mean_pass(rows, cols, vals, m, n):
+    """One block step of Curtis-Reid scaling (Curtis & Reid, IMA J. Appl.
+    Math. 10, 1972) over the COO triplets of |M|: (d1, d2) = 2^-(row
+    shift), 2^-(column shift), where a row's shift is the mean of log2|M_ij|
+    over its nonzeros, and a column's the mean of what is left after the
+    row shifts.  A factor s on row i moves its shift by log2 s, so the pass
+    takes out any row scale; empty rows and columns keep 1.
+
+    The whole part of a row's shift is taken from the binary exponents
+    first, in exact arithmetic, so that a power-of-two row scale moves d1
+    by exactly that power and leaves every other bit of the pass alone."""
+    whole = np.floor(_mean_by(rows, np.frexp(vals)[1], m)).astype(np.int32)
+    logs = np.log2(np.ldexp(vals, -whole[rows]))
+    row_shift = _mean_by(rows, logs, m)
+    logs -= row_shift[rows]
+    return np.ldexp(np.exp2(-row_shift), -whole), np.exp2(-_mean_by(cols, logs, n))
+
+
+def _mean_by(index, values, size):
+    """The mean of ``values`` over each index in range(size), 0 where none."""
+    return np.bincount(index, values, size) / np.maximum(np.bincount(index, minlength=size), 1)
 
 
 def _ruiz_sweep(rows, cols, vals, d1, d2):
@@ -145,11 +177,12 @@ def pock_chambolle_rescale(matrix, alpha=1.0):
     return ScalingInfo(d1, d2)
 
 
-def combined_rescale(matrix, mode="ruiz+pc", ruiz_iters=10, pc_alpha=1.0, *, m1=None, deadline=math.inf):
+def combined_rescale(matrix, mode=DEFAULT_SCALING, ruiz_iters=10, pc_alpha=1.0, *, m1=None, deadline=math.inf):
     """Build the scaling for a named pipeline.
 
     ``ruiz+pc`` runs Ruiz sweeps and then one Pock-Chambolle pass on the
-    Ruiz-scaled matrix, composing both into a single ScalingInfo.  Given
+    Ruiz-scaled matrix, composing both into a single ScalingInfo;
+    ``logmean+ruiz+pc`` runs the log-mean pass first (``ruiz_rescale``).  Given
     ``m1``, the number of sign-constrained rows, the result also carries
     ``length_order(matrix, m1)``; without it the rows keep their order.
     ``deadline`` stops the Ruiz sweeps as in ``ruiz_rescale``; once
@@ -159,8 +192,8 @@ def combined_rescale(matrix, mode="ruiz+pc", ruiz_iters=10, pc_alpha=1.0, *, m1=
     if mode not in SCALING_MODES:
         raise NonPositiveInput(f"unknown scaling mode {mode!r}")
     first = None
-    if mode in ("ruiz", "ruiz+pc"):
-        first = ruiz_rescale(matrix, ruiz_iters, deadline=deadline)
+    if "ruiz" in mode:
+        first = ruiz_rescale(matrix, ruiz_iters, log_mean=mode.startswith("logmean"), deadline=deadline)
     if time.perf_counter() >= deadline:
         return ScalingInfo.identity(matrix.shape)
     if mode == "none":

@@ -33,7 +33,7 @@ from .pdhg import IterateState, fixed_point_residual, halpern_step, pdhg_step
 from .problem import to_saddle, validate
 from . import restarts, stepsize
 from .restarts import RestartConfig, apply_restart, normalized_duality_gap, should_restart
-from .scaling import SCALING_MODES, ScalingInfo, apply_scaling, combined_rescale, unscale_solution
+from .scaling import DEFAULT_SCALING, SCALING_MODES, ScalingInfo, apply_scaling, combined_rescale, unscale_solution
 from .sparse import dot, spectral_norm_estimate
 from .stepsize import StepPolicy, WeightPolicy, adaptive_step, initialize_step_state, update_primal_weight
 from .termination import (
@@ -81,7 +81,7 @@ _INFEASIBILITY_VERDICTS = (
 @dataclass(frozen=True)
 class SolverConfig:
     termination: TerminationCriteria = field(default_factory=TerminationCriteria)
-    scaling: str = "ruiz+pc"  # one of SCALING_MODES
+    scaling: str = DEFAULT_SCALING  # one of SCALING_MODES
     ruiz_iterations: int = 10
     pc_alpha: float = 1.0
     restart: RestartConfig = field(default_factory=RestartConfig)

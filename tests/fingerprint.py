@@ -12,7 +12,8 @@ which moved, and a digest of all solve lines comes last.  Two commits that
 print the same lines run the same arithmetic on these inputs.
 
 Configs: the default (reflected Halpern), the fixed step with a fixed
-weight (``small-lp-fixed-step``'s config in the benchmark), the fixed step
+weight (``small-lp-fixed-step``'s step and weight in the benchmark, which
+takes ``"ruiz+pc"`` scaling where this takes the default), the fixed step
 with the adaptive weight, and the adaptive step.  Problems: the 20
 criterion-8 LPs, the planted unbounded and infeasible LPs of seeds 0-3, the
 three toys, and one PageRank with n = 30,000, whose 2.4e5 nonzeros take the

@@ -15,7 +15,10 @@ reader is checked along with the solver.  Per case:
 - the problem after ``write_mps`` and ``parse_mps`` gets the same verdict.
 
 Feasibility is planted in about two thirds of the cases: the right-hand
-sides are built around an integer point in the box.
+sides are built around an integer point in the box.  A second test takes
+the same cases in other units: each row (coefficients, rhs, range) and the
+cost multiplied by a power of two 2^e, e in [-12, 12], which changes
+neither HiGHS's verdict nor, but for the factor, its objective.
 """
 
 import numpy as np
@@ -32,16 +35,16 @@ RAY_GAIN = 1e-6
 
 FIXED_STEP = pl.SolverConfig(step=pl.StepPolicy(mode="fixed"))
 
-coefficients = st.integers(-4, 4)
-
-
 @st.composite
-def lp_cases(draw):
+def lp_cases(draw, columns=(1, 6), max_rows=6, coefficient=4):
     """Raw data of a small LP, (cost, rows, bounds, sense, offset), with
     rows as (kind, coefficients, rhs, range or None) and bounds as (lower,
-    upper) with None for no bound; and whether to run the fixed step too."""
-    n = draw(st.integers(1, 6))
-    num_rows = draw(st.integers(0, 6))
+    upper) with None for no bound; and whether to run the fixed step too.
+    ``columns`` bounds the column count, and the coefficients are integers
+    up to ``coefficient`` in magnitude."""
+    coefficients = st.integers(-coefficient, coefficient)
+    n = draw(st.integers(*columns))
+    num_rows = draw(st.integers(0, max_rows))
     planted = draw(st.sampled_from((True, True, False)))
     bounds = []
     for _ in range(n):
@@ -151,11 +154,32 @@ def highs_verdict(cost, rows, bounds, sense, offset):
     return "unbounded", None  # a feasible LP that is not bounded
 
 
-def assert_farkas(problem, y):
+def scaled(case, row_exponents, cost_exponent):
+    """The case with row i (coefficients, rhs, range) times 2^row_exponents[i]
+    and the cost times 2^cost_exponent: the same LP in other units."""
+    cost, rows, bounds, sense, offset, also_fixed = case
+    rows = [
+        (kind, [a * 2.0**e for a in coef], rhs * 2.0**e, None if span is None else span * 2.0**e)
+        for (kind, coef, rhs, span), e in zip(rows, row_exponents)
+    ]
+    return [c * 2.0**cost_exponent for c in cost], rows, bounds, sense, offset, also_fixed
+
+
+@st.composite
+def scaled_lp_cases(draw):
+    """A larger ``lp_cases`` draw, 4-20 columns, up to 20 rows and
+    coefficients in [-6, 6], and an exponent in [-12, 12] for each of its
+    rows and for its cost."""
+    case = draw(lp_cases(columns=(4, 20), max_rows=20, coefficient=6))
+    exponent = st.integers(-12, 12)
+    return case, [draw(exponent) for _ in case[1]], draw(exponent)
+
+
+def assert_farkas(problem, y, gain=RAY_GAIN):
     """The unit dual ray y proves {G x >= h, A x = b, l <= x <= u} empty:
     y's G part is nonnegative, and y'(h, b) exceeds the largest value of
-    (K'y)'x over the box, where an entry of K'y is a free direction only up
-    to the tolerance."""
+    (K'y)'x over the box by ``gain``, where an entry of K'y is a free
+    direction only up to the tolerance."""
     g, a = problem.ineq_matrix.toarray(), problem.eq_matrix.toarray()
     k, q, m1 = np.vstack((g, a)), np.concatenate((problem.ineq_rhs, problem.eq_rhs)), g.shape[0]
     assert abs(np.linalg.norm(y) - 1.0) <= 1e-12
@@ -168,29 +192,29 @@ def assert_farkas(problem, y):
             top += r_j * side
         else:
             assert abs(r_j) <= RAY_TOLERANCE
-    assert q @ y - top >= RAY_GAIN
+    assert q @ y - top >= gain
 
 
-def assert_unbounded_ray(problem, d):
+def assert_unbounded_ray(problem, d, gain=RAY_GAIN):
     """The unit primal ray d keeps every row and bound satisfied, G d >= 0,
     A d = 0 and d in the box's recession cone, and lowers the internal
-    (minimized) objective c'x."""
+    (minimized) objective c'x by ``gain``."""
     assert abs(np.linalg.norm(d) - 1.0) <= 1e-12
     assert (problem.ineq_matrix.toarray() @ d).min(initial=0.0) >= -RAY_TOLERANCE
     assert np.abs(problem.eq_matrix.toarray() @ d).max(initial=0.0) <= RAY_TOLERANCE
     assert d[np.isfinite(problem.lower)].min(initial=0.0) >= -RAY_TOLERANCE
     assert d[np.isfinite(problem.upper)].max(initial=0.0) <= RAY_TOLERANCE
-    assert problem.c @ d <= -RAY_GAIN
+    assert problem.c @ d <= -gain
 
 
-def verdict(problem, config=None):
+def verdict(problem, config=None, gain=RAY_GAIN):
     """solve's (status, objective or None), after its certificate, if any,
-    passes the re-check of its kind."""
+    passes the re-check of its kind with ``gain``."""
     report = pl.solve(problem, config)
     if report.status == pl.STATUS_PRIMAL_INFEASIBLE:
-        assert_farkas(problem, report.certificate["ray"])
+        assert_farkas(problem, report.certificate["ray"], gain)
     elif report.status == pl.STATUS_DUAL_INFEASIBLE:
-        assert_unbounded_ray(problem, report.certificate["ray"])
+        assert_unbounded_ray(problem, report.certificate["ray"], gain)
     else:
         assert report.status == pl.STATUS_OPTIMAL, report.reason
         return report.status, report.objective_value
@@ -225,3 +249,21 @@ def test_verdicts_agree_with_highs(case):
         assert abs(again[1] - got[1]) <= 1e-6 * (1.0 + abs(got[1]))
     if also_fixed:
         assert_agrees(verdict(problem, FIXED_STEP), want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scaled_lp_cases())
+def test_verdicts_agree_with_highs_in_any_units(draw):
+    # HiGHS solves the case as drawn; a ray's gain floor shrinks with the
+    # smallest factor, since a unit ray of the scaled data is the scaled
+    # image of a ray of the drawn data
+    case, row_exponents, cost_exponent = draw
+    kind, value = highs_verdict(*case[:5])
+    offset = case[4]
+    want = kind, None if value is None else 2.0**cost_exponent * (value - offset) + offset
+    cost, rows, bounds, sense, offset, also_fixed = scaled(case, row_exponents, cost_exponent)
+    problem = pl.parse_mps(to_mps(cost, rows, bounds, sense, offset))
+    gain = RAY_GAIN * 2.0 ** min(row_exponents + [cost_exponent])
+    assert_agrees(verdict(problem, gain=gain), want)
+    if also_fixed:
+        assert_agrees(verdict(problem, FIXED_STEP, gain), want)

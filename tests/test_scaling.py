@@ -54,6 +54,48 @@ class TestRuiz:
             pl.ruiz_rescale(mat, num_iters=-1)
 
 
+class TestLogMean:
+    """The log-mean pass that the default mode runs before Ruiz."""
+
+    def test_closed_form(self):
+        # row shift mean(log2 2, log2 8) = 2, column shifts -1 and 1; the
+        # empty row and column keep 1
+        mat = SparseMatrix(np.array([[2.0, 8.0, 0.0], [0.0, 0.0, 0.0]]), shape=(2, 3))
+        scaling = pl.ruiz_rescale(mat, 0, log_mean=True)
+        np.testing.assert_array_equal(scaling.row_scale, [0.25, 1.0])
+        np.testing.assert_array_equal(scaling.col_scale, [2.0, 0.5, 1.0])
+
+    def test_row_scales_taken_out(self):
+        rng = np.random.default_rng(31)
+        mat = random_matrix(rng, 9, 12, spread=3.0)
+        base = pl.ruiz_rescale(mat, 0, log_mean=True)
+        # a power of two moves the row factor by exactly its inverse
+        powers = 2.0 ** rng.integers(-30, 30, 9)
+        exact = pl.ruiz_rescale(mat.scaled(powers, np.ones(12)), 0, log_mean=True)
+        assert (exact.row_scale * powers).tobytes() == base.row_scale.tobytes()
+        assert exact.col_scale.tobytes() == base.col_scale.tobytes()
+        # any other factor up to rounding
+        factors = rng.uniform(1e-6, 1e6, 9)
+        near = pl.ruiz_rescale(mat.scaled(factors, np.ones(12)), 0, log_mean=True)
+        np.testing.assert_allclose(near.row_scale * factors, base.row_scale, rtol=1e-12)
+        np.testing.assert_allclose(near.col_scale, base.col_scale, rtol=1e-12)
+
+    def test_ruiz_runs_as_on_the_prescaled_matrix(self):
+        rng = np.random.default_rng(32)
+        mat = random_matrix(rng, 7, 5)
+        first = pl.ruiz_rescale(mat, 0, log_mean=True)
+        then = pl.ruiz_rescale(mat.scaled(first.row_scale, first.col_scale), 10)
+        both = pl.ruiz_rescale(mat, 10, log_mean=True)
+        np.testing.assert_allclose(both.row_scale, first.row_scale * then.row_scale, rtol=1e-14)
+        np.testing.assert_allclose(both.col_scale, first.col_scale * then.col_scale, rtol=1e-14)
+        combined = pl.combined_rescale(mat, mode="logmean+ruiz+pc")
+        pc = pl.pock_chambolle_rescale(mat.scaled(both.row_scale, both.col_scale))
+        np.testing.assert_allclose(combined.row_scale, both.row_scale * pc.row_scale, rtol=1e-14)
+
+    def test_the_default_mode(self):
+        assert pl.SolverConfig().scaling == scaling_module.DEFAULT_SCALING == "logmean+ruiz+pc"
+
+
 class TestPockChambolle:
     def test_closed_form_all_ones(self):
         # row sums and column sums of |K| are both 2, so every scale is 1/sqrt(2)

@@ -526,7 +526,8 @@ class TestScalingDeadline:
     def test_nothing_built_after_the_deadline(self, monkeypatch, mode):
         # a Ruiz sweep runs past the deadline (or it has passed before the
         # start); then combined_rescale returns the identity without the
-        # Ruiz-scaled copy, the Pock-Chambolle pass or the row order
+        # Ruiz-scaled copy, the Pock-Chambolle pass or the row order; the
+        # log-mean pass builds no copy of its own
         saddle = pl.to_saddle(pl.generate_pagerank(pl.PagerankSpec(num_nodes=3000)))
         assert saddle.K.nnz >= ROW_ORDER_MIN_NNZ
         real_sweep = scaling_module._ruiz_sweep
@@ -558,7 +559,7 @@ class TestScalingDeadline:
         pl.combined_rescale(saddle.K, mode=mode, m1=saddle.m1)
         assert calls.count("length_order") == 1
         assert calls.count("pock_chambolle_rescale") == ("pc" in mode)
-        assert calls.count("scaled") == (mode == "ruiz+pc")
+        assert calls.count("scaled") == mode.endswith("ruiz+pc")
 
     def test_ruiz_stops_between_sweeps(self, monkeypatch):
         sweeps = []
@@ -575,6 +576,7 @@ class TestScalingDeadline:
         real_tocoo = pl.SparseMatrix.tocoo
         monkeypatch.setattr(pl.SparseMatrix, "tocoo", lambda self: triplets.append(self) or real_tocoo(self))
         assert pl.ruiz_rescale(matrix, 10, deadline=time.perf_counter()).is_identity
+        assert pl.ruiz_rescale(matrix, 10, log_mean=True, deadline=time.perf_counter()).is_identity
         assert sweeps == [] and triplets == []
         full = pl.ruiz_rescale(matrix, 10, deadline=math.inf)
         assert len(sweeps) == 10 and triplets == [matrix]
@@ -607,8 +609,8 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
     def test_driver_reproduces_scaled_steps_exactly(self, mode):
-        # the plain-iteration check above, on a criterion-8 LP scaled by
-        # ruiz+pc under either step rule: solve's loop (one error state per
+        # the plain-iteration check above, on a criterion-8 LP under the
+        # default scaling and either step rule: solve's loop (one error state per
         # solve, cached check constants) moves the iterate exactly as the
         # public step functions do
         problem = random_feasible_lp(3)
@@ -624,7 +626,7 @@ class TestTrajectory:
         assert report.iterations == 300
 
         saddle0 = pl.to_saddle(problem)
-        scaling = pl.combined_rescale(saddle0.K, mode="ruiz+pc")
+        scaling = pl.combined_rescale(saddle0.K)
         saddle = pl.apply_scaling(saddle0, scaling)
         norm_k = None
         if mode == "fixed":
@@ -930,6 +932,48 @@ class TestScaleInvariance:
         # rows 2^23 times the cost, ran to 250,000 iterations uncertified
         config = pl.SolverConfig(termination=pl.TerminationCriteria(iteration_limit=2_000))
         report = pl.solve(unbounded_lp_with_zero_rhs(2.0**11, 2.0**-12), config)
+        assert report.status == pl.STATUS_DUAL_INFEASIBLE
+        assert report.iterations <= 1_000
+
+    @staticmethod
+    def unbounded_lp_with_scaled_rows(s0, s1, s2):
+        """Rows s0 (x1 - 4x2) <= 0, s1 (-x0 + 3x1 - 6x2) = 24 s1 and
+        s2 (-2x1 - 2x2 + x3) in [7.5 s2, 9.5 s2]; x0 = 1, x1 >= 0, x2 and x3
+        free; min -3x0 + 2x1 + 5x2 - 3x3 + 5.  Unbounded."""
+        ranged = np.array([0.0, -2.0, -2.0, 1.0])
+        return pl.LpProblem(
+            c=[-3.0, 2.0, 5.0, -3.0],
+            ineq_matrix=np.array([[0.0, -s0, 4.0 * s0, 0.0], s2 * ranged, -s2 * ranged]),
+            ineq_rhs=[0.0, 7.5 * s2, -9.5 * s2],
+            eq_matrix=s1 * np.array([[-1.0, 3.0, -6.0, 0.0]]),
+            eq_rhs=[24.0 * s1],
+            lower=[1.0, 0.0, -np.inf, -np.inf],
+            upper=[1.0, np.inf, np.inf, np.inf],
+            objective_offset=5.0,
+        )
+
+    @pytest.mark.parametrize("scales", [(1.0, 1.0, 4096.0), (1.0, 2.0**-7, 4096.0)])
+    def test_power_of_two_row_scales_move_no_bit_of_the_iterates(self, scales):
+        # the log-mean pass takes the row scale out before Ruiz, which on its
+        # own found another equilibrium here: 95,104 and 196,864 iterations
+        # at these scales against 448 at (1, 1, 1)
+        config = pl.SolverConfig(
+            termination=pl.TerminationCriteria(tol_optimal=0.0, iteration_limit=512),
+            detect_infeasibility=False,
+        )
+        plain = pl.solve(self.unbounded_lp_with_scaled_rows(1.0, 1.0, 1.0), config)
+        scaled = pl.solve(self.unbounded_lp_with_scaled_rows(*scales), config)
+        s0, s1, s2 = scales
+        assert scaled.x.tobytes() == plain.x.tobytes()
+        assert (scaled.y * np.array([s0, s2, s2, s1])).tobytes() == plain.y.tobytes()
+        assert (scaled.step_size, scaled.primal_weight) == (plain.step_size, plain.primal_weight)
+
+    @pytest.mark.parametrize("scales", [(1.0, 1.0, 1.0), (1.0, 1.0, 4096.0), (1.0, 2.0**-7, 4096.0)])
+    def test_scaled_rows_certified(self, scales):
+        # the certificate test reads K d on the original rows, so a larger
+        # row needs a ray that is closer: 320, 448 and 448 iterations
+        config = pl.SolverConfig(termination=pl.TerminationCriteria(iteration_limit=2_000))
+        report = pl.solve(self.unbounded_lp_with_scaled_rows(*scales), config)
         assert report.status == pl.STATUS_DUAL_INFEASIBLE
         assert report.iterations <= 1_000
 
