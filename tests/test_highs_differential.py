@@ -258,10 +258,9 @@ def test_verdicts_agree_with_highs_in_any_units(draw):
     # smallest factor, since a unit ray of the scaled data is the scaled
     # image of a ray of the drawn data
     case, row_exponents, cost_exponent = draw
-    kind, value = highs_verdict(*case[:5])
-    offset = case[4]
-    want = kind, None if value is None else 2.0**cost_exponent * (value - offset) + offset
     cost, rows, bounds, sense, offset, also_fixed = scaled(case, row_exponents, cost_exponent)
+    kind, value = highs_verdict(*case[:5])
+    want = kind, None if value is None else 2.0**cost_exponent * (value - offset) + offset
     problem = pl.parse_mps(to_mps(cost, rows, bounds, sense, offset))
     gain = RAY_GAIN * 2.0 ** min(row_exponents + [cost_exponent])
     assert_agrees(verdict(problem, gain=gain), want)

@@ -911,27 +911,27 @@ class TestLogging:
         np.testing.assert_array_equal(logged.y, quiet.y)
 
 
-def unbounded_lp_with_zero_rhs(row_scale, cost_scale):
-    """min cost_scale (3x0 - 5x1 + 2x2) s.t. row_scale (3x0 - 5x1 + 4x2) >= 0,
-    x0 free, x1 = -1, x2 >= 0: unbounded along (-4, 0, 3), and q = 0."""
-    return pl.LpProblem(
-        c=cost_scale * np.array([3.0, -5.0, 2.0]),
-        ineq_matrix=row_scale * np.array([[3.0, -5.0, 4.0]]),
-        ineq_rhs=[0.0],
-        lower=[-np.inf, -1.0, 0.0],
-        upper=[np.inf, -1.0, np.inf],
-    )
-
-
 class TestScaleInvariance:
     """Rescaling the data's rows or its cost changes the LP's units, not
     the solve."""
+
+    @staticmethod
+    def unbounded_lp_with_zero_rhs(row_scale, cost_scale):
+        """min cost_scale (3x0 - 5x1 + 2x2) s.t. row_scale (3x0 - 5x1 + 4x2)
+        >= 0, x0 free, x1 = -1, x2 >= 0: unbounded along (-4, 0, 3), and q = 0."""
+        return pl.LpProblem(
+            c=cost_scale * np.array([3.0, -5.0, 2.0]),
+            ineq_matrix=row_scale * np.array([[3.0, -5.0, 4.0]]),
+            ineq_rhs=[0.0],
+            lower=[-np.inf, -1.0, 0.0],
+            upper=[np.inf, -1.0, np.inf],
+        )
 
     def test_zero_rhs_certified_whatever_the_cost_scale(self):
         # with q = 0 the weight started at 1 whatever ||c~||, and this LP,
         # rows 2^23 times the cost, ran to 250,000 iterations uncertified
         config = pl.SolverConfig(termination=pl.TerminationCriteria(iteration_limit=2_000))
-        report = pl.solve(unbounded_lp_with_zero_rhs(2.0**11, 2.0**-12), config)
+        report = pl.solve(self.unbounded_lp_with_zero_rhs(2.0**11, 2.0**-12), config)
         assert report.status == pl.STATUS_DUAL_INFEASIBLE
         assert report.iterations <= 1_000
 
