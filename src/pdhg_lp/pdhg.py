@@ -13,11 +13,12 @@ reflected Halpern mix (Lu & Yang, arXiv 2407.16144)
 
 with z_0 the epoch's anchor.  Both form T in one loop (``_steps``), the
 reflection 2 x+ - x before the product, so they keep no K x and a step
-costs one matvec and one rmatvec; on a large K ``halpern_step`` runs on two
-threads instead.  The adaptive rule in ``stepsize.py`` takes one step per
-call, from ``step_gradient``, ``trial_step`` (the trial point, its movement
-and interaction) and ``accept_step`` (the commit, weighted by the step
-size); its interaction needs K x+ - K x, so it alone caches K x.
+costs one matvec and one rmatvec; on a large K both run on two threads,
+through the same side functions.  The adaptive rule in ``stepsize.py``
+takes one step per call, from ``step_gradient``, ``trial_step`` (the trial
+point, its movement and interaction) and ``accept_step`` (the commit,
+weighted by the step size); its interaction needs K x+ - K x, so it alone
+caches K x.
 
 The kernels keep z, the iterate a step replaced, the epoch's anchor, its
 running sum and the restart candidate in one layout (``StepBuffers``):
@@ -38,7 +39,8 @@ constants, s / w and s w are made once per StepState, and Halpern's
 (k + 1) / (k + 2) and k + 2 are written into arrays kept for them
 (``StepBuffers``).  The finiteness test sums the new iterate's entries by a
 BLAS dot with a ones vector (``StepBuffers.entry_sum``: up to DOT_BLAS_MAX
-entries, and by ``np.add.reduce`` above); a NaN or infinite entry makes
+entries, and by ``np.add.reduce`` above; with two row blocks each half
+reduces its own part, on its own thread); a NaN or infinite entry makes
 that sum non-finite, and only then are the entries scanned, so finite
 entries whose sum overflows pass.  Under Halpern the new iterate is the
 mix, whose reflection can overflow where T(z) does not.  These are the same
@@ -73,6 +75,7 @@ from .sparse import DOT_BLAS_MAX, ROW_WEIGHT, dot
 # converting a Python float (module docstring)
 _TWO, _ZERO = np.array(2.0), np.array(0.0)
 _TWO.flags.writeable = _ZERO.flags.writeable = False
+_add, _subtract, _multiply, _divide, _maximum = np.add, np.subtract, np.multiply, np.divide, np.maximum
 
 
 @dataclass(frozen=True)
@@ -110,8 +113,8 @@ class StepBuffers:
                 average; a PDHG step leaves it alone; the adaptive rule
                 keeps the gradient c - K'y in its x part and K x+ - K x in
                 its y part.  ``head``, the first m1 entries of its y part,
-                is made at the first one-block Halpern step, for that
-                saddle's m1, and kept (None before)
+                is made at the first one-block Halpern step with m1 > 0,
+                for that saddle's m1, and kept (None before)
         r       the reflection: its x part 2 x_T - x under every constant
                 step, its y part 2 y_T - y under Halpern; the adaptive
                 rule's displacement; parts ``dx``/``dy``.  After the step,
@@ -131,8 +134,9 @@ class StepBuffers:
     first iterate, so that a check before the first step reads that point,
     and fills ``sums``.
 
-    ``part``, length n: the second row block's part of K'y when K is split
-    in two (``halpern_step``).
+    ``part``, length n: the second row block's part of K'y when K's rows
+    come in two blocks, then the x mix's spare (``_steps``, under both
+    constant steps).
 
     The scalar operands of ``_steps``, as float64 0-d arrays (module
     docstring), and its finiteness sum:
@@ -347,8 +351,8 @@ def pdhg_step(state, saddle, step, *, errstate=True, count=1, t_start=0.0, time_
     Each step moves z to T(z) (module docstring), and each iterate joins
     the running average with weight 1.  Before each step after the first,
     the stretch ends early once ``time.perf_counter() - t_start >=
-    time_limit``, the test ``solve`` makes between steps.  The stretch runs
-    on all of K even when its rows come in two blocks.  After the call
+    time_limit``, the test ``solve`` makes between steps.  With K's rows in
+    two blocks the steps run on two threads (``_steps``).  After the call
     ``buffers.prev_parts`` hold the iterate the last step replaced, and the
     K x cache is None.  If step j's point is not finite, NonFiniteIterate is
     raised and the state holds step j - 1's iterate, counts, sums and cache.
@@ -362,11 +366,7 @@ def pdhg_step(state, saddle, step, *, errstate=True, count=1, t_start=0.0, time_
             )
     if count < 1:
         raise NonPositiveInput(f"count must be at least 1, got {count}")
-    blocks = saddle.K.row_blocks()
-    if len(blocks) > 1:  # the two blocks share indices and data and split indptr
-        (_, indptr, indices, data), (_, tail, _, _) = blocks
-        blocks = ((None, np.concatenate((indptr[:-1], tail)), indices, data),)
-    return _steps(state, saddle, step, blocks[0], count, False, t_start, time_limit)
+    return _steps(state, saddle, step, count, False, t_start, time_limit)
 
 
 def halpern_step(state, saddle, step, *, errstate=True):
@@ -386,129 +386,93 @@ def halpern_step(state, saddle, step, *, errstate=True):
     ``buffers.x``/``buffers.y`` hold T(z_k), ``buffers.prev_parts`` hold
     z_k and the state's x and y are the parts of ``buffers.z``.  The K x
     cache is dropped.  Raises NonFiniteIterate, the iterate untouched, when
-    z_{k+1} is not finite.  ``errstate`` as for ``pdhg_step``.
-
-    With one row block the step is ``_steps``'s.  With two (K's
-    ``row_blocks``) it runs in three phases: the blocks' parts of K'y; the x
-    side over two column ranges; K r and the y side over the row blocks of
-    ``row_blocks(ROW_WEIGHT)``.  The worker thread (``_worker``) runs the
-    second half of each phase while the caller runs the first, or, with one
-    CPU, the caller runs both in turn: the same arithmetic, the same bits.
-    The worker runs only scipy kernels and numpy ufuncs on disjoint slices,
-    never a function a tracer could wrap.
+    z_{k+1} is not finite.  With K's rows in two blocks the step runs on
+    two threads (``_steps``).  ``errstate`` as for ``pdhg_step``.
     """
     if errstate:
         with np.errstate(over="ignore", invalid="ignore"):
             return halpern_step(state, saddle, step, errstate=False)
-    k_mat = saddle.K
-    blocks = k_mat.row_blocks()
-    if len(blocks) == 1:
-        return _steps(state, saddle, step, blocks[0], 1, True)
-    n = k_mat.shape[1]
-    buf = _buffers(state)
-    k = state.inner_count
-    x, y = buf.z_parts
-    x_t, y_t, r_x, r_y = buf.x, buf.y, buf.dx, buf.dy
-    scale, sigma = step.step_size / step.primal_weight, step.sigma
-    share, denominator = (k + 1) / (k + 2), k + 2
-    pool = _worker()
-    mix_x, mix_y = buf.prev_parts
-    anchor_x, anchor_y = buf.anchor_parts
-    # K'y by block: the first block's part into mix_x, the second's into part
-    _in_halves(pool, _transpose_product, [(b, n, y, out) for b, out in zip(blocks, (mix_x, buf.part))])
-    primal = (saddle.c, saddle.l, saddle.u, x, anchor_x, mix_x, buf.part, x_t, r_x)
-    sums = _in_halves(
-        pool,
-        _primal_side,
-        [
-            tuple(a[cols] for a in primal) + (scale, share, denominator)
-            for cols in (slice(0, n // 2), slice(n // 2, n))
-        ],
-    )
-    dual = (saddle.q, y, anchor_y, r_y, y_t, mix_y)
-    sums += _in_halves(
-        pool,
-        _dual_side,
-        [
-            (b, n, saddle.m1, r_x) + tuple(a[b[0]] for a in dual) + (sigma, share, denominator)
-            for b in k_mat.row_blocks(ROW_WEIGHT)
-        ],
-    )
-    k_mat.matvec_calls += 1
-    k_mat.rmatvec_calls += 1
-    # the full scan runs only when the sum of the mix's entries is not finite
-    if not math.isfinite(sum(sums)) and not np.all(np.isfinite(buf.prev)):
-        raise NonFiniteIterate(f"iterate became non-finite at total iteration {state.total_count + 1}")
-    state.trial_count += 1
-    _advance(state, buf)
-    return state
+    return _steps(state, saddle, step, 1, True)
 
 
-def _steps(state, saddle, step, block, count, halpern, t_start=0.0, time_limit=math.inf):
+def _steps(state, saddle, step, count, halpern, t_start=0.0, time_limit=math.inf):
     """Up to ``count`` steps of ``pdhg_step`` (``halpern`` false) or of
-    ``halpern_step`` (true) over K's arrays in ``block``, one row block of
-    all rows; returns the state.  A step forms T(z) as ``halpern_step``'s
-    docstring orders it.  PDHG writes T(z) into ``prev`` and adds it to the
-    running sum in one pass; Halpern writes it into ``buffers.t`` and the
-    mix into ``prev``.  The new iterate in ``prev`` is tested, then changes
-    places with ``z``; after a step the K x cache is None.
+    ``halpern_step`` (true); returns the state.  A step forms T(z) as
+    ``halpern_step``'s docstring orders it, by ``_x_side`` and ``_y_side``.
+    PDHG writes T(z) into ``prev`` and adds it to the running sum in one
+    pass; Halpern writes it into ``buffers.t`` and the mix (``_mix``) into
+    ``prev``.  The new iterate in ``prev`` is tested, then changes places
+    with ``z``; after a step the K x cache is None.
+
+    With one row block (K's ``row_blocks``) the step runs inline on the
+    whole vectors.  With two it runs in three phases: the blocks' parts of
+    K'y; the x side over two column halves (``_x_half``); K r and the y
+    side over the row blocks of ``row_blocks(ROW_WEIGHT)`` (``_y_half``).
+    The worker thread (``_worker``) runs the second half of each phase
+    while the caller runs the first, or, with one CPU, the caller runs both
+    in turn: the same arithmetic, the same bits.  Each half returns the sum
+    of its part of the new iterate for the finiteness test.  The worker
+    runs only this module's phase functions, scipy kernels and numpy
+    ufuncs on disjoint slices, never a function a tracer could wrap.
     """
     k_mat = saddle.K
     m, n = k_mat.shape
-    _, indptr, indices, data = block
+    blocks = k_mat.row_blocks()
     buf = _buffers(state)
     c, q, lower, upper, m1 = saddle.c, saddle.q, saddle.l, saddle.u, saddle.m1
     scale, sigma = _step_scalars(buf, step)
-    entry_sum = buf.entry_sum
-    subtract, multiply, add, maximum, isfinite = np.subtract, np.multiply, np.add, np.maximum, math.isfinite
-    r, r_x, r_y = buf.r, buf.dx, buf.dy
+    entry_sum, isfinite = buf.entry_sum, math.isfinite
+    r, r_x, r_y, part = buf.r, buf.dx, buf.dy, buf.part
     sums, weight, inner = buf.sums, state.sum_weight, state.inner_count
+    anchor, share, denominator = buf.anchor, buf.share, buf.denominator
     timed = time_limit < math.inf
     clock = time.perf_counter
     # the iterate and the vector of the one before it, where the new one is
     # formed; they swap at every step
     z, prev, (x, y), (x_new, y_new) = buf.z, buf.prev, buf.z_parts, buf.prev_parts
     if halpern:
-        if buf.head is None:
+        if buf.head is None and m1:
             buf.head = buf.y[:m1]
         x_t, y_t, head_t, spare = buf.x, buf.y, buf.head, None
-        anchor, share, denominator = buf.anchor, buf.share, buf.denominator
     else:  # T(z) is the new iterate; spare is the first m1 duals of z
-        x_t, y_t, head_t, spare = x_new, y_new, y_new[:m1], y[:m1]
+        x_t, y_t, head_t, spare = (x_new, y_new) + ((y_new[:m1], y[:m1]) if m1 else (None, None))
+    split = len(blocks) > 1
+    if split:
+        pool, mix = _worker(), (share, denominator) if halpern else None
+        columns, rows = (slice(0, n // 2), slice(n // 2, n)), k_mat.row_blocks(ROW_WEIGHT)
+        anchor_x, anchor_y = buf.anchor_parts
+    else:
+        [(_, indptr, indices, data)] = blocks
     steps = 0
     try:
         for _ in range(count):
             if steps and timed and (clock() - t_start) >= time_limit:
                 break
-            # x_T = proj(x - scale (c - K'y)) and r_x = 2 x_T - x, in r_x
-            r_x.fill(0.0)
-            csc_matvec(n, m, indptr, indices, data, y, r_x)
-            subtract(c, r_x, r_x)
-            multiply(r_x, scale, r_x)
-            subtract(x, r_x, r_x)
-            _clip(r_x, lower, upper, x_t)
-            multiply(x_t, _TWO, r_x)
-            subtract(r_x, x, r_x)
-            # y_T = proj(y + sigma (q - K r_x)), with r_y as the spare
-            r_y.fill(0.0)
-            csr_matvec(m, n, indptr, indices, data, r_x, r_y)
-            subtract(q, r_y, r_y)
-            multiply(r_y, sigma, r_y)
-            add(y, r_y, y_t)
-            if m1:
-                maximum(head_t, _ZERO, out=head_t)
             if halpern:
-                # r_y = 2 y_T - y, and the mix over all of z, with r as the spare
                 k = inner + steps
                 share[()] = (k + 1) / (k + 2)
                 denominator[()] = k + 2
-                multiply(y_t, _TWO, r_y)
-                subtract(r_y, y, r_y)
-                multiply(r, share, prev)
-                np.divide(anchor, denominator, r)
-                add(prev, r, prev)
+            if split:
+                _in_halves(pool, _transpose_product, [(b, n, y, out) for b, out in zip(blocks, (r_x, part))])
+                primal = (c, lower, upper, x, x_t, r_x, part, anchor_x, x_new)
+                dual = (r_y, q, y, y_t, anchor_y, y_new)
+                total = sum(_in_halves(pool, _x_half, [tuple(a[h] for a in primal) + (scale, mix) for h in columns]))
+                dual_halves = [(b, n, m1, r_x) + tuple(a[b[0]] for a in dual) + (sigma, mix) for b in rows]
+                total += sum(_in_halves(pool, _y_half, dual_halves))
+            else:
+                r_x.fill(0.0)
+                csc_matvec(n, m, indptr, indices, data, y, r_x)
+                _x_side(c, lower, upper, x, x_t, r_x, scale)
+                r_y.fill(0.0)
+                csr_matvec(m, n, indptr, indices, data, r_x, r_y)
+                _y_side(r_y, q, y, y_t, head_t, sigma)
+                if halpern:  # r_y = 2 y_T - y, and the mix over all of z
+                    _multiply(y_t, _TWO, r_y)
+                    _subtract(r_y, y, r_y)
+                    _mix(r, prev, r, anchor, share, denominator)
+                total = entry_sum(prev)
             # a non-finite entry makes the sum non-finite
-            if not isfinite(entry_sum(prev)) and not np.all(np.isfinite(prev)):
+            if not isfinite(total) and not np.all(np.isfinite(prev)):
                 k_mat.matvec_calls += 1
                 k_mat.rmatvec_calls += 1
                 raise NonFiniteIterate(
@@ -519,7 +483,7 @@ def _steps(state, saddle, step, block, count, halpern, t_start=0.0, time_limit=m
             x, x_new = x_new, x
             y, y_new = y_new, y
             if not halpern:
-                add(sums, z, sums)
+                _add(sums, z, sums)
                 weight += 1.0
                 x_t, y_t = x_new, y_new
                 head_t, spare = spare, head_t
@@ -540,9 +504,44 @@ def _steps(state, saddle, step, block, count, halpern, t_start=0.0, time_limit=m
     return state
 
 
-# (the process that made it, halpern_step's worker thread), set as one
-# value.  Two threads that both find it unset may each make a worker; the
-# one not kept is collected, and its thread exits then.
+# T's arithmetic, once for both layouts: each function runs on whole
+# vectors with one row block and on a half of them with two.  Outputs are
+# positional and scalars float64 0-d arrays (module docstring).
+
+
+def _x_side(c, l, u, x, x_t, r, scale):
+    """With K'y in r: x_T = proj(x - scale (c - K'y)) into x_t and the
+    reflection r = 2 x_T - x."""
+    _subtract(c, r, r)
+    _multiply(r, scale, r)
+    _subtract(x, r, r)
+    _clip(r, l, u, x_t)
+    _multiply(x_t, _TWO, r)
+    _subtract(r, x, r)
+
+
+def _y_side(kr, q, y, y_t, head, sigma):
+    """With K r in kr: y_T = proj(y + sigma (q - K r)) into y_t, with kr as
+    the spare; ``head`` is y_t's first m1 entries, or None when there are
+    none."""
+    _subtract(q, kr, kr)
+    _multiply(kr, sigma, kr)
+    _add(y, kr, y_t)
+    if head is not None:
+        _maximum(head, _ZERO, out=head)
+
+
+def _mix(r, out, spare, anchor, share, denominator):
+    """Halpern's mix of the reflection r and the anchor: share r + anchor /
+    denominator into out, with spare (which may be r) as the spare."""
+    _multiply(r, share, out)
+    _divide(anchor, denominator, spare)
+    _add(out, spare, out)
+
+
+# (the process that made it, the step's worker thread), set as one value.
+# Two threads that both find it unset may each make a worker; the one not
+# kept is collected, and its thread exits then.
 _pool = None
 
 
@@ -555,9 +554,10 @@ def _cpus():
 
 
 def _worker():
-    """halpern_step's worker thread, or None on a single CPU.  Made on first
-    use, and again in a forked child, which has no copy of the thread.  The
-    worker ignores overflow and invalid results, as the kernel does."""
+    """The two-block step's worker thread, or None on a single CPU.  Made on
+    first use, and again in a forked child, which has no copy of the
+    thread.  The worker ignores overflow and invalid results, as the kernel
+    does."""
     global _pool
     if _cpus() < 2:
         return None
@@ -592,44 +592,32 @@ def _transpose_product(block, n, y, out):
     csc_matvec(n, rows.stop - rows.start, indptr, indices, data, y[rows], out)
 
 
-def _primal_side(c, l, u, x, x0, grad, part, x_t, r, scale, share, denominator):
-    """Over a column range: grad = c - K'y (K'y in grad plus part), x_T =
-    proj(x - scale grad) into x_t, the reflection r = 2 x_T - x, and the x
-    mix share r + x0 / denominator into grad, with part as the spare.
-    Returns the sum of the mix's entries."""
-    np.add(grad, part, out=grad)
-    np.subtract(c, grad, out=grad)
-    np.multiply(grad, scale, out=r)
-    np.subtract(x, r, out=r)
-    _clip(r, l, u, out=x_t)
-    np.multiply(x_t, 2.0, out=r)
-    np.subtract(r, x, out=r)
-    np.multiply(r, share, out=grad)
-    np.divide(x0, denominator, out=part)
-    np.add(grad, part, out=grad)
-    return np.add.reduce(grad)
+def _x_half(c, l, u, x, x_t, r, part, anchor, out, scale, mix):
+    """Over a column range, with the blocks' parts of K'y in r and part:
+    their sum into r, ``_x_side``, and under Halpern (``mix``, its share
+    and denominator) the x mix into out, with part as the spare.  Returns
+    the sum of out's entries, the new iterate's."""
+    _add(r, part, r)
+    _x_side(c, l, u, x, x_t, r, scale)
+    if mix is not None:
+        _mix(r, out, part, anchor, *mix)
+    return _add.reduce(out)
 
 
-def _dual_side(block, n, m1, r, q, y, y0, kr, y_t, out, sigma, share, denominator):
-    """Over a row block, the rest of the arrays cut to its rows: kr = K r,
-    y_T = proj(y + sigma (q - kr)) into y_t, and the y mix share (2 y_T -
-    y) + y0 / denominator into out, with kr as the spare.  Returns the sum
-    of the mix's entries."""
+def _y_half(block, n, m1, r, kr, q, y, y_t, anchor, out, sigma, mix):
+    """Over a row block, the vectors from kr on cut to its rows: kr = K r,
+    ``_y_side``, and under Halpern the reflection 2 y_T - y into kr and the
+    y mix into out, with kr as the spare.  Returns the sum of out's
+    entries, the new iterate's."""
     rows, indptr, indices, data = block
     kr.fill(0.0)
     csr_matvec(rows.stop - rows.start, n, indptr, indices, data, r, kr)
-    np.subtract(q, kr, out=kr)
-    np.multiply(kr, sigma, out=kr)
-    np.add(y, kr, out=y_t)
-    if m1 > rows.start:
-        head = y_t[: m1 - rows.start]
-        np.maximum(head, 0.0, out=head)
-    np.multiply(y_t, 2.0, out=kr)
-    np.subtract(kr, y, out=kr)
-    np.multiply(kr, share, out=out)
-    np.divide(y0, denominator, out=kr)
-    np.add(out, kr, out=out)
-    return np.add.reduce(out)
+    _y_side(kr, q, y, y_t, y_t[: m1 - rows.start] if m1 > rows.start else None, sigma)
+    if mix is not None:
+        _multiply(y_t, _TWO, kr)
+        _subtract(kr, y, kr)
+        _mix(kr, out, kr, anchor, *mix)
+    return _add.reduce(out)
 
 
 def fixed_point_residual(state, step):

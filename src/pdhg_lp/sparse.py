@@ -5,7 +5,7 @@ K^T y reads the same CSR arrays as K x.  Instances are immutable; the
 matvec call counters are the only mutable state and exist for statistics
 (they are not synchronized, so counts are approximate if a matrix is shared
 across threads).  ``row_blocks`` splits a large matrix's rows in two, for
-the Halpern step's two threads.
+the two threads of the Halpern and the fixed step.
 
 ``dot`` is the one inner product of the solver's loop.  On a long vector it
 runs numpy's einsum, not BLAS: OpenBLAS's dot kernel splits a vector of
@@ -32,9 +32,10 @@ except ImportError:  # numpy < 2
 _FLOAT64 = np.dtype(np.float64)
 
 # A matrix with at least this many nonzeros has its rows in two blocks of
-# about half the nonzeros each, which the Halpern step runs on two threads.
-# Below it one block, and the step runs inline: a round trip to the worker
-# thread costs 10-60 us, more than half a product saves on a small matrix.
+# about half the nonzeros each, which the Halpern and the fixed step run on
+# two threads.  Below it one block, and the steps run inline: a round trip
+# to the worker thread costs 10-60 us, more than half a product saves on a
+# small matrix.
 SPLIT_MIN_NNZ = 200_000
 
 # What a row costs in the Halpern step's third phase (K r and the y side),
@@ -45,7 +46,8 @@ SPLIT_MIN_NNZ = 200_000
 # n=1e5 PageRank (8e5 nonzeros, grouped rows) on a 2-core AMD EPYC: on one
 # thread the phase costs 0.39 ns a nonzero and 2.0 ns a row (a weight of
 # 5); on two threads the halves balance at 6, 262/259 us against 228/291 us
-# at the nonzero split, and the phase takes 279 us instead of 310 us.
+# at the nonzero split, and the phase takes 279 us instead of 310 us.  The
+# fixed step's third phase, without the mix's passes, takes the same split.
 ROW_WEIGHT = 6.0
 
 

@@ -17,7 +17,7 @@ takes ``"ruiz+pc"`` scaling where this takes the default), the fixed step
 with the adaptive weight, and the adaptive step.  Problems: the 20
 criterion-8 LPs, the planted unbounded and infeasible LPs of seeds 0-3, the
 three toys, and one PageRank with n = 30,000, whose 2.4e5 nonzeros take the
-two-thread Halpern step and the row order of the working space.
+two-thread Halpern and fixed steps and the row order of the working space.
 
 The last bits may depend on the numpy and scipy builds and the CPU, but
 not on the number of threads BLAS may use: no sum in a solve is split by

@@ -1036,13 +1036,13 @@ def _solve_in_child(problem, results):
 
 
 class TestTwoThreads:
-    """Above ``sparse.SPLIT_MIN_NNZ`` nonzeros the Halpern step runs half of
-    each phase on a worker thread; on one CPU the caller runs both halves,
-    with the same bits.  The CI runs these tests under ``taskset -c 0``
-    too, where the affinity itself allows one CPU."""
+    """Above ``sparse.SPLIT_MIN_NNZ`` nonzeros the Halpern and the fixed step
+    run half of each phase on a worker thread; on one CPU the caller runs
+    both halves, with the same bits.  The CI runs these tests under
+    ``taskset -c 0`` too, where the affinity itself allows one CPU."""
 
     @staticmethod
-    def solve_recording_workers(problem, monkeypatch):
+    def solve_recording_workers(problem, monkeypatch, config=None):
         workers = []
         real = pdhg._worker
 
@@ -1051,7 +1051,7 @@ class TestTwoThreads:
             return workers[-1]
 
         monkeypatch.setattr(pdhg, "_worker", recording)
-        report = pl.report_to_dict(pl.solve(problem))
+        report = pl.report_to_dict(pl.solve(problem, config))
         del report["timings"]
         return report, workers
 
@@ -1066,6 +1066,22 @@ class TestTwoThreads:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         serial, workers = self.solve_recording_workers(problem, monkeypatch)
+        assert workers and all(w is None for w in workers)
+        assert json.dumps(threaded, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+    def test_two_threads_fixed_step_matches_one_cpu(self, monkeypatch):
+        # the fixed step takes the worker once per stretch of steps
+        problem = pl.generate_pagerank(pl.PagerankSpec(num_nodes=26_000))
+        assert pl.to_saddle(problem).K.nnz >= pl.sparse.SPLIT_MIN_NNZ
+        config = pl.SolverConfig(step=pl.StepPolicy(mode="fixed"))
+        threaded, workers = self.solve_recording_workers(problem, monkeypatch, config)
+        assert threaded["status"] == pl.STATUS_OPTIMAL
+        assert 0 < len(workers) < threaded["counts"]["iterations"]
+        if pdhg._cpus() >= 2:
+            assert all(w is not None and w is workers[0] for w in workers)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        serial, workers = self.solve_recording_workers(problem, monkeypatch, config)
         assert workers and all(w is None for w in workers)
         assert json.dumps(threaded, sort_keys=True) == json.dumps(serial, sort_keys=True)
 

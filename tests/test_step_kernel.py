@@ -24,12 +24,26 @@ from pdhg_lp.sparse import dot
 from conftest import planted_unbounded_lp, random_feasible_lp, random_small_saddle
 
 
+def transpose_product(saddle):
+    """y -> K'y summed as the constant steps sum it: over all rows in order,
+    or with K's rows in two blocks (``SparseMatrix.row_blocks``) each
+    block's part, then the first plus the second."""
+    k = saddle.K.tocsr()
+    blocks = saddle.K.row_blocks()
+    if len(blocks) == 1:
+        kt = k.T.tocsr()
+        return lambda y: kt @ y
+    a = blocks[0][0].stop
+    return lambda y: k[:a].T @ y[:a] + k[a:].T @ y[a:]
+
+
 class Reference:
     """Plain PDHG on one saddle problem, with its own running sums."""
 
     def __init__(self, saddle, x, y):
         self.k = saddle.K.tocsr()
         self.kt = self.k.T.tocsr()
+        self.kty = transpose_product(saddle)
         self.saddle = saddle
         self.x = np.array(x, dtype=np.float64)
         self.y = np.array(y, dtype=np.float64)
@@ -58,9 +72,10 @@ class Reference:
         self.count += 1
 
     def fixed(self, s, w):
-        """x+ as in ``point``, y+ = proj(y + (s w)(q - K (2 x+ - x)))."""
+        """x+ as in ``point`` (K'y by ``transpose_product``), y+ = proj(y +
+        (s w)(q - K (2 x+ - x)))."""
         p = self.saddle
-        x_new = np.clip(self.x - (s / w) * (p.c - self.kt @ self.y), p.l, p.u)
+        x_new = np.clip(self.x - (s / w) * (p.c - self.kty(self.y)), p.l, p.u)
         y_new = self.y + (s * w) * (p.q - self.k @ (2.0 * x_new - self.x))
         y_new[: p.m1] = np.maximum(y_new[: p.m1], 0.0)
         self.commit(x_new, y_new, 1.0)
@@ -91,14 +106,15 @@ class Reference:
 def halpern_reference(saddle, x, y, s, w, steps, anchor=None, first=0):
     """Reflected Halpern PDHG from (x, y) over one epoch, as the docstring
     of ``pdhg.halpern_step`` states it; yields (T x, T y, x, y) after each
-    step.  The product is taken of the reflection, K (2 T x - x).  The
-    epoch is anchored at (x, y) unless ``anchor`` names its start, and
-    ``first`` is its number of steps taken before (x, y)."""
+    step.  The product is taken of the reflection, K (2 T x - x), and K'y
+    by ``transpose_product``.  The epoch is anchored at (x, y) unless
+    ``anchor`` names its start, and ``first`` is its number of steps taken
+    before (x, y)."""
     k_csr = saddle.K.tocsr()
-    kt = k_csr.T.tocsr()
+    kty = transpose_product(saddle)
     x0, y0 = anchor or (x, y)
     for k in range(first, first + steps):
-        tx = np.clip(x - (s / w) * (saddle.c - kt @ y), saddle.l, saddle.u)
+        tx = np.clip(x - (s / w) * (saddle.c - kty(y)), saddle.l, saddle.u)
         ty = y + (s * w) * (saddle.q - k_csr @ (2.0 * tx - x))
         ty[: saddle.m1] = np.maximum(ty[: saddle.m1], 0.0)
         share = (k + 1) / (k + 2)
@@ -259,23 +275,14 @@ class TestStretchAgainstSingleSteps:
         # one product with K and one with K' per step, none for a restart
         assert shots[-1][-2:] == (32, 32)
 
-    def test_two_row_blocks_match_the_reference(self, monkeypatch):
-        # from SPLIT_MIN_NNZ nonzeros on K's rows come in two blocks; a
-        # stretch runs on the whole matrix all the same
-        monkeypatch.setattr(pl.sparse, "SPLIT_MIN_NNZ", 1)
-        saddle = scaled_saddle(0)
-        assert len(saddle.K.row_blocks()) == 2
-        step = StepState(0.9 / pl.spectral_norm_estimate(saddle.K).value, 1.7)
-        state = IterateState.initial(saddle)
-        ref = Reference(saddle, state.x, state.y)
-        pdhg_step(state, saddle, step, count=30)
-        for _ in range(30):
-            ref.fixed(step.step_size, step.primal_weight)
-        assert_same(state, ref)
-
-    def test_non_finite_mid_stretch_keeps_the_step_before(self):
-        # a unit step on the unscaled planted unbounded LP overflows at step 67
+    @pytest.mark.parametrize("blocks", (1, 2))
+    def test_non_finite_mid_stretch_keeps_the_step_before(self, blocks, monkeypatch):
+        # a unit step on the unscaled planted unbounded LP overflows at step
+        # 67 with one row block; two from SPLIT_MIN_NNZ = 1 on
+        if blocks == 2:
+            monkeypatch.setattr(pl.sparse, "SPLIT_MIN_NNZ", 1)
         saddle = pl.to_saddle(planted_unbounded_lp(0))
+        assert len(saddle.K.row_blocks()) == blocks
         step = StepState(1.0, 1.0)
         start = IterateState.initial(saddle)
         single = IterateState(x=start.x, y=start.y)
@@ -284,25 +291,65 @@ class TestStretchAgainstSingleSteps:
             for _ in range(1000):
                 pdhg_step(single, saddle, step)
         want = self.snapshot(single, saddle, base)
-        # 66 steps, and the failed one made its two products too
-        assert want[6] == 66 and want[8:] == (67, 67)
+        # the steps before the failed one, which made its two products too
+        done = want[6]
+        assert done > 0 and want[8:] == (done + 1, done + 1)
+        if blocks == 1:
+            assert done == 66
         stretch = IterateState(x=start.x, y=start.y)
         base = (saddle.K.matvec_calls, saddle.K.rmatvec_calls)
         with pytest.raises(pl.NonFiniteIterate) as stretch_err:
-            pdhg_step(stretch, saddle, step, count=100)
-        assert str(stretch_err.value) == str(single_err.value) == "iterate became non-finite at total iteration 67"
+            pdhg_step(stretch, saddle, step, count=done + 30)
+        assert str(stretch_err.value) == str(single_err.value)
+        assert str(single_err.value) == f"iterate became non-finite at total iteration {done + 1}"
         assert self.snapshot(stretch, saddle, base) == want
 
-    def test_time_limit_ends_the_stretch_after_its_first_step(self, toy_saddle):
-        state = IterateState(x=[2.0], y=[2.0])
-        pdhg_step(state, toy_saddle, StepState(0.2, 1.0), count=50, t_start=0.0, time_limit=0.0)
+    @pytest.mark.parametrize("blocks", (1, 2))
+    def test_time_limit_ends_the_stretch_after_its_first_step(self, blocks, monkeypatch):
+        if blocks == 2:
+            monkeypatch.setattr(pl.sparse, "SPLIT_MIN_NNZ", 1)
+        saddle = scaled_saddle(0)
+        assert len(saddle.K.row_blocks()) == blocks
+        state = IterateState.initial(saddle)
+        pdhg_step(state, saddle, StepState(0.1, 1.0), count=50, t_start=0.0, time_limit=0.0)
         assert (state.inner_count, state.total_count, state.trial_count) == (1, 1, 1)
-        pdhg_step(state, toy_saddle, StepState(0.2, 1.0), count=50, t_start=0.0, time_limit=math.inf)
+        pdhg_step(state, saddle, StepState(0.1, 1.0), count=50, t_start=0.0, time_limit=math.inf)
         assert state.total_count == 51
 
     def test_count_must_be_positive(self, toy_saddle):
         with pytest.raises(pl.NonPositiveInput, match="count"):
             pdhg_step(IterateState(x=[2.0], y=[2.0]), toy_saddle, StepState(0.2, 1.0), count=0)
+
+
+class TestTwoRowBlocks:
+    """From SPLIT_MIN_NNZ nonzeros on K's rows come in two blocks, and both
+    constant steps run on two threads: K'y is then each block's part and
+    their sum, as ``transpose_product`` forms it, bit for bit."""
+
+    @pytest.mark.parametrize("index", range(1, SADDLES))
+    def test_fixed_and_halpern_steps_match_the_block_reference(self, index, monkeypatch):
+        monkeypatch.setattr(pl.sparse, "SPLIT_MIN_NNZ", 1)
+        saddle = list(toy_and_criterion_8_saddles())[index]
+        assert len(saddle.K.row_blocks()) == 2
+        norm_k = pl.spectral_norm_estimate(saddle.K).value
+        base = (saddle.K.matvec_calls, saddle.K.rmatvec_calls)
+        step = StepState(0.9 / norm_k, 1.7)
+        state = IterateState.initial(saddle)
+        ref = Reference(saddle, state.x, state.y)
+        pdhg_step(state, saddle, step, count=30)
+        for _ in range(30):
+            ref.fixed(step.step_size, step.primal_weight)
+        assert_same(state, ref)
+        step = StepState(0.998 / norm_k, 1.7)
+        state = IterateState.initial(saddle)
+        start = (state.x.copy(), state.y.copy())
+        for k, (tx, ty, x, y) in enumerate(halpern_reference(saddle, *start, step.step_size, 1.7, 30)):
+            halpern_step(state, saddle, step)
+            assert state.buffers.x.tobytes() == tx.tobytes() and state.buffers.y.tobytes() == ty.tobytes(), k
+            assert state.x.tobytes() == x.tobytes() and state.y.tobytes() == y.tobytes(), k
+        assert state.total_count == state.trial_count == 30
+        # one product with K and one with K' per step, whatever the blocks
+        assert (saddle.K.matvec_calls - base[0], saddle.K.rmatvec_calls - base[1]) == (60, 60)
 
 
 class TestHalpernAgainstReference:
