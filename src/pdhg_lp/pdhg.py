@@ -6,7 +6,7 @@ One iteration from (x, y) with step size s and primal weight w:
     y+ = proj_Y  (y + (s w) (q - K (2 x+ - x)))
 
 where Y clips the first m1 dual coordinates at zero: the PDHG operator T at
-z = (x, y).  ``pdhg_step`` moves to T(z) and ``halpern_step`` to the
+z = (x, y).  ``pdhg_step`` moves to T(z), or with ``halpern=True`` to the
 reflected Halpern mix (Lu & Yang, arXiv 2407.16144)
 
     z_{k+1} = (k+1)/(k+2) (2 T(z_k) - z_k) + z_0 / (k+2)
@@ -344,33 +344,9 @@ def accept_step(state, buf, kx_new, avg_weight):
     state.sum_weight += avg_weight
 
 
-def pdhg_step(state, saddle, step, *, errstate=True, count=1, t_start=0.0, time_limit=math.inf):
-    """Advance the iterate by ``count`` PDHG steps (in place); returns the
-    state.
-
-    Each step moves z to T(z) (module docstring), and each iterate joins
-    the running average with weight 1.  Before each step after the first,
-    the stretch ends early once ``time.perf_counter() - t_start >=
-    time_limit``, the test ``solve`` makes between steps.  With K's rows in
-    two blocks the steps run on two threads (``_steps``).  After the call
-    ``buffers.prev_parts`` hold the iterate the last step replaced, and the
-    K x cache is None.  If step j's point is not finite, NonFiniteIterate is
-    raised and the state holds step j - 1's iterate, counts, sums and cache.
-    Pass ``errstate=False`` only under the kernel's np.errstate (module
-    docstring).
-    """
-    if errstate:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return pdhg_step(
-                state, saddle, step, errstate=False, count=count, t_start=t_start, time_limit=time_limit
-            )
-    if count < 1:
-        raise NonPositiveInput(f"count must be at least 1, got {count}")
-    return _steps(state, saddle, step, count, False, t_start, time_limit)
-
-
-def halpern_step(state, saddle, step, *, errstate=True):
-    """Advance the iterate by one reflected Halpern step (in place).
+def pdhg_step(state, saddle, step, *, halpern=False, errstate=True, count=1, deadline=math.inf):
+    """Advance the iterate by ``count`` PDHG steps, or with ``halpern`` by
+    ``count`` reflected Halpern steps (in place); returns the state.
 
     With T the PDHG operator at the state's step, k = ``state.inner_count``
     and z_0 the anchor, copied from z at the epoch's first step (k = 0):
@@ -378,30 +354,35 @@ def halpern_step(state, saddle, step, *, errstate=True):
         x_T = proj(x - (s/w) (c - K'y))
         r   = 2 x_T - x
         y_T = proj(y + (s w) (q - K r))
-        z_{k+1} = (k+1)/(k+2) (2 T(z_k) - z_k) + z_0 / (k+2)
+        z_{k+1} = T(z_k), or (k+1)/(k+2) (2 T(z_k) - z_k) + z_0 / (k+2)
 
-    in that order of operations.  The vectors are the stacked ones of the
-    state's ``StepBuffers`` (its docstring): the mix goes into ``prev``,
-    which then changes places with ``z``, so that afterwards
-    ``buffers.x``/``buffers.y`` hold T(z_k), ``buffers.prev_parts`` hold
-    z_k and the state's x and y are the parts of ``buffers.z``.  The K x
-    cache is dropped.  Raises NonFiniteIterate, the iterate untouched, when
-    z_{k+1} is not finite.  With K's rows in two blocks the step runs on
-    two threads (``_steps``).  ``errstate`` as for ``pdhg_step``.
+    in that order of operations.  A PDHG iterate joins the running average
+    with weight 1; a Halpern step leaves T(z_k) in ``buffers.x``/``buffers.y``
+    instead.  The new iterate goes into ``prev`` of the state's
+    ``StepBuffers`` (its docstring), which then changes places with ``z``:
+    afterwards ``buffers.prev_parts`` hold z_k and the state's x and y are
+    the parts of ``buffers.z``.  The K x cache is None.  Before each step
+    after the first the stretch ends once ``time.perf_counter() >=
+    deadline``, ``solve``'s test between stretches.  With K's rows in two
+    blocks the steps run on two threads (``_steps``).  If step j's point is
+    not finite, NonFiniteIterate is raised and the state holds step j - 1's
+    iterate, counts, sums and cache.  Pass ``errstate=False`` only under the
+    kernel's np.errstate (module docstring).
     """
     if errstate:
         with np.errstate(over="ignore", invalid="ignore"):
-            return halpern_step(state, saddle, step, errstate=False)
-    return _steps(state, saddle, step, 1, True)
+            return pdhg_step(state, saddle, step, halpern=halpern, errstate=False, count=count, deadline=deadline)
+    if count < 1:
+        raise NonPositiveInput(f"count must be at least 1, got {count}")
+    return _steps(state, saddle, step, count, halpern, deadline)
 
 
-def _steps(state, saddle, step, count, halpern, t_start=0.0, time_limit=math.inf):
-    """Up to ``count`` steps of ``pdhg_step`` (``halpern`` false) or of
-    ``halpern_step`` (true); returns the state.  A step forms T(z) as
-    ``halpern_step``'s docstring orders it, by ``_x_side`` and ``_y_side``.
-    PDHG writes T(z) into ``prev`` and adds it to the running sum in one
-    pass; Halpern writes it into ``buffers.t`` and the mix (``_mix``) into
-    ``prev``.  The new iterate in ``prev`` is tested, then changes places
+def _steps(state, saddle, step, count, halpern, deadline):
+    """Up to ``count`` steps of ``pdhg_step``; returns the state.  A step
+    forms T(z) as ``pdhg_step``'s docstring orders it, by ``_x_side`` and
+    ``_y_side``.  PDHG writes T(z) into ``prev`` and adds it to the running
+    sum in one pass; Halpern writes it into ``buffers.t`` and the mix
+    (``_mix``) into ``prev``.  The new iterate in ``prev`` is tested, then changes places
     with ``z``; after a step the K x cache is None.
 
     With one row block (K's ``row_blocks``) the step runs inline on the
@@ -425,7 +406,7 @@ def _steps(state, saddle, step, count, halpern, t_start=0.0, time_limit=math.inf
     r, r_x, r_y, part = buf.r, buf.dx, buf.dy, buf.part
     sums, weight, inner = buf.sums, state.sum_weight, state.inner_count
     anchor, share, denominator = buf.anchor, buf.share, buf.denominator
-    timed = time_limit < math.inf
+    timed = deadline < math.inf
     clock = time.perf_counter
     # the iterate and the vector of the one before it, where the new one is
     # formed; they swap at every step
@@ -446,7 +427,7 @@ def _steps(state, saddle, step, count, halpern, t_start=0.0, time_limit=math.inf
     steps = 0
     try:
         for _ in range(count):
-            if steps and timed and (clock() - t_start) >= time_limit:
+            if steps and timed and clock() >= deadline:
                 break
             if halpern:
                 k = inner + steps
@@ -622,7 +603,7 @@ def _y_half(block, n, m1, r, kr, q, y, y_t, anchor, out, sigma, mix):
 
 def fixed_point_residual(state, step):
     """||T(z) - z|| in the weighted norm sqrt(w ||dx||^2 + ||dy||^2 / w),
-    for the z and T(z) that the last ``halpern_step`` left in the buffers;
+    for the z and T(z) that the last Halpern step left in the buffers;
     T(z) - z is formed in one pass, into ``buffers.r``."""
     buf = state.buffers
     np.subtract(buf.t, buf.prev, buf.r)

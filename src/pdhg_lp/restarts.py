@@ -183,6 +183,21 @@ def artificial_cap_reached(state):
     return state.inner_count >= max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * state.total_count)
 
 
+def steps_to_next_test(state, halpern):
+    """Steps from the state to the adaptive scheme's next restart test: the
+    next multiple of GAP_EVAL_INTERVAL under PDHG; under Halpern 1 at an
+    epoch's first step, else the next multiple of RESIDUAL_EVAL_INTERVAL or
+    the step where the epoch reaches today's artificial cap, which only
+    grows, so it is not reached sooner."""
+    inner = state.inner_count
+    if not halpern:
+        return GAP_EVAL_INTERVAL - inner % GAP_EVAL_INTERVAL
+    if inner == 0:
+        return 1
+    cap = max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * state.total_count)
+    return min(RESIDUAL_EVAL_INTERVAL - inner % RESIDUAL_EVAL_INTERVAL, max(1, math.ceil(cap - inner)))
+
+
 def apply_restart(state, candidate):
     """Reset the state to the candidate point and start a new epoch, in
     place: the candidate is copied into the state's own x and y, the parts

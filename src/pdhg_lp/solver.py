@@ -11,10 +11,10 @@ loop (the steps are called with ``errstate=False``), and it computes the
 checks' per-problem constants (``termination.check_constants``: the
 finite-bound masks, ||q||, ||c|| and the certificate scales) once, for
 every KKT and certificate check.  Each candidate ray's norm is computed once
-and passed to the certificate checks.  The fixed step runs in stretches, one
-``pdhg_step`` call from one event of the loop (a check, a log line, a gap
-restart test, the iteration limit) to the next; a time limit ends a stretch
-at the step where the loop would have stopped.
+and passed to the certificate checks.  Both constant steps run in
+stretches, one ``pdhg_step`` call from one event of the loop (a check, a
+log line, a restart test, the iteration limit) to the next; a time limit
+ends a stretch at the step where the loop would have stopped.
 
 On a large problem the working space also groups K's rows by length
 (``scaling.length_order``), which makes the CSR products faster; y goes
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import NonFiniteIterate, NonPositiveInput, StepSizeUnderflow
-from .pdhg import IterateState, fixed_point_residual, halpern_step, pdhg_step
+from .pdhg import IterateState, fixed_point_residual, pdhg_step
 from .problem import to_saddle, validate
 from . import restarts, stepsize
 from .restarts import RestartConfig, apply_restart, normalized_duality_gap, should_restart
@@ -291,7 +291,7 @@ def solve(problem, config=None, callback=None):
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             hit_iters = iteration >= crit.iteration_limit
-            hit_time = (time.perf_counter() - t_start) >= crit.time_limit_sec
+            hit_time = time.perf_counter() >= deadline
             check_due = iteration % config.check_interval == 0 or hit_iters or hit_time
             log_due = config.log_interval and iteration % config.log_interval == 0
             if check_due or log_due:
@@ -361,17 +361,15 @@ def solve(problem, config=None, callback=None):
                     )
 
             try:
-                if halpern:
-                    halpern_step(state, saddle, step, errstate=False)
-                elif adaptive:
+                if adaptive:
                     state, step, accepted = adaptive_step(state, saddle, step, errstate=False)
                     if not accepted:
                         status = STATUS_NUMERICAL_ERROR
                         reason = f"adaptive step rejected {stepsize.MAX_RETRIES} trials in a row"
                         break
                 else:
-                    # the fixed step runs up to the next event: a check, a
-                    # log line, the iteration limit or a gap restart test
+                    # a constant step runs up to the next event: a check, a
+                    # log line, the iteration limit or a restart test
                     stretch = min(
                         config.check_interval - iteration % config.check_interval,
                         crit.iteration_limit - iteration,
@@ -379,12 +377,8 @@ def solve(problem, config=None, callback=None):
                     if config.log_interval:
                         stretch = min(stretch, config.log_interval - iteration % config.log_interval)
                     if adaptive_restarts:
-                        gap_interval = restarts.GAP_EVAL_INTERVAL
-                        stretch = min(stretch, gap_interval - state.inner_count % gap_interval)
-                    pdhg_step(
-                        state, saddle, step, errstate=False, count=stretch,
-                        t_start=t_start, time_limit=crit.time_limit_sec,
-                    )
+                        stretch = min(stretch, restarts.steps_to_next_test(state, halpern))
+                    pdhg_step(state, saddle, step, halpern=halpern, errstate=False, count=stretch, deadline=deadline)
             except (NonFiniteIterate, StepSizeUnderflow) as err:
                 status = STATUS_NUMERICAL_ERROR
                 reason = str(err)
@@ -394,7 +388,8 @@ def solve(problem, config=None, callback=None):
 
             # Restart.  The adaptive scheme decides under the Halpern step from
             # the fixed-point residual every RESIDUAL_EVAL_INTERVAL iterations
-            # and from the artificial cap at every iteration, and goes to T(z);
+            # and from the artificial cap after every stretch (each ends by the
+            # step at which the cap can first be reached), and goes to T(z);
             # under PDHG it decides every GAP_EVAL_INTERVAL iterations and at
             # check points, from the epoch average's normalized gap, and goes
             # to the average.  Both candidates are in t.

@@ -1,8 +1,9 @@
 """Step-size and primal-weight policies.
 
 The default, Halpern, step is constant: HALPERN_STEP_FRACTION / ||K||, for
-the reflected Halpern iteration of ``pdhg.halpern_step``.  A fixed step is
-constant too, at FIXED_STEP_FRACTION / ||K||, for plain PDHG.
+the reflected Halpern iteration (``pdhg.pdhg_step`` with ``halpern=True``).
+A fixed step is constant too, at FIXED_STEP_FRACTION / ||K||, for plain
+PDHG (``pdhg.pdhg_step``).  ``solve`` runs both in stretches of steps.
 
 The adaptive step rule takes a trial step at the current s, measures the
 largest step the observed displacement would have allowed,

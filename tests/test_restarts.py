@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pdhg_lp import (
     RestartConfig,
     apply_restart,
     normalized_duality_gap,
+    restarts,
     should_restart,
 )
 
@@ -304,6 +306,36 @@ class TestShouldRestart:
     def test_unknown_scheme(self):
         with pytest.raises(pl.NonPositiveInput):
             should_restart(self.make_state(0, 0), RestartConfig(scheme="sometimes"))
+
+
+class TestStepsToNextTest:
+    """``solve`` runs a constant step in stretches of ``steps_to_next_test``
+    steps and makes the adaptive scheme's tests only after a stretch, so no
+    step strictly inside one may be a step after which the loop tests."""
+
+    @staticmethod
+    def counts(inner, total):
+        return SimpleNamespace(inner_count=inner, total_count=total)
+
+    def test_no_halpern_test_falls_inside_a_stretch(self):
+        # after a step the loop computes the residual at the epoch's first
+        # step, tests it at multiples of RESIDUAL_EVAL_INTERVAL and tests
+        # the artificial cap after every step
+        for inner in range(201):
+            for total in range(inner, 3 * inner + 100):
+                k = restarts.steps_to_next_test(self.counts(inner, total), True)
+                assert 1 <= k <= restarts.RESIDUAL_EVAL_INTERVAL, (inner, total)
+                capped = restarts.artificial_cap_reached(self.counts(inner, total))
+                for j in range(1, k):
+                    after = self.counts(inner + j, total + j)
+                    assert inner > 0 and after.inner_count % restarts.RESIDUAL_EVAL_INTERVAL, (inner, total, j)
+                    assert restarts.artificial_cap_reached(after) == capped, (inner, total, j)
+
+    def test_no_gap_test_falls_inside_a_stretch(self):
+        for inner in range(201):
+            k = restarts.steps_to_next_test(self.counts(inner, inner), False)
+            assert 1 <= k <= restarts.GAP_EVAL_INTERVAL
+            assert (inner + k) % restarts.GAP_EVAL_INTERVAL == 0
 
 
 class TestApplyRestart:

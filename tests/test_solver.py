@@ -17,7 +17,6 @@ import scipy.sparse
 
 import pdhg_lp as pl
 from pdhg_lp import pdhg, restarts, scaling as scaling_module
-from pdhg_lp.pdhg import halpern_step
 from pdhg_lp.scaling import ROW_ORDER_MIN_NNZ
 
 from conftest import planted_infeasible_lp, planted_unbounded_lp, random_feasible_lp
@@ -351,7 +350,7 @@ class TestHalpern:
         assert pl.SolverConfig().step == pl.StepPolicy(mode="halpern")
 
     def test_driver_reproduces_halpern_steps_exactly(self):
-        # without restarts solve moves the iterate as halpern_step does, and
+        # without restarts solve moves the iterate as the Halpern step does, and
         # reports the T(z) of its last step
         problem = random_feasible_lp(3)
         config = pl.SolverConfig(
@@ -371,7 +370,7 @@ class TestHalpern:
         assert step.step_size == 0.998 / norm_k
         state = pl.IterateState.initial(saddle)
         for _ in range(300):
-            halpern_step(state, saddle, step)
+            pl.pdhg_step(state, saddle, step, halpern=True)
         x, y = pl.unscale_solution(state.buffers.x, state.buffers.y, scaling)
         assert report.x.tobytes() == x.tobytes()
         assert report.y.tobytes() == y.tobytes()
@@ -686,8 +685,9 @@ class TestTrajectory:
 
 
 class TestFixedStepStretches:
-    """``solve`` runs the fixed step in stretches between the loop's events
-    (checks, log lines, gap restart tests, the iteration limit)."""
+    """``solve`` runs the fixed step, like the Halpern step, in stretches
+    between the loop's events (checks, log lines, restart tests, the
+    iteration limit)."""
 
     def test_overflow_mid_stretch_keeps_the_last_good_iterate(self):
         # a unit step on the unscaled planted unbounded LP overflows inside
@@ -741,21 +741,31 @@ class TestFixedStepStretches:
         assert [row[0] for row in report.residual_history] == [0, 64, 100]
         assert [int(rec.getMessage().split()[1]) for rec in caplog.records] == list(range(0, 99, 7))
 
-    def test_time_limit_stops_at_the_same_step(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "policy",
+        (
+            (pl.StepPolicy(mode="fixed", fixed_step=0.5), pl.WeightPolicy(mode="fixed")),
+            (pl.StepPolicy(fixed_step=0.5), pl.WeightPolicy()),
+        ),
+        ids=("fixed", "halpern"),
+    )
+    def test_time_limit_stops_at_the_same_step(self, policy, monkeypatch):
         # A clock that ticks once per read.  The loop reads it before a
         # stretch and the kernel before each later step of it, one read a
         # step as when the loop took one step at a time, so one more tick of
         # limit buys exactly one more step, inside a stretch or across the
-        # check at 64 and the gap tests at 40, 80 and 120.
+        # check at 64 and the restart tests: the fixed step's gap tests at
+        # 40, 80 and 120, the Halpern step's residual tests and its cap.
         problem = random_feasible_lp(0)
+        step, weight = policy
         stops = []
         for limit in range(40, 160):
             ticks = itertools.count()
             monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
             config = pl.SolverConfig(
                 termination=pl.TerminationCriteria(tol_optimal=1e-16, time_limit_sec=float(limit)),
-                step=pl.StepPolicy(mode="fixed", fixed_step=0.5),
-                weight=pl.WeightPolicy(mode="fixed"),
+                step=step,
+                weight=weight,
             )
             report = pl.solve(problem, config)
             assert report.status == pl.STATUS_TIME_LIMIT
@@ -1060,7 +1070,8 @@ class TestTwoThreads:
         assert pl.to_saddle(problem).K.nnz >= pl.sparse.SPLIT_MIN_NNZ
         threaded, workers = self.solve_recording_workers(problem, monkeypatch)
         assert threaded["status"] == pl.STATUS_OPTIMAL
-        assert len(workers) == threaded["counts"]["iterations"]
+        # the Halpern step, too, takes the worker once per stretch of steps
+        assert 0 < len(workers) < threaded["counts"]["iterations"]
         if pdhg._cpus() >= 2:
             assert all(w is not None and w is workers[0] for w in workers)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -1107,7 +1118,7 @@ class TestTwoThreads:
         state = pl.IterateState(x=np.full(saddle.num_primal, 1.7e308), y=np.zeros(saddle.num_dual))
         x, y = state.x, state.y
         with pytest.raises(pl.NonFiniteIterate, match="total iteration 1"):
-            halpern_step(state, saddle, pl.StepState(0.5, 1.0))
+            pl.pdhg_step(state, saddle, pl.StepState(0.5, 1.0), halpern=True)
         assert state.x is x and state.y is y
         assert np.all(state.x == 1.7e308) and np.all(state.y == 0.0)
         assert (state.inner_count, state.total_count, state.trial_count) == (0, 0, 0)

@@ -11,6 +11,7 @@ difference, down to the last bit, is a kernel fault.
 
 import dataclasses
 import math
+import time
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 
 import pdhg_lp as pl
 from pdhg_lp import IterateState, StepPolicy, StepState, adaptive_step, apply_restart, pdhg_step, stepsize
-from pdhg_lp.pdhg import fixed_point_residual, halpern_step
+from pdhg_lp.pdhg import fixed_point_residual
 from pdhg_lp.sparse import dot
 
 from conftest import planted_unbounded_lp, random_feasible_lp, random_small_saddle
@@ -105,7 +106,7 @@ class Reference:
 
 def halpern_reference(saddle, x, y, s, w, steps, anchor=None, first=0):
     """Reflected Halpern PDHG from (x, y) over one epoch, as the docstring
-    of ``pdhg.halpern_step`` states it; yields (T x, T y, x, y) after each
+    of ``pdhg.pdhg_step`` states it; yields (T x, T y, x, y) after each
     step.  The product is taken of the reflection, K (2 T x - x), and K'y
     by ``transpose_product``.  The epoch is anchored at (x, y) unless
     ``anchor`` names its start, and ``first`` is its number of steps taken
@@ -236,19 +237,20 @@ STRETCH_INPUTS = list(stretch_inputs())
 
 
 class TestStretchAgainstSingleSteps:
-    """``pdhg_step(count=k)`` is k calls of ``pdhg_step``, bit for bit: the
-    iterate, the running sums, the counts and the matvec counters."""
+    """``pdhg_step(count=k)`` is k calls of ``pdhg_step``, bit for bit, for
+    both steps: the iterate, the running sums, Halpern's T(z), the counts
+    and the matvec counters."""
 
     @staticmethod
     def snapshot(state, saddle, base):
         return (
-            state.x.tobytes(), state.y.tobytes(),
+            state.x.tobytes(), state.y.tobytes(), state.buffers.t.tobytes(),
             state.sum_x.tobytes(), state.sum_y.tobytes(), state.sum_weight,
             state.inner_count, state.total_count, state.trial_count,
             saddle.K.matvec_calls - base[0], saddle.K.rmatvec_calls - base[1],
         )
 
-    def run(self, saddle, x, y, step, stretches, single):
+    def run(self, saddle, x, y, step, stretches, single, halpern=False):
         """Snapshots after each stretch of ``stretches``, taken either in
         one call or one step per call; None restarts to the average."""
         base = (saddle.K.matvec_calls, saddle.K.rmatvec_calls)
@@ -260,18 +262,19 @@ class TestStretchAgainstSingleSteps:
                 continue
             if single:
                 for _ in range(count):
-                    pdhg_step(state, saddle, step)
+                    pdhg_step(state, saddle, step, halpern=halpern)
             else:
-                pdhg_step(state, saddle, step, count=count)
+                pdhg_step(state, saddle, step, halpern=halpern, count=count)
             shots.append(self.snapshot(state, saddle, base))
         return shots
 
+    @pytest.mark.parametrize("halpern", (False, True))
     @pytest.mark.parametrize("index", range(len(STRETCH_INPUTS)))
-    def test_stretches_match_single_steps(self, index):
+    def test_stretches_match_single_steps(self, index, halpern):
         saddle, x, y, step = STRETCH_INPUTS[index]
         stretches = (1, 7, 12, None, 9, 3)
-        shots = self.run(saddle, x, y, step, stretches, single=False)
-        assert shots == self.run(saddle, x, y, step, stretches, single=True)
+        shots = self.run(saddle, x, y, step, stretches, single=False, halpern=halpern)
+        assert shots == self.run(saddle, x, y, step, stretches, single=True, halpern=halpern)
         # one product with K and one with K' per step, none for a restart
         assert shots[-1][-2:] == (32, 32)
 
@@ -292,8 +295,8 @@ class TestStretchAgainstSingleSteps:
                 pdhg_step(single, saddle, step)
         want = self.snapshot(single, saddle, base)
         # the steps before the failed one, which made its two products too
-        done = want[6]
-        assert done > 0 and want[8:] == (done + 1, done + 1)
+        done = want[7]
+        assert done > 0 and want[9:] == (done + 1, done + 1)
         if blocks == 1:
             assert done == 66
         stretch = IterateState(x=start.x, y=start.y)
@@ -304,16 +307,19 @@ class TestStretchAgainstSingleSteps:
         assert str(single_err.value) == f"iterate became non-finite at total iteration {done + 1}"
         assert self.snapshot(stretch, saddle, base) == want
 
+    @pytest.mark.parametrize("halpern", (False, True))
     @pytest.mark.parametrize("blocks", (1, 2))
-    def test_time_limit_ends_the_stretch_after_its_first_step(self, blocks, monkeypatch):
+    def test_time_limit_ends_the_stretch_after_its_first_step(self, blocks, halpern, monkeypatch):
+        # a deadline already past when the stretch starts
         if blocks == 2:
             monkeypatch.setattr(pl.sparse, "SPLIT_MIN_NNZ", 1)
         saddle = scaled_saddle(0)
         assert len(saddle.K.row_blocks()) == blocks
         state = IterateState.initial(saddle)
-        pdhg_step(state, saddle, StepState(0.1, 1.0), count=50, t_start=0.0, time_limit=0.0)
+        step = StepState(0.1, 1.0)
+        pdhg_step(state, saddle, step, halpern=halpern, count=50, deadline=time.perf_counter())
         assert (state.inner_count, state.total_count, state.trial_count) == (1, 1, 1)
-        pdhg_step(state, saddle, StepState(0.1, 1.0), count=50, t_start=0.0, time_limit=math.inf)
+        pdhg_step(state, saddle, step, halpern=halpern, count=50)
         assert state.total_count == 51
 
     def test_count_must_be_positive(self, toy_saddle):
@@ -344,7 +350,7 @@ class TestTwoRowBlocks:
         state = IterateState.initial(saddle)
         start = (state.x.copy(), state.y.copy())
         for k, (tx, ty, x, y) in enumerate(halpern_reference(saddle, *start, step.step_size, 1.7, 30)):
-            halpern_step(state, saddle, step)
+            pdhg_step(state, saddle, step, halpern=True)
             assert state.buffers.x.tobytes() == tx.tobytes() and state.buffers.y.tobytes() == ty.tobytes(), k
             assert state.x.tobytes() == x.tobytes() and state.y.tobytes() == y.tobytes(), k
         assert state.total_count == state.trial_count == 30
@@ -365,7 +371,7 @@ class TestHalpernAgainstReference:
         for epoch in range(2):
             ref = halpern_reference(saddle, x, y, step.step_size, step.primal_weight, 40)
             for k, (tx, ty, rx, ry) in enumerate(ref):
-                halpern_step(state, saddle, step)
+                pdhg_step(state, saddle, step, halpern=True)
                 assert state.buffers.x.tobytes() == tx.tobytes()
                 assert state.buffers.y.tobytes() == ty.tobytes()
                 for got, want in ((state.x, rx), (state.y, ry)):
@@ -384,7 +390,7 @@ class TestHalpernAgainstReference:
         step = StepState(0.998 / pl.spectral_norm_estimate(saddle.K).value, 1.3)
         state = IterateState.initial(saddle)
         for _ in range(7):
-            halpern_step(state, saddle, step)
+            pdhg_step(state, saddle, step, halpern=True)
         buf = state.buffers
         sums = (state.sum_x, state.sum_y)
         t = buf.t.copy()
@@ -394,7 +400,7 @@ class TestHalpernAgainstReference:
         assert not (state.sum_x.any() or state.sum_y.any())
         assert buf.z.tobytes() == t.tobytes()
         assert (state.inner_count, state.total_count) == (0, 7)
-        halpern_step(state, saddle, step)
+        pdhg_step(state, saddle, step, halpern=True)
         assert buf.anchor.tobytes() == t.tobytes()
         assert state.x is buf.z_parts[0] and state.y is buf.z_parts[1]
 
@@ -406,10 +412,10 @@ class TestHalpernAgainstReference:
             step = StepState(0.998 / pl.spectral_norm_estimate(saddle.K).value, float(rng.uniform(0.3, 3.0)))
             state = IterateState.initial(saddle)
             for _ in range(int(rng.integers(1, 30))):
-                halpern_step(state, saddle, step)
+                pdhg_step(state, saddle, step, halpern=True)
             plain = IterateState(x=state.x, y=state.y)
             z = (state.x.copy(), state.y.copy())
-            halpern_step(state, saddle, step)
+            pdhg_step(state, saddle, step, halpern=True)
             pdhg_step(plain, saddle, step)
             assert state.buffers.x.tobytes() == plain.x.tobytes()
             assert state.buffers.y.tobytes() == plain.y.tobytes()
@@ -437,7 +443,7 @@ class TestHalpernAgainstReference:
         state = IterateState.initial(saddle)
         start = (state.x.copy(), state.y.copy())
         for tx, ty, x, y in halpern_reference(saddle, *start, s, w, 5):
-            halpern_step(state, saddle, step)
+            pdhg_step(state, saddle, step, halpern=True)
             assert state.x.tobytes() == x.tobytes() and state.y.tobytes() == y.tobytes()
         buf = state.buffers
         ref = Reference(saddle, x, y)
@@ -448,7 +454,7 @@ class TestHalpernAgainstReference:
         for part, want in zip(buf.prev_parts + buf.anchor_parts, (x, y) + start):
             assert part.tobytes() == want.tobytes()
         for tx, ty, x, y in halpern_reference(saddle, ref.x, ref.y, s, w, 5, anchor=start, first=6):
-            halpern_step(state, saddle, step)
+            pdhg_step(state, saddle, step, halpern=True)
             assert state.buffers.x.tobytes() == tx.tobytes() and state.buffers.y.tobytes() == ty.tobytes()
             assert state.x.tobytes() == x.tobytes() and state.y.tobytes() == y.tobytes()
         assert state.buffers is buf
@@ -458,7 +464,7 @@ class TestHalpernAgainstReference:
         state = IterateState(x=[1.7e308], y=[1.7e308], inner_count=3, total_count=5)
         x, y = state.x, state.y
         with pytest.raises(pl.NonFiniteIterate, match="total iteration 6"):
-            halpern_step(state, toy_saddle, StepState(0.5, 1.0))
+            pdhg_step(state, toy_saddle, StepState(0.5, 1.0), halpern=True)
         assert state.x is x and state.y is y
         np.testing.assert_array_equal(state.x, [1.7e308])
         np.testing.assert_array_equal(state.y, [1.7e308])
@@ -556,7 +562,7 @@ class TestNonFiniteTrial:
             for step_fn in (
                 lambda s: pdhg_step(s, toy_saddle, StepState(0.5, 1.0)),
                 lambda s: adaptive_step(s, toy_saddle, StepState(0.5, 1.0)),
-                lambda s: halpern_step(s, toy_saddle, StepState(0.5, 1.0)),
+                lambda s: pdhg_step(s, toy_saddle, StepState(0.5, 1.0), halpern=True),
             ):
                 with pytest.raises(pl.NonFiniteIterate):
                     step_fn(IterateState(x=[1.7e308], y=[1.7e308]))
@@ -580,7 +586,7 @@ class TestFinitenessSum:
     A failed step leaves the iterate it tested in ``buffers.prev``."""
 
     KERNELS = {
-        "halpern": lambda state, saddle, step: halpern_step(state, saddle, step),
+        "halpern": lambda state, saddle, step: pdhg_step(state, saddle, step, halpern=True),
         "pdhg": lambda state, saddle, step: pdhg_step(state, saddle, step, count=3),
     }
     SIZES = (3, pl.sparse.DOT_BLAS_MAX)  # n + 1 entries in all
@@ -637,7 +643,7 @@ class TestFinitenessSum:
         state = IterateState(x=[0.0, 0.0, 1e308], y=np.zeros(blocks))
         x, y = state.x, state.y
         with pytest.raises(pl.NonFiniteIterate, match="total iteration 1$"):
-            halpern_step(state, saddle, StepState(10.0, 1.0))
+            pdhg_step(state, saddle, StepState(10.0, 1.0), halpern=True)
         assert state.buffers.x.tolist() == [0.0, 0.0, 1e308]
         assert state.x is x and state.y is y
         assert state.x.tolist() == [0.0, 0.0, 1e308] and state.y.tolist() == [0.0] * blocks
@@ -654,12 +660,12 @@ class TestStepScalarsFollowTheStepState:
         step = StepState(0.998 / pl.spectral_norm_estimate(saddle.K).value, 1.7)
         state = IterateState.initial(saddle)
         for _ in range(6):
-            halpern_step(state, saddle, step)
+            pdhg_step(state, saddle, step, halpern=True)
         start = (state.buffers.x.copy(), state.buffers.y.copy())
         apply_restart(state, start)
         step = dataclasses.replace(step, primal_weight=0.6)
         for tx, ty, x, y in halpern_reference(saddle, *start, step.step_size, 0.6, 6):
-            halpern_step(state, saddle, step)
+            pdhg_step(state, saddle, step, halpern=True)
             assert state.buffers.x.tobytes() == tx.tobytes() and state.buffers.y.tobytes() == ty.tobytes()
             assert state.x.tobytes() == x.tobytes() and state.y.tobytes() == y.tobytes()
 
