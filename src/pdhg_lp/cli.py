@@ -114,10 +114,7 @@ def _add_solver_flags(p):
     flag("--time-limit-sec", "termination.time_limit_sec", type=float)
     flag("--check-interval", "check_interval", type=int)
     flag("--scaling", "scaling", choices=SCALING_MODES)
-    flag("--ruiz-iterations", "ruiz_iterations", type=int)
-    flag("--pc-alpha", "pc_alpha", type=float)
     flag("--restart", "restart.scheme", choices=RESTART_SCHEMES)
-    flag("--restart-beta", "restart.sufficient_decay", type=float)
     flag("--step-size", "step.mode", metavar="{halpern,adaptive,fixed,fixed=S}")
     flag("--primal-weight", "weight.mode", metavar="{adaptive,fixed,fixed=W}")
     flag("--no-infeasibility-detection", "detect_infeasibility", action="store_false")
@@ -140,7 +137,8 @@ def _mode_flag(dest, value):
     if value in modes:
         return value, None
     if value.startswith("fixed="):
-        return "fixed", float(value.split("=", 1)[1])
+        with contextlib.suppress(ValueError):
+            return "fixed", float(value.split("=", 1)[1])
     raise ValueError(f"bad {name} flag {value!r}")
 
 

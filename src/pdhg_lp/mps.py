@@ -752,9 +752,11 @@ def write_mps(problem, name=None, out=None):
     rows, equalities as E rows, maximization problems get an OBJSENSE
     section with the original (un-negated) objective.  Raises MpsNameError,
     before anything is written, for a problem name with whitespace (the
-    reader keeps only the first word of the NAME line) and for a variable or
-    constraint name that would not read back (see _check_names).  An empty
-    problem name is written, and so reads back, as "LP".
+    reader keeps only the first word of the NAME line), for a list of
+    variable or constraint names whose length is not the number of
+    variables or constraints (None means generated names), and for a name
+    that would not read back (see _check_names).  An empty problem name is
+    written, and so reads back, as "LP".
     """
     pieces = _pieces(problem, name)
     if out is None:
@@ -769,15 +771,17 @@ def write_mps(problem, name=None, out=None):
 def _pieces(problem, name):
     """The text of write_mps in pieces that each end in a newline."""
     n = problem.num_variables
-    var_names = problem.variable_names or [f"X{j}" for j in range(n)]
     m1 = problem.num_inequalities
     m2 = problem.num_equalities
-    if problem.constraint_names and len(problem.constraint_names) == m1 + m2:
-        g_names = problem.constraint_names[:m1]
-        a_names = problem.constraint_names[m1:]
-    else:
-        g_names = [f"R{i}" for i in range(m1)]
-        a_names = [f"E{i}" for i in range(m2)]
+    var_names, con_names = problem.variable_names, problem.constraint_names
+    for names, count, kind in ((var_names, n, "variable"), (con_names, m1 + m2, "constraint")):
+        if names is not None and len(names) != count:
+            raise MpsNameError(f"{len(names)} {kind} names given for {count} {kind}s")
+    if var_names is None:
+        var_names = [f"X{j}" for j in range(n)]
+    if con_names is None:
+        con_names = [f"R{i}" for i in range(m1)] + [f"E{i}" for i in range(m2)]
+    g_names, a_names = con_names[:m1], con_names[m1:]
     title = name or problem.name or "LP"
     if _WHITESPACE.search(title):
         raise MpsNameError(f"problem name {title!r} contains whitespace")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, InconsistentBounds, NonFiniteData
+from .exceptions import DimensionMismatch, InconsistentBounds, NonFiniteData, ValidationError
 from .sparse import SparseMatrix
 
 
@@ -99,9 +99,11 @@ def validate(problem):
 
     Returns the problem unchanged on success.  On failure raises the most
     specific error that applies, carrying *all* violations of that kind (and
-    any of the less specific kinds collected along the way).
+    any of the less specific kinds collected along the way); an
+    ``objective_sign`` other than 1 or -1 is the least specific, a plain
+    ValidationError.
     """
-    dim, nonfinite, bounds = [], [], []
+    dim, nonfinite, bounds, sign = [], [], [], []
     n = problem.num_variables
 
     def check_len(vec, name, expected):
@@ -119,6 +121,10 @@ def validate(problem):
         dim.append(f"eq_matrix has shape {problem.eq_matrix.shape}, expected {(m2, n)}")
     if problem.variable_names is not None and len(problem.variable_names) != n:
         dim.append(f"variable_names has length {len(problem.variable_names)}, expected {n}")
+    if problem.constraint_names is not None and len(problem.constraint_names) != m1 + m2:
+        dim.append(f"constraint_names has length {len(problem.constraint_names)}, expected {m1 + m2}")
+    if problem.objective_sign not in (1, -1):
+        sign.append(f"objective_sign is {problem.objective_sign}, expected 1 or -1")
 
     if not np.all(np.isfinite(problem.c)):
         nonfinite.append("c contains non-finite entries")
@@ -142,11 +148,13 @@ def validate(problem):
             bounds.append(f"... and {bad.shape[0] - 10} more crossed bounds")
 
     if dim:
-        raise DimensionMismatch(dim + nonfinite + bounds)
+        raise DimensionMismatch(dim + nonfinite + bounds + sign)
     if nonfinite:
-        raise NonFiniteData(nonfinite + bounds)
+        raise NonFiniteData(nonfinite + bounds + sign)
     if bounds:
-        raise InconsistentBounds(bounds)
+        raise InconsistentBounds(bounds + sign)
+    if sign:
+        raise ValidationError(sign)
     return problem
 
 

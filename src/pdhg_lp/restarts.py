@@ -27,9 +27,12 @@ from .sparse import DOT_BLAS_MAX, dot
 RESTART_SCHEMES = ("none", "adaptive")
 
 # The adaptive scheme tests the decay of the normalized gap every
-# GAP_EVAL_INTERVAL epoch iterations, and caps an epoch at
+# GAP_EVAL_INTERVAL epoch iterations, and restarts once it is at most
+# GAP_SUFFICIENT_DECAY times the epoch's first (PDLP's beta_sufficient,
+# Applegate et al., arXiv 2106.04756).  It caps an epoch at
 # max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * total iterations).
 GAP_EVAL_INTERVAL = 40
+GAP_SUFFICIENT_DECAY = 0.5
 ARTIFICIAL_FRACTION = 0.36
 MIN_ARTIFICIAL = 10
 # Under the Halpern step the adaptive scheme tests the residual every
@@ -48,7 +51,7 @@ class RestartConfig:
 
     scheme: "none" or "adaptive" (a decay test plus an artificial cap).
     Under PDHG the decay test is on the normalized gap, every
-    ``GAP_EVAL_INTERVAL`` iterations, with ``sufficient_decay`` as its
+    ``GAP_EVAL_INTERVAL`` iterations, with ``GAP_SUFFICIENT_DECAY`` as its
     bound, and a restart goes to the running average of the epoch.  Under
     the Halpern step it is on the fixed-point residual, every
     ``RESIDUAL_EVAL_INTERVAL`` iterations, the cap is tested at every
@@ -56,13 +59,10 @@ class RestartConfig:
     """
 
     scheme: str = "adaptive"
-    sufficient_decay: float = 0.5
 
     def __post_init__(self):
         if self.scheme not in RESTART_SCHEMES:
             raise NonPositiveInput(f"unknown restart scheme {self.scheme!r}")
-        if not 0.0 < self.sufficient_decay < 1.0:
-            raise NonPositiveInput(f"sufficient_decay must lie in (0, 1), got {self.sufficient_decay}")
 
 
 def normalized_duality_gap(saddle, x, y, radius, *, stop_above=math.inf):
@@ -169,7 +169,7 @@ def should_restart(state, config, candidate_gap=None, reference_gap=None, residu
     elif (
         candidate_gap is not None
         and reference_gap is not None
-        and candidate_gap <= config.sufficient_decay * reference_gap
+        and candidate_gap <= GAP_SUFFICIENT_DECAY * reference_gap
     ):
         return True, "gap_decay"
     if artificial_cap_reached(state):

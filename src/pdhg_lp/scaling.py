@@ -23,14 +23,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DimensionMismatch, NonPositiveInput
-from .sparse import SparseMatrix
 
 # The named pipelines combined_rescale builds, and SolverConfig.scaling takes,
 # and the default of both.  The log-mean pass makes the default's result
 # independent of the rows' scale; a fixed primal weight is not independent of
 # scale, so the fixed-weight presets take "ruiz+pc".
-SCALING_MODES = ("none", "ruiz", "pc", "ruiz+pc", "logmean+ruiz+pc")
+SCALING_MODES = ("none", "ruiz+pc", "logmean+ruiz+pc")
 DEFAULT_SCALING = "logmean+ruiz+pc"
+
+# The Ruiz sweeps and the Pock-Chambolle exponent of both pipelines: PDLP's
+# defaults (Applegate et al., arXiv 2106.04756).
+RUIZ_ITERATIONS = 10
+PC_ALPHA = 1.0
 
 # A matrix with fewer nonzeros keeps its row order.  Scaled PageRank K on a
 # 2-core AMD EPYC (numpy 2.4, scipy 1.17), ordered against not: K x takes
@@ -68,17 +72,6 @@ class ScalingInfo:
     def is_identity(self):
         return self.row_order is None and np.all(self.row_scale == 1.0) and np.all(self.col_scale == 1.0)
 
-    def compose(self, other):
-        """Scaling equivalent to applying ``self`` first, then ``other``
-        (neither may reorder rows)."""
-        if self.row_scale.shape != other.row_scale.shape or (
-            self.col_scale.shape != other.col_scale.shape
-        ):
-            raise DimensionMismatch(["cannot compose scalings of different shapes"])
-        if self.row_order is not None or other.row_order is not None:
-            raise DimensionMismatch(["cannot compose scalings that reorder rows"])
-        return ScalingInfo(self.row_scale * other.row_scale, self.col_scale * other.col_scale)
-
 
 def length_order(matrix, m1):
     """The working space's row order for a matrix whose first ``m1`` rows
@@ -95,7 +88,7 @@ def length_order(matrix, m1):
     return np.concatenate([np.argsort(-blocks[0], kind="stable"), m1 + np.argsort(-blocks[1], kind="stable")])
 
 
-def ruiz_rescale(matrix, num_iters=10, *, log_mean=False, deadline=math.inf):
+def ruiz_rescale(matrix, num_iters=RUIZ_ITERATIONS, *, log_mean=False, deadline=math.inf):
     """Iterative Ruiz equilibration, after one log-mean pass if ``log_mean``.
 
     Each sweep divides every row and column by the square root of its
@@ -108,22 +101,32 @@ def ruiz_rescale(matrix, num_iters=10, *, log_mean=False, deadline=math.inf):
     """
     if num_iters < 0:
         raise NonPositiveInput("num_iters must be >= 0")
-    m, n = matrix.shape
-    d1 = np.ones(m)
-    d2 = np.ones(n)
     # the deadline is checked before the triplets are built too: at n=1e5
     # they take about 1 ms
     if matrix.nnz == 0 or (num_iters == 0 and not log_mean) or time.perf_counter() >= deadline:
-        return ScalingInfo(d1, d2)
+        return ScalingInfo.identity(matrix.shape)
+    return ScalingInfo(*_ruiz_scales(_abs_triplets(matrix), matrix.shape, num_iters, log_mean, deadline))
+
+
+def _abs_triplets(matrix):
+    """The COO triplets (rows, cols, values) of |M|, row by row."""
     coo = matrix.tocoo()
-    rows, cols, vals = coo.row, coo.col, np.abs(coo.data)
+    return coo.row, coo.col, np.abs(coo.data)
+
+
+def _ruiz_scales(triplets, shape, num_iters, log_mean, deadline):
+    """``ruiz_rescale``'s (d1, d2) from the triplets of |M|."""
+    rows, cols, vals = triplets
+    m, n = shape
+    d1 = np.ones(m)
+    d2 = np.ones(n)
     if log_mean:
         d1, d2 = _log_mean_pass(rows, cols, vals, m, n)
     for _ in range(num_iters):
         if time.perf_counter() >= deadline:
             break
         d1, d2 = _ruiz_sweep(rows, cols, vals, d1, d2)
-    return ScalingInfo(d1, d2)
+    return d1, d2
 
 
 def _log_mean_pass(rows, cols, vals, m, n):
@@ -161,7 +164,7 @@ def _ruiz_sweep(rows, cols, vals, d1, d2):
     return d1, d2
 
 
-def pock_chambolle_rescale(matrix, alpha=1.0):
+def pock_chambolle_rescale(matrix, alpha=PC_ALPHA):
     """Single-pass Pock-Chambolle diagonal scaling.
 
     D1_ii = (sum_j |K_ij|^(2-alpha))^(-1/2),
@@ -170,41 +173,48 @@ def pock_chambolle_rescale(matrix, alpha=1.0):
     """
     if not 0.0 <= alpha <= 2.0:
         raise NonPositiveInput(f"alpha must lie in [0, 2], got {alpha}")
-    row_sum = matrix.row_power_sum(2.0 - alpha)
-    col_sum = matrix.col_power_sum(alpha)
+    m, n = matrix.shape
+    return ScalingInfo(*_pock_chambolle_scales(_abs_triplets(matrix), np.ones(m), np.ones(n), alpha))
+
+
+def _pock_chambolle_scales(triplets, d1, d2, alpha):
+    """``pock_chambolle_rescale``'s (D1, D2) for diag(d1) M diag(d2), from
+    the triplets of |M|: each entry is (d1_i * d2_j) * |M_ij|, the bits of
+    ``SparseMatrix.scaled``'s entries, summed row by row as there."""
+    rows, cols, vals = triplets
+    cur = d1[rows] * d2[cols]
+    cur *= vals
+    row_sum = np.bincount(rows, cur ** (2.0 - alpha), d1.size)
+    col_sum = np.bincount(cols, cur ** alpha, d2.size)
     d1 = np.where(row_sum > 0, 1.0 / np.sqrt(np.maximum(row_sum, 1e-300)), 1.0)
     d2 = np.where(col_sum > 0, 1.0 / np.sqrt(np.maximum(col_sum, 1e-300)), 1.0)
-    return ScalingInfo(d1, d2)
+    return d1, d2
 
 
-def combined_rescale(matrix, mode=DEFAULT_SCALING, ruiz_iters=10, pc_alpha=1.0, *, m1=None, deadline=math.inf):
+def combined_rescale(matrix, mode=DEFAULT_SCALING, *, m1=None, deadline=math.inf):
     """Build the scaling for a named pipeline.
 
-    ``ruiz+pc`` runs Ruiz sweeps and then one Pock-Chambolle pass on the
-    Ruiz-scaled matrix, composing both into a single ScalingInfo;
-    ``logmean+ruiz+pc`` runs the log-mean pass first (``ruiz_rescale``).  Given
-    ``m1``, the number of sign-constrained rows, the result also carries
-    ``length_order(matrix, m1)``; without it the rows keep their order.
-    ``deadline`` stops the Ruiz sweeps as in ``ruiz_rescale``; once
-    ``time.perf_counter()`` has reached it, before or after them, the
+    ``ruiz+pc`` runs RUIZ_ITERATIONS Ruiz sweeps and then one
+    Pock-Chambolle pass (PC_ALPHA) on the Ruiz-scaled matrix, composing
+    both into a single ScalingInfo; ``logmean+ruiz+pc`` runs the log-mean
+    pass first.  All passes read one set of K's COO triplets, without a
+    scaled copy of K.  Given ``m1``, the number of sign-constrained rows,
+    the result also carries ``length_order(matrix, m1)``; without it the
+    rows keep their order.  ``deadline`` stops the Ruiz sweeps as in
+    ``ruiz_rescale``; once ``time.perf_counter()`` has reached it, the
     result is the identity, and nothing more is built.
     """
     if mode not in SCALING_MODES:
         raise NonPositiveInput(f"unknown scaling mode {mode!r}")
-    first = None
-    if "ruiz" in mode:
-        first = ruiz_rescale(matrix, ruiz_iters, log_mean=mode.startswith("logmean"), deadline=deadline)
+    scaling = ScalingInfo.identity(matrix.shape)
+    if mode != "none" and matrix.nnz and time.perf_counter() < deadline:
+        triplets = _abs_triplets(matrix)
+        d1, d2 = _ruiz_scales(triplets, matrix.shape, RUIZ_ITERATIONS, mode.startswith("logmean"), deadline)
+        if time.perf_counter() < deadline:
+            e1, e2 = _pock_chambolle_scales(triplets, d1, d2, PC_ALPHA)
+            scaling = ScalingInfo(d1 * e1, d2 * e2)
     if time.perf_counter() >= deadline:
         return ScalingInfo.identity(matrix.shape)
-    if mode == "none":
-        scaling = ScalingInfo.identity(matrix.shape)
-    elif mode == "ruiz":
-        scaling = first
-    elif mode == "pc":
-        scaling = pock_chambolle_rescale(matrix, pc_alpha)
-    else:
-        scaled = matrix.scaled(first.row_scale, first.col_scale)
-        scaling = first.compose(pock_chambolle_rescale(scaled, pc_alpha))
     if m1 is not None:
         scaling.row_order = length_order(matrix, m1)
     return scaling

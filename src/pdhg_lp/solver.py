@@ -82,8 +82,6 @@ _INFEASIBILITY_VERDICTS = (
 class SolverConfig:
     termination: TerminationCriteria = field(default_factory=TerminationCriteria)
     scaling: str = DEFAULT_SCALING  # one of SCALING_MODES
-    ruiz_iterations: int = 10
-    pc_alpha: float = 1.0
     restart: RestartConfig = field(default_factory=RestartConfig)
     step: StepPolicy = field(default_factory=StepPolicy)
     weight: WeightPolicy = field(default_factory=WeightPolicy)
@@ -96,11 +94,6 @@ class SolverConfig:
             raise NonPositiveInput(f"unknown scaling mode {self.scaling!r}")
         if self.check_interval < 1:
             raise NonPositiveInput(f"check_interval must be at least 1, got {self.check_interval}")
-        # combined_rescale's own checks, named by the field that feeds them
-        if self.ruiz_iterations < 0:
-            raise NonPositiveInput(f"ruiz_iterations: num_iters must be >= 0, got {self.ruiz_iterations}")
-        if not 0.0 <= self.pc_alpha <= 2.0:
-            raise NonPositiveInput(f"pc_alpha: alpha must lie in [0, 2], got {self.pc_alpha}")
         if self.log_interval < 0:
             raise NonPositiveInput(f"log_interval must be >= 0, got {self.log_interval}")
 
@@ -228,14 +221,7 @@ def solve(problem, config=None, callback=None):
     saddle0 = to_saddle(problem)
 
     t_mark = time.perf_counter()
-    scaling = combined_rescale(
-        saddle0.K,
-        mode=config.scaling,
-        ruiz_iters=config.ruiz_iterations,
-        pc_alpha=config.pc_alpha,
-        m1=saddle0.m1,
-        deadline=deadline,
-    )
+    scaling = combined_rescale(saddle0.K, mode=config.scaling, m1=saddle0.m1, deadline=deadline)
     if time.perf_counter() >= deadline:
         # no time left to build the working space: the first check stops the loop
         scaling = ScalingInfo.identity(saddle0.K.shape)
@@ -422,7 +408,7 @@ def solve(problem, config=None, callback=None):
                     # decay bound restarts, so the bisection may stop above it.
                     stop_above = math.inf
                     if not restarts.artificial_cap_reached(state):
-                        stop_above = rcfg.sufficient_decay * reference_gap
+                        stop_above = restarts.GAP_SUFFICIENT_DECAY * reference_gap
                     candidate_gap = normalized_duality_gap(saddle, *t_parts, radius, stop_above=stop_above)
                     gap_evals += 1
             fire, why = should_restart(

@@ -66,7 +66,7 @@ def dot(a, b):
 
 
 class SparseMatrix:
-    """CSR matrix with both products and cheap row/column reductions."""
+    """CSR matrix with both products, its row blocks and its largest entry."""
 
     __slots__ = ("_csr", "shape", "nnz", "matvec_calls", "rmatvec_calls", "_row_blocks")
 
@@ -154,20 +154,6 @@ class SparseMatrix:
         return blocks
 
     # -- reductions -------------------------------------------------------
-
-    def row_power_sum(self, power):
-        """sum_j |M_ij|^power for each row i."""
-        out = np.zeros(self.shape[0])
-        if self.nnz:
-            rows = np.repeat(np.arange(self.shape[0]), np.diff(self._csr.indptr))
-            np.add.at(out, rows, np.abs(self._csr.data) ** power)
-        return out
-
-    def col_power_sum(self, power):
-        out = np.zeros(self.shape[1])
-        if self.nnz:
-            np.add.at(out, self._csr.indices, np.abs(self._csr.data) ** power)
-        return out
 
     def abs_max(self):
         """Largest absolute entry (0 for an all-zero matrix)."""

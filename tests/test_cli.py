@@ -3,6 +3,7 @@ import io
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,8 +116,7 @@ class TestSolve:
         code, out, _ = run_cli(
             ["solve", toy_mps, "--tolerance", "1e-5", "--infeasible-tolerance", "1e-9",
              "--max-iters", "4000", "--time-limit-sec", "30", "--check-interval", "32",
-             "--scaling", "ruiz", "--ruiz-iterations", "5", "--pc-alpha", "1.5",
-             "--restart", "none", "--restart-beta", "0.25",
+             "--scaling", "ruiz+pc", "--restart", "none",
              "--step-size", "fixed", "--primal-weight", "fixed",
              "--no-infeasibility-detection", "--log-every", "1000"]
         )
@@ -125,10 +125,8 @@ class TestSolve:
             termination=pl.TerminationCriteria(
                 tol_optimal=1e-5, tol_infeasible=1e-9, iteration_limit=4000, time_limit_sec=30.0
             ),
-            scaling="ruiz",
-            ruiz_iterations=5,
-            pc_alpha=1.5,
-            restart=pl.RestartConfig(scheme="none", sufficient_decay=0.25),
+            scaling="ruiz+pc",
+            restart=pl.RestartConfig(scheme="none"),
             step=pl.StepPolicy(mode="fixed"),
             weight=pl.WeightPolicy(mode="fixed"),
             check_interval=32,
@@ -149,12 +147,11 @@ class TestSolve:
             (["--restart", "sometimes"], "argument --restart: invalid choice: 'sometimes'"),
             (["--restart", "fixed"], "argument --restart: invalid choice: 'fixed'"),
             (["--restart", "fixed=128"], "argument --restart: invalid choice: 'fixed=128'"),
-            (["--step-size", "fixed=abc"], "could not convert string to float: 'abc'"),
+            (["--step-size", "fixed=abc"], "bad step_size flag 'fixed=abc'"),
+            (["--primal-weight", "fixed="], "bad primal_weight flag 'fixed='"),
             (["--step-size", "big"], "bad step_size flag 'big'"),
             (["--primal-weight", "none"], "bad primal_weight flag 'none'"),
             (["--check-interval", "0"], "check_interval must be at least 1, got 0"),
-            (["--ruiz-iterations", "-1"], "num_iters must be >= 0"),
-            (["--pc-alpha", "3"], "alpha must lie in [0, 2], got 3.0"),
             (["--time-limit-sec", "nan"], "config termination: time_limit_sec must be a number"),
             (["--primal-weight", "halpern"], "bad primal_weight flag 'halpern'"),
         ],
@@ -181,6 +178,17 @@ class TestSolve:
             choices = re.search(re.escape(flag) + r" \{([^}]*)\}", usage).group(1).split(",")
             assert [c for c in choices if "=" not in c] == list(names), flag
             assert [c.split("=")[0] for c in choices if "=" in c] == ["fixed"] * ("fixed" in names), flag
+
+    def test_readme_names_every_solve_flag(self):
+        # every solve option is named somewhere in the README, and every
+        # flag that the README's CLI paragraph names is a solve option
+        code, out, _ = run_cli(["solve", "--help"])
+        assert code == 0
+        options = set(re.findall(r"--[a-z][a-z-]*", out)) - {"--help"}
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        assert sorted(flag for flag in options if f"`{flag}" not in readme) == []
+        paragraph = re.search(r"\n`solve` writes a JSON report.*?\n\n", readme, re.S).group(0)
+        assert sorted(set(re.findall(r"--[a-z][a-z-]*", paragraph)) - options) == []
 
     def test_stdin_input(self, monkeypatch):
         text = pl.write_mps(pl.generate_bilinear_toy())

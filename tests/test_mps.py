@@ -410,6 +410,23 @@ class TestWriter:
         lines = write_mps(problem).split("\n")
         assert lines[lines.index("COLUMNS") + 1 : lines.index("RHS")] == expected
 
+    @pytest.mark.parametrize(
+        "field, count, expected",
+        [("variable_names", 2, 3), ("variable_names", 4, 3), ("constraint_names", 1, 2), ("constraint_names", 3, 2)],
+    )
+    def test_name_lists_of_the_wrong_length_rejected(self, field, count, expected):
+        # too few names would fail on a missing one, too many would drop
+        # the rest, and wrong constraint names would be replaced by R0, E0
+        problem = pl.LpProblem(c=[1.0, 2.0, 3.0], ineq_matrix=[[1.0, 1.0, 1.0]], ineq_rhs=[1.0],
+                               eq_matrix=[[1.0, 0.0, 1.0]], eq_rhs=[0.5])
+        setattr(problem, field, [f"n{k}" for k in range(count)])
+        kind = field.split("_")[0]
+        with pytest.raises(pl.MpsNameError, match=f"^{count} {kind} names given for {expected} {kind}s$"):
+            write_mps(problem)
+        # None means generated names
+        setattr(problem, field, None)
+        assert parse_mps(write_mps(problem)).constraint_names == ["R0", "E0"]
+
     def test_write_parse_write_is_stable(self):
         problem = random_feasible_lp(11, n=5, m_ineq=3, m_eq=1, spread=0.5)
         once = write_mps(problem)

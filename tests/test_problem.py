@@ -65,6 +65,28 @@ class TestConstruction:
         with pytest.raises(pl.NonFiniteData):
             pl.validate(p)
 
+    def test_name_lists_of_the_wrong_length_rejected(self):
+        p = small_problem()
+        p.constraint_names = ["only"]
+        with pytest.raises(pl.DimensionMismatch, match="constraint_names has length 1, expected 2"):
+            pl.validate(p)
+        p.constraint_names = ["g", "a"]
+        p.variable_names = ["x", "y", "z"]
+        with pytest.raises(pl.DimensionMismatch, match="variable_names has length 3, expected 2"):
+            pl.validate(p)
+        p.variable_names = ["x", "y"]
+        pl.validate(p)
+
+    @pytest.mark.parametrize("sign", [2, 0, -2])
+    def test_objective_sign_other_than_one_rejected(self, sign):
+        # write_mps would write sign * c as a minimization
+        p = small_problem()
+        p.objective_sign = sign
+        with pytest.raises(pl.ValidationError, match=f"objective_sign is {sign}, expected 1 or -1"):
+            pl.validate(p)
+        p.objective_sign = -1
+        pl.validate(p)
+
     def test_violations_collected(self):
         p = pl.LpProblem(
             c=[1.0], ineq_matrix=[[1.0, 2.0]], ineq_rhs=[1.0], lower=[3.0], upper=[1.0]

@@ -19,9 +19,6 @@ _CHECKED = {
     "scheme": st.sampled_from(RESTART_SCHEMES),
     "scaling": st.sampled_from(SCALING_MODES),
     "check_interval": st.integers(min_value=1),
-    "ruiz_iterations": st.integers(min_value=0),
-    "pc_alpha": st.floats(min_value=0.0, max_value=2.0),
-    "sufficient_decay": st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
     "fixed_step": _POSITIVE | st.none(),
     "fixed_weight": _POSITIVE | st.none(),
     "tol_optimal": st.floats(min_value=0.0),
@@ -35,10 +32,7 @@ _MODES = {pl.StepPolicy: STEP_MODES, pl.WeightPolicy: WEIGHT_MODES}
 
 # A value each checked number rejects, by dotted path.
 _BAD_VALUES = {
-    "ruiz_iterations": -1,
-    "pc_alpha": 3.0,
     "log_interval": -3,
-    "restart.sufficient_decay": 7.0,
     "step.fixed_step": -1.0,
     "weight.fixed_weight": 0.0,
     "termination.tol_optimal": -1.0,
@@ -86,10 +80,8 @@ class TestConfigFlags:
             termination=pl.TerminationCriteria(
                 tol_optimal=1e-4, tol_infeasible=1e-9, iteration_limit=777, time_limit_sec=12.5
             ),
-            scaling="ruiz",
-            ruiz_iterations=7,
-            pc_alpha=1.5,
-            restart=pl.RestartConfig(scheme="none", sufficient_decay=0.25),
+            scaling="ruiz+pc",
+            restart=pl.RestartConfig(scheme="none"),
             step=pl.StepPolicy(mode="fixed", fixed_step=0.03),
             weight=pl.WeightPolicy(mode="fixed", fixed_weight=2.0),
             check_interval=16,
@@ -98,8 +90,6 @@ class TestConfigFlags:
         back = config_from_flags(config_flags(config))
         assert back.termination == config.termination
         assert back.scaling == config.scaling
-        assert back.ruiz_iterations == config.ruiz_iterations
-        assert back.pc_alpha == config.pc_alpha
         assert back.restart == config.restart
         assert back.step == config.step
         assert back.weight == config.weight
@@ -141,10 +131,7 @@ class TestConfigFlags:
             "check_interval",
             "detect_infeasibility",
             "log_interval",
-            "pc_alpha",
             "restart.scheme",
-            "restart.sufficient_decay",
-            "ruiz_iterations",
             "scaling",
             "step.fixed_step",
             "step.mode",
@@ -174,6 +161,16 @@ class TestConfigFlags:
             old["restart"]["period"] = period
             with pytest.raises(ValueError, match=r"unknown config flags: \['restart\.period'\]"):
                 config_from_flags(old)
+        # the Ruiz sweeps, the Pock-Chambolle exponent and the gap decay
+        # bound, now module constants, at the defaults they had as settings
+        old = config_flags(pl.SolverConfig())
+        for path, block in [
+            ("ruiz_iterations", {**old, "ruiz_iterations": 10}),
+            ("pc_alpha", {**old, "pc_alpha": 1.0}),
+            ("restart.sufficient_decay", {**old, "restart": {**old["restart"], "sufficient_decay": 0.5}}),
+        ]:
+            with pytest.raises(ValueError, match=rf"unknown config flags: \['{path}'\]"):
+                config_from_flags(block)
 
     def test_bad_flag_values_rejected(self):
         with pytest.raises(ValueError, match="config restart: unknown restart scheme 'sometimes'"):
@@ -196,15 +193,15 @@ class TestConfigFlags:
             config_from_flags({"termination": {"iteration_limit": 5.0}})
         with pytest.raises(ValueError, match="detect_infeasibility must be bool"):
             config_from_flags({"detect_infeasibility": 0})
-        with pytest.raises(ValueError, match="pc_alpha must be float"):
-            config_from_flags({"pc_alpha": False})
+        with pytest.raises(ValueError, match="termination.tol_optimal must be float"):
+            config_from_flags({"termination": {"tol_optimal": False}})
         with pytest.raises(ValueError, match="config block: check_interval must be at least 1, got 0"):
             config_from_flags({"check_interval": 0})
         with pytest.raises(ValueError, match="config restart: unknown restart scheme 'fixed'"):
             config_from_flags({"restart": {"scheme": "fixed"}})
 
     def test_int_accepted_for_float(self):
-        assert config_from_flags({"pc_alpha": 2}).pc_alpha == 2.0
+        assert config_from_flags({"termination": {"tol_optimal": 2}}).termination.tol_optimal == 2.0
 
     def test_missing_or_null_takes_the_default(self):
         assert config_from_flags({}) == pl.SolverConfig()
@@ -238,7 +235,7 @@ class TestConfigFlags:
 
     def test_edge_values_accepted(self):
         term = pl.TerminationCriteria(tol_optimal=0.0, iteration_limit=0, time_limit_sec=0.0)
-        config = pl.SolverConfig(termination=term, ruiz_iterations=0, pc_alpha=2.0, log_interval=0)
+        config = pl.SolverConfig(termination=term, log_interval=0)
         assert _json_round_trip(config) == config
 
 

@@ -249,7 +249,8 @@ class TestShouldRestart:
         assert should_restart(state, RestartConfig(scheme="none")) == (False, None)
 
     def test_adaptive_gap_decay(self):
-        cfg = RestartConfig(scheme="adaptive", sufficient_decay=0.5)
+        # at most GAP_SUFFICIENT_DECAY = 0.5 of the epoch's first gap
+        cfg = RestartConfig(scheme="adaptive")
         state = self.make_state(3, 100)
         assert should_restart(state, cfg, candidate_gap=1.0, reference_gap=2.0) == (
             True,
@@ -293,7 +294,7 @@ class TestShouldRestart:
     def test_residuals_replace_the_gap_test(self):
         # under the Halpern step the gaps are not tested, the cap still is,
         # and the scheme "none" never restarts
-        cfg = RestartConfig(scheme="adaptive", sufficient_decay=0.5)
+        cfg = RestartConfig(scheme="adaptive")
         no_decay = (0.9, 1.0, 1.0)
         assert should_restart(
             self.make_state(3, 100), cfg, candidate_gap=0.0, reference_gap=2.0, residuals=no_decay

@@ -460,7 +460,7 @@ class TestHalpern:
         [
             pl.SolverConfig(),
             pl.SolverConfig(
-                restart=pl.RestartConfig(scheme="none", sufficient_decay=0.25),
+                restart=pl.RestartConfig(scheme="none"),
                 step=pl.StepPolicy(mode="halpern", fixed_step=0.4),
                 weight=pl.WeightPolicy(mode="fixed", fixed_weight=2.0),
                 check_interval=16,
@@ -525,8 +525,8 @@ class TestScalingDeadline:
     def test_nothing_built_after_the_deadline(self, monkeypatch, mode):
         # a Ruiz sweep runs past the deadline (or it has passed before the
         # start); then combined_rescale returns the identity without the
-        # Ruiz-scaled copy, the Pock-Chambolle pass or the row order; the
-        # log-mean pass builds no copy of its own
+        # Pock-Chambolle pass or the row order.  No pass builds a scaled
+        # copy of K, with or without a deadline
         saddle = pl.to_saddle(pl.generate_pagerank(pl.PagerankSpec(num_nodes=3000)))
         assert saddle.K.nnz >= ROW_ORDER_MIN_NNZ
         real_sweep = scaling_module._ruiz_sweep
@@ -546,19 +546,19 @@ class TestScalingDeadline:
 
         monkeypatch.setattr(scaling_module, "_ruiz_sweep", slow_sweep)
         monkeypatch.setattr(pl.SparseMatrix, "scaled", recording("scaled", pl.SparseMatrix.scaled))
-        for name in ("pock_chambolle_rescale", "length_order"):
+        for name in ("_pock_chambolle_scales", "length_order"):
             monkeypatch.setattr(scaling_module, name, recording(name, getattr(scaling_module, name)))
         deadline = time.perf_counter() + 0.05
-        if mode in ("none", "pc"):
+        if mode == "none":
             time.sleep(0.06)
         scaling = pl.combined_rescale(saddle.K, mode=mode, m1=saddle.m1, deadline=deadline)
         assert scaling.is_identity
         assert calls == []
-        # without a deadline all three run where the mode asks for them
+        # without a deadline both run where the mode asks for them
         pl.combined_rescale(saddle.K, mode=mode, m1=saddle.m1)
         assert calls.count("length_order") == 1
-        assert calls.count("pock_chambolle_rescale") == ("pc" in mode)
-        assert calls.count("scaled") == mode.endswith("ruiz+pc")
+        assert calls.count("_pock_chambolle_scales") == (mode != "none")
+        assert "scaled" not in calls
 
     def test_ruiz_stops_between_sweeps(self, monkeypatch):
         sweeps = []

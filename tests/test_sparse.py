@@ -116,12 +116,6 @@ class TestNormsAndScaling:
         np.testing.assert_array_equal(magnitudes.max(axis=0), [1.0, 4.0, 3.0])
         assert mat.abs_max() == 4.0
 
-    def test_power_sums(self):
-        dense = np.array([[1.0, -2.0], [3.0, 0.0]])
-        mat = SparseMatrix(dense, shape=(2, 2))
-        np.testing.assert_allclose(mat.row_power_sum(2.0), [5.0, 9.0])
-        np.testing.assert_allclose(mat.col_power_sum(1.0), [4.0, 2.0])
-
     def test_scaled_matches_dense(self):
         rng = np.random.default_rng(7)
         dense = rng.standard_normal((4, 5))
