@@ -104,20 +104,17 @@ def _add_solver_flags(p):
     default is the dataclass's own."""
 
     def flag(name, field, **kwargs):
-        if "action" not in kwargs and "choices" not in kwargs:
+        if "choices" not in kwargs:
             kwargs.setdefault("metavar", name[2:].replace("-", "_").upper())
         p.add_argument(name, dest=f"config.{field}", default=argparse.SUPPRESS, **kwargs)
 
     flag("--tolerance", "termination.tol_optimal", type=float)
-    flag("--infeasible-tolerance", "termination.tol_infeasible", type=float)
     flag("--max-iters", "termination.iteration_limit", type=int)
     flag("--time-limit-sec", "termination.time_limit_sec", type=float)
-    flag("--check-interval", "check_interval", type=int)
     flag("--scaling", "scaling", choices=SCALING_MODES)
     flag("--restart", "restart.scheme", choices=RESTART_SCHEMES)
     flag("--step-size", "step.mode", metavar="{halpern,adaptive,fixed,fixed=S}")
     flag("--primal-weight", "weight.mode", metavar="{adaptive,fixed,fixed=W}")
-    flag("--no-infeasibility-detection", "detect_infeasibility", action="store_false")
     flag("--log-every", "log_interval", type=int, metavar="N",
          help="log residuals to stderr every N iterations")
 

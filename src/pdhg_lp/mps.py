@@ -42,7 +42,7 @@ from .exceptions import (
     MpsSyntaxError,
     UnknownRowReference,
 )
-from .problem import LpProblem
+from .problem import LpProblem, validate
 from .sparse import SparseMatrix
 
 _SECTIONS = {b"NAME", b"OBJSENSE", b"ROWS", b"COLUMNS", b"RHS", b"RANGES", b"BOUNDS", b"ENDATA"}
@@ -750,13 +750,14 @@ def write_mps(problem, name=None, out=None):
 
     The written file reparses to the same problem: >= rows are emitted as G
     rows, equalities as E rows, maximization problems get an OBJSENSE
-    section with the original (un-negated) objective.  Raises MpsNameError,
-    before anything is written, for a problem name with whitespace (the
-    reader keeps only the first word of the NAME line), for a list of
-    variable or constraint names whose length is not the number of
-    variables or constraints (None means generated names), and for a name
-    that would not read back (see _check_names).  An empty problem name is
-    written, and so reads back, as "LP".
+    section with the original (un-negated) objective.  Before anything is
+    written, an objective_sign other than 1 or -1 raises validate's
+    ValidationError, and MpsNameError is raised for a problem name with
+    whitespace (the reader keeps only the first word of the NAME line), for
+    a list of variable or constraint names whose length is not the number
+    of variables or constraints (None means generated names), and for a
+    name that would not read back (see _check_names).  An empty problem
+    name is written, and so reads back, as "LP".
     """
     pieces = _pieces(problem, name)
     if out is None:
@@ -770,6 +771,8 @@ def write_mps(problem, name=None, out=None):
 
 def _pieces(problem, name):
     """The text of write_mps in pieces that each end in a newline."""
+    if problem.objective_sign not in (1, -1):
+        validate(problem)  # raises, naming the sign
     n = problem.num_variables
     m1 = problem.num_inequalities
     m2 = problem.num_equalities

@@ -56,7 +56,7 @@ def _from_dict(cls, flags, path):
             kwargs[key] = _from_dict(kind, value, f"{path}{key}.")
             continue
         accepted = (int, float) if kind is float else kind
-        if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        if isinstance(value, bool) or not isinstance(value, accepted):
             raise ValueError(f"config flag {path}{key} must be {kind.__name__}, got {value!r}")
         kwargs[key] = value
     try:

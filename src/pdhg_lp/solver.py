@@ -37,14 +37,8 @@ from .scaling import DEFAULT_SCALING, SCALING_MODES, ScalingInfo, apply_scaling,
 from .sparse import dot, spectral_norm_estimate
 from .stepsize import StepPolicy, WeightPolicy, adaptive_step, initialize_step_state, update_primal_weight
 from .termination import (
-    TerminationCriteria,
-    _norm,
-    check_constants,
-    check_dual_infeasible,
-    check_optimal,
-    check_primal_infeasible,
-    extract_certificates,
-    kkt_error,
+    TerminationCriteria, _check_count, _norm, check_constants, check_dual_infeasible, check_optimal,
+    check_primal_infeasible, extract_certificates, kkt_error,
 )
 
 logger = logging.getLogger("pdhg_lp")
@@ -55,6 +49,12 @@ STATUS_DUAL_INFEASIBLE = "dual_infeasible"
 STATUS_ITERATION_LIMIT = "iteration_limit"
 STATUS_TIME_LIMIT = "time_limit"
 STATUS_NUMERICAL_ERROR = "numerical_error"
+
+# iterations between termination checks, PDLP's fixed frequency
+CHECK_INTERVAL = 64
+
+# the tolerance of the infeasibility checks that can end a solve
+TOL_INFEASIBLE = 1e-10
 
 # consecutive checks that must find a valid ray before an infeasibility
 # verdict is returned
@@ -85,17 +85,12 @@ class SolverConfig:
     restart: RestartConfig = field(default_factory=RestartConfig)
     step: StepPolicy = field(default_factory=StepPolicy)
     weight: WeightPolicy = field(default_factory=WeightPolicy)
-    check_interval: int = 64
-    detect_infeasibility: bool = True
     log_interval: int = 0
 
     def __post_init__(self):
         if self.scaling not in SCALING_MODES:
             raise NonPositiveInput(f"unknown scaling mode {self.scaling!r}")
-        if self.check_interval < 1:
-            raise NonPositiveInput(f"check_interval must be at least 1, got {self.check_interval}")
-        if self.log_interval < 0:
-            raise NonPositiveInput(f"log_interval must be >= 0, got {self.log_interval}")
+        _check_count("log_interval", self.log_interval)
 
 
 @dataclass
@@ -278,7 +273,7 @@ def solve(problem, config=None, callback=None):
         while True:
             hit_iters = iteration >= crit.iteration_limit
             hit_time = time.perf_counter() >= deadline
-            check_due = iteration % config.check_interval == 0 or hit_iters or hit_time
+            check_due = iteration % CHECK_INTERVAL == 0 or hit_iters or hit_time
             log_due = config.log_interval and iteration % config.log_interval == 0
             if check_due or log_due:
                 xu, yu = unscale_solution(*(t_parts if halpern else (state.x, state.y)), scaling)
@@ -298,7 +293,7 @@ def solve(problem, config=None, callback=None):
                     status = STATUS_OPTIMAL
                     reason = f"relative KKT errors at or below {crit.tol_optimal}"
                     break
-                if config.detect_infeasibility and iteration > 0:
+                if iteration > 0:
                     # No local keeps the point before or the candidates, so
                     # they are not held into the restart block's gap evaluations.
                     hits, ray_shows = _ray_hits(
@@ -306,7 +301,7 @@ def solve(problem, config=None, callback=None):
                         extract_certificates(
                             unscale_solution(*buf.prev_parts, scaling), (xu, yu), (x0_u, y0_u), iteration
                         ),
-                        crit.tol_infeasible,
+                        TOL_INFEASIBLE,
                         constants,
                         adaptive,
                     )
@@ -356,10 +351,7 @@ def solve(problem, config=None, callback=None):
                 else:
                     # a constant step runs up to the next event: a check, a
                     # log line, the iteration limit or a restart test
-                    stretch = min(
-                        config.check_interval - iteration % config.check_interval,
-                        crit.iteration_limit - iteration,
-                    )
+                    stretch = min(CHECK_INTERVAL - iteration % CHECK_INTERVAL, crit.iteration_limit - iteration)
                     if config.log_interval:
                         stretch = min(stretch, config.log_interval - iteration % config.log_interval)
                     if adaptive_restarts:
@@ -395,7 +387,7 @@ def solve(problem, config=None, callback=None):
                 if not (test_residual or restarts.artificial_cap_reached(state)):
                     continue
             else:
-                if not (inner % restarts.GAP_EVAL_INTERVAL == 0 or iteration % config.check_interval == 0):
+                if not (inner % restarts.GAP_EVAL_INTERVAL == 0 or iteration % CHECK_INTERVAL == 0):
                     continue
                 # the average into t, and its gap at its distance from the
                 # epoch start, when finite and nonzero; the average minus the

@@ -19,18 +19,23 @@ from .exceptions import NonPositiveInput, NotACertificate
 from .sparse import dot
 
 
+def _check_count(name, value):
+    """Raise NonPositiveInput unless ``value`` is an int >= 0, as the config
+    block reads it back: a bool or a float, an infinity included, is not."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise NonPositiveInput(f"{name} must be an integer >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TerminationCriteria:
     tol_optimal: float = 1e-8
-    tol_infeasible: float = 1e-10
     iteration_limit: int = 250_000
     time_limit_sec: float = math.inf
 
     def __post_init__(self):
-        for name in ("tol_optimal", "tol_infeasible", "iteration_limit"):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise NonPositiveInput(f"{name} must be >= 0, got {value}")
+        if not self.tol_optimal >= 0:
+            raise NonPositiveInput(f"tol_optimal must be >= 0, got {self.tol_optimal}")
+        _check_count("iteration_limit", self.iteration_limit)
         # any other limit is valid: zero or below stops at the first check, inf never
         if math.isnan(self.time_limit_sec):
             raise NonPositiveInput(f"time_limit_sec must be a number or an infinity, got {self.time_limit_sec}")

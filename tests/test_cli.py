@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import re
@@ -114,23 +115,17 @@ class TestSolve:
 
     def test_every_solver_flag_reaches_the_config(self, toy_mps):
         code, out, _ = run_cli(
-            ["solve", toy_mps, "--tolerance", "1e-5", "--infeasible-tolerance", "1e-9",
-             "--max-iters", "4000", "--time-limit-sec", "30", "--check-interval", "32",
+            ["solve", toy_mps, "--tolerance", "1e-5", "--max-iters", "4000", "--time-limit-sec", "30",
              "--scaling", "ruiz+pc", "--restart", "none",
-             "--step-size", "fixed", "--primal-weight", "fixed",
-             "--no-infeasibility-detection", "--log-every", "1000"]
+             "--step-size", "fixed", "--primal-weight", "fixed", "--log-every", "1000"]
         )
         assert code == 0
         expected = pl.SolverConfig(
-            termination=pl.TerminationCriteria(
-                tol_optimal=1e-5, tol_infeasible=1e-9, iteration_limit=4000, time_limit_sec=30.0
-            ),
+            termination=pl.TerminationCriteria(tol_optimal=1e-5, iteration_limit=4000, time_limit_sec=30.0),
             scaling="ruiz+pc",
             restart=pl.RestartConfig(scheme="none"),
             step=pl.StepPolicy(mode="fixed"),
             weight=pl.WeightPolicy(mode="fixed"),
-            check_interval=32,
-            detect_infeasibility=False,
             log_interval=1000,
         )
         assert pl.config_from_flags(json.loads(out)["config"]) == expected
@@ -151,7 +146,6 @@ class TestSolve:
             (["--primal-weight", "fixed="], "bad primal_weight flag 'fixed='"),
             (["--step-size", "big"], "bad step_size flag 'big'"),
             (["--primal-weight", "none"], "bad primal_weight flag 'none'"),
-            (["--check-interval", "0"], "check_interval must be at least 1, got 0"),
             (["--time-limit-sec", "nan"], "config termination: time_limit_sec must be a number"),
             (["--primal-weight", "halpern"], "bad primal_weight flag 'halpern'"),
         ],
@@ -161,6 +155,18 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--check-interval", "32"], ["--infeasible-tolerance", "1e-9"], ["--no-infeasibility-detection"]],
+    )
+    def test_removed_flag_exits_one(self, toy_mps, flags):
+        # the check interval, the infeasibility tolerance and detection are
+        # now solver.CHECK_INTERVAL, solver.TOL_INFEASIBLE and always on
+        code, out, err = run_cli(["solve", toy_mps, *flags])
+        assert code == 1
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
 
     def test_usage_lists_every_mode(self):
         # each mode flag's {...} in the usage names its modes in order, plus
@@ -275,6 +281,17 @@ class TestSolve:
         assert code == 0
         doc = json.loads(out)
         assert doc["solution"]["x"] == pytest.approx([3.0], abs=1e-6)
+
+
+def test_readme_constants_exist():
+    # every `module.NAME` constant that the README names is an attribute of
+    # that pdhg_lp module
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    named = set(re.findall(r"`([a-z_]+)\.([A-Z][A-Z0-9_]*)`", readme))
+    assert {("solver", "CHECK_INTERVAL"), ("solver", "TOL_INFEASIBLE")} <= named
+    missing = [f"{module}.{name}" for module, name in sorted(named)
+               if not hasattr(importlib.import_module(f"pdhg_lp.{module}"), name)]
+    assert missing == []
 
 
 class TestBench:

@@ -1,3 +1,4 @@
+import io
 import warnings
 
 import numpy as np
@@ -426,6 +427,20 @@ class TestWriter:
         # None means generated names
         setattr(problem, field, None)
         assert parse_mps(write_mps(problem)).constraint_names == ["R0", "E0"]
+
+    @pytest.mark.parametrize("sign", [2, 0])
+    def test_objective_sign_other_than_one_rejected_before_writing(self, sign):
+        # the writer would scale c by the sign and write no OBJSENSE
+        problem = pl.LpProblem(c=[1.0, 2.0], objective_sign=sign)
+        with pytest.raises(pl.ValidationError) as expected:
+            pl.validate(problem)
+        out = io.StringIO()
+        with pytest.raises(pl.ValidationError) as raised:
+            write_mps(problem, out=out)
+        assert str(raised.value) == str(expected.value) == f"objective_sign is {sign}, expected 1 or -1"
+        assert out.getvalue() == ""
+        with pytest.raises(pl.ValidationError, match=f"^objective_sign is {sign}, expected 1 or -1$"):
+            write_mps(problem)
 
     def test_write_parse_write_is_stable(self):
         problem = random_feasible_lp(11, n=5, m_ineq=3, m_eq=1, spread=0.5)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +19,9 @@ _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _CHECKED = {
     "scheme": st.sampled_from(RESTART_SCHEMES),
     "scaling": st.sampled_from(SCALING_MODES),
-    "check_interval": st.integers(min_value=1),
     "fixed_step": _POSITIVE | st.none(),
     "fixed_weight": _POSITIVE | st.none(),
     "tol_optimal": st.floats(min_value=0.0),
-    "tol_infeasible": st.floats(min_value=0.0),
     "iteration_limit": st.integers(min_value=0),
     "log_interval": st.integers(min_value=0),
 }
@@ -36,7 +35,6 @@ _BAD_VALUES = {
     "step.fixed_step": -1.0,
     "weight.fixed_weight": 0.0,
     "termination.tol_optimal": -1.0,
-    "termination.tol_infeasible": -1e-10,
     "termination.iteration_limit": -5,
     "termination.time_limit_sec": float("nan"),
 }
@@ -49,7 +47,6 @@ def _config_strategy(cls):
     leaves = {
         float: st.floats(allow_nan=False),
         int: st.integers(),
-        bool: st.booleans(),
         str: st.text(),
     }
     kwargs = {}
@@ -77,15 +74,12 @@ class TestConfigFlags:
 
     def test_custom_round_trip(self):
         config = pl.SolverConfig(
-            termination=pl.TerminationCriteria(
-                tol_optimal=1e-4, tol_infeasible=1e-9, iteration_limit=777, time_limit_sec=12.5
-            ),
+            termination=pl.TerminationCriteria(tol_optimal=1e-4, iteration_limit=777, time_limit_sec=12.5),
             scaling="ruiz+pc",
             restart=pl.RestartConfig(scheme="none"),
             step=pl.StepPolicy(mode="fixed", fixed_step=0.03),
             weight=pl.WeightPolicy(mode="fixed", fixed_weight=2.0),
-            check_interval=16,
-            detect_infeasibility=False,
+            log_interval=16,
         )
         back = config_from_flags(config_flags(config))
         assert back.termination == config.termination
@@ -93,8 +87,7 @@ class TestConfigFlags:
         assert back.restart == config.restart
         assert back.step == config.step
         assert back.weight == config.weight
-        assert back.check_interval == 16
-        assert back.detect_infeasibility is False
+        assert back.log_interval == 16
         assert back == config
 
     @settings(max_examples=200, deadline=None)
@@ -128,8 +121,6 @@ class TestConfigFlags:
 
         assert list(paths(config_flags(pl.SolverConfig()))) == list(leaves(pl.SolverConfig))
         assert sorted(leaves(pl.SolverConfig)) == [
-            "check_interval",
-            "detect_infeasibility",
             "log_interval",
             "restart.scheme",
             "scaling",
@@ -137,7 +128,6 @@ class TestConfigFlags:
             "step.mode",
             "termination.iteration_limit",
             "termination.time_limit_sec",
-            "termination.tol_infeasible",
             "termination.tol_optimal",
             "weight.fixed_weight",
             "weight.mode",
@@ -161,13 +151,18 @@ class TestConfigFlags:
             old["restart"]["period"] = period
             with pytest.raises(ValueError, match=r"unknown config flags: \['restart\.period'\]"):
                 config_from_flags(old)
-        # the Ruiz sweeps, the Pock-Chambolle exponent and the gap decay
-        # bound, now module constants, at the defaults they had as settings
+        # the Ruiz sweeps, the Pock-Chambolle exponent, the gap decay bound,
+        # the check interval, infeasibility detection and its tolerance, now
+        # module constants or always on, at the defaults they had as settings
         old = config_flags(pl.SolverConfig())
         for path, block in [
             ("ruiz_iterations", {**old, "ruiz_iterations": 10}),
             ("pc_alpha", {**old, "pc_alpha": 1.0}),
             ("restart.sufficient_decay", {**old, "restart": {**old["restart"], "sufficient_decay": 0.5}}),
+            ("check_interval", {**old, "check_interval": 64}),
+            ("detect_infeasibility", {**old, "detect_infeasibility": True}),
+            ("termination.tol_infeasible",
+             {**old, "termination": {**old["termination"], "tol_infeasible": 1e-10}}),
         ]:
             with pytest.raises(ValueError, match=rf"unknown config flags: \['{path}'\]"):
                 config_from_flags(block)
@@ -191,12 +186,10 @@ class TestConfigFlags:
             config_from_flags({"termination": {"iteration_limit": True}})
         with pytest.raises(ValueError, match="termination.iteration_limit must be int"):
             config_from_flags({"termination": {"iteration_limit": 5.0}})
-        with pytest.raises(ValueError, match="detect_infeasibility must be bool"):
-            config_from_flags({"detect_infeasibility": 0})
+        with pytest.raises(ValueError, match="log_interval must be int"):
+            config_from_flags({"log_interval": False})
         with pytest.raises(ValueError, match="termination.tol_optimal must be float"):
             config_from_flags({"termination": {"tol_optimal": False}})
-        with pytest.raises(ValueError, match="config block: check_interval must be at least 1, got 0"):
-            config_from_flags({"check_interval": 0})
         with pytest.raises(ValueError, match="config restart: unknown restart scheme 'fixed'"):
             config_from_flags({"restart": {"scheme": "fixed"}})
 
@@ -232,6 +225,15 @@ class TestConfigFlags:
         block = parents[0] if parents else "block"
         with pytest.raises(ValueError, match=f"^config {block}: {leaf}[: ]"):
             config_from_flags(flags)
+
+    @pytest.mark.parametrize("value", [100.5, 2.5, 5.0, math.inf, True, False])
+    def test_non_integer_counts_rejected(self, value):
+        # rejected when the config is built, so every config that builds
+        # writes a block that reads back
+        with pytest.raises(pl.NonPositiveInput, match=rf"^iteration_limit must be an integer >= 0, got {value!r}$"):
+            pl.TerminationCriteria(iteration_limit=value)
+        with pytest.raises(pl.NonPositiveInput, match=rf"^log_interval must be an integer >= 0, got {value!r}$"):
+            pl.SolverConfig(log_interval=value)
 
     def test_edge_values_accepted(self):
         term = pl.TerminationCriteria(tol_optimal=0.0, iteration_limit=0, time_limit_sec=0.0)
