@@ -169,6 +169,10 @@ def _output(path):
 
 
 def _cmd_solve(args):
+    if args.include_solution and args.report_format != "json":
+        print("pdhg-lp: --include-solution embeds the solution in a JSON report;"
+              f" it does nothing with --report-format {args.report_format}", file=sys.stderr)
+        return 1
     try:
         config = _config_from_args(args)
     except ValueError as err:

@@ -742,7 +742,7 @@ class _Length(int):
         return int(self)
 
 
-def write_mps(problem, name=None, out=None):
+def write_mps(problem, out=None):
     """Serialize an LpProblem as free-format MPS text.
 
     Returns the text.  Given a text file `out`, writes the text to it
@@ -756,10 +756,11 @@ def write_mps(problem, name=None, out=None):
     whitespace (the reader keeps only the first word of the NAME line), for
     a list of variable or constraint names whose length is not the number
     of variables or constraints (None means generated names), and for a
-    name that would not read back (see _check_names).  An empty problem
-    name is written, and so reads back, as "LP".
+    name that would not read back (see _check_names).  The NAME line holds
+    the problem's own name (``dataclasses.replace(problem, name=...)``
+    writes another); an empty one is written, and so reads back, as "LP".
     """
-    pieces = _pieces(problem, name)
+    pieces = _pieces(problem)
     if out is None:
         return "".join(pieces)
     size = 0
@@ -769,7 +770,7 @@ def write_mps(problem, name=None, out=None):
     return _Length(size)
 
 
-def _pieces(problem, name):
+def _pieces(problem):
     """The text of write_mps in pieces that each end in a newline."""
     if problem.objective_sign not in (1, -1):
         validate(problem)  # raises, naming the sign
@@ -785,7 +786,7 @@ def _pieces(problem, name):
     if con_names is None:
         con_names = [f"R{i}" for i in range(m1)] + [f"E{i}" for i in range(m2)]
     g_names, a_names = con_names[:m1], con_names[m1:]
-    title = name or problem.name or "LP"
+    title = problem.name or "LP"
     if _WHITESPACE.search(title):
         raise MpsNameError(f"problem name {title!r} contains whitespace")
     _check_names(var_names, "variable", columns=True)

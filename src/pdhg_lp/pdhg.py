@@ -180,8 +180,9 @@ class StepBuffers:
 class IterateState:
     """Mutable per-epoch iterate state.
 
-    Running sums implement the weighted average used for restarts; ``kx``
-    caches K @ x for the adaptive rule and must be dropped whenever x
+    ``sum_x``, ``sum_y`` and ``sum_weight``, zero at the start, are the
+    running sums of the epoch's weighted average (``solve`` forms it in
+    ``buffers.t``).  ``kx`` caches K @ x for the adaptive rule and must be dropped whenever x
     changes by any route other than that rule's step (restart, rescale):
     after an adaptive step it is a vector of its own, and after a fixed or
     Halpern step or a restart None.  ``trial_count`` counts the finite
@@ -189,26 +190,25 @@ class IterateState:
 
     The state makes its ``StepBuffers`` when it is built and copies x and y
     into them: from then on x and y are the parts of ``buffers.z``,
-    ``sum_x`` and ``sum_y`` (copied in when given, zero otherwise) the parts
-    of ``buffers.sums``, and t, prev and anchor start as copies of z.  A
-    step swaps ``z`` with ``prev``, where it wrote its new point, so the
-    arrays that ``state.x`` and ``state.y`` name after one step hold the
-    next step's new point after two, and ``apply_restart`` writes into z:
-    hold a copy, not a reference, of an iterate (or of ``kx``) that must
-    outlive the next step or restart.  After a step ``buffers.prev_parts``
-    hold the iterate it replaced until the next step starts, and the
-    epoch's start is ``buffers.anchor``.
+    ``sum_x`` and ``sum_y`` the parts of ``buffers.sums``, and t, prev and
+    anchor start as copies of z.  A step swaps ``z`` with ``prev``, where
+    it wrote its new point, so the arrays that ``state.x`` and ``state.y``
+    name after one step hold the next step's new point after two, and
+    ``apply_restart`` writes into z: hold a copy, not a reference, of an
+    iterate (or of ``kx``) that must outlive the next step or restart.
+    After a step ``buffers.prev_parts`` hold the iterate it replaced until
+    the next step starts, and the epoch's start is ``buffers.anchor``.
     """
 
     x: np.ndarray
     y: np.ndarray
-    sum_x: np.ndarray = None
-    sum_y: np.ndarray = None
     sum_weight: float = 0.0
     inner_count: int = 0
     total_count: int = 0
-    kx: np.ndarray = field(default=None, repr=False)
-    trial_count: int = 0
+    sum_x: np.ndarray = field(init=False)
+    sum_y: np.ndarray = field(init=False)
+    kx: np.ndarray = field(default=None, init=False, repr=False)
+    trial_count: int = field(default=0, init=False)
     buffers: StepBuffers = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -218,27 +218,15 @@ class IterateState:
         np.concatenate((x, y), out=buf.z)
         for copy in (buf.t, buf.prev, buf.anchor):
             np.copyto(copy, buf.z)
+        buf.sums.fill(0.0)
         self.x, self.y = buf.z_parts
-        given = (self.sum_x, self.sum_y)
         self.sum_x, self.sum_y = buf.sums[:n], buf.sums[n:]
-        for part, value in zip((self.sum_x, self.sum_y), given):
-            np.copyto(part, 0.0 if value is None else value)
 
     @classmethod
     def initial(cls, saddle):
         """Start at the origin projected into the box, dual at zero."""
         x0 = np.clip(np.zeros(saddle.num_primal), saddle.l, saddle.u)
         return cls(x=x0, y=np.zeros(saddle.num_dual))
-
-    def average(self):
-        """Weighted average of the iterates seen this epoch.
-
-        Falls back to the current point when the epoch has no completed
-        iterations yet.
-        """
-        if self.sum_weight <= 0.0:
-            return self.x.copy(), self.y.copy()
-        return self.sum_x / self.sum_weight, self.sum_y / self.sum_weight
 
 
 def project_primal(x, l, u):

@@ -37,7 +37,7 @@ from .scaling import DEFAULT_SCALING, SCALING_MODES, ScalingInfo, apply_scaling,
 from .sparse import dot, spectral_norm_estimate
 from .stepsize import StepPolicy, WeightPolicy, adaptive_step, initialize_step_state, update_primal_weight
 from .termination import (
-    TerminationCriteria, _check_count, _norm, check_constants, check_dual_infeasible, check_optimal,
+    TerminationCriteria, _count, _norm, check_constants, check_dual_infeasible, check_optimal,
     check_primal_infeasible, extract_certificates, kkt_error,
 )
 
@@ -90,7 +90,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.scaling not in SCALING_MODES:
             raise NonPositiveInput(f"unknown scaling mode {self.scaling!r}")
-        _check_count("log_interval", self.log_interval)
+        object.__setattr__(self, "log_interval", _count("log_interval", self.log_interval))
 
 
 @dataclass
@@ -200,13 +200,10 @@ def _ray_hits(saddle0, candidates, tol, constants, unfrozen):
     return hits, shows
 
 
-def solve(problem, config=None, callback=None):
+def solve(problem, config=None):
     """Run restarted PDHG, by default as reflected Halpern iteration, on an
-    LpProblem and return a SolveReport.
-
-    ``callback``, if given, is invoked at every termination check as
-    ``callback(iteration, kkt_report, step_state)``, inside the loop's
-    error state.
+    LpProblem and return a SolveReport.  The report's ``residual_history``
+    has a row for every termination check.
     """
     t_start = time.perf_counter()
     config = config or SolverConfig()
@@ -287,8 +284,6 @@ def solve(problem, config=None, callback=None):
                 history.append(
                     (iteration, kkt.rel_primal, kkt.rel_dual, kkt.rel_gap, step.step_size, step.primal_weight)
                 )
-                if callback is not None:
-                    callback(iteration, kkt, step)
                 if check_optimal(kkt, crit):
                     status = STATUS_OPTIMAL
                     reason = f"relative KKT errors at or below {crit.tol_optimal}"

@@ -52,8 +52,7 @@ MOVEMENT_FLOOR = 1e-10
 @dataclass(frozen=True)
 class StepPolicy:
     """``mode`` is one of STEP_MODES; ``fixed_step``, when given, is the
-    constant step of the halpern and fixed modes (the adaptive rule ignores
-    it)."""
+    constant step of the fixed mode, and the other modes take none."""
 
     mode: str = "halpern"
     fixed_step: float = None
@@ -61,63 +60,67 @@ class StepPolicy:
     def __post_init__(self):
         if self.mode not in STEP_MODES:
             raise NonPositiveInput(f"unknown step mode {self.mode!r}")
-        _check_positive("fixed_step", self.fixed_step)
+        _check_fixed(self, "fixed_step")
 
 
 @dataclass(frozen=True)
 class WeightPolicy:
+    """As StepPolicy: ``fixed_weight`` is the fixed mode's weight."""
+
     mode: str = "adaptive"  # one of WEIGHT_MODES
     fixed_weight: float = None
 
     def __post_init__(self):
         if self.mode not in WEIGHT_MODES:
             raise NonPositiveInput(f"unknown weight mode {self.mode!r}")
-        _check_positive("fixed_weight", self.fixed_weight)
+        _check_fixed(self, "fixed_weight")
 
 
-def _check_positive(name, value):
-    """An optional step size or weight must be positive and finite when given."""
-    if value is not None and not 0.0 < value < math.inf:
-        raise NonPositiveInput(f"{name} must be positive and finite, got {value}")
+def _check_fixed(policy, name):
+    """Store a given fixed value as a Python float; it must be positive and
+    finite, and the mode "fixed"."""
+    value = getattr(policy, name)
+    if value is not None:
+        object.__setattr__(policy, name, float(value))
+        if not 0.0 < value < math.inf:
+            raise NonPositiveInput(f"{name} must be positive and finite, got {value}")
+        if policy.mode != "fixed":
+            raise NonPositiveInput(f"{name} is for mode 'fixed' only, got {value} with mode {policy.mode!r}")
 
 
 def initialize_step_state(saddle, norm_k, step_policy, weight_policy):
     """Initial (s, w) for a scaled saddle problem.
 
-    The halpern and fixed modes default to s = HALPERN_STEP_FRACTION /
-    ||K|| and FIXED_STEP_FRACTION / ||K||, the one use of ``norm_k`` (it
-    may be None otherwise); adaptive mode starts from s = 1 / max|K_ij| and
-    lets the rule take over.  The primal weight starts at ||c|| / ||q||;
-    with q (near) zero it starts at ||c||, the start that measures x in
-    the units of c, and with c (near) zero at 1.
+    s is the fixed mode's ``fixed_step`` when given, else
+    HALPERN_STEP_FRACTION / ||K|| or FIXED_STEP_FRACTION / ||K||, the one
+    use of ``norm_k`` (it may be None otherwise); adaptive mode starts from
+    s = 1 / max|K_ij| and lets the rule take over.  w is the fixed mode's
+    ``fixed_weight``, or 1; the adaptive weight starts at ||c|| / ||q||,
+    with q (near) zero at ||c||, the start that measures x in the units of
+    c, and with c (near) zero at 1.
     """
-    if step_policy.mode != "adaptive":
-        fraction = HALPERN_STEP_FRACTION if step_policy.mode == "halpern" else FIXED_STEP_FRACTION
-        if step_policy.fixed_step is not None:
-            s = float(step_policy.fixed_step)
-        elif norm_k > 0:
-            s = fraction / norm_k
-        else:
-            s = 1.0
-    else:
+    if step_policy.fixed_step is not None:
+        s = step_policy.fixed_step
+    elif step_policy.mode == "adaptive":
         amax = saddle.K.abs_max()
         s = 1.0 / amax if amax > 0 else 1.0
+    elif norm_k > 0:
+        s = (HALPERN_STEP_FRACTION if step_policy.mode == "halpern" else FIXED_STEP_FRACTION) / norm_k
+    else:
+        s = 1.0
 
     if weight_policy.mode == "fixed":
-        w = float(weight_policy.fixed_weight) if weight_policy.fixed_weight is not None else 1.0
+        w = 1.0 if weight_policy.fixed_weight is None else weight_policy.fixed_weight
     else:
-        if weight_policy.fixed_weight is not None:
-            w = float(weight_policy.fixed_weight)
+        # _norm keeps a long vector off BLAS's threads (sparse.dot)
+        with np.errstate(over="ignore"):
+            norm_c, norm_q = _norm(saddle.c), _norm(saddle.q)
+        if norm_c <= 1e-12:
+            w = 1.0
+        elif norm_q <= 1e-12:
+            w = norm_c
         else:
-            # _norm keeps a long vector off BLAS's threads (sparse.dot)
-            with np.errstate(over="ignore"):
-                norm_c, norm_q = _norm(saddle.c), _norm(saddle.q)
-            if norm_c <= 1e-12:
-                w = 1.0
-            elif norm_q <= 1e-12:
-                w = norm_c
-            else:
-                w = norm_c / norm_q
+            w = norm_c / norm_q
     return StepState(step_size=s, primal_weight=w)
 
 

@@ -12,6 +12,8 @@ checks.
 from dataclasses import dataclass
 
 import math
+import numbers
+import operator
 
 import numpy as np
 
@@ -19,11 +21,13 @@ from .exceptions import NonPositiveInput, NotACertificate
 from .sparse import dot
 
 
-def _check_count(name, value):
-    """Raise NonPositiveInput unless ``value`` is an int >= 0, as the config
-    block reads it back: a bool or a float, an infinity included, is not."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+def _count(name, value):
+    """``value`` as a Python int >= 0, as the config block reads it back: a
+    numpy integer is taken, and a bool or a float, an infinity included,
+    raises NonPositiveInput."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise NonPositiveInput(f"{name} must be an integer >= 0, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -33,9 +37,12 @@ class TerminationCriteria:
     time_limit_sec: float = math.inf
 
     def __post_init__(self):
+        # plain Python numbers, which the config block writes as JSON
+        object.__setattr__(self, "tol_optimal", float(self.tol_optimal))
+        object.__setattr__(self, "iteration_limit", _count("iteration_limit", self.iteration_limit))
+        object.__setattr__(self, "time_limit_sec", float(self.time_limit_sec))
         if not self.tol_optimal >= 0:
             raise NonPositiveInput(f"tol_optimal must be >= 0, got {self.tol_optimal}")
-        _check_count("iteration_limit", self.iteration_limit)
         # any other limit is valid: zero or below stops at the first check, inf never
         if math.isnan(self.time_limit_sec):
             raise NonPositiveInput(f"time_limit_sec must be a number or an infinity, got {self.time_limit_sec}")

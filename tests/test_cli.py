@@ -156,6 +156,15 @@ class TestSolve:
         assert out == ""
         assert message in err
 
+    def test_include_solution_with_text_report_exits_one(self, tmp_path):
+        # refused before the input is read, so a missing file is not what it names
+        argv = ["solve", str(tmp_path / "missing.mps"), "--report-format", "text", "--include-solution"]
+        code, out, err = run_cli(argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("pdhg-lp: ")
+        assert "--include-solution" in err and "--report-format text" in err and "missing.mps" not in err
+
     @pytest.mark.parametrize(
         "flags",
         [["--check-interval", "32"], ["--infeasible-tolerance", "1e-9"], ["--no-infeasibility-detection"]],
@@ -281,6 +290,18 @@ class TestSolve:
         assert code == 0
         doc = json.loads(out)
         assert doc["solution"]["x"] == pytest.approx([3.0], abs=1e-6)
+
+
+def test_readme_quick_start_runs():
+    # the first Python block of the README, the library quick start, run as
+    # written in a namespace of its own
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    assert readme.index("## Quick start (library)") < readme.index(code)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {"__name__": "readme_quick_start"})
+    assert out.getvalue().split()[0] == pl.STATUS_OPTIMAL
 
 
 def test_readme_constants_exist():

@@ -257,7 +257,7 @@ class TestUnwritableNames:
         with pytest.raises(pl.MpsNameError, match="'two words'"):
             write_mps(two_column_lp(name="two words"))
         with pytest.raises(pl.MpsNameError, match="problem name"):
-            write_mps(two_column_lp(), name="a\tb")
+            write_mps(two_column_lp(name="a\tb"))
 
     def test_empty_problem_name_reads_back_as_lp(self):
         assert parse_mps(write_mps(two_column_lp(name=""))).name == "LP"

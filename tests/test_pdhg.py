@@ -97,7 +97,7 @@ class TestPdhgStep:
             pdhg_step(state, toy_saddle, step)
         assert toy_saddle.K.matvec_calls - base_mv == 5
         assert toy_saddle.K.rmatvec_calls - base_rmv == 5
-        pl.apply_restart(state, state.average())
+        pl.apply_restart(state, (state.sum_x / state.sum_weight, state.sum_y / state.sum_weight))
         pdhg_step(state, toy_saddle, step, count=4)
         assert toy_saddle.K.matvec_calls - base_mv == 9
         assert toy_saddle.K.rmatvec_calls - base_rmv == 9
@@ -143,17 +143,9 @@ class TestPdhgStep:
             xs.append(state.x.copy())
             ys.append(state.y.copy())
         assert ws[0] < ws[1] < ws[2]
-        avg_x, avg_y = state.average()
-        expect_x = sum(w * v for w, v in zip(ws, xs)) / sum(ws)
-        expect_y = sum(w * v for w, v in zip(ws, ys)) / sum(ws)
-        np.testing.assert_allclose(avg_x, expect_x, rtol=1e-15)
-        np.testing.assert_allclose(avg_y, expect_y, rtol=1e-15)
-
-    def test_average_of_fresh_state_is_current_point(self):
-        state = IterateState(x=[1.0, 2.0], y=[3.0])
-        ax, ay = state.average()
-        np.testing.assert_array_equal(ax, [1.0, 2.0])
-        np.testing.assert_array_equal(ay, [3.0])
+        assert state.sum_weight == pytest.approx(sum(ws), rel=1e-15)
+        np.testing.assert_allclose(state.sum_x, sum(w * v for w, v in zip(ws, xs)), rtol=1e-15)
+        np.testing.assert_allclose(state.sum_y, sum(w * v for w, v in zip(ws, ys)), rtol=1e-15)
 
 
 class TestPsNorm:

@@ -1,7 +1,9 @@
 import dataclasses
+import inspect
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,20 +16,19 @@ from pdhg_lp.scaling import SCALING_MODES
 from pdhg_lp.stepsize import STEP_MODES, WEIGHT_MODES
 
 
-# Fields the configs check against a closed set of values or a range.
+# Fields the configs check against a closed set of values or a range.  A
+# policy's fixed value is drawn with its mode (_policy_strategy).
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _CHECKED = {
     "scheme": st.sampled_from(RESTART_SCHEMES),
     "scaling": st.sampled_from(SCALING_MODES),
-    "fixed_step": _POSITIVE | st.none(),
-    "fixed_weight": _POSITIVE | st.none(),
     "tol_optimal": st.floats(min_value=0.0),
     "iteration_limit": st.integers(min_value=0),
     "log_interval": st.integers(min_value=0),
 }
 
-# The modes each policy accepts.
-_MODES = {pl.StepPolicy: STEP_MODES, pl.WeightPolicy: WEIGHT_MODES}
+# The modes each policy accepts, and the field that only mode "fixed" takes.
+_MODES = {pl.StepPolicy: (STEP_MODES, "fixed_step"), pl.WeightPolicy: (WEIGHT_MODES, "fixed_weight")}
 
 # A value each checked number rejects, by dotted path.
 _BAD_VALUES = {
@@ -40,10 +41,20 @@ _BAD_VALUES = {
 }
 
 
+def _policy_strategy(cls):
+    """A step or weight policy: any mode without a fixed value, or mode
+    "fixed" with a positive finite one."""
+    modes, fixed = _MODES[cls]
+    fixed_value = st.builds(cls, mode=st.just("fixed"), **{fixed: _POSITIVE})
+    return st.sampled_from(modes).map(lambda mode: cls(mode=mode)) | fixed_value
+
+
 def _config_strategy(cls):
     """Instances of the config dataclass ``cls`` with every leaf drawn from
     the values its constructor accepts, infinities of either sign included
     (NaN is not equal to itself)."""
+    if cls in _MODES:
+        return _policy_strategy(cls)
     leaves = {
         float: st.floats(allow_nan=False),
         int: st.integers(),
@@ -55,10 +66,8 @@ def _config_strategy(cls):
             kwargs[f.name] = _config_strategy(f.type)
         elif f.name in _CHECKED:
             kwargs[f.name] = _CHECKED[f.name]
-        elif f.name == "mode":
-            kwargs[f.name] = st.sampled_from(_MODES[cls])
         else:
-            kwargs[f.name] = leaves[f.type] | st.none() if f.default is None else leaves[f.type]
+            kwargs[f.name] = leaves[f.type]
     return st.fixed_dictionaries(kwargs).map(lambda values: cls(**values))
 
 
@@ -132,6 +141,107 @@ class TestConfigFlags:
             "weight.fixed_weight",
             "weight.mode",
         ]
+
+    def test_public_signatures_are_stable(self):
+        # every public function and dataclass: a new parameter edits this pin on purpose
+        public = {
+            name: str(inspect.signature(obj))
+            for name, obj in vars(pl).items()
+            if name in pl.__all__
+            and (inspect.isfunction(obj) or inspect.isclass(obj) and dataclasses.is_dataclass(obj))
+        }
+        assert public == {
+            "CertificateCandidate": "(kind: str, x: numpy.ndarray, y: numpy.ndarray) -> None",
+            "CertificateVerdict": "(valid: bool, residual: float, gain: float, margin: float) -> None",
+            "IterateState": (
+                "(x: numpy.ndarray, y: numpy.ndarray, sum_weight: float = 0.0, inner_count: int = 0, "
+                "total_count: int = 0) -> None"
+            ),
+            "KktReport": (
+                "(primal_residual: float, dual_residual: float, duality_gap: float, rel_primal: float, "
+                "rel_dual: float, rel_gap: float, primal_objective: float, dual_objective: float, "
+                "reduced_costs: numpy.ndarray) -> None"
+            ),
+            "LpProblem": (
+                "(c: numpy.ndarray, ineq_matrix: pdhg_lp.sparse.SparseMatrix = None, "
+                "ineq_rhs: numpy.ndarray = None, eq_matrix: pdhg_lp.sparse.SparseMatrix = None, "
+                "eq_rhs: numpy.ndarray = None, lower: numpy.ndarray = None, upper: numpy.ndarray = None, "
+                "objective_offset: float = 0.0, objective_sign: int = 1, name: str = '', "
+                "variable_names: list = None, constraint_names: list = None) -> None"
+            ),
+            "MpsDialect": "(fixed_columns: bool = False) -> None",
+            "PagerankSpec": "(num_nodes: int, attach_degree: int = 3, damping: float = 0.85, seed: int = 0) -> None",
+            "RestartConfig": "(scheme: str = 'adaptive') -> None",
+            "SaddleForm": (
+                "(K: pdhg_lp.sparse.SparseMatrix, q: numpy.ndarray, m1: int, c: numpy.ndarray, l: numpy.ndarray, "
+                "u: numpy.ndarray, objective_offset: float = 0.0, objective_sign: int = 1) -> None"
+            ),
+            "ScalingInfo": (
+                "(row_scale: numpy.ndarray, col_scale: numpy.ndarray, row_order: numpy.ndarray = None) -> None"
+            ),
+            "SolveReport": (
+                "(status: str, reason: str, x: numpy.ndarray, y: numpy.ndarray, reduced_costs: numpy.ndarray, "
+                "objective_value: float, dual_objective_value: float, kkt: object, iterations: int, "
+                "restarts: int, restarts_by_reason: dict, matvecs: int, gap_evaluations: int, step_trials: int, "
+                "step_size: float, primal_weight: float, certificate: dict, residual_history: list, "
+                "timings: dict, notes: list, config: pdhg_lp.solver.SolverConfig, problem_name: str = '', "
+                "dims: tuple = ()) -> None"
+            ),
+            "SolverConfig": (
+                "(termination: pdhg_lp.termination.TerminationCriteria = <factory>, "
+                "scaling: str = 'logmean+ruiz+pc', restart: pdhg_lp.restarts.RestartConfig = <factory>, "
+                "step: pdhg_lp.stepsize.StepPolicy = <factory>, "
+                "weight: pdhg_lp.stepsize.WeightPolicy = <factory>, log_interval: int = 0) -> None"
+            ),
+            "StepPolicy": "(mode: str = 'halpern', fixed_step: float = None) -> None",
+            "StepState": "(step_size: float, primal_weight: float, initial_step_size: float = None) -> None",
+            "TerminationCriteria": (
+                "(tol_optimal: float = 1e-08, iteration_limit: int = 250000, time_limit_sec: float = inf) -> None"
+            ),
+            "WeightPolicy": "(mode: str = 'adaptive', fixed_weight: float = None) -> None",
+            "adaptive_step": "(state, saddle, step, *, errstate=True)",
+            "apply_restart": "(state, candidate)",
+            "apply_scaling": "(saddle, scaling)",
+            "barabasi_albert_edges": "(num_nodes, attach_degree, seed=0)",
+            "bound_objective_term": "(lam, l, u)",
+            "check_dual_infeasible": "(saddle, x_ray, tol, constants=None, *, norm=None)",
+            "check_optimal": "(report, criteria)",
+            "check_primal_infeasible": "(saddle, y_ray, tol, constants=None, *, norm=None)",
+            "combined_rescale": "(matrix, mode='logmean+ruiz+pc', *, m1=None, deadline=inf)",
+            "config_flags": "(config)",
+            "config_from_flags": "(flags)",
+            "extract_certificates": "(z_prev, z_cur, z_initial, iteration)",
+            "generate_bilinear_toy": "()",
+            "generate_dual_infeasible_toy": "()",
+            "generate_pagerank": "(spec)",
+            "generate_primal_infeasible_toy": "()",
+            "initialize_step_state": "(saddle, norm_k, step_policy, weight_policy)",
+            "kkt_error": "(saddle, x, y, constants=None)",
+            "lagrangian": "(saddle, x, y)",
+            "normalized_duality_gap": "(saddle, x, y, radius, *, stop_above=inf)",
+            "parse_mps": "(source, dialect=None)",
+            "pdhg_step": "(state, saddle, step, *, halpern=False, errstate=True, count=1, deadline=inf)",
+            "pock_chambolle_rescale": "(matrix, alpha=1.0)",
+            "project_dual": "(y, m1)",
+            "project_primal": "(x, l, u)",
+            "ps_norm": "(z1, z2, step, mode='omega', matrix=None)",
+            "read_mps": "(path, dialect=None)",
+            "reduced_cost_projection": "(r, l, u)",
+            "render_json": "(report, include_solution=False)",
+            "render_text": "(report)",
+            "report_to_dict": "(report, include_solution=False)",
+            "ruiz_rescale": "(matrix, num_iters=10, *, log_mean=False, deadline=inf)",
+            "should_restart": "(state, config, candidate_gap=None, reference_gap=None, residuals=None)",
+            "solve": "(problem, config=None)",
+            "solve_vanilla": "(problem, step_size, max_iters, tol=1e-08)",
+            "spectral_norm_estimate": "(matrix, tol=0.0001, max_iters=5000, seed=0, *, deadline=inf)",
+            "to_saddle": "(problem)",
+            "unscale_solution": "(x_scaled, y_scaled, scaling)",
+            "update_primal_weight": "(current, dx_norm, dy_norm, policy)",
+            "validate": "(problem)",
+            "write_mps": "(problem, out=None)",
+        }
+        assert not hasattr(pl.IterateState, "average")
 
     def test_unknown_flags_rejected(self):
         with pytest.raises(ValueError, match="unknown config flags"):
@@ -235,6 +345,34 @@ class TestConfigFlags:
         with pytest.raises(pl.NonPositiveInput, match=rf"^log_interval must be an integer >= 0, got {value!r}$"):
             pl.SolverConfig(log_interval=value)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: pl.SolverConfig(
+                termination=pl.TerminationCriteria(
+                    tol_optimal=np.float32(1e-6), iteration_limit=np.int64(100), time_limit_sec=np.float64(30.0)
+                ),
+                log_interval=np.int32(5),
+            ),
+            lambda: pl.SolverConfig(
+                step=pl.StepPolicy(mode="fixed", fixed_step=np.float32(0.25)),
+                weight=pl.WeightPolicy(mode="fixed", fixed_weight=np.float16(2.0)),
+                termination=pl.TerminationCriteria(iteration_limit=np.uint8(200)),
+            ),
+        ],
+        ids=["termination", "fixed_values"],
+    )
+    def test_numpy_scalars_stored_as_python_numbers(self, build):
+        # a config stores plain values, so its report renders and its block reads back
+        def leaves(flags):
+            for value in flags.values():
+                yield from leaves(value) if isinstance(value, dict) else [value]
+
+        config = build()
+        assert {type(value) for value in leaves(config_flags(config))} <= {int, float, str, type(None)}
+        report = json.loads(render_json(pl.solve(random_feasible_lp(2), config)))
+        assert config_from_flags(report["config"]) == config
+
     def test_edge_values_accepted(self):
         term = pl.TerminationCriteria(tol_optimal=0.0, iteration_limit=0, time_limit_sec=0.0)
         config = pl.SolverConfig(termination=term, log_interval=0)
@@ -242,15 +380,13 @@ class TestConfigFlags:
 
 
 # Configs whose echo lost fields under the earlier hand-written mapping:
-# fields it never wrote, and an adaptive primal weight started from
-# fixed_weight.
+# fields it never wrote.
 _LIMITS = pl.TerminationCriteria(tol_optimal=1e-6, iteration_limit=2000)
 _ECHO_CONFIGS = {
     "unmapped_fields": pl.SolverConfig(
         termination=_LIMITS,
         log_interval=50,
     ),
-    "adaptive_weight_start": pl.SolverConfig(termination=_LIMITS, weight=pl.WeightPolicy(fixed_weight=5.0)),
 }
 
 

@@ -346,7 +346,7 @@ class TestApplyRestart:
         for _ in range(6):
             pl.pdhg_step(state, toy_saddle, step)
         assert state.inner_count == 6 and state.sum_weight > 0
-        avg = state.average()
+        avg = (state.sum_x / state.sum_weight, state.sum_y / state.sum_weight)
         apply_restart(state, avg)
         np.testing.assert_array_equal(state.x, avg[0])
         np.testing.assert_array_equal(state.y, avg[1])

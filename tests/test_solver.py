@@ -451,7 +451,7 @@ class TestHalpern:
             pl.SolverConfig(),
             pl.SolverConfig(
                 restart=pl.RestartConfig(scheme="none"),
-                step=pl.StepPolicy(mode="halpern", fixed_step=0.4),
+                step=pl.StepPolicy(mode="fixed", fixed_step=0.4),
                 weight=pl.WeightPolicy(mode="fixed", fixed_weight=2.0),
                 termination=pl.TerminationCriteria(tol_optimal=1e-6),
             ),
@@ -650,16 +650,11 @@ class TestTrajectory:
         assert report_restarted.restarts > 0
         assert report_restarted.iterations < report_plain.iterations
 
-    def test_callback_sees_every_check(self, monkeypatch):
-        seen = []
-
-        def cb(iteration, kkt, step):
-            seen.append((iteration, kkt.rel_gap, step.step_size))
-
+    def test_history_has_a_row_for_every_check(self, monkeypatch):
         monkeypatch.setattr(pl.solver, "CHECK_INTERVAL", 2)
         config = pl.SolverConfig(termination=pl.TerminationCriteria(tol_optimal=0.0, iteration_limit=10))
-        pl.solve(pl.generate_bilinear_toy(), config, callback=cb)
-        assert [entry[0] for entry in seen] == [0, 2, 4, 6, 8, 10]
+        report = pl.solve(pl.generate_bilinear_toy(), config)
+        assert [row[0] for row in report.residual_history] == [0, 2, 4, 6, 8, 10]
 
     def test_history_rows_carry_step_size_and_primal_weight(self):
         report = pl.solve(pl.generate_bilinear_toy())
@@ -732,7 +727,7 @@ class TestFixedStepStretches:
         "policy",
         (
             (pl.StepPolicy(mode="fixed", fixed_step=0.5), pl.WeightPolicy(mode="fixed")),
-            (pl.StepPolicy(fixed_step=0.5), pl.WeightPolicy()),
+            (pl.StepPolicy(), pl.WeightPolicy()),
         ),
         ids=("fixed", "halpern"),
     )
@@ -743,10 +738,12 @@ class TestFixedStepStretches:
         # limit buys exactly one more step, inside a stretch or across the
         # check at 64 and the restart tests: the fixed step's gap tests at
         # 40, 80 and 120, the Halpern step's residual tests and its cap.
+        # The Halpern step's norm estimate reads it too, before the first
+        # step, so its stops start lower and need the wider range to pass 128.
         problem = random_feasible_lp(0)
         step, weight = policy
         stops = []
-        for limit in range(40, 160):
+        for limit in range(40, 200):
             ticks = itertools.count()
             monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
             config = pl.SolverConfig(
@@ -757,7 +754,7 @@ class TestFixedStepStretches:
             report = pl.solve(problem, config)
             assert report.status == pl.STATUS_TIME_LIMIT
             stops.append(report.iterations)
-        assert stops == list(range(stops[0], stops[0] + 120))
+        assert stops == list(range(stops[0], stops[0] + 160))
         assert stops[0] < 40 and stops[-1] > 128
 
 

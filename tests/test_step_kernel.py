@@ -252,13 +252,17 @@ class TestStretchAgainstSingleSteps:
 
     def run(self, saddle, x, y, step, stretches, single, halpern=False):
         """Snapshots after each stretch of ``stretches``, taken either in
-        one call or one step per call; None restarts to the average."""
+        one call or one step per call; None restarts as ``solve`` does,
+        under Halpern to T(z) and otherwise to the average."""
         base = (saddle.K.matvec_calls, saddle.K.rmatvec_calls)
         state = IterateState(x=x, y=y)
         shots = []
         for count in stretches:
             if count is None:
-                apply_restart(state, state.average())
+                if halpern:
+                    apply_restart(state, (state.buffers.x, state.buffers.y))
+                else:
+                    apply_restart(state, (state.sum_x / state.sum_weight, state.sum_y / state.sum_weight))
                 continue
             if single:
                 for _ in range(count):
@@ -530,7 +534,7 @@ class TestBuffersHoldPreviousIterate:
         pdhg_step(state, saddle, StepState(0.1, 1.0))
         before = (state.x.copy(), state.y.copy())
         pdhg_step(state, saddle, StepState(0.1, 1.0))
-        candidate = state.average()
+        candidate = (state.sum_x / state.sum_weight, state.sum_y / state.sum_weight)
         apply_restart(state, candidate)
         self.assert_buffers_hold(state, before)
         pdhg_step(state, saddle, StepState(0.1, 1.0))
@@ -674,7 +678,7 @@ class TestStepScalarsFollowTheStepState:
         step = StepState(0.9 / pl.spectral_norm_estimate(saddle.K).value, 1.7)
         state = IterateState.initial(saddle)
         pdhg_step(state, saddle, step, count=6)
-        apply_restart(state, state.average())
+        apply_restart(state, (state.sum_x / state.sum_weight, state.sum_y / state.sum_weight))
         ref = Reference(saddle, state.x, state.y)
         step = dataclasses.replace(step, primal_weight=0.6)
         pdhg_step(state, saddle, step, count=6)

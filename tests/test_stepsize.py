@@ -67,6 +67,27 @@ class TestInitialization:
         with pytest.raises(pl.NonPositiveInput, match="unknown weight mode 'bogus'"):
             WeightPolicy(mode="bogus")
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: StepPolicy(mode="halpern", fixed_step=0.5),
+            lambda: StepPolicy(mode="adaptive", fixed_step=0.5),
+            lambda: WeightPolicy(fixed_weight=5.0),
+        ],
+        ids=["halpern_step", "adaptive_step", "adaptive_weight"],
+    )
+    def test_fixed_value_only_with_fixed_mode(self, build):
+        # a fixed value has one meaning, the fixed mode's, and no other mode ignores one
+        with pytest.raises(pl.NonPositiveInput, match=r"^fixed_(step|weight) is for mode 'fixed' only"):
+            build()
+
+    def test_fixed_value_with_other_mode_rejected_in_config_block(self):
+        block = pl.config_flags(pl.SolverConfig())
+        for key, fixed in (("step", "fixed_step"), ("weight", "fixed_weight")):
+            old = {**block, key: {**block[key], fixed: 0.5}}
+            with pytest.raises(ValueError, match=rf"^config {key}: {fixed} is for mode 'fixed' only"):
+                pl.config_from_flags(old)
+
 
 def measured_step_bound(saddle, x_before, y_before, x_after, y_after, weight):
     """Recompute s_hat = ||dz||_w^2 / (2 |dy' K dx|) from a committed step."""
