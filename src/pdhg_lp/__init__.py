@@ -49,7 +49,6 @@ from .scaling import (
     ScalingInfo,
     apply_scaling,
     combined_rescale,
-    pock_chambolle_rescale,
     ruiz_rescale,
     unscale_solution,
 )
@@ -84,7 +83,6 @@ from .termination import (
     check_primal_infeasible,
     extract_certificates,
     kkt_error,
-    reduced_cost_projection,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -38,6 +38,7 @@ import scipy.sparse as sp
 from .exceptions import (
     DuplicateColumn,
     DuplicateRow,
+    InconsistentBounds,
     MpsNameError,
     MpsSyntaxError,
     UnknownRowReference,
@@ -751,12 +752,12 @@ def write_mps(problem, out=None):
     The written file reparses to the same problem: >= rows are emitted as G
     rows, equalities as E rows, maximization problems get an OBJSENSE
     section with the original (un-negated) objective.  Before anything is
-    written, an objective_sign other than 1 or -1 raises validate's
-    ValidationError, and MpsNameError is raised for a problem name with
-    whitespace (the reader keeps only the first word of the NAME line), for
-    a list of variable or constraint names whose length is not the number
-    of variables or constraints (None means generated names), and for a
-    name that would not read back (see _check_names).  The NAME line holds
+    written, MpsNameError is raised for a list of variable or constraint
+    names whose length is not the number of variables or constraints (None
+    means generated names), then ``validate``'s error (crossed bounds alone
+    are written), then MpsNameError for a problem name with whitespace (the
+    reader keeps only the first word of the NAME line) and for a name that
+    would not read back (see _check_names).  The NAME line holds
     the problem's own name (``dataclasses.replace(problem, name=...)``
     writes another); an empty one is written, and so reads back, as "LP".
     """
@@ -772,8 +773,6 @@ def write_mps(problem, out=None):
 
 def _pieces(problem):
     """The text of write_mps in pieces that each end in a newline."""
-    if problem.objective_sign not in (1, -1):
-        validate(problem)  # raises, naming the sign
     n = problem.num_variables
     m1 = problem.num_inequalities
     m2 = problem.num_equalities
@@ -781,6 +780,11 @@ def _pieces(problem):
     for names, count, kind in ((var_names, n, "variable"), (con_names, m1 + m2, "constraint")):
         if names is not None and len(names) != count:
             raise MpsNameError(f"{len(names)} {kind} names given for {count} {kind}s")
+    try:
+        validate(problem)
+    except InconsistentBounds:  # crossed bounds alone: an infeasible LP, which MPS holds
+        if problem.objective_sign not in (1, -1):
+            raise
     if var_names is None:
         var_names = [f"X{j}" for j in range(n)]
     if con_names is None:

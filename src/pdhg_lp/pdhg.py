@@ -80,7 +80,7 @@ _add, _subtract, _multiply, _divide, _maximum = np.add, np.subtract, np.multiply
 
 @dataclass(frozen=True)
 class StepState:
-    """Step size s and primal weight w; eta/sigma are the split step sizes."""
+    """Step size s and primal weight w: primal step s / w, dual step ``sigma`` = s w."""
 
     step_size: float
     primal_weight: float
@@ -93,10 +93,6 @@ class StepState:
             raise NonPositiveInput(f"primal_weight must be positive, got {self.primal_weight}")
         if self.initial_step_size is None:
             object.__setattr__(self, "initial_step_size", self.step_size)
-
-    @property
-    def eta(self):
-        return self.step_size / self.primal_weight
 
     @property
     def sigma(self):
@@ -178,15 +174,16 @@ class StepBuffers:
 
 @dataclass
 class IterateState:
-    """Mutable per-epoch iterate state.
+    """Mutable per-epoch iterate state, built from its first iterate (x, y).
 
-    ``sum_x``, ``sum_y`` and ``sum_weight``, zero at the start, are the
-    running sums of the epoch's weighted average (``solve`` forms it in
-    ``buffers.t``).  ``kx`` caches K @ x for the adaptive rule and must be dropped whenever x
-    changes by any route other than that rule's step (restart, rescale):
-    after an adaptive step it is a vector of its own, and after a fixed or
-    Halpern step or a restart None.  ``trial_count`` counts the finite
-    trial points computed, accepted or not.
+    ``sum_x``, ``sum_y`` and ``sum_weight`` are the running sums of the
+    epoch's weighted average (``solve`` forms it in ``buffers.t``), and
+    ``inner_count``/``total_count`` count its steps and all steps; all start
+    at zero.  ``kx`` caches K @ x for the adaptive rule and must be dropped
+    whenever x changes by any route other than that rule's step (restart,
+    rescale): after an adaptive step it is a vector of its own, and after a
+    fixed or Halpern step or a restart None.  ``trial_count`` counts the
+    finite trial points computed, accepted or not.
 
     The state makes its ``StepBuffers`` when it is built and copies x and y
     into them: from then on x and y are the parts of ``buffers.z``,
@@ -202,9 +199,9 @@ class IterateState:
 
     x: np.ndarray
     y: np.ndarray
-    sum_weight: float = 0.0
-    inner_count: int = 0
-    total_count: int = 0
+    sum_weight: float = field(default=0.0, init=False)
+    inner_count: int = field(default=0, init=False)
+    total_count: int = field(default=0, init=False)
     sum_x: np.ndarray = field(init=False)
     sum_y: np.ndarray = field(init=False)
     kx: np.ndarray = field(default=None, init=False, repr=False)

@@ -72,9 +72,9 @@ def report_to_dict(report, include_solution=False):
         "solver": {"name": "pdhg-lp", "version": __version__},
         "problem": {
             "name": report.problem_name,
-            "variables": report.dims[0] if report.dims else None,
-            "inequalities": report.dims[1] if report.dims else None,
-            "equalities": report.dims[2] if report.dims else None,
+            "variables": report.dims[0],
+            "inequalities": report.dims[1],
+            "equalities": report.dims[2],
         },
         "status": report.status,
         "reason": report.reason,

@@ -148,20 +148,18 @@ def normalized_duality_gap(saddle, x, y, radius, *, stop_above=math.inf):
     return max(dot(d, best), 0.0) / radius
 
 
-def should_restart(state, config, candidate_gap=None, reference_gap=None, residuals=None):
-    """Decide whether to restart now.
+def should_restart(state, candidate_gap=None, reference_gap=None, residuals=None):
+    """Decide whether the adaptive scheme restarts now: (restart, reason).
 
-    Returns (restart, reason); the scheme "none" never restarts.  Under
-    PDHG ``candidate_gap`` is the normalized gap of the restart candidate
-    at its distance from the epoch start, and the sufficient-decay test
-    compares it against ``reference_gap``, measured when the epoch started.
-    Under the Halpern step ``residuals`` is (now, the epoch's first, the
-    previous test's) fixed-point residual, tested as RESIDUAL_*_DECAY say.
-    An artificial cap bounds the epoch length by max(MIN_ARTIFICIAL,
-    ARTIFICIAL_FRACTION * total iterations).
+    ``solve`` does not ask under the scheme "none", which never restarts.
+    Under PDHG ``candidate_gap`` is the normalized gap of the restart
+    candidate at its distance from the epoch start, and the sufficient-decay
+    test compares it against ``reference_gap``, measured when the epoch
+    started.  Under the Halpern step ``residuals`` is (now, the epoch's
+    first, the previous test's) fixed-point residual, tested as
+    RESIDUAL_*_DECAY say.  An artificial cap bounds the epoch length by
+    max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * total iterations).
     """
-    if config.scheme == "none":
-        return False, None
     if residuals is not None:
         now, first, previous = residuals
         if now <= RESIDUAL_SUFFICIENT_DECAY * first or previous < now <= RESIDUAL_NECESSARY_DECAY * first:

@@ -88,24 +88,14 @@ def length_order(matrix, m1):
     return np.concatenate([np.argsort(-blocks[0], kind="stable"), m1 + np.argsort(-blocks[1], kind="stable")])
 
 
-def ruiz_rescale(matrix, num_iters=RUIZ_ITERATIONS, *, log_mean=False, deadline=math.inf):
-    """Iterative Ruiz equilibration, after one log-mean pass if ``log_mean``.
-
-    Each sweep divides every row and column by the square root of its
-    infinity norm, both norms measured on the current rescaled matrix.
-    The log-mean pass (``_log_mean_pass``) gives the sweeps their start, as
-    if they ran on the matrix it scales, without a scaled copy.  Empty
-    rows/columns keep scale 1.  Returns the accumulated ScalingInfo, of
-    fewer sweeps when ``time.perf_counter()`` reaches ``deadline`` before
-    one.
-    """
+def ruiz_rescale(matrix, num_iters=RUIZ_ITERATIONS):
+    """Iterative Ruiz equilibration: each sweep divides every row and
+    column by the square root of its infinity norm, both norms measured on
+    the current rescaled matrix; empty rows/columns keep scale 1.  Returns
+    the accumulated ScalingInfo."""
     if num_iters < 0:
         raise NonPositiveInput("num_iters must be >= 0")
-    # the deadline is checked before the triplets are built too: at n=1e5
-    # they take about 1 ms
-    if matrix.nnz == 0 or (num_iters == 0 and not log_mean) or time.perf_counter() >= deadline:
-        return ScalingInfo.identity(matrix.shape)
-    return ScalingInfo(*_ruiz_scales(_abs_triplets(matrix), matrix.shape, num_iters, log_mean, deadline))
+    return ScalingInfo(*_ruiz_scales(_abs_triplets(matrix), matrix.shape, num_iters, False, math.inf))
 
 
 def _abs_triplets(matrix):
@@ -115,7 +105,8 @@ def _abs_triplets(matrix):
 
 
 def _ruiz_scales(triplets, shape, num_iters, log_mean, deadline):
-    """``ruiz_rescale``'s (d1, d2) from the triplets of |M|."""
+    """Ruiz's (d1, d2) from the triplets of |M|: ``num_iters`` sweeps, each
+    begun only before ``deadline``, from the log-mean pass if ``log_mean``."""
     rows, cols, vals = triplets
     m, n = shape
     d1 = np.ones(m)
@@ -164,23 +155,11 @@ def _ruiz_sweep(rows, cols, vals, d1, d2):
     return d1, d2
 
 
-def pock_chambolle_rescale(matrix, alpha=PC_ALPHA):
-    """Single-pass Pock-Chambolle diagonal scaling.
-
-    D1_ii = (sum_j |K_ij|^(2-alpha))^(-1/2),
-    D2_jj = (sum_i |K_ij|^alpha)^(-1/2);
-    empty rows/columns get scale 1.
-    """
-    if not 0.0 <= alpha <= 2.0:
-        raise NonPositiveInput(f"alpha must lie in [0, 2], got {alpha}")
-    m, n = matrix.shape
-    return ScalingInfo(*_pock_chambolle_scales(_abs_triplets(matrix), np.ones(m), np.ones(n), alpha))
-
-
 def _pock_chambolle_scales(triplets, d1, d2, alpha):
-    """``pock_chambolle_rescale``'s (D1, D2) for diag(d1) M diag(d2), from
-    the triplets of |M|: each entry is (d1_i * d2_j) * |M_ij|, the bits of
-    ``SparseMatrix.scaled``'s entries, summed row by row as there."""
+    """Pock-Chambolle's D1_ii = (sum_j |A_ij|^(2-alpha))^(-1/2) and D2_jj =
+    (sum_i |A_ij|^alpha)^(-1/2), 1 where empty, for A = diag(d1) M diag(d2)
+    from the triplets of |M|: each |A_ij| is (d1_i * d2_j) * |M_ij|, the bits
+    of ``SparseMatrix.scaled``'s entries, summed row by row as there."""
     rows, cols, vals = triplets
     cur = d1[rows] * d2[cols]
     cur *= vals
@@ -200,9 +179,9 @@ def combined_rescale(matrix, mode=DEFAULT_SCALING, *, m1=None, deadline=math.inf
     pass first.  All passes read one set of K's COO triplets, without a
     scaled copy of K.  Given ``m1``, the number of sign-constrained rows,
     the result also carries ``length_order(matrix, m1)``; without it the
-    rows keep their order.  ``deadline`` stops the Ruiz sweeps as in
-    ``ruiz_rescale``; once ``time.perf_counter()`` has reached it, the
-    result is the identity, and nothing more is built.
+    rows keep their order.  Here alone the scaling runs out of time: a
+    pass, sweep or row order starts only before ``deadline`` (a
+    ``time.perf_counter()`` value), and past it the result is the identity.
     """
     if mode not in SCALING_MODES:
         raise NonPositiveInput(f"unknown scaling mode {mode!r}")
@@ -213,10 +192,10 @@ def combined_rescale(matrix, mode=DEFAULT_SCALING, *, m1=None, deadline=math.inf
         if time.perf_counter() < deadline:
             e1, e2 = _pock_chambolle_scales(triplets, d1, d2, PC_ALPHA)
             scaling = ScalingInfo(d1 * e1, d2 * e2)
+    if m1 is not None and time.perf_counter() < deadline:
+        scaling.row_order = length_order(matrix, m1)
     if time.perf_counter() >= deadline:
         return ScalingInfo.identity(matrix.shape)
-    if m1 is not None:
-        scaling.row_order = length_order(matrix, m1)
     return scaling
 
 

@@ -33,7 +33,7 @@ from .pdhg import IterateState, fixed_point_residual, pdhg_step
 from .problem import to_saddle, validate
 from . import restarts, stepsize
 from .restarts import RestartConfig, apply_restart, normalized_duality_gap, should_restart
-from .scaling import DEFAULT_SCALING, SCALING_MODES, ScalingInfo, apply_scaling, combined_rescale, unscale_solution
+from .scaling import DEFAULT_SCALING, SCALING_MODES, apply_scaling, combined_rescale, unscale_solution
 from .sparse import dot, spectral_norm_estimate
 from .stepsize import StepPolicy, WeightPolicy, adaptive_step, initialize_step_state, update_primal_weight
 from .termination import (
@@ -128,12 +128,8 @@ class SolveReport:
     timings: dict
     notes: list
     config: SolverConfig
-    problem_name: str = ""
-    dims: tuple = ()
-
-    @property
-    def solved(self):
-        return self.status == STATUS_OPTIMAL
+    problem_name: str
+    dims: tuple
 
 
 def _log_progress(iteration, kkt, step):
@@ -213,10 +209,8 @@ def solve(problem, config=None):
     saddle0 = to_saddle(problem)
 
     t_mark = time.perf_counter()
+    # the identity when time runs out: the first check stops the loop
     scaling = combined_rescale(saddle0.K, mode=config.scaling, m1=saddle0.m1, deadline=deadline)
-    if time.perf_counter() >= deadline:
-        # no time left to build the working space: the first check stops the loop
-        scaling = ScalingInfo.identity(saddle0.K.shape)
     saddle = apply_scaling(saddle0, scaling)
     scaling_sec = time.perf_counter() - t_mark
 
@@ -229,8 +223,7 @@ def solve(problem, config=None):
     halpern = config.step.mode == "halpern"
     # the adaptive rule runs until a ray shows, then the step is frozen
     adaptive = config.step.mode == "adaptive"
-    rcfg = config.restart
-    adaptive_restarts = rcfg.scheme == "adaptive"
+    adaptive_restarts = config.restart.scheme == "adaptive"
     gap_restarts = adaptive_restarts and not halpern
 
     step = initialize_step_state(saddle, norm_k, config.step, config.weight)
@@ -399,7 +392,7 @@ def solve(problem, config=None):
                     candidate_gap = normalized_duality_gap(saddle, *t_parts, radius, stop_above=stop_above)
                     gap_evals += 1
             fire, why = should_restart(
-                state, rcfg, candidate_gap=candidate_gap, reference_gap=reference_gap, residuals=residuals
+                state, candidate_gap=candidate_gap, reference_gap=reference_gap, residuals=residuals
             )
             if not fire:
                 continue

@@ -25,7 +25,7 @@ import numpy as np
 
 from .exceptions import NonFiniteIterate, NonPositiveInput, StepSizeUnderflow
 from .pdhg import StepState, accept_step, step_gradient, trial_step
-from .termination import _norm
+from .termination import _norm, _real
 
 
 STEP_MODES = ("halpern", "adaptive", "fixed")
@@ -77,11 +77,12 @@ class WeightPolicy:
 
 
 def _check_fixed(policy, name):
-    """Store a given fixed value as a Python float; it must be positive and
-    finite, and the mode "fixed"."""
+    """Store a given fixed value as a Python float; it must be a positive
+    and finite real number, and the mode "fixed"."""
     value = getattr(policy, name)
     if value is not None:
-        object.__setattr__(policy, name, float(value))
+        value = _real(name, value)
+        object.__setattr__(policy, name, value)
         if not 0.0 < value < math.inf:
             raise NonPositiveInput(f"{name} must be positive and finite, got {value}")
         if policy.mode != "fixed":

@@ -30,6 +30,13 @@ def _count(name, value):
     return operator.index(value)
 
 
+def _real(name, value):
+    """``value`` as a Python float; a bool or a non-real raises NonPositiveInput."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise NonPositiveInput(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class TerminationCriteria:
     tol_optimal: float = 1e-8
@@ -38,9 +45,9 @@ class TerminationCriteria:
 
     def __post_init__(self):
         # plain Python numbers, which the config block writes as JSON
-        object.__setattr__(self, "tol_optimal", float(self.tol_optimal))
+        object.__setattr__(self, "tol_optimal", _real("tol_optimal", self.tol_optimal))
         object.__setattr__(self, "iteration_limit", _count("iteration_limit", self.iteration_limit))
-        object.__setattr__(self, "time_limit_sec", float(self.time_limit_sec))
+        object.__setattr__(self, "time_limit_sec", _real("time_limit_sec", self.time_limit_sec))
         if not self.tol_optimal >= 0:
             raise NonPositiveInput(f"tol_optimal must be >= 0, got {self.tol_optimal}")
         # any other limit is valid: zero or below stops at the first check, inf never
@@ -118,17 +125,12 @@ def check_constants(saddle):
     )
 
 
-def reduced_cost_projection(r, l, u):
-    """Project r onto the cone of reduced costs compatible with the bounds.
-
-    Coordinate i admits lambda_i >= 0 only when l_i is finite and
-    lambda_i <= 0 only when u_i is finite; free variables force lambda_i = 0.
-    """
-    return _project_reduced_costs(r, np.isfinite(l), np.isfinite(u))
-
-
 def _project_reduced_costs(r, lfin, ufin):
-    """``reduced_cost_projection`` given the finite-bound masks."""
+    """Project r onto the cone of reduced costs compatible with the bounds,
+    given their finite masks: coordinate i admits lambda_i >= 0 only when
+    l_i is finite (``lfin``) and lambda_i <= 0 only when u_i is finite
+    (``ufin``); free variables force lambda_i = 0.
+    """
     lam = np.zeros_like(r)
     pos = (r > 0) & lfin
     neg = (r < 0) & ufin

@@ -442,6 +442,34 @@ class TestWriter:
         with pytest.raises(pl.ValidationError, match=f"^objective_sign is {sign}, expected 1 or -1$"):
             write_mps(problem)
 
+    @pytest.mark.parametrize(
+        "problem",
+        [pl.LpProblem(c=[np.inf, 1.0]), pl.LpProblem(c=[1.0], lower=[np.nan])],
+        ids=["infinite_cost", "nan_lower_bound"],
+    )
+    def test_non_finite_data_rejected_before_writing(self, problem):
+        # the text would hold "inf" or "nan", which the reader takes back
+        # although validate rejects it
+        out = io.StringIO()
+        with pytest.raises(pl.NonFiniteData):
+            write_mps(problem, out=out)
+        assert out.getvalue() == ""
+        with pytest.raises(pl.NonFiniteData):
+            write_mps(problem)
+
+    def test_crossed_bounds_written_unless_the_sign_is_wrong(self):
+        # validate rejects lower > upper, but that LP is only infeasible, and
+        # its file reads back
+        crossed = pl.LpProblem(c=[1.0], upper=[-1.0])
+        with pytest.raises(pl.InconsistentBounds):
+            pl.validate(crossed)
+        assert parse_mps(write_mps(crossed)).upper.tolist() == [-1.0]
+        crossed.objective_sign = 2
+        out = io.StringIO()
+        with pytest.raises(pl.InconsistentBounds, match="objective_sign is 2"):
+            write_mps(crossed, out=out)
+        assert out.getvalue() == ""
+
     def test_write_parse_write_is_stable(self):
         problem = random_feasible_lp(11, n=5, m_ineq=3, m_eq=1, spread=0.5)
         once = write_mps(problem)

@@ -38,7 +38,7 @@ class TestProjections:
 class TestStepState:
     def test_eta_sigma_split(self):
         step = StepState(step_size=0.4, primal_weight=4.0)
-        assert step.eta == pytest.approx(0.1)
+        assert step.step_size / step.primal_weight == pytest.approx(0.1)
         assert step.sigma == pytest.approx(1.6)
         assert step.initial_step_size == 0.4
 
@@ -81,7 +81,7 @@ class TestPdhgStep:
                 pdhg_step(state, saddle, step)
                 xr, yr = dense_pdhg_step(
                     saddle.c, k_dense, saddle.q, saddle.m1,
-                    saddle.l, saddle.u, xr, yr, step.eta, step.sigma,
+                    saddle.l, saddle.u, xr, yr, step.step_size / step.primal_weight, step.sigma,
                 )
             np.testing.assert_allclose(state.x, xr, atol=1e-12)
             np.testing.assert_allclose(state.y, yr, atol=1e-12)

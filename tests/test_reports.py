@@ -1,7 +1,10 @@
+import ast
 import dataclasses
 import inspect
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -153,10 +156,7 @@ class TestConfigFlags:
         assert public == {
             "CertificateCandidate": "(kind: str, x: numpy.ndarray, y: numpy.ndarray) -> None",
             "CertificateVerdict": "(valid: bool, residual: float, gain: float, margin: float) -> None",
-            "IterateState": (
-                "(x: numpy.ndarray, y: numpy.ndarray, sum_weight: float = 0.0, inner_count: int = 0, "
-                "total_count: int = 0) -> None"
-            ),
+            "IterateState": "(x: numpy.ndarray, y: numpy.ndarray) -> None",
             "KktReport": (
                 "(primal_residual: float, dual_residual: float, duality_gap: float, rel_primal: float, "
                 "rel_dual: float, rel_gap: float, primal_objective: float, dual_objective: float, "
@@ -184,8 +184,8 @@ class TestConfigFlags:
                 "objective_value: float, dual_objective_value: float, kkt: object, iterations: int, "
                 "restarts: int, restarts_by_reason: dict, matvecs: int, gap_evaluations: int, step_trials: int, "
                 "step_size: float, primal_weight: float, certificate: dict, residual_history: list, "
-                "timings: dict, notes: list, config: pdhg_lp.solver.SolverConfig, problem_name: str = '', "
-                "dims: tuple = ()) -> None"
+                "timings: dict, notes: list, config: pdhg_lp.solver.SolverConfig, problem_name: str, "
+                "dims: tuple) -> None"
             ),
             "SolverConfig": (
                 "(termination: pdhg_lp.termination.TerminationCriteria = <factory>, "
@@ -221,17 +221,15 @@ class TestConfigFlags:
             "normalized_duality_gap": "(saddle, x, y, radius, *, stop_above=inf)",
             "parse_mps": "(source, dialect=None)",
             "pdhg_step": "(state, saddle, step, *, halpern=False, errstate=True, count=1, deadline=inf)",
-            "pock_chambolle_rescale": "(matrix, alpha=1.0)",
             "project_dual": "(y, m1)",
             "project_primal": "(x, l, u)",
             "ps_norm": "(z1, z2, step, mode='omega', matrix=None)",
             "read_mps": "(path, dialect=None)",
-            "reduced_cost_projection": "(r, l, u)",
             "render_json": "(report, include_solution=False)",
             "render_text": "(report)",
             "report_to_dict": "(report, include_solution=False)",
-            "ruiz_rescale": "(matrix, num_iters=10, *, log_mean=False, deadline=inf)",
-            "should_restart": "(state, config, candidate_gap=None, reference_gap=None, residuals=None)",
+            "ruiz_rescale": "(matrix, num_iters=10)",
+            "should_restart": "(state, candidate_gap=None, reference_gap=None, residuals=None)",
             "solve": "(problem, config=None)",
             "solve_vanilla": "(problem, step_size, max_iters, tol=1e-08)",
             "spectral_norm_estimate": "(matrix, tol=0.0001, max_iters=5000, seed=0, *, deadline=inf)",
@@ -242,6 +240,26 @@ class TestConfigFlags:
             "write_mps": "(problem, out=None)",
         }
         assert not hasattr(pl.IterateState, "average")
+        assert not hasattr(pl.StepState, "eta") and not hasattr(pl.SolveReport, "solved")
+
+    def test_every_public_name_has_a_caller(self):
+        # A public name is read by the package's own code, or named where a
+        # user meets it: the README, the acceptance tests or the benchmark.
+        # Reads are Name and Attribute loads, so a docstring is no caller.
+        package = pathlib.Path(pl.__file__).parent
+        read = set()
+        for path in package.glob("*.py"):
+            if path.name != "__init__.py":
+                for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        read.add(node.id)
+                    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                        read.add(node.attr)
+        root = package.parents[1]
+        sources = [root / "README.md", root / "tests" / "test_acceptance.py", *sorted((root / "perfbench").glob("*.py"))]
+        named = "\n".join(path.read_text() for path in sources)
+        public = [name for name in pl.__all__ if not inspect.ismodule(getattr(pl, name))]
+        assert [name for name in public if name not in read and not re.search(rf"\b{name}\b", named)] == []
 
     def test_unknown_flags_rejected(self):
         with pytest.raises(ValueError, match="unknown config flags"):
@@ -344,6 +362,20 @@ class TestConfigFlags:
             pl.TerminationCriteria(iteration_limit=value)
         with pytest.raises(pl.NonPositiveInput, match=rf"^log_interval must be an integer >= 0, got {value!r}$"):
             pl.SolverConfig(log_interval=value)
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", 0.5j])
+    def test_non_real_numbers_rejected(self, value):
+        # the same rule whichever way the value comes: a bool or a string is
+        # no number here, as it is not in a config block
+        builds = {
+            "tol_optimal": lambda: pl.TerminationCriteria(tol_optimal=value),
+            "time_limit_sec": lambda: pl.TerminationCriteria(time_limit_sec=value),
+            "fixed_step": lambda: pl.StepPolicy(mode="fixed", fixed_step=value),
+            "fixed_weight": lambda: pl.WeightPolicy(mode="fixed", fixed_weight=value),
+        }
+        for name, build in builds.items():
+            with pytest.raises(pl.NonPositiveInput, match=rf"^{name} must be a real number, got {re.escape(repr(value))}$"):
+                build()
 
     @pytest.mark.parametrize(
         "build",

@@ -244,69 +244,57 @@ class TestShouldRestart:
         state.total_count = total
         return state
 
-    def test_none_scheme(self):
-        state = self.make_state(1000, 1000)
-        assert should_restart(state, RestartConfig(scheme="none")) == (False, None)
-
     def test_adaptive_gap_decay(self):
         # at most GAP_SUFFICIENT_DECAY = 0.5 of the epoch's first gap
-        cfg = RestartConfig(scheme="adaptive")
         state = self.make_state(3, 100)
-        assert should_restart(state, cfg, candidate_gap=1.0, reference_gap=2.0) == (
+        assert should_restart(state, candidate_gap=1.0, reference_gap=2.0) == (
             True,
             "gap_decay",
         )
-        assert should_restart(state, cfg, candidate_gap=1.5, reference_gap=2.0) == (False, None)
+        assert should_restart(state, candidate_gap=1.5, reference_gap=2.0) == (False, None)
 
     def test_adaptive_artificial_cap(self):
-        cfg = RestartConfig(scheme="adaptive")
         # cap = max(10, 0.36 * total)
-        assert should_restart(self.make_state(10, 0), cfg, reference_gap=2.0) == (
+        assert should_restart(self.make_state(10, 0), reference_gap=2.0) == (
             True,
             "artificial",
         )
-        assert should_restart(self.make_state(9, 0), cfg, reference_gap=2.0) == (False, None)
-        assert should_restart(self.make_state(36, 100), cfg, reference_gap=2.0) == (
+        assert should_restart(self.make_state(9, 0), reference_gap=2.0) == (False, None)
+        assert should_restart(self.make_state(36, 100), reference_gap=2.0) == (
             True,
             "artificial",
         )
-        assert should_restart(self.make_state(35, 100), cfg, reference_gap=2.0) == (False, None)
+        assert should_restart(self.make_state(35, 100), reference_gap=2.0) == (False, None)
 
     def test_residual_sufficient_decay(self):
         # (now, first, previous): at most 0.2 of the epoch's first residual
         # restarts whether or not it went up since the previous test
-        cfg = RestartConfig(scheme="adaptive")
         state = self.make_state(3, 100)
-        assert should_restart(state, cfg, residuals=(0.2, 1.0, 0.5)) == (True, "residual_decay")
-        assert should_restart(state, cfg, residuals=(0.2, 1.0, 0.1)) == (True, "residual_decay")
-        assert should_restart(state, cfg, residuals=(0.0, 1.0, 0.0)) == (True, "residual_decay")
+        assert should_restart(state, residuals=(0.2, 1.0, 0.5)) == (True, "residual_decay")
+        assert should_restart(state, residuals=(0.2, 1.0, 0.1)) == (True, "residual_decay")
+        assert should_restart(state, residuals=(0.0, 1.0, 0.0)) == (True, "residual_decay")
 
     def test_residual_necessary_decay(self):
         # between 0.2 and 0.8 of the first, it restarts only once the
         # residual has gone up since the previous test
-        cfg = RestartConfig(scheme="adaptive")
         state = self.make_state(3, 100)
-        assert should_restart(state, cfg, residuals=(0.8, 1.0, 0.5)) == (True, "residual_decay")
-        assert should_restart(state, cfg, residuals=(0.5, 1.0, 0.6)) == (False, None)
-        assert should_restart(state, cfg, residuals=(0.5, 1.0, 0.5)) == (False, None)
-        assert should_restart(state, cfg, residuals=(0.9, 1.0, 0.5)) == (False, None)
+        assert should_restart(state, residuals=(0.8, 1.0, 0.5)) == (True, "residual_decay")
+        assert should_restart(state, residuals=(0.5, 1.0, 0.6)) == (False, None)
+        assert should_restart(state, residuals=(0.5, 1.0, 0.5)) == (False, None)
+        assert should_restart(state, residuals=(0.9, 1.0, 0.5)) == (False, None)
 
     def test_residuals_replace_the_gap_test(self):
-        # under the Halpern step the gaps are not tested, the cap still is,
-        # and the scheme "none" never restarts
-        cfg = RestartConfig(scheme="adaptive")
+        # under the Halpern step the gaps are not tested, the cap still is
         no_decay = (0.9, 1.0, 1.0)
         assert should_restart(
-            self.make_state(3, 100), cfg, candidate_gap=0.0, reference_gap=2.0, residuals=no_decay
+            self.make_state(3, 100), candidate_gap=0.0, reference_gap=2.0, residuals=no_decay
         ) == (False, None)
-        assert should_restart(self.make_state(36, 100), cfg, residuals=no_decay) == (True, "artificial")
-        assert should_restart(self.make_state(35, 100), cfg, residuals=no_decay) == (False, None)
-        none = RestartConfig(scheme="none")
-        assert should_restart(self.make_state(1000, 1000), none, residuals=(0.0, 1.0, 1.0)) == (False, None)
+        assert should_restart(self.make_state(36, 100), residuals=no_decay) == (True, "artificial")
+        assert should_restart(self.make_state(35, 100), residuals=no_decay) == (False, None)
 
     def test_unknown_scheme(self):
         with pytest.raises(pl.NonPositiveInput):
-            should_restart(self.make_state(0, 0), RestartConfig(scheme="sometimes"))
+            RestartConfig(scheme="sometimes")
 
 
 class TestStepsToNextTest:

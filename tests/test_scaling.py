@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import pdhg_lp as pl
 from pdhg_lp import SparseMatrix, scaling as scaling_module
-from pdhg_lp.scaling import ROW_ORDER_MIN_NNZ, length_order
+from pdhg_lp.scaling import ROW_ORDER_MIN_NNZ, _abs_triplets, _ruiz_scales, length_order
 
 from conftest import random_feasible_lp
 
@@ -54,6 +56,23 @@ class TestRuiz:
             pl.ruiz_rescale(mat, num_iters=-1)
 
 
+def log_mean_ruiz(mat, sweeps):
+    """The log-mean pass, then ``sweeps`` Ruiz sweeps, as the default mode
+    runs them: (d1, d2)."""
+    return _ruiz_scales(_abs_triplets(mat), mat.shape, sweeps, True, math.inf)
+
+
+def pock_chambolle(mat):
+    """Pock-Chambolle at alpha = 1 restated on the CSR entries of ``mat``,
+    summed in their order: (row sums of |mat|)^(-1/2) and (column
+    sums)^(-1/2), 1 for an empty row or column."""
+    csr = mat.tocsr()
+    entries = np.abs(csr.data)
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(csr.indptr))
+    sums = (np.bincount(rows, entries, mat.shape[0]), np.bincount(csr.indices, entries, mat.shape[1]))
+    return tuple(np.where(t > 0, 1.0 / np.sqrt(np.maximum(t, 1e-300)), 1.0) for t in sums)
+
+
 class TestLogMean:
     """The log-mean pass that the default mode runs before Ruiz."""
 
@@ -61,83 +80,80 @@ class TestLogMean:
         # row shift mean(log2 2, log2 8) = 2, column shifts -1 and 1; the
         # empty row and column keep 1
         mat = SparseMatrix(np.array([[2.0, 8.0, 0.0], [0.0, 0.0, 0.0]]), shape=(2, 3))
-        scaling = pl.ruiz_rescale(mat, 0, log_mean=True)
-        np.testing.assert_array_equal(scaling.row_scale, [0.25, 1.0])
-        np.testing.assert_array_equal(scaling.col_scale, [2.0, 0.5, 1.0])
+        row_scale, col_scale = log_mean_ruiz(mat, 0)
+        np.testing.assert_array_equal(row_scale, [0.25, 1.0])
+        np.testing.assert_array_equal(col_scale, [2.0, 0.5, 1.0])
 
     def test_row_scales_taken_out(self):
         rng = np.random.default_rng(31)
         mat = random_matrix(rng, 9, 12, spread=3.0)
-        base = pl.ruiz_rescale(mat, 0, log_mean=True)
+        base = log_mean_ruiz(mat, 0)
         # a power of two moves the row factor by exactly its inverse
         powers = 2.0 ** rng.integers(-30, 30, 9)
-        exact = pl.ruiz_rescale(mat.scaled(powers, np.ones(12)), 0, log_mean=True)
-        assert (exact.row_scale * powers).tobytes() == base.row_scale.tobytes()
-        assert exact.col_scale.tobytes() == base.col_scale.tobytes()
+        exact = log_mean_ruiz(mat.scaled(powers, np.ones(12)), 0)
+        assert (exact[0] * powers).tobytes() == base[0].tobytes()
+        assert exact[1].tobytes() == base[1].tobytes()
         # any other factor up to rounding
         factors = rng.uniform(1e-6, 1e6, 9)
-        near = pl.ruiz_rescale(mat.scaled(factors, np.ones(12)), 0, log_mean=True)
-        np.testing.assert_allclose(near.row_scale * factors, base.row_scale, rtol=1e-12)
-        np.testing.assert_allclose(near.col_scale, base.col_scale, rtol=1e-12)
+        near = log_mean_ruiz(mat.scaled(factors, np.ones(12)), 0)
+        np.testing.assert_allclose(near[0] * factors, base[0], rtol=1e-12)
+        np.testing.assert_allclose(near[1], base[1], rtol=1e-12)
 
     def test_ruiz_runs_as_on_the_prescaled_matrix(self):
         rng = np.random.default_rng(32)
         mat = random_matrix(rng, 7, 5)
-        first = pl.ruiz_rescale(mat, 0, log_mean=True)
-        then = pl.ruiz_rescale(mat.scaled(first.row_scale, first.col_scale), 10)
-        both = pl.ruiz_rescale(mat, 10, log_mean=True)
-        np.testing.assert_allclose(both.row_scale, first.row_scale * then.row_scale, rtol=1e-14)
-        np.testing.assert_allclose(both.col_scale, first.col_scale * then.col_scale, rtol=1e-14)
+        first = log_mean_ruiz(mat, 0)
+        then = pl.ruiz_rescale(mat.scaled(*first), 10)
+        both = log_mean_ruiz(mat, 10)
+        np.testing.assert_allclose(both[0], first[0] * then.row_scale, rtol=1e-14)
+        np.testing.assert_allclose(both[1], first[1] * then.col_scale, rtol=1e-14)
         combined = pl.combined_rescale(mat, mode="logmean+ruiz+pc")
-        pc = pl.pock_chambolle_rescale(mat.scaled(both.row_scale, both.col_scale))
-        np.testing.assert_allclose(combined.row_scale, both.row_scale * pc.row_scale, rtol=1e-14)
+        pc = pock_chambolle(mat.scaled(*both))
+        np.testing.assert_allclose(combined.row_scale, both[0] * pc[0], rtol=1e-14)
 
     def test_the_default_mode(self):
         assert pl.SolverConfig().scaling == scaling_module.DEFAULT_SCALING == "logmean+ruiz+pc"
 
 
 class TestPockChambolle:
+    """The pass that ends both scaling modes, at alpha = 1."""
+
     def test_closed_form_all_ones(self):
-        # row sums and column sums of |K| are both 2, so every scale is 1/sqrt(2)
+        # Ruiz leaves |K| = 1 alone; then row sums and column sums are both
+        # 2, so every scale is 1/sqrt(2)
         mat = SparseMatrix(np.ones((2, 2)), shape=(2, 2))
-        scaling = pl.pock_chambolle_rescale(mat, alpha=1.0)
+        scaling = pl.combined_rescale(mat, "ruiz+pc")
         np.testing.assert_allclose(scaling.row_scale, [2**-0.5, 2**-0.5], rtol=1e-15)
         np.testing.assert_allclose(scaling.col_scale, [2**-0.5, 2**-0.5], rtol=1e-15)
 
     def test_scaled_operator_norm_at_most_one(self):
         # the point of the alpha-scaling: ||D1 K D2||_2 <= 1
         rng = np.random.default_rng(77)
-        for alpha in (0.5, 1.0, 1.5):
-            mat = random_matrix(rng, 8, 11)
-            scaling = pl.pock_chambolle_rescale(mat, alpha=alpha)
-            scaled = mat.scaled(scaling.row_scale, scaling.col_scale)
-            norm = np.linalg.svd(scaled.toarray(), compute_uv=False)[0]
-            assert norm <= 1.0 + 1e-10
-
-    def test_alpha_out_of_range(self):
-        mat = SparseMatrix(np.ones((1, 1)), shape=(1, 1))
-        with pytest.raises(pl.NonPositiveInput):
-            pl.pock_chambolle_rescale(mat, alpha=2.5)
+        mat = random_matrix(rng, 8, 11)
+        scaling = pl.combined_rescale(mat, "ruiz+pc")
+        scaled = mat.scaled(scaling.row_scale, scaling.col_scale)
+        norm = np.linalg.svd(scaled.toarray(), compute_uv=False)[0]
+        assert norm <= 1.0 + 1e-10
 
 
 class TestCombined:
     @pytest.mark.parametrize("mode", ["ruiz+pc", "logmean+ruiz+pc"])
     @pytest.mark.parametrize("case", [*range(5), "pagerank"])
-    def test_matches_the_chain_of_public_passes(self, mode, case):
+    def test_matches_the_chain_of_passes(self, mode, case):
         # the reference: the Ruiz sweeps, a scaled copy of K, then
-        # Pock-Chambolle on that copy, composed by hand; combined_rescale
-        # runs the same arithmetic on K's triplets, to the bit
+        # Pock-Chambolle restated on that copy, composed by hand;
+        # combined_rescale runs the same arithmetic on K's triplets, to the bit
         if case == "pagerank":
             problem = pl.generate_pagerank(pl.PagerankSpec(num_nodes=3000))
         else:
             problem = random_feasible_lp(case)
         mat = pl.to_saddle(problem).K
         assert (case == "pagerank") == (mat.nnz >= ROW_ORDER_MIN_NNZ)
-        ruiz = pl.ruiz_rescale(mat, 10, log_mean=mode.startswith("logmean"))
-        pc = pl.pock_chambolle_rescale(mat.scaled(ruiz.row_scale, ruiz.col_scale), 1.0)
+        ruiz = _ruiz_scales(_abs_triplets(mat), mat.shape, 10, mode.startswith("logmean"), math.inf)
+        pc = pock_chambolle(mat.scaled(*ruiz))
         both = pl.combined_rescale(mat, mode=mode)
-        assert both.row_scale.tobytes() == (ruiz.row_scale * pc.row_scale).tobytes()
-        assert both.col_scale.tobytes() == (ruiz.col_scale * pc.col_scale).tobytes()
+        assert both.row_scale.tobytes() == (ruiz[0] * pc[0]).tobytes()
+        assert both.col_scale.tobytes() == (ruiz[1] * pc[1]).tobytes()
         assert pl.combined_rescale(mat, mode="none").is_identity
 
     def test_unknown_mode(self):

@@ -7,6 +7,7 @@ import os
 import queue
 import sys
 import time
+import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -50,7 +51,6 @@ class TestBasicSolves:
     def test_toy_with_default_config(self):
         report = pl.solve(pl.generate_bilinear_toy())
         assert report.status == pl.STATUS_OPTIMAL
-        assert report.solved
         np.testing.assert_allclose(report.x, [3.0], atol=1e-6)
         np.testing.assert_allclose(report.y, [0.0], atol=1e-6)
         assert report.objective_value == pytest.approx(0.0, abs=1e-8)
@@ -351,6 +351,9 @@ class TestHalpern:
         report = pl.solve(problem, config)
         assert report.status == pl.STATUS_ITERATION_LIMIT
         assert report.iterations == report.step_trials == 300
+        # the scheme "none" never restarts
+        assert report.restarts == 0
+        assert report.restarts_by_reason == {"gap_decay": 0, "residual_decay": 0, "artificial": 0}
 
         saddle0 = pl.to_saddle(problem)
         scaling = pl.combined_rescale(saddle0.K, m1=saddle0.m1)
@@ -386,9 +389,9 @@ class TestHalpern:
         decisions = []
         real = pl.solver.should_restart
 
-        def recording(state, config, **kwargs):
+        def recording(state, **kwargs):
             inner = state.inner_count
-            fire, why = real(state, config, **kwargs)
+            fire, why = real(state, **kwargs)
             decisions.append((inner, kwargs["residuals"], why))
             return fire, why
 
@@ -551,25 +554,34 @@ class TestScalingDeadline:
         assert "scaled" not in calls
 
     def test_ruiz_stops_between_sweeps(self, monkeypatch):
+        # the scaling module's clock reads `now`, which the third sweep moves
+        # past the deadline: no fourth sweep starts
+        now = [0.0]
         sweeps = []
         real_sweep = scaling_module._ruiz_sweep
 
         def counting(*args):
             sweeps.append(len(sweeps))
+            if len(sweeps) == 3:
+                now[0] = 2.0
             return real_sweep(*args)
 
+        monkeypatch.setattr(scaling_module, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
         monkeypatch.setattr(scaling_module, "_ruiz_sweep", counting)
         matrix = pl.to_saddle(random_feasible_lp(1)).K
         # past the deadline not even the COO triplets are built
         triplets = []
         real_tocoo = pl.SparseMatrix.tocoo
         monkeypatch.setattr(pl.SparseMatrix, "tocoo", lambda self: triplets.append(self) or real_tocoo(self))
-        assert pl.ruiz_rescale(matrix, 10, deadline=time.perf_counter()).is_identity
-        assert pl.ruiz_rescale(matrix, 10, log_mean=True, deadline=time.perf_counter()).is_identity
+        for mode in ("ruiz+pc", "logmean+ruiz+pc"):
+            assert pl.combined_rescale(matrix, mode, deadline=0.0).is_identity
         assert sweeps == [] and triplets == []
-        full = pl.ruiz_rescale(matrix, 10, deadline=math.inf)
-        assert len(sweeps) == 10 and triplets == [matrix]
-        assert full.row_scale.tobytes() == pl.ruiz_rescale(matrix, 10).row_scale.tobytes()
+        assert pl.combined_rescale(matrix, "ruiz+pc", deadline=1.0).is_identity
+        assert sweeps == [0, 1, 2] and triplets == [matrix]
+        sweeps.clear()
+        full = pl.combined_rescale(matrix, "ruiz+pc", deadline=math.inf)
+        assert len(sweeps) == 10
+        assert full.row_scale.tobytes() == pl.combined_rescale(matrix, "ruiz+pc").row_scale.tobytes()
 
 
 class TestTrajectory:

@@ -465,7 +465,8 @@ class TestHalpernAgainstReference:
         assert (state.inner_count, state.kx) == (11, None)
 
     def test_non_finite_operator_leaves_state_intact(self, toy_saddle):
-        state = IterateState(x=[1.7e308], y=[1.7e308], inner_count=3, total_count=5)
+        state = IterateState(x=[1.7e308], y=[1.7e308])
+        state.inner_count, state.total_count = 3, 5
         x, y = state.x, state.y
         with pytest.raises(pl.NonFiniteIterate, match="total iteration 6"):
             pdhg_step(state, toy_saddle, StepState(0.5, 1.0), halpern=True)
@@ -544,7 +545,8 @@ class TestBuffersHoldPreviousIterate:
 class TestNonFiniteTrial:
     def test_adaptive_trial_leaves_state_intact(self, toy_saddle):
         # grad = -y is hugely negative, so x - (s/w) grad overflows to +inf
-        state = IterateState(x=[1.7e308], y=[1.7e308], sum_weight=2.0, inner_count=3, total_count=5)
+        state = IterateState(x=[1.7e308], y=[1.7e308])
+        state.sum_weight, state.inner_count, state.total_count = 2.0, 3, 5
         state.sum_x[:] = 1.0
         state.sum_y[:] = -1.0
         kx = toy_saddle.K.matvec(state.x)
@@ -600,7 +602,8 @@ class TestFinitenessSum:
     def test_opposite_infinities_raise_and_leave_the_state(self, kernel, n):
         # y_0 = 1.7e308 and s = 10 send x_0 to +inf and x_1 to -inf
         saddle = finiteness_saddle(n)
-        state = IterateState(x=np.zeros(n), y=[1.7e308], sum_weight=2.0, inner_count=3, total_count=5)
+        state = IterateState(x=np.zeros(n), y=[1.7e308])
+        state.sum_weight, state.inner_count, state.total_count = 2.0, 3, 5
         state.sum_x[:] = 1.0
         state.kx = kx = saddle.K.matvec(state.x)
         with pytest.raises(pl.NonFiniteIterate, match="total iteration 6"):

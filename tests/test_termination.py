@@ -16,7 +16,6 @@ from pdhg_lp import (
     check_primal_infeasible,
     extract_certificates,
     kkt_error,
-    reduced_cost_projection,
 )
 
 from pdhg_lp import termination
@@ -24,6 +23,12 @@ from pdhg_lp.sparse import dot
 from pdhg_lp.termination import check_constants
 
 from conftest import planted_infeasible_lp, planted_unbounded_lp, random_feasible_lp, random_small_saddle
+
+
+def reduced_cost_projection(r, l, u):
+    """The reduced costs that the bounds admit, from the bounds themselves:
+    r_i where r_i > 0 and l_i is finite or r_i < 0 and u_i is finite, else 0."""
+    return np.where((r > 0) & np.isfinite(l) | (r < 0) & np.isfinite(u), r, 0.0)
 
 
 def one_var_problem():
@@ -151,15 +156,13 @@ class TestReducedCosts:
         l = np.array([0.0, -np.inf, 0.0, -np.inf])
         u = np.array([np.inf, 0.0, 1.0, np.inf])
         r = np.array([2.0, 2.0, -2.0, 2.0])
-        lam = reduced_cost_projection(r, l, u)
+        lam = termination._project_reduced_costs(r, np.isfinite(l), np.isfinite(u))
         # lower-bounded: keeps positive part; upper-bounded: keeps negative
         # part; boxed: keeps either; free: forced to zero
         np.testing.assert_array_equal(lam, [2.0, 0.0, -2.0, 0.0])
 
     def test_negative_at_lower_rejected(self):
-        lam = reduced_cost_projection(
-            np.array([-3.0]), np.array([0.0]), np.array([np.inf])
-        )
+        lam = termination._project_reduced_costs(np.array([-3.0]), np.array([True]), np.array([False]))
         np.testing.assert_array_equal(lam, [0.0])
 
     def test_bound_objective_term(self):
