@@ -256,9 +256,9 @@ def bench_config(name, tolerance, max_iters, time_limit_sec):
 
 
 def _bench_one(task):
-    """Worker: solve one (instance, config) pair.  Takes/returns plain
-    picklable values so it can cross a process boundary."""
-    path, config_name, tolerance, max_iters, time_limit_sec, fixed = task
+    """Worker: solve one instance under one named, built config.  Takes and
+    returns picklable values so it can cross a process boundary."""
+    path, config_name, config, fixed = task
     row = {
         "instance": os.path.basename(path),
         "config": config_name,
@@ -271,7 +271,6 @@ def _bench_one(task):
     }
     try:
         problem = _read_problem(path, fixed=fixed)
-        config = bench_config(config_name, tolerance, max_iters, time_limit_sec)
         t0 = time.perf_counter()
         report = solve(problem, config)
         wall = time.perf_counter() - t0
@@ -313,20 +312,22 @@ def _expand_inputs(inputs):
 
 
 def _cmd_bench(args):
+    if args.jobs < 1:
+        print(f"pdhg-lp: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 1
+    config_names = [c.strip() for c in args.configs.split(",") if c.strip()]
+    try:  # an unknown name or a bad number fails the command, not each row
+        configs = {
+            name: bench_config(name, args.tolerance, args.max_iters, args.time_limit_sec) for name in config_names
+        }
+    except (ValueError, NonPositiveInput) as err:
+        print(f"pdhg-lp: {err}", file=sys.stderr)
+        return 1
     paths = _expand_inputs(args.inputs)
     if not paths:
         print("pdhg-lp: no instances found", file=sys.stderr)
         return 1
-    config_names = [c.strip() for c in args.configs.split(",") if c.strip()]
-    for name in config_names:
-        if name not in BENCH_CONFIGS:
-            print(f"pdhg-lp: unknown bench config {name!r}", file=sys.stderr)
-            return 1
-    tasks = [
-        (path, name, args.tolerance, args.max_iters, args.time_limit_sec, args.mps_fixed)
-        for path in paths
-        for name in config_names
-    ]
+    tasks = [(path, name, configs[name], args.mps_fixed) for path in paths for name in config_names]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_bench_one, tasks))

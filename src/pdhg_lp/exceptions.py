@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number rules that
+raise NonPositiveInput."""
+
+import numbers
+import operator
 
 
 class SolverError(Exception):
@@ -37,6 +41,22 @@ class InvalidRadius(SolverError):
 
 class NonPositiveInput(SolverError):
     pass
+
+
+def _count(name, value, least=0):
+    """``value`` as a Python int >= ``least``, as the config block reads it
+    back: a numpy integer is taken, and a bool or a float, an infinity
+    included, raises NonPositiveInput."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise NonPositiveInput(f"{name} must be an integer >= {least}, got {value!r}")
+    return operator.index(value)
+
+
+def _real(name, value):
+    """``value`` as a Python float; a bool or a non-real raises NonPositiveInput."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise NonPositiveInput(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 class NonPositiveQuadraticForm(SolverError):

@@ -20,25 +20,23 @@ point, its movement and interaction) and ``accept_step`` (the commit,
 weighted by the step size); its interaction needs K x+ - K x, so it alone
 caches K x.
 
-The kernels keep z, the iterate a step replaced, the epoch's anchor, its
-running sum and the restart candidate in one layout (``StepBuffers``):
-stacked vectors of length n + m whose first n entries are the x part and
-the rest the y part, so that Halpern's mix, the running sum's update, the
-fixed-point residual's difference and the finiteness test are one pass
-each over all of z.  An ``IterateState`` makes its buffers when it is
-built, so its x and y are views of ``z`` from the start.  Each kernel
-writes its new point into ``prev``, which then changes places with ``z``
-(``_advance``, or ``_steps`` itself at each step).
+An ``IterateState`` holds the iterate and every vector the kernels work
+in: z, the iterate a step replaced, the epoch's anchor, its running sum and
+the restart candidate are stacked vectors of length n + m whose first n
+entries are the x part and the rest the y part, so that Halpern's mix, the
+running sum's update, the fixed-point residual's difference and the
+finiteness test are one pass each over all of z.  Each kernel writes its
+new point into ``prev``, which then changes places with ``z``.
 
 On a small problem a step costs numpy's dispatch more than arithmetic, so
 ``_steps`` calls it the cheap way: every ufunc takes its output
 positionally (``np.maximum`` keeps ``out=``, as numpy 2.4 deprecates a
 positional output there), and every scalar operand is a float64 0-d array,
 which a ufunc takes without converting a Python number: 2 and 0 are module
-constants, s / w and s w are made once per StepState, and Halpern's
-(k + 1) / (k + 2) and k + 2 are written into arrays kept for them
-(``StepBuffers``).  The finiteness test sums the new iterate's entries by a
-BLAS dot with a ones vector (``StepBuffers.entry_sum``: up to DOT_BLAS_MAX
+constants, s / w and s w are a StepState's ``operands``, and Halpern's
+(k + 1) / (k + 2) and k + 2 are written into arrays the state keeps for
+them.  The finiteness test sums the new iterate's entries by a BLAS dot
+with a ones vector (``IterateState.entry_sum``: up to DOT_BLAS_MAX
 entries, and by ``np.add.reduce`` above; with two row blocks each half
 reduces its own part, on its own thread); a NaN or infinite entry makes
 that sum non-finite, and only then are the entries scanned, so finite
@@ -80,11 +78,15 @@ _add, _subtract, _multiply, _divide, _maximum = np.add, np.subtract, np.multiply
 
 @dataclass(frozen=True)
 class StepState:
-    """Step size s and primal weight w: primal step s / w, dual step ``sigma`` = s w."""
+    """Step size s and primal weight w: primal step s / w, dual step
+    ``sigma`` = s w.  ``operands`` holds s / w and s w as float64 0-d
+    arrays for the constant steps (module docstring), made with the state,
+    so ``dataclasses.replace`` makes new ones."""
 
     step_size: float
     primal_weight: float
     initial_step_size: float = None
+    operands: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.step_size > 0 and math.isfinite(self.step_size)):
@@ -93,108 +95,65 @@ class StepState:
             raise NonPositiveInput(f"primal_weight must be positive, got {self.primal_weight}")
         if self.initial_step_size is None:
             object.__setattr__(self, "initial_step_size", self.step_size)
+        object.__setattr__(self, "operands", (np.array(self.step_size / self.primal_weight), np.array(self.sigma)))
 
     @property
     def sigma(self):
         return self.step_size * self.primal_weight
 
 
-class StepBuffers:
-    """Work vectors of the step kernels: six stacked vectors of length
-    n + m, each of whose x part (its first n entries) and y part (the rest)
-    are views made once:
+@dataclass
+class IterateState:
+    """The iterate z = (x, y) of a solve, its epoch's bookkeeping and the
+    step kernels' work vectors, built from the first iterate (x, y).
 
-        t       the restart candidate, parts ``x``/``y``.  A Halpern step
-                leaves T(z_k) here and ``solve``'s gap test the epoch
-                average; a PDHG step leaves it alone; the adaptive rule
-                keeps the gradient c - K'y in its x part and K x+ - K x in
-                its y part.  ``head``, the first m1 entries of its y part,
-                is made at the first one-block Halpern step with m1 > 0,
-                for that saddle's m1, and kept (None before)
-        r       the reflection: its x part 2 x_T - x under every constant
-                step, its y part 2 y_T - y under Halpern; the adaptive
-                rule's displacement; parts ``dx``/``dy``.  After the step,
-                scratch (``fixed_point_residual`` and ``solve`` write there)
-        z       the iterate z_{k+1}: the state's x and y are ``z_parts``
+    ``sum_weight`` and the running sums ``sum_x``/``sum_y`` form the epoch's
+    weighted average, and ``inner_count``/``total_count`` count its steps
+    and all steps; all start at zero.  ``kx`` caches K @ x for the adaptive
+    rule and must be dropped whenever x changes by any route other than
+    that rule's step (restart, rescale): after an adaptive step it is a
+    vector of its own, and after a fixed or Halpern step or a restart None.
+    ``trial_count`` counts the finite trial points computed, accepted or
+    not.
+
+    Six stacked vectors of length n + m, each with its x part (the first n
+    entries) and y part (the rest) as views made once:
+
+        z       the iterate z_{k+1}: x and y are its parts
         prev    z_k, the iterate the step replaced (``prev_parts``); the
                 next step writes its new point here (T(z), the adaptive
                 rule's trial point, Halpern's mix), then ``z`` and ``prev``
                 change places
+        t       the restart candidate (``t_parts``).  A Halpern step
+                leaves T(z_k) here and ``solve``'s gap test the epoch
+                average; a PDHG step leaves it alone; the adaptive rule
+                keeps the gradient c - K'y in its x part and K x+ - K x in
+                its y part
+        r       the reflection (``r_parts``): its x part 2 x_T - x under
+                every constant step, its y part 2 y_T - y under Halpern;
+                the adaptive rule's displacement.  After the step, scratch
+                (``fixed_point_residual`` and ``solve`` write there)
         anchor  the epoch's start z_0 (``anchor_parts``), copied from z at
                 the epoch's first step
         sums    the epoch's running sum of weighted iterates, zeroed at a
                 restart: a PDHG step adds z_{k+1} in one pass, the adaptive
-                rule s z_{k+1}; the state's ``sum_x``/``sum_y`` are its parts
+                rule s z_{k+1}; ``sum_x``/``sum_y`` are its parts
 
-    ``IterateState`` makes the buffers, seeds t, z, prev and anchor with its
-    first iterate, so that a check before the first step reads that point,
-    and fills ``sums``.
+    t, prev and anchor start as copies of z, so that a check before the
+    first step reads the first iterate.  As the steps swap z and prev, the
+    arrays that x and y name after one step hold the next step's new point
+    after two, and ``apply_restart`` writes into z: hold a copy, not a
+    reference, of an iterate (or of ``kx``) that must outlive the next step
+    or restart.
 
     ``part``, length n: the second row block's part of K'y when K's rows
     come in two blocks, then the x mix's spare (``_steps``, under both
-    constant steps).
-
-    The scalar operands of ``_steps``, as float64 0-d arrays (module
-    docstring), and its finiteness sum:
-
-        step            the StepState that ``scale`` and ``sigma`` were made
-                        from, None before the first such step
-        scale, sigma    its s / w and s w, made again when a step is given
-                        another StepState (a restart's weight update
-                        replaces it; ``_step_scalars``)
-        share, denominator
-                        Halpern's (k + 1) / (k + 2) and k + 2, written in
-                        place at every step
-        entry_sum       the finiteness test's sum of a stacked vector's
-                        entries: up to DOT_BLAS_MAX entries a BLAS dot with
-                        n + m ones, where it costs about half of
-                        ``np.add.reduce``; the reduce above, which keeps off
-                        BLAS's threads (``sparse.dot``) and beats einsum
-                        with a ones vector
-    """
-
-    __slots__ = (
-        "x", "y", "dx", "dy", "part", "sums",
-        "t", "head", "r", "z", "z_parts", "prev", "prev_parts", "anchor", "anchor_parts",
-        "step", "scale", "sigma", "share", "denominator", "entry_sum",
-    )
-
-    def __init__(self, n, m):
-        self.part = np.empty(n)
-        self.head = self.step = self.scale = self.sigma = None
-        self.share, self.denominator = np.empty(()), np.empty(())
-        self.entry_sum = np.ones(n + m).dot if n + m <= DOT_BLAS_MAX else np.add.reduce
-        self.t, self.r, self.z, self.prev, self.anchor, self.sums = (np.empty(n + m) for _ in range(6))
-        self.x, self.y = self.t[:n], self.t[n:]
-        self.dx, self.dy = self.r[:n], self.r[n:]
-        self.z_parts = (self.z[:n], self.z[n:])
-        self.prev_parts = (self.prev[:n], self.prev[n:])
-        self.anchor_parts = (self.anchor[:n], self.anchor[n:])
-
-
-@dataclass
-class IterateState:
-    """Mutable per-epoch iterate state, built from its first iterate (x, y).
-
-    ``sum_x``, ``sum_y`` and ``sum_weight`` are the running sums of the
-    epoch's weighted average (``solve`` forms it in ``buffers.t``), and
-    ``inner_count``/``total_count`` count its steps and all steps; all start
-    at zero.  ``kx`` caches K @ x for the adaptive rule and must be dropped
-    whenever x changes by any route other than that rule's step (restart,
-    rescale): after an adaptive step it is a vector of its own, and after a
-    fixed or Halpern step or a restart None.  ``trial_count`` counts the
-    finite trial points computed, accepted or not.
-
-    The state makes its ``StepBuffers`` when it is built and copies x and y
-    into them: from then on x and y are the parts of ``buffers.z``,
-    ``sum_x`` and ``sum_y`` the parts of ``buffers.sums``, and t, prev and
-    anchor start as copies of z.  A step swaps ``z`` with ``prev``, where
-    it wrote its new point, so the arrays that ``state.x`` and ``state.y``
-    name after one step hold the next step's new point after two, and
-    ``apply_restart`` writes into z: hold a copy, not a reference, of an
-    iterate (or of ``kx``) that must outlive the next step or restart.
-    After a step ``buffers.prev_parts`` hold the iterate it replaced until
-    the next step starts, and the epoch's start is ``buffers.anchor``.
+    constant steps).  ``share`` and ``denominator``: Halpern's (k + 1) /
+    (k + 2) and k + 2 as 0-d arrays, written in place at every step.
+    ``entry_sum``: the finiteness test's sum of a stacked vector's entries,
+    up to DOT_BLAS_MAX entries a BLAS dot with n + m ones, where it costs
+    about half of ``np.add.reduce``; the reduce above, which keeps off
+    BLAS's threads (``sparse.dot``) and beats einsum with a ones vector.
     """
 
     x: np.ndarray
@@ -206,18 +165,18 @@ class IterateState:
     sum_y: np.ndarray = field(init=False)
     kx: np.ndarray = field(default=None, init=False, repr=False)
     trial_count: int = field(default=0, init=False)
-    buffers: StepBuffers = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x, y = (np.asarray(v, dtype=np.float64) for v in (self.x, self.y))
-        n = x.shape[0]
-        buf = self.buffers = StepBuffers(n, y.shape[0])
-        np.concatenate((x, y), out=buf.z)
-        for copy in (buf.t, buf.prev, buf.anchor):
-            np.copyto(copy, buf.z)
-        buf.sums.fill(0.0)
-        self.x, self.y = buf.z_parts
-        self.sum_x, self.sum_y = buf.sums[:n], buf.sums[n:]
+        n, size = x.shape[0], x.shape[0] + y.shape[0]
+        self.z = np.concatenate((x, y))
+        self.t, self.prev, self.anchor = self.z.copy(), self.z.copy(), self.z.copy()
+        self.r, self.sums, self.part = np.empty(size), np.zeros(size), np.empty(n)
+        (self.x, self.y), self.prev_parts, self.t_parts, self.r_parts, self.anchor_parts, (self.sum_x, self.sum_y) = (
+            (v[:n], v[n:]) for v in (self.z, self.prev, self.t, self.r, self.anchor, self.sums)
+        )
+        self.share, self.denominator = np.empty(()), np.empty(())
+        self.entry_sum = np.ones(size).dot if size <= DOT_BLAS_MAX else np.add.reduce
 
     @classmethod
     def initial(cls, saddle):
@@ -237,51 +196,20 @@ def project_dual(y, m1):
     return out
 
 
-def _buffers(state):
-    """The state's ``StepBuffers``, with z copied into ``anchor`` at an
-    epoch's first step."""
-    buf = state.buffers
-    if state.inner_count == 0:
-        np.copyto(buf.anchor, buf.z)
-    return buf
-
-
-def _advance(state, buf, kx=None):
-    """Install the point the step wrote into ``prev``: ``z`` and ``prev``
-    change places, the state's x and y become the parts of the new ``z``,
-    ``kx`` (K x of the new point, or None) is cached and the step counted."""
-    buf.z, buf.prev = buf.prev, buf.z
-    buf.z_parts, buf.prev_parts = buf.prev_parts, buf.z_parts
-    state.x, state.y = buf.z_parts
-    state.kx = kx
-    state.inner_count += 1
-    state.total_count += 1
-
-
-def _step_scalars(buf, step):
-    """``step``'s s / w and s w as 0-d arrays, cached on the buffers for as
-    long as the steps are given this StepState."""
-    if buf.step is not step:
-        buf.step = step
-        buf.scale = np.array(step.step_size / step.primal_weight)
-        buf.sigma = np.array(step.sigma)
-    return buf.scale, buf.sigma
-
-
 def step_gradient(state, saddle):
     """Fill the K x cache if it is empty and c - K'y into the x part of
-    ``buffers.t``; returns the state's buffers (``_buffers``)."""
-    buf = _buffers(state)
+    ``t``; at an epoch's first step z is copied into ``anchor`` first."""
+    if state.inner_count == 0:
+        np.copyto(state.anchor, state.z)
     k = saddle.K
     if state.kx is None:
         state.kx = k.matvec(state.x)
-    np.subtract(saddle.c, k.rmatvec(state.y), out=buf.x)
-    return buf
+    np.subtract(saddle.c, k.rmatvec(state.y), out=state.t_parts[0])
 
 
-def trial_step(state, saddle, buf, s, w):
+def trial_step(state, saddle, s, w):
     """Compute the adaptive rule's trial point at step s and weight w into
-    ``buf.prev_parts``.
+    ``prev``.
 
     Needs ``step_gradient`` first.  Returns (K x+, movement, interaction)
     with movement = w ||dx||^2 + ||dy||^2 / w and interaction =
@@ -292,9 +220,9 @@ def trial_step(state, saddle, buf, s, w):
     it was apart from ``trial_count``.  Run under
     np.errstate(over="ignore", invalid="ignore").
     """
-    x, y = buf.z_parts
-    x_new, y_new = buf.prev_parts
-    grad, dkx, dx, dy = buf.x, buf.y, buf.dx, buf.dy
+    x, y = state.x, state.y
+    x_new, y_new = state.prev_parts
+    (grad, dkx), (dx, dy) = state.t_parts, state.r_parts
     np.multiply(grad, s / w, out=dx)
     np.subtract(x, dx, out=dx)
     _clip(dx, saddle.l, saddle.u, out=x_new)
@@ -320,12 +248,17 @@ def trial_step(state, saddle, buf, s, w):
     return kx_new, movement, interaction
 
 
-def accept_step(state, buf, kx_new, avg_weight):
-    """Install the trial point (``_advance``) and add it to the running
-    average with weight ``avg_weight``."""
-    _advance(state, buf, kx_new)
-    np.multiply(buf.z, avg_weight, out=buf.r)
-    np.add(buf.sums, buf.r, out=buf.sums)
+def accept_step(state, kx_new, avg_weight):
+    """Install the trial point: ``z`` and ``prev`` change places, ``kx_new``
+    is cached, the step counted and the point added to the running average
+    with weight ``avg_weight``."""
+    state.z, state.prev = state.prev, state.z
+    (state.x, state.y), state.prev_parts = state.prev_parts, (state.x, state.y)
+    state.kx = kx_new
+    state.inner_count += 1
+    state.total_count += 1
+    np.multiply(state.z, avg_weight, out=state.r)
+    np.add(state.sums, state.r, out=state.sums)
     state.sum_weight += avg_weight
 
 
@@ -342,17 +275,17 @@ def pdhg_step(state, saddle, step, *, halpern=False, errstate=True, count=1, dea
         z_{k+1} = T(z_k), or (k+1)/(k+2) (2 T(z_k) - z_k) + z_0 / (k+2)
 
     in that order of operations.  A PDHG iterate joins the running average
-    with weight 1; a Halpern step leaves T(z_k) in ``buffers.x``/``buffers.y``
-    instead.  The new iterate goes into ``prev`` of the state's
-    ``StepBuffers`` (its docstring), which then changes places with ``z``:
-    afterwards ``buffers.prev_parts`` hold z_k and the state's x and y are
-    the parts of ``buffers.z``.  The K x cache is None.  Before each step
-    after the first the stretch ends once ``time.perf_counter() >=
-    deadline``, ``solve``'s test between stretches.  With K's rows in two
-    blocks the steps run on two threads (``_steps``).  If step j's point is
-    not finite, NonFiniteIterate is raised and the state holds step j - 1's
-    iterate, counts, sums and cache.  Pass ``errstate=False`` only under the
-    kernel's np.errstate (module docstring).
+    with weight 1; a Halpern step leaves T(z_k) in the state's ``t``
+    instead.  The new iterate goes into the state's ``prev`` (the
+    ``IterateState`` docstring), which then changes places with ``z``:
+    afterwards ``prev_parts`` hold z_k and x and y are the parts of ``z``.
+    The K x cache is None.  Before each step after the first the stretch
+    ends once ``time.perf_counter() >= deadline``, ``solve``'s test between
+    stretches.  With K's rows in two blocks the steps run on two threads
+    (``_steps``).  If step j's point is not finite, NonFiniteIterate is
+    raised and the state holds step j - 1's iterate, counts, sums and
+    cache.  Pass ``errstate=False`` only under the kernel's np.errstate
+    (module docstring).
     """
     if errstate:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -366,9 +299,9 @@ def _steps(state, saddle, step, count, halpern, deadline):
     """Up to ``count`` steps of ``pdhg_step``; returns the state.  A step
     forms T(z) as ``pdhg_step``'s docstring orders it, by ``_x_side`` and
     ``_y_side``.  PDHG writes T(z) into ``prev`` and adds it to the running
-    sum in one pass; Halpern writes it into ``buffers.t`` and the mix
-    (``_mix``) into ``prev``.  The new iterate in ``prev`` is tested, then changes places
-    with ``z``; after a step the K x cache is None.
+    sum in one pass; Halpern writes it into ``t`` and the mix (``_mix``)
+    into ``prev``.  The new iterate in ``prev`` is tested, then changes
+    places with ``z``; after a step the K x cache is None.
 
     With one row block (K's ``row_blocks``) the step runs inline on the
     whole vectors.  With two it runs in three phases: the blocks' parts of
@@ -384,29 +317,29 @@ def _steps(state, saddle, step, count, halpern, deadline):
     k_mat = saddle.K
     m, n = k_mat.shape
     blocks = k_mat.row_blocks()
-    buf = _buffers(state)
+    if state.inner_count == 0:  # the epoch's first step anchors it
+        np.copyto(state.anchor, state.z)
     c, q, lower, upper, m1 = saddle.c, saddle.q, saddle.l, saddle.u, saddle.m1
-    scale, sigma = _step_scalars(buf, step)
-    entry_sum, isfinite = buf.entry_sum, math.isfinite
-    r, r_x, r_y, part = buf.r, buf.dx, buf.dy, buf.part
-    sums, weight, inner = buf.sums, state.sum_weight, state.inner_count
-    anchor, share, denominator = buf.anchor, buf.share, buf.denominator
+    scale, sigma = step.operands
+    entry_sum, isfinite = state.entry_sum, math.isfinite
+    r, (r_x, r_y), part = state.r, state.r_parts, state.part
+    sums, weight, inner = state.sums, state.sum_weight, state.inner_count
+    anchor, share, denominator = state.anchor, state.share, state.denominator
     timed = deadline < math.inf
     clock = time.perf_counter
     # the iterate and the vector of the one before it, where the new one is
     # formed; they swap at every step
-    z, prev, (x, y), (x_new, y_new) = buf.z, buf.prev, buf.z_parts, buf.prev_parts
+    z, prev, x, y, (x_new, y_new) = state.z, state.prev, state.x, state.y, state.prev_parts
     if halpern:
-        if buf.head is None and m1:
-            buf.head = buf.y[:m1]
-        x_t, y_t, head_t, spare = buf.x, buf.y, buf.head, None
+        x_t, y_t = state.t_parts
+        head_t, spare = (y_t[:m1] if m1 else None), None
     else:  # T(z) is the new iterate; spare is the first m1 duals of z
         x_t, y_t, head_t, spare = (x_new, y_new) + ((y_new[:m1], y[:m1]) if m1 else (None, None))
     split = len(blocks) > 1
     if split:
         pool, mix = _worker(), (share, denominator) if halpern else None
         columns, rows = (slice(0, n // 2), slice(n // 2, n)), k_mat.row_blocks(ROW_WEIGHT)
-        anchor_x, anchor_y = buf.anchor_parts
+        anchor_x, anchor_y = state.anchor_parts
     else:
         [(_, indptr, indices, data)] = blocks
     steps = 0
@@ -456,10 +389,7 @@ def _steps(state, saddle, step, count, halpern, deadline):
             steps += 1
     finally:
         if steps:
-            if steps % 2:  # z and prev changed places an odd number of times
-                buf.z, buf.prev = z, prev
-                buf.z_parts, buf.prev_parts = buf.prev_parts, buf.z_parts
-            state.x, state.y = x, y
+            state.z, state.prev, state.x, state.y, state.prev_parts = z, prev, x, y, (x_new, y_new)
             state.kx = None
             state.sum_weight = weight
             state.inner_count += steps
@@ -588,12 +518,12 @@ def _y_half(block, n, m1, r, kr, q, y, y_t, anchor, out, sigma, mix):
 
 def fixed_point_residual(state, step):
     """||T(z) - z|| in the weighted norm sqrt(w ||dx||^2 + ||dy||^2 / w),
-    for the z and T(z) that the last Halpern step left in the buffers;
-    T(z) - z is formed in one pass, into ``buffers.r``."""
-    buf = state.buffers
-    np.subtract(buf.t, buf.prev, buf.r)
+    for the z and T(z) that the last Halpern step left in the state's
+    ``prev`` and ``t``; T(z) - z is formed in one pass, into ``r``."""
+    np.subtract(state.t, state.prev, state.r)
+    dx, dy = state.r_parts
     w = step.primal_weight
-    return math.sqrt(w * dot(buf.dx, buf.dx) + dot(buf.dy, buf.dy) / w)
+    return math.sqrt(w * dot(dx, dx) + dot(dy, dy) / w)
 
 
 def ps_norm(z1, z2, step, mode="omega", matrix=None):

@@ -199,14 +199,14 @@ def steps_to_next_test(state, halpern):
 def apply_restart(state, candidate):
     """Reset the state to the candidate point and start a new epoch, in
     place: the candidate is copied into the state's own x and y, the parts
-    of ``buffers.z``, so it may be a view of the step's other buffers, as
-    ``solve``'s candidates in ``buffers.t`` are; the next step copies it
-    into ``buffers.anchor``.  The running sum is zeroed and the K x cache
+    of its ``z``, so it may be a view of the state's other vectors, as
+    ``solve``'s candidates in ``t`` are; the next step copies it into
+    ``anchor``.  The running sum is zeroed and the K x cache
     dropped; the total iteration count is preserved.  Allocates nothing.
     """
     np.copyto(state.x, candidate[0])
     np.copyto(state.y, candidate[1])
-    state.buffers.sums.fill(0.0)
+    state.sums.fill(0.0)
     state.sum_weight = 0.0
     state.inner_count = 0
     state.kx = None

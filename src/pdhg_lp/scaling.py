@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NonPositiveInput
+from .exceptions import DimensionMismatch, NonPositiveInput, _count
 
 # The named pipelines combined_rescale builds, and SolverConfig.scaling takes,
 # and the default of both.  The log-mean pass makes the default's result
@@ -93,8 +93,7 @@ def ruiz_rescale(matrix, num_iters=RUIZ_ITERATIONS):
     column by the square root of its infinity norm, both norms measured on
     the current rescaled matrix; empty rows/columns keep scale 1.  Returns
     the accumulated ScalingInfo."""
-    if num_iters < 0:
-        raise NonPositiveInput("num_iters must be >= 0")
+    num_iters = _count("num_iters", num_iters)
     return ScalingInfo(*_ruiz_scales(_abs_triplets(matrix), matrix.shape, num_iters, False, math.inf))
 
 

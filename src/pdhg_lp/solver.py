@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exceptions import NonFiniteIterate, NonPositiveInput, StepSizeUnderflow
+from .exceptions import NonFiniteIterate, NonPositiveInput, StepSizeUnderflow, _count
 from .pdhg import IterateState, fixed_point_residual, pdhg_step
 from .problem import to_saddle, validate
 from . import restarts, stepsize
@@ -37,7 +37,7 @@ from .scaling import DEFAULT_SCALING, SCALING_MODES, apply_scaling, combined_res
 from .sparse import dot, spectral_norm_estimate
 from .stepsize import StepPolicy, WeightPolicy, adaptive_step, initialize_step_state, update_primal_weight
 from .termination import (
-    TerminationCriteria, _count, _norm, check_constants, check_dual_infeasible, check_optimal,
+    TerminationCriteria, _norm, check_constants, check_dual_infeasible, check_optimal,
     check_primal_infeasible, extract_certificates, kkt_error,
 )
 
@@ -228,16 +228,16 @@ def solve(problem, config=None):
 
     step = initialize_step_state(saddle, norm_k, config.step, config.weight)
     state = IterateState.initial(saddle)
-    # The step buffers' t holds the restart candidate of either kind, and
-    # under Halpern the T(z) of the last step, which a check tests (z0, which
-    # t starts as, at iteration 0); PDHG's checks test z.  The point before
-    # is the iterate the last step replaced, in prev.
-    buf = state.buffers
-    t_parts = (buf.x, buf.y)
+    # The state's t holds the restart candidate of either kind, and under
+    # Halpern the T(z) of the last step, which a check tests (z0, which t
+    # starts as, at iteration 0); PDHG's checks test z.  The point before is
+    # the iterate the last step replaced, in prev.  r holds a candidate's
+    # move from the anchor.
+    t_parts, (r_x, r_y) = state.t_parts, state.r_parts
 
     # for the gap rule, the normalized gap at the epoch start that the
     # sufficient-decay test compares against; the epoch's start is the
-    # anchor in the step buffers
+    # state's anchor
     reference_gap = None
     gap_evals = 0
     if gap_restarts:
@@ -287,7 +287,7 @@ def solve(problem, config=None):
                     hits, ray_shows = _ray_hits(
                         saddle0,
                         extract_certificates(
-                            unscale_solution(*buf.prev_parts, scaling), (xu, yu), (x0_u, y0_u), iteration
+                            unscale_solution(*state.prev_parts, scaling), (xu, yu), (x0_u, y0_u), iteration
                         ),
                         TOL_INFEASIBLE,
                         constants,
@@ -380,9 +380,9 @@ def solve(problem, config=None):
                 # the average into t, and its gap at its distance from the
                 # epoch start, when finite and nonzero; the average minus the
                 # anchor stays in r for the weight update
-                np.divide(buf.sums, state.sum_weight, out=buf.t)
-                np.subtract(buf.t, buf.anchor, out=buf.r)
-                radius = _norm(buf.dx, buf.dy)
+                np.divide(state.sums, state.sum_weight, out=state.t)
+                np.subtract(state.t, state.anchor, out=state.r)
+                radius = _norm(r_x, r_y)
                 if 0.0 < radius < math.inf:
                     # Short of the artificial cap only a gap at or below the
                     # decay bound restarts, so the bisection may stop above it.
@@ -399,13 +399,13 @@ def solve(problem, config=None):
             restarts_by_reason[why] += 1
             # the weight follows the candidate's move from the anchor, in r
             if halpern:
-                np.subtract(buf.t, buf.anchor, out=buf.r)
+                np.subtract(state.t, state.anchor, out=state.r)
             elif candidate_gap is not None:
                 # the new start's gap at the distance it moved is the candidate's
                 reference_gap = candidate_gap
             step = replace(
                 step,
-                primal_weight=update_primal_weight(step.primal_weight, _norm(buf.dx), _norm(buf.dy), config.weight),
+                primal_weight=update_primal_weight(step.primal_weight, _norm(r_x), _norm(r_y), config.weight),
             )
             apply_restart(state, t_parts)
 

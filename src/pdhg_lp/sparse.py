@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
-from .exceptions import DimensionMismatch, NonFiniteData
+from .exceptions import DimensionMismatch, NonFiniteData, NonPositiveInput, _count, _real
 
 try:  # einsum's C entry point, without np.einsum's Python wrapper
     from numpy._core.multiarray import c_einsum as _einsum
@@ -267,6 +267,9 @@ def spectral_norm_estimate(matrix, tol=1e-4, max_iters=5000, seed=0, *, deadline
     every Lanczos vector, so a ones start can miss a larger singular value
     held there.
     """
+    max_iters, tol = _count("max_iters", max_iters, least=1), _real("tol", tol)
+    if not 0.0 <= tol < math.inf:
+        raise NonPositiveInput(f"tol must be a finite real >= 0, got {tol!r}")
     rows, cols = matrix.shape
     if rows == 0 or cols == 0 or matrix.nnz == 0:
         return SpectralEstimate(0.0, True, 0)

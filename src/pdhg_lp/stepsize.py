@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NonFiniteIterate, NonPositiveInput, StepSizeUnderflow
+from .exceptions import NonFiniteIterate, NonPositiveInput, StepSizeUnderflow, _real
 from .pdhg import StepState, accept_step, step_gradient, trial_step
-from .termination import _norm, _real
+from .termination import _norm
 
 
 STEP_MODES = ("halpern", "adaptive", "fixed")
@@ -143,9 +143,9 @@ def adaptive_step(state, saddle, step, *, errstate=True):
     t = state.total_count + 1  # 1-based index of the iteration being attempted
     shrink = 1.0 - (t + 1.0) ** (-REDUCTION_EXPONENT)
     grow = 1.0 + (t + 1.0) ** (-GROWTH_EXPONENT)
-    buf = step_gradient(state, saddle)
+    step_gradient(state, saddle)
     for _ in range(MAX_RETRIES):
-        trial = trial_step(state, saddle, buf, s, w)
+        trial = trial_step(state, saddle, s, w)
         if trial is None:
             raise NonFiniteIterate(f"trial iterate became non-finite at total iteration {t} (step {s!r})")
         kx_new, movement, interaction = trial
@@ -163,7 +163,7 @@ def adaptive_step(state, saddle, step, *, errstate=True):
         else:
             s_next = min(shrink * s_hat, grow * s)
         if accepted:
-            accept_step(state, buf, kx_new, avg_weight=s)
+            accept_step(state, kx_new, avg_weight=s)
             return state, StepState(s_next, w, step.initial_step_size), True
         s = s_next
         if s < UNDERFLOW_RATIO * step.initial_step_size:

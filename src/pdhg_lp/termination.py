@@ -12,29 +12,11 @@ checks.
 from dataclasses import dataclass
 
 import math
-import numbers
-import operator
 
 import numpy as np
 
-from .exceptions import NonPositiveInput, NotACertificate
+from .exceptions import NonPositiveInput, NotACertificate, _count, _real
 from .sparse import dot
-
-
-def _count(name, value):
-    """``value`` as a Python int >= 0, as the config block reads it back: a
-    numpy integer is taken, and a bool or a float, an infinity included,
-    raises NonPositiveInput."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise NonPositiveInput(f"{name} must be an integer >= 0, got {value!r}")
-    return operator.index(value)
-
-
-def _real(name, value):
-    """``value`` as a Python float; a bool or a non-real raises NonPositiveInput."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise NonPositiveInput(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)

@@ -376,6 +376,23 @@ class TestBench:
         assert code == 1
         assert "warp" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-iters", "-5", "iteration_limit must be an integer >= 0, got -5"),
+            ("--tolerance", "nan", "tol_optimal must be >= 0, got nan"),
+            ("--time-limit-sec", "nan", "time_limit_sec must be a number or an infinity, got nan"),
+            ("--jobs", "0", "--jobs must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_number_flag_fails_the_command(self, instances, tmp_path, flag, value, message):
+        # the configs are built before any instance is read, so a bad value
+        # exits 1 with one message and writes no CSV of error rows
+        csv_path = tmp_path / "bench.csv"
+        code, out, err = run_cli(["bench", str(instances), "--configs", "full", flag, value, "--out", str(csv_path)])
+        assert (code, out, err) == (1, "", f"pdhg-lp: {message}\n")
+        assert not csv_path.exists()
+
     def test_empty_input_dir(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

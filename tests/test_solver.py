@@ -364,13 +364,13 @@ class TestHalpern:
         state = pl.IterateState.initial(saddle)
         for _ in range(300):
             pl.pdhg_step(state, saddle, step, halpern=True)
-        x, y = pl.unscale_solution(state.buffers.x, state.buffers.y, scaling)
+        x, y = pl.unscale_solution(*state.t_parts, scaling)
         assert report.x.tobytes() == x.tobytes()
         assert report.y.tobytes() == y.tobytes()
         assert report.step_size == step.step_size
 
     def test_first_check_reads_the_initial_point(self):
-        # the iteration-0 check tests buffers.t, which starts as z0; the
+        # the iteration-0 check tests the state's t, which starts as z0; the
         # second solve runs in memory that the first one freed
         problem = random_feasible_lp(2)
         saddle0 = pl.to_saddle(problem)

@@ -294,6 +294,30 @@ class TestSpectralNorm:
         assert mat.matvec_calls == calls
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m: spectral_norm_estimate(m, max_iters=-3), r"^max_iters must be an integer >= 1, got -3$"),
+        (lambda m: spectral_norm_estimate(m, max_iters=0), r"^max_iters must be an integer >= 1, got 0$"),
+        (lambda m: spectral_norm_estimate(m, max_iters=2.5), r"^max_iters must be an integer >= 1, got 2\.5$"),
+        (lambda m: spectral_norm_estimate(m, max_iters=True), r"^max_iters must be an integer >= 1, got True$"),
+        (lambda m: spectral_norm_estimate(m, tol=float("nan")), r"^tol must be a finite real >= 0, got nan$"),
+        (lambda m: spectral_norm_estimate(m, tol=-1.0), r"^tol must be a finite real >= 0, got -1\.0$"),
+        (lambda m: spectral_norm_estimate(m, tol=float("inf")), r"^tol must be a finite real >= 0, got inf$"),
+        (lambda m: spectral_norm_estimate(m, tol=True), r"^tol must be a real number, got True$"),
+        (lambda m: pl.ruiz_rescale(m, num_iters=True), r"^num_iters must be an integer >= 0, got True$"),
+        (lambda m: pl.ruiz_rescale(m, num_iters=2.5), r"^num_iters must be an integer >= 0, got 2\.5$"),
+    ],
+)
+def test_count_and_tolerance_arguments_follow_the_number_rule(call, message):
+    # the rule of the config's numbers: a count is an integer, not a bool or
+    # a float, and a tolerance a finite real >= 0; checked before any product
+    mat = SparseMatrix(np.diag([3.0, 4.0]), shape=(2, 2))
+    with pytest.raises(pl.NonPositiveInput, match=message):
+        call(mat)
+    assert mat.matvec_calls == mat.rmatvec_calls == 0
+
+
 class TestStorage:
     def test_one_copy_of_the_csr_arrays(self):
         # the matrix keeps its CSR arrays once: no transposed copy

@@ -244,7 +244,7 @@ class TestStretchAgainstSingleSteps:
     @staticmethod
     def snapshot(state, saddle, base):
         return (
-            state.x.tobytes(), state.y.tobytes(), state.buffers.t.tobytes(),
+            state.x.tobytes(), state.y.tobytes(), state.t.tobytes(),
             state.sum_x.tobytes(), state.sum_y.tobytes(), state.sum_weight,
             state.inner_count, state.total_count, state.trial_count,
             saddle.K.matvec_calls - base[0], saddle.K.rmatvec_calls - base[1],
@@ -260,7 +260,7 @@ class TestStretchAgainstSingleSteps:
         for count in stretches:
             if count is None:
                 if halpern:
-                    apply_restart(state, (state.buffers.x, state.buffers.y))
+                    apply_restart(state, state.t_parts)
                 else:
                     apply_restart(state, (state.sum_x / state.sum_weight, state.sum_y / state.sum_weight))
                 continue
@@ -355,11 +355,61 @@ class TestTwoRowBlocks:
         start = (state.x.copy(), state.y.copy())
         for k, (tx, ty, x, y) in enumerate(halpern_reference(saddle, *start, step.step_size, 1.7, 30)):
             pdhg_step(state, saddle, step, halpern=True)
-            assert state.buffers.x.tobytes() == tx.tobytes() and state.buffers.y.tobytes() == ty.tobytes(), k
+            assert state.t_parts[0].tobytes() == tx.tobytes() and state.t_parts[1].tobytes() == ty.tobytes(), k
             assert state.x.tobytes() == x.tobytes() and state.y.tobytes() == y.tobytes(), k
         assert state.total_count == state.trial_count == 30
         # one product with K and one with K' per step, whatever the blocks
         assert (saddle.K.matvec_calls - base[0], saddle.K.rmatvec_calls - base[1]) == (60, 60)
+
+    @staticmethod
+    def assert_views(state):
+        for parts, whole in (((state.x, state.y), state.z), (state.prev_parts, state.prev)):
+            assert all(np.shares_memory(part, whole) for part in parts)
+
+    @pytest.mark.parametrize("halpern", (False, True))
+    def test_views_after_stretches(self, halpern, monkeypatch):
+        # after stretches of odd and even length, each swapping z and prev
+        # once per step, x and y are the parts of z and ``prev_parts`` those
+        # of prev, which holds the iterate that the last step replaced
+        monkeypatch.setattr(pl.sparse, "SPLIT_MIN_NNZ", 1)
+        saddle = scaled_saddle(0)
+        assert len(saddle.K.row_blocks()) == 2
+        step = StepState(0.5 / pl.spectral_norm_estimate(saddle.K).value, 1.3)
+        state, single = IterateState.initial(saddle), IterateState.initial(saddle)
+        for count in (3, 2, 1, 4):
+            pdhg_step(state, saddle, step, halpern=halpern, count=count)
+            for _ in range(count):
+                before = single.z.copy()
+                pdhg_step(single, saddle, step, halpern=halpern)
+            self.assert_views(state)
+            assert state.prev.tobytes() == before.tobytes()
+            assert state.z.tobytes() == single.z.tobytes()
+
+    @pytest.mark.parametrize("first", (0, 1))
+    @pytest.mark.parametrize("halpern", (False, True))
+    def test_views_after_a_stretch_that_fails(self, halpern, first, monkeypatch):
+        # a unit step on the unscaled planted unbounded LP overflows at step
+        # 67 (PDHG) or 63 (Halpern); after ``first`` single steps the stretch
+        # takes an even or an odd number of good steps before it fails.  The
+        # state keeps the last good iterate in z and the views, and prev
+        # holds the point that failed the test
+        monkeypatch.setattr(pl.sparse, "SPLIT_MIN_NNZ", 1)
+        saddle = pl.to_saddle(planted_unbounded_lp(0))
+        assert len(saddle.K.row_blocks()) == 2
+        step = StepState(1.0, 1.0)
+        single, stretch = IterateState.initial(saddle), IterateState.initial(saddle)
+        with pytest.raises(pl.NonFiniteIterate):
+            for _ in range(5000):
+                pdhg_step(single, saddle, step, halpern=halpern)
+        assert single.total_count == (62 if halpern else 66)
+        for _ in range(first):
+            pdhg_step(stretch, saddle, step, halpern=halpern)
+        with pytest.raises(pl.NonFiniteIterate):
+            pdhg_step(stretch, saddle, step, halpern=halpern, count=100)
+        self.assert_views(stretch)
+        assert stretch.total_count == single.total_count
+        assert stretch.z.tobytes() == single.z.tobytes() and np.isfinite(stretch.z).all()
+        assert stretch.prev.tobytes() == single.prev.tobytes() and not np.isfinite(stretch.prev).all()
 
 
 class TestHalpernAgainstReference:
@@ -376,37 +426,36 @@ class TestHalpernAgainstReference:
             ref = halpern_reference(saddle, x, y, step.step_size, step.primal_weight, 40)
             for k, (tx, ty, rx, ry) in enumerate(ref):
                 pdhg_step(state, saddle, step, halpern=True)
-                assert state.buffers.x.tobytes() == tx.tobytes()
-                assert state.buffers.y.tobytes() == ty.tobytes()
+                assert state.t_parts[0].tobytes() == tx.tobytes()
+                assert state.t_parts[1].tobytes() == ty.tobytes()
                 for got, want in ((state.x, rx), (state.y, ry)):
                     assert got.tobytes() == want.tobytes(), (epoch, k)
                 assert state.inner_count == k + 1
             x, y = tx, ty
-            apply_restart(state, (state.buffers.x, state.buffers.y))
+            apply_restart(state, state.t_parts)
         assert state.total_count == state.trial_count == 80
         assert state.kx is None
 
     def test_restart_stays_in_the_stacked_iterate(self):
         # a restart to T(z) copies it into the state's own x and y, which
-        # stay the parts of buffers.z, and zeroes the sums in place; the
+        # stay the parts of z, and zeroes the sums in place; the
         # next step anchors the epoch there
         saddle = scaled_saddle(2)
         step = StepState(0.998 / pl.spectral_norm_estimate(saddle.K).value, 1.3)
         state = IterateState.initial(saddle)
         for _ in range(7):
             pdhg_step(state, saddle, step, halpern=True)
-        buf = state.buffers
         sums = (state.sum_x, state.sum_y)
-        t = buf.t.copy()
-        apply_restart(state, (buf.x, buf.y))
-        assert state.x is buf.z_parts[0] and state.y is buf.z_parts[1]
+        t = state.t.copy()
+        apply_restart(state, state.t_parts)
+        assert state.x.base is state.z and state.y.base is state.z
         assert state.sum_x is sums[0] and state.sum_y is sums[1]
         assert not (state.sum_x.any() or state.sum_y.any())
-        assert buf.z.tobytes() == t.tobytes()
+        assert state.z.tobytes() == t.tobytes()
         assert (state.inner_count, state.total_count) == (0, 7)
         pdhg_step(state, saddle, step, halpern=True)
-        assert buf.anchor.tobytes() == t.tobytes()
-        assert state.x is buf.z_parts[0] and state.y is buf.z_parts[1]
+        assert state.anchor.tobytes() == t.tobytes()
+        assert state.x.base is state.z and state.y.base is state.z
 
     def test_operator_is_the_pdhg_point(self):
         # T(z) is the point pdhg_step moves to from the same z, bit for bit
@@ -421,24 +470,27 @@ class TestHalpernAgainstReference:
             z = (state.x.copy(), state.y.copy())
             pdhg_step(state, saddle, step, halpern=True)
             pdhg_step(plain, saddle, step)
-            assert state.buffers.x.tobytes() == plain.x.tobytes()
-            assert state.buffers.y.tobytes() == plain.y.tobytes()
-            # and the buffers hold z too, stacked in ``prev`` beside T(z)
+            assert state.t_parts[0].tobytes() == plain.x.tobytes()
+            assert state.t_parts[1].tobytes() == plain.y.tobytes()
+            # and the state holds z too, stacked in ``prev`` beside T(z)
             # stacked in ``t``, where the residual and the checks read it;
             # the new iterate is the parts of ``z``
-            buf = state.buffers
-            for part, want in zip(buf.prev_parts, z):
+            for part, want in zip(state.prev_parts, z):
                 assert part.tobytes() == want.tobytes()
-            assert buf.prev.tobytes() == np.concatenate(z).tobytes()
-            assert buf.t.tobytes() == np.concatenate((buf.x, buf.y)).tobytes()
-            assert state.x is buf.z_parts[0] and state.y is buf.z_parts[1]
-            assert np.shares_memory(state.y, buf.z)
+            assert state.prev.tobytes() == np.concatenate(z).tobytes()
+            assert state.t.tobytes() == np.concatenate(state.t_parts).tobytes()
+            assert state.x.base is state.z and state.y.base is state.z
+            assert np.shares_memory(state.y, state.z)
             w = step.primal_weight
-            dx, dy = state.buffers.x - z[0], state.buffers.y - z[1]
+            dx, dy = state.t_parts[0] - z[0], state.t_parts[1] - z[1]
             assert fixed_point_residual(state, step) == math.sqrt(w * dot(dx, dx) + dot(dy, dy) / w)
 
+    @staticmethod
+    def layout(state):
+        return {id(v) for v in (state.z, state.prev, state.t, state.r, state.anchor, state.sums)}
+
     def test_kinds_share_one_layout(self):
-        # the kinds share one set of buffers: a PDHG step in mid-epoch moves
+        # the kinds share one set of vectors: a PDHG step in mid-epoch moves
         # z, and the next Halpern step mixes from there toward the same
         # anchor, with the epoch's step count
         saddle = scaled_saddle(2)
@@ -449,19 +501,19 @@ class TestHalpernAgainstReference:
         for tx, ty, x, y in halpern_reference(saddle, *start, s, w, 5):
             pdhg_step(state, saddle, step, halpern=True)
             assert state.x.tobytes() == x.tobytes() and state.y.tobytes() == y.tobytes()
-        buf = state.buffers
+        layout = self.layout(state)
         ref = Reference(saddle, x, y)
         pdhg_step(state, saddle, step)
         ref.fixed(s, w)
-        assert state.buffers is buf
+        assert self.layout(state) == layout
         assert state.x.tobytes() == ref.x.tobytes() and state.y.tobytes() == ref.y.tobytes()
-        for part, want in zip(buf.prev_parts + buf.anchor_parts, (x, y) + start):
+        for part, want in zip(state.prev_parts + state.anchor_parts, (x, y) + start):
             assert part.tobytes() == want.tobytes()
         for tx, ty, x, y in halpern_reference(saddle, ref.x, ref.y, s, w, 5, anchor=start, first=6):
             pdhg_step(state, saddle, step, halpern=True)
-            assert state.buffers.x.tobytes() == tx.tobytes() and state.buffers.y.tobytes() == ty.tobytes()
+            assert state.t_parts[0].tobytes() == tx.tobytes() and state.t_parts[1].tobytes() == ty.tobytes()
             assert state.x.tobytes() == x.tobytes() and state.y.tobytes() == y.tobytes()
-        assert state.buffers is buf
+        assert self.layout(state) == layout
         assert (state.inner_count, state.kx) == (11, None)
 
     def test_non_finite_operator_leaves_state_intact(self, toy_saddle):
@@ -478,20 +530,19 @@ class TestHalpernAgainstReference:
 
 class TestBuffersHoldPreviousIterate:
     """Every step kernel keeps z, the iterate it replaced and the epoch's
-    anchor in one stacked ``StepBuffers``: after a step the state's x and y
+    anchor in stacked vectors of the ``IterateState``: after a step its x and y
     are the parts of ``z`` and ``prev`` holds the replaced iterate until the
     next step; solve reads it as z_{k-1} at a check."""
 
     @staticmethod
     def assert_buffers_hold(state, before, start=None):
-        buf = state.buffers
-        assert state.x is buf.z_parts[0] and state.y is buf.z_parts[1]
-        for parts, want in ((buf.prev_parts, before), (buf.anchor_parts, start)):
+        assert state.x.base is state.z and state.y.base is state.z
+        for parts, want in ((state.prev_parts, before), (state.anchor_parts, start)):
             for part, value in zip(parts, want or ()):
                 assert part.tobytes() == np.asarray(value, dtype=np.float64).tobytes()
 
     def test_construction_seeds_every_copy(self):
-        # a check before the first step reads buffers.t as Halpern's T(z),
+        # a check before the first step reads t as Halpern's T(z),
         # so t, prev and anchor start as copies of z, even in memory that
         # NaN-filled arrays of the same size held just before
         saddle = scaled_saddle(1)
@@ -505,11 +556,10 @@ class TestBuffersHoldPreviousIterate:
             freed = [np.full(size, np.nan) for _ in range(8)]
             del freed
             state = build()
-            buf = state.buffers
-            for copy in (buf.t, buf.prev, buf.anchor):
-                assert copy.tobytes() == buf.z.tobytes()
-            assert state.x is buf.z_parts[0] and state.y is buf.z_parts[1]
-            assert not buf.sums.any()
+            for copy in (state.t, state.prev, state.anchor):
+                assert copy.tobytes() == state.z.tobytes()
+            assert state.x.base is state.z and state.y.base is state.z
+            assert not state.sums.any()
 
     def test_after_fixed_steps(self):
         saddle = scaled_saddle(0)
@@ -589,7 +639,7 @@ class TestFinitenessSum:
     only when that sum is not finite: a point with +inf and -inf entries
     (sum NaN) is caught, and finite entries whose sum overflows are not.
     The sum is a BLAS dot up to DOT_BLAS_MAX entries and a reduce above.
-    A failed step leaves the iterate it tested in ``buffers.prev``."""
+    A failed step leaves the iterate it tested in the state's ``prev``."""
 
     KERNELS = {
         "halpern": lambda state, saddle, step: pdhg_step(state, saddle, step, halpern=True),
@@ -608,7 +658,7 @@ class TestFinitenessSum:
         state.kx = kx = saddle.K.matvec(state.x)
         with pytest.raises(pl.NonFiniteIterate, match="total iteration 6"):
             self.KERNELS[kernel](state, saddle, StepState(10.0, 1.0))
-        tested = state.buffers.prev
+        tested = state.prev
         assert tested[:2].tolist() == [np.inf, -np.inf]
         with np.errstate(invalid="ignore"):
             assert np.isnan(np.add.reduce(tested))
@@ -632,8 +682,8 @@ class TestFinitenessSum:
         state = IterateState(x=start, y=[0.0])
         self.KERNELS[kernel](state, saddle, StepState(10.0, 1.0))
         with np.errstate(over="ignore"):
-            assert np.add.reduce(state.buffers.z) == np.inf
-        assert np.isfinite(state.buffers.z).all()
+            assert np.add.reduce(state.z) == np.inf
+        assert np.isfinite(state.z).all()
         np.testing.assert_array_equal(state.x, start)
         np.testing.assert_array_equal(state.y, [0.0])
         assert state.total_count == (1 if kernel == "halpern" else 3)
@@ -651,7 +701,7 @@ class TestFinitenessSum:
         x, y = state.x, state.y
         with pytest.raises(pl.NonFiniteIterate, match="total iteration 1$"):
             pdhg_step(state, saddle, StepState(10.0, 1.0), halpern=True)
-        assert state.buffers.x.tolist() == [0.0, 0.0, 1e308]
+        assert state.t_parts[0].tolist() == [0.0, 0.0, 1e308]
         assert state.x is x and state.y is y
         assert state.x.tolist() == [0.0, 0.0, 1e308] and state.y.tolist() == [0.0] * blocks
         assert (state.inner_count, state.total_count, state.trial_count) == (0, 0, 0)
@@ -668,12 +718,12 @@ class TestStepScalarsFollowTheStepState:
         state = IterateState.initial(saddle)
         for _ in range(6):
             pdhg_step(state, saddle, step, halpern=True)
-        start = (state.buffers.x.copy(), state.buffers.y.copy())
+        start = tuple(v.copy() for v in state.t_parts)
         apply_restart(state, start)
         step = dataclasses.replace(step, primal_weight=0.6)
         for tx, ty, x, y in halpern_reference(saddle, *start, step.step_size, 0.6, 6):
             pdhg_step(state, saddle, step, halpern=True)
-            assert state.buffers.x.tobytes() == tx.tobytes() and state.buffers.y.tobytes() == ty.tobytes()
+            assert state.t_parts[0].tobytes() == tx.tobytes() and state.t_parts[1].tobytes() == ty.tobytes()
             assert state.x.tobytes() == x.tobytes() and state.y.tobytes() == y.tobytes()
 
     def test_pdhg_after_a_weight_update(self):
