@@ -113,30 +113,21 @@ def _add_solver_flags(p):
     flag("--time-limit-sec", "termination.time_limit_sec", type=float)
     flag("--scaling", "scaling", choices=SCALING_MODES)
     flag("--restart", "restart.scheme", choices=RESTART_SCHEMES)
-    flag("--step-size", "step.mode", metavar="{halpern,adaptive,fixed,fixed=S}")
-    flag("--primal-weight", "weight.mode", metavar="{adaptive,fixed,fixed=W}")
+    flag("--step-size", "step", type=_step_flag, metavar="{halpern,adaptive,fixed,fixed=S}")
+    flag("--primal-weight", "weight.mode", choices=WEIGHT_MODES)
     flag("--log-every", "log_interval", type=int, metavar="N",
          help="log residuals to stderr every N iterations")
 
 
-# A mode flag sets its mode field and, from "fixed=V", one more field:
-# dest -> (name in messages, the float field V sets, the bare modes).
-_MODE_FLAGS = {
-    "config.step.mode": ("step_size", "fixed_step", STEP_MODES),
-    "config.weight.mode": ("primal_weight", "fixed_weight", WEIGHT_MODES),
-}
-
-
-def _mode_flag(dest, value):
-    """Split the value of a mode flag, a bare mode or "fixed=V", into
-    (mode, V); V is None without "=V"."""
-    name, _, modes = _MODE_FLAGS[dest]
-    if value in modes:
-        return value, None
+def _step_flag(value):
+    """The step block that --step-size asks for: a bare mode, or "fixed=S"
+    for the fixed mode with step S."""
+    if value in STEP_MODES:
+        return {"mode": value}
     if value.startswith("fixed="):
         with contextlib.suppress(ValueError):
-            return "fixed", float(value.split("=", 1)[1])
-    raise ValueError(f"bad {name} flag {value!r}")
+            return {"mode": "fixed", "fixed_step": float(value[len("fixed="):])}
+    raise argparse.ArgumentTypeError(f"bad step_size flag {value!r}")
 
 
 def _config_from_args(args):
@@ -151,8 +142,6 @@ def _config_from_args(args):
         node = tree
         for name in parents:
             node = node.setdefault(name, {})
-        if dest in _MODE_FLAGS:
-            value, node[_MODE_FLAGS[dest][1]] = _mode_flag(dest, value)
         node[leaf] = value
     return config_from_flags(tree)
 
@@ -181,7 +170,7 @@ def _cmd_solve(args):
     if config.log_interval:
         logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
-        # the reader raises ValidationError for a non-finite coefficient, as solve does for other bad data
+        # the reader raises ValidationError for non-finite data, as solve does for crossed bounds
         report = solve(_read_problem(args.input, fixed=args.mps_fixed), config)
     except ValidationError as err:
         print(f"pdhg-lp: invalid problem: {err}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the number rules that
 raise NonPositiveInput."""
 
+import contextlib
 import numbers
 import operator
 
@@ -53,10 +54,12 @@ def _count(name, value, least=0):
 
 
 def _real(name, value):
-    """``value`` as a Python float; a bool or a non-real raises NonPositiveInput."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise NonPositiveInput(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    """``value`` as a Python float; a bool, a non-real or an integer beyond
+    float's range raises NonPositiveInput."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise NonPositiveInput(f"{name} must be a real number, got {value!r}")
 
 
 class NonPositiveQuadraticForm(SolverError):

@@ -26,6 +26,7 @@ at 17 significant digits, so reading its output back returns the same
 problem exactly.
 """
 
+import contextlib
 import io
 import itertools
 import re
@@ -573,7 +574,7 @@ class _Reader:
                 stacklevel=3,
             )
 
-        return LpProblem(
+        problem = LpProblem(
             c=c,
             ineq_matrix=g_mat,
             ineq_rhs=h_vec,
@@ -587,11 +588,18 @@ class _Reader:
             variable_names=[_text(name) for name in self.col_index],
             constraint_names=g_names + a_names,
         )
+        # crossed bounds alone make an infeasible LP, which write_mps writes too
+        with contextlib.suppress(InconsistentBounds):
+            validate(problem)
+        return problem
 
 
 def parse_mps(source, dialect=None):
     """Parse MPS into an LpProblem.  The source is a binary file object,
-    read a block at a time, or the whole text as str or bytes."""
+    read a block at a time, or the whole text as str or bytes.  The result
+    passes ``validate``, but for crossed bounds, which make an infeasible
+    LP: a non-finite cost, right-hand side or range, or a bound that is NaN
+    or the wrong infinity, raises NonFiniteData."""
     if isinstance(source, str):
         source = source.encode()
     if isinstance(source, (bytes, bytearray)):

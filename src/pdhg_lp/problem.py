@@ -142,7 +142,7 @@ def validate(problem):
         bad = np.where(problem.lower > problem.upper)[0]
         for i in bad[:10]:
             bounds.append(
-                f"lower[{i}]={problem.lower[i]!r} exceeds upper[{i}]={problem.upper[i]!r}"
+                f"lower[{i}]={problem.lower[i]} exceeds upper[{i}]={problem.upper[i]}"
             )
         if bad.shape[0] > 10:
             bounds.append(f"... and {bad.shape[0] - 10} more crossed bounds")

@@ -33,32 +33,28 @@ def config_flags(config):
 
 def config_from_flags(flags):
     """Inverse of config_flags.  A missing key or a None takes the field's
-    default.  The dict may come from outside the program, so an unknown key,
-    a non-mapping in place of a sub-config, a value whose type does not
-    match the field's annotation, or a mode the config rejects raises
-    ValueError naming the dotted path."""
+    default.  The dict may come from outside the program, so an unknown key
+    or a non-mapping in place of a sub-config raises ValueError naming the
+    dotted path, and a value the config's constructor rejects (a wrong
+    type, a number out of range, an unknown mode) raises ValueError naming
+    the sub-config and the constructor's message."""
     return _from_dict(SolverConfig, flags, "")
 
 
 def _from_dict(cls, flags, path):
+    """The config dataclass ``cls`` from the mapping ``flags`` found at the
+    dotted ``path``; the constructors, not this reader, check the leaves."""
     if not isinstance(flags, Mapping):
         raise ValueError(f"config {path.rstrip('.') or 'block'} must be a mapping, got {flags!r}")
-    by_name = {f.name: f for f in fields(cls)}
-    extra = sorted(f"{path}{key}" for key in flags if key not in by_name)
+    kinds = {f.name: f.type for f in fields(cls)}
+    extra = sorted(f"{path}{key}" for key in flags if key not in kinds)
     if extra:
         raise ValueError(f"unknown config flags: {extra}")
     kwargs = {}
     for key, value in flags.items():
-        if value is None:
-            continue
-        kind = by_name[key].type
-        if is_dataclass(kind):
-            kwargs[key] = _from_dict(kind, value, f"{path}{key}.")
-            continue
-        accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise ValueError(f"config flag {path}{key} must be {kind.__name__}, got {value!r}")
-        kwargs[key] = value
+        if value is not None:
+            kind = kinds[key]
+            kwargs[key] = _from_dict(kind, value, f"{path}{key}.") if is_dataclass(kind) else value
     try:
         return cls(**kwargs)
     except SolverError as err:

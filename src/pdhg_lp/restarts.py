@@ -75,7 +75,7 @@ def normalized_duality_gap(saddle, x, y, radius, *, stop_above=math.inf):
     ``stop_above`` gets the same answer as from the full bisection.
     """
     if not (radius > 0.0 and np.isfinite(radius)):
-        raise InvalidRadius(f"radius must be positive and finite, got {radius!r}")
+        raise InvalidRadius(f"radius must be positive and finite, got {radius}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     # d, the box lo <= delta <= hi and the bisection's two buffers

@@ -459,6 +459,6 @@ def solve_vanilla(problem, step_size, max_iters, tol=1e-8):
         scaling="none",
         restart=RestartConfig(scheme="none"),
         step=StepPolicy(mode="fixed", fixed_step=step_size),
-        weight=WeightPolicy(mode="fixed", fixed_weight=1.0),
+        weight=WeightPolicy(mode="fixed"),
     )
     return solve(problem, config)

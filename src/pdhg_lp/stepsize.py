@@ -52,7 +52,8 @@ MOVEMENT_FLOOR = 1e-10
 @dataclass(frozen=True)
 class StepPolicy:
     """``mode`` is one of STEP_MODES; ``fixed_step``, when given, is the
-    constant step of the fixed mode, and the other modes take none."""
+    constant step of the fixed mode, a positive and finite real number
+    stored as a Python float, and the other modes take none."""
 
     mode: str = "halpern"
     fixed_step: float = None
@@ -60,33 +61,26 @@ class StepPolicy:
     def __post_init__(self):
         if self.mode not in STEP_MODES:
             raise NonPositiveInput(f"unknown step mode {self.mode!r}")
-        _check_fixed(self, "fixed_step")
+        if self.fixed_step is not None:
+            s = _real("fixed_step", self.fixed_step)
+            object.__setattr__(self, "fixed_step", s)
+            if not 0.0 < s < math.inf:
+                raise NonPositiveInput(f"fixed_step must be positive and finite, got {s}")
+            if self.mode != "fixed":
+                raise NonPositiveInput(f"fixed_step is for mode 'fixed' only, got {s} with mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
 class WeightPolicy:
-    """As StepPolicy: ``fixed_weight`` is the fixed mode's weight."""
+    """``mode`` is one of WEIGHT_MODES: "adaptive" balances the primal
+    weight by the smoothed rule of ``update_primal_weight``, "fixed" keeps
+    it at 1."""
 
-    mode: str = "adaptive"  # one of WEIGHT_MODES
-    fixed_weight: float = None
+    mode: str = "adaptive"
 
     def __post_init__(self):
         if self.mode not in WEIGHT_MODES:
             raise NonPositiveInput(f"unknown weight mode {self.mode!r}")
-        _check_fixed(self, "fixed_weight")
-
-
-def _check_fixed(policy, name):
-    """Store a given fixed value as a Python float; it must be a positive
-    and finite real number, and the mode "fixed"."""
-    value = getattr(policy, name)
-    if value is not None:
-        value = _real(name, value)
-        object.__setattr__(policy, name, value)
-        if not 0.0 < value < math.inf:
-            raise NonPositiveInput(f"{name} must be positive and finite, got {value}")
-        if policy.mode != "fixed":
-            raise NonPositiveInput(f"{name} is for mode 'fixed' only, got {value} with mode {policy.mode!r}")
 
 
 def initialize_step_state(saddle, norm_k, step_policy, weight_policy):
@@ -95,10 +89,10 @@ def initialize_step_state(saddle, norm_k, step_policy, weight_policy):
     s is the fixed mode's ``fixed_step`` when given, else
     HALPERN_STEP_FRACTION / ||K|| or FIXED_STEP_FRACTION / ||K||, the one
     use of ``norm_k`` (it may be None otherwise); adaptive mode starts from
-    s = 1 / max|K_ij| and lets the rule take over.  w is the fixed mode's
-    ``fixed_weight``, or 1; the adaptive weight starts at ||c|| / ||q||,
-    with q (near) zero at ||c||, the start that measures x in the units of
-    c, and with c (near) zero at 1.
+    s = 1 / max|K_ij| and lets the rule take over.  w is 1 in the fixed
+    weight mode; the adaptive weight starts at ||c|| / ||q||, with q (near)
+    zero at ||c||, the start that measures x in the units of c, and with c
+    (near) zero at 1.
     """
     if step_policy.fixed_step is not None:
         s = step_policy.fixed_step
@@ -111,7 +105,7 @@ def initialize_step_state(saddle, norm_k, step_policy, weight_policy):
         s = 1.0
 
     if weight_policy.mode == "fixed":
-        w = 1.0 if weight_policy.fixed_weight is None else weight_policy.fixed_weight
+        w = 1.0
     else:
         # _norm keeps a long vector off BLAS's threads (sparse.dot)
         with np.errstate(over="ignore"):

@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import re
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import pdhg_lp as pl
-from pdhg_lp.cli import main, shifted_geomean
+from pdhg_lp.cli import build_parser, main, shifted_geomean
 from pdhg_lp.restarts import RESTART_SCHEMES
 from pdhg_lp.scaling import SCALING_MODES
 from pdhg_lp.stepsize import STEP_MODES, WEIGHT_MODES
@@ -97,7 +98,7 @@ class TestSolve:
         code, out, _ = run_cli(
             ["solve", toy_mps, "--tolerance", "1e-4", "--scaling", "none",
              "--restart", "none", "--step-size", "fixed=0.5",
-             "--primal-weight", "fixed=2.0", "--max-iters", "5000"]
+             "--primal-weight", "fixed", "--max-iters", "5000"]
         )
         assert code == 0
         config = json.loads(out)["config"]
@@ -105,7 +106,7 @@ class TestSolve:
         assert config["scaling"] == "none"
         assert config["restart"]["scheme"] == "none"
         assert config["step"]["mode"] == "fixed" and config["step"]["fixed_step"] == 0.5
-        assert config["weight"]["mode"] == "fixed" and config["weight"]["fixed_weight"] == 2.0
+        assert config["weight"] == {"mode": "fixed"}
         assert config["termination"]["iteration_limit"] == 5000
 
     def test_flag_defaults_are_the_config_defaults(self, toy_mps):
@@ -143,11 +144,13 @@ class TestSolve:
             (["--restart", "fixed"], "argument --restart: invalid choice: 'fixed'"),
             (["--restart", "fixed=128"], "argument --restart: invalid choice: 'fixed=128'"),
             (["--step-size", "fixed=abc"], "bad step_size flag 'fixed=abc'"),
-            (["--primal-weight", "fixed="], "bad primal_weight flag 'fixed='"),
+            (["--primal-weight", "fixed="], "argument --primal-weight: invalid choice: 'fixed='"),
             (["--step-size", "big"], "bad step_size flag 'big'"),
-            (["--primal-weight", "none"], "bad primal_weight flag 'none'"),
+            (["--primal-weight", "none"], "argument --primal-weight: invalid choice: 'none'"),
             (["--time-limit-sec", "nan"], "config termination: time_limit_sec must be a number"),
-            (["--primal-weight", "halpern"], "bad primal_weight flag 'halpern'"),
+            (["--primal-weight", "halpern"], "argument --primal-weight: invalid choice: 'halpern'"),
+            # the fixed weight is 1, and the flag takes no value
+            (["--primal-weight", "fixed=2.0"], "argument --primal-weight: invalid choice: 'fixed=2.0'"),
         ],
     )
     def test_bad_mode_flag_exits_one(self, toy_mps, flags, message):
@@ -179,7 +182,7 @@ class TestSolve:
 
     def test_usage_lists_every_mode(self):
         # each mode flag's {...} in the usage names its modes in order, plus
-        # the "fixed=V" sugar of a flag that has a fixed mode
+        # --step-size's "fixed=S" sugar, the one flag that sets a value too
         code, out, _ = run_cli(["solve", "--help"])
         assert code == 0
         usage = " ".join(out.split("\n\n")[0].split())
@@ -192,7 +195,7 @@ class TestSolve:
         for flag, names in modes.items():
             choices = re.search(re.escape(flag) + r" \{([^}]*)\}", usage).group(1).split(",")
             assert [c for c in choices if "=" not in c] == list(names), flag
-            assert [c.split("=")[0] for c in choices if "=" in c] == ["fixed"] * ("fixed" in names), flag
+            assert [c for c in choices if "=" in c] == ["fixed=S"] * (flag == "--step-size"), flag
 
     def test_readme_names_every_solve_flag(self):
         # every solve option is named somewhere in the README, and every
@@ -263,6 +266,22 @@ class TestSolve:
         assert out == ""
         assert err == "pdhg-lp: invalid problem: matrix contains non-finite entries\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the reader rejects a cost that validate rejects
+            ("NAME C\nROWS\n N  OBJ\nCOLUMNS\n    X1  OBJ  inf\nENDATA\n", "c contains non-finite entries"),
+            # crossed bounds read back, and solve names them with plain numbers
+            (pl.write_mps(pl.LpProblem(c=[1.0], lower=[2.0], upper=[1.0])), "lower[0]=2.0 exceeds upper[0]=1.0"),
+        ],
+        ids=["infinite_cost", "crossed_bounds"],
+    )
+    def test_invalid_problem_exits_one(self, tmp_path, text, message):
+        path = tmp_path / "invalid.mps"
+        path.write_text(text)
+        code, out, err = run_cli(["solve", str(path)])
+        assert (code, out, err) == (1, "", f"pdhg-lp: invalid problem: {message}\n")
+
     def test_usage_error_exits_one(self):
         code, _, _ = run_cli([])
         assert code == 1
@@ -302,6 +321,21 @@ def test_readme_quick_start_runs():
     with redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {"__name__": "readme_quick_start"})
     assert out.getvalue().split()[0] == pl.STATUS_OPTIMAL
+
+
+def test_readme_cli_quick_start_parses():
+    # every pdhg-lp command of the README's CLI quick start, pipes and line
+    # continuations included, is one the parser takes
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Quick start \(CLI\)\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if not line.startswith("#")]
+    commands = [shlex.split(part) for line in lines for part in line.split("|") if part.strip()]
+    assert [argv[:2] for argv in commands] == [
+        ["pdhg-lp", "generate"], ["pdhg-lp", "solve"], ["pdhg-lp", "generate"], ["pdhg-lp", "solve"], ["pdhg-lp", "bench"],
+    ]
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 def test_readme_constants_exist():

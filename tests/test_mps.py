@@ -1,4 +1,5 @@
 import io
+import re
 import warnings
 
 import numpy as np
@@ -225,6 +226,58 @@ class TestBounds:
         text = self.bound_fixture(" UP BND       NOPE      1.0")
         with pytest.raises(pl.MpsSyntaxError):
             parse_mps(text)
+
+
+# One column, one ranged L row; each case replaces one field of it.
+FINITE = """\
+NAME NF
+ROWS
+ N  OBJ
+ L  LIM
+COLUMNS
+    X1  OBJ  1.0  LIM  1.0
+RHS
+    RHS  LIM  4.0
+RANGES
+    RNG  LIM  2.0
+BOUNDS
+ UP BND  X1  3.0
+ENDATA
+"""
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("OBJ  1.0", "OBJ  inf", "c contains non-finite entries"),
+            ("OBJ  1.0", "OBJ  nan", "c contains non-finite entries"),
+            ("LIM  4.0", "LIM  inf", "ineq_rhs contains non-finite entries"),
+            ("LIM  4.0", "LIM  nan", "ineq_rhs contains non-finite entries"),
+            ("LIM  2.0", "LIM  -inf", "ineq_rhs contains non-finite entries"),
+            ("LIM  2.0", "LIM  nan", "ineq_rhs contains non-finite entries"),
+            ("UP BND  X1  3.0", "LO BND  X1  nan", "lower contains NaN or +inf entries"),
+            ("UP BND  X1  3.0", "LO BND  X1  inf", "lower contains NaN or +inf entries"),
+            ("UP BND  X1  3.0", "UP BND  X1  -inf", "upper contains NaN or -inf entries"),
+            ("UP BND  X1  3.0", "FX BND  X1  inf", "lower contains NaN or +inf entries"),
+        ],
+        ids=["inf_cost", "nan_cost", "inf_rhs", "nan_rhs", "inf_range", "nan_range",
+             "nan_lower", "inf_lower", "minus_inf_upper", "inf_fixed"],
+    )
+    def test_rejected_as_validate_rejects_it(self, old, new, message):
+        # the reader returns only problems that write_mps and solve take
+        assert parse_mps(FINITE).upper.tolist() == [3.0]
+        text = FINITE.replace(old, new)
+        assert text != FINITE
+        with pytest.raises(pl.NonFiniteData, match=f"^{re.escape(message)}$"):
+            parse_mps(text)
+
+    def test_crossed_bounds_still_parse(self):
+        # an infeasible LP, which write_mps writes and the reader takes back
+        problem = parse_mps(FINITE.replace(" UP BND  X1  3.0", " LO BND  X1  5.0\n UP BND  X1  3.0"))
+        assert (problem.lower.tolist(), problem.upper.tolist()) == ([5.0], [3.0])
+        with pytest.raises(pl.InconsistentBounds):
+            pl.validate(problem)
 
 
 INTEGER = """\

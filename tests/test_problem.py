@@ -48,8 +48,9 @@ class TestConstruction:
             pl.validate(p)
 
     def test_inconsistent_bounds(self):
-        p = pl.LpProblem(c=[1.0], lower=[2.0], upper=[1.0])
-        with pytest.raises(pl.InconsistentBounds):
+        # each crossed pair is named with plain numbers, not numpy reprs
+        p = pl.LpProblem(c=[1.0, 0.0], lower=[2.0, 0.0], upper=[1.0, -0.5])
+        with pytest.raises(pl.InconsistentBounds, match=r"^lower\[0\]=2\.0 exceeds upper\[0\]=1\.0; lower\[1\]=0\.0 exceeds upper\[1\]=-0\.5$"):
             pl.validate(p)
 
     def test_non_finite_data(self):

@@ -20,7 +20,8 @@ from pdhg_lp.stepsize import STEP_MODES, WEIGHT_MODES
 
 
 # Fields the configs check against a closed set of values or a range.  A
-# policy's fixed value is drawn with its mode (_policy_strategy).
+# policy's mode, and the step policy's fixed step, are drawn by
+# _policy_strategy.
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _CHECKED = {
     "scheme": st.sampled_from(RESTART_SCHEMES),
@@ -30,14 +31,13 @@ _CHECKED = {
     "log_interval": st.integers(min_value=0),
 }
 
-# The modes each policy accepts, and the field that only mode "fixed" takes.
-_MODES = {pl.StepPolicy: (STEP_MODES, "fixed_step"), pl.WeightPolicy: (WEIGHT_MODES, "fixed_weight")}
+# The modes each policy accepts.
+_MODES = {pl.StepPolicy: STEP_MODES, pl.WeightPolicy: WEIGHT_MODES}
 
 # A value each checked number rejects, by dotted path.
 _BAD_VALUES = {
     "log_interval": -3,
     "step.fixed_step": -1.0,
-    "weight.fixed_weight": 0.0,
     "termination.tol_optimal": -1.0,
     "termination.iteration_limit": -5,
     "termination.time_limit_sec": float("nan"),
@@ -45,11 +45,12 @@ _BAD_VALUES = {
 
 
 def _policy_strategy(cls):
-    """A step or weight policy: any mode without a fixed value, or mode
-    "fixed" with a positive finite one."""
-    modes, fixed = _MODES[cls]
-    fixed_value = st.builds(cls, mode=st.just("fixed"), **{fixed: _POSITIVE})
-    return st.sampled_from(modes).map(lambda mode: cls(mode=mode)) | fixed_value
+    """A step or weight policy in any mode, or a fixed step policy with a
+    positive finite step."""
+    policies = st.sampled_from(_MODES[cls]).map(lambda mode: cls(mode=mode))
+    if cls is pl.StepPolicy:
+        policies |= st.builds(cls, mode=st.just("fixed"), fixed_step=_POSITIVE)
+    return policies
 
 
 def _config_strategy(cls):
@@ -90,7 +91,7 @@ class TestConfigFlags:
             scaling="ruiz+pc",
             restart=pl.RestartConfig(scheme="none"),
             step=pl.StepPolicy(mode="fixed", fixed_step=0.03),
-            weight=pl.WeightPolicy(mode="fixed", fixed_weight=2.0),
+            weight=pl.WeightPolicy(mode="fixed"),
             log_interval=16,
         )
         back = config_from_flags(config_flags(config))
@@ -141,7 +142,6 @@ class TestConfigFlags:
             "termination.iteration_limit",
             "termination.time_limit_sec",
             "termination.tol_optimal",
-            "weight.fixed_weight",
             "weight.mode",
         ]
 
@@ -198,7 +198,7 @@ class TestConfigFlags:
             "TerminationCriteria": (
                 "(tol_optimal: float = 1e-08, iteration_limit: int = 250000, time_limit_sec: float = inf) -> None"
             ),
-            "WeightPolicy": "(mode: str = 'adaptive', fixed_weight: float = None) -> None",
+            "WeightPolicy": "(mode: str = 'adaptive') -> None",
             "adaptive_step": "(state, saddle, step, *, errstate=True)",
             "apply_restart": "(state, candidate)",
             "apply_scaling": "(saddle, scaling)",
@@ -279,6 +279,12 @@ class TestConfigFlags:
             old["restart"]["period"] = period
             with pytest.raises(ValueError, match=r"unknown config flags: \['restart\.period'\]"):
                 config_from_flags(old)
+        # the fixed weight mode's value, now always 1: a number with that mode, null without it
+        for mode, weight in (("fixed", 2.0), ("adaptive", None)):
+            old = config_flags(pl.SolverConfig(weight=pl.WeightPolicy(mode=mode)))
+            old["weight"]["fixed_weight"] = weight
+            with pytest.raises(ValueError, match=r"unknown config flags: \['weight\.fixed_weight'\]"):
+                config_from_flags(old)
         # the Ruiz sweeps, the Pock-Chambolle exponent, the gap decay bound,
         # the check interval, infeasibility detection and its tolerance, now
         # module constants or always on, at the defaults they had as settings
@@ -306,17 +312,18 @@ class TestConfigFlags:
             config_from_flags({"scaling": "bogus"})
         with pytest.raises(ValueError, match="restart must be a mapping"):
             config_from_flags({"restart": "sometimes"})
-        with pytest.raises(ValueError, match="step.fixed_step must be float"):
+        # a value of the wrong type is rejected by the config's own constructor
+        with pytest.raises(ValueError, match=r"^config step: fixed_step must be a real number, got 'big'$"):
             config_from_flags({"step": {"fixed_step": "big"}})
         with pytest.raises(ValueError, match="must be a mapping"):
             config_from_flags(["tolerance"])
-        with pytest.raises(ValueError, match="termination.iteration_limit must be int"):
+        with pytest.raises(ValueError, match=r"^config termination: iteration_limit must be an integer >= 0, got True$"):
             config_from_flags({"termination": {"iteration_limit": True}})
-        with pytest.raises(ValueError, match="termination.iteration_limit must be int"):
+        with pytest.raises(ValueError, match=r"^config termination: iteration_limit must be an integer >= 0, got 5\.0$"):
             config_from_flags({"termination": {"iteration_limit": 5.0}})
-        with pytest.raises(ValueError, match="log_interval must be int"):
+        with pytest.raises(ValueError, match=r"^config block: log_interval must be an integer >= 0, got False$"):
             config_from_flags({"log_interval": False})
-        with pytest.raises(ValueError, match="termination.tol_optimal must be float"):
+        with pytest.raises(ValueError, match=r"^config termination: tol_optimal must be a real number, got False$"):
             config_from_flags({"termination": {"tol_optimal": False}})
         with pytest.raises(ValueError, match="config restart: unknown restart scheme 'fixed'"):
             config_from_flags({"restart": {"scheme": "fixed"}})
@@ -371,11 +378,26 @@ class TestConfigFlags:
             "tol_optimal": lambda: pl.TerminationCriteria(tol_optimal=value),
             "time_limit_sec": lambda: pl.TerminationCriteria(time_limit_sec=value),
             "fixed_step": lambda: pl.StepPolicy(mode="fixed", fixed_step=value),
-            "fixed_weight": lambda: pl.WeightPolicy(mode="fixed", fixed_weight=value),
         }
         for name, build in builds.items():
             with pytest.raises(pl.NonPositiveInput, match=rf"^{name} must be a real number, got {re.escape(repr(value))}$"):
                 build()
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [("termination.tol_optimal", 10**400), ("termination.time_limit_sec", -(10**400)), ("step.fixed_step", 10**400)],
+        ids=["tol_optimal", "time_limit_sec", "fixed_step"],
+    )
+    def test_integer_beyond_float_range_rejected(self, path, value):
+        # float() overflows on it: the constructor rejects it as a non-real,
+        # and a config block that carries it fails with the field's name
+        block, name = path.split(".")
+        flags = {block: {name: value, **({"mode": "fixed"} if block == "step" else {})}}
+        message = f"{name} must be a real number, got {value}"
+        with pytest.raises(pl.NonPositiveInput, match=f"^{message}$"):
+            {"termination": pl.TerminationCriteria, "step": pl.StepPolicy}[block](**flags[block])
+        with pytest.raises(ValueError, match=f"^config {block}: {message}$"):
+            config_from_flags(json.loads(json.dumps(flags)))
 
     @pytest.mark.parametrize(
         "build",
@@ -388,7 +410,7 @@ class TestConfigFlags:
             ),
             lambda: pl.SolverConfig(
                 step=pl.StepPolicy(mode="fixed", fixed_step=np.float32(0.25)),
-                weight=pl.WeightPolicy(mode="fixed", fixed_weight=np.float16(2.0)),
+                weight=pl.WeightPolicy(mode="fixed"),
                 termination=pl.TerminationCriteria(iteration_limit=np.uint8(200)),
             ),
         ],

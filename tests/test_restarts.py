@@ -74,6 +74,9 @@ class TestNormalizedGap:
         for bad in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(pl.InvalidRadius):
                 normalized_duality_gap(toy_saddle, [1.0], [1.0], bad)
+        # a numpy radius is named as a plain number
+        with pytest.raises(pl.InvalidRadius, match=r"^radius must be positive and finite, got -1\.0$"):
+            normalized_duality_gap(toy_saddle, [1.0], [1.0], np.float64(-1.0))
 
     def test_bit_identical_to_plain_bisection(self):
         # the bisection as first written, allocating a vector per pass, with

@@ -455,7 +455,7 @@ class TestHalpern:
             pl.SolverConfig(
                 restart=pl.RestartConfig(scheme="none"),
                 step=pl.StepPolicy(mode="fixed", fixed_step=0.4),
-                weight=pl.WeightPolicy(mode="fixed", fixed_weight=2.0),
+                weight=pl.WeightPolicy(mode="fixed"),
                 termination=pl.TerminationCriteria(tol_optimal=1e-6),
             ),
         ],
@@ -591,7 +591,7 @@ class TestTrajectory:
             scaling="none",
             restart=pl.RestartConfig(scheme="none"),
             step=pl.StepPolicy(mode="fixed", fixed_step=0.2),
-            weight=pl.WeightPolicy(mode="fixed", fixed_weight=1.0),
+            weight=pl.WeightPolicy(mode="fixed"),
         )
 
     def test_driver_reproduces_plain_iteration_exactly(self):
@@ -652,7 +652,7 @@ class TestTrajectory:
                 scaling="none",
                 restart=pl.RestartConfig(scheme=scheme),
                 step=pl.StepPolicy(mode="fixed", fixed_step=0.2),
-                weight=pl.WeightPolicy(mode="fixed", fixed_weight=1.0),
+                weight=pl.WeightPolicy(mode="fixed"),
             )
 
         report_plain = pl.solve(pl.generate_bilinear_toy(), config("none"))

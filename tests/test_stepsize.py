@@ -31,10 +31,10 @@ class TestInitialization:
             toy_saddle,
             2.0,
             StepPolicy(mode="fixed", fixed_step=0.125),
-            WeightPolicy(mode="fixed", fixed_weight=3.0),
+            WeightPolicy(mode="fixed"),
         )
         assert step.step_size == 0.125
-        assert step.primal_weight == 3.0
+        assert step.primal_weight == 1.0
 
     def test_adaptive_step_from_max_entry(self):
         problem = pl.LpProblem(c=[0.0], eq_matrix=[[4.0]], eq_rhs=[1.0])
@@ -72,21 +72,23 @@ class TestInitialization:
         [
             lambda: StepPolicy(mode="halpern", fixed_step=0.5),
             lambda: StepPolicy(mode="adaptive", fixed_step=0.5),
-            lambda: WeightPolicy(fixed_weight=5.0),
         ],
-        ids=["halpern_step", "adaptive_step", "adaptive_weight"],
+        ids=["halpern_step", "adaptive_step"],
     )
     def test_fixed_value_only_with_fixed_mode(self, build):
         # a fixed value has one meaning, the fixed mode's, and no other mode ignores one
-        with pytest.raises(pl.NonPositiveInput, match=r"^fixed_(step|weight) is for mode 'fixed' only"):
+        with pytest.raises(pl.NonPositiveInput, match=r"^fixed_step is for mode 'fixed' only"):
             build()
 
     def test_fixed_value_with_other_mode_rejected_in_config_block(self):
         block = pl.config_flags(pl.SolverConfig())
-        for key, fixed in (("step", "fixed_step"), ("weight", "fixed_weight")):
-            old = {**block, key: {**block[key], fixed: 0.5}}
-            with pytest.raises(ValueError, match=rf"^config {key}: {fixed} is for mode 'fixed' only"):
-                pl.config_from_flags(old)
+        old = {**block, "step": {**block["step"], "fixed_step": 0.5}}
+        with pytest.raises(ValueError, match=r"^config step: fixed_step is for mode 'fixed' only"):
+            pl.config_from_flags(old)
+        # the fixed weight is 1, so a weight block has no value to carry
+        old = {**block, "weight": {**block["weight"], "fixed_weight": 0.5}}
+        with pytest.raises(ValueError, match=r"^unknown config flags: \['weight\.fixed_weight'\]"):
+            pl.config_from_flags(old)
 
 
 def measured_step_bound(saddle, x_before, y_before, x_after, y_after, weight):
