@@ -77,7 +77,6 @@ from .termination import (
     CertificateVerdict,
     KktReport,
     TerminationCriteria,
-    bound_objective_term,
     check_dual_infeasible,
     check_optimal,
     check_primal_infeasible,

@@ -4,6 +4,7 @@ raise NonPositiveInput."""
 import contextlib
 import numbers
 import operator
+import sys
 
 
 class SolverError(Exception):
@@ -44,12 +45,27 @@ class NonPositiveInput(SolverError):
     pass
 
 
+def _shown(value):
+    """``repr(value)``, or the size of an integer too long for Python's
+    decimal text (``sys.get_int_max_str_digits``), whose repr raises."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} integer of more than {sys.get_int_max_str_digits()} digits"
+
+
 def _count(name, value, least=0):
     """``value`` as a Python int >= ``least``, as the config block reads it
-    back: a numpy integer is taken, and a bool or a float, an infinity
-    included, raises NonPositiveInput."""
+    back: a numpy integer is taken, and a bool, a float, an infinity
+    included, or an integer longer than Python writes as decimal text (so
+    no config block could carry it) raises NonPositiveInput."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise NonPositiveInput(f"{name} must be an integer >= {least}, got {value!r}")
+        raise NonPositiveInput(f"{name} must be an integer >= {least}, got {_shown(value)}")
+    try:
+        str(value)
+    except ValueError:
+        digits = sys.get_int_max_str_digits()
+        raise NonPositiveInput(f"{name} must have at most {digits} digits, got {_shown(value)}") from None
     return operator.index(value)
 
 
@@ -59,7 +75,7 @@ def _real(name, value):
     if not isinstance(value, bool) and isinstance(value, numbers.Real):
         with contextlib.suppress(OverflowError):
             return float(value)
-    raise NonPositiveInput(f"{name} must be a real number, got {value!r}")
+    raise NonPositiveInput(f"{name} must be a real number, got {_shown(value)}")
 
 
 class NonPositiveQuadraticForm(SolverError):

@@ -132,6 +132,8 @@ def validate(problem):
         nonfinite.append("ineq_rhs contains non-finite entries")
     if not np.all(np.isfinite(problem.eq_rhs)):
         nonfinite.append("eq_rhs contains non-finite entries")
+    if not np.isfinite(problem.objective_offset):
+        nonfinite.append("objective_offset is not finite")
     # lower may be -inf, upper +inf, but never NaN or the opposite infinity
     if np.any(np.isnan(problem.lower)) or np.any(problem.lower == np.inf):
         nonfinite.append("lower contains NaN or +inf entries")
@@ -163,7 +165,8 @@ class SaddleForm:
     """The stacked saddle-point view min_x max_y c'x - y'Kx + q'y.
 
     K holds the inequality block on top of the equality block; the first
-    ``m1`` dual variables are sign constrained (y_i >= 0).
+    ``m1`` dual variables are sign constrained (y_i >= 0).  The LP's
+    objective offset and sign stay on the LpProblem.
     """
 
     K: SparseMatrix
@@ -172,8 +175,6 @@ class SaddleForm:
     c: np.ndarray
     l: np.ndarray
     u: np.ndarray
-    objective_offset: float = 0.0
-    objective_sign: int = 1
 
     @property
     def num_primal(self):
@@ -195,8 +196,6 @@ def to_saddle(problem):
         c=problem.c.copy(),
         l=problem.lower.copy(),
         u=problem.upper.copy(),
-        objective_offset=problem.objective_offset,
-        objective_sign=problem.objective_sign,
     )
 
 

@@ -37,7 +37,7 @@ from .scaling import DEFAULT_SCALING, SCALING_MODES, apply_scaling, combined_res
 from .sparse import dot, spectral_norm_estimate
 from .stepsize import StepPolicy, WeightPolicy, adaptive_step, initialize_step_state, update_primal_weight
 from .termination import (
-    TerminationCriteria, _norm, check_constants, check_dual_infeasible, check_optimal,
+    TerminationCriteria, _cone_violation, _norm, check_constants, check_dual_infeasible, check_optimal,
     check_primal_infeasible, extract_certificates, kkt_error,
 )
 
@@ -170,8 +170,8 @@ def _ray_hits(saddle0, candidates, tol, constants, unfrozen):
     ``unfrozen`` a normalized candidate must also be unable to show a ray:
     its dual ray is skipped only with a violation above FREEZE_TOLERANCE as
     well, and its primal ray is always checked.  The parts are computed as
-    the checks compute them, on the normalized ray, so every verdict is the
-    one the full check gives."""
+    the checks compute them (``_cone_violation``), on the normalized ray, so
+    every verdict is the one the full check gives."""
     hits = ([], [])
     shows = False
     m1 = saddle0.m1
@@ -183,7 +183,7 @@ def _ray_hits(saddle0, candidates, tol, constants, unfrozen):
             if not 0.0 < norm < math.inf:
                 continue
             if check is check_primal_infeasible:
-                violation = float(max(0.0, -(ray[:m1] / norm).min())) if m1 else 0.0
+                violation = _cone_violation(ray[:m1] / norm)
                 ruled_out = violation > tol and not (may_show and violation <= FREEZE_TOLERANCE)
             else:
                 ruled_out = not may_show and -dot(saddle0.c, ray / norm) < gain_floor
@@ -415,8 +415,7 @@ def solve(problem, config=None):
         xu, yu = unscale_solution(state.x, state.y, scaling)
         last_kkt, last_point = kkt_error(saddle0, xu, yu, constants), (xu, yu)
     xu, yu = last_point
-    sign = saddle0.objective_sign
-    offset = saddle0.objective_offset
+    sign, offset = problem.objective_sign, problem.objective_offset
     matvecs = saddle0.K.matvec_calls + saddle0.K.rmatvec_calls
     if saddle.K is not saddle0.K:
         matvecs += saddle.K.matvec_calls + saddle.K.rmatvec_calls

@@ -7,6 +7,9 @@ computes them once, ``solve`` passes them to every check, and a direct call
 without them computes them itself, with the same result.  ``solve`` also
 passes each candidate ray's norm, which it has computed, to the certificate
 checks.
+Each rule is stated once: ``_reduced_costs`` (the admitted reduced costs
+and their bound term), ``_cone_violation`` (sign-constrained entries below
+zero, which ``solve``'s pre-test of a dual ray shares) and ``_verdict``.
 """
 
 from dataclasses import dataclass
@@ -61,18 +64,15 @@ class KktReport:
 class CheckConstants:
     """What the checks compute from the problem data alone.
 
-    ``lfin``/``ufin`` mark the finite bounds, ``below``/``above``/``both``
-    the variables bounded below only, above only and on both sides (None
-    when there are none); ``norm_q``/``norm_c`` are the norms that relate
-    the KKT residuals, ``primal_scale``/``dual_scale`` those that relate
-    the certificates' gains.
+    ``lfin``/``ufin`` mark the finite bounds, which decide both the reduced
+    costs a variable admits and the directions a primal ray may take;
+    ``norm_q``/``norm_c`` are the norms that relate the KKT residuals,
+    ``primal_scale``/``dual_scale`` those that relate the certificates'
+    gains.
     """
 
     lfin: np.ndarray
     ufin: np.ndarray
-    below: np.ndarray
-    above: np.ndarray
-    both: np.ndarray
     norm_q: float
     norm_c: float
     primal_scale: float
@@ -84,9 +84,6 @@ def check_constants(saddle):
     l, u = saddle.l, saddle.u
     lfin = np.isfinite(l)
     ufin = np.isfinite(u)
-    below = lfin & ~ufin
-    above = ufin & ~lfin
-    both = lfin & ufin
     # The certificate scales take the plain square root of the summed
     # squares, which is inf where _norm rescales; they differ only on data
     # whose squares overflow.
@@ -97,9 +94,6 @@ def check_constants(saddle):
     return CheckConstants(
         lfin=lfin,
         ufin=ufin,
-        below=below if below.any() else None,
-        above=above if above.any() else None,
-        both=both if both.any() else None,
         norm_q=norm_q,
         norm_c=norm_c,
         primal_scale=max(1.0, data_norm_q, _finite_abs_max(l), _finite_abs_max(u)),
@@ -107,30 +101,26 @@ def check_constants(saddle):
     )
 
 
-def _project_reduced_costs(r, lfin, ufin):
-    """Project r onto the cone of reduced costs compatible with the bounds,
-    given their finite masks: coordinate i admits lambda_i >= 0 only when
-    l_i is finite (``lfin``) and lambda_i <= 0 only when u_i is finite
-    (``ufin``); free variables force lambda_i = 0.
-    """
-    lam = np.zeros_like(r)
+def _reduced_costs(r, l, u, lfin, ufin):
+    """The reduced costs lambda that the bounds admit, and their bound term:
+    lambda_i = r_i where r_i > 0 and l_i is finite (``lfin``) or r_i < 0 and
+    u_i is finite (``ufin``), else 0; the term sums l_i lambda_i over the
+    first kind, then u_i lambda_i over the second."""
     pos = (r > 0) & lfin
     neg = (r < 0) & ufin
-    lam[pos] = r[pos]
-    lam[neg] = r[neg]
-    return lam
+    lam = np.where(pos | neg, r, 0.0)
+    term = 0.0
+    if pos.any():
+        term += dot(l[pos], r[pos])
+    if neg.any():
+        term += dot(u[neg], r[neg])
+    return lam, term
 
 
-def bound_objective_term(lam, l, u):
-    """sum of l_i lambda_i over lambda_i > 0 plus u_i lambda_i over lambda_i < 0."""
-    pos = lam > 0
-    neg = lam < 0
-    total = 0.0
-    if np.any(pos):
-        total += dot(l[pos], lam[pos])
-    if np.any(neg):
-        total += dot(u[neg], lam[neg])
-    return total
+def _cone_violation(head):
+    """max(0, -min(head)): how far the sign-constrained entries ``head``
+    fall below zero, 0 when there are none."""
+    return float(max(0.0, -head.min())) if head.size else 0.0
 
 
 def _norm(*parts):
@@ -165,12 +155,11 @@ def kkt_error(saddle, x, y, constants=None):
         ineq_violation = np.maximum(saddle.q[:m1] - kx[:m1], 0.0)
         eq_violation = kx[m1:] - saddle.q[m1:]
         r = saddle.c - saddle.K.rmatvec(y)
-        lam = _project_reduced_costs(r, constants.lfin, constants.ufin)
-        diff = r - lam
+        lam, bound_term = _reduced_costs(r, saddle.l, saddle.u, constants.lfin, constants.ufin)
         primal_residual = _norm(ineq_violation, eq_violation)
-        dual_residual = _norm(diff)
+        dual_residual = _norm(r - lam)
         primal_objective = dot(saddle.c, x)
-        dual_objective = dot(saddle.q, y) + bound_objective_term(lam, saddle.l, saddle.u)
+        dual_objective = dot(saddle.q, y) + bound_term
     duality_gap = abs(primal_objective - dual_objective)
 
     return KktReport(
@@ -223,6 +212,11 @@ class CertificateVerdict:
     margin: float
 
 
+def _verdict(residual, gain, tol, scale):
+    """A unit ray is valid with residual at most tol and gain at least tol * scale."""
+    return CertificateVerdict(residual <= tol and gain >= tol * scale, residual, gain, gain / scale - residual)
+
+
 def _unit(ray):
     ray = np.asarray(ray, dtype=np.float64)
     with np.errstate(over="ignore"):
@@ -244,16 +238,11 @@ def check_primal_infeasible(saddle, y_ray, tol, constants=None, *, norm=None):
     if constants is None:
         constants = check_constants(saddle)
     yhat = _unit(y_ray) if norm is None else y_ray / norm
-    m1 = saddle.m1
-    cone_violation = float(max(0.0, -yhat[:m1].min())) if m1 else 0.0
     rhat = -saddle.K.rmatvec(yhat)
-    lamhat = _project_reduced_costs(rhat, constants.lfin, constants.ufin)
-    attain = float(np.max(np.abs(rhat - lamhat))) if rhat.size else 0.0
-    residual = max(cone_violation, attain)
-    gain = dot(saddle.q, yhat) + bound_objective_term(lamhat, saddle.l, saddle.u)
-    scale = constants.primal_scale
-    valid = residual <= tol and gain >= tol * scale
-    return CertificateVerdict(valid=valid, residual=residual, gain=gain, margin=gain / scale - residual)
+    lamhat, bound_term = _reduced_costs(rhat, saddle.l, saddle.u, constants.lfin, constants.ufin)
+    attain = float(np.max(np.abs(rhat - lamhat), initial=0.0))
+    residual = max(_cone_violation(yhat[:saddle.m1]), attain)
+    return _verdict(residual, dot(saddle.q, yhat) + bound_term, tol, constants.primal_scale)
 
 
 def check_dual_infeasible(saddle, x_ray, tol, constants=None, *, norm=None):
@@ -265,22 +254,11 @@ def check_dual_infeasible(saddle, x_ray, tol, constants=None, *, norm=None):
     d = _unit(x_ray) if norm is None else x_ray / norm
     kd = saddle.K.matvec(d)
     m1 = saddle.m1
-    residual = 0.0
-    if kd[m1:].size:
-        residual = float(np.max(np.abs(kd[m1:])))
-    if m1:
-        residual = max(residual, float(max(0.0, -kd[:m1].min())))
-    below, above, both = constants.below, constants.above, constants.both
-    if below is not None:
-        residual = max(residual, float(np.max(np.maximum(-d[below], 0.0))))
-    if above is not None:
-        residual = max(residual, float(np.max(np.maximum(d[above], 0.0))))
-    if both is not None:
-        residual = max(residual, float(np.max(np.abs(d[both]))))
-    gain = -dot(saddle.c, d)
-    scale = constants.dual_scale
-    valid = residual <= tol and gain >= tol * scale
-    return CertificateVerdict(valid=valid, residual=residual, gain=gain, margin=gain / scale - residual)
+    # the box's recession cone: d_i >= 0 where l_i is finite, d_i <= 0 where u_i is
+    box_excess = np.maximum(np.where(constants.lfin, -d, 0.0), np.where(constants.ufin, d, 0.0))
+    residual = max(float(np.max(np.abs(kd[m1:]), initial=0.0)), _cone_violation(kd[:m1]))
+    residual = max(residual, float(np.max(box_excess, initial=0.0)))
+    return _verdict(residual, -dot(saddle.c, d), tol, constants.dual_scale)
 
 
 def _finite_abs_max(v):

@@ -282,6 +282,13 @@ class TestSolve:
         code, out, err = run_cli(["solve", str(path)])
         assert (code, out, err) == (1, "", f"pdhg-lp: invalid problem: {message}\n")
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_objective_offset_exits_one(self, tmp_path, value):
+        path = tmp_path / "offset.mps"
+        path.write_text(f"NAME C\nROWS\n N  OBJ\nCOLUMNS\n    X1  OBJ  1.0\nRHS\n    RHS  OBJ  {value}\nENDATA\n")
+        code, out, err = run_cli(["solve", str(path)])
+        assert (code, out, err) == (1, "", "pdhg-lp: invalid problem: objective_offset is not finite\n")
+
     def test_usage_error_exits_one(self):
         code, _, _ = run_cli([])
         assert code == 1

@@ -272,6 +272,18 @@ class TestNonFiniteData:
         with pytest.raises(pl.NonFiniteData, match=f"^{re.escape(message)}$"):
             parse_mps(text)
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_objective_offset_rejected(self, value):
+        # the objective row's right-hand side is minus the offset; validate,
+        # and with it the reader, the writer and solve, refuse it
+        message = "^objective_offset is not finite$"
+        with pytest.raises(pl.NonFiniteData, match=message):
+            parse_mps(FINITE.replace("RHS  LIM  4.0", f"RHS  LIM  4.0\n    RHS  OBJ  {value}"))
+        problem = pl.LpProblem(c=[1.0], objective_offset=float(value))
+        for refuse in (pl.validate, write_mps, pl.solve):
+            with pytest.raises(pl.NonFiniteData, match=message):
+                refuse(problem)
+
     def test_crossed_bounds_still_parse(self):
         # an infeasible LP, which write_mps writes and the reader takes back
         problem = parse_mps(FINITE.replace(" UP BND  X1  3.0", " LO BND  X1  5.0\n UP BND  X1  3.0"))

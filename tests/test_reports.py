@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -174,7 +175,7 @@ class TestConfigFlags:
             "RestartConfig": "(scheme: str = 'adaptive') -> None",
             "SaddleForm": (
                 "(K: pdhg_lp.sparse.SparseMatrix, q: numpy.ndarray, m1: int, c: numpy.ndarray, l: numpy.ndarray, "
-                "u: numpy.ndarray, objective_offset: float = 0.0, objective_sign: int = 1) -> None"
+                "u: numpy.ndarray) -> None"
             ),
             "ScalingInfo": (
                 "(row_scale: numpy.ndarray, col_scale: numpy.ndarray, row_order: numpy.ndarray = None) -> None"
@@ -203,7 +204,6 @@ class TestConfigFlags:
             "apply_restart": "(state, candidate)",
             "apply_scaling": "(saddle, scaling)",
             "barabasi_albert_edges": "(num_nodes, attach_degree, seed=0)",
-            "bound_objective_term": "(lam, l, u)",
             "check_dual_infeasible": "(saddle, x_ray, tol, constants=None, *, norm=None)",
             "check_optimal": "(report, criteria)",
             "check_primal_infeasible": "(saddle, y_ray, tol, constants=None, *, norm=None)",
@@ -382,6 +382,32 @@ class TestConfigFlags:
         for name, build in builds.items():
             with pytest.raises(pl.NonPositiveInput, match=rf"^{name} must be a real number, got {re.escape(repr(value))}$"):
                 build()
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer string conversion")
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("tol_optimal", 10**5000),
+            ("iteration_limit", 10**5000),
+            ("iteration_limit", -(10**5000)),
+            ("log_interval", 10**5000),
+            ("fixed_step", 10**5000),
+        ],
+        ids=["tol_optimal", "iteration_limit", "negative_iteration_limit", "log_interval", "fixed_step"],
+    )
+    def test_integer_too_long_for_decimal_text_named_by_its_field(self, name, value):
+        # repr of such an integer raises Python's own ValueError, so neither
+        # the error nor the config block could write it: the error names the
+        # field and shows the integer by its size
+        build = {
+            "tol_optimal": lambda: pl.TerminationCriteria(tol_optimal=value),
+            "iteration_limit": lambda: pl.TerminationCriteria(iteration_limit=value),
+            "log_interval": lambda: pl.SolverConfig(log_interval=value),
+            "fixed_step": lambda: pl.StepPolicy(mode="fixed", fixed_step=value),
+        }[name]
+        size = f"{'a negative' if value < 0 else 'an'} integer of more than {sys.get_int_max_str_digits()} digits"
+        with pytest.raises(pl.NonPositiveInput, match=f"^{name} must .*, got {size}$"):
+            build()
 
     @pytest.mark.parametrize(
         "path, value",

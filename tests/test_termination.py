@@ -10,7 +10,6 @@ from pdhg_lp import (
     CertificateCandidate,
     CertificateVerdict,
     TerminationCriteria,
-    bound_objective_term,
     check_dual_infeasible,
     check_optimal,
     check_primal_infeasible,
@@ -29,6 +28,18 @@ def reduced_cost_projection(r, l, u):
     """The reduced costs that the bounds admit, from the bounds themselves:
     r_i where r_i > 0 and l_i is finite or r_i < 0 and u_i is finite, else 0."""
     return np.where((r > 0) & np.isfinite(l) | (r < 0) & np.isfinite(u), r, 0.0)
+
+
+def bound_objective_term(lam, l, u):
+    """sum of l_i lambda_i over lambda_i > 0 plus u_i lambda_i over lambda_i < 0."""
+    pos = lam > 0
+    neg = lam < 0
+    total = 0.0
+    if np.any(pos):
+        total += dot(l[pos], lam[pos])
+    if np.any(neg):
+        total += dot(u[neg], lam[neg])
+    return total
 
 
 def one_var_problem():
@@ -156,13 +167,13 @@ class TestReducedCosts:
         l = np.array([0.0, -np.inf, 0.0, -np.inf])
         u = np.array([np.inf, 0.0, 1.0, np.inf])
         r = np.array([2.0, 2.0, -2.0, 2.0])
-        lam = termination._project_reduced_costs(r, np.isfinite(l), np.isfinite(u))
+        lam, _ = termination._reduced_costs(r, l, u, np.isfinite(l), np.isfinite(u))
         # lower-bounded: keeps positive part; upper-bounded: keeps negative
         # part; boxed: keeps either; free: forced to zero
         np.testing.assert_array_equal(lam, [2.0, 0.0, -2.0, 0.0])
 
     def test_negative_at_lower_rejected(self):
-        lam = termination._project_reduced_costs(np.array([-3.0]), np.array([True]), np.array([False]))
+        lam, _ = termination._reduced_costs(np.array([-3.0]), np.zeros(1), np.full(1, np.inf), np.array([True]), np.array([False]))
         np.testing.assert_array_equal(lam, [0.0])
 
     def test_bound_objective_term(self):
@@ -170,6 +181,10 @@ class TestReducedCosts:
         l = np.array([1.0, 0.0])
         u = np.array([5.0, 2.0])
         assert bound_objective_term(lam, l, u) == pytest.approx(1 * 2 + 2 * -3)
+        # lam is its own projection here, and _reduced_costs sums the same term
+        lam_again, term = termination._reduced_costs(lam, l, u, np.isfinite(l), np.isfinite(u))
+        np.testing.assert_array_equal(lam_again, lam)
+        assert term == bound_objective_term(lam, l, u)
 
 
 class TestCheckOptimal:
@@ -431,3 +446,73 @@ class TestCheckConstants:
                     verdicts += self.assert_same_verdicts(saddle, constants, cand.y, cand.x)
             prev = cur
         assert verdicts > 0
+
+
+def _with_bounds(saddle, rng, kind):
+    """``saddle`` with some variables fixed (l == u) or every one free."""
+    l, u = saddle.l.copy(), saddle.u.copy()
+    if kind == "free":
+        l[:], u[:] = -np.inf, np.inf
+    else:
+        fixed = rng.random(l.shape[0]) < 0.6
+        fixed[rng.integers(l.shape[0])] = True
+        value = np.where(np.isfinite(l), l, np.where(np.isfinite(u), u, rng.standard_normal(l.shape[0])))
+        l[fixed] = u[fixed] = value[fixed]
+    return dataclasses.replace(saddle, l=l, u=u)
+
+
+def _random_ray(rng, size, head):
+    """A nonzero ray: normal, or entries in {-1, 0, 1} for ties at zero,
+    with its first ``head`` entries made nonnegative half the time."""
+    while True:
+        ray = rng.standard_normal(size) if rng.random() < 0.5 else rng.integers(-1, 2, size).astype(float)
+        if rng.random() < 0.5:
+            ray[:head] = np.abs(ray[:head])
+        if np.any(ray):
+            return ray * 10.0 ** rng.uniform(-3, 3)
+
+
+class TestChecksOnRandomDraws:
+    """The checks and the KKT error agree byte for byte with the in-file
+    references on random small problems, points and rays, beyond the nine
+    fixed problems of TestCheckConstants: bounds of every kind, fixed
+    variables (l == u) and problems whose variables are all free."""
+
+    @pytest.mark.parametrize("kind", ["random", "fixed", "free"])
+    def test_same_as_the_references(self, kind):
+        rng = np.random.default_rng({"random": 35, "fixed": 36, "free": 37}[kind])
+        valid = 0
+        for _ in range(300 if kind == "random" else 100):
+            saddle, x, y = random_small_saddle(rng)
+            if kind != "random":
+                saddle = _with_bounds(saddle, rng, kind)
+                x = np.clip(x, saddle.l, saddle.u)
+            constants = check_constants(saddle)
+            assert_same_kkt(saddle, x, y, constants)
+            report = kkt_error(saddle, x, y, constants)
+            r = saddle.c - saddle.K.rmatvec(y)
+            lam = reduced_cost_projection(r, saddle.l, saddle.u)
+            assert report.dual_residual == math.sqrt(dot(r - lam, r - lam))
+            assert report.dual_objective == dot(saddle.q, y) + bound_objective_term(lam, saddle.l, saddle.u)
+            # a loose tolerance lets some rays pass, a tight one few, and a
+            # zero one tests the rule's equality case on exact rays
+            tol = (0.0, 1e-10, 0.5)[rng.integers(3)]
+            for check, reference, size, head in (
+                (check_primal_infeasible, reference_primal_verdict, saddle.num_dual, saddle.m1),
+                (check_dual_infeasible, reference_dual_verdict, saddle.num_primal, 0),
+            ):
+                if not size:
+                    continue
+                ray = _random_ray(rng, size, head)
+                expected = reference(saddle, ray, tol)
+                for verdict in (
+                    check(saddle, ray, tol),
+                    check(saddle, ray, tol, constants),
+                    check(saddle, ray, tol, constants, norm=termination._norm(ray)),
+                ):
+                    assert verdict == expected
+                    assert np.array([verdict.residual, verdict.gain, verdict.margin]).tobytes() == np.array(
+                        [expected.residual, expected.gain, expected.margin]
+                    ).tobytes()
+                valid += expected.valid
+        assert valid > 0
