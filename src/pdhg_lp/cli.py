@@ -318,7 +318,7 @@ def _cmd_bench(args):
         return 1
     tasks = [(path, name, configs[name], args.mps_fixed) for path in paths for name in config_names]
     if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_bench_one, tasks))
     else:
         rows = [_bench_one(t) for t in tasks]

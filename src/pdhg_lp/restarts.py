@@ -1,4 +1,4 @@
-"""Restart machinery: the normalized duality gap and restart decisions.
+"""Restart machinery: the normalized duality gap, restart decisions and their schedule.
 
 Under PDHG the adaptive scheme restarts to the epoch's average when its
 normalized duality gap has decayed; under the Halpern step it restarts to
@@ -47,16 +47,10 @@ RESIDUAL_NECESSARY_DECAY = 0.8
 
 @dataclass(frozen=True)
 class RestartConfig:
-    """Restart scheme parameters.
-
-    scheme: "none" or "adaptive" (a decay test plus an artificial cap).
-    Under PDHG the decay test is on the normalized gap, every
-    ``GAP_EVAL_INTERVAL`` iterations, with ``GAP_SUFFICIENT_DECAY`` as its
-    bound, and a restart goes to the running average of the epoch.  Under
-    the Halpern step it is on the fixed-point residual, every
-    ``RESIDUAL_EVAL_INTERVAL`` iterations, the cap is tested at every
-    iteration, and a restart goes to T(z).
-    """
+    """Restart scheme parameters.  scheme: "none" or "adaptive", a decay
+    test at the points of ``schedule`` plus an artificial cap: under PDHG
+    of the normalized gap, restarting to the epoch's average, and under the
+    Halpern step of the fixed-point residual, restarting to T(z)."""
 
     scheme: str = "adaptive"
 
@@ -176,24 +170,29 @@ def should_restart(state, candidate_gap=None, reference_gap=None, residuals=None
 
 
 def artificial_cap_reached(state):
-    """The adaptive scheme's epoch has reached max(MIN_ARTIFICIAL,
-    ARTIFICIAL_FRACTION * total iterations)."""
-    return state.inner_count >= max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * state.total_count)
+    """The adaptive scheme's epoch has reached its artificial cap."""
+    return state.inner_count >= _artificial_cap(state)
 
 
-def steps_to_next_test(state, halpern):
-    """Steps from the state to the adaptive scheme's next restart test: the
-    next multiple of GAP_EVAL_INTERVAL under PDHG; under Halpern 1 at an
-    epoch's first step, else the next multiple of RESIDUAL_EVAL_INTERVAL or
-    the step where the epoch reaches today's artificial cap, which only
-    grows, so it is not reached sooner."""
+def _artificial_cap(state):
+    """max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * total iterations)."""
+    return max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * state.total_count)
+
+
+def schedule(state, halpern):
+    """The adaptive scheme's one schedule, which ``solve`` keeps: (the
+    epoch count of the next point after the state's, the steps a stretch
+    may take toward it).  The points are the multiples of
+    GAP_EVAL_INTERVAL under PDHG; under Halpern the epoch's first step,
+    whose residual is the epoch's reference, and the multiples of
+    RESIDUAL_EVAL_INTERVAL, and the cap is tested after every stretch, so
+    the steps stop where the epoch reaches today's cap, which only grows."""
     inner = state.inner_count
-    if not halpern:
-        return GAP_EVAL_INTERVAL - inner % GAP_EVAL_INTERVAL
-    if inner == 0:
-        return 1
-    cap = max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * state.total_count)
-    return min(RESIDUAL_EVAL_INTERVAL - inner % RESIDUAL_EVAL_INTERVAL, max(1, math.ceil(cap - inner)))
+    every = RESIDUAL_EVAL_INTERVAL if halpern else GAP_EVAL_INTERVAL
+    point = 1 if halpern and inner == 0 else inner - inner % every + every
+    if halpern:
+        return point, min(point - inner, max(1, math.ceil(_artificial_cap(state) - inner)))
+    return point, point - inner
 
 
 def apply_restart(state, candidate):

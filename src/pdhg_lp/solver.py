@@ -1,20 +1,21 @@
 """Solve driver: scaling, the restarted PDHG loop, and termination checks.
 
-The loop works in the scaled space; every termination decision (KKT errors,
-infeasibility certificates) is made on unscaled iterates against the
-original data.
+Each pass of ``solve``'s loop is a check, then one adaptive step or a
+stretch of constant steps, then the restart test.  The check works on
+unscaled iterates against the original data: KKT errors, the history row,
+infeasibility rays (``_ray_hits``, confirmed by ``_confirmed``) and the
+limits; any stop is one (status, reason, certificate).  A stretch is one
+``pdhg_step`` call up to the loop's next event: a check, a log line, the
+iteration limit or a point of the restart schedule (``restarts.schedule``);
+a time limit ends it at the step where the loop would have stopped.  The
+restart test (``_RestartTest``) keeps the epoch's reference.
 
 On small problems an iteration costs more in Python than in arithmetic, so
-``solve`` does per solve what need not be done per iteration: it enters the
-step kernel's np.errstate(over="ignore", invalid="ignore") once around the
-loop (the steps are called with ``errstate=False``), and it computes the
-checks' per-problem constants (``termination.check_constants``: the
-finite-bound masks, ||q||, ||c|| and the certificate scales) once, for
-every KKT and certificate check.  Each candidate ray's norm is computed once
-and passed to the certificate checks.  Both constant steps run in
-stretches, one ``pdhg_step`` call from one event of the loop (a check, a
-log line, a restart test, the iteration limit) to the next; a time limit
-ends a stretch at the step where the loop would have stopped.
+``solve`` enters the step kernel's np.errstate(over="ignore",
+invalid="ignore") once around the loop (the steps are called with
+``errstate=False``), and computes the checks' per-problem constants
+(``termination.check_constants``) once, for every KKT and certificate
+check.  Each candidate ray's norm is computed once.
 
 On a large problem the working space also groups K's rows by length
 (``scaling.length_order``), which makes the CSR products faster; y goes
@@ -196,6 +197,83 @@ def _ray_hits(saddle0, candidates, tol, constants, unfrozen):
     return hits, shows
 
 
+def _confirmed(hits, streaks):
+    """Count in ``streaks`` the checks in a row with a valid ray of each
+    kind in ``hits``; the stop of the first kind (primal first) at
+    CONFIRMATIONS_REQUIRED, certified by its ray of largest margin, or None."""
+    for k, kind_hits in enumerate(hits):
+        streaks[k] = streaks[k] + 1 if kind_hits else 0
+    for (status, kind, ray_name), streak, kind_hits in zip(_INFEASIBILITY_VERDICTS, streaks, hits):
+        if streak >= CONFIRMATIONS_REQUIRED:
+            verdict, cand, ray, norm = max(kind_hits, key=lambda h: h[0].margin)
+            certificate = {
+                "kind": kind,
+                "ray": ray / norm,
+                "source": cand.kind,
+                "residual": verdict.residual,
+                "gain": verdict.gain,
+                "margin": verdict.margin,
+            }
+            return status, f"{ray_name} ray certificate confirmed {streak} checks in a row", certificate
+    return None
+
+
+class _RestartTest:
+    """The adaptive scheme's restart test after a step or stretch, at the
+    points of ``restarts.schedule``: under Halpern of the last step's
+    fixed-point residual, at all but the epoch's first point, and of the
+    artificial cap after every stretch; under PDHG of the normalized gap of
+    the epoch's average at a point or check point.  It keeps the epoch's
+    reference (its first residual, or its start's gap, which
+    ``should_restart`` reads beside a gap only), the last residual and the
+    count of gap evaluations."""
+
+    def __init__(self, saddle, state, halpern):
+        self.saddle, self.halpern, self.gap_evaluations = saddle, halpern, 0
+        self.reference = self.last_residual = None
+        if not halpern:
+            with np.errstate(over="ignore"):
+                radius = _norm(state.x, state.y) + 1.0
+            self.reference = normalized_duality_gap(saddle, state.x, state.y, radius)
+            self.gap_evaluations += 1
+
+    def __call__(self, state, step, due, at_check):
+        """(fire, why); ``due``: at a point, ``at_check``: at a check."""
+        candidate_gap = residuals = None
+        if self.halpern:
+            if due:
+                residual = fixed_point_residual(state, step)
+                if self.reference is None:
+                    self.reference = residual
+                else:
+                    residuals = (residual, self.reference, self.last_residual)
+                self.last_residual = residual
+            if residuals is None and not restarts.artificial_cap_reached(state):
+                return False, None
+        elif due or at_check:
+            # the average into t, and its gap at its distance from the epoch's start
+            np.divide(state.sums, state.sum_weight, out=state.t)
+            np.subtract(state.t, state.anchor, out=state.r)
+            radius = _norm(*state.r_parts)
+            if 0.0 < radius < math.inf:
+                # Short of the artificial cap only a gap at or below the
+                # decay bound restarts, so the bisection may stop above it.
+                capped = restarts.artificial_cap_reached(state)
+                stop_above = math.inf if capped else restarts.GAP_SUFFICIENT_DECAY * self.reference
+                candidate_gap = normalized_duality_gap(self.saddle, *state.t_parts, radius, stop_above=stop_above)
+                self.gap_evaluations += 1
+        else:
+            return False, None
+        fire, why = should_restart(
+            state, candidate_gap=candidate_gap, reference_gap=self.reference, residuals=residuals
+        )
+        if fire and (self.halpern or candidate_gap is not None):
+            # the new epoch's reference: its first residual, yet to come, or
+            # the candidate's gap, the new start's at the distance it moved
+            self.reference = candidate_gap
+        return fire, why
+
+
 def solve(problem, config=None):
     """Run restarted PDHG, by default as reflected Halpern iteration, on an
     LpProblem and return a SolveReport.  The report's ``residual_history``
@@ -223,39 +301,22 @@ def solve(problem, config=None):
     halpern = config.step.mode == "halpern"
     # the adaptive rule runs until a ray shows, then the step is frozen
     adaptive = config.step.mode == "adaptive"
-    adaptive_restarts = config.restart.scheme == "adaptive"
-    gap_restarts = adaptive_restarts and not halpern
 
     step = initialize_step_state(saddle, norm_k, config.step, config.weight)
     state = IterateState.initial(saddle)
-    # The state's t holds the restart candidate of either kind, and under
-    # Halpern the T(z) of the last step, which a check tests (z0, which t
-    # starts as, at iteration 0); PDHG's checks test z.  The point before is
-    # the iterate the last step replaced, in prev.  r holds a candidate's
-    # move from the anchor.
-    t_parts, (r_x, r_y) = state.t_parts, state.r_parts
-
-    # for the gap rule, the normalized gap at the epoch start that the
-    # sufficient-decay test compares against; the epoch's start is the
-    # state's anchor
-    reference_gap = None
-    gap_evals = 0
-    if gap_restarts:
-        with np.errstate(over="ignore"):
-            radius = _norm(state.x, state.y) + 1.0
-        reference_gap = normalized_duality_gap(saddle, state.x, state.y, radius)
-        gap_evals += 1
-    # the Halpern epoch's first fixed-point residual, and the last one tested
-    first_residual = last_residual = None
+    # Under Halpern a check tests the T(z) of the last step, in the state's
+    # t (z0, which t starts as, at iteration 0); PDHG's checks test z.  The
+    # point before is the iterate the last step replaced, in prev.
+    t_parts = state.t_parts
+    restart_test = _RestartTest(saddle, state, halpern) if config.restart.scheme == "adaptive" else None
 
     x0_u, y0_u = unscale_solution(state.x, state.y, scaling)
     constants = check_constants(saddle0)
     streaks = [0, 0]  # consecutive checks with a valid primal / dual infeasibility ray
     history = []
     restarts_by_reason = {"gap_decay": 0, "residual_decay": 0, "artificial": 0}
-    status = None
-    reason = ""
-    certificate = None
+    # the iterations of the loop's next check and log line
+    next_check, next_log = 0, 0 if config.log_interval else math.inf
 
     iteration = 0
     # the step kernel's error state, entered once for the whole loop
@@ -263,27 +324,28 @@ def solve(problem, config=None):
         while True:
             hit_iters = iteration >= crit.iteration_limit
             hit_time = time.perf_counter() >= deadline
-            check_due = iteration % CHECK_INTERVAL == 0 or hit_iters or hit_time
-            log_due = config.log_interval and iteration % config.log_interval == 0
+            check_due = iteration == next_check or hit_iters or hit_time
+            log_due = iteration == next_log
             if check_due or log_due:
                 xu, yu = unscale_solution(*(t_parts if halpern else (state.x, state.y)), scaling)
                 kkt = kkt_error(saddle0, xu, yu, constants)
                 if log_due:
                     _log_progress(iteration, kkt, step)
-            # iteration 0 is a check, so last_kkt is set before any break
+                    next_log += config.log_interval
+            # iteration 0 is a check, so last_kkt is set before any stop
             if check_due:
-                ray_shows = False
+                next_check += CHECK_INTERVAL
                 last_kkt, last_point = kkt, (xu, yu)
                 history.append(
                     (iteration, kkt.rel_primal, kkt.rel_dual, kkt.rel_gap, step.step_size, step.primal_weight)
                 )
                 if check_optimal(kkt, crit):
-                    status = STATUS_OPTIMAL
-                    reason = f"relative KKT errors at or below {crit.tol_optimal}"
+                    stop = STATUS_OPTIMAL, f"relative KKT errors at or below {crit.tol_optimal}", None
                     break
+                ray_shows = False
                 if iteration > 0:
                     # No local keeps the point before or the candidates, so
-                    # they are not held into the restart block's gap evaluations.
+                    # they are not held into the restart test's gap evaluations.
                     hits, ray_shows = _ray_hits(
                         saddle0,
                         extract_certificates(
@@ -293,29 +355,14 @@ def solve(problem, config=None):
                         constants,
                         adaptive,
                     )
-                    streaks = [streak + 1 if h else 0 for streak, h in zip(streaks, hits)]
-                    confirmed = [k for k in (0, 1) if streaks[k] >= CONFIRMATIONS_REQUIRED]
-                    if confirmed:
-                        k = confirmed[0]  # primal first when both confirm at once
-                        verdict, cand, ray, norm = max(hits[k], key=lambda h: h[0].margin)
-                        status, kind, ray_name = _INFEASIBILITY_VERDICTS[k]
-                        certificate = {
-                            "kind": kind,
-                            "ray": ray / norm,
-                            "source": cand.kind,
-                            "residual": verdict.residual,
-                            "gain": verdict.gain,
-                            "margin": verdict.margin,
-                        }
-                        reason = f"{ray_name} ray certificate confirmed {streaks[k]} checks in a row"
+                    stop = _confirmed(hits, streaks)
+                    if stop:
                         break
                 if hit_iters:
-                    status = STATUS_ITERATION_LIMIT
-                    reason = f"iteration limit {crit.iteration_limit} reached"
+                    stop = STATUS_ITERATION_LIMIT, f"iteration limit {crit.iteration_limit} reached", None
                     break
                 if hit_time:
-                    status = STATUS_TIME_LIMIT
-                    reason = f"time limit {crit.time_limit_sec} s reached"
+                    stop = STATUS_TIME_LIMIT, f"time limit {crit.time_limit_sec} s reached", None
                     break
                 if adaptive and ray_shows:
                     # freeze at most the fixed step's 0.9 / ||K~||, below which it converges
@@ -329,88 +376,39 @@ def solve(problem, config=None):
                         " an infeasibility ray shows"
                     )
 
+            # the next restart point, and the steps a stretch may take to it
+            point, to_point = restarts.schedule(state, halpern) if restart_test is not None else (None, math.inf)
+            error = None
             try:
                 if adaptive:
                     state, step, accepted = adaptive_step(state, saddle, step, errstate=False)
                     if not accepted:
-                        status = STATUS_NUMERICAL_ERROR
-                        reason = f"adaptive step rejected {stepsize.MAX_RETRIES} trials in a row"
-                        break
+                        error = f"adaptive step rejected {stepsize.MAX_RETRIES} trials in a row"
                 else:
-                    # a constant step runs up to the next event: a check, a
-                    # log line, the iteration limit or a restart test
-                    stretch = min(CHECK_INTERVAL - iteration % CHECK_INTERVAL, crit.iteration_limit - iteration)
-                    if config.log_interval:
-                        stretch = min(stretch, config.log_interval - iteration % config.log_interval)
-                    if adaptive_restarts:
-                        stretch = min(stretch, restarts.steps_to_next_test(state, halpern))
+                    # a constant step runs up to the loop's next event
+                    stretch = min(next_check, next_log, crit.iteration_limit, iteration + to_point) - iteration
                     pdhg_step(state, saddle, step, halpern=halpern, errstate=False, count=stretch, deadline=deadline)
             except (NonFiniteIterate, StepSizeUnderflow) as err:
-                status = STATUS_NUMERICAL_ERROR
-                reason = str(err)
-                iteration = state.total_count
-                break
+                error = str(err)
             iteration = state.total_count
+            if error is not None:
+                stop = STATUS_NUMERICAL_ERROR, error, None
+                break
 
-            # Restart.  The adaptive scheme decides under the Halpern step from
-            # the fixed-point residual every RESIDUAL_EVAL_INTERVAL iterations
-            # and from the artificial cap after every stretch (each ends by the
-            # step at which the cap can first be reached), and goes to T(z);
-            # under PDHG it decides every GAP_EVAL_INTERVAL iterations and at
-            # check points, from the epoch average's normalized gap, and goes
-            # to the average.  Both candidates are in t.
-            if not adaptive_restarts:
-                continue
-            inner = state.inner_count
-            candidate_gap = residuals = None
-            if halpern:
-                test_residual = inner % restarts.RESIDUAL_EVAL_INTERVAL == 0
-                if test_residual or inner == 1:
-                    residual = fixed_point_residual(state, step)
-                    if inner == 1:
-                        first_residual = last_residual = residual
-                    if test_residual:
-                        residuals = (residual, first_residual, last_residual)
-                    last_residual = residual
-                if not (test_residual or restarts.artificial_cap_reached(state)):
-                    continue
-            else:
-                if not (inner % restarts.GAP_EVAL_INTERVAL == 0 or iteration % CHECK_INTERVAL == 0):
-                    continue
-                # the average into t, and its gap at its distance from the
-                # epoch start, when finite and nonzero; the average minus the
-                # anchor stays in r for the weight update
-                np.divide(state.sums, state.sum_weight, out=state.t)
-                np.subtract(state.t, state.anchor, out=state.r)
-                radius = _norm(r_x, r_y)
-                if 0.0 < radius < math.inf:
-                    # Short of the artificial cap only a gap at or below the
-                    # decay bound restarts, so the bisection may stop above it.
-                    stop_above = math.inf
-                    if not restarts.artificial_cap_reached(state):
-                        stop_above = restarts.GAP_SUFFICIENT_DECAY * reference_gap
-                    candidate_gap = normalized_duality_gap(saddle, *t_parts, radius, stop_above=stop_above)
-                    gap_evals += 1
-            fire, why = should_restart(
-                state, candidate_gap=candidate_gap, reference_gap=reference_gap, residuals=residuals
-            )
-            if not fire:
-                continue
-            restarts_by_reason[why] += 1
-            # the weight follows the candidate's move from the anchor, in r
-            if halpern:
-                np.subtract(state.t, state.anchor, out=state.r)
-            elif candidate_gap is not None:
-                # the new start's gap at the distance it moved is the candidate's
-                reference_gap = candidate_gap
-            step = replace(
-                step,
-                primal_weight=update_primal_weight(step.primal_weight, _norm(r_x), _norm(r_y), config.weight),
-            )
-            apply_restart(state, t_parts)
+            if restart_test is not None:
+                fire, why = restart_test(state, step, state.inner_count == point, iteration == next_check)
+                if fire:
+                    restarts_by_reason[why] += 1
+                    # the weight follows the candidate's move from the anchor, in r;
+                    # under PDHG the gap test wrote the same bits there already
+                    np.subtract(state.t, state.anchor, out=state.r)
+                    weight = update_primal_weight(step.primal_weight, *map(_norm, state.r_parts), config.weight)
+                    step = replace(step, primal_weight=weight)
+                    apply_restart(state, t_parts)
 
     # Final report.  For a numerical-error stop the state still holds the
     # last good iterate, which may be newer than the last check point.
+    status, reason, certificate = stop
     if status == STATUS_NUMERICAL_ERROR:
         xu, yu = unscale_solution(state.x, state.y, scaling)
         last_kkt, last_point = kkt_error(saddle0, xu, yu, constants), (xu, yu)
@@ -432,7 +430,7 @@ def solve(problem, config=None):
         restarts=sum(restarts_by_reason.values()),
         restarts_by_reason=restarts_by_reason,
         matvecs=matvecs,
-        gap_evaluations=gap_evals,
+        gap_evaluations=restart_test.gap_evaluations if restart_test else 0,
         step_trials=state.trial_count,
         step_size=step.step_size,
         primal_weight=step.primal_weight,

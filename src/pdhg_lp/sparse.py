@@ -273,8 +273,10 @@ def spectral_norm_estimate(matrix, tol=1e-4, max_iters=5000, seed=0, *, deadline
     rows, cols = matrix.shape
     if rows == 0 or cols == 0 or matrix.nnz == 0:
         return SpectralEstimate(0.0, True, 0)
-    # imported here: the import takes about 20 ms, which a solve that never
-    # estimates the norm should not pay
+    # the import is lazy, as it takes about 20 ms, and follows the first
+    # deadline test, so that a solve out of time does not pay it either
+    if time.perf_counter() >= deadline:
+        return SpectralEstimate(0.0, False, 0)
     from scipy.linalg.lapack import dstebz, dstein
 
     dim = min(rows, cols)
@@ -284,7 +286,7 @@ def spectral_norm_estimate(matrix, tol=1e-4, max_iters=5000, seed=0, *, deadline
     v_prev = np.zeros(dim)
     alphas, betas = [], []
     beta = 0.0
-    while len(alphas) < max_iters and time.perf_counter() < deadline:
+    while True:
         u = first(v)
         alpha = dot(u, u)  # v' M^T M v, with ||v|| = 1
         w = second(u)
@@ -305,4 +307,5 @@ def spectral_norm_estimate(matrix, tol=1e-4, max_iters=5000, seed=0, *, deadline
         betas.append(beta)
         v_prev, v = v, w
         v /= beta
-    return SpectralEstimate(math.sqrt(max(alphas, default=0.0)), False, len(alphas))
+        if k == max_iters or time.perf_counter() >= deadline:
+            return SpectralEstimate(math.sqrt(max(alphas)), False, k)

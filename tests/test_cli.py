@@ -400,6 +400,32 @@ class TestBench:
 
         assert stable(a) == stable(b)
 
+    @pytest.mark.parametrize("jobs, configs, workers", [(64, "full", 2), (3, "vanilla,full", 3)])
+    def test_pool_starts_no_more_workers_than_tasks(self, instances, tmp_path, monkeypatch, jobs, configs, workers):
+        # Under the fork start method the pool starts all its workers at the
+        # first submit, so it asks for at most one per task (instance and
+        # config).  A recording stand-in runs the tasks in-process.
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        csv_path = tmp_path / "bench.csv"
+        assert main(["bench", str(instances), "--configs", configs, "--jobs", str(jobs), "--out", str(csv_path)]) == 0
+        assert asked == [workers]
+        assert len(list(csv.DictReader(csv_path.read_text().splitlines()))) == 2 * len(configs.split(","))
+
     def test_explicit_file_inputs(self, instances):
         files = sorted(str(p) for p in instances.iterdir())
         code, out, _ = run_cli(["bench", *files, "--configs", "scaled", "--tolerance", "1e-5"])

@@ -300,34 +300,37 @@ class TestShouldRestart:
             RestartConfig(scheme="sometimes")
 
 
-class TestStepsToNextTest:
-    """``solve`` runs a constant step in stretches of ``steps_to_next_test``
-    steps and makes the adaptive scheme's tests only after a stretch, so no
-    step strictly inside one may be a step after which the loop tests."""
+class TestSchedule:
+    """``restarts.schedule`` is the adaptive scheme's one schedule: ``solve``
+    bounds a constant step's stretch by its steps and tests after a stretch
+    that ends at its point, so its point must be the next one, and no step
+    strictly inside a stretch may be a point or, under Halpern, reach the
+    artificial cap."""
 
     @staticmethod
     def counts(inner, total):
         return SimpleNamespace(inner_count=inner, total_count=total)
 
     def test_no_halpern_test_falls_inside_a_stretch(self):
-        # after a step the loop computes the residual at the epoch's first
-        # step, tests it at multiples of RESIDUAL_EVAL_INTERVAL and tests
-        # the artificial cap after every step
+        # the points are the epoch's first step, whose residual is the
+        # epoch's reference, and the multiples of RESIDUAL_EVAL_INTERVAL
+        every = restarts.RESIDUAL_EVAL_INTERVAL
+        points = [1] + list(range(every, 300, every))
         for inner in range(201):
             for total in range(inner, 3 * inner + 100):
-                k = restarts.steps_to_next_test(self.counts(inner, total), True)
-                assert 1 <= k <= restarts.RESIDUAL_EVAL_INTERVAL, (inner, total)
+                point, k = restarts.schedule(self.counts(inner, total), True)
+                assert point == min(p for p in points if p > inner), (inner, total)
+                assert 1 <= k <= point - inner, (inner, total)
                 capped = restarts.artificial_cap_reached(self.counts(inner, total))
                 for j in range(1, k):
-                    after = self.counts(inner + j, total + j)
-                    assert inner > 0 and after.inner_count % restarts.RESIDUAL_EVAL_INTERVAL, (inner, total, j)
-                    assert restarts.artificial_cap_reached(after) == capped, (inner, total, j)
+                    assert restarts.artificial_cap_reached(self.counts(inner + j, total + j)) == capped
 
     def test_no_gap_test_falls_inside_a_stretch(self):
+        every = restarts.GAP_EVAL_INTERVAL
         for inner in range(201):
-            k = restarts.steps_to_next_test(self.counts(inner, inner), False)
-            assert 1 <= k <= restarts.GAP_EVAL_INTERVAL
-            assert (inner + k) % restarts.GAP_EVAL_INTERVAL == 0
+            point, k = restarts.schedule(self.counts(inner, inner), False)
+            assert point % every == 0 and inner < point <= inner + every
+            assert k == point - inner
 
 
 class TestApplyRestart:

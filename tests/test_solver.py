@@ -115,6 +115,37 @@ class TestStatuses:
         assert report.status == pl.STATUS_TIME_LIMIT
         assert report.iterations == 0
 
+    @pytest.mark.parametrize("stop", ["rejected", "underflow"])
+    def test_adaptive_step_stops_keep_the_last_good_iterate(self, stop, monkeypatch):
+        # The adaptive step's two numerical-error stops, after its 100th
+        # step, which is no check point: MAX_RETRIES trials rejected in a
+        # row, and a step size that underflows.  The report holds the
+        # state's iterate, that of a solve limited to 100 iterations.
+        problem = random_feasible_lp(0)
+        limit = pl.TerminationCriteria(iteration_limit=100)
+        limited = pl.solve(problem, pl.SolverConfig(termination=limit, step=ADAPTIVE))
+        real = pl.solver.adaptive_step
+
+        def failing_at_100(state, saddle, step, **kwargs):
+            if state.total_count < 100:
+                return real(state, saddle, step, **kwargs)
+            if stop == "underflow":
+                raise pl.StepSizeUnderflow("step size fell below the floor")
+            return state, step, False
+
+        monkeypatch.setattr(pl.solver, "adaptive_step", failing_at_100)
+        report = pl.solve(problem, pl.SolverConfig(step=ADAPTIVE))
+        reasons = {
+            "rejected": f"adaptive step rejected {pl.stepsize.MAX_RETRIES} trials in a row",
+            "underflow": "step size fell below the floor",
+        }
+        assert (report.status, report.reason) == (pl.STATUS_NUMERICAL_ERROR, reasons[stop])
+        assert report.iterations == limited.iterations == 100
+        assert limited.status == pl.STATUS_ITERATION_LIMIT
+        assert report.x.tobytes() == limited.x.tobytes()
+        assert report.y.tobytes() == limited.y.tobytes()
+        assert report.residual_history == limited.residual_history[:-1]
+
     def test_divergent_fixed_step(self):
         # s ||K|| = 10: the iteration cannot converge (it oscillates inside
         # the box or blows up); either way the driver reports a clean

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -292,6 +296,22 @@ class TestSpectralNorm:
         past = spectral_norm_estimate(mat, tol=1e-8, deadline=time.perf_counter())
         assert (past.value, past.converged, past.iterations) == (0.0, False, 0)
         assert mat.matvec_calls == calls
+
+    def test_past_deadline_skips_the_lapack_import(self):
+        # In a fresh process the Lanczos steps' LAPACK import takes about
+        # 20 ms, which an estimate out of time before its first product
+        # does not pay.
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import pdhg_lp as pl\n"
+            "est = pl.spectral_norm_estimate(pl.SparseMatrix(np.eye(3)), deadline=0.0)\n"
+            "assert (est.value, est.converged, est.iterations) == (0.0, False, 0), est\n"
+            "assert 'scipy.linalg.lapack' not in sys.modules, 'imported'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(pl.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize(
