@@ -125,7 +125,7 @@ class IterateState:
                 rule's trial point, Halpern's mix), then ``z`` and ``prev``
                 change places
         t       the restart candidate (``t_parts``).  A Halpern step
-                leaves T(z_k) here and ``solve``'s gap test the epoch
+                leaves T(z_k) here and ``solve``'s KKT test the epoch
                 average; a PDHG step leaves it alone; the adaptive rule
                 keeps the gradient c - K'y in its x part and K x+ - K x in
                 its y part

@@ -1,9 +1,10 @@
-"""Restart machinery: the normalized duality gap, restart decisions and their schedule.
+"""Restart machinery: the one restart test, its schedule, and the normalized duality gap.
 
-Under PDHG the adaptive scheme restarts to the epoch's average when its
-normalized duality gap has decayed; under the Halpern step it restarts to
-T(z) when the fixed-point residual ||z - T(z)|| has decayed (Lu & Yang,
-arXiv 2407.16144).
+The adaptive scheme restarts when a measure of the restart candidate has
+decayed against the epoch's first: under PDHG the weighted KKT error of the
+epoch's average, restarting to that average (cuPDLP.jl, Lu & Yang, arXiv
+2311.12180), and under the Halpern step the fixed-point residual
+||z - T(z)||, restarting to T(z) (Lu & Yang, arXiv 2407.16144).
 
 The normalized duality gap of a point z = (x, y) at radius r is
 
@@ -26,31 +27,30 @@ from .sparse import DOT_BLAS_MAX, dot
 
 RESTART_SCHEMES = ("none", "adaptive")
 
-# The adaptive scheme tests the decay of the normalized gap every
-# GAP_EVAL_INTERVAL epoch iterations, and restarts once it is at most
-# GAP_SUFFICIENT_DECAY times the epoch's first (PDLP's beta_sufficient,
-# Applegate et al., arXiv 2106.04756).  It caps an epoch at
-# max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * total iterations).
-GAP_EVAL_INTERVAL = 40
-GAP_SUFFICIENT_DECAY = 0.5
-ARTIFICIAL_FRACTION = 0.36
-MIN_ARTIFICIAL = 10
-# Under the Halpern step the adaptive scheme tests the residual every
-# RESIDUAL_EVAL_INTERVAL epoch iterations, and the artificial cap at every
-# iteration.  It restarts once the residual is at most
-# RESIDUAL_SUFFICIENT_DECAY times the epoch's first, or at most
-# RESIDUAL_NECESSARY_DECAY times it and above the previous test's.
+# The adaptive scheme tests its measure every KKT_EVAL_INTERVAL epoch
+# iterations under PDHG, and every RESIDUAL_EVAL_INTERVAL under the Halpern
+# step, where it also tests the artificial cap at every iteration.  It
+# restarts once the measure is at most a sufficient decay times the epoch's
+# first (KKT_SUFFICIENT_DECAY, PDLP's beta_sufficient, Applegate et al.,
+# arXiv 2106.04756, or RESIDUAL_SUFFICIENT_DECAY), or at most
+# RESIDUAL_NECESSARY_DECAY times it and above the previous test's.  It caps
+# an epoch at max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * total iterations).
+KKT_EVAL_INTERVAL = 40
+KKT_SUFFICIENT_DECAY = 0.5
 RESIDUAL_EVAL_INTERVAL = 8
 RESIDUAL_SUFFICIENT_DECAY = 0.2
 RESIDUAL_NECESSARY_DECAY = 0.8
+ARTIFICIAL_FRACTION = 0.36
+MIN_ARTIFICIAL = 10
 
 
 @dataclass(frozen=True)
 class RestartConfig:
-    """Restart scheme parameters.  scheme: "none" or "adaptive", a decay
-    test at the points of ``schedule`` plus an artificial cap: under PDHG
-    of the normalized gap, restarting to the epoch's average, and under the
-    Halpern step of the fixed-point residual, restarting to T(z)."""
+    """Restart scheme parameters.  scheme: "none" or "adaptive", the decay
+    test of ``should_restart`` at the points of ``schedule`` plus an
+    artificial cap: under PDHG of the weighted KKT error, restarting to the
+    epoch's average, and under the Halpern step of the fixed-point residual,
+    restarting to T(z)."""
 
     scheme: str = "adaptive"
 
@@ -59,15 +59,9 @@ class RestartConfig:
             raise NonPositiveInput(f"unknown restart scheme {self.scheme!r}")
 
 
-def normalized_duality_gap(saddle, x, y, radius, *, stop_above=math.inf):
+def normalized_duality_gap(saddle, x, y, radius):
     """Evaluate rho_r(z) by bisection; deterministic and matrix-free apart
-    from one matvec and one rmatvec.
-
-    Every bisection pass whose delta lies in the ball bounds the gap from
-    below by d'delta / r.  Once that bound clearly exceeds ``stop_above`` it
-    is returned at once: a caller that only asks whether the gap is at most
-    ``stop_above`` gets the same answer as from the full bisection.
-    """
+    from one matvec and one rmatvec."""
     if not (radius > 0.0 and np.isfinite(radius)):
         raise InvalidRadius(f"radius must be positive and finite, got {radius}")
     x = np.asarray(x, dtype=np.float64)
@@ -103,6 +97,8 @@ def normalized_duality_gap(saddle, x, y, radius, *, stop_above=math.inf):
     # bracket lam = ||d|| / r the clipped norm is already <= r because the
     # box contains the origin.  Each pass writes delta into one of two
     # buffers; the other holds the most recent delta that fit in the ball.
+    # The bracket halves until its midpoint is one of its ends, so a
+    # multiplier far below ||d|| / r is reached, however far.
     lam_lo = 0.0
     lam_hi = norm_d / radius
     best = None  # most recent delta that fits in the ball (after rescaling)
@@ -110,9 +106,9 @@ def normalized_duality_gap(saddle, x, y, radius, *, stop_above=math.inf):
     # positionally, and a short delta's norm from BLAS directly (pdhg.py)
     divide, multiplier, short = np.divide, np.empty(()), d.size <= DOT_BLAS_MAX
     with np.errstate(over="ignore"):
-        for _ in range(100):
+        while True:
             lam = 0.5 * (lam_lo + lam_hi)
-            if lam <= 0.0:
+            if not lam_lo < lam < lam_hi:
                 break
             multiplier[()] = lam
             divide(d, multiplier, delta)
@@ -128,13 +124,6 @@ def normalized_duality_gap(saddle, x, y, radius, *, stop_above=math.inf):
                 best = delta
                 if radius - norm <= 1e-10 * radius:
                     break
-                if stop_above < math.inf:
-                    # The full bisection's value can fall short of this bound
-                    # by its 1e-10 shrink to the sphere and by rounding; the
-                    # margin keeps it above stop_above too.
-                    lower_bound = dot(d, delta) / radius
-                    if (1.0 - 1e-8) * lower_bound > stop_above:
-                        return lower_bound
                 lam_hi = lam
                 delta, spare = spare, delta
     if best is None:
@@ -142,28 +131,21 @@ def normalized_duality_gap(saddle, x, y, radius, *, stop_above=math.inf):
     return max(dot(d, best), 0.0) / radius
 
 
-def should_restart(state, candidate_gap=None, reference_gap=None, residuals=None):
+def should_restart(state, residuals=None, sufficient=RESIDUAL_SUFFICIENT_DECAY):
     """Decide whether the adaptive scheme restarts now: (restart, reason).
 
     ``solve`` does not ask under the scheme "none", which never restarts.
-    Under PDHG ``candidate_gap`` is the normalized gap of the restart
-    candidate at its distance from the epoch start, and the sufficient-decay
-    test compares it against ``reference_gap``, measured when the epoch
-    started.  Under the Halpern step ``residuals`` is (now, the epoch's
-    first, the previous test's) fixed-point residual, tested as
-    RESIDUAL_*_DECAY say.  An artificial cap bounds the epoch length by
+    ``residuals`` is (now, the epoch's first, the previous test's) value of
+    the restart test's measure, the weighted KKT error under PDHG and the
+    fixed-point residual under the Halpern step.  It restarts when now is at
+    most ``sufficient`` times the first, or at most RESIDUAL_NECESSARY_DECAY
+    times it and above the previous.  An artificial cap bounds the epoch by
     max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * total iterations).
     """
     if residuals is not None:
         now, first, previous = residuals
-        if now <= RESIDUAL_SUFFICIENT_DECAY * first or previous < now <= RESIDUAL_NECESSARY_DECAY * first:
+        if now <= sufficient * first or previous < now <= RESIDUAL_NECESSARY_DECAY * first:
             return True, "residual_decay"
-    elif (
-        candidate_gap is not None
-        and reference_gap is not None
-        and candidate_gap <= GAP_SUFFICIENT_DECAY * reference_gap
-    ):
-        return True, "gap_decay"
     if artificial_cap_reached(state):
         return True, "artificial"
     return False, None
@@ -183,12 +165,12 @@ def schedule(state, halpern):
     """The adaptive scheme's one schedule, which ``solve`` keeps: (the
     epoch count of the next point after the state's, the steps a stretch
     may take toward it).  The points are the multiples of
-    GAP_EVAL_INTERVAL under PDHG; under Halpern the epoch's first step,
+    KKT_EVAL_INTERVAL under PDHG; under Halpern the epoch's first step,
     whose residual is the epoch's reference, and the multiples of
     RESIDUAL_EVAL_INTERVAL, and the cap is tested after every stretch, so
     the steps stop where the epoch reaches today's cap, which only grows."""
     inner = state.inner_count
-    every = RESIDUAL_EVAL_INTERVAL if halpern else GAP_EVAL_INTERVAL
+    every = RESIDUAL_EVAL_INTERVAL if halpern else KKT_EVAL_INTERVAL
     point = 1 if halpern and inner == 0 else inner - inner % every + every
     if halpern:
         return point, min(point - inner, max(1, math.ceil(_artificial_cap(state) - inner)))

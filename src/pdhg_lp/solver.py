@@ -8,7 +8,9 @@ limits; any stop is one (status, reason, certificate).  A stretch is one
 ``pdhg_step`` call up to the loop's next event: a check, a log line, the
 iteration limit or a point of the restart schedule (``restarts.schedule``);
 a time limit ends it at the step where the loop would have stopped.  The
-restart test (``_RestartTest``) keeps the epoch's reference.
+restart test (``_RestartTest``) is one decay test of one measure per step
+kind, the fixed-point residual under Halpern and the weighted KKT error of
+the epoch's average under PDHG, and keeps the epoch's reference.
 
 On small problems an iteration costs more in Python than in arithmetic, so
 ``solve`` enters the step kernel's np.errstate(over="ignore",
@@ -33,7 +35,9 @@ from .exceptions import NonFiniteIterate, NonPositiveInput, StepSizeUnderflow, _
 from .pdhg import IterateState, fixed_point_residual, pdhg_step
 from .problem import to_saddle, validate
 from . import restarts, stepsize
-from .restarts import RestartConfig, apply_restart, normalized_duality_gap, should_restart
+# solve does not call normalized_duality_gap: it is bound here only because
+# perfbench's tracer wraps it by its name in this module
+from .restarts import RestartConfig, apply_restart, normalized_duality_gap, should_restart  # noqa: F401
 from .scaling import DEFAULT_SCALING, SCALING_MODES, apply_scaling, combined_rescale, unscale_solution
 from .sparse import dot, spectral_norm_estimate
 from .stepsize import StepPolicy, WeightPolicy, adaptive_step, initialize_step_state, update_primal_weight
@@ -102,10 +106,11 @@ class SolveReport:
     problem (sign and constant offset applied).  ``kkt`` carries the final
     relative/absolute residuals; ``certificate`` is populated only for the
     two infeasible statuses.  ``restarts_by_reason`` splits ``restarts`` by
-    the rule that fired (gap_decay, residual_decay or artificial);
-    ``step_trials`` counts the trial points computed, so the adaptive rule
-    rejected ``step_trials - iterations`` of them (a fixed or Halpern step
-    is one trial, always accepted).
+    the rule that fired (residual_decay, the restart test's measure, or
+    artificial); ``gap_evaluations`` counts the restart test's KKT errors
+    under PDHG; ``step_trials`` counts the trial points computed, so the
+    adaptive rule rejected ``step_trials - iterations`` of them (a fixed or
+    Halpern step is one trial, always accepted).
     """
 
     status: str
@@ -222,55 +227,54 @@ class _RestartTest:
     """The adaptive scheme's restart test after a step or stretch, at the
     points of ``restarts.schedule``: under Halpern of the last step's
     fixed-point residual, at all but the epoch's first point, and of the
-    artificial cap after every stretch; under PDHG of the normalized gap of
-    the epoch's average at a point or check point.  It keeps the epoch's
-    reference (its first residual, or its start's gap, which
-    ``should_restart`` reads beside a gap only), the last residual and the
-    count of gap evaluations."""
+    artificial cap after every stretch; under PDHG of the epoch average's
+    weighted KKT error at a point or check point.  It keeps the epoch's
+    reference (its first residual, or its start's KKT error), the previous
+    test's value and the count of KKT evaluations."""
 
-    def __init__(self, saddle, state, halpern):
+    def __init__(self, saddle, state, step, halpern):
         self.saddle, self.halpern, self.gap_evaluations = saddle, halpern, 0
-        self.reference = self.last_residual = None
+        self.reference, self.previous = None, math.inf
         if not halpern:
-            with np.errstate(over="ignore"):
-                radius = _norm(state.x, state.y) + 1.0
-            self.reference = normalized_duality_gap(saddle, state.x, state.y, radius)
-            self.gap_evaluations += 1
+            self.constants = check_constants(saddle)
+            self.reference = self._kkt_measure(state.x, state.y, step.primal_weight)
+
+    def _kkt_measure(self, x, y, weight):
+        """sqrt(w P^2 + D^2 / w + G^2) of (x, y) on the working saddle, for
+        its primal residual P, dual residual D and duality gap G."""
+        self.gap_evaluations += 1
+        kkt = kkt_error(self.saddle, x, y, self.constants)
+        p, d, g = kkt.primal_residual, kkt.dual_residual, kkt.duality_gap
+        return math.sqrt(weight * (p * p) + d * d / weight + g * g)
 
     def __call__(self, state, step, due, at_check):
         """(fire, why); ``due``: at a point, ``at_check``: at a check."""
-        candidate_gap = residuals = None
+        now = residuals = None
         if self.halpern:
             if due:
-                residual = fixed_point_residual(state, step)
+                now = fixed_point_residual(state, step)
                 if self.reference is None:
-                    self.reference = residual
+                    self.reference = now
                 else:
-                    residuals = (residual, self.reference, self.last_residual)
-                self.last_residual = residual
+                    residuals = (now, self.reference, self.previous)
+                self.previous = now
             if residuals is None and not restarts.artificial_cap_reached(state):
                 return False, None
         elif due or at_check:
-            # the average into t, and its gap at its distance from the epoch's start
+            # the epoch's average into t, the candidate
             np.divide(state.sums, state.sum_weight, out=state.t)
-            np.subtract(state.t, state.anchor, out=state.r)
-            radius = _norm(*state.r_parts)
-            if 0.0 < radius < math.inf:
-                # Short of the artificial cap only a gap at or below the
-                # decay bound restarts, so the bisection may stop above it.
-                capped = restarts.artificial_cap_reached(state)
-                stop_above = math.inf if capped else restarts.GAP_SUFFICIENT_DECAY * self.reference
-                candidate_gap = normalized_duality_gap(self.saddle, *state.t_parts, radius, stop_above=stop_above)
-                self.gap_evaluations += 1
+            now = self._kkt_measure(*state.t_parts, step.primal_weight)
+            residuals = (now, self.reference, self.previous)
+            self.previous = now
         else:
             return False, None
-        fire, why = should_restart(
-            state, candidate_gap=candidate_gap, reference_gap=self.reference, residuals=residuals
-        )
-        if fire and (self.halpern or candidate_gap is not None):
-            # the new epoch's reference: its first residual, yet to come, or
-            # the candidate's gap, the new start's at the distance it moved
-            self.reference = candidate_gap
+        decay = restarts.RESIDUAL_SUFFICIENT_DECAY if self.halpern else restarts.KKT_SUFFICIENT_DECAY
+        fire, why = should_restart(state, residuals=residuals, sufficient=decay)
+        if fire:
+            # the new epoch's reference: under Halpern its first residual,
+            # yet to come, under PDHG the candidate's, the new start's
+            self.reference = None if self.halpern else now
+            self.previous = math.inf
         return fire, why
 
 
@@ -308,13 +312,13 @@ def solve(problem, config=None):
     # t (z0, which t starts as, at iteration 0); PDHG's checks test z.  The
     # point before is the iterate the last step replaced, in prev.
     t_parts = state.t_parts
-    restart_test = _RestartTest(saddle, state, halpern) if config.restart.scheme == "adaptive" else None
+    restart_test = _RestartTest(saddle, state, step, halpern) if config.restart.scheme == "adaptive" else None
 
     x0_u, y0_u = unscale_solution(state.x, state.y, scaling)
     constants = check_constants(saddle0)
     streaks = [0, 0]  # consecutive checks with a valid primal / dual infeasibility ray
     history = []
-    restarts_by_reason = {"gap_decay": 0, "residual_decay": 0, "artificial": 0}
+    restarts_by_reason = {"residual_decay": 0, "artificial": 0}
     # the iterations of the loop's next check and log line
     next_check, next_log = 0, 0 if config.log_interval else math.inf
 
@@ -345,7 +349,7 @@ def solve(problem, config=None):
                 ray_shows = False
                 if iteration > 0:
                     # No local keeps the point before or the candidates, so
-                    # they are not held into the restart test's gap evaluations.
+                    # they are not held into the restart test's KKT evaluations.
                     hits, ray_shows = _ray_hits(
                         saddle0,
                         extract_certificates(
@@ -399,8 +403,7 @@ def solve(problem, config=None):
                 fire, why = restart_test(state, step, state.inner_count == point, iteration == next_check)
                 if fire:
                     restarts_by_reason[why] += 1
-                    # the weight follows the candidate's move from the anchor, in r;
-                    # under PDHG the gap test wrote the same bits there already
+                    # the weight follows the candidate's move from the anchor, in r
                     np.subtract(state.t, state.anchor, out=state.r)
                     weight = update_primal_weight(step.primal_weight, *map(_norm, state.r_parts), config.weight)
                     step = replace(step, primal_weight=weight)

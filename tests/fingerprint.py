@@ -9,7 +9,10 @@ trials, matvecs, the final step size and primal weight as hex, and the md5
 of x and of y.  Each config's lines end with a digest of them
 (``digest <config> <md5>``), so a change meant to move some configs shows
 which moved, and a digest of all solve lines comes last.  Two commits that
-print the same lines run the same arithmetic on these inputs.
+print the same lines run the same arithmetic on these inputs.  After each
+config's digest a line ``sums <config> iterations=N <status>=k ...`` gives
+its iteration sum and status counts, so a change that moves bits can state
+what it moved; these lines enter no digest.
 
 Configs: the default (reflected Halpern), the fixed step with a fixed
 weight (``small-lp-fixed-step``'s step and weight in the benchmark, which
@@ -32,6 +35,7 @@ pytest does not collect this file.  It takes about 4 s on a 2-core x86 VM.
 import hashlib
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -95,12 +99,18 @@ def main():
     digest = hashlib.md5()
     for config_name, config in configs().items():
         config_digest = hashlib.md5()
+        iterations, statuses = 0, Counter()
         for problem in problems():
-            line = f"{config_name} {problem.name} {fingerprint(pl.solve(problem, config))}"
+            report = pl.solve(problem, config)
+            iterations += report.iterations
+            statuses[report.status] += 1
+            line = f"{config_name} {problem.name} {fingerprint(report)}"
             print(line, flush=True)
             for d in (digest, config_digest):
                 d.update(line.encode() + b"\n")
         print(f"digest {config_name} {config_digest.hexdigest()}")
+        counts = " ".join(f"{status}={k}" for status, k in sorted(statuses.items()))
+        print(f"sums {config_name} iterations={iterations} {counts}")
     print(f"digest {digest.hexdigest()}")
 
 

@@ -218,7 +218,7 @@ class TestConfigFlags:
             "initialize_step_state": "(saddle, norm_k, step_policy, weight_policy)",
             "kkt_error": "(saddle, x, y, constants=None)",
             "lagrangian": "(saddle, x, y)",
-            "normalized_duality_gap": "(saddle, x, y, radius, *, stop_above=inf)",
+            "normalized_duality_gap": "(saddle, x, y, radius)",
             "parse_mps": "(source, dialect=None)",
             "pdhg_step": "(state, saddle, step, *, halpern=False, errstate=True, count=1, deadline=inf)",
             "project_dual": "(y, m1)",
@@ -229,7 +229,7 @@ class TestConfigFlags:
             "render_text": "(report)",
             "report_to_dict": "(report, include_solution=False)",
             "ruiz_rescale": "(matrix, num_iters=10)",
-            "should_restart": "(state, candidate_gap=None, reference_gap=None, residuals=None)",
+            "should_restart": "(state, residuals=None, sufficient=0.2)",
             "solve": "(problem, config=None)",
             "solve_vanilla": "(problem, step_size, max_iters, tol=1e-08)",
             "spectral_norm_estimate": "(matrix, tol=0.0001, max_iters=5000, seed=0, *, deadline=inf)",

@@ -190,25 +190,16 @@ class TestNormalizedGap:
             assert {"ball", "bisection"} <= seen, family
         assert "box" in branches["tight_box"] and "box" in branches["only_inequalities"]
 
-    def test_stop_above_keeps_every_comparison_with_the_bound(self):
-        # a gap at or below the bound comes back bit for bit; a larger one
-        # may stop early, at a lower bound that still exceeds it
-        rng = np.random.default_rng(5)
-        stopped = 0
-        for _ in range(300):
-            saddle, x, y = random_small_saddle(rng, max_total=8)
-            radius = float(10.0 ** rng.uniform(-3, 2))
-            full = normalized_duality_gap(saddle, x, y, radius)
-            assert normalized_duality_gap(saddle, x, y, radius, stop_above=np.inf) == full
-            for bound in (0.0, 0.25 * full, 0.9 * full, full, 2.0 * full):
-                early = normalized_duality_gap(saddle, x, y, radius, stop_above=bound)
-                if full <= bound:
-                    assert float(early).hex() == float(full).hex()
-                else:
-                    # the last pass may shrink its point by up to 1e-10 to meet the sphere
-                    assert bound < early <= full * (1.0 + 1e-9)
-                    stopped += early < full
-        assert stopped > 50
+    def test_bisection_reaches_a_far_multiplier(self):
+        # d = (1e60, 1) and the box caps delta_x at 1e-70, so the maximizer
+        # puts delta_y near r = 2, where the ball multiplier is near 1/2,
+        # about 2^200 below the bracket's upper end ||d|| / r = 5e59; the
+        # exact gap is (1e60 * 1e-70 + sqrt(4 - 1e-140)) / 2
+        problem = pl.LpProblem(c=[-1e60], eq_matrix=[[1.0]], eq_rhs=[1.0], lower=[0.0], upper=[1e-70])
+        saddle = pl.to_saddle(problem)
+        assert saddle.m1 == 0
+        gap = normalized_duality_gap(saddle, np.zeros(1), np.zeros(1), 2.0)
+        assert gap == pytest.approx(1.00000000005, rel=1e-10)
 
     def test_peak_memory(self):
         # at n + m = 2e4 a bisecting evaluation holds five vectors of that
@@ -248,26 +239,28 @@ class TestShouldRestart:
         return state
 
     def test_adaptive_gap_decay(self):
-        # at most GAP_SUFFICIENT_DECAY = 0.5 of the epoch's first gap
+        # under PDHG the weighted KKT error restarts at most
+        # KKT_SUFFICIENT_DECAY = 0.5 of the epoch's first; an epoch's first
+        # test has no previous value (inf), so only that decay counts there
         state = self.make_state(3, 100)
-        assert should_restart(state, candidate_gap=1.0, reference_gap=2.0) == (
+        decay = restarts.KKT_SUFFICIENT_DECAY
+        assert decay == 0.5
+        assert should_restart(state, residuals=(1.0, 2.0, math.inf), sufficient=decay) == (
             True,
-            "gap_decay",
+            "residual_decay",
         )
-        assert should_restart(state, candidate_gap=1.5, reference_gap=2.0) == (False, None)
+        assert should_restart(state, residuals=(1.5, 2.0, math.inf), sufficient=decay) == (False, None)
+        # up to 0.8 of the first it restarts once the error has gone up
+        assert should_restart(state, residuals=(1.5, 2.0, 1.4), sufficient=decay) == (True, "residual_decay")
 
     def test_adaptive_artificial_cap(self):
-        # cap = max(10, 0.36 * total)
-        assert should_restart(self.make_state(10, 0), reference_gap=2.0) == (
-            True,
-            "artificial",
-        )
-        assert should_restart(self.make_state(9, 0), reference_gap=2.0) == (False, None)
-        assert should_restart(self.make_state(36, 100), reference_gap=2.0) == (
-            True,
-            "artificial",
-        )
-        assert should_restart(self.make_state(35, 100), reference_gap=2.0) == (False, None)
+        # cap = max(10, 0.36 * total), with or without a test of the measure
+        no_decay = (1.9, 2.0, math.inf)
+        for residuals in (None, no_decay):
+            assert should_restart(self.make_state(10, 0), residuals=residuals) == (True, "artificial")
+            assert should_restart(self.make_state(9, 0), residuals=residuals) == (False, None)
+            assert should_restart(self.make_state(36, 100), residuals=residuals) == (True, "artificial")
+            assert should_restart(self.make_state(35, 100), residuals=residuals) == (False, None)
 
     def test_residual_sufficient_decay(self):
         # (now, first, previous): at most 0.2 of the epoch's first residual
@@ -287,13 +280,20 @@ class TestShouldRestart:
         assert should_restart(state, residuals=(0.9, 1.0, 0.5)) == (False, None)
 
     def test_residuals_replace_the_gap_test(self):
-        # under the Halpern step the gaps are not tested, the cap still is
-        no_decay = (0.9, 1.0, 1.0)
-        assert should_restart(
-            self.make_state(3, 100), candidate_gap=0.0, reference_gap=2.0, residuals=no_decay
-        ) == (False, None)
-        assert should_restart(self.make_state(36, 100), residuals=no_decay) == (True, "artificial")
-        assert should_restart(self.make_state(35, 100), residuals=no_decay) == (False, None)
+        # one decay test for both measures: the sufficient decay is the
+        # caller's, RESIDUAL_SUFFICIENT_DECAY = 0.2 unless it says otherwise
+        state = self.make_state(3, 100)
+        falling = (0.3, 1.0, 0.5)
+        assert should_restart(state, residuals=falling) == (False, None)
+        assert should_restart(state, residuals=falling, sufficient=0.2) == (False, None)
+        assert should_restart(state, residuals=falling, sufficient=restarts.KKT_SUFFICIENT_DECAY) == (
+            True,
+            "residual_decay",
+        )
+        # the necessary decay is the same for both
+        rising = (0.8, 1.0, 0.7)
+        for decay in (restarts.RESIDUAL_SUFFICIENT_DECAY, restarts.KKT_SUFFICIENT_DECAY):
+            assert should_restart(state, residuals=rising, sufficient=decay) == (True, "residual_decay")
 
     def test_unknown_scheme(self):
         with pytest.raises(pl.NonPositiveInput):
@@ -325,8 +325,8 @@ class TestSchedule:
                 for j in range(1, k):
                     assert restarts.artificial_cap_reached(self.counts(inner + j, total + j)) == capped
 
-    def test_no_gap_test_falls_inside_a_stretch(self):
-        every = restarts.GAP_EVAL_INTERVAL
+    def test_no_kkt_test_falls_inside_a_stretch(self):
+        every = restarts.KKT_EVAL_INTERVAL
         for inner in range(201):
             point, k = restarts.schedule(self.counts(inner, inner), False)
             assert point % every == 0 and inner < point <= inner + every

@@ -384,7 +384,7 @@ class TestHalpern:
         assert report.iterations == report.step_trials == 300
         # the scheme "none" never restarts
         assert report.restarts == 0
-        assert report.restarts_by_reason == {"gap_decay": 0, "residual_decay": 0, "artificial": 0}
+        assert report.restarts_by_reason == {"residual_decay": 0, "artificial": 0}
 
         saddle0 = pl.to_saddle(problem)
         scaling = pl.combined_rescale(saddle0.K, m1=saddle0.m1)
@@ -415,13 +415,15 @@ class TestHalpern:
 
     def test_restarts_on_residual_decay(self, monkeypatch):
         # the residual test runs every RESIDUAL_EVAL_INTERVAL epoch
-        # iterations, through should_restart; in between only the artificial
-        # cap can fire; the gap is never evaluated
+        # iterations, through should_restart at RESIDUAL_SUFFICIENT_DECAY; in
+        # between only the artificial cap can fire; no KKT error is evaluated
+        # for the restart test
         decisions = []
         real = pl.solver.should_restart
 
         def recording(state, **kwargs):
             inner = state.inner_count
+            assert kwargs["sufficient"] == restarts.RESIDUAL_SUFFICIENT_DECAY
             fire, why = real(state, **kwargs)
             decisions.append((inner, kwargs["residuals"], why))
             return fire, why
@@ -430,8 +432,8 @@ class TestHalpern:
         report = pl.solve(random_feasible_lp(2))
         assert report.status == pl.STATUS_OPTIMAL
         by_reason = report.restarts_by_reason
+        assert set(by_reason) == {"residual_decay", "artificial"}
         assert by_reason["residual_decay"] > 0
-        assert by_reason["gap_decay"] == 0
         assert report.gap_evaluations == 0
         assert report.step_trials == report.iterations
         tested = [inner for inner, r, _ in decisions if r is not None]
@@ -856,15 +858,15 @@ class TestSpectralEstimate:
         unlimited = pl.solve(problem, config(iteration_limit=0))
         pairs = pl.spectral_norm_estimate(pl.SparseMatrix(np.diag(sigma)), tol=pl.solver.NORM_TOLERANCE).iterations
         assert unlimited.notes == [] and pairs > 20
-        # two products for the initial normalized gap, two for the check at
-        # iteration 0 and two per pair
+        # two products for the restart test's initial KKT error, two for the
+        # check at iteration 0 and two per pair
         assert unlimited.matvecs == 4 + 2 * pairs
         report = pl.solve(problem, config(time_limit_sec=0.0))
         assert len(estimates) == 2
         assert report.status == pl.STATUS_TIME_LIMIT
         assert report.iterations == 0
-        # two products for the initial normalized gap and two for the check
-        # at iteration 0, none for the power iteration
+        # two products for the restart test's initial KKT error and two for
+        # the check at iteration 0, none for the power iteration
         assert report.matvecs == 4
         assert report.notes == ["spectral norm estimate hit its time limit; using best value"]
 
@@ -874,10 +876,9 @@ class TestCounts:
         report = pl.solve(random_feasible_lp(2), pl.SolverConfig(
             termination=pl.TerminationCriteria(tol_optimal=1e-8, iteration_limit=3000), step=ADAPTIVE))
         by_reason = report.restarts_by_reason
-        assert set(by_reason) == {"gap_decay", "residual_decay", "artificial"}
+        assert set(by_reason) == {"residual_decay", "artificial"}
         assert sum(by_reason.values()) == report.restarts
-        assert by_reason["gap_decay"] > 0 and by_reason["artificial"] > 0
-        assert by_reason["residual_decay"] == 0
+        assert by_reason["residual_decay"] > 0 and by_reason["artificial"] > 0
 
     def test_adaptive_trials_count_rejections(self):
         # the toy starts with an oversized step, so some trials are rejected
@@ -888,23 +889,51 @@ class TestCounts:
         config = TestTrajectory().vanilla_config(30)
         report = pl.solve(pl.generate_bilinear_toy(), config)
         assert report.step_trials == report.iterations == 30
-        assert report.restarts_by_reason == {"gap_decay": 0, "residual_decay": 0, "artificial": 0}
+        assert report.restarts_by_reason == {"residual_decay": 0, "artificial": 0}
 
     def test_one_gap_evaluation_per_restart_decision(self, monkeypatch):
-        # a restart's reference gap is the candidate's gap, not a second
-        # evaluation at the same point and radius
-        keys = []
-        real = pl.solver.normalized_duality_gap
+        # under PDHG the restart test evaluates the KKT error on the working
+        # saddle once at the start, for the first reference, and once per
+        # decision; a restart's new reference is the candidate's error, not
+        # a second evaluation at the same point
+        events = []
+        working = []
+        real_scaling, real_kkt, real_restart = pl.solver.apply_scaling, pl.solver.kkt_error, pl.solver.should_restart
 
-        def recording(saddle, x, y, radius, **kwargs):
-            keys.append((x.tobytes(), y.tobytes(), radius))
-            return real(saddle, x, y, radius, **kwargs)
+        def scaling(*args):
+            working.append(real_scaling(*args))
+            return working[-1]
 
-        monkeypatch.setattr(pl.solver, "normalized_duality_gap", recording)
+        def kkt(saddle, *args):
+            if saddle is working[0]:
+                events.append("kkt")
+            return real_kkt(saddle, *args)
+
+        def decide(state, **kwargs):
+            assert kwargs["sufficient"] == restarts.KKT_SUFFICIENT_DECAY
+            events.append("decide")
+            return real_restart(state, **kwargs)
+
+        monkeypatch.setattr(pl.solver, "apply_scaling", scaling)
+        monkeypatch.setattr(pl.solver, "kkt_error", kkt)
+        monkeypatch.setattr(pl.solver, "should_restart", decide)
         report = pl.solve(random_feasible_lp(0), pl.SolverConfig(step=ADAPTIVE))
         assert report.restarts > 0
-        assert len(set(keys)) == len(keys)
-        assert report.gap_evaluations == len(keys)
+        decisions = events.count("decide")
+        assert events == ["kkt"] + ["kkt", "decide"] * decisions
+        assert report.gap_evaluations == decisions + 1
+
+    @pytest.mark.parametrize(
+        "step", [pl.StepPolicy(), pl.StepPolicy(mode="fixed"), ADAPTIVE], ids=["default", "fixed", "adaptive"]
+    )
+    def test_solves_never_evaluate_the_normalized_gap(self, step, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve evaluated the normalized duality gap")
+
+        monkeypatch.setattr(pl.solver, "normalized_duality_gap", refuse)
+        report = pl.solve(random_feasible_lp(1), pl.SolverConfig(step=step))
+        assert report.status == pl.STATUS_OPTIMAL
+        assert report.restarts > 0
 
     def test_report_counts_block(self):
         report = pl.solve(pl.generate_bilinear_toy())
