@@ -53,10 +53,8 @@ once per solve.
 """
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
@@ -67,7 +65,7 @@ except ImportError:  # numpy < 2
     from numpy.core.umath import clip as _clip
 
 from .exceptions import NonFiniteIterate, NonPositiveInput, NonPositiveQuadraticForm
-from .sparse import DOT_BLAS_MAX, ROW_WEIGHT, dot
+from .sparse import DOT_BLAS_MAX, ROW_WEIGHT, _in_halves, _transpose_product, _worker, dot
 
 # 2 and 0 as read-only float64 0-d arrays, which a ufunc takes without
 # converting a Python float (module docstring)
@@ -433,59 +431,6 @@ def _mix(r, out, spare, anchor, share, denominator):
     _multiply(r, share, out)
     _divide(anchor, denominator, spare)
     _add(out, spare, out)
-
-
-# (the process that made it, the step's worker thread), set as one value.
-# Two threads that both find it unset may each make a worker; the one not
-# kept is collected, and its thread exits then.
-_pool = None
-
-
-def _cpus():
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _worker():
-    """The two-block step's worker thread, or None on a single CPU.  Made on
-    first use, and again in a forked child, which has no copy of the
-    thread.  The worker ignores overflow and invalid results, as the kernel
-    does."""
-    global _pool
-    if _cpus() < 2:
-        return None
-    pid = os.getpid()
-    if _pool is None or _pool[0] != pid:
-        # imported here: a solve that never splits K should not pay for it
-        from concurrent.futures import ThreadPoolExecutor
-
-        executor = ThreadPoolExecutor(max_workers=1, initializer=partial(np.seterr, over="ignore", invalid="ignore"))
-        _pool = (pid, executor)
-    return _pool[1]
-
-
-def _in_halves(pool, task, halves):
-    """[task(*args) for args in halves]; given the worker, it runs the
-    second while the caller runs the first."""
-    if pool is None:
-        return [task(*args) for args in halves]
-    first, second = halves
-    future = pool.submit(task, *second)
-    try:
-        done = task(*first)
-    finally:
-        other = future.result()
-    return [done, other]
-
-
-def _transpose_product(block, n, y, out):
-    """out = the block's rows of K, transposed, times y's entries in them."""
-    rows, indptr, indices, data = block
-    out.fill(0.0)
-    csc_matvec(n, rows.stop - rows.start, indptr, indices, data, y[rows], out)
 
 
 def _x_half(c, l, u, x, x_t, r, part, anchor, out, scale, mix):

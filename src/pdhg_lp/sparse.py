@@ -5,7 +5,16 @@ K^T y reads the same CSR arrays as K x.  Instances are immutable; the
 matvec call counters are the only mutable state and exist for statistics
 (they are not synchronized, so counts are approximate if a matrix is shared
 across threads).  ``row_blocks`` splits a large matrix's rows in two, for
-the two threads of the Halpern and the fixed step.
+two threads: both products run on the ``row_blocks()``, as the Halpern and
+the fixed step do.  With one block a product is one scipy kernel call.
+With two, the worker thread (``_worker``) runs the second block while the
+caller runs the first (``_in_halves``), or on one CPU the caller runs both
+in turn: K x writes each block's rows of the result, the same bits as one
+call, and K'y sums the two blocks' parts, as the step kernel does.  The
+split depends only on the nonzero count, so either product gives the same
+bits on any number of CPUs.  The worker runs only scipy kernels and numpy
+ufuncs, never a function a tracer could wrap: ``matvec`` and ``rmatvec``
+must never be called on it.
 
 ``dot`` is the one inner product of the solver's loop.  On a long vector it
 runs numpy's einsum, not BLAS: OpenBLAS's dot kernel splits a vector of
@@ -16,7 +25,9 @@ on the calling thread, where BLAS's 0.4 us per call beats einsum's 1 us.
 """
 
 import math
+import os
 import time
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,10 +103,11 @@ class SparseMatrix:
 
     # -- products ---------------------------------------------------------
 
-    # Both products call scipy's kernels directly, into a fresh zero vector.
-    # K's CSR arrays read as CSC are K^T; the column kernel sums each out[j]
-    # over the rows of K in order, as a gather over a sorted transpose would.
-    # A float64 ndarray, which is what the solver passes, is used as it is.
+    # Both products call scipy's kernels directly, on each row block (module
+    # docstring).  K's CSR arrays read as CSC are K^T; the column kernel sums
+    # each out[j] over a block's rows of K in order, as a gather over a
+    # sorted transpose would.  A float64 ndarray, which is what the solver
+    # passes, is used as it is.
 
     def matvec(self, x):
         """Return M @ x."""
@@ -106,8 +118,12 @@ class SparseMatrix:
             raise DimensionMismatch([f"matvec expected a vector of length {n}, got shape {x.shape}"])
         self.matvec_calls += 1
         out = np.zeros(m)
-        csr = self._csr
-        csr_matvec(m, n, csr.indptr, csr.indices, csr.data, x, out)
+        blocks = self.row_blocks()
+        if len(blocks) == 1:
+            csr = self._csr
+            csr_matvec(m, n, csr.indptr, csr.indices, csr.data, x, out)
+        else:
+            _in_halves(_worker(), _row_product, [(block, n, x, out) for block in blocks])
         return out
 
     def rmatvec(self, y):
@@ -118,9 +134,15 @@ class SparseMatrix:
         if y.shape != (m,):
             raise DimensionMismatch([f"rmatvec expected a vector of length {m}, got shape {y.shape}"])
         self.rmatvec_calls += 1
-        out = np.zeros(n)
-        csr = self._csr
-        csc_matvec(n, m, csr.indptr, csr.indices, csr.data, y, out)
+        blocks = self.row_blocks()
+        if len(blocks) == 1:
+            out = np.zeros(n)
+            csr = self._csr
+            csc_matvec(n, m, csr.indptr, csr.indices, csr.data, y, out)
+            return out
+        out, part = np.empty(n), np.empty(n)
+        _in_halves(_worker(), _transpose_product, [(block, n, y, v) for block, v in zip(blocks, (out, part))])
+        out += part
         return out
 
     def row_blocks(self, row_weight=0):
@@ -229,6 +251,65 @@ class SparseMatrix:
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
 
 
+# (the process that made it, the products' worker thread), set as one
+# value.  Two threads that both find it unset may each make a worker; the
+# one not kept is collected, and its thread exits then.
+_pool = None
+
+
+def _cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker():
+    """The worker thread of two-block products and steps, or None on a
+    single CPU.  Made on first use, and again in a forked child, which has
+    no copy of the thread.  The worker ignores overflow and invalid
+    results, as the step kernel does."""
+    global _pool
+    if _cpus() < 2:
+        return None
+    pid = os.getpid()
+    if _pool is None or _pool[0] != pid:
+        # imported here: a process that never splits a matrix should not pay for it
+        from concurrent.futures import ThreadPoolExecutor
+
+        executor = ThreadPoolExecutor(max_workers=1, initializer=partial(np.seterr, over="ignore", invalid="ignore"))
+        _pool = (pid, executor)
+    return _pool[1]
+
+
+def _in_halves(pool, task, halves):
+    """[task(*args) for args in halves]; given the worker, it runs the
+    second while the caller runs the first."""
+    if pool is None:
+        return [task(*args) for args in halves]
+    first, second = halves
+    future = pool.submit(task, *second)
+    try:
+        done = task(*first)
+    finally:
+        other = future.result()
+    return [done, other]
+
+
+def _row_product(block, n, x, out):
+    """Add the block's rows of K times x into out's entries in those rows."""
+    rows, indptr, indices, data = block
+    csr_matvec(rows.stop - rows.start, n, indptr, indices, data, x, out[rows])
+
+
+def _transpose_product(block, n, y, out):
+    """out = the block's rows of K, transposed, times y's entries in them."""
+    rows, indptr, indices, data = block
+    out.fill(0.0)
+    csc_matvec(n, rows.stop - rows.start, indptr, indices, data, y[rows], out)
+
+
 class SpectralEstimate:
     """Result of a spectral norm estimate: the value, whether it met its
     tolerance, and the products M^T M v (or M M^T v) it took."""
@@ -261,11 +342,12 @@ def spectral_norm_estimate(matrix, tol=1e-4, max_iters=5000, seed=0, *, deadline
     before a product, the largest ||M v|| over the unit Lanczos vectors (a
     lower bound on the norm) is returned with ``converged=False``.
 
-    The same bits for a given ``seed`` on any number of BLAS threads.  The
-    start is random, not all ones: a part of M whose rows sum to zero (a
-    difference row x_i - x_j) is exactly 0 in M^T M 1 and stays 0 through
-    every Lanczos vector, so a ones start can miss a larger singular value
-    held there.
+    The same bits for a given ``seed`` on any number of BLAS threads and on
+    any number of CPUs: a product's split into row blocks depends only on
+    the nonzero count (module docstring).  The start is random, not all
+    ones: a part of M whose rows sum to zero (a difference row x_i - x_j) is
+    exactly 0 in M^T M 1 and stays 0 through every Lanczos vector, so a ones
+    start can miss a larger singular value held there.
     """
     max_iters, tol = _count("max_iters", max_iters, least=1), _real("tol", tol)
     if not 0.0 <= tol < math.inf:

@@ -32,8 +32,11 @@ STEP_MODES = ("halpern", "adaptive", "fixed")
 WEIGHT_MODES = ("adaptive", "fixed")
 
 # The constant steps as shares of 1 / ||K||.  Halpern's margin is the
-# spectral estimate's: its 1e-6 tolerance on ||K||^2 keeps 0.998 / estimate
-# below 1 / ||K||.
+# spectral estimate's: its tolerance tol on ||K||^2 (``solver.NORM_TOLERANCE``,
+# 2e-3) leaves the estimate low by a relative error of at most about tol / 2,
+# so 0.998 / estimate stays below 1 / ||K|| while tol / 2 < 2e-3, with 4e-3
+# the edge.  This assumes the Lanczos Ritz value has found the top
+# eigenvalue, which its seeded normal start makes likely but does not prove.
 HALPERN_STEP_FRACTION = 0.998
 FIXED_STEP_FRACTION = 0.9
 

@@ -20,15 +20,17 @@ takes ``"ruiz+pc"`` scaling where this takes the default), the fixed step
 with the adaptive weight, and the adaptive step.  Problems: the 20
 criterion-8 LPs, the planted unbounded and infeasible LPs of seeds 0-3, the
 three toys, and one PageRank with n = 30,000, whose 2.4e5 nonzeros take the
-two-thread Halpern and fixed steps and the row order of the working space.
+two-thread Halpern and fixed steps, the two-block products of the norm
+estimate and the checks, and the row order of the working space.
 
 The last bits may depend on the numpy and scipy builds and the CPU, but
-not on the number of threads BLAS may use: no sum in a solve is split by
-BLAS's thread count (the norm estimate's Lanczos products are scipy's own
-loops, and its dots run on the calling thread), so a run pinned to one CPU
-or with ``OPENBLAS_NUM_THREADS=1`` prints the same solve lines as one that
-is not.  The first line names the usable CPU count and
-``OPENBLAS_NUM_THREADS`` and enters no digest; compare the lines after it.
+not on the number of threads BLAS may use or on the CPU count: no sum in a
+solve is split by either (every product runs scipy's own loops on row
+blocks that depend only on the nonzero count, and the norm estimate's dots
+run on the calling thread), so a run pinned to one CPU or with
+``OPENBLAS_NUM_THREADS=1`` prints the same solve lines as one that is not.
+The first line names the usable CPU count and ``OPENBLAS_NUM_THREADS`` and
+enters no digest; compare the lines after it.
 pytest does not collect this file.  It takes about 4 s on a 2-core x86 VM.
 """
 
@@ -95,7 +97,7 @@ def fingerprint(report):
 
 
 def main():
-    print(f"cpus {pl.pdhg._cpus()} OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
+    print(f"cpus {pl.sparse._cpus()} OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     digest = hashlib.md5()
     for config_name, config in configs().items():
         config_digest = hashlib.md5()

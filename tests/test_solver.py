@@ -17,7 +17,7 @@ import scipy.optimize
 import scipy.sparse
 
 import pdhg_lp as pl
-from pdhg_lp import pdhg, restarts, scaling as scaling_module
+from pdhg_lp import pdhg, restarts, scaling as scaling_module, sparse
 from pdhg_lp.scaling import ROW_ORDER_MIN_NNZ
 
 from conftest import planted_infeasible_lp, planted_unbounded_lp, random_feasible_lp
@@ -462,7 +462,10 @@ class TestHalpern:
         config = pl.SolverConfig(scaling="none", termination=pl.TerminationCriteria(iteration_limit=10_000))
         report = pl.solve(problem, config)
         assert report.status == pl.STATUS_OPTIMAL
-        assert abs(report.step_size - 0.998 / 2.0) <= 1e-6
+        # the estimate is within the norm tolerance's relative tol / 2 of
+        # ||K|| = 2, and the step below 1 / ||K||
+        assert abs(report.step_size / (0.998 / 2.0) - 1.0) <= pl.solver.NORM_TOLERANCE / 2
+        assert report.step_size * 2.0 < 1.0
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(
@@ -843,12 +846,29 @@ class TestSpectralEstimate:
         assert len(estimates) == 1
         assert report.timings["power_iteration_sec"] > 0.0
 
+    @pytest.mark.parametrize("scaling", [pl.scaling.DEFAULT_SCALING, "ruiz+pc"])
+    def test_constant_steps_stay_below_one_over_the_norm(self, scaling):
+        # the norm tolerance leaves the estimate of ||K~|| low by a relative
+        # error of at most about tol / 2, inside the Halpern step's 0.998 and
+        # the fixed step's 0.9: each step times the dense ||K~|| is below 1
+        # on every criterion-8 LP
+        for seed in range(20):
+            problem = random_feasible_lp(seed)
+            saddle = pl.to_saddle(problem)
+            k_tilde = pl.apply_scaling(saddle, pl.combined_rescale(saddle.K, mode=scaling, m1=saddle.m1)).K
+            norm = np.linalg.norm(k_tilde.toarray(), 2)
+            for mode in ("halpern", "fixed"):
+                limit = pl.TerminationCriteria(iteration_limit=0)
+                config = pl.SolverConfig(termination=limit, scaling=scaling, step=pl.StepPolicy(mode=mode))
+                assert pl.solve(problem, config).step_size * norm < 1.0, (seed, mode)
+
     def test_time_limit_stops_it(self, estimates):
-        # the top two singular values of K are 1 and 0.998, so the Lanczos
-        # run takes a few dozen pairs of products to settle; a limit
-        # already past when it starts stops it before the first pair
+        # the singular values of K are spaced evenly from 1 down to 0.6, the
+        # top two 1 and 0.999, so the Lanczos run takes a few dozen pairs of
+        # products to settle even at the norm tolerance; a limit already
+        # past when it starts stops it before the first pair
         n = 400
-        sigma = 1.0 - 0.03 * np.linspace(0.0, 2.0, n) ** 0.5
+        sigma = np.linspace(1.0, 0.6, n)
         problem = pl.LpProblem(c=np.ones(n), ineq_matrix=np.diag(sigma), ineq_rhs=np.ones(n), lower=0.0)
 
         def config(**limits):
@@ -1096,7 +1116,7 @@ class TestWorkingSpaceRowOrder:
 
 def _solve_in_child(problem, results):
     report = pl.solve(problem)
-    own_worker = pdhg._cpus() < 2 or pdhg._pool[0] == os.getpid()
+    own_worker = sparse._cpus() < 2 or sparse._pool[0] == os.getpid()
     results.put((report.status, report.iterations, own_worker))
 
 
@@ -1127,7 +1147,7 @@ class TestTwoThreads:
         assert threaded["status"] == pl.STATUS_OPTIMAL
         # the Halpern step, too, takes the worker once per stretch of steps
         assert 0 < len(workers) < threaded["counts"]["iterations"]
-        if pdhg._cpus() >= 2:
+        if sparse._cpus() >= 2:
             assert all(w is not None and w is workers[0] for w in workers)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -1143,7 +1163,7 @@ class TestTwoThreads:
         threaded, workers = self.solve_recording_workers(problem, monkeypatch, config)
         assert threaded["status"] == pl.STATUS_OPTIMAL
         assert 0 < len(workers) < threaded["counts"]["iterations"]
-        if pdhg._cpus() >= 2:
+        if sparse._cpus() >= 2:
             assert all(w is not None and w is workers[0] for w in workers)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -1154,7 +1174,7 @@ class TestTwoThreads:
     def test_two_threads_below_the_floor_make_no_worker(self, monkeypatch):
         problem = pl.generate_pagerank(pl.PagerankSpec(num_nodes=2000))
         assert pl.to_saddle(problem).K.nnz < pl.sparse.SPLIT_MIN_NNZ
-        monkeypatch.setattr(pdhg, "_pool", None)
+        monkeypatch.setattr(sparse, "_pool", None)
         inline, workers = self.solve_recording_workers(problem, monkeypatch)
         assert inline["status"] == pl.STATUS_OPTIMAL
         assert workers == []
@@ -1162,7 +1182,7 @@ class TestTwoThreads:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         serial, workers = self.solve_recording_workers(problem, monkeypatch)
         assert workers == []
-        assert pdhg._pool is None
+        assert sparse._pool is None
         assert json.dumps(inline, sort_keys=True) == json.dumps(serial, sort_keys=True)
 
     def test_two_threads_non_finite_operator_leaves_state_intact(self):
@@ -1206,7 +1226,7 @@ class TestTwoThreads:
             pytest.skip("no fork start method on this platform")
         problem = pl.generate_pagerank(pl.PagerankSpec(num_nodes=26_000))
         parent = pl.solve(problem)
-        assert pdhg._cpus() < 2 or pdhg._pool[0] == os.getpid()
+        assert sparse._cpus() < 2 or sparse._pool[0] == os.getpid()
         context = multiprocessing.get_context("fork")
         results = context.Queue()
         child = context.Process(target=_solve_in_child, args=(problem, results))

@@ -418,6 +418,58 @@ class TestStorage:
         assert (rows.start, rows.stop) == (0, 300) and ptr.size == 301
 
 
+class TestTwoThreadProducts:
+    """With two row blocks K x writes each block's rows on its own thread,
+    the bits of one scipy call, and K'y sums the blocks' parts.  Neither
+    depends on whether the worker runs a half or the caller runs both.  The
+    CI runs these tests under ``taskset -c 0`` too, where ``_worker`` itself
+    returns None."""
+
+    @staticmethod
+    def matrix(kind, monkeypatch):
+        if kind == "floor_at_1":
+            monkeypatch.setattr(sparse_module, "SPLIT_MIN_NNZ", 1)
+            csr = sp.random(90, 70, density=0.3, random_state=11, format="csr")
+        else:
+            csr = sp.random(1500, 1200, density=0.12, random_state=3, format="csr")
+        rng = np.random.default_rng(12)
+        csr.data = rng.standard_normal(csr.nnz) * 10.0 ** rng.uniform(-4, 4, csr.nnz)
+        mat = SparseMatrix(csr)
+        assert len(mat.row_blocks()) == 2
+        return mat
+
+    @pytest.mark.parametrize("kind", ["floor_at_1", "above_the_floor"])
+    def test_two_threads_products_match_scipy(self, kind, monkeypatch):
+        mat = self.matrix(kind, monkeypatch)
+        csr = mat.tocsr()
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            x, y = rng.standard_normal(mat.shape[1]), rng.standard_normal(mat.shape[0])
+            assert mat.matvec(x).tobytes() == (csr @ x).tobytes()
+            kty = csr.T @ y
+            np.testing.assert_allclose(mat.rmatvec(y), kty, rtol=1e-12, atol=1e-12 * np.abs(kty).max())
+        assert mat.matvec_calls == mat.rmatvec_calls == 3
+
+    @pytest.mark.parametrize("kind", ["floor_at_1", "above_the_floor"])
+    def test_two_threads_match_the_caller_alone(self, kind, monkeypatch):
+        mat = self.matrix(kind, monkeypatch)
+        rng = np.random.default_rng(14)
+        x, y = rng.standard_normal(mat.shape[1]), rng.standard_normal(mat.shape[0])
+
+        def run():
+            est = spectral_norm_estimate(mat, tol=2e-3)
+            return mat.matvec(x).tobytes(), mat.rmatvec(y).tobytes(), est.value.hex(), est.iterations
+
+        workers, real = [], sparse_module._worker
+        monkeypatch.setattr(sparse_module, "_worker", lambda: workers.append(real()) or workers[-1])
+        threaded = run()
+        # a product takes the worker once, or on one CPU gets None
+        assert len(workers) == 2 + 2 * threaded[3]
+        assert all(w is None for w in workers) if sparse_module._cpus() < 2 else None not in workers
+        monkeypatch.setattr(sparse_module, "_worker", lambda: None)
+        assert run() == threaded
+
+
 class TestWorkingSpaceProducts:
     """Products with the scaled K whose rows are gathered by an order."""
 
