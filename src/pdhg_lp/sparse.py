@@ -12,9 +12,10 @@ caller runs the first (``_in_halves``), or on one CPU the caller runs both
 in turn: K x writes each block's rows of the result, the same bits as one
 call, and K'y sums the two blocks' parts, as the step kernel does.  The
 split depends only on the nonzero count, so either product gives the same
-bits on any number of CPUs.  The worker runs only scipy kernels and numpy
-ufuncs, never a function a tracer could wrap: ``matvec`` and ``rmatvec``
-must never be called on it.
+bits on any number of CPUs.  The same worker runs the second block's half
+of each scaling pass (``scaling.py``) and of ``scaled``'s entries.  The
+worker runs only scipy kernels and numpy ufuncs, never a function a tracer
+could wrap: ``matvec`` and ``rmatvec`` must never be called on it.
 
 ``dot`` is the one inner product of the solver's loop.  On a long vector it
 runs numpy's einsum, not BLAS: OpenBLAS's dot kernel splits a vector of
@@ -31,7 +32,7 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_scale_columns, csr_scale_rows
 
 from .exceptions import DimensionMismatch, NonFiniteData, NonPositiveInput, _count, _real
 
@@ -168,8 +169,7 @@ class SparseMatrix:
                     cost = np.arange(m + 1, dtype=np.float64)
                     cost *= row_weight
                     cost += csr.indptr
-                middle = int(np.searchsorted(cost, cost[-1] // 2))
-                bounds.insert(1, min(max(middle, 1), m - 1))
+                bounds.insert(1, _middle_row(cost))
             blocks = self._row_blocks[row_weight] = tuple(
                 (slice(a, b), csr.indptr[a : b + 1], csr.indices, csr.data) for a, b in zip(bounds, bounds[1:])
             )
@@ -189,7 +189,9 @@ class SparseMatrix:
         P gathers the rows by ``row_order``, a permutation of the row
         indices: row i of the result is row ``row_order[i]``.  None keeps
         the order.  Each entry is M_ij * (row_scale_i * col_scale_j), and
-        the result is built in one copy of M's arrays.
+        the result is built in one copy of M's arrays.  Where M has two row
+        blocks, the result's two halves of nonzeros form their entries on
+        two threads.
         """
         row_scale = np.asarray(row_scale, dtype=np.float64)
         col_scale = np.asarray(col_scale, dtype=np.float64)
@@ -197,14 +199,13 @@ class SparseMatrix:
         if row_scale.shape != (m,) or col_scale.shape != (self.shape[1],):
             raise DimensionMismatch(["scaling vectors do not match matrix shape"])
         csr = self._csr
-        lengths = np.diff(csr.indptr)
         if row_order is None:
             indptr, indices, values = csr.indptr.copy(), csr.indices.copy(), csr.data
         else:
             row_order = np.asarray(row_order, dtype=np.intp)
             if row_order.shape != (m,):
                 raise DimensionMismatch([f"row order has shape {row_order.shape}, expected {(m,)}"])
-            lengths = lengths[row_order]
+            lengths = np.diff(csr.indptr)[row_order]
             row_scale = row_scale[row_order]
             indptr = np.zeros_like(csr.indptr)
             np.cumsum(lengths, out=indptr[1:])
@@ -213,10 +214,13 @@ class SparseMatrix:
             source += np.repeat(csr.indptr[row_order] - indptr[:-1], lengths)
             indices, values = csr.indices[source], csr.data[source]
             del source
-        data = np.repeat(row_scale, lengths)
-        with np.errstate(over="ignore"):  # _own reports an overflow as NonFiniteData
-            data *= col_scale[indices]
-            data *= values
+        data = np.empty(self.nnz)
+        halves = [slice(0, m)]
+        if len(self.row_blocks()) == 2:
+            middle = _middle_row(indptr)
+            halves = [slice(0, middle), slice(middle, m)]
+        args = [(rows, indptr, indices, values, row_scale, col_scale, data) for rows in halves]
+        _in_halves(_worker() if len(halves) == 2 else None, _scaled_entries, args)
         out = SparseMatrix.__new__(SparseMatrix)
         out._own(sp.csr_matrix((data, indices, indptr), shape=self.shape))
         return out
@@ -297,6 +301,25 @@ def _in_halves(pool, task, halves):
     return [done, other]
 
 
+def _middle_row(cost):
+    """The row, neither the first nor past the last, at which ``cost``, a
+    running total over the rows from 0 (such as an indptr), reaches half."""
+    return min(max(int(np.searchsorted(cost, cost[-1] // 2)), 1), cost.size - 2)
+
+
+def _scaled_entries(rows, indptr, indices, values, row_scale, col_scale, out):
+    """``SparseMatrix.scaled``'s entries in ``rows`` into ``out``:
+    (row_scale_i * col_scale_j) * M_ij, multiplied in that order by
+    scipy's row and column scaling kernels and then by the values."""
+    lo, hi = indptr[rows.start], indptr[rows.stop]
+    local, part = indptr[rows.start : rows.stop + 1] - lo, out[lo:hi]
+    part.fill(1.0)
+    csr_scale_rows(rows.stop - rows.start, col_scale.size, local, indices[lo:hi], part, row_scale[rows])
+    csr_scale_columns(rows.stop - rows.start, col_scale.size, local, indices[lo:hi], part, col_scale)
+    with np.errstate(over="ignore"):  # _own reports an overflow as NonFiniteData
+        part *= values[lo:hi]
+
+
 def _row_product(block, n, x, out):
     """Add the block's rows of K times x into out's entries in those rows."""
     rows, indptr, indices, data = block
@@ -366,14 +389,15 @@ def spectral_norm_estimate(matrix, tol=1e-4, max_iters=5000, seed=0, *, deadline
     v = np.random.default_rng(seed).standard_normal(dim)
     v /= math.sqrt(dot(v, v))
     v_prev = np.zeros(dim)
+    scratch = np.empty(dim)
     alphas, betas = [], []
     beta = 0.0
     while True:
         u = first(v)
         alpha = dot(u, u)  # v' M^T M v, with ||v|| = 1
         w = second(u)
-        w -= alpha * v
-        w -= beta * v_prev
+        w -= np.multiply(alpha, v, out=scratch)
+        w -= np.multiply(beta, v_prev, out=scratch)
         alphas.append(alpha)
         beta = math.sqrt(dot(w, w))
         # the top Ritz pair as scipy.linalg.eigh_tridiagonal(select="i")

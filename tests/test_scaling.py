@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import pdhg_lp as pl
-from pdhg_lp import SparseMatrix, scaling as scaling_module
-from pdhg_lp.scaling import ROW_ORDER_MIN_NNZ, _abs_triplets, _ruiz_scales, length_order
+from pdhg_lp import SparseMatrix, scaling as scaling_module, sparse as sparse_module
+from pdhg_lp.scaling import ROW_ORDER_MIN_NNZ, _abs_entries, _ruiz_scales, length_order
 
 from conftest import random_feasible_lp
 
@@ -59,7 +60,7 @@ class TestRuiz:
 def log_mean_ruiz(mat, sweeps):
     """The log-mean pass, then ``sweeps`` Ruiz sweeps, as the default mode
     runs them: (d1, d2)."""
-    return _ruiz_scales(_abs_triplets(mat), mat.shape, sweeps, True, math.inf)
+    return _ruiz_scales(_abs_entries(mat), sweeps, True, math.inf)
 
 
 def pock_chambolle(mat):
@@ -142,14 +143,14 @@ class TestCombined:
     def test_matches_the_chain_of_passes(self, mode, case):
         # the reference: the Ruiz sweeps, a scaled copy of K, then
         # Pock-Chambolle restated on that copy, composed by hand;
-        # combined_rescale runs the same arithmetic on K's triplets, to the bit
+        # combined_rescale runs the same arithmetic on K's entries, to the bit
         if case == "pagerank":
             problem = pl.generate_pagerank(pl.PagerankSpec(num_nodes=3000))
         else:
             problem = random_feasible_lp(case)
         mat = pl.to_saddle(problem).K
         assert (case == "pagerank") == (mat.nnz >= ROW_ORDER_MIN_NNZ)
-        ruiz = _ruiz_scales(_abs_triplets(mat), mat.shape, 10, mode.startswith("logmean"), math.inf)
+        ruiz = _ruiz_scales(_abs_entries(mat), 10, mode.startswith("logmean"), math.inf)
         pc = pock_chambolle(mat.scaled(*ruiz))
         both = pl.combined_rescale(mat, mode=mode)
         assert both.row_scale.tobytes() == (ruiz[0] * pc[0]).tobytes()
@@ -384,3 +385,162 @@ class TestWorkingSpaceRoundTrip:
         for order in ([0, 0, 1, 2], [0, 1, 2], [1, 2, 3, 4]):
             with pytest.raises(pl.DimensionMismatch):
                 pl.ScalingInfo(np.ones(4), np.ones(2), order)
+
+
+def coo_scales(mat, mode):
+    """Ruiz and then Pock-Chambolle at alpha = 1 over K's COO triplets,
+    from the log-mean pass if the mode names it: each sweep takes its
+    maxima with ``np.maximum.at`` on ``vals * d1[rows] * d2[cols]``, and
+    every sum is a ``np.bincount``.  (d1, d2) after the sweeps alone for
+    mode "ruiz", else the combined scales."""
+    coo = mat.tocoo()
+    rows, cols, vals = coo.row, coo.col, np.abs(coo.data)
+    (m, n), d1, d2 = mat.shape, np.ones(mat.shape[0]), np.ones(mat.shape[1])
+
+    def mean_by(index, values, size):
+        return np.bincount(index, values, size) / np.maximum(np.bincount(index, minlength=size), 1)
+
+    if mode.startswith("logmean"):
+        whole = np.floor(mean_by(rows, np.frexp(vals)[1], m)).astype(np.int32)
+        logs = np.log2(np.ldexp(vals, -whole[rows]))
+        row_shift = mean_by(rows, logs, m)
+        logs -= row_shift[rows]
+        d1, d2 = np.ldexp(np.exp2(-row_shift), -whole), np.exp2(-mean_by(cols, logs, n))
+    for _ in range(scaling_module.RUIZ_ITERATIONS):
+        cur = vals * d1[rows] * d2[cols]
+        row_inf, col_inf = np.zeros(m), np.zeros(n)
+        np.maximum.at(row_inf, rows, cur)
+        np.maximum.at(col_inf, cols, cur)
+        d1 = np.where(row_inf > 0, d1 / np.sqrt(np.maximum(row_inf, 1e-300)), d1)
+        d2 = np.where(col_inf > 0, d2 / np.sqrt(np.maximum(col_inf, 1e-300)), d2)
+    if mode == "ruiz":
+        return d1, d2
+    cur = d1[rows] * d2[cols]
+    cur *= vals
+    sums = (np.bincount(rows, cur, m), np.bincount(cols, cur, n))
+    e1, e2 = (np.where(s > 0, 1.0 / np.sqrt(np.maximum(s, 1e-300)), 1.0) for s in sums)
+    return d1 * e1, d2 * e2
+
+
+def split_matrix(dense, monkeypatch):
+    """``dense`` as a SparseMatrix of two row blocks, with the split floor
+    at 1 nonzero."""
+    monkeypatch.setattr(sparse_module, "SPLIT_MIN_NNZ", 1)
+    return SparseMatrix(dense, shape=dense.shape)
+
+
+def scales_both_ways(mat, monkeypatch, run):
+    """``run(mat)``'s result once with the worker thread and once with
+    ``_worker`` returning None, so that the caller runs both halves; the
+    worker must have been asked for once a pass on two blocks (and on one
+    CPU gives None)."""
+    workers, real = [], scaling_module._worker
+    monkeypatch.setattr(scaling_module, "_worker", lambda: workers.append(real()) or workers[-1])
+    threaded = run(mat)
+    assert bool(workers) == (len(mat.row_blocks()) == 2)
+    assert all(w is None for w in workers) if sparse_module._cpus() < 2 else None not in workers
+    monkeypatch.setattr(scaling_module, "_worker", lambda: None)
+    return threaded, run(mat)
+
+
+def small_cases():
+    """Small matrices that take two row blocks at a floor of 1 nonzero,
+    but the single row, which stays one block."""
+    rng = np.random.default_rng(41)
+    dense = rng.standard_normal((9, 7)) * 10.0 ** rng.uniform(-3, 3, (9, 7))
+    dense[rng.random((9, 7)) < 0.4] = 0.0
+    holes = dense.copy()
+    holes[[0, 4, 8], :] = 0.0  # empty rows, the first and the last among them
+    holes[:, [2, 6]] = 0.0  # empty columns
+    boundary = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 3.0, 4.0]])
+    first_block_empty = np.array([[0.0, 0.0], [5.0, 0.25]])
+    single_row = rng.standard_normal((1, 6))
+    return {
+        "dense": dense,
+        "empty_rows_and_columns": holes,
+        "empty_row_at_the_boundary": boundary,
+        "first_block_empty": first_block_empty,
+        "single_row": single_row,
+    }
+
+
+class TestRowBlockScaling:
+    """The passes run on K's row blocks, on two threads when there are
+    two, and keep the bits of the sweep over K's COO triplets.  The CI
+    runs these tests under ``taskset -c 0`` too, where ``_worker`` itself
+    returns None."""
+
+    RUNS = {
+        "ruiz": lambda mat: pl.ruiz_rescale(mat),
+        "ruiz+pc": lambda mat: pl.combined_rescale(mat, "ruiz+pc"),
+        "logmean+ruiz+pc": lambda mat: pl.combined_rescale(mat, "logmean+ruiz+pc"),
+    }
+
+    @staticmethod
+    def assert_same(scaling, reference):
+        assert scaling.row_scale.tobytes() == reference[0].tobytes()
+        assert scaling.col_scale.tobytes() == reference[1].tobytes()
+
+    @pytest.fixture(scope="class")
+    def pagerank_k(self):
+        # the fingerprint's PageRank: its K takes two real blocks
+        return pl.to_saddle(pl.generate_pagerank(pl.PagerankSpec(num_nodes=30_000))).K
+
+    @pytest.mark.parametrize("mode", list(RUNS))
+    def test_two_threads_match_the_coo_sweep_on_pagerank(self, pagerank_k, mode, monkeypatch):
+        assert pagerank_k.nnz >= sparse_module.SPLIT_MIN_NNZ and len(pagerank_k.row_blocks()) == 2
+        reference = coo_scales(pagerank_k, mode)
+        for scaling in scales_both_ways(pagerank_k, monkeypatch, self.RUNS[mode]):
+            self.assert_same(scaling, reference)
+
+    @pytest.mark.parametrize("case", list(small_cases()))
+    @pytest.mark.parametrize("mode", list(RUNS))
+    def test_two_threads_match_the_coo_sweep_on_small_blocks(self, case, mode, monkeypatch):
+        mat = split_matrix(small_cases()[case], monkeypatch)
+        blocks = mat.row_blocks()
+        assert len(blocks) == (1 if case == "single_row" else 2)
+        if case == "empty_row_at_the_boundary":
+            assert blocks[1][0].start == 1 and mat.row_lengths()[1] == 0
+        if case == "first_block_empty":
+            assert blocks[0][1][-1] == 0
+        reference = coo_scales(mat, mode)
+        for scaling in scales_both_ways(mat, monkeypatch, self.RUNS[mode]):
+            self.assert_same(scaling, reference)
+
+    # under the suite's warning filter: scales (seed 0), a RuntimeWarning
+    # from the log-mean pass's ldexp (1) and log2 (9) and from a sweep's
+    # divide (19), and NonPositiveInput after a sweep's entry product
+    # overflows (13, 29); with warnings only recorded, a NaN reaches a
+    # sweep's maxima (85, 111) and a product d1_i * d2_j of the
+    # Pock-Chambolle pass overflows (73)
+    @pytest.mark.parametrize("seed", [0, 1, 9, 13, 19, 29, 73, 85, 111])
+    def test_two_threads_same_outcome_at_the_edge_of_the_float_range(self, seed, monkeypatch):
+        # entries +-k * 2^j with |j| up to 600 or 1,000: the passes may
+        # overflow, underflow or raise; either way the worker changes
+        # nothing, neither the result nor a warning, since every numpy call
+        # that can warn runs on the caller
+        rng = np.random.default_rng(seed)
+        m, n = rng.integers(2, 6, 2)
+        limit = (600, 1000)[seed % 2]
+        signs = rng.choice([-1.0, 1.0], (m, n))
+        dense = signs * np.ldexp(rng.integers(1, 8, (m, n)), rng.integers(-limit, limit + 1, (m, n)))
+        dense[rng.random((m, n)) < 0.3] = 0.0
+        dense[0, 0] = 2.0**-limit
+        mat = split_matrix(dense, monkeypatch)
+        assert len(mat.row_blocks()) == 2
+
+        def result(mat):
+            try:
+                scaling = pl.combined_rescale(mat)
+            except Exception as error:  # noqa: BLE001 - the type is what is compared
+                return type(error)
+            return scaling.row_scale.tobytes(), scaling.col_scale.tobytes()
+
+        def outcome(mat):
+            raised = result(mat)
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                return raised, result(mat), sorted({str(w.message) for w in seen})
+
+        threaded, caller = scales_both_ways(mat, monkeypatch, outcome)
+        assert threaded == caller

@@ -605,15 +605,15 @@ class TestScalingDeadline:
         monkeypatch.setattr(scaling_module, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
         monkeypatch.setattr(scaling_module, "_ruiz_sweep", counting)
         matrix = pl.to_saddle(random_feasible_lp(1)).K
-        # past the deadline not even the COO triplets are built
-        triplets = []
-        real_tocoo = pl.SparseMatrix.tocoo
-        monkeypatch.setattr(pl.SparseMatrix, "tocoo", lambda self: triplets.append(self) or real_tocoo(self))
+        # past the deadline not even K's absolute entries are taken
+        taken = []
+        real_entries = scaling_module._abs_entries
+        monkeypatch.setattr(scaling_module, "_abs_entries", lambda mat: taken.append(mat) or real_entries(mat))
         for mode in ("ruiz+pc", "logmean+ruiz+pc"):
             assert pl.combined_rescale(matrix, mode, deadline=0.0).is_identity
-        assert sweeps == [] and triplets == []
+        assert sweeps == [] and taken == []
         assert pl.combined_rescale(matrix, "ruiz+pc", deadline=1.0).is_identity
-        assert sweeps == [0, 1, 2] and triplets == [matrix]
+        assert sweeps == [0, 1, 2] and taken == [matrix]
         sweeps.clear()
         full = pl.combined_rescale(matrix, "ruiz+pc", deadline=math.inf)
         assert len(sweeps) == 10

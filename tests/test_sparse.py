@@ -470,6 +470,27 @@ class TestTwoThreadProducts:
         assert run() == threaded
 
 
+    @pytest.mark.parametrize("ordered", [False, True])
+    @pytest.mark.parametrize("kind", ["floor_at_1", "above_the_floor"])
+    def test_two_threads_scaled_keeps_the_entry_bits(self, kind, ordered, monkeypatch):
+        # each entry is (r_i * c_j) * M_ij, with the worker forming one half
+        # of the result's nonzeros or the caller both
+        mat = self.matrix(kind, monkeypatch)
+        rng = np.random.default_rng(15)
+        r, c = 10.0 ** rng.uniform(-3, 3, mat.shape[0]), 10.0 ** rng.uniform(-3, 3, mat.shape[1])
+        order = rng.permutation(mat.shape[0]) if ordered else None
+        gathered = mat.tocsr()[order] if ordered else mat.tocsr()
+        rows = r[order] if ordered else r
+        expected = np.repeat(rows, np.diff(gathered.indptr)) * c[gathered.indices] * gathered.data
+        threaded = mat.scaled(r, c, order).tocsr()
+        monkeypatch.setattr(sparse_module, "_worker", lambda: None)
+        caller = mat.scaled(r, c, order).tocsr()
+        for scaled in (threaded, caller):
+            assert scaled.data.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(scaled.indices, gathered.indices)
+            np.testing.assert_array_equal(scaled.indptr, gathered.indptr)
+
+
 class TestWorkingSpaceProducts:
     """Products with the scaled K whose rows are gathered by an order."""
 
