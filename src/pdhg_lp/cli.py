@@ -53,6 +53,8 @@ EXIT_BY_STATUS = {
 
 BENCH_CONFIGS = ("vanilla", "scaled", "restarts", "full")
 BENCH_SHIFT = 10.0  # the shift of the bench summary's geometric means
+# the bench CSV's columns, in order: a row of _bench_one's has these keys
+BENCH_COLUMNS = ("instance", "config", "status", "iterations", "restarts", "matvecs", "wall_sec", "rel_kkt_final")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -248,16 +250,8 @@ def _bench_one(task):
     """Worker: solve one instance under one named, built config.  Takes and
     returns picklable values so it can cross a process boundary."""
     path, config_name, config, fixed = task
-    row = {
-        "instance": os.path.basename(path),
-        "config": config_name,
-        "status": "error",
-        "iterations": "",
-        "restarts": "",
-        "matvecs": "",
-        "wall_sec": "",
-        "rel_kkt_final": "",
-    }
+    row = dict.fromkeys(BENCH_COLUMNS, "")
+    row.update(instance=os.path.basename(path), config=config_name, status="error")
     try:
         problem = _read_problem(path, fixed=fixed)
         t0 = time.perf_counter()
@@ -305,6 +299,9 @@ def _cmd_bench(args):
         print(f"pdhg-lp: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 1
     config_names = [c.strip() for c in args.configs.split(",") if c.strip()]
+    if not config_names:
+        print(f"pdhg-lp: --configs names no bench config: {args.configs!r}", file=sys.stderr)
+        return 1
     try:  # an unknown name or a bad number fails the command, not each row
         configs = {
             name: bench_config(name, args.tolerance, args.max_iters, args.time_limit_sec) for name in config_names
@@ -324,13 +321,7 @@ def _cmd_bench(args):
         rows = [_bench_one(t) for t in tasks]
 
     buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf,
-        fieldnames=[
-            "instance", "config", "status", "iterations", "restarts",
-            "matvecs", "wall_sec", "rel_kkt_final",
-        ],
-    )
+    writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS)
     writer.writeheader()
     for row in rows:
         writer.writerow(row)

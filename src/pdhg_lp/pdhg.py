@@ -14,7 +14,10 @@ reflected Halpern mix (Lu & Yang, arXiv 2407.16144)
 with z_0 the epoch's anchor.  Both form T in one loop (``_steps``), the
 reflection 2 x+ - x before the product, so they keep no K x and a step
 costs one matvec and one rmatvec; on a large K both run on two threads,
-through the same side functions.  The adaptive rule in ``stepsize.py``
+through the same side functions and ``sparse.py``'s runner of K's row
+blocks.  scipy's product kernels and numpy's clip ufunc come from
+``sparse.py`` too, the one module that imports either library's private
+modules.  The adaptive rule in ``stepsize.py``
 takes one step per call, from ``step_gradient``, ``trial_step`` (the trial
 point, its movement and interaction) and ``accept_step`` (the commit,
 weighted by the step size); its interaction needs K x+ - K x, so it alone
@@ -57,15 +60,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
-
-try:  # the clip ufunc itself, without ndarray.clip's Python wrapper
-    from numpy._core.umath import clip as _clip
-except ImportError:  # numpy < 2
-    from numpy.core.umath import clip as _clip
 
 from .exceptions import NonFiniteIterate, NonPositiveInput, NonPositiveQuadraticForm
-from .sparse import DOT_BLAS_MAX, ROW_WEIGHT, _in_halves, _transpose_product, _worker, dot
+from .sparse import DOT_BLAS_MAX, ROW_WEIGHT, _clip, _in_halves, _transpose_product, csc_matvec, csr_matvec, dot
 
 # 2 and 0 as read-only float64 0-d arrays, which a ufunc takes without
 # converting a Python float (module docstring)
@@ -305,12 +302,14 @@ def _steps(state, saddle, step, count, halpern, deadline):
     whole vectors.  With two it runs in three phases: the blocks' parts of
     K'y; the x side over two column halves (``_x_half``); K r and the y
     side over the row blocks of ``row_blocks(ROW_WEIGHT)`` (``_y_half``).
-    The worker thread (``_worker``) runs the second half of each phase
-    while the caller runs the first, or, with one CPU, the caller runs both
-    in turn: the same arithmetic, the same bits.  Each half returns the sum
-    of its part of the new iterate for the finiteness test.  The worker
-    runs only this module's phase functions, scipy kernels and numpy
-    ufuncs on disjoint slices, never a function a tracer could wrap.
+    Each phase is one ``sparse._in_halves`` call: the products' worker
+    thread runs its second half while the caller runs the first, or, with
+    one CPU, the caller runs both in turn: the same arithmetic, the same
+    bits.  Each half returns the sum of its part of the new iterate for the
+    finiteness test.  The worker runs only this module's phase functions,
+    scipy kernels and numpy ufuncs on disjoint slices, never a function a
+    tracer could wrap.  The one-block step calls scipy's kernels itself:
+    the runner's call would add about 0.4 us to a step of a few.
     """
     k_mat = saddle.K
     m, n = k_mat.shape
@@ -335,7 +334,7 @@ def _steps(state, saddle, step, count, halpern, deadline):
         x_t, y_t, head_t, spare = (x_new, y_new) + ((y_new[:m1], y[:m1]) if m1 else (None, None))
     split = len(blocks) > 1
     if split:
-        pool, mix = _worker(), (share, denominator) if halpern else None
+        mix = (share, denominator) if halpern else None
         columns, rows = (slice(0, n // 2), slice(n // 2, n)), k_mat.row_blocks(ROW_WEIGHT)
         anchor_x, anchor_y = state.anchor_parts
     else:
@@ -350,12 +349,12 @@ def _steps(state, saddle, step, count, halpern, deadline):
                 share[()] = (k + 1) / (k + 2)
                 denominator[()] = k + 2
             if split:
-                _in_halves(pool, _transpose_product, [(b, n, y, out) for b, out in zip(blocks, (r_x, part))])
+                _in_halves(_transpose_product, [(b, n, y, out) for b, out in zip(blocks, (r_x, part))])
                 primal = (c, lower, upper, x, x_t, r_x, part, anchor_x, x_new)
                 dual = (r_y, q, y, y_t, anchor_y, y_new)
-                total = sum(_in_halves(pool, _x_half, [tuple(a[h] for a in primal) + (scale, mix) for h in columns]))
+                total = sum(_in_halves(_x_half, [tuple(a[h] for a in primal) + (scale, mix) for h in columns]))
                 dual_halves = [(b, n, m1, r_x) + tuple(a[b[0]] for a in dual) + (sigma, mix) for b in rows]
-                total += sum(_in_halves(pool, _y_half, dual_halves))
+                total += sum(_in_halves(_y_half, dual_halves))
             else:
                 r_x.fill(0.0)
                 csc_matvec(n, m, indptr, indices, data, y, r_x)

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidRadius, NonPositiveInput
-from .pdhg import _clip
-from .sparse import DOT_BLAS_MAX, dot
+from .sparse import DOT_BLAS_MAX, _clip, dot
 
 RESTART_SCHEMES = ("none", "adaptive")
 

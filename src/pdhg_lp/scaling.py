@@ -15,15 +15,18 @@ length next to each other (``length_order``), and y = D1 P' y~.  scipy's
 row kernels run one inner loop per row, and when row lengths vary at random
 the CPU mispredicts where each loop ends; grouped, the ends are predictable.
 
-The passes read |K| on K's own row blocks (``SparseMatrix.row_blocks``),
-and on two blocks the products' worker thread runs the second block while
-the caller runs the first, or on one CPU the caller runs both.  A block's
-part of a Ruiz sweep forms |K_ij| * d1_i * d2_j with scipy's row and
-column scaling kernels, which multiply in that order, and takes its row
+The passes read |K| on K's own row blocks (``SparseMatrix.row_blocks``)
+through ``sparse.py``'s runner, ``_in_halves``: on two blocks the products'
+worker thread runs the second block while the caller runs the first, or on
+one CPU the caller runs both.  A block's part of a Ruiz sweep forms |K_ij|
+* d1_i * d2_j with ``sparse._scaled_entries``, the scaling kernels of
+``SparseMatrix.scaled``, which multiply in that order, and takes its row
 maxima with ``np.maximum.reduceat`` and its column maxima into a vector of
 its own; a max is exact, so joining the blocks' maxima gives the bits of
-one pass over all of K.  Each row sum runs scipy's row kernel on its block
-and adds the row's entries in order from 0, as ``np.bincount`` does.  A
+one pass over all of K.  Each row sum runs the product's row kernel
+(``sparse._row_product``) on its block, with the summed values for
+entries, and adds the row's entries in order from 0, as ``np.bincount``
+does.  A
 column sum takes entries from both blocks, so it stays one ``np.bincount``
 on the caller: split, it would add them in another order.  The worker runs
 only scipy's kernels and max reductions, which raise no floating-point
@@ -42,10 +45,9 @@ from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvec, csr_scale_columns, csr_scale_rows
 
 from .exceptions import DimensionMismatch, NonPositiveInput, _count
-from .sparse import _in_halves, _worker
+from .sparse import _in_halves, _permutation, _row_product, _scaled_entries
 
 # The named pipelines combined_rescale builds, and SolverConfig.scaling takes,
 # and the default of both.  The log-mean pass makes the default's result
@@ -83,9 +85,7 @@ class ScalingInfo:
         if np.any(self.row_scale <= 0) or np.any(self.col_scale <= 0):
             raise NonPositiveInput("scaling factors must be strictly positive")
         if self.row_order is not None:
-            self.row_order = np.asarray(self.row_order, dtype=np.intp)
-            if not np.array_equal(np.sort(self.row_order), np.arange(self.row_scale.size)):
-                raise DimensionMismatch(["row_order is not a permutation of the rows"])
+            self.row_order = _permutation(self.row_order, self.row_scale.size)
 
     @classmethod
     def identity(cls, shape):
@@ -167,12 +167,6 @@ def _abs_entries(matrix):
     return _Entries(matrix.shape, row_blocks[0][2], vals, matrix.row_lengths(), tuple(blocks))
 
 
-def _on_blocks(task, blocks, *args):
-    """[task(block, *args) for block in blocks]: two blocks run on two
-    threads (``sparse._in_halves``), one inline."""
-    return _in_halves(_worker() if len(blocks) > 1 else None, task, [(block, *args) for block in blocks])
-
-
 def _ruiz_scales(entries, num_iters, log_mean, deadline):
     """Ruiz's (d1, d2) from the _Entries of |M|: ``num_iters`` sweeps, each
     begun only before ``deadline``, from the log-mean pass if ``log_mean``."""
@@ -214,26 +208,20 @@ def _log_mean_pass(entries):
 
 def _row_sums(entries, values):
     """Each row's sum of ``values`` (one per entry), added in entry order
-    from 0, as ``np.bincount`` adds them: scipy's row kernel times a vector
-    of ones on each block."""
+    from 0, as ``np.bincount`` adds them: the block's rows with ``values``
+    for entries, times a vector of ones (``sparse._row_product``)."""
     m, n = entries.shape
-    out = np.zeros(m)
-    _on_blocks(_row_sums_half, entries.blocks, n, values, np.ones(n), out)
+    out, ones = np.zeros(m), np.ones(n)
+    blocks = [(b.rows, b.indptr, b.indices, values[b.entries]) for b in entries.blocks]
+    _in_halves(_row_product, [(block, n, ones, out) for block in blocks])
     return out
-
-
-def _row_sums_half(block, n, values, ones, out):
-    """A block's rows' sums of ``values`` into ``out``."""
-    csr_matvec(
-        block.rows.stop - block.rows.start, n, block.indptr, block.indices, values[block.entries], ones, out[block.rows]
-    )
 
 
 def _ruiz_sweep(entries, d1, d2, cur):
     """One Ruiz sweep over the _Entries of |M|, with ``cur`` as scratch:
     the new (d1, d2)."""
     row_inf = np.zeros(d1.size)
-    _on_blocks(_sweep_half, entries.blocks, d1, d2, cur, row_inf)
+    _in_halves(_sweep_half, [(block, d1, d2, cur, row_inf) for block in entries.blocks])
     col_inf = reduce(np.maximum, [block.col_max for block in entries.blocks])
     d1 = np.where(row_inf > 0, d1 / np.sqrt(np.maximum(row_inf, 1e-300)), d1)
     d2 = np.where(col_inf > 0, d2 / np.sqrt(np.maximum(col_inf, 1e-300)), d2)
@@ -250,7 +238,7 @@ def _sweep_half(block, d1, d2, cur, row_inf):
     after, and the two scatters overlap less.  ``np.maximum.reduceat``
     holds it only when given ``out``, so it is not.  ``np.maximum.at``
     alone warns of a NaN, here on neither thread."""
-    part = _block_products(block, block.vals, d1, d2, cur)
+    part = _scaled_entries(block.rows, block.indptr, block.indices, block.vals, d1, d2, cur[block.entries])
     block.col_max.fill(0.0)
     first = block.rows.start == 0
     if not first:
@@ -261,18 +249,6 @@ def _sweep_half(block, d1, d2, cur, row_inf):
         row_inf[block.filled] = np.maximum.reduceat(part, block.starts)
 
 
-def _block_products(block, base, d1, d2, cur):
-    """``base`` (the block's |M_ij|, or 1) * d1_i * d2_j, multiplied in
-    that order by scipy's row and column scaling kernels, into the block's
-    entries of ``cur``; returns them.  No floating-point warning."""
-    nrows = block.rows.stop - block.rows.start
-    part = cur[block.entries]
-    np.copyto(part, base)
-    csr_scale_rows(nrows, d2.size, block.indptr, block.indices, part, d1[block.rows])
-    csr_scale_columns(nrows, d2.size, block.indptr, block.indices, part, d2)
-    return part
-
-
 def _pock_chambolle_scales(entries, d1, d2, alpha):
     """Pock-Chambolle's D1_ii = (sum_j |A_ij|^(2-alpha))^(-1/2) and D2_jj =
     (sum_i |A_ij|^alpha)^(-1/2), 1 where empty, for A = diag(d1) M diag(d2)
@@ -280,7 +256,7 @@ def _pock_chambolle_scales(entries, d1, d2, alpha):
     bits of ``SparseMatrix.scaled``'s entries, summed row by row as there.
     At alpha = 1 both sums add the |A_ij| themselves."""
     cur = np.empty(entries.vals.size)
-    _on_blocks(_block_products, entries.blocks, 1.0, d1, d2, cur)
+    _in_halves(_scaled_entries, [(b.rows, b.indptr, b.indices, 1.0, d1, d2, cur[b.entries]) for b in entries.blocks])
     cur *= entries.vals
     row_w, col_w = (cur, cur) if alpha == 1 else (cur ** (2.0 - alpha), cur**alpha)
     row_sum = _row_sums(entries, row_w)

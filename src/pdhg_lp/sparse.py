@@ -7,15 +7,23 @@ matvec call counters are the only mutable state and exist for statistics
 across threads).  ``row_blocks`` splits a large matrix's rows in two, for
 two threads: both products run on the ``row_blocks()``, as the Halpern and
 the fixed step do.  With one block a product is one scipy kernel call.
-With two, the worker thread (``_worker``) runs the second block while the
-caller runs the first (``_in_halves``), or on one CPU the caller runs both
-in turn: K x writes each block's rows of the result, the same bits as one
-call, and K'y sums the two blocks' parts, as the step kernel does.  The
-split depends only on the nonzero count, so either product gives the same
-bits on any number of CPUs.  The same worker runs the second block's half
-of each scaling pass (``scaling.py``) and of ``scaled``'s entries.  The
-worker runs only scipy kernels and numpy ufuncs, never a function a tracer
-could wrap: ``matvec`` and ``rmatvec`` must never be called on it.
+With two, ``_in_halves`` runs them: the worker thread (``_worker``) runs
+the second block while the caller runs the first, or on one CPU the caller
+runs both in turn: K x writes each block's rows of the result, the same
+bits as one call, and K'y sums the two blocks' parts, as the step kernel
+does.  The split depends only on the nonzero count, so either product
+gives the same bits on any number of CPUs.
+
+This module alone runs halves on the worker: ``_in_halves`` is the one
+runner, for the products here, each phase of the two-block step
+(``pdhg.py``), each scaling pass (``scaling.py``) and ``scaled``'s
+entries, and the one place that asks for the worker, once per call.  It
+alone imports numpy's and scipy's private modules, and hands on the
+kernels the other modules call: scipy's products, its scaling kernels
+(``_scaled_entries``, for ``scaled`` and the scaling passes alike) and
+numpy's clip ufunc.  The worker runs only scipy kernels and numpy ufuncs,
+never a function a tracer could wrap: ``matvec`` and ``rmatvec`` must
+never be called on it.
 
 ``dot`` is the one inner product of the solver's loop.  On a long vector it
 runs numpy's einsum, not BLAS: OpenBLAS's dot kernel splits a vector of
@@ -36,10 +44,13 @@ from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_scale_columns,
 
 from .exceptions import DimensionMismatch, NonFiniteData, NonPositiveInput, _count, _real
 
-try:  # einsum's C entry point, without np.einsum's Python wrapper
+try:  # einsum's C entry point, without np.einsum's Python wrapper, and the
+    # clip ufunc itself, without ndarray.clip's (for pdhg.py and restarts.py)
     from numpy._core.multiarray import c_einsum as _einsum
+    from numpy._core.umath import clip as _clip
 except ImportError:  # numpy < 2
     from numpy.core.multiarray import c_einsum as _einsum
+    from numpy.core.umath import clip as _clip
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -124,7 +135,7 @@ class SparseMatrix:
             csr = self._csr
             csr_matvec(m, n, csr.indptr, csr.indices, csr.data, x, out)
         else:
-            _in_halves(_worker(), _row_product, [(block, n, x, out) for block in blocks])
+            _in_halves(_row_product, [(block, n, x, out) for block in blocks])
         return out
 
     def rmatvec(self, y):
@@ -142,7 +153,7 @@ class SparseMatrix:
             csc_matvec(n, m, csr.indptr, csr.indices, csr.data, y, out)
             return out
         out, part = np.empty(n), np.empty(n)
-        _in_halves(_worker(), _transpose_product, [(block, n, y, v) for block, v in zip(blocks, (out, part))])
+        _in_halves(_transpose_product, [(block, n, y, v) for block, v in zip(blocks, (out, part))])
         out += part
         return out
 
@@ -188,10 +199,11 @@ class SparseMatrix:
 
         P gathers the rows by ``row_order``, a permutation of the row
         indices: row i of the result is row ``row_order[i]``.  None keeps
-        the order.  Each entry is M_ij * (row_scale_i * col_scale_j), and
+        the order.  Each entry is (row_scale_i * col_scale_j) * M_ij, and
         the result is built in one copy of M's arrays.  Where M has two row
-        blocks, the result's two halves of nonzeros form their entries on
-        two threads.
+        blocks, the result's two halves of nonzeros form row_scale_i *
+        col_scale_j on two threads (``_scaled_entries``), and one pass on
+        the caller multiplies in M_ij.
         """
         row_scale = np.asarray(row_scale, dtype=np.float64)
         col_scale = np.asarray(col_scale, dtype=np.float64)
@@ -202,9 +214,7 @@ class SparseMatrix:
         if row_order is None:
             indptr, indices, values = csr.indptr.copy(), csr.indices.copy(), csr.data
         else:
-            row_order = np.asarray(row_order, dtype=np.intp)
-            if row_order.shape != (m,):
-                raise DimensionMismatch([f"row order has shape {row_order.shape}, expected {(m,)}"])
+            row_order = _permutation(row_order, m)
             lengths = np.diff(csr.indptr)[row_order]
             row_scale = row_scale[row_order]
             indptr = np.zeros_like(csr.indptr)
@@ -215,12 +225,14 @@ class SparseMatrix:
             indices, values = csr.indices[source], csr.data[source]
             del source
         data = np.empty(self.nnz)
-        halves = [slice(0, m)]
-        if len(self.row_blocks()) == 2:
-            middle = _middle_row(indptr)
-            halves = [slice(0, middle), slice(middle, m)]
-        args = [(rows, indptr, indices, values, row_scale, col_scale, data) for rows in halves]
-        _in_halves(_worker() if len(halves) == 2 else None, _scaled_entries, args)
+        bounds = [0, _middle_row(indptr), m] if len(self.row_blocks()) == 2 else [0, m]
+        halves = []
+        for a, b in zip(bounds, bounds[1:]):
+            lo, hi = indptr[a], indptr[b]
+            halves.append((slice(a, b), indptr[a : b + 1] - lo, indices[lo:hi], 1.0, row_scale, col_scale, data[lo:hi]))
+        _in_halves(_scaled_entries, halves)
+        with np.errstate(over="ignore"):  # _own reports an overflow as NonFiniteData
+            data *= values
         out = SparseMatrix.__new__(SparseMatrix)
         out._own(sp.csr_matrix((data, indices, indptr), shape=self.shape))
         return out
@@ -247,9 +259,6 @@ class SparseMatrix:
 
     def toarray(self):
         return self._csr.toarray()
-
-    def tocoo(self):
-        return self._csr.tocoo()
 
     def __repr__(self):
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
@@ -287,9 +296,12 @@ def _worker():
     return _pool[1]
 
 
-def _in_halves(pool, task, halves):
-    """[task(*args) for args in halves]; given the worker, it runs the
-    second while the caller runs the first."""
+def _in_halves(task, halves):
+    """[task(*args) for args in halves]: of two halves the worker thread
+    (``_worker``, looked up once per call) runs the second while the caller
+    runs the first, or on one CPU the caller runs both in turn; one half
+    runs inline."""
+    pool = _worker() if len(halves) == 2 else None
     if pool is None:
         return [task(*args) for args in halves]
     first, second = halves
@@ -301,23 +313,35 @@ def _in_halves(pool, task, halves):
     return [done, other]
 
 
+def _permutation(order, m):
+    """``order`` as an intp vector, if it is a permutation of range(m):
+    each index in range, and each once.  Else DimensionMismatch."""
+    order = np.asarray(order, dtype=np.intp)
+    if (
+        order.shape != (m,)
+        or (m and (order.min() < 0 or order.max() >= m))
+        or not np.all(np.bincount(order, minlength=m) == 1)
+    ):
+        raise DimensionMismatch([f"row order is not a permutation of the {m} rows"])
+    return order
+
+
 def _middle_row(cost):
     """The row, neither the first nor past the last, at which ``cost``, a
     running total over the rows from 0 (such as an indptr), reaches half."""
     return min(max(int(np.searchsorted(cost, cost[-1] // 2)), 1), cost.size - 2)
 
 
-def _scaled_entries(rows, indptr, indices, values, row_scale, col_scale, out):
-    """``SparseMatrix.scaled``'s entries in ``rows`` into ``out``:
-    (row_scale_i * col_scale_j) * M_ij, multiplied in that order by
-    scipy's row and column scaling kernels and then by the values."""
-    lo, hi = indptr[rows.start], indptr[rows.stop]
-    local, part = indptr[rows.start : rows.stop + 1] - lo, out[lo:hi]
-    part.fill(1.0)
-    csr_scale_rows(rows.stop - rows.start, col_scale.size, local, indices[lo:hi], part, row_scale[rows])
-    csr_scale_columns(rows.stop - rows.start, col_scale.size, local, indices[lo:hi], part, col_scale)
-    with np.errstate(over="ignore"):  # _own reports an overflow as NonFiniteData
-        part *= values[lo:hi]
+def _scaled_entries(rows, indptr, indices, base, row_scale, col_scale, out):
+    """base_ij * row_scale_i * col_scale_j over a block of ``rows``, into
+    ``out``, multiplied in that order by scipy's row and column scaling
+    kernels; returns ``out``.  ``indptr`` is the block's own, from 0, and
+    ``indices``, ``out`` and ``base`` (or a number) hold its entries.  The
+    kernels raise no floating-point warning."""
+    np.copyto(out, base)
+    csr_scale_rows(rows.stop - rows.start, col_scale.size, indptr, indices, out, row_scale[rows])
+    csr_scale_columns(rows.stop - rows.start, col_scale.size, indptr, indices, out, col_scale)
+    return out
 
 
 def _row_product(block, n, x, out):

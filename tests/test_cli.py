@@ -373,7 +373,9 @@ class TestBench:
              "--tolerance", "1e-6", "--out", str(csv_path)]
         )
         assert code == 0
-        rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "instance,config,status,iterations,restarts,matvecs,wall_sec,rel_kkt_final"
+        rows = list(csv.DictReader(lines))
         assert len(rows) == 4  # 2 instances x 2 configs
         assert set(rows[0]) == {
             "instance", "config", "status", "iterations", "restarts",
@@ -458,6 +460,17 @@ class TestBench:
         csv_path = tmp_path / "bench.csv"
         code, out, err = run_cli(["bench", str(instances), "--configs", "full", flag, value, "--out", str(csv_path)])
         assert (code, out, err) == (1, "", f"pdhg-lp: {message}\n")
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("configs", [",", " , ,", ""])
+    def test_empty_config_list_is_a_usage_error(self, instances, tmp_path, jobs, configs):
+        # refused before any work: no pool, no CSV of a header alone
+        csv_path = tmp_path / "bench.csv"
+        argv = ["bench", str(instances), "--configs", configs, "--jobs", jobs, "--out", str(csv_path)]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err == f"pdhg-lp: --configs names no bench config: {configs!r}\n"
         assert not csv_path.exists()
 
     def test_empty_input_dir(self, tmp_path):

@@ -393,7 +393,7 @@ def coo_scales(mat, mode):
     maxima with ``np.maximum.at`` on ``vals * d1[rows] * d2[cols]``, and
     every sum is a ``np.bincount``.  (d1, d2) after the sweeps alone for
     mode "ruiz", else the combined scales."""
-    coo = mat.tocoo()
+    coo = mat.tocsr().tocoo()
     rows, cols, vals = coo.row, coo.col, np.abs(coo.data)
     (m, n), d1, d2 = mat.shape, np.ones(mat.shape[0]), np.ones(mat.shape[1])
 
@@ -431,15 +431,15 @@ def split_matrix(dense, monkeypatch):
 
 def scales_both_ways(mat, monkeypatch, run):
     """``run(mat)``'s result once with the worker thread and once with
-    ``_worker`` returning None, so that the caller runs both halves; the
-    worker must have been asked for once a pass on two blocks (and on one
-    CPU gives None)."""
-    workers, real = [], scaling_module._worker
-    monkeypatch.setattr(scaling_module, "_worker", lambda: workers.append(real()) or workers[-1])
+    ``sparse._worker`` returning None, so that the caller runs both halves;
+    the worker must have been asked for once a pass on two blocks (and on
+    one CPU gives None)."""
+    workers, real = [], sparse_module._worker
+    monkeypatch.setattr(sparse_module, "_worker", lambda: workers.append(real()) or workers[-1])
     threaded = run(mat)
     assert bool(workers) == (len(mat.row_blocks()) == 2)
     assert all(w is None for w in workers) if sparse_module._cpus() < 2 else None not in workers
-    monkeypatch.setattr(scaling_module, "_worker", lambda: None)
+    monkeypatch.setattr(sparse_module, "_worker", lambda: None)
     return threaded, run(mat)
 
 

@@ -17,7 +17,7 @@ import scipy.optimize
 import scipy.sparse
 
 import pdhg_lp as pl
-from pdhg_lp import pdhg, restarts, scaling as scaling_module, sparse
+from pdhg_lp import restarts, scaling as scaling_module, sparse
 from pdhg_lp.scaling import ROW_ORDER_MIN_NNZ
 
 from conftest import planted_infeasible_lp, planted_unbounded_lp, random_feasible_lp
@@ -1129,26 +1129,33 @@ class TestTwoThreads:
     @staticmethod
     def solve_recording_workers(problem, monkeypatch, config=None):
         workers = []
-        real = pdhg._worker
+        real = sparse._worker
 
         def recording():
             workers.append(real())
             return workers[-1]
 
-        monkeypatch.setattr(pdhg, "_worker", recording)
+        monkeypatch.setattr(sparse, "_worker", recording)
         report = pl.report_to_dict(pl.solve(problem, config))
         del report["timings"]
         return report, workers
+
+    @staticmethod
+    def assert_one_worker(workers):
+        """Every two-half call looks the worker up: at least once, and each
+        time the same thread on two CPUs, or None on one."""
+        assert workers
+        if sparse._cpus() >= 2:
+            assert all(w is not None and w is workers[0] for w in workers)
+        else:
+            assert all(w is None for w in workers)
 
     def test_two_threads_match_one_cpu_above_the_floor(self, monkeypatch):
         problem = pl.generate_pagerank(pl.PagerankSpec(num_nodes=26_000))
         assert pl.to_saddle(problem).K.nnz >= pl.sparse.SPLIT_MIN_NNZ
         threaded, workers = self.solve_recording_workers(problem, monkeypatch)
         assert threaded["status"] == pl.STATUS_OPTIMAL
-        # the Halpern step, too, takes the worker once per stretch of steps
-        assert 0 < len(workers) < threaded["counts"]["iterations"]
-        if sparse._cpus() >= 2:
-            assert all(w is not None and w is workers[0] for w in workers)
+        self.assert_one_worker(workers)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         serial, workers = self.solve_recording_workers(problem, monkeypatch)
@@ -1156,15 +1163,12 @@ class TestTwoThreads:
         assert json.dumps(threaded, sort_keys=True) == json.dumps(serial, sort_keys=True)
 
     def test_two_threads_fixed_step_matches_one_cpu(self, monkeypatch):
-        # the fixed step takes the worker once per stretch of steps
         problem = pl.generate_pagerank(pl.PagerankSpec(num_nodes=26_000))
         assert pl.to_saddle(problem).K.nnz >= pl.sparse.SPLIT_MIN_NNZ
         config = pl.SolverConfig(step=pl.StepPolicy(mode="fixed"))
         threaded, workers = self.solve_recording_workers(problem, monkeypatch, config)
         assert threaded["status"] == pl.STATUS_OPTIMAL
-        assert 0 < len(workers) < threaded["counts"]["iterations"]
-        if sparse._cpus() >= 2:
-            assert all(w is not None and w is workers[0] for w in workers)
+        self.assert_one_worker(workers)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         serial, workers = self.solve_recording_workers(problem, monkeypatch, config)

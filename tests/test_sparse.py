@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -143,6 +144,16 @@ class TestNormsAndScaling:
         np.testing.assert_array_equal(working.row_lengths(), plain.row_lengths()[order])
         with pytest.raises(DimensionMismatch):
             mat.scaled(r, c, order[:5])
+
+    @pytest.mark.parametrize("order", [[0, 0, 2], [0, 1, 5], [2, 1, -1], [0, 1], [[0, 1, 2]]])
+    def test_scaled_rejects_an_order_that_is_not_a_permutation(self, order):
+        # a repeated row, an index past either end and a wrong shape raise
+        # the shape check's error, as ScalingInfo does for the same order
+        mat = SparseMatrix(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]]), shape=(3, 2))
+        with pytest.raises(DimensionMismatch, match="not a permutation of the 3 rows"):
+            mat.scaled(np.ones(3), np.ones(2), order)
+        with pytest.raises(DimensionMismatch, match="not a permutation of the 3 rows"):
+            pl.ScalingInfo(np.ones(3), np.ones(2), order)
 
     def test_scaled_drops_entries_that_underflow_and_rejects_overflow(self):
         mat = SparseMatrix(np.array([[1e-300, 1.0], [2.0, 1e300]]), shape=(2, 2))
@@ -556,3 +567,54 @@ class TestColumnKernelSolves:
         assert column.x.tobytes() == gathered.x.tobytes()
         assert column.y.tobytes() == gathered.y.tobytes()
         assert column.step_size.hex() == gathered.step_size.hex()
+
+
+_PRIVATE_MODULES = ("scipy.sparse._", "numpy._core", "numpy.core")
+
+
+def _private_uses(source):
+    """The private numpy and scipy modules ``source`` imports and the
+    places it names ``_worker``, as (line, what) pairs."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        modules, names = [], []
+        if isinstance(node, ast.ImportFrom):
+            modules, names = [node.module or ""], [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.FunctionDef):
+            names = [node.name]
+        found += [(node.lineno, module) for module in modules if module.startswith(_PRIVATE_MODULES)]
+        found += [(node.lineno, name) for name in names if name == "_worker"]
+    return found
+
+
+class TestOneOwnerOfTheRowBlocks:
+    """``sparse.py`` alone runs K's row blocks on the worker thread and
+    alone reaches into numpy's and scipy's private modules: every other
+    module takes the kernels and the runner from it."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from scipy.sparse._sparsetools import csr_matvec",
+            "import scipy.sparse._sparsetools",
+            "from numpy._core.umath import clip",
+            "from numpy.core.multiarray import c_einsum",
+            "from .sparse import _worker",
+            "pool = _worker()",
+            "monkeypatch.setattr(sparse, '_worker', None) or sparse._worker",
+        ],
+    )
+    def test_the_check_finds_each_kind_of_use(self, source):
+        assert _private_uses(source)
+
+    def test_only_sparse_py_uses_private_kernels_or_the_worker(self):
+        package = Path(sparse_module.__file__).parent
+        uses = {path.name: _private_uses(path.read_text()) for path in sorted(package.glob("*.py"))}
+        assert uses.pop("sparse.py")  # the owner: otherwise the check finds nothing
+        assert {name: found for name, found in uses.items() if found} == {}
