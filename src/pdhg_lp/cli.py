@@ -298,7 +298,8 @@ def _cmd_bench(args):
     if args.jobs < 1:
         print(f"pdhg-lp: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 1
-    config_names = [c.strip() for c in args.configs.split(",") if c.strip()]
+    # a name given twice runs once, in the order first given
+    config_names = list(dict.fromkeys(c.strip() for c in args.configs.split(",") if c.strip()))
     if not config_names:
         print(f"pdhg-lp: --configs names no bench config: {args.configs!r}", file=sys.stderr)
         return 1

@@ -26,9 +26,9 @@ from .sparse import DOT_BLAS_MAX, _clip, dot
 
 RESTART_SCHEMES = ("none", "adaptive")
 
-# The adaptive scheme tests its measure every KKT_EVAL_INTERVAL epoch
-# iterations under PDHG, and every RESIDUAL_EVAL_INTERVAL under the Halpern
-# step, where it also tests the artificial cap at every iteration.  It
+# The adaptive scheme tests its measure, and the artificial cap with it,
+# every KKT_EVAL_INTERVAL epoch iterations under PDHG and every
+# RESIDUAL_EVAL_INTERVAL under the Halpern step, and at every check.  It
 # restarts once the measure is at most a sufficient decay times the epoch's
 # first (KKT_SUFFICIENT_DECAY, PDLP's beta_sufficient, Applegate et al.,
 # arXiv 2106.04756, or RESIDUAL_SUFFICIENT_DECAY), or at most
@@ -46,8 +46,8 @@ MIN_ARTIFICIAL = 10
 @dataclass(frozen=True)
 class RestartConfig:
     """Restart scheme parameters.  scheme: "none" or "adaptive", the decay
-    test of ``should_restart`` at the points of ``schedule`` plus an
-    artificial cap: under PDHG of the weighted KKT error, restarting to the
+    test of ``should_restart`` and its artificial cap at the points of
+    ``schedule`` and the checks: under PDHG of the weighted KKT error, restarting to the
     epoch's average, and under the Halpern step of the fixed-point residual,
     restarting to T(z)."""
 
@@ -136,44 +136,31 @@ def should_restart(state, residuals=None, sufficient=RESIDUAL_SUFFICIENT_DECAY):
     ``solve`` does not ask under the scheme "none", which never restarts.
     ``residuals`` is (now, the epoch's first, the previous test's) value of
     the restart test's measure, the weighted KKT error under PDHG and the
-    fixed-point residual under the Halpern step.  It restarts when now is at
-    most ``sufficient`` times the first, or at most RESIDUAL_NECESSARY_DECAY
-    times it and above the previous.  An artificial cap bounds the epoch by
-    max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * total iterations).
+    fixed-point residual under the Halpern step, or None at the epoch's
+    first test under Halpern, whose value becomes the first.  It restarts
+    when now is at most ``sufficient`` times the first, or at most
+    RESIDUAL_NECESSARY_DECAY times it and above the previous.  An artificial
+    cap, tested only here, bounds the epoch by max(MIN_ARTIFICIAL,
+    ARTIFICIAL_FRACTION * total iterations).
     """
     if residuals is not None:
         now, first, previous = residuals
         if now <= sufficient * first or previous < now <= RESIDUAL_NECESSARY_DECAY * first:
             return True, "residual_decay"
-    if artificial_cap_reached(state):
+    if state.inner_count >= max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * state.total_count):
         return True, "artificial"
     return False, None
 
 
-def artificial_cap_reached(state):
-    """The adaptive scheme's epoch has reached its artificial cap."""
-    return state.inner_count >= _artificial_cap(state)
-
-
-def _artificial_cap(state):
-    """max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * total iterations)."""
-    return max(MIN_ARTIFICIAL, ARTIFICIAL_FRACTION * state.total_count)
-
-
 def schedule(state, halpern):
-    """The adaptive scheme's one schedule, which ``solve`` keeps: (the
-    epoch count of the next point after the state's, the steps a stretch
-    may take toward it).  The points are the multiples of
-    KKT_EVAL_INTERVAL under PDHG; under Halpern the epoch's first step,
-    whose residual is the epoch's reference, and the multiples of
-    RESIDUAL_EVAL_INTERVAL, and the cap is tested after every stretch, so
-    the steps stop where the epoch reaches today's cap, which only grows."""
+    """The epoch count of the adaptive scheme's next restart-test point after
+    the state's, which ``solve`` runs a constant step's stretch up to: the
+    multiples of KKT_EVAL_INTERVAL under PDHG, and under Halpern the epoch's
+    first step, whose residual is the epoch's reference, and the multiples
+    of RESIDUAL_EVAL_INTERVAL."""
     inner = state.inner_count
     every = RESIDUAL_EVAL_INTERVAL if halpern else KKT_EVAL_INTERVAL
-    point = 1 if halpern and inner == 0 else inner - inner % every + every
-    if halpern:
-        return point, min(point - inner, max(1, math.ceil(_artificial_cap(state) - inner)))
-    return point, point - inner
+    return 1 if halpern and inner == 0 else inner - inner % every + every
 
 
 def apply_restart(state, candidate):

@@ -8,9 +8,11 @@ limits; any stop is one (status, reason, certificate).  A stretch is one
 ``pdhg_step`` call up to the loop's next event: a check, a log line, the
 iteration limit or a point of the restart schedule (``restarts.schedule``);
 a time limit ends it at the step where the loop would have stopped.  The
-restart test (``_RestartTest``) is one decay test of one measure per step
-kind, the fixed-point residual under Halpern and the weighted KKT error of
-the epoch's average under PDHG, and keeps the epoch's reference.
+restart test (``_RestartTest``) runs only after a step or stretch that ends
+at a point or a check: one decay test of one measure per step kind, the
+fixed-point residual under Halpern and the weighted KKT error of the
+epoch's average under PDHG, with the artificial cap, and it keeps the
+epoch's reference.
 
 On small problems an iteration costs more in Python than in arithmetic, so
 ``solve`` enters the step kernel's np.errstate(over="ignore",
@@ -232,13 +234,13 @@ def _confirmed(hits, streaks):
 
 
 class _RestartTest:
-    """The adaptive scheme's restart test after a step or stretch, at the
-    points of ``restarts.schedule``: under Halpern of the last step's
-    fixed-point residual, at all but the epoch's first point, and of the
-    artificial cap after every stretch; under PDHG of the epoch average's
-    weighted KKT error at a point or check point.  It keeps the epoch's
-    reference (its first residual, or its start's KKT error), the previous
-    test's value and the count of KKT evaluations."""
+    """The adaptive scheme's restart test, which ``solve`` runs after a step
+    or stretch that ends at a point of ``restarts.schedule`` or at a check:
+    ``should_restart``'s decay test of the measure, under Halpern the last
+    step's fixed-point residual and under PDHG the epoch average's weighted
+    KKT error, and its artificial cap.  It keeps the epoch's reference (its
+    first residual, or its start's KKT error), the previous test's value
+    and the count of KKT evaluations."""
 
     def __init__(self, saddle, state, step, halpern):
         self.saddle, self.halpern, self.gap_evaluations = saddle, halpern, 0
@@ -255,27 +257,20 @@ class _RestartTest:
         p, d, g = kkt.primal_residual, kkt.dual_residual, kkt.duality_gap
         return math.sqrt(weight * (p * p) + d * d / weight + g * g)
 
-    def __call__(self, state, step, due, at_check):
-        """(fire, why); ``due``: at a point, ``at_check``: at a check."""
-        now = residuals = None
+    def __call__(self, state, step):
+        """(fire, why) at the state's point or check."""
         if self.halpern:
-            if due:
-                now = fixed_point_residual(state, step)
-                if self.reference is None:
-                    self.reference = now
-                else:
-                    residuals = (now, self.reference, self.previous)
-                self.previous = now
-            if residuals is None and not restarts.artificial_cap_reached(state):
-                return False, None
-        elif due or at_check:
+            now = fixed_point_residual(state, step)
+        else:
             # the epoch's average into t, the candidate
             np.divide(state.sums, state.sum_weight, out=state.t)
             now = self._kkt_measure(*state.t_parts, step.primal_weight)
-            residuals = (now, self.reference, self.previous)
-            self.previous = now
+        if self.reference is None:
+            # an epoch's first measure, under Halpern, is its reference
+            self.reference, residuals = now, None
         else:
-            return False, None
+            residuals = (now, self.reference, self.previous)
+        self.previous = now
         decay = restarts.RESIDUAL_SUFFICIENT_DECAY if self.halpern else restarts.KKT_SUFFICIENT_DECAY
         fire, why = should_restart(state, residuals=residuals, sufficient=decay)
         if fire:
@@ -388,8 +383,8 @@ def solve(problem, config=None):
                         " an infeasibility ray shows"
                     )
 
-            # the next restart point, and the steps a stretch may take to it
-            point, to_point = restarts.schedule(state, halpern) if restart_test is not None else (None, math.inf)
+            # the epoch count of the next restart-test point
+            point = restarts.schedule(state, halpern) if restart_test is not None else math.inf
             error = None
             try:
                 if adaptive:
@@ -398,6 +393,7 @@ def solve(problem, config=None):
                         error = f"adaptive step rejected {stepsize.MAX_RETRIES} trials in a row"
                 else:
                     # a constant step runs up to the loop's next event
+                    to_point = point - state.inner_count
                     stretch = min(next_check, next_log, crit.iteration_limit, iteration + to_point) - iteration
                     pdhg_step(state, saddle, step, halpern=halpern, errstate=False, count=stretch, deadline=deadline)
             except (NonFiniteIterate, StepSizeUnderflow) as err:
@@ -407,8 +403,8 @@ def solve(problem, config=None):
                 stop = STATUS_NUMERICAL_ERROR, error, None
                 break
 
-            if restart_test is not None:
-                fire, why = restart_test(state, step, state.inner_count == point, iteration == next_check)
+            if restart_test is not None and (state.inner_count == point or iteration == next_check):
+                fire, why = restart_test(state, step)
                 if fire:
                     restarts_by_reason[why] += 1
                     # the weight follows the candidate's move from the anchor, in r

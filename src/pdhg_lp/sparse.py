@@ -314,11 +314,16 @@ def _in_halves(task, halves):
 
 
 def _permutation(order, m):
-    """``order`` as an intp vector, if it is a permutation of range(m):
-    each index in range, and each once.  Else DimensionMismatch."""
-    order = np.asarray(order, dtype=np.intp)
+    """``order`` as an intp vector, if it is a permutation of range(m): of
+    an integer type (an empty order of any type), each index in range, and
+    each once.  Else DimensionMismatch."""
+    order = np.asarray(order)
+    if order.size == 0 or np.issubdtype(order.dtype, np.integer):
+        # a float order is refused, not truncated to rows
+        order = order.astype(np.intp, copy=False)
     if (
-        order.shape != (m,)
+        order.dtype != np.intp
+        or order.shape != (m,)
         or (m and (order.min() < 0 or order.max() >= m))
         or not np.all(np.bincount(order, minlength=m) == 1)
     ):

@@ -10,8 +10,9 @@ of x and of y.  Each config's lines end with a digest of them
 (``digest <config> <md5>``), so a change meant to move some configs shows
 which moved, and a digest of all solve lines comes last.  Two commits that
 print the same lines run the same arithmetic on these inputs.  After each
-config's digest a line ``sums <config> iterations=N <status>=k ...`` gives
-its iteration sum and status counts, so a change that moves bits can state
+config's digest a line ``sums <config> iterations=N <status>=k ...
+restart_artificial=N restart_residual_decay=N`` gives its iteration sum,
+status counts and restarts by reason, so a change that moves bits can state
 what it moved; these lines enter no digest.
 
 Configs: the default (reflected Halpern), the fixed step with a fixed
@@ -101,18 +102,20 @@ def main():
     digest = hashlib.md5()
     for config_name, config in configs().items():
         config_digest = hashlib.md5()
-        iterations, statuses = 0, Counter()
+        iterations, statuses, restarts = 0, Counter(), Counter()
         for problem in problems():
             report = pl.solve(problem, config)
             iterations += report.iterations
             statuses[report.status] += 1
+            restarts.update(report.restarts_by_reason)
             line = f"{config_name} {problem.name} {fingerprint(report)}"
             print(line, flush=True)
             for d in (digest, config_digest):
                 d.update(line.encode() + b"\n")
         print(f"digest {config_name} {config_digest.hexdigest()}")
         counts = " ".join(f"{status}={k}" for status, k in sorted(statuses.items()))
-        print(f"sums {config_name} iterations={iterations} {counts}")
+        fired = " ".join(f"restart_{why}={k}" for why, k in sorted(restarts.items()))
+        print(f"sums {config_name} iterations={iterations} {counts} {fired}")
     print(f"digest {digest.hexdigest()}")
 
 

@@ -428,6 +428,18 @@ class TestBench:
         assert asked == [workers]
         assert len(list(csv.DictReader(csv_path.read_text().splitlines()))) == 2 * len(configs.split(","))
 
+    def test_repeated_config_runs_once(self, instances, tmp_path):
+        # a name given twice runs once per instance, in the order first given
+        csv_path = tmp_path / "bench.csv"
+        code, out, _ = run_cli(
+            ["bench", str(instances), "--configs", "full,vanilla, full", "--tolerance", "1e-6", "--out", str(csv_path)]
+        )
+        assert code == 0
+        rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+        assert [r["config"] for r in rows] == ["full", "vanilla"] * 2
+        solved = [line.split()[:2] for line in out.splitlines() if line.startswith(("full ", "vanilla "))]
+        assert solved[:2] == [["full", "2"], ["vanilla", "2"]]
+
     def test_explicit_file_inputs(self, instances):
         files = sorted(str(p) for p in instances.iterdir())
         code, out, _ = run_cli(["bench", *files, "--configs", "scaled", "--tolerance", "1e-5"])

@@ -17,7 +17,7 @@ from pdhg_lp import (
 
 from pdhg_lp.sparse import dot
 
-from conftest import gap_oracle, random_small_saddle
+from conftest import gap_oracle, random_feasible_lp, random_small_saddle
 
 
 class TestNormalizedGap:
@@ -302,35 +302,62 @@ class TestShouldRestart:
 
 class TestSchedule:
     """``restarts.schedule`` is the adaptive scheme's one schedule: ``solve``
-    bounds a constant step's stretch by its steps and tests after a stretch
-    that ends at its point, so its point must be the next one, and no step
-    strictly inside a stretch may be a point or, under Halpern, reach the
-    artificial cap."""
+    runs a constant step's stretch up to its point and tests after a stretch
+    that ends at a point or a check, so its point must be the next one, and
+    a stretch must take the steps up to it and no more."""
 
     @staticmethod
     def counts(inner, total):
         return SimpleNamespace(inner_count=inner, total_count=total)
 
-    def test_no_halpern_test_falls_inside_a_stretch(self):
+    @staticmethod
+    def stretches(monkeypatch, step, limit):
+        """(epoch count, steps) of each stretch of a solve of ``step`` with no
+        check before ``limit``, whose last stretch the limit cuts."""
+        taken = []
+        real = pl.solver.pdhg_step
+
+        def recording(state, *args, count, **kwargs):
+            taken.append((state.inner_count, count))
+            return real(state, *args, count=count, **kwargs)
+
+        monkeypatch.setattr(pl.solver, "pdhg_step", recording)
+        monkeypatch.setattr(pl.solver, "CHECK_INTERVAL", 10**9)
+        config = pl.SolverConfig(
+            termination=pl.TerminationCriteria(tol_optimal=0.0, iteration_limit=limit), step=step
+        )
+        report = pl.solve(random_feasible_lp(0), config)
+        assert report.iterations == limit and report.restarts > 0
+        assert sum(count for _, count in taken) == limit
+        return taken[:-1]
+
+    def test_no_halpern_test_falls_inside_a_stretch(self, monkeypatch):
         # the points are the epoch's first step, whose residual is the
-        # epoch's reference, and the multiples of RESIDUAL_EVAL_INTERVAL
+        # epoch's reference, and the multiples of RESIDUAL_EVAL_INTERVAL,
+        # whatever the total count
         every = restarts.RESIDUAL_EVAL_INTERVAL
+        assert every == 8
         points = [1] + list(range(every, 300, every))
         for inner in range(201):
             for total in range(inner, 3 * inner + 100):
-                point, k = restarts.schedule(self.counts(inner, total), True)
+                point = restarts.schedule(self.counts(inner, total), True)
                 assert point == min(p for p in points if p > inner), (inner, total)
-                assert 1 <= k <= point - inner, (inner, total)
-                capped = restarts.artificial_cap_reached(self.counts(inner, total))
-                for j in range(1, k):
-                    assert restarts.artificial_cap_reached(self.counts(inner + j, total + j)) == capped
+        # a stretch takes the point's steps, 1 at an epoch's start
+        taken = self.stretches(monkeypatch, pl.StepPolicy(), 1000)
+        for inner, count in taken:
+            assert count == restarts.schedule(self.counts(inner, None), True) - inner
+        assert (0, 1) in taken
 
-    def test_no_kkt_test_falls_inside_a_stretch(self):
+    def test_no_kkt_test_falls_inside_a_stretch(self, monkeypatch):
         every = restarts.KKT_EVAL_INTERVAL
+        assert every == 40
         for inner in range(201):
-            point, k = restarts.schedule(self.counts(inner, inner), False)
+            point = restarts.schedule(self.counts(inner, inner), False)
             assert point % every == 0 and inner < point <= inner + every
-            assert k == point - inner
+        taken = self.stretches(monkeypatch, pl.StepPolicy(mode="fixed"), 2000)
+        for inner, count in taken:
+            assert count == restarts.schedule(self.counts(inner, None), False) - inner
+        assert (0, every) in taken
 
 
 class TestApplyRestart:

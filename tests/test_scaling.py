@@ -382,7 +382,8 @@ class TestWorkingSpaceRoundTrip:
             pl.apply_scaling(saddle, pl.ScalingInfo(info.row_scale, info.col_scale, [2, 1, 0, 3]))
 
     def test_order_must_be_a_permutation(self):
-        for order in ([0, 0, 1, 2], [0, 1, 2], [1, 2, 3, 4]):
+        # a float order too, though a cast would truncate it to a permutation
+        for order in ([0, 0, 1, 2], [0, 1, 2], [1, 2, 3, 4], [0.9, 1.5, 2.2, 3.1], [3.7, 2.2, 1.5, 0.5]):
             with pytest.raises(pl.DimensionMismatch):
                 pl.ScalingInfo(np.ones(4), np.ones(2), order)
 

@@ -771,6 +771,33 @@ class TestFixedStepStretches:
         assert [row[0] for row in report.residual_history] == [0, 64, 100]
         assert [int(rec.getMessage().split()[1]) for rec in caplog.records] == list(range(0, 99, 7))
 
+    def test_default_stretches_end_at_points_checks_and_the_limit(self, monkeypatch):
+        # every stretch of the default Halpern step on the criterion-8 LPs
+        # ends at a point of the restart schedule, a check or the iteration
+        # limit (these solves write no log line and have no deadline): the
+        # artificial cap, tested only at points and checks, cuts none short
+        ends = []
+        real = pl.solver.pdhg_step
+        every = restarts.RESIDUAL_EVAL_INTERVAL
+
+        def recording(state, *args, **kwargs):
+            result = real(state, *args, **kwargs)
+            inner = state.inner_count
+            ends.append((inner == 1 or inner % every == 0, state.total_count))
+            return result
+
+        monkeypatch.setattr(pl.solver, "pdhg_step", recording)
+        config = pl.SolverConfig()
+        for seed in range(20):
+            assert pl.solve(random_feasible_lp(seed), config).status == pl.STATUS_OPTIMAL
+        elsewhere = [
+            total
+            for at_point, total in ends
+            if not (at_point or total % pl.solver.CHECK_INTERVAL == 0 or total == config.termination.iteration_limit)
+        ]
+        assert len(ends) > 20 * pl.solver.CHECK_INTERVAL // every
+        assert elsewhere == []
+
     @pytest.mark.parametrize(
         "policy",
         (
@@ -785,7 +812,7 @@ class TestFixedStepStretches:
         # step as when the loop took one step at a time, so one more tick of
         # limit buys exactly one more step, inside a stretch or across the
         # check at 64 and the restart tests: the fixed step's gap tests at
-        # 40, 80 and 120, the Halpern step's residual tests and its cap.
+        # 40, 80 and 120, and the Halpern step's residual and cap tests.
         # The Halpern step's norm estimate reads it too, before the first
         # step, so its stops start lower and need the wider range to pass 128.
         problem = random_feasible_lp(0)

@@ -145,10 +145,13 @@ class TestNormsAndScaling:
         with pytest.raises(DimensionMismatch):
             mat.scaled(r, c, order[:5])
 
-    @pytest.mark.parametrize("order", [[0, 0, 2], [0, 1, 5], [2, 1, -1], [0, 1], [[0, 1, 2]]])
+    @pytest.mark.parametrize(
+        "order", [[0, 0, 2], [0, 1, 5], [2, 1, -1], [0, 1], [[0, 1, 2]], [0.9, 1.5, 2.2], [2.7, 1.2, 0.5]]
+    )
     def test_scaled_rejects_an_order_that_is_not_a_permutation(self, order):
-        # a repeated row, an index past either end and a wrong shape raise
-        # the shape check's error, as ScalingInfo does for the same order
+        # a repeated row, an index past either end, a wrong shape and a float
+        # order, which a cast would truncate to a permutation, raise the
+        # shape check's error, as ScalingInfo does for the same order
         mat = SparseMatrix(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]]), shape=(3, 2))
         with pytest.raises(DimensionMismatch, match="not a permutation of the 3 rows"):
             mat.scaled(np.ones(3), np.ones(2), order)
