@@ -5,9 +5,7 @@ Exit codes: 0 optimal, 1 usage or I/O error, 2 infeasible or unbounded,
 """
 
 import argparse
-import concurrent.futures
 import contextlib
-import csv
 import io
 import logging
 import math
@@ -295,6 +293,10 @@ def _expand_inputs(inputs):
 
 
 def _cmd_bench(args):
+    # imported here: only this command takes a process pool or writes CSV
+    import concurrent.futures
+    import csv
+
     if args.jobs < 1:
         print(f"pdhg-lp: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 1

@@ -15,11 +15,10 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import InvalidGeneratorSpec
 from .problem import LpProblem
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, csr_minus_csr, csr_scale_columns
 
 
 @dataclass(frozen=True)
@@ -116,21 +115,29 @@ def generate_pagerank(spec):
     n = spec.num_nodes
     edges = barabasi_albert_edges(n, spec.attach_degree, spec.seed)
     rows, cols = edges[:, 0], edges[:, 1]
-    ones = np.ones(len(edges))
-    adj = sp.coo_matrix(
-        (np.concatenate([ones, ones]), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(n, n),
-    ).tocsr()
-    degree = np.asarray(adj.sum(axis=0)).ravel()
+    adj = SparseMatrix._from_coo(
+        np.concatenate([rows, cols]), np.concatenate([cols, rows]), np.ones(2 * len(edges)), (n, n)
+    )
+    degree = np.bincount(adj.indices, weights=adj.data, minlength=n)
     if np.any(degree == 0):
         raise InvalidGeneratorSpec("graph has an isolated vertex; cannot column-normalize")
-    stochastic = adj @ sp.diags(1.0 / degree)
-    ineq = sp.eye(n, format="csr") - spec.damping * stochastic.tocsr()
+    # K = I - damping * adj diag(1/degree), with the kernels and in the order
+    # of scipy's eye(n) - damping * (adj @ diags(1 / degree)): each entry is
+    # 0 - damping * (1 * (1/degree_j)), and the diagonal 1 - 0
+    walk = adj.data.copy()
+    csr_scale_columns(n, n, adj.indptr, adj.indices, walk, 1.0 / degree)
+    walk *= spec.damping
+    eye = np.arange(n + 1, dtype=adj.indices.dtype)
+    size = n + adj.nnz
+    indptr, indices, data = np.empty(n + 1, eye.dtype), np.empty(size, eye.dtype), np.empty(size)
+    csr_minus_csr(n, n, eye, eye[:n], np.ones(n), adj.indptr, adj.indices, walk, indptr, indices, data)
+    ineq = SparseMatrix._adopt(indptr, indices, data, (n, n))
+    ones_row = SparseMatrix._adopt(np.array([0, n], eye.dtype), eye[:n], np.ones(n), (1, n))
     problem = LpProblem(
         c=np.zeros(n),
-        ineq_matrix=SparseMatrix(ineq),
+        ineq_matrix=ineq,
         ineq_rhs=np.full(n, (1.0 - spec.damping) / n),
-        eq_matrix=SparseMatrix(sp.csr_matrix(np.ones((1, n)))),
+        eq_matrix=ones_row,
         eq_rhs=np.array([1.0]),
         lower=np.zeros(n),
         upper=np.full(n, np.inf),

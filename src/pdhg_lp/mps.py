@@ -34,7 +34,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import (
     DuplicateColumn,
@@ -45,7 +44,7 @@ from .exceptions import (
     UnknownRowReference,
 )
 from .problem import LpProblem, validate
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, _stacked, csr_tocsc
 
 _SECTIONS = {b"NAME", b"OBJSENSE", b"ROWS", b"COLUMNS", b"RHS", b"RANGES", b"BOUNDS", b"ENDATA"}
 _BOUND_CODES = ("LO", "UP", "FX", "FR", "MI", "PL", "BV")
@@ -541,7 +540,7 @@ class _Reader:
         h_vec[first[ranged] + 1] = second_rhs[ranged]
 
         in_a = eq[rows]
-        a_mat = SparseMatrix(sp.coo_matrix((vals[in_a], (eq_at[rows[in_a]], cols[in_a])), shape=(int(eq.sum()), n)))
+        a_mat = SparseMatrix._from_coo(eq_at[rows[in_a]], cols[in_a], vals[in_a], (int(eq.sum()), n))
         in_g, twice = ineq[rows], ranged[rows]
         g_rows = np.concatenate([first[rows[in_g]], first[rows[twice]] + 1])
         g_cols = np.concatenate([cols[in_g], cols[twice]])
@@ -549,7 +548,7 @@ class _Reader:
         flip = is_l[rows]
         np.negative(g_vals, out=g_vals, where=np.concatenate([flip[in_g], ~flip[twice]]))
         del cols, rows, vals, in_a, in_g, twice, flip  # the entries go before G's conversion, the parse's peak
-        g_mat = SparseMatrix(sp.coo_matrix((g_vals, (g_rows, g_cols)), shape=(h_vec.size, n)))
+        g_mat = SparseMatrix._from_coo(g_rows, g_cols, g_vals, (h_vec.size, n))
         del g_rows, g_cols, g_vals
 
         row_names = [_text(name) for name in self.row_index]
@@ -711,19 +710,21 @@ def _column_blocks(problem, c_out, col_field, row_field):
     then its G entries, then its A entries.  A column with no coefficients
     anywhere must still be declared (it may carry bounds), so it gets an
     explicit zero cost."""
-    g, a = problem.ineq_matrix.tocsr(), problem.eq_matrix.tocsr()
+    g, a = problem.ineq_matrix, problem.eq_matrix
     n = c_out.size
     has_cost = c_out != 0.0
     empty = np.ones(n, dtype=bool)
     empty[g.indices] = False
     empty[a.indices] = False
     first = np.flatnonzero(has_cost | empty)
-    cost = sp.csr_matrix((np.where(has_cost, c_out, 0.0)[first], first, [0, first.size]), shape=(1, n))
-    merged = sp.vstack([cost, g, a], format="csr")
-    del g, a  # the copies go before the conversion, the writer's peak
-    merged = merged.tocsc()  # int32 rows: 0 is the objective, G's follow, then A's
-    rows, values = merged.indices, merged.data
-    cols = np.repeat(np.arange(n, dtype=np.int32), np.diff(merged.indptr))
+    cost = (np.array([0, first.size]), first, np.where(has_cost, c_out, 0.0)[first])
+    m = 1 + g.shape[0] + a.shape[0]
+    indptr, indices, data = _stacked([cost, (g.indptr, g.indices, g.data), (a.indptr, a.indices, a.data)], (m, n))
+    # as CSC: rows 0 (the objective), then G's, then A's, in each column
+    col_ptr, rows, values = np.empty(n + 1, indptr.dtype), np.empty_like(indices), np.empty_like(data)
+    csr_tocsc(m, n, indptr, indices, data, col_ptr, rows, values)
+    del indptr, indices, data  # the merged rows go before the lines are formatted
+    cols = np.repeat(np.arange(n, dtype=np.int32), np.diff(col_ptr))
     for start in range(0, rows.size, _WRITE_CHUNK):
         # a chunk at a time, so only a chunk's worth of Python numbers and
         # line strings exists at once

@@ -1,7 +1,8 @@
 """Sparse matrix kernel used by the solver, and its vector dot product.
 
-Wraps one scipy CSR matrix; every iteration needs both K x and K^T y, and
-K^T y reads the same CSR arrays as K x.  Instances are immutable; the
+Holds one matrix's canonical CSR arrays (``indptr``, ``indices``,
+``data``); every iteration needs both K x and K^T y, and K^T y reads the
+same CSR arrays as K x.  Instances are immutable; the
 matvec call counters are the only mutable state and exist for statistics
 (they are not synchronized, so counts are approximate if a matrix is shared
 across threads).  ``row_blocks`` splits a large matrix's rows in two, for
@@ -18,12 +19,24 @@ This module alone runs halves on the worker: ``_in_halves`` is the one
 runner, for the products here, each phase of the two-block step
 (``pdhg.py``), each scaling pass (``scaling.py``) and ``scaled``'s
 entries, and the one place that asks for the worker, once per call.  It
-alone imports numpy's and scipy's private modules, and hands on the
+alone imports scipy, and numpy's private modules, and hands on the
 kernels the other modules call: scipy's products, its scaling kernels
-(``_scaled_entries``, for ``scaled`` and the scaling passes alike) and
+(``_scaled_entries``, for ``scaled`` and the scaling passes alike), the
+kernels that build the PageRank matrix and the MPS writer's columns, and
 numpy's clip ufunc.  The worker runs only scipy kernels and numpy ufuncs,
 never a function a tracer could wrap: ``matvec`` and ``rmatvec`` must
 never be called on it.
+
+Of scipy, an import and a solve load only two compiled modules: the CSR
+kernels of ``scipy.sparse._sparsetools`` when this module is imported, and
+LAPACK's ``scipy.linalg._flapack`` for the first norm estimate.
+``_compiled`` loads each from its file, without the Python layer of
+``scipy.sparse`` or ``scipy.linalg``, which takes about 0.2 s to import.
+A matrix is built and brought to canonical form with the same kernels that
+scipy's own methods call, so its arrays hold the bits
+``scipy.sparse.csr_matrix`` would give.  Only ``tocsr``, and a matrix given
+in a form that only scipy reads (a scipy matrix, a COO or CSR tuple, a
+shape), import ``scipy.sparse``.
 
 ``dot`` is the one inner product of the solver's loop.  On a long vector it
 runs numpy's einsum, not BLAS: OpenBLAS's dot kernel splits a vector of
@@ -33,14 +46,18 @@ there (the step's own worker thread).  A short vector stays
 on the calling thread, where BLAS's 0.4 us per call beats einsum's 1 us.
 """
 
+import importlib
+import importlib.machinery
+import importlib.util
 import math
+import operator
 import os
+import sys
+import threading
 import time
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_scale_columns, csr_scale_rows
 
 from .exceptions import DimensionMismatch, NonFiniteData, NonPositiveInput, _count, _real
 
@@ -52,7 +69,58 @@ except ImportError:  # numpy < 2
     from numpy.core.multiarray import c_einsum as _einsum
     from numpy.core.umath import clip as _clip
 
+_LOADING = threading.Lock()
+_loaded = {}  # name -> the compiled module that _load_file loaded
+
+
+def _compiled(name):
+    """scipy's compiled module ``name``: the one in ``sys.modules``, or else
+    the one ``_load_file`` loads, or, should that find or load nothing, the
+    one the normal import gives.  Each holds the same kernels, and so gives the
+    same bits."""
+    with _LOADING:
+        module = sys.modules.get(name) or _loaded.get(name)
+        if module is None:
+            try:
+                module = _loaded[name] = _load_file(name)
+            except ImportError:
+                module = importlib.import_module(name)
+    return module
+
+
+def _load_file(name):
+    """Load scipy's compiled module ``name`` from its file in the installed
+    scipy's directory, found without importing scipy: neither ``scipy``'s
+    nor its subpackage's ``__init__`` runs.
+
+    CPython enters such a module in ``sys.modules`` as it loads it, though
+    its package is not there; it is taken out again, so that a later
+    ``import scipy.sparse`` or ``scipy.linalg`` loads it the usual way and
+    the package has it as an attribute.  CPython keeps the module's first
+    load for that, so the kernels are then the same objects as these."""
+    root = importlib.util.find_spec("scipy")
+    if root is None or not root.submodule_search_locations:
+        raise ImportError("no scipy directory found")
+    package = os.path.join(*name.split(".")[1:-1])
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(path, package) for path in root.submodule_search_locations]
+    )
+    if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
+        raise ImportError(f"no compiled file for {name}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if sys.modules.get(name) is module:
+        del sys.modules[name]
+    return module
+
+
+_sparsetools = _compiled("scipy.sparse._sparsetools")
+csc_matvec, csr_matvec = _sparsetools.csc_matvec, _sparsetools.csr_matvec
+csr_scale_columns, csr_scale_rows = _sparsetools.csr_scale_columns, _sparsetools.csr_scale_rows
+csr_minus_csr, csr_tocsc = _sparsetools.csr_minus_csr, _sparsetools.csr_tocsc
+
 _FLOAT64 = np.dtype(np.float64)
+_INT32_MAX = np.iinfo(np.int32).max
 
 # A matrix with at least this many nonzeros has its rows in two blocks of
 # about half the nonzeros each, which the Halpern and the fixed step run on
@@ -88,27 +156,89 @@ def dot(a, b):
     return float(_einsum("i,i", a, b))
 
 
-class SparseMatrix:
-    """CSR matrix with both products, its row blocks and its largest entry."""
+def _index_dtype(*sizes):
+    """The index dtype scipy gives a matrix whose dimensions and nonzero
+    count are ``sizes``: int32 where each fits in it, else int64."""
+    return np.int32 if max(sizes) <= _INT32_MAX else np.int64
 
-    __slots__ = ("_csr", "shape", "nnz", "matvec_calls", "rmatvec_calls", "_row_blocks")
+
+class SparseMatrix:
+    """CSR matrix with both products, its row blocks and its largest entry.
+
+    Built from a numeric dense array (its nonzeros in row-major order, as
+    ``np.nonzero`` finds them) or another SparseMatrix (its arrays, shared),
+    and from any other form that ``scipy.sparse.csr_matrix`` reads (a scipy
+    sparse matrix, a COO or CSR tuple, a shape) through scipy, whose caller
+    has mostly loaded it already.  A ``shape`` other than the form's own
+    also goes through scipy.
+    Either way the arrays are then brought to scipy's canonical form: rows'
+    indices sorted, duplicates summed, explicit zeros dropped; int32 indices
+    where they fit; float64 entries, which must be finite.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "shape", "nnz", "matvec_calls", "rmatvec_calls", "_row_blocks")
 
     def __init__(self, matrix, shape=None):
         if isinstance(matrix, SparseMatrix):
-            matrix = matrix._csr
-        self._own(sp.csr_matrix(matrix, shape=shape, dtype=np.float64, copy=True))
+            if _same_shape(shape, matrix.shape):
+                self._keep(matrix.indptr, matrix.indices, matrix.data, matrix.shape)
+                return
+            matrix = matrix.tocsr()
+        if not isinstance(matrix, tuple):
+            dense = np.atleast_2d(np.asarray(matrix))  # of a scipy matrix, an object array
+            if dense.ndim == 2 and dense.dtype.kind in "biuf" and _same_shape(shape, dense.shape):
+                self._own(*_dense_csr(dense), dense.shape)
+                return
+        import scipy.sparse as sp
 
-    def _own(self, csr):
-        """Bring the float64 ``csr`` to canonical form in place, check that
-        it is finite and keep it, without a copy."""
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
-        csr.sort_indices()
-        if csr.nnz and not np.all(np.isfinite(csr.data)):
+        csr = sp.csr_matrix(matrix, shape=shape, dtype=np.float64, copy=True)
+        self._own(csr.indptr, csr.indices, csr.data, csr.shape)
+
+    @classmethod
+    def _from_coo(cls, rows, cols, values, shape):
+        """The matrix of float64 ``values`` at (``rows``, ``cols``), repeats
+        summed, as ``scipy.sparse.coo_matrix((values, (rows, cols)),
+        shape).tocsr()`` builds it; the input arrays are left as they are."""
+        m, n = shape
+        idx = _index_dtype(m, n, values.size)
+        rows, cols = rows.astype(idx, copy=False), cols.astype(idx, copy=False)
+        if values.size and not (0 <= rows.min() and rows.max() < m and 0 <= cols.min() and cols.max() < n):
+            raise DimensionMismatch([f"an entry lies outside the shape {shape}"])
+        indptr, indices, data = np.empty(m + 1, idx), np.empty(values.size, idx), np.empty(values.size)
+        _sparsetools.coo_tocsr(m, n, values.size, rows, cols, values, indptr, indices, data)
+        return cls._adopt(indptr, indices, data, shape)
+
+    @classmethod
+    def _adopt(cls, indptr, indices, data, shape):
+        """The matrix of the CSR arrays ``indptr``, ``indices`` (of one
+        integer dtype) and float64 ``data``, taken as its own: brought to
+        canonical form in place, without a copy."""
+        out = cls.__new__(cls)
+        out._own(indptr, indices, data, shape)
+        return out
+
+    def _own(self, indptr, indices, data, shape):
+        """Bring the CSR arrays to canonical form in place, as scipy's
+        ``sum_duplicates``, ``eliminate_zeros`` and ``sort_indices`` do (the
+        first two skip what is already done, as scipy does), then keep
+        them."""
+        m, n = shape
+        if not _sparsetools.csr_has_canonical_format(m, indptr, indices):
+            if not _sparsetools.csr_has_sorted_indices(m, indptr, indices):
+                _sparsetools.csr_sort_indices(m, indptr, indices, data)
+            _sparsetools.csr_sum_duplicates(m, n, indptr, indices, data)
+        _sparsetools.csr_eliminate_zeros(m, n, indptr, indices, data)
+        nnz = int(indptr[-1])
+        self._keep(indptr, _pruned(indices, nnz), _pruned(data, nnz), shape)
+
+    def _keep(self, indptr, indices, data, shape):
+        """Keep canonical CSR arrays, without a copy, once their entries are
+        found finite."""
+        if data.size and not np.all(np.isfinite(data)):
             raise NonFiniteData(["matrix contains non-finite entries"])
-        self._csr = csr
-        self.shape = csr.shape
-        self.nnz = int(csr.nnz)
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.shape = (operator.index(shape[0]), operator.index(shape[1]))
+        self.nnz = int(data.size)
         self.matvec_calls = 0
         self.rmatvec_calls = 0
         self._row_blocks = {}
@@ -132,8 +262,7 @@ class SparseMatrix:
         out = np.zeros(m)
         blocks = self.row_blocks()
         if len(blocks) == 1:
-            csr = self._csr
-            csr_matvec(m, n, csr.indptr, csr.indices, csr.data, x, out)
+            csr_matvec(m, n, self.indptr, self.indices, self.data, x, out)
         else:
             _in_halves(_row_product, [(block, n, x, out) for block in blocks])
         return out
@@ -149,8 +278,7 @@ class SparseMatrix:
         blocks = self.row_blocks()
         if len(blocks) == 1:
             out = np.zeros(n)
-            csr = self._csr
-            csc_matvec(n, m, csr.indptr, csr.indices, csr.data, y, out)
+            csc_matvec(n, m, self.indptr, self.indices, self.data, y, out)
             return out
         out, part = np.empty(n), np.empty(n)
         _in_halves(_transpose_product, [(block, n, y, v) for block, v in zip(blocks, (out, part))])
@@ -171,18 +299,18 @@ class SparseMatrix:
         """
         blocks = self._row_blocks.get(row_weight)
         if blocks is None:
-            csr = self._csr
+            indptr = self.indptr
             m = self.shape[0]
             bounds = [0, m]
             if self.nnz >= SPLIT_MIN_NNZ and m > 1:
-                cost = csr.indptr
+                cost = indptr
                 if row_weight:
                     cost = np.arange(m + 1, dtype=np.float64)
                     cost *= row_weight
-                    cost += csr.indptr
+                    cost += indptr
                 bounds.insert(1, _middle_row(cost))
             blocks = self._row_blocks[row_weight] = tuple(
-                (slice(a, b), csr.indptr[a : b + 1], csr.indices, csr.data) for a, b in zip(bounds, bounds[1:])
+                (slice(a, b), indptr[a : b + 1], self.indices, self.data) for a, b in zip(bounds, bounds[1:])
             )
         return blocks
 
@@ -190,7 +318,7 @@ class SparseMatrix:
 
     def abs_max(self):
         """Largest absolute entry (0 for an all-zero matrix)."""
-        return float(np.abs(self._csr.data).max()) if self.nnz else 0.0
+        return float(np.abs(self.data).max()) if self.nnz else 0.0
 
     # -- construction helpers ----------------------------------------------
 
@@ -210,19 +338,18 @@ class SparseMatrix:
         m = self.shape[0]
         if row_scale.shape != (m,) or col_scale.shape != (self.shape[1],):
             raise DimensionMismatch(["scaling vectors do not match matrix shape"])
-        csr = self._csr
         if row_order is None:
-            indptr, indices, values = csr.indptr.copy(), csr.indices.copy(), csr.data
+            indptr, indices, values = self.indptr.copy(), self.indices.copy(), self.data
         else:
             row_order = _permutation(row_order, m)
-            lengths = np.diff(csr.indptr)[row_order]
+            lengths = np.diff(self.indptr)[row_order]
             row_scale = row_scale[row_order]
-            indptr = np.zeros_like(csr.indptr)
+            indptr = np.zeros_like(self.indptr)
             np.cumsum(lengths, out=indptr[1:])
             # where in M each entry of the result sits
             source = np.arange(self.nnz, dtype=indptr.dtype)
-            source += np.repeat(csr.indptr[row_order] - indptr[:-1], lengths)
-            indices, values = csr.indices[source], csr.data[source]
+            source += np.repeat(self.indptr[row_order] - indptr[:-1], lengths)
+            indices, values = self.indices[source], self.data[source]
             del source
         data = np.empty(self.nnz)
         bounds = [0, _middle_row(indptr), m] if len(self.row_blocks()) == 2 else [0, m]
@@ -231,37 +358,83 @@ class SparseMatrix:
             lo, hi = indptr[a], indptr[b]
             halves.append((slice(a, b), indptr[a : b + 1] - lo, indices[lo:hi], 1.0, row_scale, col_scale, data[lo:hi]))
         _in_halves(_scaled_entries, halves)
-        with np.errstate(over="ignore"):  # _own reports an overflow as NonFiniteData
+        with np.errstate(over="ignore"):  # _keep reports an overflow as NonFiniteData
             data *= values
-        out = SparseMatrix.__new__(SparseMatrix)
-        out._own(sp.csr_matrix((data, indices, indptr), shape=self.shape))
-        return out
+        return SparseMatrix._adopt(indptr, indices, data, self.shape)
 
     def row_lengths(self):
         """Number of stored nonzeros in each row."""
-        return np.diff(self._csr.indptr)
+        return np.diff(self.indptr)
 
     @classmethod
     def vstack(cls, blocks):
-        blocks = [b._csr if isinstance(b, SparseMatrix) else sp.csr_matrix(b) for b in blocks]
+        blocks = [b if isinstance(b, SparseMatrix) else cls(b) for b in blocks]
         widths = {b.shape[1] for b in blocks}
         if len(widths) > 1:
             raise DimensionMismatch(["vstack blocks have different column counts"])
-        return cls(sp.vstack(blocks, format="csr"))
+        if not widths:
+            raise ValueError("vstack needs at least one block")
+        (n,) = widths
+        shape = (sum(b.shape[0] for b in blocks), n)
+        return cls._adopt(*_stacked([(b.indptr, b.indices, b.data) for b in blocks], shape), shape)
 
     @classmethod
     def empty(cls, shape):
-        return cls(sp.csr_matrix(shape))
+        m, n = (operator.index(k) for k in shape)
+        if m < 0 or n < 0:
+            raise ValueError(f"a matrix shape cannot be negative, got {shape}")
+        idx = _index_dtype(m, n)
+        return cls._adopt(np.zeros(m + 1, idx), np.zeros(0, idx), np.zeros(0), (m, n))
 
     def tocsr(self):
-        """Underlying scipy CSR (a copy, so callers cannot mutate us)."""
-        return self._csr.copy()
+        """A ``scipy.sparse.csr_matrix`` of copies of the arrays, so callers
+        cannot mutate us; the one method that imports ``scipy.sparse``."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.data.copy(), self.indices.copy(), self.indptr.copy()), shape=self.shape)
 
     def toarray(self):
-        return self._csr.toarray()
+        out = np.zeros(self.shape)
+        _sparsetools.csr_todense(*self.shape, self.indptr, self.indices, self.data, out)
+        return out
 
     def __repr__(self):
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
+
+
+def _same_shape(shape, actual):
+    """Whether a ``shape`` argument asks for nothing but ``actual``."""
+    return shape is None or (isinstance(shape, tuple) and shape == actual)
+
+
+def _dense_csr(dense):
+    """The CSR arrays of a 2-D numeric array's nonzeros, in row-major
+    order as ``np.nonzero`` finds them, with float64 entries."""
+    rows, cols = dense.nonzero()
+    m, n = dense.shape
+    idx = _index_dtype(m, n, rows.size)
+    indptr = np.zeros(m + 1, idx)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    return indptr, cols.astype(idx), dense[rows, cols].astype(np.float64, copy=False)
+
+
+def _stacked(blocks, shape):
+    """The CSR arrays (indptr, indices, data) of a matrix of ``shape`` whose
+    rows are those of each (indptr, indices, data) block in turn, as
+    scipy's vstack forms them: every entry kept as it is."""
+    m, n = shape
+    idx = _index_dtype(m, n, sum(int(ptr[-1]) for ptr, _, _ in blocks))
+    indptr = np.zeros(m + 1, idx)
+    np.cumsum(np.concatenate([np.diff(ptr) for ptr, _, _ in blocks]), out=indptr[1:])
+    indices = np.concatenate([i[: ptr[-1]] for ptr, i, _ in blocks], dtype=idx)
+    data = np.concatenate([d[: ptr[-1]] for ptr, _, d in blocks], dtype=np.float64)
+    return indptr, indices, data
+
+
+def _pruned(array, size):
+    """``array[:size]``, copied where that keeps less than half of the
+    array, as scipy's ``prune`` does."""
+    return array[:size] if 2 * size >= array.size else array[:size].copy()
 
 
 # (the process that made it, the products' worker thread), set as one
@@ -407,11 +580,13 @@ def spectral_norm_estimate(matrix, tol=1e-4, max_iters=5000, seed=0, *, deadline
     rows, cols = matrix.shape
     if rows == 0 or cols == 0 or matrix.nnz == 0:
         return SpectralEstimate(0.0, True, 0)
-    # the import is lazy, as it takes about 20 ms, and follows the first
-    # deadline test, so that a solve out of time does not pay it either
+    # LAPACK is loaded on first use, as that takes about 10 ms (it brings
+    # scipy's own OpenBLAS), and after the first deadline test, so that a
+    # solve out of time does not pay it either
     if time.perf_counter() >= deadline:
         return SpectralEstimate(0.0, False, 0)
-    from scipy.linalg.lapack import dstebz, dstein
+    lapack = _compiled("scipy.linalg._flapack")  # what scipy.linalg.lapack re-exports
+    dstebz, dstein = lapack.dstebz, lapack.dstein
 
     dim = min(rows, cols)
     first, second = (matrix.matvec, matrix.rmatvec) if cols == dim else (matrix.rmatvec, matrix.matvec)

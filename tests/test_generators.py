@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import pdhg_lp as pl
 from pdhg_lp import PagerankSpec, barabasi_albert_edges, generate_pagerank
@@ -200,6 +201,59 @@ class TestPagerankProblem:
         spec = PagerankSpec(num_nodes=np.int64(10), attach_degree=np.int32(2), seed=np.uint8(4))
         problem = generate_pagerank(spec)
         assert problem.num_variables == 10
+
+
+def scipy_pagerank_matrices(spec):
+    """G and A of the PageRank LP as scipy's own expression builds them,
+    brought to the canonical form a SparseMatrix keeps."""
+    n = spec.num_nodes
+    edges = barabasi_albert_edges(n, spec.attach_degree, spec.seed)
+    rows, cols = edges[:, 0], edges[:, 1]
+    ones = np.ones(len(edges))
+    adj = sp.coo_matrix(
+        (np.concatenate([ones, ones]), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+        shape=(n, n),
+    ).tocsr()
+    degree = np.asarray(adj.sum(axis=0)).ravel()
+    stochastic = adj @ sp.diags(1.0 / degree)
+    matrices = []
+    for matrix in (sp.eye(n, format="csr") - spec.damping * stochastic.tocsr(), sp.csr_matrix(np.ones((1, n)))):
+        matrix = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
+        matrix.sum_duplicates()
+        matrix.eliminate_zeros()
+        matrix.sort_indices()
+        matrices.append(matrix)
+    return matrices
+
+
+def same_arrays(mat, reference):
+    """Whether a SparseMatrix holds scipy's CSR arrays, dtypes and bytes."""
+    return mat.shape == reference.shape and all(
+        getattr(mat, name).dtype == getattr(reference, name).dtype
+        and getattr(mat, name).tobytes() == getattr(reference, name).tobytes()
+        for name in ("indptr", "indices", "data")
+    )
+
+
+class TestSameArraysAsScipy:
+    """The PageRank matrices are built with scipy's compiled kernels alone,
+    and hold the arrays that scipy's sparse expression gives."""
+
+    @pytest.mark.parametrize("num_nodes, blocks", [(3_000, 1), (30_000, 2)])
+    def test_generator(self, num_nodes, blocks):
+        spec = PagerankSpec(num_nodes=num_nodes, seed=1)
+        problem = generate_pagerank(spec)
+        g, a = scipy_pagerank_matrices(spec)
+        assert same_arrays(problem.ineq_matrix, g)
+        assert same_arrays(problem.eq_matrix, a)
+        assert len(problem.ineq_matrix.row_blocks()) == blocks
+
+    def test_mps_reader(self):
+        spec = PagerankSpec(num_nodes=3_000, seed=2)
+        problem = pl.parse_mps(pl.write_mps(generate_pagerank(spec)))
+        g, a = scipy_pagerank_matrices(spec)
+        assert same_arrays(problem.ineq_matrix, g)
+        assert same_arrays(problem.eq_matrix, a)
 
 
 class TestToyProblems:

@@ -175,6 +175,35 @@ class TestErrors:
         with pytest.raises(pl.MpsSyntaxError):
             parse_mps(text)
 
+    @pytest.mark.parametrize(
+        "edits, error, message, line",
+        [
+            ({" G  GROW": " G  GROW  EXTRA"}, pl.MpsSyntaxError, "ROWS line needs 2 fields, got 3", 5),
+            ({" E  EROW": " EROW"}, pl.MpsSyntaxError, "ROWS line needs 2 fields, got 1", 7),
+            ({" L  LROW": " X  LROW"}, pl.MpsSyntaxError, "unknown row type 'X'", 6),
+            ({" L  LROW": " L  COST"}, pl.DuplicateRow, "row 'COST' declared twice", 6),
+            # of several faults, the first in file order, whatever its kind
+            ({" G  GROW": " Q  GROW", " E  EROW": " E"}, pl.MpsSyntaxError, "unknown row type 'Q'", 5),
+            ({" L  LROW": " L  COST", " E  EROW": " E  EROW  X"}, pl.DuplicateRow, "row 'COST' declared twice", 6),
+            ({" G  GROW": " G", " L  LROW": " Z  LROW"}, pl.MpsSyntaxError, "ROWS line needs 2 fields, got 1", 5),
+            ({" L  LROW": " LG  LROW", " E  EROW": " E  GROW"}, pl.MpsSyntaxError, "unknown row type 'LG'", 6),
+        ],
+    )
+    def test_rows_faults(self, edits, error, message, line):
+        text = FIXTURE
+        for old, new in edits.items():
+            text = text.replace(old + "\n", new + "\n")
+        for block_bytes in (None, 16):
+            (kind, text_of_error, line_no), _ = outcome(text, block_bytes=block_bytes)
+            assert (kind, text_of_error, line_no) == (error, f"line {line}: {message}", line)
+
+    def test_rows_types_in_lower_case_and_extra_objective_rows(self):
+        text = FIXTURE.replace(" N  COST\n G  GROW\n", " n  COST\n g  GROW\n N  SPARE\n")
+        p = parse_mps(text)
+        reference = parse_mps(FIXTURE)
+        assert p.constraint_names == reference.constraint_names
+        np.testing.assert_array_equal(p.c, reference.c)
+
     def test_errors_are_parse_errors(self):
         assert issubclass(pl.DuplicateRow, pl.MpsParseError)
         assert issubclass(pl.MpsSyntaxError, pl.MpsParseError)

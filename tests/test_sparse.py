@@ -312,9 +312,9 @@ class TestSpectralNorm:
         assert mat.matvec_calls == calls
 
     def test_past_deadline_skips_the_lapack_import(self):
-        # In a fresh process the Lanczos steps' LAPACK import takes about
-        # 20 ms, which an estimate out of time before its first product
-        # does not pay.
+        # In a fresh process loading the Lanczos steps' LAPACK module takes
+        # about 10 ms, which an estimate out of time before its first
+        # product does not pay.
         code = (
             "import sys\n"
             "import numpy as np\n"
@@ -322,6 +322,7 @@ class TestSpectralNorm:
             "est = pl.spectral_norm_estimate(pl.SparseMatrix(np.eye(3)), deadline=0.0)\n"
             "assert (est.value, est.converged, est.iterations) == (0.0, False, 0), est\n"
             "assert 'scipy.linalg.lapack' not in sys.modules, 'imported'\n"
+            "assert 'scipy.linalg._flapack' not in sys.modules, 'loaded'\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(pl.__file__).parents[1]))
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
@@ -393,13 +394,12 @@ class TestStorage:
         csr = sp.random(1500, 1200, density=0.12, random_state=3, format="csr")
         mat = SparseMatrix(csr)
         assert mat.nnz >= pl.sparse.SPLIT_MIN_NNZ
-        own = mat._csr
         blocks = mat.row_blocks()
         assert blocks is mat.row_blocks()
         (first, ptr0, idx0, data0), (second, ptr1, idx1, data1) = blocks
         assert (first.start, first.stop, second.start, second.stop) == (0, second.start, first.stop, 1500)
-        assert abs(int(ptr0[-1]) - mat.nnz // 2) <= int(np.diff(own.indptr).max())
-        for view, array in ((ptr0, own.indptr), (ptr1, own.indptr), (idx0, own.indices), (data1, own.data)):
+        assert abs(int(ptr0[-1]) - mat.nnz // 2) <= int(np.diff(mat.indptr).max())
+        for view, array in ((ptr0, mat.indptr), (ptr1, mat.indptr), (idx0, mat.indices), (data1, mat.data)):
             assert np.shares_memory(view, array)
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal(1200), rng.standard_normal(1500)
@@ -430,6 +430,92 @@ class TestStorage:
         mat = SparseMatrix(sp.random(300, 200, density=0.1, random_state=4, format="csr"))
         [(rows, ptr, _, _)] = mat.row_blocks()
         assert (rows.start, rows.stop) == (0, 300) and ptr.size == 301
+
+
+def canonical_scipy(matrix, shape=None):
+    """scipy's CSR of ``matrix`` as float64, brought to canonical form."""
+    csr = sp.csr_matrix(matrix, shape=shape, dtype=np.float64, copy=True)
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    csr.sort_indices()
+    return csr
+
+
+def _messy_csr():
+    """A CSR with unsorted indices, a duplicate and an explicit zero."""
+    data = np.array([3.0, 1.0, 0.1, 0.2, 0.0, 5.0, -2.0])
+    indices = np.array([2, 0, 1, 1, 3, 0, 3], dtype=np.int32)
+    indptr = np.array([0, 2, 5, 5, 7], dtype=np.int32)
+    return data, indices, indptr
+
+
+def _int64_csr():
+    """The messy CSR as a scipy matrix whose index arrays are int64."""
+    csr = sp.csr_matrix(_messy_csr(), shape=(4, 4))
+    csr.indices, csr.indptr = csr.indices.astype(np.int64), csr.indptr.astype(np.int64)
+    return csr
+
+
+_DENSE = np.array([[0.0, 1.5, 0.0, -2.0], [0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 1e-300, 0.0]])
+
+
+class TestInputForms:
+    """Each form a SparseMatrix takes gives the arrays, dtypes included, of
+    scipy's csr_matrix after sum_duplicates, eliminate_zeros and
+    sort_indices; only the forms that only scipy reads go through it."""
+
+    @pytest.mark.parametrize(
+        "form, shape",
+        [
+            (lambda: _DENSE, None),
+            (lambda: _DENSE, (3, 4)),
+            (lambda: _DENSE.tolist(), None),
+            (lambda: np.array([0.0, 2.0, 0.0, 4.0]), None),
+            (lambda: (_DENSE * 10).astype(np.int64), None),
+            (lambda: _DENSE > 0, None),
+            (lambda: sp.csr_matrix(_messy_csr(), shape=(4, 4)), None),
+            (lambda: sp.csr_array(_messy_csr(), shape=(4, 4)), None),
+            (_int64_csr, None),
+            (lambda: _messy_csr(), (4, 4)),
+            (lambda: sp.coo_matrix(([1.0, 2.0, 0.5, 0.0], ([2, 0, 2, 1], [1, 3, 1, 0])), shape=(3, 4)), None),
+            (lambda: ([1.0, 2.0, 0.5, 0.0], ([2, 0, 2, 1], [1, 3, 1, 0])), (3, 4)),
+            (lambda: sp.csr_matrix(np.array([[0, 3, 0], [7, 0, -1]], dtype=np.int32)), None),
+            (lambda: sp.csc_matrix(_DENSE), None),
+            (lambda: (5, 2), None),
+        ],
+    )
+    def test_same_arrays_as_scipy(self, form, shape):
+        mat = SparseMatrix(form(), shape=shape)
+        reference = canonical_scipy(form(), shape=shape)
+        assert mat.shape == reference.shape and mat.nnz == reference.nnz
+        for name in ("indptr", "indices", "data"):
+            mine, theirs = getattr(mat, name), getattr(reference, name)
+            assert (mine.dtype, mine.tobytes()) == (theirs.dtype, theirs.tobytes()), name
+
+    def test_a_sparse_matrix_keeps_its_arrays(self):
+        inner = SparseMatrix(sp.csr_matrix(_messy_csr(), shape=(4, 4)))
+        outer = SparseMatrix(inner)
+        assert (outer.indptr, outer.indices, outer.data) == (inner.indptr, inner.indices, inner.data)
+        assert outer.shape == inner.shape and outer.matvec_calls == 0
+
+    def test_the_input_is_left_as_it_is(self):
+        data, indices, indptr = _messy_csr()
+        csr = sp.csr_matrix((data, indices, indptr), shape=(4, 4))
+        SparseMatrix(csr)
+        assert csr.data.tobytes() == _messy_csr()[0].tobytes()
+        assert csr.indices.tobytes() == _messy_csr()[1].tobytes()
+
+    def test_to_csr_and_to_array(self):
+        mat = SparseMatrix(_DENSE)
+        copy = mat.tocsr()
+        assert sp.isspmatrix_csr(copy) and not np.shares_memory(copy.data, mat.data)
+        np.testing.assert_array_equal(copy.toarray(), _DENSE)
+        assert mat.toarray().tobytes() == _DENSE.tobytes()
+
+    def test_from_coo_rejects_an_entry_outside_the_shape(self):
+        rows, cols = np.array([0, 2]), np.array([1, 1])
+        with pytest.raises(DimensionMismatch):
+            SparseMatrix._from_coo(rows, cols, np.ones(2), (2, 2))
 
 
 class TestTwoThreadProducts:
@@ -619,5 +705,56 @@ class TestOneOwnerOfTheRowBlocks:
     def test_only_sparse_py_uses_private_kernels_or_the_worker(self):
         package = Path(sparse_module.__file__).parent
         uses = {path.name: _private_uses(path.read_text()) for path in sorted(package.glob("*.py"))}
+        assert uses.pop("sparse.py")  # the owner: otherwise the check finds nothing
+        assert {name: found for name, found in uses.items() if found} == {}
+
+
+def _scipy_imports(source):
+    """The places ``source`` imports scipy, in any form: an import
+    statement, ``importlib.import_module`` or ``__import__``, as (line,
+    module) pairs."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        modules = []
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ("import_module", "__import__") and isinstance(node.args[0].value, str):
+                modules = [node.args[0].value]
+        found += [(node.lineno, module) for module in modules if module.split(".")[0] == "scipy"]
+    return found
+
+
+class TestOneOwnerOfScipy:
+    """``sparse.py`` alone imports scipy: every other module builds its
+    matrices through ``SparseMatrix`` and takes scipy's kernels from it, so
+    a process that imports the package loads no more of scipy than
+    ``sparse.py`` asks for."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import scipy",
+            "import scipy.sparse as sp",
+            "from scipy import sparse",
+            "from scipy.linalg.lapack import dstebz",
+            "def f():\n    import scipy.optimize",
+            "importlib.import_module('scipy.sparse._sparsetools')",
+            "__import__('scipy')",
+        ],
+    )
+    def test_the_check_finds_each_kind_of_import(self, source):
+        assert _scipy_imports(source)
+
+    def test_the_check_passes_other_imports(self):
+        assert not _scipy_imports("import numpy\nfrom .sparse import SparseMatrix\nimport scipyish")
+
+    def test_only_sparse_py_imports_scipy(self):
+        package = Path(sparse_module.__file__).parent
+        uses = {path.name: _scipy_imports(path.read_text()) for path in sorted(package.glob("*.py"))}
         assert uses.pop("sparse.py")  # the owner: otherwise the check finds nothing
         assert {name: found for name, found in uses.items() if found} == {}
