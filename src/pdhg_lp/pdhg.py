@@ -57,7 +57,7 @@ once per solve.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
@@ -104,10 +104,14 @@ class IterateState:
 
     ``sum_weight`` and the running sums ``sum_x``/``sum_y`` form the epoch's
     weighted average, and ``inner_count``/``total_count`` count its steps
-    and all steps; all start at zero.  ``kx`` caches K @ x for the adaptive
-    rule and must be dropped whenever x changes by any route other than
-    that rule's step (restart, rescale): after an adaptive step it is a
-    vector of its own, and after a fixed or Halpern step or a restart None.
+    and all steps; all start at zero.  With ``running_sum=False`` the
+    state holds no running sum (``sums``, ``sum_x`` and ``sum_y`` are
+    None) and takes only Halpern steps, which never add to it; a PDHG or
+    adaptive step on it raises NonPositiveInput.  ``kx`` caches K @ x for
+    the adaptive rule and must be dropped whenever x changes by any route
+    other than that rule's step (restart, rescale): after an adaptive step
+    it is a vector of its own, and after a fixed or Halpern step or a
+    restart None.
     ``trial_count`` counts the finite trial points computed, accepted or
     not.
 
@@ -132,7 +136,9 @@ class IterateState:
                 the epoch's first step
         sums    the epoch's running sum of weighted iterates, zeroed at a
                 restart: a PDHG step adds z_{k+1} in one pass, the adaptive
-                rule s z_{k+1}; ``sum_x``/``sum_y`` are its parts
+                rule s z_{k+1}; ``sum_x``/``sum_y`` are its parts.  Made
+                only for the steps that add to it: ``solve`` builds a
+                Halpern state without it
 
     t, prev and anchor start as copies of z, so that a check before the
     first step reads the first iterate.  As the steps swap z and prev, the
@@ -160,24 +166,30 @@ class IterateState:
     sum_y: np.ndarray = field(init=False)
     kx: np.ndarray = field(default=None, init=False, repr=False)
     trial_count: int = field(default=0, init=False)
+    _: KW_ONLY
+    running_sum: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, running_sum):
         x, y = (np.asarray(v, dtype=np.float64) for v in (self.x, self.y))
         n, size = x.shape[0], x.shape[0] + y.shape[0]
         self.z = np.concatenate((x, y))
         self.t, self.prev, self.anchor = self.z.copy(), self.z.copy(), self.z.copy()
-        self.r, self.sums, self.part = np.empty(size), np.zeros(size), np.empty(n)
-        (self.x, self.y), self.prev_parts, self.t_parts, self.r_parts, self.anchor_parts, (self.sum_x, self.sum_y) = (
-            (v[:n], v[n:]) for v in (self.z, self.prev, self.t, self.r, self.anchor, self.sums)
+        self.r, self.part = np.empty(size), np.empty(n)
+        (self.x, self.y), self.prev_parts, self.t_parts, self.r_parts, self.anchor_parts = (
+            (v[:n], v[n:]) for v in (self.z, self.prev, self.t, self.r, self.anchor)
         )
+        self.sums = self.sum_x = self.sum_y = None
+        if running_sum:
+            self.sums = np.zeros(size)
+            self.sum_x, self.sum_y = self.sums[:n], self.sums[n:]
         self.share, self.denominator = np.empty(()), np.empty(())
         self.entry_sum = np.ones(size).dot if size <= DOT_BLAS_MAX else np.add.reduce
 
     @classmethod
-    def initial(cls, saddle):
+    def initial(cls, saddle, *, running_sum=True):
         """Start at the origin projected into the box, dual at zero."""
         x0 = np.clip(np.zeros(saddle.num_primal), saddle.l, saddle.u)
-        return cls(x=x0, y=np.zeros(saddle.num_dual))
+        return cls(x=x0, y=np.zeros(saddle.num_dual), running_sum=running_sum)
 
 
 def project_primal(x, l, u):
@@ -194,6 +206,7 @@ def project_dual(y, m1):
 def step_gradient(state, saddle):
     """Fill the K x cache if it is empty and c - K'y into the x part of
     ``t``; at an epoch's first step z is copied into ``anchor`` first."""
+    _needs_running_sum(state)
     if state.inner_count == 0:
         np.copyto(state.anchor, state.z)
     k = saddle.K
@@ -287,7 +300,15 @@ def pdhg_step(state, saddle, step, *, halpern=False, errstate=True, count=1, dea
             return pdhg_step(state, saddle, step, halpern=halpern, errstate=False, count=count, deadline=deadline)
     if count < 1:
         raise NonPositiveInput(f"count must be at least 1, got {count}")
+    if not halpern:
+        _needs_running_sum(state)
     return _steps(state, saddle, step, count, halpern, deadline)
+
+
+def _needs_running_sum(state):
+    """Refuse a step that adds to the running sum on a state without one."""
+    if state.sums is None:
+        raise NonPositiveInput("this step adds to the running sum, and the state was built without one")
 
 
 def _steps(state, saddle, step, count, halpern, deadline):

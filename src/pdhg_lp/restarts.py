@@ -168,12 +168,14 @@ def apply_restart(state, candidate):
     place: the candidate is copied into the state's own x and y, the parts
     of its ``z``, so it may be a view of the state's other vectors, as
     ``solve``'s candidates in ``t`` are; the next step copies it into
-    ``anchor``.  The running sum is zeroed and the K x cache
-    dropped; the total iteration count is preserved.  Allocates nothing.
+    ``anchor``.  The running sum, where the state has one, is zeroed and
+    the K x cache dropped; the total iteration count is preserved.
+    Allocates nothing.
     """
     np.copyto(state.x, candidate[0])
     np.copyto(state.y, candidate[1])
-    state.sums.fill(0.0)
+    if state.sums is not None:
+        state.sums.fill(0.0)
     state.sum_weight = 0.0
     state.inner_count = 0
     state.kx = None

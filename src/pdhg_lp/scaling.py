@@ -15,23 +15,30 @@ length next to each other (``length_order``), and y = D1 P' y~.  scipy's
 row kernels run one inner loop per row, and when row lengths vary at random
 the CPU mispredicts where each loop ends; grouped, the ends are predictable.
 
-The passes read |K| on K's own row blocks (``SparseMatrix.row_blocks``)
+The passes read K on its own row blocks (``SparseMatrix.row_blocks``)
 through ``sparse.py``'s runner, ``_in_halves``: on two blocks the products'
 worker thread runs the second block while the caller runs the first, or on
-one CPU the caller runs both.  A block's part of a Ruiz sweep forms |K_ij|
-* d1_i * d2_j with ``sparse._scaled_entries``, the scaling kernels of
+one CPU the caller runs both.  A block's part of a Ruiz sweep forms |K_ij
+* d1_i * d2_j| with ``sparse._scaled_entries``, the scaling kernels of
 ``SparseMatrix.scaled``, which multiply in that order, and takes its row
 maxima with ``np.maximum.reduceat`` and its column maxima into a vector of
 its own; a max is exact, so joining the blocks' maxima gives the bits of
 one pass over all of K.  Each row sum runs the product's row kernel
 (``sparse._row_product``) on its block, with the summed values for
 entries, and adds the row's entries in order from 0, as ``np.bincount``
-does.  A
-column sum takes entries from both blocks, so it stays one ``np.bincount``
-on the caller: split, it would add them in another order.  The worker runs
-only scipy's kernels and max reductions, which raise no floating-point
-warning; every numpy call that can warn runs on the caller over the whole
-array, so the result and the warnings are the same on one CPU and two.
+does.  A column sum takes entries from both blocks, so it stays one call
+on the caller, split it would add them in another order: the product's
+column kernel over all rows (``sparse._transpose_product``) times a vector
+of ones, which also adds in entry order from 0 and, unlike
+``np.bincount``, makes no int64 copy of K's column indices.  The worker
+runs only scipy's kernels, absolute values and max reductions, which raise
+no floating-point warning; every numpy call that can warn runs on the caller
+over the whole array, so the result and the warnings are the same on one
+CPU and two.  The passes hold one float per entry of K, a scratch vector,
+and no copy of K's arrays: |K_ij| is never stored, as a product of K_ij
+and positive factors, taken in absolute value, has the bits of the same
+product of |K_ij|; a row value is expanded over its entries a few
+thousand rows at a time.
 On the n=1e5 PageRank K (8e5 nonzeros, 2-core AMD EPYC, numpy 2.4, scipy
 1.17, best of 15) ten sweeps (``ruiz_rescale``) take 27 ms instead of 53 ms
 over K's COO triplets, and the default ``combined_rescale`` 39 ms instead
@@ -47,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DimensionMismatch, NonPositiveInput, _count
-from .sparse import _in_halves, _permutation, _row_product, _scaled_entries
+from .sparse import _in_halves, _permutation, _row_product, _scaled_entries, _transpose_product
 
 # The named pipelines combined_rescale builds, and SolverConfig.scaling takes,
 # and the default of both.  The log-mean pass makes the default's result
@@ -68,6 +75,11 @@ PC_ALPHA = 1.0
 # 0.14 ms once, repaid in about 16 iterations.  The criterion-8 LPs and the
 # benchmark's small LPs have under 1k nonzeros and keep their bits.
 ROW_ORDER_MIN_NNZ = 2**14
+
+# The rows the log-mean pass expands a row value over at a time
+# (``_row_chunks``): about 64k entries, 0.5 MB, of PageRank's K, where one
+# ``np.repeat`` over all rows is an nnz-sized temporary.
+EXPAND_ROWS = 1 << 13
 
 
 @dataclass
@@ -117,65 +129,65 @@ def ruiz_rescale(matrix, num_iters=RUIZ_ITERATIONS):
     the current rescaled matrix; empty rows/columns keep scale 1.  Returns
     the accumulated ScalingInfo."""
     num_iters = _count("num_iters", num_iters)
-    return ScalingInfo(*_ruiz_scales(_abs_entries(matrix), num_iters, False, math.inf))
+    return ScalingInfo(*_ruiz_scales(_entries(matrix), num_iters, False, math.inf))
 
 
 class _Block(NamedTuple):
-    """One row block of |M| as a CSR matrix of its own: ``rows`` and
+    """One row block of M as a CSR matrix of its own: ``rows`` and
     ``entries`` are the slices of M's rows and nonzeros it holds, ``indptr``
-    starts at 0, ``indices`` and ``vals`` (the |M_ij|) are views of M's
-    arrays, and the nonempty rows ``filled`` start at ``starts``.  A sweep
-    leaves the block's column maxima in ``col_max``: made once, on the
-    calling thread, it keeps the worker thread from holding a vector of its
-    own (on the n=1e5 PageRank, 2 MB of the solve's peak memory)."""
+    starts at 0, ``indices`` and ``data`` are views of M's arrays, and the
+    nonempty rows ``filled`` start at ``starts``.  A sweep leaves the
+    block's column maxima in ``col_max``: made once, on the calling thread,
+    it keeps the worker thread from holding a vector of its own (on the
+    n=1e5 PageRank, 2 MB of the solve's peak memory)."""
 
     rows: slice
     entries: slice
     indptr: np.ndarray
     indices: np.ndarray
-    vals: np.ndarray
+    data: np.ndarray
     filled: np.ndarray
     starts: np.ndarray
     col_max: np.ndarray
 
 
 class _Entries(NamedTuple):
-    """|M| row by row, whole and on M's row blocks: the column ``indices``,
-    the values ``vals`` and each row's number of entries, ``lengths``."""
+    """M row by row, whole and on its row blocks: M's ``indptr``, column
+    ``indices`` and entries ``data``, and each row's number of entries,
+    ``lengths``.  The passes read |M_ij| as the magnitude of what they form
+    from M_ij: a product of M_ij and positive factors, or its exponent, has
+    the bits of the same product of |M_ij| but for the sign."""
 
     shape: tuple
+    indptr: np.ndarray
     indices: np.ndarray
-    vals: np.ndarray
+    data: np.ndarray
     lengths: np.ndarray
     blocks: tuple
 
 
-def _abs_entries(matrix):
-    """The _Entries of |M| on ``matrix.row_blocks()``, without a copy of
-    M's index arrays."""
+def _entries(matrix):
+    """The _Entries of M on ``matrix.row_blocks()``, without a copy of
+    M's arrays."""
     row_blocks = matrix.row_blocks()
-    vals = np.abs(row_blocks[0][3])
     n = matrix.shape[1]
     blocks = []
-    for rows, indptr, indices, _ in row_blocks:
+    for rows, indptr, indices, data in row_blocks:
         entries = slice(int(indptr[0]), int(indptr[-1]))
         local = indptr - indptr[0]
         filled = np.flatnonzero(local[1:] > local[:-1])
         blocks.append(
-            _Block(rows, entries, local, indices[entries], vals[entries], filled + rows.start, local[filled], np.empty(n))
+            _Block(rows, entries, local, indices[entries], data[entries], filled + rows.start, local[filled], np.empty(n))
         )
-    return _Entries(matrix.shape, row_blocks[0][2], vals, matrix.row_lengths(), tuple(blocks))
+    return _Entries(matrix.shape, matrix.indptr, matrix.indices, matrix.data, matrix.row_lengths(), tuple(blocks))
 
 
 def _ruiz_scales(entries, num_iters, log_mean, deadline):
-    """Ruiz's (d1, d2) from the _Entries of |M|: ``num_iters`` sweeps, each
+    """Ruiz's (d1, d2) from the _Entries of M: ``num_iters`` sweeps, each
     begun only before ``deadline``, from the log-mean pass if ``log_mean``."""
     m, n = entries.shape
-    d1 = np.ones(m)
-    d2 = np.ones(n)
-    if log_mean:
-        d1, d2 = _log_mean_pass(entries)
-    cur = np.empty(entries.vals.size)
+    cur = np.empty(entries.data.size)
+    d1, d2 = _log_mean_pass(entries, cur) if log_mean else (np.ones(m), np.ones(n))
     for _ in range(num_iters):
         if time.perf_counter() >= deadline:
             break
@@ -183,9 +195,9 @@ def _ruiz_scales(entries, num_iters, log_mean, deadline):
     return d1, d2
 
 
-def _log_mean_pass(entries):
+def _log_mean_pass(entries, cur):
     """One block step of Curtis-Reid scaling (Curtis & Reid, IMA J. Appl.
-    Math. 10, 1972) over the _Entries of |M|: (d1, d2) = 2^-(row shift),
+    Math. 10, 1972) over the _Entries of M: (d1, d2) = 2^-(row shift),
     2^-(column shift), where a row's shift is the mean of log2|M_ij| over
     its nonzeros, and a column's the mean of what is left after the row
     shifts.  A factor s on row i moves its shift by log2 s, so the pass
@@ -193,17 +205,40 @@ def _log_mean_pass(entries):
 
     The whole part of a row's shift is taken from the binary exponents
     first, in exact arithmetic, so that a power-of-two row scale moves d1
-    by exactly that power and leaves every other bit of the pass alone."""
-    n = entries.shape[1]
-    lengths, vals = entries.lengths, entries.vals
+    by exactly that power and leaves every other bit of the pass alone.
+
+    Every per-entry value is formed in ``cur``, the sweeps' scratch: first
+    the column indices (``_col_counts``), then ``np.frexp``'s exponents,
+    cast to float, then log2 of each |M_ij| over 2 to its row's whole
+    shift.  Each call that reads a row value per entry runs EXPAND_ROWS
+    rows at a time (``_row_chunks``), and so does ``np.frexp``, whose
+    outputs are temporaries."""
+    lengths, data = entries.lengths, entries.data
     per_row = np.maximum(lengths, 1)
-    whole = np.floor(_row_sums(entries, np.frexp(vals)[1].astype(np.float64)) / per_row).astype(np.int32)
-    logs = np.ldexp(vals, np.repeat(-whole, lengths))
-    np.log2(logs, out=logs)
-    row_shift = _row_sums(entries, logs) / per_row
-    logs -= np.repeat(row_shift, lengths)
-    col_shift = np.bincount(entries.indices, logs, n) / np.maximum(np.bincount(entries.indices, minlength=n), 1)
+    counts = _col_counts(entries, cur)
+    chunks = _row_chunks(entries)
+    for _, part in chunks:
+        np.copyto(cur[part], np.frexp(data[part])[1])
+    whole = np.floor(_row_sums(entries, cur) / per_row).astype(np.int32)
+    for rows, part in chunks:
+        np.ldexp(data[part], np.repeat(-whole[rows], lengths[rows]), out=cur[part])
+    np.abs(cur, out=cur)
+    np.log2(cur, out=cur)
+    row_shift = _row_sums(entries, cur) / per_row
+    for rows, part in chunks:
+        np.subtract(cur[part], np.repeat(row_shift[rows], lengths[rows]), out=cur[part])
+    col_shift = _col_sums(entries, cur) / np.maximum(counts, 1)
     return np.ldexp(np.exp2(-row_shift), -whole), np.exp2(-col_shift)
+
+
+def _row_chunks(entries):
+    """The rows in runs of EXPAND_ROWS, each as (rows, entries): the slice
+    of its rows and the slice of their entries."""
+    indptr, m = entries.indptr, entries.shape[0]
+    return [
+        (slice(a, min(a + EXPAND_ROWS, m)), slice(int(indptr[a]), int(indptr[min(a + EXPAND_ROWS, m)])))
+        for a in range(0, m, EXPAND_ROWS)
+    ]
 
 
 def _row_sums(entries, values):
@@ -217,8 +252,30 @@ def _row_sums(entries, values):
     return out
 
 
+def _col_sums(entries, values):
+    """Each column's sum of ``values`` (one per entry), added in entry
+    order from 0, as ``np.bincount(indices, values)`` adds them: one column
+    kernel over all rows (``sparse._transpose_product``) with ``values`` for
+    entries, times a vector of ones.  On the caller: split into the row
+    blocks, the sum would add in another order."""
+    m, n = entries.shape
+    out = np.empty(n)
+    _transpose_product((slice(0, m), entries.indptr, entries.indices, values), n, np.ones(m), out)
+    return out
+
+
+def _col_counts(entries, scratch):
+    """Each column's number of entries, as ``np.bincount(indices,
+    minlength=n)`` counts them: the column indices are cast to intp into the
+    bytes of ``scratch`` (a float per entry), which ``np.bincount`` reads
+    without the intp copy of its own that it makes of K's int32 indices."""
+    columns = scratch.view(np.intp)[: entries.indices.size]
+    np.copyto(columns, entries.indices)
+    return np.bincount(columns, minlength=entries.shape[1])
+
+
 def _ruiz_sweep(entries, d1, d2, cur):
-    """One Ruiz sweep over the _Entries of |M|, with ``cur`` as scratch:
+    """One Ruiz sweep over the _Entries of M, with ``cur`` as scratch:
     the new (d1, d2)."""
     row_inf = np.zeros(d1.size)
     _in_halves(_sweep_half, [(block, d1, d2, cur, row_inf) for block in entries.blocks])
@@ -230,15 +287,16 @@ def _ruiz_sweep(entries, d1, d2, cur):
 
 def _sweep_half(block, d1, d2, cur, row_inf):
     """A block's part of a Ruiz sweep: its entries |M_ij| * d1_i * d2_j in
-    ``cur``, their row maxima into ``row_inf`` and their column maxima into
-    the block's ``col_max``.
+    ``cur``, formed as |M_ij * d1_i * d2_j|, their row maxima into
+    ``row_inf`` and their column maxima into the block's ``col_max``.
 
     ``np.maximum.at`` holds the GIL, so the first block (the caller's)
     scatters its columns before it reduces its rows and the second block
     after, and the two scatters overlap less.  ``np.maximum.reduceat``
     holds it only when given ``out``, so it is not.  ``np.maximum.at``
     alone warns of a NaN, here on neither thread."""
-    part = _scaled_entries(block.rows, block.indptr, block.indices, block.vals, d1, d2, cur[block.entries])
+    part = _scaled_entries(block.rows, block.indptr, block.indices, block.data, d1, d2, cur[block.entries])
+    np.abs(part, out=part)
     block.col_max.fill(0.0)
     first = block.rows.start == 0
     if not first:
@@ -252,15 +310,16 @@ def _sweep_half(block, d1, d2, cur, row_inf):
 def _pock_chambolle_scales(entries, d1, d2, alpha):
     """Pock-Chambolle's D1_ii = (sum_j |A_ij|^(2-alpha))^(-1/2) and D2_jj =
     (sum_i |A_ij|^alpha)^(-1/2), 1 where empty, for A = diag(d1) M diag(d2)
-    from the _Entries of |M|: each |A_ij| is (d1_i * d2_j) * |M_ij|, the
+    from the _Entries of M: each |A_ij| is |(d1_i * d2_j) * M_ij|, the
     bits of ``SparseMatrix.scaled``'s entries, summed row by row as there.
     At alpha = 1 both sums add the |A_ij| themselves."""
-    cur = np.empty(entries.vals.size)
+    cur = np.empty(entries.data.size)
     _in_halves(_scaled_entries, [(b.rows, b.indptr, b.indices, 1.0, d1, d2, cur[b.entries]) for b in entries.blocks])
-    cur *= entries.vals
+    cur *= entries.data
+    np.abs(cur, out=cur)
     row_w, col_w = (cur, cur) if alpha == 1 else (cur ** (2.0 - alpha), cur**alpha)
     row_sum = _row_sums(entries, row_w)
-    col_sum = np.bincount(entries.indices, col_w, d2.size)
+    col_sum = _col_sums(entries, col_w)
     d1 = np.where(row_sum > 0, 1.0 / np.sqrt(np.maximum(row_sum, 1e-300)), 1.0)
     d2 = np.where(col_sum > 0, 1.0 / np.sqrt(np.maximum(col_sum, 1e-300)), 1.0)
     return d1, d2
@@ -282,17 +341,19 @@ def combined_rescale(matrix, mode=DEFAULT_SCALING, *, m1=None, deadline=math.inf
     """
     if mode not in SCALING_MODES:
         raise NonPositiveInput(f"unknown scaling mode {mode!r}")
-    scaling = ScalingInfo.identity(matrix.shape)
+    scaling = None
     if mode != "none" and matrix.nnz and time.perf_counter() < deadline:
-        entries = _abs_entries(matrix)
+        entries = _entries(matrix)
         d1, d2 = _ruiz_scales(entries, RUIZ_ITERATIONS, mode.startswith("logmean"), deadline)
         if time.perf_counter() < deadline:
             e1, e2 = _pock_chambolle_scales(entries, d1, d2, PC_ALPHA)
             scaling = ScalingInfo(d1 * e1, d2 * e2)
-    if m1 is not None and time.perf_counter() < deadline:
-        scaling.row_order = length_order(matrix, m1)
+    row_order = length_order(matrix, m1) if m1 is not None and time.perf_counter() < deadline else None
     if time.perf_counter() >= deadline:
         return ScalingInfo.identity(matrix.shape)
+    if scaling is None:
+        scaling = ScalingInfo.identity(matrix.shape)
+    scaling.row_order = row_order
     return scaling
 
 

@@ -19,7 +19,17 @@ On small problems an iteration costs more in Python than in arithmetic, so
 invalid="ignore") once around the loop (the steps are called with
 ``errstate=False``), and computes the checks' per-problem constants
 (``termination.check_constants``) once, for every KKT and certificate
-check.  Each candidate ray's norm is computed once.
+check.  Each candidate ray's norm is computed once, and the candidates
+are made one at a time (``_candidates``).
+
+A large solve holds K's entries twice at most: the caller's G and A, and
+the working K~.  ``to_saddle``'s stacked copy [G; A] is read only by the
+scaling passes and ``apply_scaling``; once K~ is built from it, and K has
+two row blocks (``sparse.SPLIT_MIN_NNZ`` nonzeros), the checks multiply by
+G and A themselves, through ``SparseMatrix.over``, which gives the stacked
+copy's bits, and the copy is dropped.  A smaller copy, under 2.4 MB, is
+kept: its products are one kernel call each, where the view's take one per
+part and cost 1-2 us more on a small LP.
 
 On a large problem the working space also groups K's rows by length
 (``scaling.length_order``), which makes the CSR products faster; y goes
@@ -37,15 +47,16 @@ from .exceptions import NonFiniteIterate, NonPositiveInput, StepSizeUnderflow, _
 from .pdhg import IterateState, fixed_point_residual, pdhg_step
 from .problem import to_saddle, validate
 from . import restarts, stepsize
-# solve does not call normalized_duality_gap: it is bound here only because
-# perfbench's tracer wraps it by its name in this module
+# solve does not call normalized_duality_gap or extract_certificates: they
+# are bound here only because perfbench's tracer wraps them by their names
+# in this module
 from .restarts import RestartConfig, apply_restart, normalized_duality_gap, should_restart  # noqa: F401
 from .scaling import DEFAULT_SCALING, SCALING_MODES, apply_scaling, combined_rescale, unscale_solution
 from .sparse import dot, spectral_norm_estimate
 from .stepsize import StepPolicy, WeightPolicy, adaptive_step, initialize_step_state, update_primal_weight
-from .termination import (
-    TerminationCriteria, _cone_violation, _norm, check_constants, check_dual_infeasible, check_optimal,
-    check_primal_infeasible, extract_certificates, kkt_error,
+from .termination import (  # noqa: F401
+    CertificateCandidate, TerminationCriteria, _cone_violation, _norm, check_constants, check_dual_infeasible,
+    check_optimal, check_primal_infeasible, extract_certificates, kkt_error,
 )
 
 logger = logging.getLogger("pdhg_lp")
@@ -175,6 +186,22 @@ def _shows_ray(verdict):
     return verdict.residual <= FREEZE_TOLERANCE and verdict.margin + verdict.residual >= FREEZE_TOLERANCE
 
 
+def _candidates(state, scaling, point, x0, iteration):
+    """The candidate rays of ``extract_certificates`` at a check, with its
+    bits, made one at a time, so that the ray check holds one candidate's
+    vectors and not both: the last difference z_k - z_{k-1}, formed in the
+    unscaled z_{k-1}, the state's ``prev``, and the normalized displacement
+    (z_k - z_0) / k, for the unscaled ``point`` z_k and start x part ``x0``;
+    its y part is y_k / k, as y_0 is 0 (y_k - 0 is y_k)."""
+    xc, yc = point
+    dx, dy = unscale_solution(*state.prev_parts, scaling)
+    yield CertificateCandidate("difference", np.subtract(xc, dx, out=dx), np.subtract(yc, dy, out=dy))
+    del dx, dy
+    nx = xc - x0
+    nx /= iteration
+    yield CertificateCandidate("normalized", nx, yc / iteration)
+
+
 def _ray_hits(saddle0, candidates, tol, constants, unfrozen):
     """Test each candidate's y as a dual ray and its x as a primal ray, with
     the norm of each computed once.  Returns the valid (verdict, candidate,
@@ -209,6 +236,7 @@ def _ray_hits(saddle0, candidates, tol, constants, unfrozen):
             if verdict.valid:
                 kind_hits.append((verdict, cand, ray, norm))
             shows = shows or (may_show and _shows_ray(verdict))
+        cand = ray = None  # not held while the next candidate is made
     return hits, shows
 
 
@@ -297,6 +325,10 @@ def solve(problem, config=None):
     # the identity when time runs out: the first check stops the loop
     scaling = combined_rescale(saddle0.K, mode=config.scaling, m1=saddle0.m1, deadline=deadline)
     saddle = apply_scaling(saddle0, scaling)
+    if saddle.K is not saddle0.K and len(saddle0.K.row_blocks()) == 2:
+        # from here on the checks multiply by the caller's G and A, and the
+        # stacked copy is dropped (module docstring)
+        saddle0 = replace(saddle0, K=saddle0.K.over([problem.ineq_matrix, problem.eq_matrix]))
     scaling_sec = time.perf_counter() - t_mark
 
     notes = []
@@ -310,14 +342,15 @@ def solve(problem, config=None):
     adaptive = config.step.mode == "adaptive"
 
     step = initialize_step_state(saddle, norm_k, config.step, config.weight)
-    state = IterateState.initial(saddle)
+    # a Halpern step never adds to the running sum
+    state = IterateState.initial(saddle, running_sum=not halpern)
     # Under Halpern a check tests the T(z) of the last step, in the state's
     # t (z0, which t starts as, at iteration 0); PDHG's checks test z.  The
     # point before is the iterate the last step replaced, in prev.
     t_parts = state.t_parts
     restart_test = _RestartTest(saddle, state, step, halpern) if config.restart.scheme == "adaptive" else None
 
-    x0_u, y0_u = unscale_solution(state.x, state.y, scaling)
+    x0_u = unscale_solution(state.x, state.y, scaling)[0]
     constants = check_constants(saddle0)
     streaks = [0, 0]  # consecutive checks with a valid primal / dual infeasibility ray
     history = []
@@ -334,6 +367,10 @@ def solve(problem, config=None):
             check_due = iteration == next_check or hit_iters or hit_time
             log_due = iteration == next_log
             if check_due or log_due:
+                if check_due:
+                    # this check's point replaces the last one's, which is
+                    # not held while the new one is made
+                    last_kkt = last_point = xu = yu = kkt = None
                 xu, yu = unscale_solution(*(t_parts if halpern else (state.x, state.y)), scaling)
                 kkt = kkt_error(saddle0, xu, yu, constants)
                 if log_due:
@@ -351,13 +388,11 @@ def solve(problem, config=None):
                     break
                 ray_shows = False
                 if iteration > 0:
-                    # No local keeps the point before or the candidates, so
-                    # they are not held into the restart test's KKT evaluations.
+                    # No local keeps the candidates, so they are not held
+                    # into the restart test's KKT evaluations.
                     hits, ray_shows = _ray_hits(
                         saddle0,
-                        extract_certificates(
-                            unscale_solution(*state.prev_parts, scaling), (xu, yu), (x0_u, y0_u), iteration
-                        ),
+                        _candidates(state, scaling, (xu, yu), x0_u, iteration),
                         TOL_INFEASIBLE,
                         constants,
                         adaptive,

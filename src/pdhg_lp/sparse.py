@@ -13,7 +13,9 @@ the second block while the caller runs the first, or on one CPU the caller
 runs both in turn: K x writes each block's rows of the result, the same
 bits as one call, and K'y sums the two blocks' parts, as the step kernel
 does.  The split depends only on the nonzero count, so either product
-gives the same bits on any number of CPUs.
+gives the same bits on any number of CPUs.  ``over`` runs a stacked
+matrix's products, with its bits, on the arrays of the matrices it was
+stacked from, so that a caller who keeps those may drop the stacked copy.
 
 This module alone runs halves on the worker: ``_in_halves`` is the one
 runner, for the products here, each phase of the two-block step
@@ -142,6 +144,12 @@ SPLIT_MIN_NNZ = 200_000
 ROW_WEIGHT = 6.0
 
 
+# The entries ``scaled`` gathers from M at a time under a row order: a
+# temporary of 0.5 MB, where one gather of all of M's entries would be one
+# more copy of them (6.4 MB on the n=1e5 PageRank K).
+GATHER_CHUNK = 1 << 16
+
+
 # Vectors longer than this take einsum in ``dot``.  Measured with numpy
 # 2.4's OpenBLAS on a 2-core AMD EPYC: a loop of BLAS dots keeps the process
 # at 1.0 CPU-seconds per second up to 10,000 entries and at 2.0 from 20,000.
@@ -176,7 +184,10 @@ class SparseMatrix:
     where they fit; float64 entries, which must be finite.
     """
 
-    __slots__ = ("indptr", "indices", "data", "shape", "nnz", "matvec_calls", "rmatvec_calls", "_row_blocks")
+    __slots__ = (
+        "indptr", "indices", "data", "shape", "nnz", "matvec_calls", "rmatvec_calls", "_row_blocks", "_halves",
+        "__weakref__",
+    )
 
     def __init__(self, matrix, shape=None):
         if isinstance(matrix, SparseMatrix):
@@ -242,6 +253,7 @@ class SparseMatrix:
         self.matvec_calls = 0
         self.rmatvec_calls = 0
         self._row_blocks = {}
+        self._halves = None
 
     # -- products ---------------------------------------------------------
 
@@ -260,11 +272,11 @@ class SparseMatrix:
             raise DimensionMismatch([f"matvec expected a vector of length {n}, got shape {x.shape}"])
         self.matvec_calls += 1
         out = np.zeros(m)
-        blocks = self.row_blocks()
-        if len(blocks) == 1:
-            csr_matvec(m, n, self.indptr, self.indices, self.data, x, out)
+        halves = self._product_halves()
+        if halves:
+            _in_halves(_row_products, [(half, n, x, out) for half in halves])
         else:
-            _in_halves(_row_product, [(block, n, x, out) for block in blocks])
+            csr_matvec(m, n, self.indptr, self.indices, self.data, x, out)
         return out
 
     def rmatvec(self, y):
@@ -275,15 +287,61 @@ class SparseMatrix:
         if y.shape != (m,):
             raise DimensionMismatch([f"rmatvec expected a vector of length {m}, got shape {y.shape}"])
         self.rmatvec_calls += 1
-        blocks = self.row_blocks()
-        if len(blocks) == 1:
+        halves = self._product_halves()
+        if not halves:
             out = np.zeros(n)
             csc_matvec(n, m, self.indptr, self.indices, self.data, y, out)
             return out
         out, part = np.empty(n), np.empty(n)
-        _in_halves(_transpose_product, [(block, n, y, v) for block, v in zip(blocks, (out, part))])
-        out += part
+        _in_halves(_transpose_products, [(half, n, y, v) for half, v in zip(halves, (out, part))])
+        if len(halves) == 2:
+            out += part
         return out
+
+    def _product_halves(self):
+        """The rows as the products run them: () for one block of the
+        matrix's own arrays, one scipy call; else one or two halves for
+        ``_in_halves``, each a tuple of blocks as ``row_blocks`` gives them,
+        on this matrix's arrays or on its parts' (``over``).  Made once."""
+        if self._halves is None:
+            blocks = self.row_blocks()
+            self._halves = () if len(blocks) == 1 else tuple((block,) for block in blocks)
+        return self._halves
+
+    def over(self, parts):
+        """This matrix's products on the arrays of ``parts``, matrices whose
+        rows, stacked in turn, are this matrix (as ``vstack(parts)`` builds
+        it): a matrix that holds no arrays of its own, so that a caller who
+        keeps the parts may drop this one.  It has this matrix's shape and
+        ``nnz``, and counters of its own; of the methods, only ``matvec``
+        and ``rmatvec``.
+
+        Each product gives this matrix's bits on any number of CPUs.  The
+        view keeps this matrix's row blocks (``row_blocks``), and cuts each
+        where the parts meet.  K x writes each row as one call would.  K'y
+        adds the segments of a block into one vector in turn, as one column
+        kernel over the block's rows does; then the two blocks' parts are
+        summed, as this matrix's K'y sums them."""
+        m, n = self.shape
+        if (
+            sum(part.shape[0] for part in parts) != m
+            or any(part.shape[1] != n for part in parts)
+            or sum(part.nnz for part in parts) != self.nnz
+        ):
+            raise DimensionMismatch(["the parts do not stack to this matrix"])
+        halves = []
+        for rows, *_ in self.row_blocks():
+            segments, start = [], 0
+            for part in parts:
+                a, b = max(rows.start, start), min(rows.stop, start + part.shape[0])
+                if a < b:
+                    segments.append((slice(a, b), part.indptr[a - start : b - start + 1], part.indices, part.data))
+                start += part.shape[0]
+            halves.append(tuple(segments))
+        view = SparseMatrix.__new__(SparseMatrix)
+        view.shape, view.nnz, view.matvec_calls, view.rmatvec_calls = self.shape, self.nnz, 0, 0
+        view._row_blocks, view._halves = {}, tuple(halves)
+        return view
 
     def row_blocks(self, row_weight=0):
         """The rows as one block, or from SPLIT_MIN_NNZ nonzeros on as two
@@ -331,7 +389,9 @@ class SparseMatrix:
         the result is built in one copy of M's arrays.  Where M has two row
         blocks, the result's two halves of nonzeros form row_scale_i *
         col_scale_j on two threads (``_scaled_entries``), and one pass on
-        the caller multiplies in M_ij.
+        the caller multiplies in M_ij, gathered GATHER_CHUNK entries at a
+        time under a row order, so that no gathered copy of M's entries is
+        held beside the result's.
         """
         row_scale = np.asarray(row_scale, dtype=np.float64)
         col_scale = np.asarray(col_scale, dtype=np.float64)
@@ -339,7 +399,7 @@ class SparseMatrix:
         if row_scale.shape != (m,) or col_scale.shape != (self.shape[1],):
             raise DimensionMismatch(["scaling vectors do not match matrix shape"])
         if row_order is None:
-            indptr, indices, values = self.indptr.copy(), self.indices.copy(), self.data
+            indptr, indices, source = self.indptr.copy(), self.indices.copy(), None
         else:
             row_order = _permutation(row_order, m)
             lengths = np.diff(self.indptr)[row_order]
@@ -349,8 +409,7 @@ class SparseMatrix:
             # where in M each entry of the result sits
             source = np.arange(self.nnz, dtype=indptr.dtype)
             source += np.repeat(self.indptr[row_order] - indptr[:-1], lengths)
-            indices, values = self.indices[source], self.data[source]
-            del source
+            indices = self.indices[source]
         data = np.empty(self.nnz)
         bounds = [0, _middle_row(indptr), m] if len(self.row_blocks()) == 2 else [0, m]
         halves = []
@@ -359,7 +418,12 @@ class SparseMatrix:
             halves.append((slice(a, b), indptr[a : b + 1] - lo, indices[lo:hi], 1.0, row_scale, col_scale, data[lo:hi]))
         _in_halves(_scaled_entries, halves)
         with np.errstate(over="ignore"):  # _keep reports an overflow as NonFiniteData
-            data *= values
+            if source is None:
+                data *= self.data
+            else:
+                for lo in range(0, self.nnz, GATHER_CHUNK):
+                    chunk = data[lo : lo + GATHER_CHUNK]
+                    chunk *= self.data[source[lo : lo + GATHER_CHUNK]]
         return SparseMatrix._adopt(indptr, indices, data, self.shape)
 
     def row_lengths(self):
@@ -528,11 +592,23 @@ def _row_product(block, n, x, out):
     csr_matvec(rows.stop - rows.start, n, indptr, indices, data, x, out[rows])
 
 
+def _row_products(blocks, n, x, out):
+    """``_row_product`` of each block in turn."""
+    for block in blocks:
+        _row_product(block, n, x, out)
+
+
 def _transpose_product(block, n, y, out):
     """out = the block's rows of K, transposed, times y's entries in them."""
-    rows, indptr, indices, data = block
+    _transpose_products((block,), n, y, out)
+
+
+def _transpose_products(blocks, n, y, out):
+    """out = the blocks' rows of K, transposed, times y's entries in them,
+    each block's added in turn."""
     out.fill(0.0)
-    csc_matvec(n, rows.stop - rows.start, indptr, indices, data, y[rows], out)
+    for rows, indptr, indices, data in blocks:
+        csc_matvec(n, rows.stop - rows.start, indptr, indices, data, y[rows], out)
 
 
 class SpectralEstimate:

@@ -154,10 +154,11 @@ def kkt_error(saddle, x, y, constants=None):
     with np.errstate(over="ignore", invalid="ignore"):
         ineq_violation = np.maximum(saddle.q[:m1] - kx[:m1], 0.0)
         eq_violation = kx[m1:] - saddle.q[m1:]
-        r = saddle.c - saddle.K.rmatvec(y)
+        r = saddle.K.rmatvec(y)
+        np.subtract(saddle.c, r, out=r)
         lam, bound_term = _reduced_costs(r, saddle.l, saddle.u, constants.lfin, constants.ufin)
         primal_residual = _norm(ineq_violation, eq_violation)
-        dual_residual = _norm(r - lam)
+        dual_residual = _norm(np.subtract(r, lam, out=r))
         primal_objective = dot(saddle.c, x)
         dual_objective = dot(saddle.q, y) + bound_term
     duality_gap = abs(primal_objective - dual_objective)
@@ -238,9 +239,11 @@ def check_primal_infeasible(saddle, y_ray, tol, constants=None, *, norm=None):
     if constants is None:
         constants = check_constants(saddle)
     yhat = _unit(y_ray) if norm is None else y_ray / norm
-    rhat = -saddle.K.rmatvec(yhat)
+    rhat = saddle.K.rmatvec(yhat)
+    np.negative(rhat, out=rhat)
     lamhat, bound_term = _reduced_costs(rhat, saddle.l, saddle.u, constants.lfin, constants.ufin)
-    attain = float(np.max(np.abs(rhat - lamhat), initial=0.0))
+    gap = np.subtract(rhat, lamhat, out=lamhat)
+    attain = float(np.max(np.abs(gap, out=gap), initial=0.0))
     residual = max(_cone_violation(yhat[:saddle.m1]), attain)
     return _verdict(residual, dot(saddle.q, yhat) + bound_term, tol, constants.primal_scale)
 

@@ -4,7 +4,7 @@ import pytest
 import pdhg_lp as pl
 from pdhg_lp import IterateState, StepState, adaptive_step, pdhg_step, project_dual, project_primal, ps_norm
 
-from conftest import dense_pdhg_step, random_small_saddle
+from conftest import dense_pdhg_step, random_feasible_lp, random_small_saddle
 from test_step_kernel import Reference
 
 
@@ -146,6 +146,35 @@ class TestPdhgStep:
         assert state.sum_weight == pytest.approx(sum(ws), rel=1e-15)
         np.testing.assert_allclose(state.sum_x, sum(w * v for w, v in zip(ws, xs)), rtol=1e-15)
         np.testing.assert_allclose(state.sum_y, sum(w * v for w, v in zip(ws, ys)), rtol=1e-15)
+
+
+class TestWithoutRunningSum:
+    """A state built with ``running_sum=False`` holds no running sum: it
+    takes Halpern steps and restarts with the bits of a state that has one,
+    and refuses the steps that add to the sum."""
+
+    def test_halpern_steps_and_restarts_keep_their_bits(self):
+        saddle = pl.to_saddle(random_feasible_lp(2))
+        step = StepState(0.5 / pl.spectral_norm_estimate(saddle.K).value, 1.3)
+        plain, lean = IterateState.initial(saddle), IterateState.initial(saddle, running_sum=False)
+        assert lean.sums is None and lean.sum_x is None and lean.sum_y is None
+        for state in (plain, lean):
+            for _ in range(3):
+                pdhg_step(state, saddle, step, halpern=True, count=4)
+                pl.apply_restart(state, state.t_parts)
+        assert lean.z.tobytes() == plain.z.tobytes() and lean.t.tobytes() == plain.t.tobytes()
+        assert lean.sums is None
+
+    def test_steps_that_add_to_the_sum_are_refused(self, toy_saddle):
+        state = IterateState(x=[2.0], y=[2.0], running_sum=False)
+        for run in (
+            lambda: pdhg_step(state, toy_saddle, StepState(0.2, 1.0)),
+            lambda: adaptive_step(state, toy_saddle, StepState(0.2, 1.0)),
+        ):
+            with pytest.raises(pl.NonPositiveInput, match="running sum"):
+                run()
+        assert (state.total_count, state.trial_count) == (0, 0)
+        np.testing.assert_array_equal(state.z, [2.0, 2.0])
 
 
 class TestPsNorm:

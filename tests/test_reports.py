@@ -157,7 +157,9 @@ class TestConfigFlags:
         assert public == {
             "CertificateCandidate": "(kind: str, x: numpy.ndarray, y: numpy.ndarray) -> None",
             "CertificateVerdict": "(valid: bool, residual: float, gain: float, margin: float) -> None",
-            "IterateState": "(x: numpy.ndarray, y: numpy.ndarray) -> None",
+            "IterateState": (
+                "(x: numpy.ndarray, y: numpy.ndarray, *, running_sum: dataclasses.InitVar[bool] = True) -> None"
+            ),
             "KktReport": (
                 "(primal_residual: float, dual_residual: float, duality_gap: float, rel_primal: float, "
                 "rel_dual: float, rel_gap: float, primal_objective: float, dual_objective: float, "

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 import pdhg_lp as pl
 from pdhg_lp import SparseMatrix, scaling as scaling_module, sparse as sparse_module
-from pdhg_lp.scaling import ROW_ORDER_MIN_NNZ, _abs_entries, _ruiz_scales, length_order
+from pdhg_lp.scaling import ROW_ORDER_MIN_NNZ, _col_counts, _col_sums, _entries, _ruiz_scales, length_order
 
 from conftest import random_feasible_lp
 
@@ -60,7 +60,7 @@ class TestRuiz:
 def log_mean_ruiz(mat, sweeps):
     """The log-mean pass, then ``sweeps`` Ruiz sweeps, as the default mode
     runs them: (d1, d2)."""
-    return _ruiz_scales(_abs_entries(mat), sweeps, True, math.inf)
+    return _ruiz_scales(_entries(mat), sweeps, True, math.inf)
 
 
 def pock_chambolle(mat):
@@ -150,7 +150,7 @@ class TestCombined:
             problem = random_feasible_lp(case)
         mat = pl.to_saddle(problem).K
         assert (case == "pagerank") == (mat.nnz >= ROW_ORDER_MIN_NNZ)
-        ruiz = _ruiz_scales(_abs_entries(mat), 10, mode.startswith("logmean"), math.inf)
+        ruiz = _ruiz_scales(_entries(mat), 10, mode.startswith("logmean"), math.inf)
         pc = pock_chambolle(mat.scaled(*ruiz))
         both = pl.combined_rescale(mat, mode=mode)
         assert both.row_scale.tobytes() == (ruiz[0] * pc[0]).tobytes()
@@ -463,6 +463,45 @@ def small_cases():
         "first_block_empty": first_block_empty,
         "single_row": single_row,
     }
+
+
+class TestColumnSums:
+    """A pass's column sums and counts have ``np.bincount``'s bits: the
+    column kernel adds each column's values in entry order from 0, as
+    ``np.bincount`` does, and the counts are ``np.bincount``'s own, of the
+    column indices cast into the scratch vector."""
+
+    @staticmethod
+    def assert_bincount_bits(mat, seed):
+        n = mat.shape[1]
+        entries = _entries(mat)
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(mat.nnz) * 10.0 ** rng.uniform(-8, 8, mat.nnz)
+        assert _col_sums(entries, values).tobytes() == np.bincount(mat.indices, values, n).tobytes()
+        counts = _col_counts(entries, np.full(mat.nnz, np.nan))
+        assert counts.dtype == np.intp
+        assert counts.tobytes() == np.bincount(mat.indices, minlength=n).tobytes()
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_matrices_with_repeated_columns(self, seed, blocks, monkeypatch):
+        # 7 columns over 300 rows: each column holds about 200 entries, of
+        # magnitudes 1e-6 to 1e6, whose sum depends on the order it adds
+        # them in; the last column is empty
+        if blocks == 2:
+            monkeypatch.setattr(sparse_module, "SPLIT_MIN_NNZ", 1)
+        rng = np.random.default_rng(seed)
+        dense = rng.standard_normal((300, 8)) * 10.0 ** rng.uniform(-6, 6, (300, 8))
+        dense[rng.random((300, 8)) < 0.3] = 0.0
+        dense[:, -1] = 0.0
+        mat = SparseMatrix(dense, shape=dense.shape)
+        assert len(mat.row_blocks()) == blocks
+        self.assert_bincount_bits(mat, seed)
+
+    def test_two_block_pagerank_k(self):
+        k = pl.to_saddle(pl.generate_pagerank(pl.PagerankSpec(num_nodes=30_000))).K
+        assert len(k.row_blocks()) == 2
+        self.assert_bincount_bits(k, 3)
 
 
 class TestRowBlockScaling:

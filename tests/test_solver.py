@@ -7,8 +7,10 @@ import os
 import queue
 import sys
 import time
+import tracemalloc
 import types
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -196,11 +198,11 @@ class TestStatuses:
         problem = planted_unbounded_lp(0)
         config = pl.SolverConfig(termination=pl.TerminationCriteria(iteration_limit=10_000))
         plain = pl.solve(problem, config)
-        real, real_hits = pl.solver.extract_certificates, pl.solver._ray_hits
+        real, real_hits = pl.solver._candidates, pl.solver._ray_hits
         overflowed, huge_norms = [], []
 
         def with_huge_copies(*args):
-            candidates = real(*args)
+            candidates = list(real(*args))
             for cand in list(candidates):
                 huge = pl.termination.CertificateCandidate(cand.kind, cand.x * 1e200, cand.y * 1e200)
                 overflowed.append(not math.isfinite(huge.x @ huge.x))
@@ -214,7 +216,7 @@ class TestStatuses:
             huge_norms.extend(norm for *_, norm in hits[1] if norm > 1e150)
             return hits, shows
 
-        monkeypatch.setattr(pl.solver, "extract_certificates", with_huge_copies)
+        monkeypatch.setattr(pl.solver, "_candidates", with_huge_copies)
         monkeypatch.setattr(pl.solver, "_ray_hits", recording)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -605,10 +607,10 @@ class TestScalingDeadline:
         monkeypatch.setattr(scaling_module, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
         monkeypatch.setattr(scaling_module, "_ruiz_sweep", counting)
         matrix = pl.to_saddle(random_feasible_lp(1)).K
-        # past the deadline not even K's absolute entries are taken
+        # past the deadline not even K's entries are taken
         taken = []
-        real_entries = scaling_module._abs_entries
-        monkeypatch.setattr(scaling_module, "_abs_entries", lambda mat: taken.append(mat) or real_entries(mat))
+        real_entries = scaling_module._entries
+        monkeypatch.setattr(scaling_module, "_entries", lambda mat: taken.append(mat) or real_entries(mat))
         for mode in ("ruiz+pc", "logmean+ruiz+pc"):
             assert pl.combined_rescale(matrix, mode, deadline=0.0).is_identity
         assert sweeps == [] and taken == []
@@ -1071,7 +1073,7 @@ class TestScaleInvariance:
         # own found another equilibrium here: 95,104 and 196,864 iterations
         # at these scales against 448 at (1, 1, 1); with no candidate rays
         # the solve runs past the verdict to the iteration limit
-        monkeypatch.setattr(pl.solver, "extract_certificates", lambda *args: [])
+        monkeypatch.setattr(pl.solver, "_candidates", lambda *args: [])
         config = pl.SolverConfig(termination=pl.TerminationCriteria(tol_optimal=0.0, iteration_limit=512))
         plain = pl.solve(self.unbounded_lp_with_scaled_rows(1.0, 1.0, 1.0), config)
         scaled = pl.solve(self.unbounded_lp_with_scaled_rows(*scales), config)
@@ -1083,7 +1085,7 @@ class TestScaleInvariance:
     @pytest.mark.parametrize("scales", [(1.0, 1.0, 1.0), (1.0, 1.0, 4096.0), (1.0, 2.0**-7, 4096.0)])
     def test_scaled_rows_certified(self, scales):
         # the certificate test reads K d on the original rows, so a larger
-        # row needs a ray that is closer: 320, 448 and 448 iterations
+        # row needs a ray that is closer: 384, 512 and 512 iterations
         config = pl.SolverConfig(termination=pl.TerminationCriteria(iteration_limit=2_000))
         report = pl.solve(self.unbounded_lp_with_scaled_rows(*scales), config)
         assert report.status == pl.STATUS_DUAL_INFEASIBLE
@@ -1274,3 +1276,97 @@ class TestTwoThreads:
         assert child.exitcode == 0
         assert (status, iterations) == (parent.status, parent.iterations)
         assert own_worker
+
+
+class TestMemory:
+    """A solve holds K's entries twice at most, the caller's G and A and the
+    working K~, and no vector that no step reads."""
+
+    @staticmethod
+    def recording_states(monkeypatch):
+        states = []
+        real = pl.solver.pdhg_step
+
+        def step(state, *args, **kwargs):
+            states.append(state)
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr(pl.solver, "pdhg_step", step)
+        return states
+
+    @pytest.mark.parametrize("mode", ["halpern", "fixed"])
+    def test_only_the_pdhg_steps_allocate_the_running_sum(self, mode, monkeypatch):
+        states = self.recording_states(monkeypatch)
+        config = pl.SolverConfig(step=pl.StepPolicy(mode=mode), termination=pl.TerminationCriteria(iteration_limit=300))
+        report = pl.solve(random_feasible_lp(0), config)
+        assert report.restarts > 0 and states
+        if mode == "halpern":
+            assert all(s.sums is None and s.sum_x is None and s.sum_y is None for s in states)
+        else:
+            assert all(s.sums is not None and s.sum_x.base is s.sums for s in states)
+
+    @pytest.mark.parametrize(
+        "scaling, floor, kept",
+        [("logmean+ruiz+pc", 1, False), ("none", 1, True), ("logmean+ruiz+pc", sparse.SPLIT_MIN_NNZ, True)],
+        ids=["two_blocks", "no_scaling", "one_block"],
+    )
+    def test_no_stacked_copy_outlives_the_working_matrix(self, scaling, floor, kept, monkeypatch):
+        # once K~ is built from to_saddle's [G; A] on two row blocks, nothing
+        # holds [G; A]; without a scaling it is K~ itself, and below the
+        # split floor the small copy stays
+        monkeypatch.setattr(sparse, "SPLIT_MIN_NNZ", floor)
+        refs, alive = [], []
+        real_to_saddle, real_kkt = pl.solver.to_saddle, pl.solver.kkt_error
+
+        def to_saddle(problem):
+            saddle = real_to_saddle(problem)
+            refs.append(weakref.ref(saddle.K))
+            return saddle
+
+        def kkt_error(*args):
+            alive.append(refs[0]() is not None)
+            return real_kkt(*args)
+
+        monkeypatch.setattr(pl.solver, "to_saddle", to_saddle)
+        monkeypatch.setattr(pl.solver, "kkt_error", kkt_error)
+        config = pl.SolverConfig(scaling=scaling, termination=pl.TerminationCriteria(iteration_limit=320))
+        report = pl.solve(random_feasible_lp(1), config)
+        assert len(alive) == len(report.residual_history) > 1
+        assert alive == [kept] * len(alive)
+
+    def test_candidates_have_the_bits_of_extract_certificates(self):
+        saddle0 = pl.to_saddle(pl.generate_pagerank(pl.PagerankSpec(num_nodes=3000)))
+        scaling = pl.combined_rescale(saddle0.K, m1=saddle0.m1)
+        assert scaling.row_order is not None
+        saddle = pl.apply_scaling(saddle0, scaling)
+        state = pl.IterateState.initial(saddle)
+        x0 = pl.unscale_solution(state.x, state.y, scaling)
+        step = pl.StepState(0.5 / pl.spectral_norm_estimate(saddle.K).value, 1.0)
+        pl.pdhg_step(state, saddle, step, halpern=True, count=9)
+        point = pl.unscale_solution(*state.t_parts, scaling)
+        expected = pl.extract_certificates(pl.unscale_solution(*state.prev_parts, scaling), point, x0, 9)
+        made = list(pl.solver._candidates(state, scaling, point, x0[0], 9))
+        assert [c.kind for c in made] == [c.kind for c in expected] == ["difference", "normalized"]
+        for got, want in zip(made, expected):
+            assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+
+    def test_traced_peak_below_a_multiple_of_k(self):
+        # the n=30,000 PageRank (two row blocks, grouped rows) through its
+        # checks at 64 and 128 iterations, the first of which tests rays:
+        # 3.8 times K's CSR bytes, against 5.3 while the stacked copy of K
+        # lived beside K~ and the scaling passes copied K's entries
+        problem = pl.generate_pagerank(pl.PagerankSpec(num_nodes=30_000))
+        k = pl.to_saddle(problem).K
+        assert len(k.row_blocks()) == 2
+        k_bytes = k.indptr.nbytes + k.indices.nbytes + k.data.nbytes
+        del k
+        config = pl.SolverConfig(termination=pl.TerminationCriteria(iteration_limit=128))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            report = pl.solve(problem, config)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert report.iterations == 128
+        assert peak < 4.5 * k_bytes

@@ -591,6 +591,85 @@ class TestTwoThreadProducts:
             np.testing.assert_array_equal(scaled.indptr, gathered.indptr)
 
 
+class TestProductsOnTheParts:
+    """``SparseMatrix.over``: the stacked matrix's products on its parts'
+    own arrays, byte for byte, wherever its row split falls, with the worker
+    thread or the caller alone."""
+
+    # rows of G and of A (5 entries each), and whether the split floor is 1
+    CASES = {
+        "one_block": ((30, 20), False),
+        "split_inside_G": ((40, 10), True),
+        "split_at_the_boundary": ((20, 20), True),
+        "split_inside_A": ((10, 40), True),
+        "m1_zero": ((0, 30), True),
+        "m2_zero": ((30, 0), True),
+    }
+
+    @staticmethod
+    def parts(rows, n=60, seed=0):
+        rng = np.random.default_rng(seed)
+        parts = []
+        for m in rows:
+            dense = np.zeros((m, n))
+            for i in range(m):
+                cols = rng.choice(n, 5, replace=False)
+                dense[i, cols] = rng.standard_normal(5) * 10.0 ** rng.uniform(-4, 4, 5)
+            parts.append(SparseMatrix(dense, shape=(m, n)))
+        return parts
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_bytes_as_the_stacked_matrix(self, case, monkeypatch):
+        rows, split = self.CASES[case]
+        if split:
+            monkeypatch.setattr(sparse_module, "SPLIT_MIN_NNZ", 1)
+        parts = self.parts(rows)
+        stacked = SparseMatrix.vstack(parts)
+        blocks = stacked.row_blocks()
+        assert len(blocks) == (2 if split else 1)
+        middle = blocks[0][0].stop
+        m1 = rows[0]
+        if case == "split_inside_G":
+            assert 0 < middle < m1
+        elif case == "split_at_the_boundary":
+            assert middle == m1
+        elif case == "split_inside_A":
+            assert middle > m1
+        view = stacked.over(parts)
+        assert (view.shape, view.nnz) == (stacked.shape, stacked.nnz)
+        rng = np.random.default_rng(1)
+        xs = [rng.standard_normal(stacked.shape[1]) for _ in range(3)]
+        ys = [rng.standard_normal(stacked.shape[0]) for _ in range(3)]
+
+        def products(matrix):
+            return [matrix.matvec(x).tobytes() for x in xs] + [matrix.rmatvec(y).tobytes() for y in ys]
+
+        expected = products(stacked)
+        assert products(view) == expected
+        monkeypatch.setattr(sparse_module, "_worker", lambda: None)
+        assert products(view) == expected
+        # the view counts its own products, and the stacked matrix keeps its count
+        assert (view.matvec_calls, view.rmatvec_calls) == (6, 6)
+        assert (stacked.matvec_calls, stacked.rmatvec_calls) == (3, 3)
+
+    def test_holds_no_arrays_of_its_own(self):
+        parts = self.parts((20, 10))
+        view = SparseMatrix.vstack(parts).over(parts)
+        for name in ("indptr", "indices", "data"):
+            assert not hasattr(view, name)
+        arrays = {id(a) for p in parts for a in (p.indptr, p.indices, p.data)}
+        for half in view._product_halves():
+            for _, indptr, indices, data in half:
+                assert id(indices) in arrays and id(data) in arrays and indptr.base is not None
+
+    def test_parts_that_do_not_stack_are_refused(self):
+        parts = self.parts((20, 10))
+        stacked = SparseMatrix.vstack(parts)
+        for wrong in (parts[:1], [parts[0], self.parts((11,))[0]], [parts[0], parts[0]]):
+            with pytest.raises(DimensionMismatch, match="do not stack"):
+                stacked.over(wrong)
+
+
 class TestWorkingSpaceProducts:
     """Products with the scaled K whose rows are gathered by an order."""
 
@@ -649,6 +728,9 @@ class TestColumnKernelSolves:
             return transposes[id(mat)][1] @ np.asarray(y, dtype=np.float64)
 
         monkeypatch.setattr(SparseMatrix, "rmatvec", transposed_rmatvec)
+        # the gather reads a matrix's own arrays, so the checks keep the
+        # stacked K rather than take its products on G and A
+        monkeypatch.setattr(SparseMatrix, "over", lambda mat, parts: mat)
         gathered = pl.solve(problem, config)
         assert column.status == gathered.status
         assert column.iterations == gathered.iterations
