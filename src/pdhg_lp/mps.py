@@ -6,14 +6,17 @@ OBJSENSE, ROWS (N/L/G/E), COLUMNS (with INTORG/INTEND markers), RHS, RANGES,
 BOUNDS (LO/UP/FX/FR/MI/PL/BV), ENDATA.
 
 The reader takes a binary file object, or bytes or str, and reads it in
-newline-aligned blocks of about two megabytes, so the text is never held
-whole.  Each block is cut at its section headers, and each stretch between
-them is split into fields at once; names are mapped to indices in one pass
-and numbers converted with one array cast.  Only that first split differs
-between the dialects; free format splits on ASCII whitespace, and the fixed
-columns count bytes.  Every error still names its 1-based source line, and
-when the input holds several faults the one reported is the first in file
-order.
+newline-aligned blocks of about 256 KB, so the text is never held whole
+and a block's fields, one bytes object each, stay small.  Each block is
+cut at its section headers, and each stretch between them is split into
+fields at once; names are mapped to indices in one pass and numbers
+converted with one array cast.  Only that first split differs between the
+dialects; free format splits on ASCII whitespace, and the fixed columns
+count bytes.  COLUMNS entries are kept as int32 column, int32 row and
+double arrays, and RHS and RANGES entries as each stretch's int32 row and
+double arrays; where a row repeats, its last entry in the file wins.  Every
+error still names its 1-based source line, and when the input holds
+several faults the one reported is the first in file order.
 
 Everything is normalized into the internal form: L rows are negated into
 >= rows, ranged rows are split into two one-sided inequalities, an RHS entry
@@ -59,7 +62,7 @@ _FIXED_FIELDS = [(1, 3), (4, 12), (14, 22), (24, 36), (39, 47), (49, 61)]
 _IS_SPACE = np.zeros(256, dtype=bool)
 _IS_SPACE[list(b" \t\n\r\x0b\x0c")] = True
 
-_CHUNK_BYTES = 1 << 21  # MPS bytes read, and split into fields, at a time
+_CHUNK_BYTES = 1 << 18  # MPS bytes read, and split into fields, at a time
 _WRITE_CHUNK = 1 << 14  # coefficients formatted at a time
 
 
@@ -241,12 +244,13 @@ def _pairs(lines, lead):
     return lines.tokens[at], lines.tokens[at + 1], lines.line_nos[line]
 
 
-def _assign_last(out, index, mask, values):
-    """out[index[k]] = values[k] for every k in mask; where an index repeats,
-    the last such k wins."""
-    index, values = index[mask][::-1], values[mask][::-1]
-    targets, last = np.unique(index, return_index=True)
-    out[targets] = values[last]
+def _assign_last(out, index, values, mask=None):
+    """out[index[k]] = values[k] for every k (in mask, if given); where an
+    index repeats, the last such k wins."""
+    if mask is not None:
+        index, values = index[mask], values[mask]
+    targets, last = np.unique(index[::-1], return_index=True)
+    out[targets] = values[::-1][last]
 
 
 # -- section handlers ---------------------------------------------------------
@@ -260,10 +264,11 @@ class _Reader:
         self.row_index = {}  # name -> row index, in declaration order
         self.row_kind = []  # per row: N, L, G, E or F (an extra free row)
         self.col_index = {}  # name -> column index, in order of first use
-        self.entries = []  # per COLUMNS chunk: int32 column, int32 row and value arrays
+        self.entries = ([], [], [])  # per COLUMNS chunk: its int32 column, int32 row and value arrays
         self.entry_lines = []  # line numbers of the entries not yet checked for repeats
-        self.rhs = {}  # row index -> value; the last entry wins
-        self.ranges = {}
+        no_pairs = (np.zeros(0, dtype=np.int32), np.zeros(0))
+        self.rhs = [no_pairs]  # per RHS stretch: int32 row and value arrays; the last entry on a row wins
+        self.ranges = [no_pairs]  # the same for RANGES
         self.bound_records = []  # per BOUNDS stretch: (code, column, value) arrays
         self.integer_cols = set()
         self.in_integer = False
@@ -346,9 +351,12 @@ class _Reader:
         row_tokens, value_tokens, pair_lines = _pairs(lines, 1)
         rows = _lookup(self.row_index, row_tokens)
         values, bad_value = _floats(value_tokens)
-        base = sum(e[0].size for e in self.entries)
-        self.entries.append((cols, rows, values))
-        self.entry_lines.append(pair_lines)
+        base = sum(part.size for part in self.entries[0])
+        for parts, part in zip(self.entries, (cols, rows, values)):
+            parts.append(part)
+        # int32 while they fit, as every line number below 2**31 does
+        fits = not pair_lines.size or pair_lines[-1] <= np.iinfo(np.int32).max
+        self.entry_lines.append(pair_lines.astype(np.int32) if fits else pair_lines)
 
         errors = []
         unknown = _first(rows < 0)
@@ -370,17 +378,24 @@ class _Reader:
         """(entry index, stage, DuplicateColumn) for the first coefficient
         that repeats an earlier (column, row) pair, or None.  Entries on
         unknown rows are left out.  Merges the entries into one part."""
-        if len(self.entries) > 1:
-            self.entries = [tuple(np.concatenate(parts) for parts in zip(*self.entries))]
-        cols, rows, _ = self.entries[0]
-        key = cols.astype(np.int64)
-        key *= len(self.row_kind)
-        key += rows
-        unknown = np.flatnonzero(rows < 0)
-        key[unknown] = -1 - unknown  # distinct negative keys repeat nothing
-        ordered = np.sort(key)
-        if not (ordered[1:] == ordered[:-1]).any():
+        for parts in self.entries:
+            if len(parts) > 1:
+                parts[:] = [np.concatenate(parts)]  # one array at a time, each freeing its parts
+        cols, rows = self.entries[0][0], self.entries[1][0]
+
+        def pair_keys():
+            key = cols.astype(np.int64)
+            key *= len(self.row_kind)
+            key += rows
+            unknown = np.flatnonzero(rows < 0)
+            key[unknown] = -1 - unknown  # distinct negative keys repeat nothing
+            return key
+
+        key = pair_keys()
+        key.sort()
+        if not (key[1:] == key[:-1]).any():
             return None
+        key = pair_keys()  # sorted in place above; only a repeat needs the order
         order = np.argsort(key, kind="stable")
         k = int(order[1:][key[order[1:]] == key[order[:-1]]].min())
         col, row = list(self.col_index)[cols[k]], list(self.row_index)[rows[k]]
@@ -422,7 +437,7 @@ class _Reader:
     def read_rhs(self, lines):
         rows, values, _, _, errors = self._row_values(lines, "RHS")
         _raise_first(errors)
-        self.rhs.update(zip(rows.tolist(), values.tolist()))
+        self.rhs.append((rows, values))
 
     def read_ranges(self, lines):
         rows, values, row_tokens, pair_lines, errors = self._row_values(lines, "RANGES")
@@ -432,7 +447,7 @@ class _Reader:
             msg = f"range on objective/free row {_text(row_tokens[free])!r}"
             errors.append((free, 1, MpsSyntaxError(msg, int(pair_lines[free]))))
         _raise_first(errors)
-        self.ranges.update(zip(rows.tolist(), values.tolist()))
+        self.ranges.append((rows, values))
 
     def read_bounds(self, lines):
         errors = []
@@ -493,32 +508,32 @@ class _Reader:
         # no earlier record set frees the lower bound.
         frees = (code == _UP) & (value < 0) & (order < first_touch[col])
         low = np.select([code == _LO, code == _FX, code == _BV], [value, value, 0.0], -np.inf)
-        _assign_last(lower, col, touches | frees, low)
+        _assign_last(lower, col, low, touches | frees)
         high = np.select([code == _UP, code == _FX, code == _BV], [value, value, 1.0], np.inf)
-        _assign_last(upper, col, np.isin(code, (_UP, _FX, _FR, _PL, _BV)), high)
+        _assign_last(upper, col, high, np.isin(code, (_UP, _FX, _FR, _PL, _BV)))
         return lower, upper
 
     def build(self):
         if self.obj_row is None:
             raise MpsSyntaxError("no objective (N) row declared")
-        n = len(self.col_index)
-        if self.entries:
-            cols, rows, vals = self.entries.pop()  # check_duplicates merged them into one part
-        else:
-            cols = rows = np.zeros(0, dtype=np.int32)
-            vals = np.zeros(0)
-        c = np.zeros(n)
-        on_obj = rows == self.obj_row
-        c[cols[on_obj]] = vals[on_obj]
+        # The names first: the name maps and their bytes keys go before G
+        # and A are formed, the parse's peak.
+        row_names = [_text(name) for name in self.row_index]
+        variable_names = [_text(name) for name in self.col_index]
+        self.row_index.clear()
+        self.col_index.clear()
+        n = len(variable_names)
 
         kind = np.array(self.row_kind, dtype="U1")
         m = kind.size
         h = np.zeros(m)
-        h[list(self.rhs)] = list(self.rhs.values())
+        rhs_rows, rhs_values = map(np.concatenate, zip(*self.rhs))
+        _assign_last(h, rhs_rows, rhs_values)
         rng = np.zeros(m)
-        rng[list(self.ranges)] = list(self.ranges.values())
+        range_rows, range_values = map(np.concatenate, zip(*self.ranges))
+        _assign_last(rng, range_rows, range_values)
         ranged = np.zeros(m, dtype=bool)
-        ranged[list(self.ranges)] = True
+        ranged[range_rows] = True
         is_e, is_l = kind == "E", kind == "L"
         ranged &= ~(is_e & (rng == 0.0))  # a zero range on an equality changes nothing
         eq = is_e & ~ranged
@@ -539,28 +554,43 @@ class _Reader:
         h_vec[first[ineq]] = first_rhs[ineq]
         h_vec[first[ranged] + 1] = second_rhs[ranged]
 
-        in_a = eq[rows]
-        a_mat = SparseMatrix._from_coo(eq_at[rows[in_a]], cols[in_a], vals[in_a], (int(eq.sum()), n))
-        in_g, twice = ineq[rows], ranged[rows]
-        g_rows = np.concatenate([first[rows[in_g]], first[rows[twice]] + 1])
-        g_cols = np.concatenate([cols[in_g], cols[twice]])
-        g_vals = np.concatenate([vals[in_g], vals[twice]])
-        flip = is_l[rows]
-        np.negative(g_vals, out=g_vals, where=np.concatenate([flip[in_g], ~flip[twice]]))
-        del cols, rows, vals, in_a, in_g, twice, flip  # the entries go before G's conversion, the parse's peak
-        g_mat = SparseMatrix._from_coo(g_rows, g_cols, g_vals, (h_vec.size, n))
-        del g_rows, g_cols, g_vals
-
-        row_names = [_text(name) for name in self.row_index]
         g_names = []
         for i in np.flatnonzero(ineq).tolist():
             g_names.append(row_names[i])
             if ranged[i]:
                 g_names.append(row_names[i] + "__rng")
         a_names = [row_names[i] for i in np.flatnonzero(eq).tolist()]
+        del row_names
+
+        if self.entries[0]:
+            cols, rows, vals = (parts.pop() for parts in self.entries)  # check_duplicates merged them
+        else:
+            cols = rows = np.zeros(0, dtype=np.int32)
+            vals = np.zeros(0)
+        c = np.zeros(n)
+        on_obj = rows == self.obj_row
+        c[cols[on_obj]] = vals[on_obj]
+        in_a = eq[rows]
+        a_mat = SparseMatrix._from_coo(eq_at[rows[in_a]], cols[in_a], vals[in_a], (int(eq.sum()), n))
+        del on_obj, in_a
+        in_g, twice = ineq[rows], ranged[rows]
+        flip = is_l[rows]
+        flip = np.concatenate([flip[in_g], ~flip[twice]])
+        # each entry array goes once G's copy of it is formed, and all go
+        # before G's conversion, the parse's peak
+        g_vals = np.concatenate([vals[in_g], vals[twice]])
+        del vals
+        np.negative(g_vals, out=g_vals, where=flip)
+        g_cols = np.concatenate([cols[in_g], cols[twice]])
+        del cols
+        g_rows = np.concatenate([first[rows[in_g]], first[rows[twice]] + 1])
+        del rows, in_g, twice, flip
+        g_mat = SparseMatrix._from_coo(g_rows, g_cols, g_vals, (h_vec.size, n))
+        del g_rows, g_cols, g_vals
 
         lower, upper = self._bounds(n)
-        offset = -self.rhs[self.obj_row] if self.obj_row in self.rhs else 0.0
+        # the last RHS entry on the objective row, which h holds
+        offset = -float(h[self.obj_row]) if (rhs_rows == self.obj_row).any() else 0.0
         sign = 1
         if self.sense == -1:
             c = -c
@@ -584,7 +614,7 @@ class _Reader:
             objective_offset=offset,
             objective_sign=sign,
             name=self.name,
-            variable_names=[_text(name) for name in self.col_index],
+            variable_names=variable_names,
             constraint_names=g_names + a_names,
         )
         # crossed bounds alone make an infeasible LP, which write_mps writes too
@@ -658,15 +688,17 @@ def _check_names(names, kind, columns=False):
     """Raise MpsNameError unless every name reads back as itself: non-empty,
     free of whitespace and unique.  A column name also may not start with
     "*" (its line would read as a comment), and no name may be 'MARKER'
-    (its line would read as an integer marker)."""
+    (its line would read as an integer marker).  Returns the set of the
+    names."""
+    unique = set(names)
     if (
         all(names)
         and not _WHITESPACE.search("".join(names))
-        and len(set(names)) == len(names)
-        and "'MARKER'" not in names
+        and len(unique) == len(names)
+        and "'MARKER'" not in unique
         and not (columns and any(name.startswith("*") for name in names))
     ):
-        return
+        return unique
     seen = set()
     for k, name in enumerate(names):
         if not name or _WHITESPACE.search(name):
@@ -679,6 +711,7 @@ def _check_names(names, kind, columns=False):
             seen.add(name)
             continue
         raise MpsNameError(f"{kind} name {k} ({name!r}) {problem}")
+    return seen
 
 
 def _fmt(v):
@@ -703,13 +736,13 @@ def _bound_lines(col, lo, hi):
     return out
 
 
-def _column_blocks(problem, c_out, col_field, row_field):
+def _column_blocks(problem, c_out, var_name, row_field):
     """The COLUMNS lines, one coefficient each, as blocks of up to
     _WRITE_CHUNK lines that each end in a newline.  The lines follow the
     column-major order of [c; G; A]: each column lists its objective entry,
     then its G entries, then its A entries.  A column with no coefficients
     anywhere must still be declared (it may carry bounds), so it gets an
-    explicit zero cost."""
+    explicit zero cost.  var_name(j) is column j's name."""
     g, a = problem.ineq_matrix, problem.eq_matrix
     n = c_out.size
     has_cost = c_out != 0.0
@@ -724,17 +757,22 @@ def _column_blocks(problem, c_out, col_field, row_field):
     col_ptr, rows, values = np.empty(n + 1, indptr.dtype), np.empty_like(indices), np.empty_like(data)
     csr_tocsc(m, n, indptr, indices, data, col_ptr, rows, values)
     del indptr, indices, data  # the merged rows go before the lines are formatted
-    cols = np.repeat(np.arange(n, dtype=np.int32), np.diff(col_ptr))
     for start in range(0, rows.size, _WRITE_CHUNK):
-        # a chunk at a time, so only a chunk's worth of Python numbers and
-        # line strings exists at once
-        part = slice(start, start + _WRITE_CHUNK)
+        # a chunk at a time, so only a chunk's worth of Python numbers, line
+        # strings and column fields exists at once
+        stop = min(start + _WRITE_CHUNK, rows.size)
+        part = slice(start, stop)
+        # the chunk's columns, low to high - 1, and each line's, from low
+        low = int(col_ptr.searchsorted(start, side="right")) - 1
+        high = int(col_ptr.searchsorted(stop))
+        cols = np.repeat(np.arange(high - low), np.diff(col_ptr[low : high + 1].clip(start, stop)))
+        col_field = [f"    {name:<10} " for name in map(var_name, range(low, high))]
         # Format each distinct coefficient of the chunk once (PageRank has
         # 1.0 and one -lambda/deg per degree).  Uniquing bit patterns rather
         # than values keeps -0.0 apart from 0.0 and near-equal doubles apart.
         bits, which = np.unique(values[part].view(np.int64), return_inverse=True)
         text = [f"{v:.17g}" for v in bits.view(np.float64).tolist()]
-        fields = zip(cols[part].tolist(), rows[part].tolist(), which.tolist())
+        fields = zip(cols.tolist(), rows[part].tolist(), which.tolist())
         lines = [f"{col_field[j]}{row_field[i]}{text[k]}" for j, i, k in fields]
         lines.append("")  # the block's final newline
         yield "\n".join(lines)
@@ -794,20 +832,25 @@ def _pieces(problem):
     except InconsistentBounds:  # crossed bounds alone: an infeasible LP, which MPS holds
         if problem.objective_sign not in (1, -1):
             raise
-    if var_names is None:
-        var_names = [f"X{j}" for j in range(n)]
-    if con_names is None:
-        con_names = [f"R{i}" for i in range(m1)] + [f"E{i}" for i in range(m2)]
-    g_names, a_names = con_names[:m1], con_names[m1:]
     title = problem.name or "LP"
     if _WHITESPACE.search(title):
         raise MpsNameError(f"problem name {title!r} contains whitespace")
-    _check_names(var_names, "variable", columns=True)
-    _check_names(list(g_names) + list(a_names), "constraint")
+    # Generated names (X0, ..., R0, ..., E0, ...) are valid and never "OBJ",
+    # and are formed as they are written.
+    if var_names is None:
+        var_name = "X{}".format
+    else:
+        _check_names(var_names, "variable", columns=True)
+        var_name = var_names.__getitem__
     obj_name = "OBJ"
-    used = set(g_names) | set(a_names)
-    while obj_name in used:
-        obj_name = "_" + obj_name
+    if con_names is None:
+        g_name, a_name = "R{}".format, "E{}".format
+    else:
+        used = _check_names(con_names, "constraint")
+        while obj_name in used:
+            obj_name = "_" + obj_name
+        del used  # a generator's locals live through every yield
+        g_name, a_name = con_names[:m1].__getitem__, con_names[m1:].__getitem__
 
     sign = problem.objective_sign
     c_out = sign * problem.c
@@ -817,12 +860,13 @@ def _pieces(problem):
     if sign == -1:
         head += ["OBJSENSE", "    MAX"]
     head += ["ROWS", f" N  {obj_name}"]
-    rows = itertools.chain((f" G  {nm}" for nm in g_names), (f" E  {nm}" for nm in a_names))
+    g_names, a_names = map(g_name, range(m1)), map(a_name, range(m2))
+    rows = itertools.chain(map(" G  {}".format, g_names), map(" E  {}".format, a_names))
     yield "\n".join(itertools.chain(head, rows, ["COLUMNS", ""]))
 
-    col_field = [f"    {nm:<10} " for nm in var_names]
-    row_field = [f"{nm:<10} " for nm in itertools.chain([obj_name], g_names, a_names)]
-    yield from _column_blocks(problem, c_out, col_field, row_field)
+    names = itertools.chain([obj_name], map(g_name, range(m1)), map(a_name, range(m2)))
+    row_field = list(map("{:<10} ".format, names))
+    yield from _column_blocks(problem, c_out, var_name, row_field)
 
     lines = ["RHS"]
     if rhs_obj != 0.0:
@@ -836,6 +880,6 @@ def _pieces(problem):
     if bounded.size:
         lines.append("BOUNDS")
         for j, lo, hi in zip(bounded.tolist(), lower[bounded].tolist(), upper[bounded].tolist()):
-            lines.extend(_bound_lines(var_names[j], lo, hi))
+            lines.extend(_bound_lines(var_name(j), lo, hi))
     lines.extend(["ENDATA", ""])  # the final newline
     yield "\n".join(lines)

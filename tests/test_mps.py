@@ -128,6 +128,102 @@ class TestRanges:
             parse_mps(text)
 
 
+def repeated(rhs, ranges=""):
+    """An LP of one column on a G, an L and an E row, with the given RHS and
+    RANGES lines."""
+    return (
+        "NAME REPEATS\nROWS\n N  OBJ\n G  RG\n L  RL\n E  RE\nCOLUMNS\n"
+        "    X  OBJ  1.0  RG  1.0\n    X  RL  1.0  RE  1.0\n"
+        f"RHS\n{rhs}RANGES\n{ranges}ENDATA\n"
+    )
+
+
+def parsed_with_blocks(text, block_bytes):
+    with pytest.MonkeyPatch.context() as patch:
+        if block_bytes is not None:
+            patch.setattr(pl.mps, "_CHUNK_BYTES", block_bytes)
+        return parse_mps(text)
+
+
+# RHS and RANGES keep each stretch's (row, value) arrays; where a row repeats,
+# its last entry in the file wins, also when the repeats fall in different
+# blocks (16-byte reads cut the RHS section into many).
+@pytest.mark.parametrize("block_bytes", [None, 16])
+class TestRepeatedRhsAndRanges:
+    def test_row_repeated_in_rhs(self, block_bytes):
+        rhs = "    RHS  RG  1.0  RL  2.0\n    RHS  RG  3.0  RE  4.0\n    RHS  RE  5.0  RL  -6.0\n"
+        p = parsed_with_blocks(repeated(rhs), block_bytes)
+        np.testing.assert_array_equal(p.ineq_rhs, [3.0, 6.0])  # the L row is negated
+        np.testing.assert_array_equal(p.eq_rhs, [5.0])
+        assert p.objective_offset == 0.0
+
+    def test_row_repeated_across_rhs_sections(self, block_bytes):
+        rhs = "    RHS  RG  1.0\n    RHS  RE  2.0\nRHS\n    RHS  RE  7.0  RG  8.0\n"
+        p = parsed_with_blocks(repeated(rhs), block_bytes)
+        np.testing.assert_array_equal(p.ineq_rhs, [8.0, 0.0])
+        np.testing.assert_array_equal(p.eq_rhs, [7.0])
+
+    @pytest.mark.parametrize("sense, sign", [("MIN", 1), ("MAX", -1)])
+    def test_objective_rhs_given_twice(self, block_bytes, sense, sign):
+        rhs = "    RHS  OBJ  2.0  RG  1.0\n    RHS  OBJ  -3.5\n"
+        text = repeated(rhs).replace("ROWS\n", f"OBJSENSE\n    {sense}\nROWS\n")
+        p = parsed_with_blocks(text, block_bytes)
+        assert p.objective_offset == sign * 3.5  # the negated last entry, in the minimized form
+        np.testing.assert_array_equal(p.ineq_rhs, [1.0, 0.0])
+
+    # RHS: RG 1, RL 2, RE 5.  The last range of each row decides: on a G row
+    # h <= a'x <= h + |R|, on an L row h - |R| <= a'x <= h, on an E row
+    # [h, h + R] for R > 0 and [h + R, h] for R < 0, and R = 0 on an E row
+    # leaves an equality.
+    @pytest.mark.parametrize(
+        "ranges, names, ineq_rhs, ineq_col, eq_rhs",
+        [
+            (
+                "    RNG  RG  2.0  RL  5.0\n    RNG  RE  -1.0  RG  -3.0\n    RNG  RL  0.0  RE  3.0\n",
+                ["RG", "RG__rng", "RL", "RL__rng", "RE", "RE__rng"],
+                [1.0, -4.0, -2.0, 2.0, 5.0, -8.0],
+                [1.0, -1.0, -1.0, 1.0, 1.0, -1.0],
+                [],
+            ),
+            (
+                "    RNG  RE  3.0  RG  -2.0\n    RNG  RE  0.0  RG  0.0\n    RNG  RL  -4.0\n",
+                ["RG", "RG__rng", "RL", "RL__rng", "RE"],
+                [1.0, -1.0, -2.0, -2.0],
+                [1.0, -1.0, -1.0, 1.0],
+                [5.0],
+            ),
+            (
+                "    RNG  RE  0.0\n    RNG  RE  -2.0  RL  1.0\n    RNG  RL  -6.0\n",
+                ["RG", "RL", "RL__rng", "RE", "RE__rng"],
+                [1.0, -2.0, -4.0, 3.0, -5.0],
+                [1.0, -1.0, 1.0, 1.0, -1.0],
+                [],
+            ),
+        ],
+    )
+    def test_ranges_repeated(self, block_bytes, ranges, names, ineq_rhs, ineq_col, eq_rhs):
+        rhs = "    RHS  RG  1.0  RL  2.0\n    RHS  RE  5.0\n"
+        p = parsed_with_blocks(repeated(rhs, ranges), block_bytes)
+        assert p.constraint_names == names
+        np.testing.assert_array_equal(p.ineq_rhs, ineq_rhs)
+        np.testing.assert_array_equal(p.ineq_matrix.toarray()[:, 0], ineq_col)
+        np.testing.assert_array_equal(p.eq_rhs, eq_rhs)
+        np.testing.assert_array_equal(p.eq_matrix.toarray()[:, 0], np.ones(len(eq_rhs)))
+
+    @pytest.mark.parametrize(
+        "rhs, error, line",
+        [
+            ("    RHS  RG  1.0\n    RHS  RG  2.0\n    RHS  NOPE  3.0\n    RHS  RL  4x\n", pl.UnknownRowReference, 13),
+            ("    RHS  RG  1.0\n    RHS  RG  2x\n    RHS  NOPE  3.0\n", pl.MpsSyntaxError, 12),
+            ("    RHS  RG  1.0  RG  2.0  NOPE  3.0\n    RHS  RL  4x\n", pl.UnknownRowReference, 11),
+        ],
+    )
+    def test_first_fault_after_a_repeat(self, block_bytes, rhs, error, line):
+        with pytest.raises(error) as err:
+            parsed_with_blocks(repeated(rhs), block_bytes)
+        assert err.value.line_no == line
+
+
 class TestErrors:
     def test_duplicate_row(self):
         text = FIXTURE.replace(" L  LROW", " L  GROW")
