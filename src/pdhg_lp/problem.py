@@ -186,17 +186,12 @@ class SaddleForm:
 
 
 def to_saddle(problem):
-    """Stack [G; A] into a single saddle-point form."""
+    """Stack [G; A] and [h; b] into a single saddle-point form, which holds
+    the problem's own c, lower and upper: none of them may be written
+    through it."""
     k = SparseMatrix.vstack([problem.ineq_matrix, problem.eq_matrix])
     q = np.concatenate([problem.ineq_rhs, problem.eq_rhs])
-    return SaddleForm(
-        K=k,
-        q=q,
-        m1=problem.num_inequalities,
-        c=problem.c.copy(),
-        l=problem.lower.copy(),
-        u=problem.upper.copy(),
-    )
+    return SaddleForm(K=k, q=q, m1=problem.num_inequalities, c=problem.c, l=problem.lower, u=problem.upper)
 
 
 def lagrangian(saddle, x, y):

@@ -17,19 +17,12 @@ epoch's reference.
 On small problems an iteration costs more in Python than in arithmetic, so
 ``solve`` enters the step kernel's np.errstate(over="ignore",
 invalid="ignore") once around the loop (the steps are called with
-``errstate=False``), and computes the checks' per-problem constants
-(``termination.check_constants``) once, for every KKT and certificate
-check.  Each candidate ray's norm is computed once, and the candidates
-are made one at a time (``_candidates``).
-
-A large solve holds K's entries twice at most: the caller's G and A, and
-the working K~.  ``to_saddle``'s stacked copy [G; A] is read only by the
-scaling passes and ``apply_scaling``; once K~ is built from it, and K has
-two row blocks (``sparse.SPLIT_MIN_NNZ`` nonzeros), the checks multiply by
-G and A themselves, through ``SparseMatrix.over``, which gives the stacked
-copy's bits, and the copy is dropped.  A smaller copy, under 2.4 MB, is
-kept: its products are one kernel call each, where the view's take one per
-part and cost 1-2 us more on a small LP.
+``errstate=False``).  Everything between the caller's LP and the working
+saddle is ``_Original``'s: the working saddle, each check's point and its
+KKT report in the original space, the candidate rays there (``_candidates``,
+made one at a time) and the data the checks read, with their per-problem
+constants (``termination.check_constants``) computed once.  Each candidate
+ray's norm is computed once.
 
 On a large problem the working space also groups K's rows by length
 (``scaling.length_order``), which makes the CSR products faster; y goes
@@ -186,38 +179,87 @@ def _shows_ray(verdict):
     return verdict.residual <= FREEZE_TOLERANCE and verdict.margin + verdict.residual >= FREEZE_TOLERANCE
 
 
-def _candidates(state, scaling, point, x0, iteration):
+class _Original:
+    """The one way between the caller's LP and the working saddle that the
+    loop runs on, built once per solve: the working saddle (``saddle``),
+    each point back in the original space with its KKT report (``point``),
+    and the data the checks read there: the unscaled saddle, its
+    CheckConstants, the start's x for the normalized candidate ray, and the
+    products with both K's (``matvecs``).
+
+    The unscaled saddle holds the caller's c, l and u, which ``to_saddle``
+    does not copy, and without a scaling the working saddle holds them too;
+    no step or check writes them.  A large solve holds K's entries twice at
+    most: the caller's G and A, and the working K~.  ``to_saddle``'s
+    stacked copy [G; A] is read only by the scaling passes and
+    ``apply_scaling``; once K~ is built from it, and K has two row blocks
+    (``sparse.SPLIT_MIN_NNZ`` nonzeros), the checks multiply by G and A
+    themselves, through ``SparseMatrix.over``, which gives the stacked
+    copy's bits, and the copy is dropped.  A smaller copy, under 2.4 MB, is
+    kept: its products are one kernel call each, where the view's take one
+    per part and cost 1-2 us more on a small LP.
+    """
+
+    def __init__(self, problem, mode, deadline):
+        unscaled = to_saddle(problem)
+        t_mark = time.perf_counter()
+        # the identity when time runs out: the first check stops the loop
+        self.scaling = combined_rescale(unscaled.K, mode=mode, m1=unscaled.m1, deadline=deadline)
+        self.saddle = saddle = apply_scaling(unscaled, self.scaling)
+        if saddle.K is not unscaled.K and len(unscaled.K.row_blocks()) == 2:
+            # the checks multiply by the caller's G and A, and the stacked
+            # copy is dropped
+            unscaled = replace(unscaled, K=unscaled.K.over([problem.ineq_matrix, problem.eq_matrix]))
+        self.scaling_sec = time.perf_counter() - t_mark
+        self.unscaled, self.constants = unscaled, check_constants(unscaled)
+        # IterateState.initial's start, the origin projected into the box
+        start = np.clip(np.zeros(saddle.num_primal), saddle.l, saddle.u)
+        self.x0 = unscale_solution(start, np.zeros(saddle.num_dual), self.scaling)[0]
+
+    def point(self, x, y):
+        """The working point (x, y) in the original space, and its KKT report."""
+        xy = unscale_solution(x, y, self.scaling)
+        return xy, kkt_error(self.unscaled, *xy, self.constants)
+
+    @property
+    def matvecs(self):
+        """The products with the checks' K and, when it is another, K~."""
+        return sum(k.matvec_calls + k.rmatvec_calls for k in {self.unscaled.K, self.saddle.K})
+
+
+def _candidates(original, state, xy, iteration):
     """The candidate rays of ``extract_certificates`` at a check, with its
     bits, made one at a time, so that the ray check holds one candidate's
     vectors and not both: the last difference z_k - z_{k-1}, formed in the
     unscaled z_{k-1}, the state's ``prev``, and the normalized displacement
-    (z_k - z_0) / k, for the unscaled ``point`` z_k and start x part ``x0``;
-    its y part is y_k / k, as y_0 is 0 (y_k - 0 is y_k)."""
-    xc, yc = point
-    dx, dy = unscale_solution(*state.prev_parts, scaling)
+    (z_k - z_0) / k, for the unscaled point ``xy`` z_k and the owner's start
+    x; its y part is y_k / k, as y_0 is 0 (y_k - 0 is y_k)."""
+    xc, yc = xy
+    dx, dy = unscale_solution(*state.prev_parts, original.scaling)
     yield CertificateCandidate("difference", np.subtract(xc, dx, out=dx), np.subtract(yc, dy, out=dy))
     del dx, dy
-    nx = xc - x0
+    nx = xc - original.x0
     nx /= iteration
     yield CertificateCandidate("normalized", nx, yc / iteration)
 
 
-def _ray_hits(saddle0, candidates, tol, constants, unfrozen):
-    """Test each candidate's y as a dual ray and its x as a primal ray, with
-    the norm of each computed once.  Returns the valid (verdict, candidate,
-    ray, norm) of each kind, and whether a normalized candidate shows a ray.
+def _ray_hits(original, candidates, unfrozen):
+    """Test each candidate's y as a dual ray and its x as a primal ray, on
+    the owner's unscaled saddle at TOL_INFEASIBLE, with the norm of each
+    computed once.  Returns the valid (verdict, candidate, ray, norm) of
+    each kind, and whether a normalized candidate shows a ray.
 
     A check's product is skipped when a part that needs none rules the ray
-    out: a dual ray's cone violation above ``tol``, or a primal ray's gain
-    below ``tol`` times the dual scale.  While the adaptive step is
-    ``unfrozen`` a normalized candidate must also be unable to show a ray:
-    its dual ray is skipped only with a violation above FREEZE_TOLERANCE as
-    well, and its primal ray is always checked.  The parts are computed as
-    the checks compute them (``_cone_violation``), on the normalized ray, so
-    every verdict is the one the full check gives."""
+    out: a dual ray's cone violation above the tolerance, or a primal ray's
+    gain below the tolerance times the dual scale.  While the adaptive step
+    is ``unfrozen`` a normalized candidate must also be unable to show a
+    ray: its dual ray is skipped only with a violation above
+    FREEZE_TOLERANCE as well, and its primal ray is always checked.  The
+    parts are computed as the checks compute them (``_cone_violation``), on
+    the normalized ray, so every verdict is the one the full check gives."""
     hits = ([], [])
     shows = False
-    m1 = saddle0.m1
+    saddle, constants, tol = original.unscaled, original.constants, TOL_INFEASIBLE
     gain_floor = tol * constants.dual_scale
     for cand in candidates:
         may_show = unfrozen and cand.kind == "normalized"
@@ -226,13 +268,13 @@ def _ray_hits(saddle0, candidates, tol, constants, unfrozen):
             if not 0.0 < norm < math.inf:
                 continue
             if check is check_primal_infeasible:
-                violation = _cone_violation(ray[:m1] / norm)
+                violation = _cone_violation(ray[:saddle.m1] / norm)
                 ruled_out = violation > tol and not (may_show and violation <= FREEZE_TOLERANCE)
             else:
-                ruled_out = not may_show and -dot(saddle0.c, ray / norm) < gain_floor
+                ruled_out = not may_show and -dot(saddle.c, ray / norm) < gain_floor
             if ruled_out:
                 continue
-            verdict = check(saddle0, ray, tol, constants, norm=norm)
+            verdict = check(saddle, ray, tol, constants, norm=norm)
             if verdict.valid:
                 kind_hits.append((verdict, cand, ray, norm))
             shows = shows or (may_show and _shows_ray(verdict))
@@ -319,17 +361,8 @@ def solve(problem, config=None):
     crit = config.termination
     deadline = t_start + crit.time_limit_sec
     validate(problem)
-    saddle0 = to_saddle(problem)
-
-    t_mark = time.perf_counter()
-    # the identity when time runs out: the first check stops the loop
-    scaling = combined_rescale(saddle0.K, mode=config.scaling, m1=saddle0.m1, deadline=deadline)
-    saddle = apply_scaling(saddle0, scaling)
-    if saddle.K is not saddle0.K and len(saddle0.K.row_blocks()) == 2:
-        # from here on the checks multiply by the caller's G and A, and the
-        # stacked copy is dropped (module docstring)
-        saddle0 = replace(saddle0, K=saddle0.K.over([problem.ineq_matrix, problem.eq_matrix]))
-    scaling_sec = time.perf_counter() - t_mark
+    original = _Original(problem, config.scaling, deadline)
+    saddle = original.saddle
 
     notes = []
     # ||K~|| feeds the constant steps, and a frozen adaptive step
@@ -350,8 +383,6 @@ def solve(problem, config=None):
     t_parts = state.t_parts
     restart_test = _RestartTest(saddle, state, step, halpern) if config.restart.scheme == "adaptive" else None
 
-    x0_u = unscale_solution(state.x, state.y, scaling)[0]
-    constants = check_constants(saddle0)
     streaks = [0, 0]  # consecutive checks with a valid primal / dual infeasibility ray
     history = []
     restarts_by_reason = {"residual_decay": 0, "artificial": 0}
@@ -370,16 +401,15 @@ def solve(problem, config=None):
                 if check_due:
                     # this check's point replaces the last one's, which is
                     # not held while the new one is made
-                    last_kkt = last_point = xu = yu = kkt = None
-                xu, yu = unscale_solution(*(t_parts if halpern else (state.x, state.y)), scaling)
-                kkt = kkt_error(saddle0, xu, yu, constants)
+                    last_kkt = last_point = xy = kkt = None
+                xy, kkt = original.point(*(t_parts if halpern else (state.x, state.y)))
                 if log_due:
                     _log_progress(iteration, kkt, step)
                     next_log += config.log_interval
             # iteration 0 is a check, so last_kkt is set before any stop
             if check_due:
                 next_check += CHECK_INTERVAL
-                last_kkt, last_point = kkt, (xu, yu)
+                last_kkt, last_point = kkt, xy
                 history.append(
                     (iteration, kkt.rel_primal, kkt.rel_dual, kkt.rel_gap, step.step_size, step.primal_weight)
                 )
@@ -390,13 +420,7 @@ def solve(problem, config=None):
                 if iteration > 0:
                     # No local keeps the candidates, so they are not held
                     # into the restart test's KKT evaluations.
-                    hits, ray_shows = _ray_hits(
-                        saddle0,
-                        _candidates(state, scaling, (xu, yu), x0_u, iteration),
-                        TOL_INFEASIBLE,
-                        constants,
-                        adaptive,
-                    )
+                    hits, ray_shows = _ray_hits(original, _candidates(original, state, xy, iteration), adaptive)
                     stop = _confirmed(hits, streaks)
                     if stop:
                         break
@@ -452,13 +476,9 @@ def solve(problem, config=None):
     # last good iterate, which may be newer than the last check point.
     status, reason, certificate = stop
     if status == STATUS_NUMERICAL_ERROR:
-        xu, yu = unscale_solution(state.x, state.y, scaling)
-        last_kkt, last_point = kkt_error(saddle0, xu, yu, constants), (xu, yu)
+        last_point, last_kkt = original.point(state.x, state.y)
     xu, yu = last_point
     sign, offset = problem.objective_sign, problem.objective_offset
-    matvecs = saddle0.K.matvec_calls + saddle0.K.rmatvec_calls
-    if saddle.K is not saddle0.K:
-        matvecs += saddle.K.matvec_calls + saddle.K.rmatvec_calls
     return SolveReport(
         status=status,
         reason=reason,
@@ -471,7 +491,7 @@ def solve(problem, config=None):
         iterations=iteration,
         restarts=sum(restarts_by_reason.values()),
         restarts_by_reason=restarts_by_reason,
-        matvecs=matvecs,
+        matvecs=original.matvecs,
         gap_evaluations=restart_test.gap_evaluations if restart_test else 0,
         step_trials=state.trial_count,
         step_size=step.step_size,
@@ -480,7 +500,7 @@ def solve(problem, config=None):
         residual_history=history,
         timings={
             "total_sec": time.perf_counter() - t_start,
-            "scaling_sec": scaling_sec,
+            "scaling_sec": original.scaling_sec,
             "power_iteration_sec": power_sec,
         },
         notes=notes,
